@@ -20,8 +20,9 @@ extended over failures.
 
 from __future__ import annotations
 
+import inspect
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.context import CallContext
 from repro.core.generic_client import GenericBinding, GenericClient
@@ -30,6 +31,7 @@ from repro.naming.binder import PROC_BIND, PROC_INVOKE
 from repro.rpc.client import RpcClient
 from repro.rpc.errors import DeadlineExceeded, RpcError
 from repro.rpc.resilience import CircuitOpen, ResilientCaller, transient
+from repro.rpc.stepper import step
 from repro.telemetry.metrics import METRICS
 from repro.trader.offers import ServiceOffer
 from repro.trader.trader import ImportRequest
@@ -104,44 +106,11 @@ class RebindingClient:
         :class:`DeadlineExceeded` propagates — re-importing cannot buy a
         request more time.
         """
-        key: _CacheKey = (service_type, constraint, preference)
-        last_error: Optional[BaseException] = None
-        rounds = 1 + self.max_rebinds
-        for attempt in range(rounds):
-            offers = self._usable_offers(key, ctx, refresh=attempt > 0)
-            if not offers:
-                if last_error is not None:
-                    raise last_error
-                raise LookupFailure(
-                    f"no live offer for type {service_type!r}"
-                    + (f" with {constraint!r}" if constraint else "")
-                )
-            try:
-                return self.resilient.run(
-                    offers,
-                    lambda offer, child: self._attempt(offer, operation,
-                                                       arguments, child),
-                    ctx=self._round_context(ctx, rounds - attempt),
-                    key=_endpoint,
-                    operation=f"{service_type}.{operation}",
-                )
-            except DeadlineExceeded:
-                if ctx is None or ctx.expired(self._client.transport.now()):
-                    raise  # truly out of budget
-                last_error = None  # only this round's slice lapsed
-            except (CommunicationError, CircuitOpen, BindingError) as exc:
-                if not transient(exc):
-                    raise
-                last_error = exc
-            # The whole ranked list is dead or shedding: forget it and
-            # ask the trader again — recovery may have re-exported.
-            self._evict(key, offers)
-            self.rebinds += 1
-            METRICS.inc("client.rebinds", (service_type,))
-        if last_error is not None:
-            raise last_error
-        raise DeadlineExceeded(
-            f"budget spent across {rounds} bind round(s) for {service_type!r}"
+        return step(
+            self._invoke(
+                self.resilient.run, self._attempt,
+                service_type, operation, arguments, constraint, preference, ctx,
+            )
         )
 
     async def invoke_async(
@@ -153,9 +122,9 @@ class RebindingClient:
         preference: str = "",
         ctx: Optional[CallContext] = None,
     ) -> Any:
-        """Coroutine twin of :meth:`invoke` for the async RPC stack.
+        """The ``await`` side of :meth:`invoke`, for the async RPC stack.
 
-        Identical failover / re-import semantics, driven through
+        The same bind-round loop, driven through
         :meth:`~repro.rpc.resilience.ResilientCaller.run_async` so backoff
         pauses never block the event loop.  Each offer attempt is a raw
         BIND + INVOKE over the ``async_client`` given at construction —
@@ -170,11 +139,29 @@ class RebindingClient:
             raise BindingError(
                 "RebindingClient.invoke_async needs an async_client"
             )
+        return await self._invoke(
+            self.resilient.run_async, self._attempt_async,
+            service_type, operation, arguments, constraint, preference, ctx,
+        )
+
+    async def _invoke(
+        self,
+        run: Callable[..., Any],
+        attempt: Callable[..., Any],
+        service_type: str,
+        operation: str,
+        arguments: Optional[Dict[str, Any]],
+        constraint: str,
+        preference: str,
+        ctx: Optional[CallContext],
+    ) -> Any:
+        """The bind-round loop; ``run`` is the failover engine's entry for
+        this flavour and ``attempt`` what one offer attempt does on it."""
         key: _CacheKey = (service_type, constraint, preference)
         last_error: Optional[BaseException] = None
         rounds = 1 + self.max_rebinds
-        for attempt in range(rounds):
-            offers = self._usable_offers(key, ctx, refresh=attempt > 0)
+        for round_index in range(rounds):
+            offers = self._usable_offers(key, ctx, refresh=round_index > 0)
             if not offers:
                 if last_error is not None:
                     raise last_error
@@ -183,23 +170,25 @@ class RebindingClient:
                     + (f" with {constraint!r}" if constraint else "")
                 )
             try:
-                return await self.resilient.run_async(
+                result = run(
                     offers,
-                    lambda offer, child: self._attempt_async(
-                        offer, operation, arguments, child
-                    ),
-                    ctx=self._round_context(ctx, rounds - attempt),
+                    lambda offer, child: attempt(offer, operation,
+                                                 arguments, child),
+                    ctx=self._round_context(ctx, rounds - round_index),
                     key=_endpoint,
                     operation=f"{service_type}.{operation}",
                 )
+                return await result if inspect.isawaitable(result) else result
             except DeadlineExceeded:
                 if ctx is None or ctx.expired(self._client.transport.now()):
-                    raise
-                last_error = None
+                    raise  # truly out of budget
+                last_error = None  # only this round's slice lapsed
             except (CommunicationError, CircuitOpen, BindingError) as exc:
                 if not transient(exc):
                     raise
                 last_error = exc
+            # The whole ranked list is dead or shedding: forget it and
+            # ask the trader again — recovery may have re-exported.
             self._evict(key, offers)
             self.rebinds += 1
             METRICS.inc("client.rebinds", (service_type,))

@@ -1,12 +1,13 @@
 """Async-first RPC: asyncio transport, client, and server.
 
-The sync stack in :mod:`repro.rpc.client` / :mod:`repro.rpc.server`
-blocks a thread per in-flight call — on real TCP that means a thread per
+The blocking façades in :mod:`repro.rpc.client` / :mod:`repro.rpc.server`
+block a thread per in-flight call — on real TCP that means a thread per
 connection, and on the simulator it forces *serial* operation because
 the calling thread is also the one advancing the virtual clock.  This
-module keeps every wire artefact identical (message format, xdr bodies,
-at-most-once cache, admission control, SHED) and swaps only the
-concurrency substrate:
+module is the ``await`` side of the same protocol bodies (one attempt
+loop, one batch lane, one execute body — see DESIGN.md §6a): every wire
+artefact is identical (message format, xdr bodies, at-most-once cache,
+admission control, SHED) and only the concurrency substrate is swapped:
 
 * :class:`AsyncTcpTransport` — one event loop serves every connection;
   framing is byte-compatible with :class:`~repro.rpc.transport.TcpTransport`
@@ -18,10 +19,10 @@ concurrency substrate:
   each in-flight xid owns a future, retransmission keeps the same xid
   (and the same future) across attempts so the server's at-most-once
   cache still coalesces.
-* :class:`AsyncRpcServer` — reuses the sync server's admission queue and
-  reply cache verbatim but executes each admitted call as its own task,
-  so slow handlers overlap; ``async def`` handlers are awaited and
-  cancelled when their wire deadline expires.
+* :class:`AsyncRpcServer` — the sync server with a scheduling choice
+  per admitted call: ``async def`` handlers run as their own tasks, so
+  slow handlers overlap, and are cancelled when their wire deadline
+  expires; plain handlers run inline.
 
 Over a :class:`~repro.rpc.transport.SimTransport` the same client and
 server run in *virtual* time on a :class:`~repro.net.aioclock.SimEventLoop`:
@@ -36,23 +37,15 @@ import inspect
 import struct
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.context import CallContext, SpanRecord, current_context, use_context
+from repro.context import CallContext
 from repro.errors import CommunicationError
 from repro.net.endpoints import Address
-from repro.rpc.client import (
-    RetiredXids,
-    RpcClient,
-    reply_to_result,
-    resolve_context,
-)
+from repro.rpc.client import _BatchLane, _RpcClientCore, reply_to_result
 from repro.rpc.codec import CODECS
-from repro.rpc.dispatch import dispatcher_for
-from repro.rpc.errors import DeadlineExceeded, RpcError, RpcTimeout
-from repro.rpc.message import ReplyStatus, RpcCall, RpcReply
-from repro.rpc.server import AdmissionPolicy, RpcServer
+from repro.rpc.errors import RpcError
+from repro.rpc.message import RpcCall, RpcReply
+from repro.rpc.server import AdmissionPolicy, RpcServer, _DeadlineLapsed
 from repro.rpc.transport import SimTransport, Transport, enable_nodelay
-from repro.telemetry import sampling
-from repro.telemetry.hub import flush_context, spans_wanted
 from repro.telemetry.metrics import METRICS
 
 __all__ = [
@@ -244,63 +237,71 @@ class AsyncTcpTransport(Transport):
         return await reader.readexactly(length)
 
 
-class AsyncRpcClient:
+class AsyncRpcClient(_RpcClientCore):
     """Coroutine RPC client: many concurrent calls over one transport.
 
-    Semantics mirror :class:`~repro.rpc.client.RpcClient` exactly —
+    Awaits the same body :class:`~repro.rpc.client.RpcClient` steps —
     same-xid retransmission carved out of the context's remaining
-    deadline budget, ambient-context inheritance, retired-xid duplicate
-    suppression — but each in-flight call awaits its own future instead
-    of blocking the transport's wait loop, so calls overlap freely.
+    deadline budget, ambient-context inheritance, unawaited-reply
+    suppression — but each in-flight xid owns a future instead of
+    blocking the transport's wait loop, so calls overlap freely.
     Works over :class:`AsyncTcpTransport` in wall time and over
     :class:`~repro.rpc.transport.SimTransport` in virtual time when
     driven by a :class:`~repro.net.aioclock.SimEventLoop`.
     """
-
-    #: Shared with the sync client: a process mixing both flavours never
-    #: reuses a live xid against the same server's reply cache.
-    _xid_counter = RpcClient._xid_counter
 
     def __init__(
         self,
         transport: Transport,
         timeout: float = 1.0,
         retries: int = 3,
-        retired_xid_capacity: int = 4096,
     ) -> None:
-        self.transport = transport
-        self.timeout = timeout
-        self.retries = retries
+        super().__init__(transport, timeout, retries)
         self._waiters: Dict[int, asyncio.Future] = {}
-        self._retired = RetiredXids(retired_xid_capacity)
-        self.calls_sent = 0
-        self.retransmissions = 0
-        self.duplicate_replies_dropped = 0
-        dispatcher_for(transport).client = self
 
-    @property
-    def address(self) -> Address:
-        return self.transport.local_address
+    def _expect(self, xid: int) -> None:
+        self._waiters[xid] = asyncio.get_running_loop().create_future()
+        _inflight(+1)
 
-    def handle_reply(self, source: Address, reply: RpcReply) -> None:
-        """Entry point from the dispatcher (runs on the event loop)."""
-        if reply.xid in self._retired:
-            self.duplicate_replies_dropped += 1
-            METRICS.inc("rpc.client.duplicate_replies_dropped")
-            return
+    def _deliver(self, reply: RpcReply) -> bool:
         waiter = self._waiters.get(reply.xid)
         if waiter is None or waiter.done():
-            self.duplicate_replies_dropped += 1
-            METRICS.inc("rpc.client.duplicate_replies_dropped")
-            return
+            return False
         waiter.set_result(reply)
+        return True
+
+    async def _wait_replies(self, xids, timeout: float) -> bool:
+        waiting = [
+            self._waiters[xid] for xid in xids if not self._waiters[xid].done()
+        ]
+        if not waiting:
+            return True
+        if len(xids) > 1:
+            # One collective timeout; pending futures are left
+            # un-cancelled so the next attempt re-awaits them.
+            __, waiting = await asyncio.wait(waiting, timeout=timeout)
+            return not waiting
+        try:
+            # shield: a per-attempt timeout must not cancel the waiter —
+            # the xid (and its future) live on into the next attempt.
+            await asyncio.wait_for(asyncio.shield(waiting[0]), timeout)
+            return True
+        except asyncio.TimeoutError:
+            return False
+
+    def _take(self, xid: int) -> Optional[RpcReply]:
+        waiter = self._waiters.get(xid)
+        if waiter is not None and waiter.done() and not waiter.cancelled():
+            return waiter.result()
+        return None
 
     def retire_xid(self, xid: int) -> None:
         """Mark ``xid`` finished: later replies for it are dropped."""
         waiter = self._waiters.pop(xid, None)
-        if waiter is not None and not waiter.done():
-            waiter.cancel()
-        self._retired.add(xid)
+        if waiter is not None:
+            _inflight(-1)
+            if not waiter.done():
+                waiter.cancel()
 
     async def call(
         self,
@@ -333,107 +334,9 @@ class AsyncRpcClient:
         context: Optional[CallContext] = None,
     ) -> RpcReply:
         """Send pre-encoded bytes and return the raw reply."""
-        ambient = current_context() if context is None else None
-        ctx = resolve_context(
-            context, timeout, retries, ambient,
-            self.timeout, self.retries, self.transport.now(),
+        return await self._call_raw(
+            destination, prog, vers, proc, body, timeout, retries, context
         )
-        owns_chain = context is None and ambient is None
-        try:
-            with ctx.span("rpc", f"call {prog}:{proc}", self.transport.now) as span:
-                return await self._call_attempts(
-                    ctx, destination, prog, vers, proc, body, span
-                )
-        finally:
-            if owns_chain:
-                flush_context(ctx)
-
-    async def _call_attempts(
-        self,
-        ctx: CallContext,
-        destination: Address,
-        prog: int,
-        vers: int,
-        proc: int,
-        body: bytes,
-        span: Optional[SpanRecord] = None,
-    ) -> RpcReply:
-        now = self.transport.now()
-        labels = (str(prog), str(proc))
-        if ctx.expired(now):
-            METRICS.inc("rpc.client.deadline_exceeded", labels)
-            raise DeadlineExceeded(
-                f"deadline expired before calling {destination} "
-                f"(trace {ctx.trace_id})"
-            )
-        xid = next(self._xid_counter)
-        call = RpcCall(
-            xid, prog, vers, proc, body,
-            deadline=ctx.deadline, trace_id=ctx.trace_id, hops=ctx.hops,
-            sampled=sampling.mark(ctx),
-        )
-        encoded = call.encode()
-        # One future per xid, shared across attempts: retransmissions
-        # re-await the *same* future, so whichever attempt's reply lands
-        # first resolves the call and later duplicates are dropped.
-        waiter = asyncio.get_running_loop().create_future()
-        self._waiters[xid] = waiter
-        attempts = ctx.retry.attempts
-        _inflight(+1)
-        try:
-            for attempt in range(attempts):
-                now = self.transport.now()
-                if ctx.expired(now):
-                    METRICS.inc("rpc.client.deadline_exceeded", labels)
-                    raise DeadlineExceeded(
-                        f"deadline expired after {attempt} attempt(s) to "
-                        f"{destination} (trace {ctx.trace_id})"
-                    )
-                if attempt:
-                    self.retransmissions += 1
-                    METRICS.inc("rpc.client.retransmissions", labels)
-                    if span is not None:
-                        span.add_event("retransmission", at=now, attempt=attempt)
-                self.calls_sent += 1
-                wait = ctx.attempt_timeout(now, attempts - attempt)
-                self._send_call(destination, encoded, ctx.deadline)
-                try:
-                    # shield: a per-attempt timeout must not cancel the
-                    # waiter — the xid (and its future) live on into the
-                    # next attempt.
-                    reply = await asyncio.wait_for(asyncio.shield(waiter), wait)
-                except asyncio.TimeoutError:
-                    continue
-                if reply.status is ReplyStatus.SHED:
-                    METRICS.inc("rpc.client.shed_received", labels)
-                    if span is not None:
-                        span.add_event(
-                            "shed", at=self.transport.now(), attempt=attempt
-                        )
-                return reply
-            if ctx.expired(self.transport.now()) and ctx.retry.attempt_timeout is None:
-                METRICS.inc("rpc.client.deadline_exceeded", labels)
-                raise DeadlineExceeded(
-                    f"no reply from {destination} within the deadline "
-                    f"(trace {ctx.trace_id})"
-                )
-            raise RpcTimeout(
-                f"no reply from {destination} for prog={prog} proc={proc} "
-                f"after {attempts} attempt(s)"
-            )
-        finally:
-            _inflight(-1)
-            self.retire_xid(xid)
-
-    def _send_call(
-        self, destination: Address, encoded: bytes, deadline: Optional[float]
-    ) -> None:
-        """Put one encoded CALL on the wire.
-
-        The seam :class:`AsyncBatchingClient` overrides to coalesce
-        same-tick writes; the base client writes immediately.
-        """
-        self.transport.send(destination, encoded)
 
     async def ping(self, destination: Address, prog: int, vers: int = 1) -> bool:
         """True when the destination answers procedure 0 (NULL proc)."""
@@ -443,23 +346,8 @@ class AsyncRpcClient:
         except RpcError:
             return False
 
-    async def stats(self, destination: Address, **kwargs: Any) -> Dict[str, Any]:
-        """Fetch the STATS snapshot from the server at ``destination``."""
-        from repro.rpc import stats as stats_mod
 
-        return await self.call(
-            destination,
-            stats_mod.STATS_PROGRAM,
-            stats_mod.STATS_VERSION,
-            stats_mod.PROC_SNAPSHOT,
-            **kwargs,
-        )
-
-    def close(self) -> None:
-        dispatcher_for(self.transport).client = None
-
-
-class AsyncBatchingClient(AsyncRpcClient):
+class AsyncBatchingClient(_BatchLane, AsyncRpcClient):
     """Async client that coalesces same-tick calls into BATCH writes.
 
     Calls issued in the same event-loop tick — the natural shape of an
@@ -477,11 +365,10 @@ class AsyncBatchingClient(AsyncRpcClient):
         transport: Transport,
         timeout: float = 1.0,
         retries: int = 3,
-        retired_xid_capacity: int = 4096,
         max_batch: int = 16,
         max_bytes: int = 64 * 1024,
     ) -> None:
-        super().__init__(transport, timeout, retries, retired_xid_capacity)
+        super().__init__(transport, timeout, retries)
         self.max_batch = max_batch
         self.max_bytes = max_bytes
         self.batches_sent = 0
@@ -510,32 +397,6 @@ class AsyncBatchingClient(AsyncRpcClient):
         if staged:
             self._send_batch(destination, staged)
 
-    def _send_batch(self, destination: Address, payloads: List[bytes]) -> None:
-        self.batches_sent += 1
-        METRICS.inc("rpc.client.batches_sent")
-        METRICS.observe("rpc.client.batch_size", float(len(payloads)))
-        self.transport.send(destination, b"".join(payloads))
-
-    def _send_batches(
-        self, destination: Address, encoded_calls: List[bytes]
-    ) -> None:
-        """Ship encoded CALLs in watermark-sized BATCH payloads."""
-        chunk: List[bytes] = []
-        chunk_bytes = 0
-        for encoded in encoded_calls:
-            if chunk and (
-                len(chunk) >= self.max_batch
-                or chunk_bytes + len(encoded) > self.max_bytes
-            ):
-                self._send_batch(destination, chunk)
-                chunk, chunk_bytes = [], 0
-            chunk.append(encoded)
-            chunk_bytes += len(encoded)
-        if chunk:
-            self._send_batch(destination, chunk)
-
-    # -- explicit batch API -----------------------------------------------
-
     async def call_many(
         self,
         destination: Address,
@@ -546,139 +407,27 @@ class AsyncBatchingClient(AsyncRpcClient):
     ) -> List[Any]:
         """Issue many ``(prog, vers, proc, args)`` calls as batches.
 
-        The coroutine twin of
+        The ``await`` side of
         :meth:`repro.rpc.client.BatchingClient.call_many`: one shared
         context (one deadline budget, one trace) covers the whole
-        batch, replies are awaited collectively instead of through a
-        per-call future+timeout pair, and outcomes come back in call
-        order — the decoded result or the typed :class:`RpcError`
-        *instance* that call would have raised.
+        batch, replies are awaited collectively, and outcomes come back
+        in call order — the decoded result or the typed
+        :class:`RpcError` *instance* that call would have raised.
         """
-        calls = list(calls)
-        if not calls:
-            return []
-        ambient = current_context() if context is None else None
-        ctx = resolve_context(
-            context, timeout, retries, ambient,
-            self.timeout, self.retries, self.transport.now(),
-        )
-        owns_chain = context is None and ambient is None
-        try:
-            with ctx.span(
-                "rpc", f"call_many x{len(calls)}", self.transport.now
-            ):
-                return await self._batch_attempts(ctx, destination, calls)
-        finally:
-            if owns_chain:
-                flush_context(ctx)
-
-    async def _batch_attempts(
-        self,
-        ctx: CallContext,
-        destination: Address,
-        calls: Sequence[Tuple[int, int, int, Any]],
-    ) -> List[Any]:
-        loop = asyncio.get_running_loop()
-        entries = []
-        sampled = sampling.mark(ctx)
-        for prog, vers, proc, args in calls:
-            xid = next(self._xid_counter)
-            call = RpcCall(
-                xid, prog, vers, proc,
-                CODECS.encode_args(prog, vers, proc, args),
-                deadline=ctx.deadline, trace_id=ctx.trace_id, hops=ctx.hops,
-                sampled=sampled,
-            )
-            self._waiters[xid] = loop.create_future()
-            entries.append((xid, prog, vers, proc, call.encode()))
-        _inflight(+len(entries))
-        try:
-            replies = await self._collect_replies(ctx, destination, entries)
-            expired = ctx.expired(self.transport.now())
-            outcomes: List[Any] = []
-            for xid, prog, vers, proc, __ in entries:
-                reply = replies.get(xid)
-                if reply is None:
-                    if expired:
-                        outcomes.append(DeadlineExceeded(
-                            f"no reply from {destination} for prog={prog} "
-                            f"proc={proc} within the deadline "
-                            f"(trace {ctx.trace_id})"
-                        ))
-                    else:
-                        outcomes.append(RpcTimeout(
-                            f"no reply from {destination} for prog={prog} "
-                            f"proc={proc} after "
-                            f"{ctx.retry.attempts} attempt(s)"
-                        ))
-                    continue
-                try:
-                    outcomes.append(
-                        reply_to_result(reply, destination, prog, vers, proc)
-                    )
-                except RpcError as error:
-                    outcomes.append(error)
-            return outcomes
-        finally:
-            _inflight(-len(entries))
-            for xid, *__ in entries:
-                self.retire_xid(xid)
-
-    async def _collect_replies(
-        self, ctx: CallContext, destination: Address, entries
-    ) -> Dict[int, RpcReply]:
-        """Send batches and gather replies, retransmitting only gaps."""
-        replies: Dict[int, RpcReply] = {}
-        outstanding = {
-            xid: (prog, proc, encoded)
-            for xid, prog, vers, proc, encoded in entries
-        }
-        attempts = ctx.retry.attempts
-        for attempt in range(attempts):
-            now = self.transport.now()
-            if ctx.expired(now):
-                break
-            if attempt:
-                for prog, proc, __ in outstanding.values():
-                    self.retransmissions += 1
-                    METRICS.inc(
-                        "rpc.client.retransmissions", (str(prog), str(proc))
-                    )
-            self.calls_sent += len(outstanding)
-            self._send_batches(
-                destination,
-                [encoded for __, __, encoded in outstanding.values()],
-            )
-            wait = ctx.attempt_timeout(now, attempts - attempt)
-            waiting = [
-                self._waiters[xid]
-                for xid in outstanding
-                if not self._waiters[xid].done()
-            ]
-            if waiting:
-                # One collective timeout; pending futures are left
-                # un-cancelled so the next attempt re-awaits them.
-                await asyncio.wait(waiting, timeout=wait)
-            for xid in list(outstanding):
-                waiter = self._waiters.get(xid)
-                if waiter is not None and waiter.done() and not waiter.cancelled():
-                    replies[xid] = waiter.result()
-                    del outstanding[xid]
-            if not outstanding:
-                break
-        return replies
+        return await self._call_many(destination, calls, timeout, retries, context)
 
 
 class AsyncRpcServer(RpcServer):
     """Task-per-call RPC server sharing the sync server's admission core.
 
-    Arrival-time admission, the deadline-ordered queue, the at-most-once
-    reply cache, and every counter are inherited unchanged from
-    :class:`~repro.rpc.server.RpcServer`; only the drain differs —
-    calls bound for ``async def`` handlers become event-loop tasks, so
-    they overlap and are awaited, while plain sync handlers (which
-    would hold the loop for their whole body regardless) execute inline
-    during the drain, skipping per-call task overhead.
+    Arrival-time admission, the deadline-ordered queue and its drain,
+    the at-most-once reply cache, the execute body and every counter
+    are inherited unchanged from :class:`~repro.rpc.server.RpcServer`;
+    only *scheduling* differs — calls bound for ``async def`` handlers
+    become event-loop tasks, so they overlap and are awaited, while
+    plain sync handlers (which would hold the loop for their whole body
+    regardless) execute inline during the drain — and replies leaving
+    in one event-loop tick share one write.
 
     Cancellation on deadline expiry: an awaitable handler result runs
     under ``asyncio.wait_for`` bounded by the call's remaining wire
@@ -701,24 +450,6 @@ class AsyncRpcServer(RpcServer):
         self.reply_max_batch = 16
         self._reply_staged: Dict[Address, List[bytes]] = {}
         self._reply_flush_scheduled: Set[Address] = set()
-
-    def handle_call(self, source: Address, call: RpcCall) -> None:
-        """Entry point from the dispatcher; spawns a task per admitted call."""
-        if not self._receive(source, call):
-            return
-        self._pump()
-
-    def handle_batch(self, source: Address, calls: List[RpcCall]) -> None:
-        """BATCH entry point: admit every call, then start tasks once.
-
-        All calls join the deadline-ordered queue before any task is
-        created, so the batch's most urgent call starts first regardless
-        of wire position.  Reply coalescing needs no batch scope here —
-        :meth:`_send_reply` tick-coalesces every reply.
-        """
-        for call in calls:
-            self._receive(source, call)
-        self._pump()
 
     def _send_reply(self, source: Address, reply: RpcReply) -> None:
         """Stage a reply; one write flushes everything ready this tick.
@@ -755,148 +486,37 @@ class AsyncRpcServer(RpcServer):
             # left to read them.
             pass
 
-    def _pump(self) -> None:
-        """Drain the admission queue: inline for sync handlers, tasks else.
+    def _dispatch_entry(self, source: Address, call: RpcCall) -> None:
+        """Choose the scheduling lane for one dequeued call.
 
-        Entries leave the queue in deadline order.  ``async def``
-        handlers become event-loop tasks (so they overlap and can be
-        cancelled at their deadline); plain sync handlers — which would
-        monopolise the loop for their whole body either way — run
-        *inline* right here, skipping task creation, scheduling ticks,
-        and done-callback bookkeeping per call.  A caller outside the
-        event loop (a sync test driving a sim clock by hand) falls back
-        to running each entry to completion, mirroring the sync
-        server's serial drain.
+        ``async def`` handlers become event-loop tasks (so they overlap
+        and can be cancelled at their deadline); plain sync handlers —
+        which would monopolise the loop for their whole body either way
+        — take the blocking façade's lane: stepped *inline* right here,
+        skipping task creation, scheduling ticks, and done-callback
+        bookkeeping per call.  A caller outside the event loop (a sync
+        test driving a sim clock by hand) falls back to running the
+        entry to completion, mirroring the sync server's serial drain.
         """
         try:
             loop = asyncio.get_running_loop()
         except RuntimeError:
-            loop = None
-        try:
-            while True:
-                entry = self._queue.pop()
-                if entry is None:
-                    return
-                source, call = entry
-                self._start_entry(source, call, loop)
-        finally:
-            METRICS.set_gauge(
-                "rpc.server.queue_depth", len(self._queue), self._gauge_label
-            )
-
-    def _start_entry(self, source: Address, call: RpcCall, loop) -> None:
-        if loop is None:
             self._fallback_loop().run_until_complete(self._run_entry(source, call))
-        elif self._wants_task(call):
+            return
+        if self._wants_task(call):
             task = loop.create_task(self._run_entry(source, call))
             self._handler_tasks.add(task)
             task.add_done_callback(self._handler_tasks.discard)
         else:
-            self._start_inline(source, call, loop)
+            super()._dispatch_entry(source, call)
 
     def _wants_task(self, call: RpcCall) -> bool:
-        """True when the call's handler needs the task path (async def)."""
+        """True when the call's handler needs the task lane (async def)."""
         program = self._programs.get((call.prog, call.vers))
         if program is None:
             return False
         handler = program.lookup(call.proc)
         return handler is not None and inspect.iscoroutinefunction(handler)
-
-    def _start_inline(self, source: Address, call: RpcCall, loop) -> None:
-        """Sync-handler fast lane: dequeue checks + execution, no task."""
-        now = self.transport.now()
-        if call.deadline is not None and now >= call.deadline:
-            self._finish(source, call, self._reject_deadline(call), cacheable=True)
-            return
-        if self._shedding_needed(call, now):
-            self._finish(source, call, self._shed(call, "dequeue"), cacheable=False)
-            return
-        cache_key = (source, call.xid)
-        self._in_flight.add(cache_key)
-        reply: Optional[RpcReply] = None
-        handed_off = False
-        try:
-            reply = self._execute_inline(source, call, loop)
-            handed_off = reply is None
-        finally:
-            if not handed_off:
-                self._in_flight.discard(cache_key)
-        if reply is not None:
-            try:
-                self._finish(source, call, reply, cacheable=True)
-            except CommunicationError:
-                pass
-
-    def _execute_inline(
-        self, source: Address, call: RpcCall, loop
-    ) -> Optional[RpcReply]:
-        """Run a (presumed) sync handler without leaving this tick.
-
-        Returns the reply, or ``None`` when the handler turned out to
-        return an awaitable after all (a partial or wrapper the
-        ``iscoroutinefunction`` gate cannot see) — then a task finishes
-        the call and owns the in-flight key.
-        """
-        program, handler, args, early = self._prepare(call)
-        if early is not None:
-            return early
-        ctx = self._context_for(call)
-        started = self.transport.now()
-        try:
-            if ctx is not None:
-                # Server-built context, dropped after the dispatch:
-                # span bookkeeping only pays off with an exporter.
-                if spans_wanted():
-                    with ctx.span(
-                        "server", f"{program.name}:{call.proc}", self.transport.now
-                    ):
-                        with use_context(ctx):
-                            result = handler(args)
-                else:
-                    with use_context(ctx):
-                        result = handler(args)
-            else:
-                result = handler(args)
-        except Exception as exc:  # noqa: BLE001 - faults cross the wire as data
-            self._observe(call, program, ctx, started)
-            return self._fault_reply(call.xid, exc)
-        if inspect.isawaitable(result):
-            task = loop.create_task(
-                self._finish_awaited(source, call, program, ctx, started, result)
-            )
-            self._handler_tasks.add(task)
-            task.add_done_callback(self._handler_tasks.discard)
-            return None
-        self._observe(call, program, ctx, started)
-        return self._success_reply(call, result)
-
-    async def _finish_awaited(
-        self, source: Address, call: RpcCall, program, ctx, started, awaitable
-    ) -> None:
-        """Complete an inline call whose sync handler returned an awaitable."""
-        try:
-            try:
-                value = await self._bounded(awaitable, call)
-            except asyncio.TimeoutError:
-                self.cancelled_on_deadline += 1
-                METRICS.inc(
-                    "rpc.server.cancelled_on_deadline",
-                    (program.name, str(call.proc)),
-                )
-                reply = self._reject_deadline(call)
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:  # noqa: BLE001 - faults cross the wire as data
-                reply = self._fault_reply(call.xid, exc)
-            else:
-                reply = self._success_reply(call, value)
-        finally:
-            self._observe(call, program, ctx, started)
-            self._in_flight.discard((source, call.xid))
-        try:
-            self._finish(source, call, reply, cacheable=True)
-        except CommunicationError:
-            pass
 
     def _fallback_loop(self) -> asyncio.AbstractEventLoop:
         if isinstance(self.transport, SimTransport):
@@ -907,77 +527,26 @@ class AsyncRpcServer(RpcServer):
             "AsyncRpcServer needs a running event loop on this transport"
         )
 
-    async def _run_entry(self, source: Address, call: RpcCall) -> None:
-        """Dequeue-time re-check, execution, reply — one task per call."""
-        now = self.transport.now()
-        if call.deadline is not None and now >= call.deadline:
-            self._finish(source, call, self._reject_deadline(call), cacheable=True)
-            return
-        if self._shedding_needed(call, now):
-            self._finish(source, call, self._shed(call, "dequeue"), cacheable=False)
-            return
-        cache_key = (source, call.xid)
-        self._in_flight.add(cache_key)
-        try:
-            reply = await self._execute_async(call)
-        finally:
-            self._in_flight.discard(cache_key)
-        try:
-            self._finish(source, call, reply, cacheable=True)
-        except CommunicationError:
-            # Transport torn down while the handler ran; nobody is left
-            # to read the reply.
-            pass
-
-    async def _execute_async(self, call: RpcCall) -> RpcReply:
-        program, handler, args, early = self._prepare(call)
-        if early is not None:
-            return early
-        ctx = self._context_for(call)
-        started = self.transport.now()
-        try:
-            try:
-                if ctx is not None and spans_wanted():
-                    with ctx.span(
-                        "server", f"{program.name}:{call.proc}", self.transport.now
-                    ):
-                        with use_context(ctx):
-                            result = handler(args)
-                            if inspect.isawaitable(result):
-                                result = await self._bounded(result, call)
-                elif ctx is not None:
-                    with use_context(ctx):
-                        result = handler(args)
-                        if inspect.isawaitable(result):
-                            result = await self._bounded(result, call)
-                else:
-                    result = handler(args)
-                    if inspect.isawaitable(result):
-                        result = await self._bounded(result, call)
-            except asyncio.TimeoutError:
-                # The wire deadline lapsed mid-execution and the handler
-                # task was cancelled: answer DEADLINE_EXCEEDED instead
-                # of burning further handler time on a dead budget.
-                self.cancelled_on_deadline += 1
-                METRICS.inc(
-                    "rpc.server.cancelled_on_deadline",
-                    (program.name, str(call.proc)),
-                )
-                return self._reject_deadline(call)
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:  # noqa: BLE001 - faults cross the wire as data
-                return self._fault_reply(call.xid, exc)
-            return self._success_reply(call, result)
-        finally:
-            self._observe(call, program, ctx, started)
-
-    async def _bounded(self, awaitable, call: RpcCall):
+    async def _bounded(self, awaitable, call: RpcCall, program) -> Any:
         """Await a handler's result, cancelling at the wire deadline."""
+        if not self._wants_task(call):
+            # The inline lane cannot wait: a plain handler's awaitable
+            # is stepped like on the blocking server.
+            return await super()._bounded(awaitable, call, program)
         if call.deadline is None:
             return await awaitable
         remaining = call.deadline - self.transport.now()
-        return await asyncio.wait_for(awaitable, max(0.0, remaining))
+        try:
+            return await asyncio.wait_for(awaitable, max(0.0, remaining))
+        except asyncio.TimeoutError:
+            # The wire deadline lapsed mid-execution and the handler
+            # task was cancelled: answer DEADLINE_EXCEEDED instead of
+            # burning further handler time on a dead budget.
+            self.cancelled_on_deadline += 1
+            METRICS.inc(
+                "rpc.server.cancelled_on_deadline", (program.name, str(call.proc))
+            )
+            raise _DeadlineLapsed from None
 
     async def drain_tasks(self) -> None:
         """Wait for every in-flight handler task (test/shutdown helper)."""

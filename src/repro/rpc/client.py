@@ -1,6 +1,10 @@
 """RPC client handles: retransmission, typed errors, and call batching.
 
-:class:`RpcClient` is the one-call-per-write baseline.
+The protocol logic lives once, in :class:`_RpcClientCore` and
+:class:`_BatchLane`, as coroutines; the classes here are the blocking
+flavour, which steps them, and :mod:`repro.rpc.aio` holds the coroutine
+flavour, which awaits them.  :class:`RpcClient` is the
+one-call-per-write baseline.
 :class:`BatchingClient` adds the wire fast lane: concurrent calls to the
 same endpoint coalesce into a single BATCH payload (one ``send`` for
 many CALL frames), flushed when a count, byte, or deadline-slack
@@ -13,8 +17,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.context import CallContext, SpanRecord, current_context
 from repro.net.endpoints import Address
@@ -31,40 +34,12 @@ from repro.rpc.errors import (
     ServerShedding,
 )
 from repro.rpc.message import ReplyStatus, RpcCall, RpcReply
+from repro.rpc.stepper import step
 from repro.rpc.transport import Transport
 from repro.rpc.xdr import decode_value
 from repro.telemetry import sampling
 from repro.telemetry.hub import flush_context
 from repro.telemetry.metrics import METRICS
-
-
-class RetiredXids:
-    """Bounded memory of finished transaction ids.
-
-    Late duplicate replies for a retired xid are dropped instead of
-    accumulating in the pending table forever.  Shared by the sync and
-    async clients; behaves enough like the original ``OrderedDict`` for
-    introspection (``len``, ``in``, ``reversed``).
-    """
-
-    def __init__(self, capacity: int = 4096) -> None:
-        self.capacity = capacity
-        self._entries: "OrderedDict[int, None]" = OrderedDict()
-
-    def add(self, xid: int) -> None:
-        self._entries[xid] = None
-        self._entries.move_to_end(xid)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def __contains__(self, xid: int) -> bool:
-        return xid in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __reversed__(self):
-        return reversed(self._entries)
 
 
 def reply_to_result(
@@ -101,45 +76,22 @@ def reply_to_result(
     raise RemoteFault(fault.get("kind", "Error"), fault.get("detail", ""))
 
 
-def resolve_context(
-    context: Optional[CallContext],
-    timeout: Optional[float],
-    retries: Optional[int],
-    ambient: Optional[CallContext],
-    default_timeout: float,
-    default_retries: int,
-    now: float,
-) -> CallContext:
-    """Resolve the context governing one call.
+class _RpcClientCore:
+    """The one client body both flavours drive.
 
-    An explicit ``context`` wins outright.  Otherwise a shim context is
-    built from the legacy kwargs (or the client's configured defaults) —
-    and when this call happens *inside* an RPC handler, the ambient
-    request context narrows it: the shim inherits the trace id, span
-    chain (list and lock), hop budget, and scope, and its deadline is
-    capped by the caller's remaining budget.  Local configuration still
-    paces attempts; the inherited deadline bounds the total.
-    """
-    if context is not None:
-        return context
-    shim = CallContext.from_legacy(
-        default_timeout if timeout is None else timeout,
-        default_retries if retries is None else retries,
-        now,
-        trace_id=ambient.trace_id if ambient is not None else None,
-    )
-    if ambient is not None:
-        shim.share_chain(ambient)
-        if ambient.deadline is not None:
-            shim.deadline = min(shim.deadline, ambient.deadline)
-        shim.hops = ambient.hops
-        shim.visited = ambient.visited
-        shim.sampled = ambient.sampled
-    return shim
-
-
-class RpcClient:
-    """Issues calls over a transport.
+    Context resolution, the ``rpc`` span, xid minting, the attempt loop
+    with its retransmission events, SHED accounting, the
+    deadline-vs-timeout classification and xid retirement are written
+    once here, as coroutines.  :class:`RpcClient` steps them to
+    completion on the calling thread; :class:`~repro.rpc.aio.AsyncRpcClient`
+    awaits them on an event loop.  What differs per flavour sits behind
+    five seams: ``_expect(xid)`` registers interest in a reply,
+    ``_deliver(reply)`` hands an arriving reply to whoever expects it
+    (false when nobody does), ``_wait_replies(xids, timeout)`` waits
+    until every xid is answered (true) or the timeout lapses (false),
+    ``_take(xid)`` claims the reply if it came, and ``retire_xid(xid)``
+    forgets the xid.
+    ``_send_call`` is the sixth, for the batching subclasses.
 
     Retransmits with the *same* xid on timeout so the server's at-most-once
     cache can suppress re-execution.  Timing is governed by a
@@ -154,6 +106,8 @@ class RpcClient:
     deadline and one trace id cover the whole cascade.
     """
 
+    #: One counter for every client of either flavour: a process mixing
+    #: both never reuses a live xid against one server's reply cache.
     _xid_counter = itertools.count(1)
 
     def __init__(
@@ -161,15 +115,10 @@ class RpcClient:
         transport: Transport,
         timeout: float = 1.0,
         retries: int = 3,
-        retired_xid_capacity: int = 4096,
     ) -> None:
         self.transport = transport
         self.timeout = timeout
         self.retries = retries
-        self._pending: Dict[int, RpcReply] = {}
-        # Bounded memory of finished xids: late duplicate replies for them
-        # are dropped instead of leaking into ``_pending`` forever.
-        self._retired = RetiredXids(retired_xid_capacity)
         self.calls_sent = 0
         self.retransmissions = 0
         self.duplicate_replies_dropped = 0
@@ -180,17 +129,15 @@ class RpcClient:
         return self.transport.local_address
 
     def handle_reply(self, source: Address, reply: RpcReply) -> None:
-        """Entry point from the dispatcher."""
-        if reply.xid in self._retired:
+        """Entry point from the dispatcher.
+
+        A reply nobody is waiting for — its xid finished, or was never
+        issued by this client — is dropped and counted, so a peer
+        spraying unsolicited replies cannot grow the client's memory.
+        """
+        if not self._deliver(reply):
             self.duplicate_replies_dropped += 1
             METRICS.inc("rpc.client.duplicate_replies_dropped")
-            return
-        self._pending[reply.xid] = reply
-
-    def retire_xid(self, xid: int) -> None:
-        """Mark ``xid`` finished: later replies for it are dropped."""
-        self._pending.pop(xid, None)
-        self._retired.add(xid)
 
     def _effective_context(
         self,
@@ -199,10 +146,193 @@ class RpcClient:
         retries: Optional[int],
         ambient: Optional[CallContext],
     ) -> CallContext:
-        return resolve_context(
-            context, timeout, retries, ambient,
-            self.timeout, self.retries, self.transport.now(),
+        """Resolve the context governing one call.
+
+        An explicit ``context`` wins outright.  Otherwise a shim context is
+        built from the legacy kwargs (or the client's configured defaults) —
+        and when this call happens *inside* an RPC handler, the ambient
+        request context narrows it: the shim inherits the trace id, span
+        chain (list and lock), hop budget, and scope, and its deadline is
+        capped by the caller's remaining budget.  Local configuration still
+        paces attempts; the inherited deadline bounds the total.
+        """
+        if context is not None:
+            return context
+        shim = CallContext.from_legacy(
+            self.timeout if timeout is None else timeout,
+            self.retries if retries is None else retries,
+            self.transport.now(),
+            trace_id=ambient.trace_id if ambient is not None else None,
         )
+        if ambient is not None:
+            shim.share_chain(ambient)
+            if ambient.deadline is not None:
+                shim.deadline = min(shim.deadline, ambient.deadline)
+            shim.hops = ambient.hops
+            shim.visited = ambient.visited
+            shim.sampled = ambient.sampled
+        return shim
+
+    async def _call_raw(
+        self,
+        destination: Address,
+        prog: int,
+        vers: int,
+        proc: int,
+        body: bytes,
+        timeout: Optional[float],
+        retries: Optional[int],
+        context: Optional[CallContext],
+    ) -> RpcReply:
+        ambient = current_context() if context is None else None
+        ctx = self._effective_context(context, timeout, retries, ambient)
+        # A shim built with no ambient request owns its chain: nobody
+        # else will ever see it, so flush it at the reply boundary
+        # (a no-op unless an exporter is installed).
+        owns_chain = context is None and ambient is None
+        try:
+            with ctx.span("rpc", f"call {prog}:{proc}", self.transport.now) as span:
+                return await self._call_attempts(
+                    ctx, destination, prog, vers, proc, body, span
+                )
+        finally:
+            if owns_chain:
+                flush_context(ctx)
+
+    async def _call_attempts(
+        self,
+        ctx: CallContext,
+        destination: Address,
+        prog: int,
+        vers: int,
+        proc: int,
+        body: bytes,
+        span: Optional[SpanRecord] = None,
+    ) -> RpcReply:
+        now = self.transport.now()
+        labels = (str(prog), str(proc))
+        if ctx.expired(now):
+            METRICS.inc("rpc.client.deadline_exceeded", labels)
+            raise DeadlineExceeded(
+                f"deadline expired before calling {destination} "
+                f"(trace {ctx.trace_id})"
+            )
+        xid = next(self._xid_counter)
+        call = RpcCall(
+            xid, prog, vers, proc, body,
+            deadline=ctx.deadline, trace_id=ctx.trace_id, hops=ctx.hops,
+            sampled=sampling.mark(ctx),
+        )
+        encoded = call.encode()
+        # One expectation per xid, shared across attempts: whichever
+        # attempt's reply lands first resolves the call.
+        self._expect(xid)
+        awaited = {xid}
+        attempts = ctx.retry.attempts
+        try:
+            for attempt in range(attempts):
+                now = self.transport.now()
+                if ctx.expired(now):
+                    METRICS.inc("rpc.client.deadline_exceeded", labels)
+                    raise DeadlineExceeded(
+                        f"deadline expired after {attempt} attempt(s) to "
+                        f"{destination} (trace {ctx.trace_id})"
+                    )
+                if attempt:
+                    self.retransmissions += 1
+                    METRICS.inc("rpc.client.retransmissions", labels)
+                    if span is not None:
+                        # Wire-level visibility: each extra attempt is an
+                        # event on the rpc span, exported with the chain.
+                        span.add_event("retransmission", at=now, attempt=attempt)
+                self.calls_sent += 1
+                wait = ctx.attempt_timeout(now, attempts - attempt)
+                self._send_call(destination, encoded, ctx.deadline)
+                if await self._wait_replies(awaited, wait):
+                    reply = self._take(xid)
+                    if reply.status is ReplyStatus.SHED:
+                        METRICS.inc("rpc.client.shed_received", labels)
+                        if span is not None:
+                            span.add_event(
+                                "shed", at=self.transport.now(), attempt=attempt
+                            )
+                    return reply
+            if ctx.expired(self.transport.now()) and ctx.retry.attempt_timeout is None:
+                METRICS.inc("rpc.client.deadline_exceeded", labels)
+                raise DeadlineExceeded(
+                    f"no reply from {destination} within the deadline "
+                    f"(trace {ctx.trace_id})"
+                )
+            raise RpcTimeout(
+                f"no reply from {destination} for prog={prog} proc={proc} "
+                f"after {attempts} attempt(s)"
+            )
+        finally:
+            self.retire_xid(xid)
+
+    def _send_call(
+        self, destination: Address, encoded: bytes, deadline: Optional[float]
+    ) -> None:
+        """Put one encoded CALL on the wire.
+
+        The seam the batching clients override to coalesce writes; the
+        base clients write immediately, one message per payload.
+        """
+        self.transport.send(destination, encoded)
+
+    def stats(self, destination: Address, **kwargs: Any) -> Any:
+        """Fetch the STATS snapshot from the server at ``destination``.
+
+        Every :class:`~repro.rpc.server.RpcServer` serves the well-known
+        stats program; this is the client-side one-liner for it (the
+        snapshot on the blocking client, an awaitable of it on the
+        coroutine client — whatever ``call`` returns).
+        """
+        from repro.rpc import stats as stats_mod
+
+        return stats_mod.fetch(self, destination, **kwargs)
+
+    def close(self) -> None:
+        dispatcher_for(self.transport).client = None
+
+
+class RpcClient(_RpcClientCore):
+    """Blocking client: steps the shared body on the calling thread.
+
+    Its wait seam blocks in ``Transport.wait`` until the awaited replies
+    have landed in ``_pending``, so the body never suspends.
+    """
+
+    def __init__(
+        self,
+        transport: Transport,
+        timeout: float = 1.0,
+        retries: int = 3,
+    ) -> None:
+        super().__init__(transport, timeout, retries)
+        self._awaited: Set[int] = set()
+        self._pending: Dict[int, RpcReply] = {}
+
+    def _expect(self, xid: int) -> None:
+        self._awaited.add(xid)
+
+    def _deliver(self, reply: RpcReply) -> bool:
+        if reply.xid not in self._awaited:
+            return False
+        self._pending[reply.xid] = reply
+        return True
+
+    async def _wait_replies(self, xids, timeout: float) -> bool:
+        pending = self._pending
+        return self.transport.wait(lambda: pending.keys() >= xids, timeout)
+
+    def _take(self, xid: int) -> Optional[RpcReply]:
+        return self._pending.pop(xid, None)
+
+    def retire_xid(self, xid: int) -> None:
+        """Mark ``xid`` finished: later replies for it are dropped."""
+        self._awaited.discard(xid)
+        self._pending.pop(xid, None)
 
     def call(
         self,
@@ -235,97 +365,11 @@ class RpcClient:
         context: Optional[CallContext] = None,
     ) -> RpcReply:
         """Send pre-encoded bytes and return the raw reply."""
-        ambient = current_context() if context is None else None
-        ctx = self._effective_context(context, timeout, retries, ambient)
-        # A shim built with no ambient request owns its chain: nobody
-        # else will ever see it, so flush it at the reply boundary
-        # (a no-op unless an exporter is installed).
-        owns_chain = context is None and ambient is None
-        try:
-            with ctx.span("rpc", f"call {prog}:{proc}", self.transport.now) as span:
-                return self._call_attempts(
-                    ctx, destination, prog, vers, proc, body, span
-                )
-        finally:
-            if owns_chain:
-                flush_context(ctx)
-
-    def _call_attempts(
-        self,
-        ctx: CallContext,
-        destination: Address,
-        prog: int,
-        vers: int,
-        proc: int,
-        body: bytes,
-        span: Optional[SpanRecord] = None,
-    ) -> RpcReply:
-        now = self.transport.now()
-        labels = (str(prog), str(proc))
-        if ctx.expired(now):
-            METRICS.inc("rpc.client.deadline_exceeded", labels)
-            raise DeadlineExceeded(
-                f"deadline expired before calling {destination} "
-                f"(trace {ctx.trace_id})"
+        return step(
+            self._call_raw(
+                destination, prog, vers, proc, body, timeout, retries, context
             )
-        xid = next(self._xid_counter)
-        call = RpcCall(
-            xid, prog, vers, proc, body,
-            deadline=ctx.deadline, trace_id=ctx.trace_id, hops=ctx.hops,
-            sampled=sampling.mark(ctx),
         )
-        encoded = call.encode()
-        attempts = ctx.retry.attempts
-        try:
-            for attempt in range(attempts):
-                now = self.transport.now()
-                if ctx.expired(now):
-                    METRICS.inc("rpc.client.deadline_exceeded", labels)
-                    raise DeadlineExceeded(
-                        f"deadline expired after {attempt} attempt(s) to "
-                        f"{destination} (trace {ctx.trace_id})"
-                    )
-                if attempt:
-                    self.retransmissions += 1
-                    METRICS.inc("rpc.client.retransmissions", labels)
-                    if span is not None:
-                        # Wire-level visibility: each extra attempt is an
-                        # event on the rpc span, exported with the chain.
-                        span.add_event("retransmission", at=now, attempt=attempt)
-                self.calls_sent += 1
-                wait = ctx.attempt_timeout(now, attempts - attempt)
-                self._send_call(destination, encoded, ctx.deadline)
-                if self.transport.wait(lambda: xid in self._pending, wait):
-                    reply = self._pending.pop(xid)
-                    if reply.status is ReplyStatus.SHED:
-                        METRICS.inc("rpc.client.shed_received", labels)
-                        if span is not None:
-                            span.add_event(
-                                "shed", at=self.transport.now(), attempt=attempt
-                            )
-                    return reply
-            if ctx.expired(self.transport.now()) and ctx.retry.attempt_timeout is None:
-                METRICS.inc("rpc.client.deadline_exceeded", labels)
-                raise DeadlineExceeded(
-                    f"no reply from {destination} within the deadline "
-                    f"(trace {ctx.trace_id})"
-                )
-            raise RpcTimeout(
-                f"no reply from {destination} for prog={prog} proc={proc} "
-                f"after {attempts} attempt(s)"
-            )
-        finally:
-            self.retire_xid(xid)
-
-    def _send_call(
-        self, destination: Address, encoded: bytes, deadline: Optional[float]
-    ) -> None:
-        """Put one encoded CALL on the wire.
-
-        The seam :class:`BatchingClient` overrides to coalesce writes;
-        the base client writes immediately, one message per payload.
-        """
-        self.transport.send(destination, encoded)
 
     def ping(self, destination: Address, prog: int, vers: int = 1) -> bool:
         """True when the destination answers procedure 0 (NULL proc)."""
@@ -334,19 +378,6 @@ class RpcClient:
             return True
         except RpcError:
             return False
-
-    def stats(self, destination: Address, **kwargs: Any) -> Dict[str, Any]:
-        """Fetch the STATS snapshot from the server at ``destination``.
-
-        Every :class:`~repro.rpc.server.RpcServer` serves the well-known
-        stats program; this is the client-side one-liner for it.
-        """
-        from repro.rpc import stats as stats_mod
-
-        return stats_mod.fetch(self, destination, **kwargs)
-
-    def close(self) -> None:
-        dispatcher_for(self.transport).client = None
 
 
 class BatchBuffer:
@@ -437,7 +468,147 @@ class BatchBuffer:
         return payloads
 
 
-class BatchingClient(RpcClient):
+class _BatchLane:
+    """The explicit batch lane (``call_many``), written once for both flavours.
+
+    Mixed into a client flavour, whose ``_expect`` / ``_wait_replies`` /
+    ``_take`` seams it waits on — collectively, for a whole set of
+    xids — and whose ``max_batch`` / ``max_bytes`` watermarks size the
+    payloads it ships.
+    """
+
+    async def _call_many(
+        self,
+        destination: Address,
+        calls: Sequence[Tuple[int, int, int, Any]],
+        timeout: Optional[float],
+        retries: Optional[int],
+        context: Optional[CallContext],
+    ) -> List[Any]:
+        calls = list(calls)
+        if not calls:
+            return []
+        ambient = current_context() if context is None else None
+        ctx = self._effective_context(context, timeout, retries, ambient)
+        owns_chain = context is None and ambient is None
+        try:
+            with ctx.span(
+                "rpc", f"call_many x{len(calls)}", self.transport.now
+            ):
+                return await self._batch_attempts(ctx, destination, calls)
+        finally:
+            if owns_chain:
+                flush_context(ctx)
+
+    async def _batch_attempts(
+        self,
+        ctx: CallContext,
+        destination: Address,
+        calls: Sequence[Tuple[int, int, int, Any]],
+    ) -> List[Any]:
+        entries = []
+        sampled = sampling.mark(ctx)
+        for prog, vers, proc, args in calls:
+            xid = next(self._xid_counter)
+            call = RpcCall(
+                xid, prog, vers, proc,
+                CODECS.encode_args(prog, vers, proc, args),
+                deadline=ctx.deadline, trace_id=ctx.trace_id, hops=ctx.hops,
+                sampled=sampled,
+            )
+            self._expect(xid)
+            entries.append((xid, prog, vers, proc, call.encode()))
+        try:
+            replies = await self._collect_replies(ctx, destination, entries)
+            expired = ctx.expired(self.transport.now())
+            outcomes: List[Any] = []
+            for xid, prog, vers, proc, __ in entries:
+                reply = replies.get(xid)
+                if reply is None:
+                    if expired:
+                        outcomes.append(DeadlineExceeded(
+                            f"no reply from {destination} for prog={prog} "
+                            f"proc={proc} within the deadline "
+                            f"(trace {ctx.trace_id})"
+                        ))
+                    else:
+                        outcomes.append(RpcTimeout(
+                            f"no reply from {destination} for prog={prog} "
+                            f"proc={proc} after {ctx.retry.attempts} attempt(s)"
+                        ))
+                    continue
+                try:
+                    outcomes.append(
+                        reply_to_result(reply, destination, prog, vers, proc)
+                    )
+                except RpcError as error:
+                    outcomes.append(error)
+            return outcomes
+        finally:
+            for xid, *__ in entries:
+                self.retire_xid(xid)
+
+    async def _collect_replies(
+        self, ctx: CallContext, destination: Address, entries
+    ) -> Dict[int, RpcReply]:
+        """Send batches and gather replies, retransmitting only gaps."""
+        replies: Dict[int, RpcReply] = {}
+        outstanding = {
+            xid: (prog, proc, encoded)
+            for xid, prog, vers, proc, encoded in entries
+        }
+        attempts = ctx.retry.attempts
+        for attempt in range(attempts):
+            now = self.transport.now()
+            if ctx.expired(now):
+                break
+            if attempt:
+                for prog, proc, __ in outstanding.values():
+                    self.retransmissions += 1
+                    METRICS.inc(
+                        "rpc.client.retransmissions", (str(prog), str(proc))
+                    )
+            self.calls_sent += len(outstanding)
+            self._send_batches(
+                destination, [encoded for __, __, encoded in outstanding.values()]
+            )
+            wait = ctx.attempt_timeout(now, attempts - attempt)
+            await self._wait_replies(outstanding.keys(), wait)
+            for xid in list(outstanding):
+                reply = self._take(xid)
+                if reply is not None:
+                    replies[xid] = reply
+                    del outstanding[xid]
+            if not outstanding:
+                break
+        return replies
+
+    def _send_batches(
+        self, destination: Address, encoded_calls: List[bytes]
+    ) -> None:
+        """Ship encoded CALLs in watermark-sized BATCH payloads."""
+        chunk: List[bytes] = []
+        chunk_bytes = 0
+        for encoded in encoded_calls:
+            if chunk and (
+                len(chunk) >= self.max_batch
+                or chunk_bytes + len(encoded) > self.max_bytes
+            ):
+                self._send_batch(destination, chunk)
+                chunk, chunk_bytes = [], 0
+            chunk.append(encoded)
+            chunk_bytes += len(encoded)
+        if chunk:
+            self._send_batch(destination, chunk)
+
+    def _send_batch(self, destination: Address, payloads: List[bytes]) -> None:
+        self.batches_sent += 1
+        METRICS.inc("rpc.client.batches_sent")
+        METRICS.observe("rpc.client.batch_size", float(len(payloads)))
+        self.transport.send(destination, b"".join(payloads))
+
+
+class BatchingClient(_BatchLane, RpcClient):
     """RPC client that coalesces concurrent calls into BATCH writes.
 
     Two modes, freely mixed:
@@ -465,13 +636,14 @@ class BatchingClient(RpcClient):
         transport: Transport,
         timeout: float = 1.0,
         retries: int = 3,
-        retired_xid_capacity: int = 4096,
         max_batch: int = 16,
         max_bytes: int = 64 * 1024,
         linger: float = 0.001,
         flush_slack: float = 0.005,
     ) -> None:
-        super().__init__(transport, timeout, retries, retired_xid_capacity)
+        super().__init__(transport, timeout, retries)
+        self.max_batch = max_batch
+        self.max_bytes = max_bytes
         self.linger = linger
         self.batches_sent = 0
         self._buffer = BatchBuffer(max_batch, max_bytes, flush_slack)
@@ -517,125 +689,4 @@ class BatchingClient(RpcClient):
         typed :class:`RpcError` instance that call would have raised.
         All calls share one context (one deadline budget, one trace).
         """
-        calls = list(calls)
-        if not calls:
-            return []
-        ambient = current_context() if context is None else None
-        ctx = self._effective_context(context, timeout, retries, ambient)
-        owns_chain = context is None and ambient is None
-        try:
-            with ctx.span(
-                "rpc", f"call_many x{len(calls)}", self.transport.now
-            ):
-                return self._batch_attempts(ctx, destination, calls)
-        finally:
-            if owns_chain:
-                flush_context(ctx)
-
-    def _batch_attempts(
-        self,
-        ctx: CallContext,
-        destination: Address,
-        calls: Sequence[Tuple[int, int, int, Any]],
-    ) -> List[Any]:
-        entries = []
-        sampled = sampling.mark(ctx)
-        for prog, vers, proc, args in calls:
-            xid = next(self._xid_counter)
-            call = RpcCall(
-                xid, prog, vers, proc,
-                CODECS.encode_args(prog, vers, proc, args),
-                deadline=ctx.deadline, trace_id=ctx.trace_id, hops=ctx.hops,
-                sampled=sampled,
-            )
-            entries.append((xid, prog, vers, proc, call.encode()))
-        try:
-            replies = self._collect_replies(ctx, destination, entries)
-            expired = ctx.expired(self.transport.now())
-            outcomes: List[Any] = []
-            for xid, prog, vers, proc, __ in entries:
-                reply = replies.get(xid)
-                if reply is None:
-                    if expired:
-                        outcomes.append(DeadlineExceeded(
-                            f"no reply from {destination} for prog={prog} "
-                            f"proc={proc} within the deadline "
-                            f"(trace {ctx.trace_id})"
-                        ))
-                    else:
-                        outcomes.append(RpcTimeout(
-                            f"no reply from {destination} for prog={prog} "
-                            f"proc={proc} after {ctx.retry.attempts} attempt(s)"
-                        ))
-                    continue
-                try:
-                    outcomes.append(
-                        reply_to_result(reply, destination, prog, vers, proc)
-                    )
-                except RpcError as error:
-                    outcomes.append(error)
-            return outcomes
-        finally:
-            for xid, *__ in entries:
-                self.retire_xid(xid)
-
-    def _collect_replies(
-        self, ctx: CallContext, destination: Address, entries
-    ) -> Dict[int, RpcReply]:
-        """Send batches and gather replies, retransmitting only gaps."""
-        replies: Dict[int, RpcReply] = {}
-        outstanding = {
-            xid: (prog, proc, encoded)
-            for xid, prog, vers, proc, encoded in entries
-        }
-        attempts = ctx.retry.attempts
-        for attempt in range(attempts):
-            now = self.transport.now()
-            if ctx.expired(now):
-                break
-            if attempt:
-                for prog, proc, __ in outstanding.values():
-                    self.retransmissions += 1
-                    METRICS.inc(
-                        "rpc.client.retransmissions", (str(prog), str(proc))
-                    )
-            self.calls_sent += len(outstanding)
-            self._send_batches(
-                destination, [encoded for __, __, encoded in outstanding.values()]
-            )
-            wait = ctx.attempt_timeout(now, attempts - attempt)
-            self.transport.wait(
-                lambda: all(xid in self._pending for xid in outstanding), wait
-            )
-            for xid in list(outstanding):
-                reply = self._pending.pop(xid, None)
-                if reply is not None:
-                    replies[xid] = reply
-                    del outstanding[xid]
-            if not outstanding:
-                break
-        return replies
-
-    def _send_batches(
-        self, destination: Address, encoded_calls: List[bytes]
-    ) -> None:
-        """Ship encoded CALLs in watermark-sized BATCH payloads."""
-        chunk: List[bytes] = []
-        chunk_bytes = 0
-        for encoded in encoded_calls:
-            if chunk and (
-                len(chunk) >= self._buffer.max_batch
-                or chunk_bytes + len(encoded) > self._buffer.max_bytes
-            ):
-                self._send_batch(destination, chunk)
-                chunk, chunk_bytes = [], 0
-            chunk.append(encoded)
-            chunk_bytes += len(encoded)
-        if chunk:
-            self._send_batch(destination, chunk)
-
-    def _send_batch(self, destination: Address, payloads: List[bytes]) -> None:
-        self.batches_sent += 1
-        METRICS.inc("rpc.client.batches_sent")
-        METRICS.observe("rpc.client.batch_size", float(len(payloads)))
-        self.transport.send(destination, b"".join(payloads))
+        return step(self._call_many(destination, calls, timeout, retries, context))

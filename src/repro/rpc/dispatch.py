@@ -12,7 +12,7 @@ from typing import Optional
 
 from repro.net.endpoints import Address
 from repro.rpc.errors import XdrError
-from repro.rpc.message import ReplyStatus, RpcCall, RpcReply, decode_messages
+from repro.rpc.message import RpcCall, RpcReply, decode_messages
 from repro.rpc.transport import Transport
 from repro.telemetry.metrics import METRICS
 
@@ -20,25 +20,19 @@ from repro.telemetry.metrics import METRICS
 class RpcDispatcher:
     """Routes decoded RPC messages to the attached client/server.
 
-    Servers that perform their own admission control (``owns_admission``
-    on :class:`~repro.rpc.server.RpcServer`) receive every call intact:
-    deadline rejection, shedding, and duplicate handling happen in one
-    place, with one set of counters, *behind* the at-most-once cache (a
-    cached reply replays even for a late retransmission).  For foreign
-    server objects without that attribute the dispatcher keeps the legacy
-    pre-check: calls whose wire deadline has already passed are answered
-    ``DEADLINE_EXCEEDED`` before the server sees them.  STATS probes
-    (:data:`repro.rpc.stats.STATS_PROGRAM`) are exempt from that
-    pre-check — introspection is answered regardless of a stale probe
-    deadline.
+    The server — always an :class:`~repro.rpc.server.RpcServer` —
+    receives every call intact: deadline rejection, shedding, and
+    duplicate handling happen in one place, with one set of counters,
+    *behind* the at-most-once cache (a cached reply replays even for a
+    late retransmission).  A BATCH envelope is handed over whole so the
+    server can drain every call before writing and coalesce the replies.
     """
 
     def __init__(self, transport: Transport) -> None:
         self.transport = transport
-        self.server = None  # type: Optional[object]
-        self.client = None  # type: Optional[object]
+        self.server: Optional[object] = None
+        self.client: Optional[object] = None
         self.malformed_count = 0
-        self.expired_rejected = 0
         transport.set_receiver(self._on_message)
 
     def _on_message(self, source: Address, payload: bytes) -> None:
@@ -55,34 +49,10 @@ class RpcDispatcher:
                     self.client.handle_reply(source, message)
         if not calls or self.server is None:
             return
-        if len(calls) > 1 and hasattr(self.server, "handle_batch"):
-            # A BATCH envelope landed on a batch-aware server: let it
-            # drain every call before writing, so replies coalesce.
+        if len(calls) > 1:
             self.server.handle_batch(source, calls)
-            return
-        for call in calls:
-            self._route_call(source, call)
-
-    def _route_call(self, source: Address, message: RpcCall) -> None:
-        if getattr(self.server, "owns_admission", False):
-            self.server.handle_call(source, message)
-            return
-        from repro.rpc.stats import STATS_PROGRAM
-
-        if (
-            message.prog != STATS_PROGRAM
-            and message.deadline is not None
-            and self.transport.now() >= message.deadline
-        ):
-            self.expired_rejected += 1
-            METRICS.inc(
-                "rpc.dispatch.expired_rejected",
-                (str(message.prog), str(message.proc)),
-            )
-            reply = RpcReply(message.xid, ReplyStatus.DEADLINE_EXCEEDED)
-            self.transport.send(source, reply.encode())
-            return
-        self.server.handle_call(source, message)
+        else:
+            self.server.handle_call(source, calls[0])
 
 
 def dispatcher_for(transport: Transport) -> RpcDispatcher:

@@ -80,6 +80,7 @@ class MulticastCaller:
             else:
                 call = RpcCall(xid, prog, vers, proc, body)
             pending[xid] = destination
+            self._client._expect(xid)
             self._client.calls_sent += 1
             transport.send(destination, call.encode())
 

@@ -37,12 +37,13 @@ import inspect
 import random
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
+from typing import Any, Callable, Dict, Optional, Sequence, TypeVar
 
 from repro.context import CallContext, Clock, current_context
 from repro.errors import BindingError, CommunicationError
 from repro.rpc.client import RpcClient
 from repro.rpc.errors import DeadlineExceeded, RpcError, RpcTimeout, ServerShedding
+from repro.rpc.stepper import step
 from repro.telemetry.log import LOG
 from repro.telemetry.metrics import METRICS
 
@@ -304,94 +305,9 @@ class ResilientCaller:
         Raises the last transient failure when everything is exhausted,
         or :class:`DeadlineExceeded` the moment the budget lapses.
         """
-        if not targets:
-            raise ValueError("ResilientCaller.run needs at least one target")
-        if ctx is None:
-            ctx = current_context()
-        clock = self._client.transport.now
-        span_ctx = ctx if ctx is not None else CallContext.background()
-        with span_ctx.span("resilience", operation, clock) as span:
-            return self._run_rounds(
-                list(targets), attempt, ctx, key, span, clock
-            )
-
-    def _run_rounds(
-        self,
-        targets: List[T],
-        attempt: Callable[[T, Optional[CallContext]], Any],
-        ctx: Optional[CallContext],
-        key: Callable[[T], str],
-        span,
-        clock: Clock,
-    ) -> Any:
-        last_error: Optional[BaseException] = None
-        delay = self.backoff.first()
-        first_attempt = True
-        for round_index in range(self.rounds):
-            attempted = 0
-            for position, target in enumerate(targets):
-                now = clock()
-                if ctx is not None and ctx.expired(now):
-                    raise self._deadline_error(ctx, last_error)
-                endpoint = key(target)
-                breaker = self.breaker_for(endpoint)
-                if not breaker.allow(now):
-                    span.add_event("breaker_open", at=now, endpoint=endpoint)
-                    METRICS.inc("rpc.breaker.skipped", (endpoint,))
-                    continue
-                if not first_attempt:
-                    # Every attempt after the first is a failover (or a
-                    # new round's retry): pause first, then move on.
-                    delay = self._sleep_backoff(ctx, delay, span, clock)
-                    if ctx is not None and ctx.expired(clock()):
-                        raise self._deadline_error(ctx, last_error)
-                    self.failovers += 1
-                    METRICS.inc("rpc.failover.attempts", (endpoint,))
-                    span.add_event("failover", at=clock(), endpoint=endpoint,
-                                   round=round_index)
-                    if LOG.active:
-                        LOG.event(
-                            "rpc.failover",
-                            level="warning",
-                            at=clock(),
-                            endpoint=endpoint,
-                            round=round_index,
-                            candidates_left=len(targets) - position,
-                        )
-                attempted += 1
-                first_attempt = False
-                child = self._attempt_context(ctx, len(targets) - position)
-                try:
-                    result = attempt(target, child)
-                except BaseException as exc:  # noqa: BLE001 - classified below
-                    now = clock()
-                    if _is_deadline(exc):
-                        if ctx is None or ctx.expired(now):
-                            # The *budget* lapsed, not just the slice —
-                            # surface it as DeadlineExceeded even when the
-                            # binder wrapped it.
-                            if isinstance(exc, DeadlineExceeded):
-                                raise
-                            raise self._deadline_error(ctx, exc) from exc
-                        # Only this attempt's deadline slice expired — the
-                        # endpoint forfeits its share; the parent budget
-                        # still covers the remaining candidates.
-                    elif not transient(exc):
-                        raise
-                    breaker.record_failure(now)
-                    last_error = exc
-                    continue
-                breaker.record_success(clock())
-                return result
-            if attempted == 0:
-                # Nothing admitted this round: every breaker is open.
-                raise CircuitOpen(
-                    f"all {len(targets)} candidate endpoint(s) have open "
-                    f"circuit breakers"
-                )
-        if last_error is not None:
-            raise last_error
-        raise CircuitOpen("no attempt could be made within the round budget")
+        return step(
+            self._run(targets, attempt, ctx, key, operation, self._block)
+        )
 
     async def run_async(
         self,
@@ -401,118 +317,124 @@ class ResilientCaller:
         key: Callable[[T], str] = str,
         operation: str = "call",
     ) -> Any:
-        """Coroutine twin of :meth:`run` for the async RPC stack.
+        """The ``await`` side of :meth:`run`, for the async RPC stack.
 
-        Same slicing, breaker, and failover semantics; backoff pauses are
-        ``await asyncio.sleep`` (virtual seconds on a
-        :class:`~repro.net.aioclock.SimEventLoop`) instead of blocking
-        transport waits, so concurrent failover rounds interleave on one
-        event loop.  ``attempt`` may be a coroutine function or a plain
-        callable returning an awaitable; plain results pass through.
+        The same rounds engine; backoff pauses are ``asyncio.sleep``
+        (virtual seconds on a :class:`~repro.net.aioclock.SimEventLoop`)
+        instead of blocking transport waits, so concurrent failover
+        rounds interleave on one event loop.  ``attempt`` may be a
+        coroutine function or a plain callable returning an awaitable;
+        plain results pass through.
         """
-        if not targets:
-            raise ValueError("ResilientCaller.run_async needs at least one target")
-        if ctx is None:
-            ctx = current_context()
-        clock = self._client.transport.now
-        span_ctx = ctx if ctx is not None else CallContext.background()
-        with span_ctx.span("resilience", operation, clock) as span:
-            return await self._run_rounds_async(
-                list(targets), attempt, ctx, key, span, clock
-            )
+        return await self._run(
+            targets, attempt, ctx, key, operation, asyncio.sleep
+        )
 
-    async def _run_rounds_async(
+    async def _block(self, seconds: float) -> None:
+        """The blocking flavour's pause: park in the transport's wait."""
+        self._client.transport.wait(lambda: False, seconds)
+
+    async def _run(
         self,
-        targets: List[T],
+        targets: Sequence[T],
         attempt: Callable[[T, Optional[CallContext]], Any],
         ctx: Optional[CallContext],
         key: Callable[[T], str],
+        operation: str,
+        pause: Callable[[float], Any],
+    ) -> Any:
+        """The rounds engine; ``pause`` is its only per-flavour seam."""
+        if not targets:
+            raise ValueError("ResilientCaller.run needs at least one target")
+        if ctx is None:
+            ctx = current_context()
+        targets = list(targets)
+        clock = self._client.transport.now
+        span_ctx = ctx if ctx is not None else CallContext.background()
+        with span_ctx.span("resilience", operation, clock) as span:
+            last_error: Optional[BaseException] = None
+            delay = self.backoff.first()
+            first_attempt = True
+            for round_index in range(self.rounds):
+                attempted = 0
+                for position, target in enumerate(targets):
+                    now = clock()
+                    if ctx is not None and ctx.expired(now):
+                        raise self._deadline_error(ctx, last_error)
+                    endpoint = key(target)
+                    breaker = self.breaker_for(endpoint)
+                    if not breaker.allow(now):
+                        span.add_event("breaker_open", at=now, endpoint=endpoint)
+                        METRICS.inc("rpc.breaker.skipped", (endpoint,))
+                        continue
+                    if not first_attempt:
+                        # Every attempt after the first is a failover (or a
+                        # new round's retry): pause first, then move on.
+                        delay = await self._sleep_backoff(
+                            ctx, delay, span, clock, pause
+                        )
+                        if ctx is not None and ctx.expired(clock()):
+                            raise self._deadline_error(ctx, last_error)
+                        self.failovers += 1
+                        METRICS.inc("rpc.failover.attempts", (endpoint,))
+                        span.add_event("failover", at=clock(), endpoint=endpoint,
+                                       round=round_index)
+                        if LOG.active:
+                            LOG.event(
+                                "rpc.failover",
+                                level="warning",
+                                at=clock(),
+                                endpoint=endpoint,
+                                round=round_index,
+                                candidates_left=len(targets) - position,
+                            )
+                    attempted += 1
+                    first_attempt = False
+                    child = self._attempt_context(ctx, len(targets) - position)
+                    try:
+                        result = attempt(target, child)
+                        if inspect.isawaitable(result):
+                            result = await result
+                    except BaseException as exc:  # noqa: BLE001 - classified below
+                        now = clock()
+                        if _is_deadline(exc):
+                            if ctx is None or ctx.expired(now):
+                                # The *budget* lapsed, not just the slice —
+                                # surface it as DeadlineExceeded even when the
+                                # binder wrapped it.
+                                if isinstance(exc, DeadlineExceeded):
+                                    raise
+                                raise self._deadline_error(ctx, exc) from exc
+                            # Only this attempt's deadline slice expired — the
+                            # endpoint forfeits its share; the parent budget
+                            # still covers the remaining candidates.
+                        elif not transient(exc):
+                            # Includes cancellation: never classified.
+                            raise
+                        breaker.record_failure(now)
+                        last_error = exc
+                        continue
+                    breaker.record_success(clock())
+                    return result
+                if attempted == 0:
+                    # Nothing admitted this round: every breaker is open.
+                    raise CircuitOpen(
+                        f"all {len(targets)} candidate endpoint(s) have open "
+                        f"circuit breakers"
+                    )
+            if last_error is not None:
+                raise last_error
+            raise CircuitOpen("no attempt could be made within the round budget")
+
+    async def _sleep_backoff(
+        self,
+        ctx: Optional[CallContext],
+        delay: float,
         span,
         clock: Clock,
-    ) -> Any:
-        last_error: Optional[BaseException] = None
-        delay = self.backoff.first()
-        first_attempt = True
-        for round_index in range(self.rounds):
-            attempted = 0
-            for position, target in enumerate(targets):
-                now = clock()
-                if ctx is not None and ctx.expired(now):
-                    raise self._deadline_error(ctx, last_error)
-                endpoint = key(target)
-                breaker = self.breaker_for(endpoint)
-                if not breaker.allow(now):
-                    span.add_event("breaker_open", at=now, endpoint=endpoint)
-                    METRICS.inc("rpc.breaker.skipped", (endpoint,))
-                    continue
-                if not first_attempt:
-                    delay = await self._sleep_backoff_async(ctx, delay, span, clock)
-                    if ctx is not None and ctx.expired(clock()):
-                        raise self._deadline_error(ctx, last_error)
-                    self.failovers += 1
-                    METRICS.inc("rpc.failover.attempts", (endpoint,))
-                    span.add_event("failover", at=clock(), endpoint=endpoint,
-                                   round=round_index)
-                    if LOG.active:
-                        LOG.event(
-                            "rpc.failover",
-                            level="warning",
-                            at=clock(),
-                            endpoint=endpoint,
-                            round=round_index,
-                            candidates_left=len(targets) - position,
-                        )
-                attempted += 1
-                first_attempt = False
-                child = self._attempt_context(ctx, len(targets) - position)
-                try:
-                    result = attempt(target, child)
-                    if inspect.isawaitable(result):
-                        result = await result
-                except asyncio.CancelledError:
-                    raise  # never classified: cancellation wins
-                except BaseException as exc:  # noqa: BLE001 - classified below
-                    now = clock()
-                    if _is_deadline(exc):
-                        if ctx is None or ctx.expired(now):
-                            if isinstance(exc, DeadlineExceeded):
-                                raise
-                            raise self._deadline_error(ctx, exc) from exc
-                        # only this attempt's slice expired; keep going
-                    elif not transient(exc):
-                        raise
-                    breaker.record_failure(now)
-                    last_error = exc
-                    continue
-                breaker.record_success(clock())
-                return result
-            if attempted == 0:
-                raise CircuitOpen(
-                    f"all {len(targets)} candidate endpoint(s) have open "
-                    f"circuit breakers"
-                )
-        if last_error is not None:
-            raise last_error
-        raise CircuitOpen("no attempt could be made within the round budget")
-
-    async def _sleep_backoff_async(
-        self, ctx: Optional[CallContext], delay: float, span, clock: Clock
+        pause: Callable[[float], Any],
     ) -> float:
-        """:meth:`_sleep_backoff` without blocking the event loop."""
-        now = clock()
-        wait = delay if ctx is None else min(delay, ctx.remaining(now))
-        if wait > 0:
-            span.add_event("backoff", at=now, delay=wait)
-            self.backoff_sleeps += wait
-            METRICS.inc("rpc.backoff.sleeps")
-            METRICS.observe("rpc.backoff.seconds", wait)
-            await asyncio.sleep(wait)
-        return self.backoff.next_delay(delay, self._rng)
-
-    def _sleep_backoff(
-        self, ctx: Optional[CallContext], delay: float, span, clock: Clock
-    ) -> float:
-        """Sleep the current delay (clamped to the budget); returns the
+        """Pause the current delay (clamped to the budget); returns the
         next decorrelated-jitter delay."""
         now = clock()
         wait = delay if ctx is None else min(delay, ctx.remaining(now))
@@ -521,7 +443,7 @@ class ResilientCaller:
             self.backoff_sleeps += wait
             METRICS.inc("rpc.backoff.sleeps")
             METRICS.observe("rpc.backoff.seconds", wait)
-            self._client.transport.wait(lambda: False, wait)
+            await pause(wait)
         return self.backoff.next_delay(delay, self._rng)
 
     def _attempt_context(
@@ -558,17 +480,7 @@ class ResilientCaller:
         ctx: Optional[CallContext] = None,
     ) -> Any:
         """``RpcClient.call`` with failover across ``destinations``."""
-
-        def attempt(destination: Any, child: Optional[CallContext]) -> Any:
-            return self._client.call(
-                destination, prog, vers, proc, args, context=child
-            )
-
-        return self.run(
-            destinations, attempt, ctx=ctx,
-            key=lambda d: f"{d.host}:{d.port}",
-            operation=f"call {prog}:{proc}",
-        )
+        return self._call(self.run, destinations, prog, vers, proc, args, ctx)
 
     async def call_async(
         self,
@@ -585,13 +497,17 @@ class ResilientCaller:
         :class:`~repro.rpc.aio.AsyncRpcClient` (its ``call`` returns an
         awaitable, which the engine awaits per attempt).
         """
+        return await self._call(
+            self.run_async, destinations, prog, vers, proc, args, ctx
+        )
 
+    def _call(self, run, destinations, prog, vers, proc, args, ctx) -> Any:
         def attempt(destination: Any, child: Optional[CallContext]) -> Any:
             return self._client.call(
                 destination, prog, vers, proc, args, context=child
             )
 
-        return await self.run_async(
+        return run(
             destinations, attempt, ctx=ctx,
             key=lambda d: f"{d.host}:{d.port}",
             operation=f"call {prog}:{proc}",

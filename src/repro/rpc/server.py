@@ -26,6 +26,7 @@ at-most-once gap a queued duplicate would otherwise open.
 from __future__ import annotations
 
 import heapq
+import inspect
 import itertools
 import math
 import threading
@@ -40,6 +41,7 @@ from repro.rpc.codec import CODECS
 from repro.rpc.dispatch import dispatcher_for
 from repro.rpc.errors import XdrError
 from repro.rpc.message import ReplyStatus, RpcCall, RpcReply
+from repro.rpc.stepper import step
 from repro.rpc.transport import Transport
 from repro.rpc.xdr import encode_value
 from repro.rpc import stats as stats_mod
@@ -48,6 +50,10 @@ from repro.telemetry.log import LOG
 from repro.telemetry.metrics import METRICS, MetricsRegistry
 
 Handler = Callable[..., Any]
+
+
+class _DeadlineLapsed(Exception):
+    """An awaited handler was cancelled because its wire deadline passed."""
 
 
 @dataclass(frozen=True)
@@ -244,10 +250,6 @@ class RpcServer:
     retransmission may be admitted once load clears.
     """
 
-    #: Dispatcher hint: this server performs its own deadline/admission
-    #: checks, so the dispatcher hands calls straight through.
-    owns_admission = True
-
     def __init__(
         self,
         transport: Transport,
@@ -398,7 +400,7 @@ class RpcServer:
             # anything else.  Executed inline (the snapshot handler is a
             # pure read), so this works identically on the async server.
             if self._stats_budget.take(now):
-                self._finish(source, call, self._execute(call), cacheable=True)
+                self._finish(source, call, step(self._execute(call)), cacheable=True)
             else:
                 self._finish(
                     source, call, self._shed(call, "stats_budget"), cacheable=False
@@ -454,6 +456,10 @@ class RpcServer:
             self._drain()
 
     def _dispatch_entry(self, source: Address, call: RpcCall) -> None:
+        """The blocking lane: step one queued call through the shared body."""
+        step(self._run_entry(source, call))
+
+    async def _run_entry(self, source: Address, call: RpcCall) -> None:
         """Dequeue-time re-check, execution, reply."""
         now = self.transport.now()
         if call.deadline is not None and now >= call.deadline:
@@ -466,7 +472,7 @@ class RpcServer:
         cache_key = (source, call.xid)
         self._in_flight.add(cache_key)
         try:
-            reply = self._execute(call)
+            reply = await self._execute(call)
         finally:
             self._in_flight.discard(cache_key)
         self._finish(source, call, reply, cacheable=True)
@@ -572,7 +578,7 @@ class RpcServer:
         return estimate is not None and estimate > call.deadline - now
 
     def _prepare(self, call: RpcCall):
-        """Front half of execution shared by the sync and async servers.
+        """Front half of execution: resolve the handler, decode the arguments.
 
         Returns ``(program, handler, args, early_reply)``; a non-``None``
         ``early_reply`` short-circuits execution (expired deadline,
@@ -654,7 +660,8 @@ class RpcServer:
             # drop accounting lives with the chain owner (the caller).
             flush_context(ctx)
 
-    def _execute(self, call: RpcCall) -> RpcReply:
+    async def _execute(self, call: RpcCall) -> RpcReply:
+        """Run one admitted call: the body every scheduling lane drives."""
         program, handler, args, early = self._prepare(call)
         if early is not None:
             return early
@@ -665,28 +672,27 @@ class RpcServer:
         started = self.transport.now()
         try:
             try:
-                if ctx is not None:
+                if ctx is None:
+                    result = await self._invoke(handler, args, call, program)
+                elif spans_wanted() and ctx.sampled is not False:
                     # The server built this context from the wire and
                     # drops it after the dispatch; record a span only
                     # when an exporter will actually read the chain.
+                    with ctx.span(
+                        "server", f"{program.name}:{call.proc}", self.transport.now
+                    ):
+                        with use_context(ctx):
+                            result = await self._invoke(handler, args, call, program)
+                else:
                     # A wire stamp of ``sampled=False`` means the chain
                     # can only ever be exported by the tail error keep,
                     # so the success path skips span bookkeeping
                     # entirely and the except arm reconstructs the span
                     # — head sampling then costs the hot path nothing.
-                    if spans_wanted() and ctx.sampled is not False:
-                        with ctx.span(
-                            "server",
-                            f"{program.name}:{call.proc}",
-                            self.transport.now,
-                        ):
-                            with use_context(ctx):
-                                result = handler(args)
-                    else:
-                        with use_context(ctx):
-                            result = handler(args)
-                else:
-                    result = handler(args)
+                    with use_context(ctx):
+                        result = await self._invoke(handler, args, call, program)
+            except _DeadlineLapsed:
+                return self._reject_deadline(call)
             except Exception as exc:  # noqa: BLE001 - faults cross the wire as data
                 if ctx is not None and ctx.sampled is False and spans_wanted():
                     # Rebuild the span the fast path skipped: the tail
@@ -703,6 +709,27 @@ class RpcServer:
             return self._success_reply(call, result)
         finally:
             self._observe(call, program, ctx, started)
+
+    async def _invoke(
+        self, handler: Handler, args: Any, call: RpcCall, program: RpcProgram
+    ) -> Any:
+        result = handler(args)
+        if inspect.isawaitable(result):
+            result = await self._bounded(result, call, program)
+        return result
+
+    async def _bounded(self, awaitable, call: RpcCall, program: RpcProgram) -> Any:
+        """Finish a handler result that turned out to be awaitable.
+
+        The scheduling seam of :meth:`_execute`.  On a blocking lane the
+        awaitable must complete without suspending — it is stepped, and
+        one that really waits faults the call with
+        :class:`~repro.rpc.stepper.BodySuspended`.  The event-loop lane
+        of :class:`~repro.rpc.aio.AsyncRpcServer` awaits it instead,
+        bounded by the wire deadline, raising :class:`_DeadlineLapsed`
+        when that cancels the handler.
+        """
+        return step(awaitable)
 
     @staticmethod
     def _context_for(call: RpcCall) -> Optional[CallContext]:

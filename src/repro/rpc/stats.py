@@ -206,9 +206,9 @@ def build_snapshot(server: Any) -> Dict[str, Any]:
 def fetch(client: Any, destination: Any, **kwargs: Any) -> Dict[str, Any]:
     """Pull one snapshot from the server at ``destination``.
 
-    ``client`` is a sync :class:`~repro.rpc.client.RpcClient`;
-    keyword arguments (``ctx=``, ``timeout=``) pass through to
-    :meth:`~repro.rpc.client.RpcClient.call`.
+    ``client`` is an RPC client of either flavour (on the coroutine
+    one the snapshot comes back as an awaitable); keyword arguments
+    (``context=``, ``timeout=``) pass through to its ``call``.
     """
     return client.call(destination, STATS_PROGRAM, STATS_VERSION, PROC_SNAPSHOT, **kwargs)
 

@@ -26,6 +26,7 @@ import math
 
 from repro.context import CallContext, Clock, DeadlineLedger, SpanRecord, use_context
 from repro.rpc.errors import DeadlineExceeded, ServerShedding
+from repro.rpc.stepper import step
 from repro.telemetry.metrics import METRICS
 
 Forwarder = Callable[..., List[Dict[str, Any]]]
@@ -59,8 +60,10 @@ class TraderLink:
     #: async fan-out; when absent the sync forwarder runs inline (fine
     #: for co-located traders, which answer without blocking).
     aforwarder: Optional[Forwarder] = None
-    _wants_ctx: Optional[bool] = field(default=None, repr=False, compare=False)
-    _awants_ctx: Optional[bool] = field(default=None, repr=False, compare=False)
+    #: forwarder -> does it take a ``ctx`` keyword (signature probed once)
+    _ctx_aware: Dict[Forwarder, bool] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def _capped(
         self,
@@ -86,41 +89,85 @@ class TraderLink:
         request_wire: Dict[str, Any],
         ctx: Optional[CallContext] = None,
     ) -> List[Dict[str, Any]]:
-        capped, ctx = self._capped(request_wire, ctx)
-        if self._wants_ctx is None:
-            self._wants_ctx = _accepts_ctx(self.forwarder)
-        if self._wants_ctx:
-            return self.forwarder(capped, ctx=ctx)
-        return self.forwarder(capped)
+        return step(self._forward(self.forwarder, request_wire, ctx))
 
     async def forward_async(
         self,
         request_wire: Dict[str, Any],
         ctx: Optional[CallContext] = None,
     ) -> List[Dict[str, Any]]:
-        """Coroutine twin of :meth:`forward` — used by :func:`fan_out_async`.
+        """The ``await`` side of :meth:`forward` — used by :func:`fan_out_async`.
 
         Prefers ``aforwarder``; without one the sync forwarder runs
-        inline on the event loop, and a sync forwarder that happens to
-        return an awaitable is awaited.
+        inline on the event loop.
         """
-        capped, ctx = self._capped(request_wire, ctx)
-        if self.aforwarder is not None:
-            if self._awants_ctx is None:
-                self._awants_ctx = _accepts_ctx(self.aforwarder)
-            if self._awants_ctx:
-                return await self.aforwarder(capped, ctx=ctx)
-            return await self.aforwarder(capped)
-        if self._wants_ctx is None:
-            self._wants_ctx = _accepts_ctx(self.forwarder)
-        result = (
-            self.forwarder(capped, ctx=ctx)
-            if self._wants_ctx
-            else self.forwarder(capped)
+        return await self._forward(
+            self.aforwarder or self.forwarder, request_wire, ctx
         )
+
+    async def _forward(
+        self,
+        forwarder: Forwarder,
+        request_wire: Dict[str, Any],
+        ctx: Optional[CallContext],
+    ) -> List[Dict[str, Any]]:
+        capped, ctx = self._capped(request_wire, ctx)
+        wants_ctx = self._ctx_aware.get(forwarder)
+        if wants_ctx is None:
+            wants_ctx = self._ctx_aware[forwarder] = _accepts_ctx(forwarder)
+        result = forwarder(capped, ctx=ctx) if wants_ctx else forwarder(capped)
         if inspect.isawaitable(result):
             result = await result
         return result
+
+
+async def _forward_link(
+    link: TraderLink,
+    forwarder: Forwarder,
+    request_wire: Dict[str, Any],
+    leased: CallContext,
+    clock: Clock,
+    now: float,
+) -> Optional[List[Dict[str, Any]]]:
+    """One link forward, whichever shell scheduled it.
+
+    Skips a link whose lease is already spent as of ``now`` (an
+    ``expired`` span and count), otherwise forwards over ``forwarder``
+    with the leased context installed ambiently — forwarders that consult
+    :func:`~repro.context.current_context`, and anything they call,
+    inherit the query's deadline, hops, and trace — inside a
+    ``federation`` span, and maps what happened onto exactly one
+    ``federation.link{ok,shed,expired,unreachable}`` count.  A link that
+    did not answer yields ``None``: the sweep degrades to a partial merge.
+    """
+    if leased.expired(now):
+        leased.record_span(
+            SpanRecord(
+                "federation", f"link {link.name}", started_at=now, outcome="expired"
+            )
+        )
+        METRICS.inc("federation.link", (link.name, "expired"))
+        return None
+    try:
+        with use_context(leased):
+            with leased.span("federation", f"link {link.name}", clock):
+                results = await link._forward(forwarder, request_wire, leased)
+    except ServerShedding:
+        # An overloaded peer shed the forward: counted separately from
+        # an unreachable one — shedding is a load signal, not a
+        # liveness one.
+        METRICS.inc("federation.link", (link.name, "shed"))
+    except DeadlineExceeded:
+        # The lease lapsed mid-forward: a budget outcome, not a
+        # liveness one — counted like the pre-flight expiry check.
+        METRICS.inc("federation.link", (link.name, "expired"))
+    except Exception:  # noqa: BLE001 - unreachable peers are skipped
+        # the span already recorded the failure outcome
+        METRICS.inc("federation.link", (link.name, "unreachable"))
+    else:
+        METRICS.inc("federation.link", (link.name, "ok"))
+        return results
+    return None
 
 
 def fan_out(
@@ -157,34 +204,11 @@ def fan_out(
     def forward_one(index: int, link: TraderLink) -> None:
         leased = ledger.lease()
         try:
-            if leased.expired(clock()):
-                leased.record_span(
-                    SpanRecord(
-                        "federation",
-                        f"link {link.name}",
-                        started_at=clock(),
-                        outcome="expired",
-                    )
+            results[index] = step(
+                _forward_link(
+                    link, link.forwarder, request_wire, leased, clock, clock()
                 )
-                METRICS.inc("federation.link", (link.name, "expired"))
-                return
-            with use_context(leased):
-                with leased.span("federation", f"link {link.name}", clock):
-                    results[index] = link.forward(request_wire, leased)
-            METRICS.inc("federation.link", (link.name, "ok"))
-        except ServerShedding:
-            # An overloaded peer shed the forward: degrade to a partial
-            # merge (this link's slot stays None) exactly as for an
-            # unreachable peer, but counted separately — shedding is a
-            # load signal, not a liveness one.
-            METRICS.inc("federation.link", (link.name, "shed"))
-        except DeadlineExceeded:
-            # The lease lapsed mid-forward: a budget outcome, not a
-            # liveness one — counted like the pre-flight expiry check.
-            METRICS.inc("federation.link", (link.name, "expired"))
-        except Exception:  # noqa: BLE001 - unreachable peers are skipped
-            # the span already recorded the failure outcome
-            METRICS.inc("federation.link", (link.name, "unreachable"))
+            )
         finally:
             ledger.release()
 
@@ -259,31 +283,10 @@ async def fan_out_async(
             started[index] = True
             leased = ledger.lease()
             try:
-                if leased.expired(clock()):
-                    leased.record_span(
-                        SpanRecord(
-                            "federation",
-                            f"link {link.name}",
-                            started_at=clock(),
-                            outcome="expired",
-                        )
-                    )
-                    METRICS.inc("federation.link", (link.name, "expired"))
-                    return
-                with use_context(leased):
-                    with leased.span("federation", f"link {link.name}", clock):
-                        results[index] = await link.forward_async(
-                            request_wire, leased
-                        )
-                METRICS.inc("federation.link", (link.name, "ok"))
-            except ServerShedding:
-                # An overloaded peer shed the forward: degrade to a
-                # partial merge exactly as for an unreachable peer, but
-                # counted separately — shedding is a load signal, not a
-                # liveness one.
-                METRICS.inc("federation.link", (link.name, "shed"))
-            except DeadlineExceeded:
-                METRICS.inc("federation.link", (link.name, "expired"))
+                results[index] = await _forward_link(
+                    link, link.aforwarder or link.forwarder,
+                    request_wire, leased, clock, clock(),
+                )
             except asyncio.CancelledError:
                 if budget_exhausted["flag"]:
                     # Cancelled mid-flight by a spent budget: a budget
@@ -291,9 +294,6 @@ async def fan_out_async(
                     # exit counts nothing, like the sync paths.
                     METRICS.inc("federation.link", (link.name, "expired"))
                 raise
-            except Exception:  # noqa: BLE001 - unreachable peers are skipped
-                # the span already recorded the failure outcome
-                METRICS.inc("federation.link", (link.name, "unreachable"))
             finally:
                 ledger.release()
 

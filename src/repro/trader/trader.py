@@ -16,8 +16,8 @@ from repro.naming.refs import ServiceRef
 from repro.net.endpoints import Address
 from repro.rpc.client import RpcClient
 from repro.rpc.codec import CODECS
-from repro.rpc.errors import DeadlineExceeded, ServerShedding
 from repro.rpc.server import RpcProgram, RpcServer
+from repro.rpc.stepper import step
 from repro.rpc.transport import SimTransport
 from repro.sidl import layout
 from repro.telemetry.log import LOG
@@ -28,6 +28,7 @@ from repro.trader.errors import TraderError
 from repro.trader.federation import (
     DEFAULT_FANOUT_WORKERS,
     TraderLink,
+    _forward_link,
     fan_out,
     fan_out_async,
 )
@@ -507,23 +508,11 @@ class LocalTrader:
                 break
             if needed > 0 and len(gathered) >= needed:
                 break  # enough candidates for a bounded import
-            try:
-                with child.span("federation", f"link {link.name}", clock):
-                    results = link.forward(forwarded, child)
-            except ServerShedding:
-                # Overloaded peer: partial merge, counted as a load signal.
-                METRICS.inc("federation.link", (link.name, "shed"))
-                continue
-            except DeadlineExceeded:
-                # Budget lapsed mid-forward: an "expired" outcome, same
-                # as the pre-flight skip — not an unreachable peer.
-                METRICS.inc("federation.link", (link.name, "expired"))
-                continue
-            except Exception:  # noqa: BLE001 - unreachable peers are skipped
-                METRICS.inc("federation.link", (link.name, "unreachable"))
-                continue
-            METRICS.inc("federation.link", (link.name, "ok"))
-            gathered.extend(ServiceOffer.from_wire(item) for item in results)
+            results = step(
+                _forward_link(link, link.forwarder, forwarded, child, clock, now)
+            )
+            if results:
+                gathered.extend(ServiceOffer.from_wire(item) for item in results)
         return gathered
 
     @staticmethod

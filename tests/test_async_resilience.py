@@ -1,8 +1,9 @@
 """Async resilience, rebind, and event-loop timers on virtual time.
 
-Covers the coroutine twins of the failure-recovery layer —
+Covers the ``await`` side of the failure-recovery layer —
 ``ResilientCaller.call_async`` / ``run_async`` and
-``RebindingClient.invoke_async`` — plus the satellite guarantees that
+``RebindingClient.invoke_async``; outcome parity with the blocking side
+lives in ``test_flavour_parity.py`` — plus the satellite guarantees that
 :class:`LeaseHeartbeat` and the admission queue's dequeue-time aging run
 on the event-loop sim clock with no wall-clock sleeps.
 """
@@ -21,14 +22,8 @@ from repro.net import SimNetwork, loop_for
 from repro.net.latency import FixedLatency
 from repro.rpc import AsyncRpcClient, AsyncRpcServer, RpcProgram, RpcServer
 from repro.rpc.client import RpcClient
-from repro.rpc.errors import DeadlineExceeded
 from repro.rpc.message import RpcCall
-from repro.rpc.resilience import (
-    BackoffPolicy,
-    BreakerPolicy,
-    CircuitOpen,
-    ResilientCaller,
-)
+from repro.rpc.resilience import BackoffPolicy, BreakerPolicy, ResilientCaller
 from repro.rpc.transport import SimTransport
 from repro.services.car_rental import start_car_rental
 from repro.trader.leases import LeaseHeartbeat, heartbeat_interval
@@ -89,31 +84,6 @@ def test_call_async_fails_over_to_live_endpoint(net):
     # The backoff pause between attempts was virtual, not slept.
     assert caller.backoff_sleeps > 0
     assert wall < 1.0
-
-
-def test_call_async_opens_breaker_and_raises_circuit_open(net):
-    dead = echo_server(net, "dead")
-    net.faults.crash("dead")
-    caller = make_caller(net, rounds=4)
-    # No context: attempts run on the client's own timeout, so the
-    # breaker trips before any budget machinery interferes (the sync
-    # CircuitOpen test does the same).
-    with pytest.raises(CircuitOpen):
-        run_sim(net, caller.call_async([dead.address], PROG, 1, 1))
-    assert caller.breaker_opens() >= 1
-
-
-def test_call_async_deadline_propagates(net):
-    dead = echo_server(net, "dead")
-    net.faults.crash("dead")
-    caller = make_caller(net, rounds=50)
-    ctx = CallContext(deadline=net.clock.now + 1.0)
-    with pytest.raises(DeadlineExceeded):
-        run_sim(
-            net, caller.call_async([dead.address], PROG, 1, 1, ctx=ctx)
-        )
-    # The retry schedule never outlived the budget.
-    assert net.clock.now <= 1.2
 
 
 def test_concurrent_failover_rounds_share_the_loop(net):
@@ -327,7 +297,7 @@ def test_queued_call_ages_out_at_virtual_dequeue_time(net):
         # entry's task gets to its dequeue-time re-check.
         assert server._admit(source, call, (source, call.xid))
         await asyncio.sleep(1.0)
-        server._pump()
+        server._drain()
         await asyncio.sleep(0.0)
         return server.deadlines_rejected
 

@@ -170,6 +170,7 @@ def test_expired_call_rejected_before_handler_runs(make_server, make_client):
         0x7E000001, 777, 1, 1, encode_value(None),
         deadline=client.transport.now(), trace_id="t-expired",
     )
+    client._expect(0x7E000001)  # an unawaited reply would be dropped
     client.transport.send(server.address, call.encode())
     assert client.transport.wait(lambda: 0x7E000001 in client._pending, 1.0)
     reply = client._pending.pop(0x7E000001)

@@ -234,16 +234,6 @@ def test_late_duplicate_reply_is_dropped(net):
     assert client.duplicate_replies_dropped == 1
 
 
-def test_retired_xid_memory_is_bounded(net):
-    client = RpcClient(SimTransport(net, "cli-bounded"), retired_xid_capacity=16)
-    for xid in range(40):
-        client.retire_xid(xid)
-    assert len(client._retired) == 16
-    # The oldest entries were evicted, the newest survive.
-    assert 0 not in client._retired
-    assert 39 in client._retired
-
-
 def test_completed_call_retires_its_xid(net):
     """Every call — success or timeout — retires its xid, so a straggler
     retransmission answer arriving afterwards is discarded."""
@@ -251,9 +241,8 @@ def test_completed_call_retires_its_xid(net):
 
     server, __, client, __calls = make_stack(net)
     assert client.call(server.address, PROG, 1, 1, "hi")["echo"] == "hi"
-    before = len(client._pending)
+    last_xid = next(client._xid_counter) - 1
     # Replay the last reply as a late duplicate: it must be dropped.
-    last_xid = next(iter(client._retired.__reversed__()))
     client.handle_reply(server.address, RpcReply(last_xid, ReplyStatus.SUCCESS, b""))
-    assert len(client._pending) == before
+    assert client._pending == {}
     assert client.duplicate_replies_dropped == 1

@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.context import CallContext
-from repro.net import SimNetwork
+from repro.net import SimNetwork, loop_for
+from repro.rpc.aio import AsyncRpcClient, AsyncRpcServer
 from repro.rpc.client import RpcClient
+from repro.rpc.errors import RemoteFault
 from repro.rpc.message import RpcCall, decode_message
 from repro.rpc.server import RpcProgram, RpcServer
 from repro.rpc.transport import SimTransport
@@ -167,6 +169,82 @@ def test_tail_keep_can_be_disabled():
             ctx = traced_call(net, trace_id, fail=True)
             ctx.finish()
     assert all(chain.trace_id != trace_id for chain in ring.chains())
+
+
+# -- the server span gate, on every scheduling lane ---------------------------
+
+
+async def _async_maybe(args):
+    if args and args.get("fail"):
+        raise ValueError("synthetic fault")
+    return "ok"
+
+
+def _plain_maybe(args):
+    if args and args.get("fail"):
+        raise ValueError("synthetic fault")
+    return "ok"
+
+
+#: (server flavour, handler) -> the lane the one execute body runs on
+LANES = {
+    "blocking": (RpcServer, _plain_maybe),
+    "async-inline": (AsyncRpcServer, _plain_maybe),
+    "async-task": (AsyncRpcServer, _async_maybe),
+}
+
+
+def sampled_out_dispatch(lane, fail):
+    """One sampled-out call through ``lane``; returns what the *server*
+    side exported and how many spans it threw away, before the client's
+    own chain is finished."""
+    server_class, handler = LANES[lane]
+    net = SimNetwork(seed=7)
+    server = server_class(SimTransport(net, "gate-srv"))
+    program = RpcProgram(991200, name="gate")
+    program.register(1, handler, "maybe")
+    server.serve(program)
+    client = AsyncRpcClient(SimTransport(net, "gate-cli"), timeout=1.0, retries=0)
+    ring = RingExporter()
+    with use_policy(SamplingPolicy(rate=0.5, keep_errors=True)):
+        trace_id = find_trace(0.5, sampled_out=True)
+        ctx = CallContext.with_timeout(5.0, net.clock.now).derive(trace_id=trace_id)
+        discarded = METRICS.counter_total("telemetry.spans_sampled_out")
+        with use_exporter(ring):
+            call = client.call(
+                server.address, 991200, 1, 1, {"fail": fail} if fail else None,
+                context=ctx,
+            )
+            try:
+                loop_for(net.clock).run_until_complete(call)
+            except RemoteFault:
+                pass
+        discarded = METRICS.counter_total("telemetry.spans_sampled_out") - discarded
+    server_spans = [
+        span
+        for chain in ring.chains()
+        if chain.trace_id == trace_id
+        for span in chain.spans
+        if span.layer == "server"
+    ]
+    return server_spans, discarded
+
+
+@pytest.mark.parametrize("lane", LANES)
+def test_sampled_out_success_records_no_server_span(lane):
+    server_spans, discarded = sampled_out_dispatch(lane, fail=False)
+    assert server_spans == []
+    # Not "recorded, then dropped at export": nothing was recorded at all.
+    assert discarded == 0
+
+
+@pytest.mark.parametrize("lane", LANES)
+def test_sampled_out_fault_rebuilds_the_server_span_for_the_tail_keep(lane):
+    rescued_before = METRICS.counter_total("telemetry.chains_kept_tail")
+    server_spans, __ = sampled_out_dispatch(lane, fail=True)
+    (span,) = server_spans
+    assert span.outcome == "ValueError"
+    assert METRICS.counter_total("telemetry.chains_kept_tail") > rescued_before
 
 
 def test_export_decision_recomputes_when_stamp_never_arrived():
