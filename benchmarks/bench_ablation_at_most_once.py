@@ -6,8 +6,6 @@ retransmission re-executes.  Correctness first (execution counts), then
 the cache's overhead on the fast path.
 """
 
-import pytest
-
 from benchmarks.conftest import Stack
 from repro.rpc.server import RpcProgram
 

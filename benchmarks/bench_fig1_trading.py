@@ -41,7 +41,6 @@ def market():
 def test_fig1_step1_export(benchmark, market):
     """Step 1: one offer export (including withdrawal to stay idempotent)."""
     stack, trader_service, importer, runtimes = market
-    sid = make_car_rental_sid(service_id=9999)
 
     def export_once():
         offer_id = importer.export(

@@ -100,7 +100,7 @@ def test_fig4_cascade_depth(benchmark, depth):
             binding.invoke("Lookup", {"category": "chain"})
             binding = binding.bind_discovered()
             hops.append(binding)
-        result = binding.invoke("SelectCar", {"selection": SELECTION})
+        binding.invoke("SelectCar", {"selection": SELECTION})
         for hop in hops:
             hop.unbind()
         return len(hops)

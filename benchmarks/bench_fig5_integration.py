@@ -7,10 +7,10 @@ Times the maturation pipeline: a browsable service's SID (with its
 
 import pytest
 
-from benchmarks.conftest import SELECTION, Stack
-from repro.core import BrowserService, CosmMediator, GenericClient, make_tradable
-from repro.services.car_rental import make_car_rental_sid, start_car_rental
-from repro.trader.trader import ImportRequest, TraderClient, TraderService
+from benchmarks.conftest import Stack
+from repro.core import BrowserService, CosmMediator, make_tradable
+from repro.services.car_rental import start_car_rental
+from repro.trader.trader import TraderClient, TraderService
 
 
 @pytest.fixture(scope="module")

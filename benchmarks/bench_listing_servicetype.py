@@ -5,8 +5,6 @@ lexing, parsing, building the SID, deriving the trader's service type,
 and the wire encode/decode a SID transfer pays.
 """
 
-import pytest
-
 from repro.rpc.xdr import decode_value, encode_value
 from repro.services.car_rental import CAR_RENTAL_SIDL, PAPER_LISTING_SIDL
 from repro.sidl.builder import load_service_description

@@ -61,7 +61,7 @@ def build_world(total_offers: int):
             ServiceRef.create(f"hot-{index}", Address(f"h{index % 50}", 1), 4711),
             {"ChargePerDay": 10.0 + (index % 97)},
             now=0.0,
-            lifetime=3600.0,
+            lease_seconds=3600.0,
         )
     for index in range(100):
         router.export(
@@ -69,7 +69,7 @@ def build_world(total_offers: int):
             ServiceRef.create(f"cold-{index}", Address("c", 1), 4711),
             {"ChargePerDay": 50.0 + index},
             now=0.0,
-            lifetime=3600.0,
+            lease_seconds=3600.0,
         )
     return router
 
@@ -87,7 +87,7 @@ def probe(router, counters: Dict[str, int], baseline_best: str) -> None:
             ServiceRef.create("temp", Address("t", 1), 4711),
             {"ChargePerDay": 999.0},
             now=1.0,
-            lifetime=3600.0,
+            lease_seconds=3600.0,
         )
         assert router.renew(temp, now=1.0) is not None
         router.withdraw(temp)

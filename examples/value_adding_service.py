@@ -51,7 +51,7 @@ def main() -> None:
           f"upstream fetches: {archive.implementation.fetches}")
 
     # Follow the supply chain: the converter names its upstream.
-    result = binding.invoke("Upstream")
+    binding.invoke("Upstream")
     upstream = binding.bind_discovered()
     print(f"followed Upstream reference -> bound to {upstream.service_name} "
           f"(cascade depth {upstream.depth})")

@@ -16,7 +16,7 @@ from repro.net import SimNetwork
 from repro.rpc import RpcClient, RpcServer
 from repro.rpc.transport import SimTransport
 from repro.services import start_car_rental
-from repro.trader import TRADER_PROGRAM, TraderClient, TraderService, dynamic_property
+from repro.trader import TRADER_PROGRAM, TraderClient, TraderService
 from repro.trader.trader import ImportRequest
 
 
@@ -49,7 +49,6 @@ def main() -> None:
         ref = ServiceRef.from_wire(item["ref"])
         print(f"  found {item['role']:<8} {ref.name} at {ref.host}:{ref.port}")
 
-    browser_ref = discoverer.find_first("browser")
     trader_ref = discoverer.find_first("trader")
 
     # use the trader found by broadcast

@@ -12,6 +12,7 @@ forms may carry ``octets`` values JSON cannot hold natively.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 from typing import Any, Dict, Optional, Union
 
@@ -159,11 +160,6 @@ def restore_shard(
         **shard_options,
     )
     shard.map_version = snapshot.get("map_version", 0)
-    shard.migrations = {
-        migration_id: dict(record)
-        for migration_id, record in snapshot.get("migrations", {}).items()
-    }
-    shard.sealed_types = set(snapshot.get("sealed_types", ()))
     tail = snapshot.get("delta_tail", [])
     if tail:
         # Re-seed the retained tail (see ``shard_snapshot``) so a resumed
@@ -178,17 +174,17 @@ def restore_shard(
     )
     shard.trader.types = restored.types
     shard.trader.offers = restored.offers
-    for record in shard.migrations.values():
-        # Counters aren't in the snapshot; re-burn the migration's mint
-        # floor so a restored recipient still cannot re-mint donor ids.
-        if record.get("side") == "in" and record.get("service_type"):
-            shard.trader.offers.burn_to(
-                record["service_type"], int(record.get("mint_floor", 0))
-            )
+    # Open records come back the way a replica learns them — through the
+    # interpreter, which also re-burns each recipient's mint floor (the
+    # counters aren't in the snapshot).  It lifts an ``in`` type's seal
+    # too, so the snapshot's seals are laid over it afterwards.
+    for record in snapshot.get("migrations", {}).values():
+        shard._apply("migrate_begin", {"record": record})
+    shard.sealed_types = set(snapshot.get("sealed_types", ()))
     if now is not None:
         # The shard's sweep, not the raw trader's: types mid-absorption
         # stay shielded across a restart too.
-        shard._shielded_sweep(now)
+        shard._apply("expire", {"now": now})
     return shard
 
 
@@ -218,9 +214,21 @@ def restore_browser(browser: BrowserService, snapshot: Dict[str, Any]) -> int:
 # -- files -------------------------------------------------------------------------------
 
 
+def _write_atomic(path: pathlib.Path, text: str) -> None:
+    """Replace ``path``'s content all-or-nothing: a crash mid-write leaves
+    the previous file intact (and a stray ``.tmp``), never a torn one."""
+    temp = path.with_name(path.name + ".tmp")
+    with open(temp, "w") as handle:
+        handle.write(text)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(temp, path)
+
+
 def save_snapshot(snapshot: Dict[str, Any], path: Union[str, pathlib.Path]) -> None:
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(_wrap(snapshot), indent=2, sort_keys=True))
+    _write_atomic(
+        pathlib.Path(path), json.dumps(_wrap(snapshot), indent=2, sort_keys=True)
+    )
 
 
 def load_snapshot(path: Union[str, pathlib.Path]) -> Dict[str, Any]:

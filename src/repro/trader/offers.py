@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from heapq import merge as _heap_merge
 from typing import (  # noqa: F401
@@ -233,6 +233,18 @@ class _SortedValues:
             upper = lower
 
 
+def parse_offer_id(offer_id: str, prefix: str) -> Optional[Tuple[str, int]]:
+    """``prefix:type:n`` → ``(type, n)``; ``None`` for anything
+    :meth:`OfferStore.new_offer_id` could not have minted under ``prefix``.
+
+    The number is cut from the right, so type names may contain ``:``.
+    """
+    head, _, number = offer_id.rpartition(":")
+    if number.isdecimal() and head.startswith(prefix + ":") and len(head) > len(prefix) + 1:
+        return head[len(prefix) + 1 :], int(number)
+    return None
+
+
 class OfferStore:
     """Offers indexed by id, by service type, and by property equality.
 
@@ -284,21 +296,6 @@ class OfferStore:
                 self._counters[service_type] = count
                 return candidate
 
-    def _note_minted(self, offer: ServiceOffer) -> None:
-        """Advance the per-type counter past an id minted elsewhere.
-
-        Offers arrive without a local mint on replicas (delta streams)
-        and restores; the counter must reflect the highest id *ever
-        seen*, not the ids currently present — a promoted replica that
-        re-minted a withdrawn offer's id would fork from the id sequence
-        an unsharded trader produces.
-        """
-        head, _, suffix = offer.offer_id.rpartition(":")
-        if suffix.isdigit() and head == f"{self._prefix}:{offer.service_type}":
-            number = int(suffix)
-            if number > self._counters.get(offer.service_type, 0):
-                self._counters[offer.service_type] = number
-
     def minted(self, service_type: str) -> int:
         """Highest id number ever minted (or seen) for ``service_type``."""
         return self._counters.get(service_type, 0)
@@ -315,7 +312,14 @@ class OfferStore:
             self._counters[service_type] = count
 
     def add(self, offer: ServiceOffer) -> None:
-        self._note_minted(offer)
+        # Offers arrive without a local mint on replicas, recipients and
+        # restores; the counter must reflect the highest id *ever seen*,
+        # not the ids present — a promoted replica that re-minted a
+        # withdrawn offer's id would fork from the id sequence an
+        # unsharded trader produces.
+        minted = parse_offer_id(offer.offer_id, self._prefix)
+        if minted is not None and minted[0] == offer.service_type:
+            self.burn_to(offer.service_type, minted[1])
         existing = self._by_id.get(offer.offer_id)
         if existing is not None:
             # Idempotent re-add (replication retry, snapshot double-apply):
@@ -491,6 +495,9 @@ class OfferStore:
 
     def __len__(self) -> int:
         return len(self._by_id)
+
+    def __contains__(self, offer_id: str) -> bool:
+        return offer_id in self._by_id
 
     # -- index maintenance ---------------------------------------------------
 

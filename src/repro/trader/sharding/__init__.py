@@ -36,7 +36,6 @@ from repro.trader.sharding.router import (
 from repro.trader.sharding.rpc import (
     SHARDING_PROGRAM,
     RemoteShardBackend,
-    ShardAdminClient,
     ShardReplicationService,
 )
 from repro.trader.sharding.shard import ROLE_PRIMARY, ROLE_REPLICA, TraderShard
@@ -56,7 +55,6 @@ __all__ = [
     "ROLE_REPLICA",
     "SHARD_BREAKER",
     "SHARDING_PROGRAM",
-    "ShardAdminClient",
     "ShardDelta",
     "ShardHandle",
     "ShardMap",

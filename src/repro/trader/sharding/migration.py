@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
 from repro.context import CallContext
+from repro.persistence import _write_atomic
 from repro.telemetry.metrics import METRICS
 from repro.trader.sharding.replication import ShardingError
 
@@ -173,15 +174,20 @@ class FileCheckpoints(MemoryCheckpoints):
         self._directory = pathlib.Path(directory)
         self._directory.mkdir(parents=True, exist_ok=True)
         for path in sorted(self._directory.glob("*.migration.json")):
-            wire = json.loads(path.read_text())
-            self._states[wire["migration_id"]] = json.dumps(wire, sort_keys=True)
+            try:
+                wire = json.loads(path.read_text())
+                self._states[wire["migration_id"]] = json.dumps(wire, sort_keys=True)
+            except (ValueError, KeyError, TypeError):
+                # A torn or foreign file costs that one migration its
+                # checkpoint, never the rest of the directory theirs.
+                METRICS.inc("sharding.migration.checkpoints_unreadable")
 
     def _path(self, migration_id: str) -> pathlib.Path:
         return self._directory / f"{migration_id}.migration.json"
 
     def save(self, state: MigrationState) -> None:
         super().save(state)
-        self._path(state.migration_id).write_text(self._states[state.migration_id])
+        _write_atomic(self._path(state.migration_id), self._states[state.migration_id])
 
     def discard(self, migration_id: str) -> None:
         super().discard(migration_id)
@@ -344,7 +350,9 @@ class MigrationCoordinator:
         )
         if chunk["offers"]:
             absorbed = router.handle(state.target).call(
-                "migrate_chunk_in", state.migration_id, chunk["offers"]
+                "migrate_absorb",
+                state.migration_id,
+                [{"op": "migrate_in", "data": {"offers": chunk["offers"]}}],
             )
             state.offers_copied += absorbed
             if absorbed:
@@ -374,11 +382,11 @@ class MigrationCoordinator:
         # that lapsed mid-migration is swept before the recipient serves
         # as owner — a migration must never resurrect one.  The moving
         # type is still shielded from the recipient's *own* sweeps, so
-        # the sweep rides the replay channel, which is scoped to the
+        # the sweep rides the absorb channel, which is scoped to the
         # type and deliberately pierces the shield: the copy is final
         # now (the seal froze the tail), so expiring from it is safe.
         router.handle(state.target).call(
-            "migrate_replay",
+            "migrate_absorb",
             state.migration_id,
             [{"op": "expire", "data": {"now": now}}],
         )
@@ -397,37 +405,24 @@ class MigrationCoordinator:
     # -- plumbing ----------------------------------------------------------
 
     def _replay_tail(self, state: MigrationState) -> int:
+        """Carry the donor's deltas for the moving type (the donor filters
+        its own log) past ``replayed_seq`` to the recipient."""
         router = self.router
-        tail = router.handle(state.source).call("deltas_since", state.replayed_seq)
-        relevant = [
-            delta for delta in tail if self._relevant(delta, state.service_type)
-        ]
-        if relevant:
+        tail = router.handle(state.source).call(
+            "deltas_since", state.replayed_seq, state.service_type
+        )
+        if tail:
             router.handle(state.target).call(
-                "migrate_replay", state.migration_id, relevant
+                "migrate_absorb", state.migration_id, tail
             )
-            state.deltas_replayed += len(relevant)
+            state.replayed_seq = tail[-1]["seq"]
+            state.deltas_replayed += len(tail)
             METRICS.inc(
                 "sharding.migration.deltas_replayed",
                 (router.trader_id, state.service_type),
-                amount=len(relevant),
+                amount=len(tail),
             )
-        if tail:
-            state.replayed_seq = max(state.replayed_seq, tail[-1]["seq"])
-        return len(relevant)
-
-    def _relevant(self, delta_wire: Dict[str, Any], service_type: str) -> bool:
-        """Does this donor delta touch the moving type?  ``expire`` always
-        might (the donor's sweep is global); type management replicates
-        through the router broadcast, never through the migration."""
-        op = delta_wire.get("op")
-        data = delta_wire.get("data", {})
-        if op == "export":
-            return data["offer"]["service_type"] == service_type
-        if op in ("withdraw", "modify", "renew"):
-            marker = f"{self.router.offer_prefix}:{service_type}:"
-            return str(data.get("offer_id", "")).startswith(marker)
-        return op == "expire"
+        return len(tail)
 
     def _checkpoint(self, state: MigrationState) -> None:
         self.checkpoints.save(state)

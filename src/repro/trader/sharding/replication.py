@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List
 
 from repro.trader.errors import TraderError
+from repro.trader.offers import parse_offer_id
 
 
 class ShardingError(TraderError):
@@ -41,10 +42,12 @@ class ShardNotDrained(ShardingError):
 
 #: Delta operations a primary may log.  ``expire`` replicates the lease
 #: sweep itself so replicas evict exactly the offers the primary did, at
-#: the same virtual instant — independent sweeping would diverge.  The
-#: ``migrate_*`` ops replicate live-resharding state so a replica
-#: promoted mid-migration inherits the migration exactly where the old
-#: primary left it (see :mod:`repro.trader.sharding.migration`).
+#: the same virtual instant — independent sweeping would diverge; with a
+#: ``service_type`` it is a migration recipient's donor-driven sweep of
+#: just that type.  The ``migrate_*`` ops replicate live-resharding state
+#: so a replica promoted mid-migration inherits the migration exactly
+#: where the old primary left it (see
+#: :mod:`repro.trader.sharding.migration`).
 DELTA_OPS = (
     "export",
     "withdraw",
@@ -56,7 +59,6 @@ DELTA_OPS = (
     "mask_type",
     "migrate_begin",
     "migrate_in",
-    "migrate_expire",
     "migrate_flip",
     "migrate_done",
     "migrate_abort",
@@ -90,6 +92,19 @@ class ShardDelta:
             data=data.get("data", {}),
             map_version=data.get("map_version", 0),
         )
+
+    def touches(self, service_type: str, offer_prefix: str) -> bool:
+        """Could this delta change ``service_type``'s offers?  An unscoped
+        ``expire`` always might (the sweep is global); type management
+        replicates through the router broadcast and ``migrate_*`` state is
+        shard-local, so neither ever travels with a migrating type."""
+        op, data = self.op, self.data
+        if op == "export":
+            return data["offer"]["service_type"] == service_type
+        if op in ("withdraw", "modify", "renew"):
+            minted = parse_offer_id(data["offer_id"], offer_prefix)
+            return minted is not None and minted[0] == service_type
+        return op == "expire" and data.get("service_type") in (None, service_type)
 
 
 class DeltaLog:

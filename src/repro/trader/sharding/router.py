@@ -28,7 +28,7 @@ from repro.rpc.resilience import STATE_OPEN, BreakerPolicy, CircuitBreaker
 from repro.telemetry.metrics import METRICS
 from repro.trader.errors import OfferNotFound, TraderError
 from repro.trader.federation import DEFAULT_FANOUT_WORKERS, TraderLink, fan_out
-from repro.trader.offers import ServiceOffer
+from repro.trader.offers import ServiceOffer, parse_offer_id
 from repro.trader.policies import parse_preference
 from repro.trader.service_types import ServiceType
 from repro.trader.sharding.hashing import ShardMap
@@ -136,17 +136,12 @@ class _RouterOffers:
         self._router = router
 
     def all(self) -> List[ServiceOffer]:
-        # While a migration is open the same offer lives on two shards:
-        # dedup by id, the effective owner's copy winning.
-        merged: Dict[str, ServiceOffer] = {}
-        for shard_id in self._router.map.shard_ids:
-            for offer in self._router.handle(shard_id).call("list_offers"):
-                if (
-                    offer.offer_id not in merged
-                    or shard_id == self._router.effective_owner(offer.service_type)
-                ):
-                    merged[offer.offer_id] = offer
-        return list(merged.values())
+        router = self._router
+        shard_ids = router.map.shard_ids
+        return router._merge_owned(
+            shard_ids,
+            [router.handle(shard_id).call("list_offers") for shard_id in shard_ids],
+        )
 
     def get(self, offer_id: str) -> ServiceOffer:
         for offer in self.all():
@@ -375,26 +370,22 @@ class ShardRouter:
         ref: Union[ServiceRef, Dict[str, Any]],
         properties: Dict[str, Any],
         now: float = 0.0,
-        lifetime: Optional[float] = None,
         lease_seconds: Optional[float] = None,
     ) -> str:
         offer_id = self._route_write(
-            "export", service_type, service_type, ref, properties, now, lifetime,
-            lease_seconds,
+            "export", service_type, service_type, ref, properties, now, lease_seconds
         )
         self.exports_accepted += 1
         return offer_id
 
     def renew(self, offer_id: str, now: float = 0.0) -> Optional[float]:
-        return self._route_write("renew", self._type_of_offer(offer_id), offer_id, now)
+        return self._route_by_id("renew", offer_id, now)
 
     def withdraw(self, offer_id: str) -> ServiceOffer:
-        return self._route_write("withdraw", self._type_of_offer(offer_id), offer_id)
+        return self._route_by_id("withdraw", offer_id)
 
     def modify(self, offer_id: str, properties: Dict[str, Any]) -> ServiceOffer:
-        return self._route_write(
-            "modify", self._type_of_offer(offer_id), offer_id, properties
-        )
+        return self._route_by_id("modify", offer_id, properties)
 
     def expire_offers(self, now: float) -> int:
         """Broadcast the lease sweep; each primary replicates its own."""
@@ -403,17 +394,12 @@ class ShardRouter:
             for shard_id in self.map.shard_ids
         )
 
-    def purge_expired(self, now: float) -> int:
-        return self.expire_offers(now)
-
-    def _type_of_offer(self, offer_id: str) -> str:
+    def _route_by_id(self, op: str, offer_id: str, *args: Any) -> Any:
         """Offer ids are ``prefix:type:n`` — placement needs no lookup."""
-        prefix = self.offer_prefix + ":"
-        if offer_id.startswith(prefix):
-            service_type, _, suffix = offer_id[len(prefix) :].rpartition(":")
-            if service_type and suffix.isdigit():
-                return service_type
-        raise OfferNotFound(f"no offer {offer_id!r}")
+        minted = parse_offer_id(offer_id, self.offer_prefix)
+        if minted is None:
+            raise OfferNotFound(f"no offer {offer_id!r}")
+        return self._route_write(op, minted[0], offer_id, *args)
 
     # -- importer interface ---------------------------------------------------------
 
@@ -462,32 +448,45 @@ class ShardRouter:
             forwarded["preference"] = ""  # shards return raw matches; we order
             forwarded["max_matches"] = 0
         forwarded["hop_limit"] = 0  # shards are partitions, not federation hops
-        wire_lists = self._gather(owners, forwarded, ctx, now)
-        # Merge with dual-ownership awareness: while a type is migrating,
-        # both sides may return the same offer; the copy from the type's
-        # *effective owner* wins, so a not-yet-replayed RENEW or MODIFY on
-        # the other side is never observable — no stale mediation.
+        merged = self._merge_owned(
+            owners,
+            [
+                [ServiceOffer.from_wire(item) for item in wires or ()]
+                for wires in self._gather(owners, forwarded, ctx, now)
+            ],
+        )
+        position = {name: index for index, name in enumerate(type_names)}
+        prefix = self.offer_prefix
+
+        def canonical(offer: ServiceOffer):
+            minted = parse_offer_id(offer.offer_id, prefix)
+            return (
+                position.get(offer.service_type, len(position)),
+                minted[1] if minted else 0,
+            )
+
+        merged.sort(key=canonical)
+        ordered = preference.apply(merged, self.rng)
+        if request.max_matches > 0:
+            ordered = ordered[: request.max_matches]
+        return ordered
+
+    def _merge_owned(
+        self, shard_ids: Iterable[str], offer_lists: Iterable[Iterable[ServiceOffer]]
+    ) -> List[ServiceOffer]:
+        """Union per-shard answers, one copy per offer id.  While a type
+        is migrating both sides may hold the same offer; the copy from
+        the type's *effective owner* wins, so a not-yet-replayed RENEW or
+        MODIFY on the other side is never observable — no stale mediation."""
         merged: Dict[str, ServiceOffer] = {}
-        for shard_id, wires in zip(owners, wire_lists):
-            for item in wires or ():
-                offer = ServiceOffer.from_wire(item)
+        for shard_id, offers in zip(shard_ids, offer_lists):
+            for offer in offers:
                 if (
                     offer.offer_id not in merged
                     or shard_id == self.effective_owner(offer.service_type)
                 ):
                     merged[offer.offer_id] = offer
-        position = {name: index for index, name in enumerate(type_names)}
-        candidates = sorted(
-            merged.values(),
-            key=lambda offer: (
-                position.get(offer.service_type, len(position)),
-                self._export_seq(offer.offer_id),
-            ),
-        )
-        ordered = preference.apply(candidates, self.rng)
-        if request.max_matches > 0:
-            ordered = ordered[: request.max_matches]
-        return ordered
+        return list(merged.values())
 
     def _covering_shards(self, type_names: List[str]) -> List[str]:
         """The shards an import must ask: each queried type's effective
@@ -535,10 +534,6 @@ class ShardRouter:
 
             links.append(TraderLink(f"shard:{shard_id}", forward))
         return fan_out(links, forwarded, ctx, clock, workers=self.fanout_workers)
-
-    def _export_seq(self, offer_id: str) -> int:
-        suffix = offer_id.rpartition(":")[2]
-        return int(suffix) if suffix.isdigit() else 0
 
     def select_best(
         self,

@@ -13,10 +13,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.context import CallContext
-from repro.net.endpoints import Address
-from repro.rpc.client import RpcClient
 from repro.rpc.server import RpcProgram, RpcServer
-from repro.trader.offers import ServiceOffer
 from repro.trader.service_types import ServiceType
 from repro.trader.sharding.shard import TraderShard
 from repro.trader.trader import TRADER_PROGRAM, TraderClient
@@ -30,10 +27,10 @@ _PROC_STATUS = 4
 _PROC_SET_MAP = 5
 _PROC_EXPIRE = 6
 # Live resharding (see repro.trader.sharding.migration).  MIGRATE_CHUNK
-# carries the three transfer shapes of one migration stream, told apart
-# by the argument present: ``cursor`` reads a copy chunk off the donor,
-# ``offers`` absorbs one into the recipient, ``deltas`` replays a
-# catch-up tail.  MIGRATE_FLIP carries the cutover family via ``action``
+# carries both directions of one migration stream, told apart by the
+# argument present: ``cursor`` reads a copy chunk off the donor,
+# ``deltas`` absorbs donor deltas (a copied chunk or a catch-up tail)
+# into the recipient.  MIGRATE_FLIP carries the cutover family via ``action``
 # (``flip`` seals the donor, ``done`` drops the moved offers, ``abort``
 # rolls both sides back).
 _PROC_MIGRATE_BEGIN = 7
@@ -68,7 +65,7 @@ class ShardReplicationService:
         return self.shard.apply_delta(args["delta"])
 
     def _deltas_since(self, args) -> List[Dict[str, Any]]:
-        return self.shard.deltas_since(args["seq"])
+        return self.shard.deltas_since(args["seq"], args.get("service_type"))
 
     def _promote(self, args) -> int:
         return self.shard.promote(args.get("now", self._now()))
@@ -87,10 +84,8 @@ class ShardReplicationService:
 
     def _migrate_chunk(self, args) -> Any:
         migration_id = args["migration_id"]
-        if "offers" in args:
-            return self.shard.migrate_chunk_in(migration_id, args["offers"])
         if "deltas" in args:
-            return self.shard.migrate_replay(migration_id, args["deltas"])
+            return self.shard.migrate_absorb(migration_id, args["deltas"])
         return self.shard.migrate_chunk_out(
             migration_id, args["cursor"], args.get("limit", 256)
         )
@@ -108,91 +103,15 @@ class ShardReplicationService:
         return self.shard.migrate_status(args["migration_id"])
 
 
-class ShardAdminClient:
-    """Replication-plane stub for a remote shard."""
-
-    def __init__(self, client: RpcClient, address: Address) -> None:
-        self._client = client
-        self.address = address
-
-    def apply_delta(self, delta_wire: Dict[str, Any]) -> bool:
-        return self._call(_PROC_APPLY_DELTA, {"delta": delta_wire})
-
-    def deltas_since(self, seq: int) -> List[Dict[str, Any]]:
-        return self._call(_PROC_DELTAS_SINCE, {"seq": seq})
-
-    def promote(self, now: Optional[float] = None) -> int:
-        return self._call(_PROC_PROMOTE, {"now": now})
-
-    def status(self) -> Dict[str, Any]:
-        return self._call(_PROC_STATUS, {})
-
-    def set_map(self, map_wire: Dict[str, Any]) -> bool:
-        return self._call(_PROC_SET_MAP, {"map": map_wire})
-
-    def expire(self, now: Optional[float] = None) -> int:
-        return self._call(_PROC_EXPIRE, {"now": now})
-
-    def migrate_begin(self, migration_wire: Dict[str, Any], side: str) -> Dict[str, Any]:
-        return self._call(
-            _PROC_MIGRATE_BEGIN, {"migration": migration_wire, "side": side}
-        )
-
-    def migrate_chunk_out(
-        self, migration_id: str, cursor: int, limit: int
-    ) -> Dict[str, Any]:
-        return self._call(
-            _PROC_MIGRATE_CHUNK,
-            {"migration_id": migration_id, "cursor": cursor, "limit": limit},
-        )
-
-    def migrate_chunk_in(self, migration_id: str, offers) -> int:
-        return self._call(
-            _PROC_MIGRATE_CHUNK, {"migration_id": migration_id, "offers": offers}
-        )
-
-    def migrate_replay(self, migration_id: str, deltas) -> int:
-        return self._call(
-            _PROC_MIGRATE_CHUNK, {"migration_id": migration_id, "deltas": deltas}
-        )
-
-    def migrate_flip(self, migration_id: str) -> Dict[str, Any]:
-        return self._call(
-            _PROC_MIGRATE_FLIP, {"migration_id": migration_id, "action": "flip"}
-        )
-
-    def migrate_done(self, migration_id: str) -> int:
-        return self._call(
-            _PROC_MIGRATE_FLIP, {"migration_id": migration_id, "action": "done"}
-        )
-
-    def migrate_abort(self, migration_id: str) -> bool:
-        return self._call(
-            _PROC_MIGRATE_FLIP, {"migration_id": migration_id, "action": "abort"}
-        )
-
-    def migrate_status(self, migration_id: str) -> Dict[str, Any]:
-        return self._call(_PROC_MIGRATE_STATUS, {"migration_id": migration_id})
-
-    def _call(self, proc: int, args: Dict[str, Any]) -> Any:
-        return self._client.call(self.address, SHARDING_PROGRAM, 1, proc, args)
-
-
-class RemoteShardBackend:
+class RemoteShardBackend(TraderClient):
     """A shard living on another node, duck-shaped like a TraderShard.
 
-    Composes the trader stub (exports, imports, …) with the replication
-    stub (promote, status, …) so a :class:`ShardHandle` can hold local
-    and remote shards interchangeably.
+    The trader surface (exports, imports, …) is the ordinary trader stub
+    — adapted where a shard's signature carries a ``now`` that is the
+    remote node's clock concern, never the wire's; the replication and
+    migration surface is the sharding program.  So a
+    :class:`ShardHandle` holds local and remote shards interchangeably.
     """
-
-    def __init__(self, client: RpcClient, address: Address) -> None:
-        self._client = client
-        self.address = address
-        self._trader = TraderClient(client, address)
-        self._admin = ShardAdminClient(client, address)
-
-    # trader surface ---------------------------------------------------------
 
     def export(
         self,
@@ -200,21 +119,15 @@ class RemoteShardBackend:
         ref,
         properties: Dict[str, Any],
         now: float = 0.0,
-        lifetime: Optional[float] = None,
         lease_seconds: Optional[float] = None,
     ) -> str:
-        # ``now`` is the remote node's clock concern; the wire op carries
-        # only the lease terms, exactly as any exporter client would.
-        return self._trader.export(service_type, ref, properties, lifetime, lease_seconds)
-
-    def withdraw(self, offer_id: str) -> bool:
-        return self._trader.withdraw(offer_id)
-
-    def modify(self, offer_id: str, properties: Dict[str, Any]) -> bool:
-        return self._trader.modify(offer_id, properties)
+        return super().export(service_type, ref, properties, lease_seconds)
 
     def renew(self, offer_id: str, now: float = 0.0) -> Optional[float]:
-        return self._trader.renew(offer_id)
+        return super().renew(offer_id)
+
+    def add_type(self, service_type: ServiceType, now: float = 0.0) -> bool:
+        return super().add_type(service_type)
 
     def import_wire(
         self,
@@ -231,62 +144,67 @@ class RemoteShardBackend:
             self.address, TRADER_PROGRAM, 1, _PROC_TRADER_IMPORT, request_wire
         )
 
-    def list_offers(self) -> List[ServiceOffer]:
-        return self._trader.list_offers()
-
-    def add_type(self, service_type: ServiceType, now: float = 0.0) -> bool:
-        return self._trader.add_type(service_type)
-
-    def remove_type(self, name: str) -> bool:
-        return self._trader.remove_type(name)
-
-    def mask_type(self, name: str) -> bool:
-        return self._trader.mask_type(name)
-
     # replication surface ----------------------------------------------------
 
     def apply_delta(self, delta_wire: Dict[str, Any]) -> bool:
-        return self._admin.apply_delta(delta_wire)
+        return self._shard_call(_PROC_APPLY_DELTA, {"delta": delta_wire})
 
-    def deltas_since(self, seq: int) -> List[Dict[str, Any]]:
-        return self._admin.deltas_since(seq)
+    def deltas_since(
+        self, seq: int, service_type: Optional[str] = None
+    ) -> List[Dict[str, Any]]:
+        return self._shard_call(
+            _PROC_DELTAS_SINCE, {"seq": seq, "service_type": service_type}
+        )
 
     def promote(self, now: Optional[float] = None) -> int:
-        return self._admin.promote(now)
+        return self._shard_call(_PROC_PROMOTE, {"now": now})
 
     def status(self) -> Dict[str, Any]:
-        return self._admin.status()
+        return self._shard_call(_PROC_STATUS, {})
 
     def set_map(self, map_wire: Dict[str, Any]) -> bool:
-        return self._admin.set_map(map_wire)
+        return self._shard_call(_PROC_SET_MAP, {"map": map_wire})
 
     def expire_offers(self, now: Optional[float] = None) -> int:
-        return self._admin.expire(now)
+        return self._shard_call(_PROC_EXPIRE, {"now": now})
 
     # migration surface ------------------------------------------------------
 
     def migrate_begin(self, migration_wire: Dict[str, Any], side: str) -> Dict[str, Any]:
-        return self._admin.migrate_begin(migration_wire, side)
+        return self._shard_call(
+            _PROC_MIGRATE_BEGIN, {"migration": migration_wire, "side": side}
+        )
 
     def migrate_chunk_out(
         self, migration_id: str, cursor: int, limit: int
     ) -> Dict[str, Any]:
-        return self._admin.migrate_chunk_out(migration_id, cursor, limit)
+        return self._shard_call(
+            _PROC_MIGRATE_CHUNK,
+            {"migration_id": migration_id, "cursor": cursor, "limit": limit},
+        )
 
-    def migrate_chunk_in(self, migration_id: str, offers) -> int:
-        return self._admin.migrate_chunk_in(migration_id, offers)
-
-    def migrate_replay(self, migration_id: str, deltas) -> int:
-        return self._admin.migrate_replay(migration_id, deltas)
+    def migrate_absorb(self, migration_id: str, deltas) -> int:
+        return self._shard_call(
+            _PROC_MIGRATE_CHUNK, {"migration_id": migration_id, "deltas": deltas}
+        )
 
     def migrate_flip(self, migration_id: str) -> Dict[str, Any]:
-        return self._admin.migrate_flip(migration_id)
+        return self._shard_call(
+            _PROC_MIGRATE_FLIP, {"migration_id": migration_id, "action": "flip"}
+        )
 
     def migrate_done(self, migration_id: str) -> int:
-        return self._admin.migrate_done(migration_id)
+        return self._shard_call(
+            _PROC_MIGRATE_FLIP, {"migration_id": migration_id, "action": "done"}
+        )
 
     def migrate_abort(self, migration_id: str) -> bool:
-        return self._admin.migrate_abort(migration_id)
+        return self._shard_call(
+            _PROC_MIGRATE_FLIP, {"migration_id": migration_id, "action": "abort"}
+        )
 
     def migrate_status(self, migration_id: str) -> Dict[str, Any]:
-        return self._admin.migrate_status(migration_id)
+        return self._shard_call(_PROC_MIGRATE_STATUS, {"migration_id": migration_id})
+
+    def _shard_call(self, proc: int, args: Dict[str, Any]) -> Any:
+        return self._client.call(self.address, SHARDING_PROGRAM, 1, proc, args)

@@ -16,7 +16,7 @@ from repro.context import CallContext
 from repro.naming.refs import ServiceRef
 from repro.telemetry.metrics import METRICS
 from repro.trader.errors import DuplicateServiceType, OfferNotFound
-from repro.trader.offers import ServiceOffer
+from repro.trader.offers import ServiceOffer, parse_offer_id
 from repro.trader.service_types import ServiceType
 from repro.trader.sharding.replication import (
     DeltaLog,
@@ -121,28 +121,25 @@ class TraderShard:
         ref: Union[ServiceRef, Dict[str, Any]],
         properties: Dict[str, Any],
         now: float = 0.0,
-        lifetime: Optional[float] = None,
         lease_seconds: Optional[float] = None,
     ) -> str:
         self._require_primary("export")
-        self._require_unsealed(service_type, "export")
-        offer_id = self.trader.export(
-            service_type, ref, properties, now, lifetime, lease_seconds
-        )
+        self._require_unsealed("export", service_type)
+        offer_id = self.trader.export(service_type, ref, properties, now, lease_seconds)
         offer = self.trader.offers.get(offer_id)
         self._log("export", {"offer": offer.to_wire()})
         return offer_id
 
     def withdraw(self, offer_id: str) -> ServiceOffer:
         self._require_primary("withdraw")
-        self._require_unsealed(self._type_of_offer(offer_id), "withdraw")
+        self._require_unsealed("withdraw", offer_id=offer_id)
         offer = self.trader.withdraw(offer_id)
         self._log("withdraw", {"offer_id": offer_id})
         return offer
 
     def modify(self, offer_id: str, properties: Dict[str, Any]) -> ServiceOffer:
         self._require_primary("modify")
-        self._require_unsealed(self._type_of_offer(offer_id), "modify")
+        self._require_unsealed("modify", offer_id=offer_id)
         offer = self.trader.modify(offer_id, properties)
         # Replicate the *checked* properties, not the caller's raw dict.
         self._log(
@@ -152,7 +149,7 @@ class TraderShard:
 
     def renew(self, offer_id: str, now: float = 0.0) -> Optional[float]:
         self._require_primary("renew")
-        self._require_unsealed(self._type_of_offer(offer_id), "renew")
+        self._require_unsealed("renew", offer_id=offer_id)
         expires_at = self.trader.renew(offer_id, now)
         self._log("renew", {"offer_id": offer_id, "expires_at": expires_at})
         return expires_at
@@ -164,13 +161,17 @@ class TraderShard:
         shielded from the sweep: the donor is still authoritative for
         them and this shard's copy may lack renews that only arrive
         with the next replay batch — sweeping it here would lose the
-        offer for good.  Donor-driven expiry still lands through the
-        type-scoped ``migrate_expire`` replay, and the coordinator runs
-        an unshielded type sweep at FLIP, when the copy is final.
+        offer for good.  Donor-driven expiry still lands through
+        :meth:`migrate_absorb`, whose ``expire`` names the moving type
+        and so pierces the shield — the coordinator sends one at FLIP,
+        when the copy is final.
         """
-        removed = self._shielded_sweep(now)
+        return self._expire({"now": now})
+
+    def _expire(self, data: Dict[str, Any]) -> int:
+        removed = self._apply("expire", data)
         if removed and self.role == ROLE_PRIMARY:
-            self._log("expire", {"now": now})
+            self._log("expire", data)
         return removed
 
     def add_type(self, service_type: ServiceType, now: float = 0.0) -> None:
@@ -231,9 +232,23 @@ class TraderShard:
     def detach_replica(self, name: str) -> None:
         self._sinks.pop(name, None)
 
-    def deltas_since(self, seq: int) -> List[Dict[str, Any]]:
-        """Catch-up batch for a replica at ``seq`` (the SYNC op)."""
-        return [delta.to_wire() for delta in self.log.since(seq)]
+    def deltas_since(
+        self, seq: int, service_type: Optional[str] = None
+    ) -> List[Dict[str, Any]]:
+        """Catch-up batch for a replica at ``seq`` (the SYNC op) — or, with
+        ``service_type``, only the deltas a migration of that type must
+        carry to its recipient."""
+        deltas = self.log.since(seq)
+        if service_type is not None:
+            prefix = self.trader.offers.prefix
+            deltas = [delta for delta in deltas if delta.touches(service_type, prefix)]
+        return [delta.to_wire() for delta in deltas]
+
+    def _commit(self, op: str, data: Dict[str, Any]) -> int:
+        """Apply a change this primary decided on, then replicate it."""
+        result = self._apply(op, data)
+        self._log(op, data)
+        return result
 
     def _log(self, op: str, data: Dict[str, Any]) -> None:
         delta = self.log.append(op, data, self.map_version)
@@ -249,27 +264,24 @@ class TraderShard:
         if self.role != ROLE_PRIMARY:
             raise ShardingError(f"{self.shard_id}: {op} refused, shard is a replica")
 
-    def _require_unsealed(self, service_type: str, op: str) -> None:
+    def _require_unsealed(
+        self, op: str, service_type: str = "", offer_id: str = ""
+    ) -> None:
+        if offer_id:
+            minted = parse_offer_id(offer_id, self.trader.offers.prefix)
+            service_type = minted[0] if minted else ""
         if service_type and service_type in self.sealed_types:
             raise MigrationSealed(
                 f"{self.shard_id}: {op} for {service_type!r} refused — the type "
                 "was sealed at migration FLIP; the new owner serves it"
             )
 
-    def _type_of_offer(self, offer_id: str) -> str:
-        """The service type an offer id names (``prefix:type:n``), or ``""``."""
-        prefix = self.trader.offers.prefix + ":"
-        if offer_id.startswith(prefix):
-            service_type, _, suffix = offer_id[len(prefix) :].rpartition(":")
-            if service_type and suffix.isdigit():
-                return service_type
-        return ""
-
     # -- live resharding: the shard side of the migration protocol ----------------
     #
-    # Every state change below is logged as a delta, so a replica promoted
-    # mid-migration inherits the records, the snapshot cursor, and the
-    # seal — the coordinator resumes against it as if nothing happened.
+    # Every state change below is committed as a delta, so a replica
+    # promoted mid-migration inherits the records, the snapshot cursor,
+    # and the seal — the coordinator resumes against it as if nothing
+    # happened.
 
     def migrate_begin(self, migration_wire: Dict[str, Any], side: str) -> Dict[str, Any]:
         """Open a migration on this shard (``side`` = ``out`` donor /
@@ -292,28 +304,25 @@ class TraderShard:
                 "mint_floor": 0,
             }
             if side == "out":
-                offers = self.trader.offers.of_types([record["service_type"]])
+                offers = self.trader.offers
+                prefix = offers.prefix
                 record["offer_ids"] = sorted(
-                    (offer.offer_id for offer in offers),
-                    key=lambda offer_id: int(offer_id.rpartition(":")[2]),
+                    (offer.offer_id for offer in offers.of_types([record["service_type"]])),
+                    key=lambda offer_id: parse_offer_id(offer_id, prefix)[1],
                 )
                 # The donor's mint counter travels with the migration:
                 # ids spent on offers withdrawn *before* the copy appear
                 # in no snapshot and no tail delta, so the counter is the
                 # only way the recipient learns they are taken.
-                record["mint_floor"] = self.trader.offers.minted(
-                    record["service_type"]
-                )
+                record["mint_floor"] = offers.minted(record["service_type"])
             else:
                 record["mint_floor"] = int(
                     migration_wire.get("extra", {}).get("mint_floor", 0)
                 )
-            self._do_migrate_begin(record)
-            self._log("migrate_begin", {"record": dict(record)})
+            self._commit("migrate_begin", {"record": record})
         return {
             "migration_id": migration_id,
             "snapshot_seq": record["snapshot_seq"],
-            "offer_ids": list(record["offer_ids"]),
             "count": len(record["offer_ids"]),
             "mint_floor": record.get("mint_floor", 0),
         }
@@ -328,92 +337,58 @@ class TraderShard:
         record = self._migration_record(migration_id, "out")
         offer_ids = record["offer_ids"]
         window = offer_ids[cursor : cursor + limit]
-        offers = []
-        for offer_id in window:
-            try:
-                offers.append(self.trader.offers.get(offer_id).to_wire())
-            except OfferNotFound:
-                continue  # withdrawn/expired after begin: replays as a delta
+        store = self.trader.offers
         next_cursor = cursor + len(window)
         return {
-            "offers": offers,
+            # an id gone since begin was withdrawn/expired: replays as a delta
+            "offers": [store.get(held).to_wire() for held in window if held in store],
             "next_cursor": next_cursor,
             "done": next_cursor >= len(offer_ids),
         }
 
-    def migrate_chunk_in(
-        self, migration_id: str, offers_wire: List[Dict[str, Any]]
-    ) -> int:
-        """Absorb one copied chunk on the recipient; returns how many
-        offers were new.  Idempotent: a re-sent chunk absorbs nothing and
-        logs nothing, so crash-resume never duplicates an offer or a
-        delta.  Absorbed ids burn the per-type counters (``_note_minted``
-        inside ``OfferStore.add``) — the recipient can never re-mint."""
-        self._require_primary("migrate_chunk_in")
-        record = self._migration_record(migration_id, "in")
-        fresh = []
-        for wire in offers_wire:
-            if not self._has_offer(wire["offer_id"]):
-                fresh.append(wire)
-        if fresh:
-            self._do_migrate_in(record, fresh)
-            self._log("migrate_in", {"migration_id": migration_id, "offers": fresh})
-        return len(fresh)
-
-    def migrate_replay(
+    def migrate_absorb(
         self, migration_id: str, deltas_wire: List[Dict[str, Any]]
     ) -> int:
-        """Replay a filtered donor delta tail onto the recipient, in order.
+        """The recipient's one ingestion entry: fold donor deltas in, in
+        order; returns how many offers were new here.
 
-        Each donor delta is translated to a local mutation *and* re-logged
-        as this primary's own delta, so the recipient's replicas converge
-        too.  Every translation is idempotent (absolute lease times,
-        tolerated-missing offers), so a resumed coordinator may replay a
-        batch twice without harm — and a renew replayed after the lease
-        already lapsed sets the same absolute expiry, never extends it.
+        A COPY chunk arrives as one ``migrate_in`` delta, the CATCH_UP
+        and FLIP tails as the donor's own deltas.  This method only
+        decides *whether* each applies here and under which local op;
+        what applies is committed as this primary's own delta, so the
+        recipient's replicas converge too.  Every rule is idempotent
+        (held offers are not re-absorbed, missing ones not touched,
+        lease times are absolute), so a resumed coordinator may re-send:
+        a chunk absorbs and logs nothing the second time, a tail lands
+        on the same store — and a renew replayed after the lease lapsed
+        sets the same absolute expiry, never extends it.
         """
-        self._require_primary("migrate_replay")
+        self._require_primary("migrate_absorb")
         record = self._migration_record(migration_id, "in")
-        applied = 0
+        offers = self.trader.offers
+        absorbed = 0
         for delta_wire in deltas_wire:
             op, data = delta_wire["op"], delta_wire.get("data", {})
-            if op == "export":
-                wire = data["offer"]
-                if not self._has_offer(wire["offer_id"]):
-                    self._do_migrate_in(record, [wire])
-                    self._log(
-                        "migrate_in", {"migration_id": migration_id, "offers": [wire]}
+            if op in ("export", "migrate_in"):
+                sent = [data["offer"]] if op == "export" else data["offers"]
+                fresh = [wire for wire in sent if wire["offer_id"] not in offers]
+                if fresh:
+                    self._commit(
+                        "migrate_in", {"migration_id": migration_id, "offers": fresh}
                     )
-            elif op == "withdraw":
-                if self._has_offer(data["offer_id"]):
-                    self.trader.offers.remove(data["offer_id"])
-                    self._log("withdraw", {"offer_id": data["offer_id"]})
-            elif op == "modify":
-                if self._has_offer(data["offer_id"]):
-                    self.trader.offers.replace_properties(
-                        data["offer_id"], data["properties"]
-                    )
-                    self._log("modify", dict(data))
-            elif op == "renew":
-                if self._has_offer(data["offer_id"]):
-                    self.trader.offers.get(data["offer_id"]).expires_at = data[
-                        "expires_at"
-                    ]
-                    self._log("renew", dict(data))
+                    absorbed += len(fresh)
+            elif op in ("withdraw", "modify", "renew"):
+                if data["offer_id"] in offers:
+                    self._commit(op, dict(data))
             elif op == "expire":
                 # The donor's sweep was global; here it is scoped to the
                 # moving type so the recipient's own offers keep their
                 # revive-before-sweep grace untouched.
-                evicted = self._sweep_type(record["service_type"], data["now"])
-                if evicted:
-                    self._log(
-                        "migrate_expire",
-                        {"service_type": record["service_type"], "now": data["now"]},
-                    )
-            else:
-                continue  # type management broadcasts router-side; migrate_* is local
-            applied += 1
-        return applied
+                self._expire(
+                    {"now": data["now"], "service_type": record["service_type"]}
+                )
+            # else: type management broadcasts router-side; migrate_* is local
+        return absorbed
 
     def migrate_flip(self, migration_id: str) -> Dict[str, Any]:
         """Seal the moving type on the donor: after this, no new delta for
@@ -423,8 +398,7 @@ class TraderShard:
         self._require_primary("migrate_flip")
         record = self._migration_record(migration_id, "out")
         if not record["sealed"]:
-            self._do_migrate_flip(record)
-            self._log("migrate_flip", {"migration_id": migration_id})
+            self._commit("migrate_flip", {"migration_id": migration_id})
         return {"final_seq": self.applied_seq}
 
     def migrate_done(self, migration_id: str) -> int:
@@ -434,89 +408,31 @@ class TraderShard:
         keep being forwarded, never absorbed.  On the recipient (``in``)
         the offers stay, the absorption shield lifts, and normal lease
         sweeps take over."""
-        self._require_primary("migrate_done")
-        record = self.migrations.get(migration_id)
-        if record is None:
-            return 0  # already completed (crash between done and checkpoint)
-        service_type = record["service_type"]
-        side = record["side"]
-        dropped = self._do_migrate_done(migration_id, service_type, side)
-        self._log(
-            "migrate_done",
-            {
-                "migration_id": migration_id,
-                "service_type": service_type,
-                "side": side,
-            },
-        )
-        return dropped
+        return self._close("migrate_done", migration_id) or 0
 
     def migrate_abort(self, migration_id: str) -> bool:
         """Roll a not-yet-flipped migration back: the donor unseals and
         keeps serving; the recipient drops every copied offer (ownership
         is exclusive, so all of the type's offers there are copies)."""
-        self._require_primary("migrate_abort")
+        return self._close("migrate_abort", migration_id) is not None
+
+    def _close(self, op: str, migration_id: str) -> Optional[int]:
+        self._require_primary(op)
         record = self.migrations.get(migration_id)
         if record is None:
-            return False
-        self._do_migrate_abort(record)
-        self._log(
-            "migrate_abort",
+            return None  # already closed (crash between the op and its checkpoint)
+        return self._commit(
+            op,
             {
                 "migration_id": migration_id,
                 "service_type": record["service_type"],
                 "side": record["side"],
             },
         )
-        return True
 
     def migrate_status(self, migration_id: str) -> Dict[str, Any]:
         record = self.migrations.get(migration_id)
         return dict(record) if record is not None else {}
-
-    # The ``_do_*`` helpers mutate without logging: the primary methods
-    # above log after calling them, and ``_apply`` calls them directly so
-    # replicas fold the same mutations in from the delta stream.
-
-    def _do_migrate_begin(self, record: Dict[str, Any]) -> None:
-        self.migrations[record["migration_id"]] = dict(record)
-        if record["side"] == "in":
-            # The type may be coming *back* to a shard that once gave it
-            # up — receiving it again lifts the old seal.
-            self.sealed_types.discard(record["service_type"])
-            # Burn the donor's mint counter: runs through ``_apply`` too,
-            # so a promoted replica inherits the floor from the delta log.
-            self.trader.offers.burn_to(
-                record["service_type"], int(record.get("mint_floor", 0))
-            )
-
-    def _do_migrate_in(
-        self, record: Dict[str, Any], offers_wire: List[Dict[str, Any]]
-    ) -> None:
-        for wire in offers_wire:
-            self.trader.offers.add(ServiceOffer.from_wire(wire))
-        record["absorbed"] = record.get("absorbed", 0) + len(offers_wire)
-
-    def _do_migrate_flip(self, record: Dict[str, Any]) -> None:
-        record["sealed"] = True
-        self.sealed_types.add(record["service_type"])
-
-    def _do_migrate_done(
-        self, migration_id: str, service_type: str, side: str = "out"
-    ) -> int:
-        dropped = 0
-        if side == "out":
-            dropped = self._drop_type_offers(service_type)
-            self.sealed_types.add(service_type)
-        self.migrations.pop(migration_id, None)
-        return dropped
-
-    def _do_migrate_abort(self, record: Dict[str, Any]) -> None:
-        if record["side"] == "in":
-            self._drop_type_offers(record["service_type"])
-        else:
-            self.sealed_types.discard(record["service_type"])
-        self.migrations.pop(record["migration_id"], None)
 
     def _migration_record(self, migration_id: str, side: str) -> Dict[str, Any]:
         record = self.migrations.get(migration_id)
@@ -526,13 +442,6 @@ class TraderShard:
             )
         return record
 
-    def _has_offer(self, offer_id: str) -> bool:
-        try:
-            self.trader.offers.get(offer_id)
-        except OfferNotFound:
-            return False
-        return True
-
     def _absorbing_types(self) -> set:
         """Types with an open ``in``-side migration: shielded from this
         shard's own lease sweeps until the record closes."""
@@ -541,35 +450,6 @@ class TraderShard:
             for record in self.migrations.values()
             if record.get("side") == "in" and record.get("service_type")
         }
-
-    def _shielded_sweep(self, now: float) -> int:
-        shielded = self._absorbing_types()
-        if not shielded:
-            return self.trader.expire_offers(now)
-        doomed = [
-            offer.offer_id
-            for offer in self.trader.offers.all()
-            if offer.service_type not in shielded and offer.expired(now)
-        ]
-        for offer_id in doomed:
-            self.trader.offers.remove(offer_id)
-        if doomed:
-            METRICS.inc(
-                "trader.offers.expired",
-                (self.trader.trader_id, "swept"),
-                amount=len(doomed),
-            )
-        return len(doomed)
-
-    def _sweep_type(self, service_type: str, now: float) -> int:
-        expired = [
-            offer.offer_id
-            for offer in self.trader.offers.of_types([service_type])
-            if offer.expired(now)
-        ]
-        for offer_id in expired:
-            self.trader.offers.remove(offer_id)
-        return len(expired)
 
     def _drop_type_offers(self, service_type: str) -> int:
         moved = [
@@ -593,7 +473,7 @@ class TraderShard:
         if delta.seq != self.applied_seq + 1:
             METRICS.inc("sharding.apply_gap", (self.shard_id,))
             return False
-        self._apply(delta)
+        self._apply(delta.op, delta.data)
         self.log.record(delta)
         self.applied_seq = delta.seq
         if delta.map_version > self.map_version:
@@ -613,7 +493,7 @@ class TraderShard:
                     f"{delta_wire.get('seq')}"
                 )
         METRICS.inc("sharding.syncs", (self.shard_id,))
-        self._shielded_sweep(now)
+        self._apply("expire", {"now": now})
         return len(deltas)
 
     def promote(self, now: float) -> int:
@@ -625,9 +505,18 @@ class TraderShard:
         METRICS.inc("sharding.promotions", (self.shard_id,))
         return self.expire_offers(now)
 
-    def _apply(self, delta: ShardDelta) -> None:
-        op, data = delta.op, delta.data
+    def _apply(self, op: str, data: Dict[str, Any]) -> int:
+        """The one interpreter: turn a delta into its store, type and
+        migration-record mutation.  A replica (``apply_delta``), a
+        migration recipient (``migrate_absorb``), this primary's own
+        migration and sweep decisions (``_commit``) and ``restore_shard``
+        all change the shard through here; only client writes, which
+        ``LocalTrader`` must validate first, mutate ahead of their delta.
+        Returns the number of offers an ``expire`` evicted or a
+        ``migrate_done`` dropped (0 for every other op).
+        """
         trader = self.trader
+        removed = 0
         if op == "export":
             trader.offers.add(ServiceOffer.from_wire(data["offer"]))
             trader.exports_accepted += 1
@@ -644,7 +533,12 @@ class TraderShard:
             except OfferNotFound:
                 pass
         elif op == "expire":
-            self._shielded_sweep(data["now"])
+            # Scoped = donor-driven, deliberately piercing the absorption
+            # shield; unscoped = this shard's own sweep, which honours it.
+            scope = data.get("service_type")
+            if scope:
+                return trader.expire_offers(data["now"], only=(scope,))
+            return trader.expire_offers(data["now"], spare=self._absorbing_types())
         elif op == "add_type":
             try:
                 trader.types.add(
@@ -657,25 +551,41 @@ class TraderShard:
         elif op == "mask_type":
             trader.types.mask(data["name"])
         elif op == "migrate_begin":
-            self._do_migrate_begin(data["record"])
+            record = dict(data["record"])
+            self.migrations[record["migration_id"]] = record
+            if record["side"] == "in":
+                # The type may be coming *back* to a shard that once gave
+                # it up — receiving it again lifts the old seal.
+                self.sealed_types.discard(record["service_type"])
+                # Burn the donor's mint counter, so this shard (and, via
+                # the delta, a promoted replica or a restore) can never
+                # re-mint an id the donor spent.
+                trader.offers.burn_to(
+                    record["service_type"], int(record.get("mint_floor", 0))
+                )
         elif op == "migrate_in":
+            for wire in data["offers"]:
+                trader.offers.add(ServiceOffer.from_wire(wire))
             record = self.migrations.get(data["migration_id"])
-            if record is None:  # tolerate a tail replayed past its done
-                record = {"migration_id": data["migration_id"], "absorbed": 0}
-            self._do_migrate_in(record, data["offers"])
-        elif op == "migrate_expire":
-            self._sweep_type(data["service_type"], data["now"])
+            if record is not None:  # tolerate a tail replayed past its done
+                record["absorbed"] = record.get("absorbed", 0) + len(data["offers"])
         elif op == "migrate_flip":
             record = self.migrations.get(data["migration_id"])
             if record is not None:
-                self._do_migrate_flip(record)
+                record["sealed"] = True
+                self.sealed_types.add(record["service_type"])
         elif op == "migrate_done":
-            self._do_migrate_done(
-                data["migration_id"], data["service_type"], data.get("side", "out")
-            )
+            if data.get("side", "out") == "out":
+                removed = self._drop_type_offers(data["service_type"])
+                self.sealed_types.add(data["service_type"])
+            self.migrations.pop(data["migration_id"], None)
         elif op == "migrate_abort":
-            record = self.migrations.get(data["migration_id"])
-            if record is not None:
-                self._do_migrate_abort(record)
+            record = self.migrations.pop(data["migration_id"], None)
+            if record is not None and record["side"] == "in":
+                self._drop_type_offers(record["service_type"])
+            elif record is not None:
+                self.sealed_types.discard(record["service_type"])
         else:
             raise ShardingError(f"unknown delta op {op!r}")
+        trader._gauge_live_offers()  # once per delta, however many offers it moved
+        return removed

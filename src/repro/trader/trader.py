@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Collection, Dict, Iterable, List, Optional, Union
 
 from repro.context import CallContext, Clock, current_context, use_context
 from repro.naming.refs import ServiceRef
@@ -181,7 +181,6 @@ class LocalTrader:
         ref: Union[ServiceRef, Dict[str, Any]],
         properties: Dict[str, Any],
         now: float = 0.0,
-        lifetime: Optional[float] = None,
         lease_seconds: Optional[float] = None,
     ) -> str:
         """Register a service offer; returns the offer id.
@@ -190,11 +189,8 @@ class LocalTrader:
         matching at ``now + lease_seconds`` unless the exporter refreshes
         it via :meth:`renew` (the RENEW wire operation — service runtimes
         heartbeat it).  ``None`` keeps the historical behaviour: the
-        offer lives until withdrawn.  ``lifetime`` is the legacy spelling
-        of the same grant — a lifetime-exported offer is renewable too.
+        offer lives until withdrawn.
         """
-        if lease_seconds is None:
-            lease_seconds = lifetime
         declared = self.types.get(service_type)
         checked = declared.check_properties(properties)
         ref_wire = ref.to_wire() if isinstance(ref, ServiceRef) else dict(ref)
@@ -227,14 +223,26 @@ class LocalTrader:
         METRICS.inc("trader.offers.renewed", (self.trader_id,))
         return expires_at
 
-    def expire_offers(self, now: float) -> int:
+    def expire_offers(
+        self,
+        now: float,
+        only: Optional[Iterable[str]] = None,
+        spare: Collection[str] = (),
+    ) -> int:
         """Sweep lease-expired offers out of the store; returns the count.
 
         Matching already excludes expired offers lazily — the sweep is
         about memory and index hygiene: evicted offers leave the equality
         index as well, so a dead fleet stops occupying candidate buckets.
+        ``only`` narrows the sweep to those service types; ``spare``
+        exempts types (a shard shields the ones it is mid-absorbing).
         """
-        expired = [o.offer_id for o in self.offers.all() if o.expired(now)]
+        pool = self.offers.all() if only is None else self.offers.of_types(only)
+        expired = [
+            o.offer_id
+            for o in pool
+            if o.service_type not in spare and o.expired(now)
+        ]
         for offer_id in expired:
             self.offers.remove(offer_id)
         if expired:
@@ -253,10 +261,6 @@ class LocalTrader:
                         mode="swept",
                     )
         return len(expired)
-
-    def purge_expired(self, now: float) -> int:
-        """Legacy alias for :meth:`expire_offers`."""
-        return self.expire_offers(now)
 
     def withdraw(self, offer_id: str) -> ServiceOffer:
         offer = self.offers.remove(offer_id)
@@ -628,13 +632,12 @@ class TraderService:
     # -- handlers ---------------------------------------------------------------
 
     def _export(self, args) -> str:
+        lease_seconds = args.get("lease_seconds")
+        if lease_seconds is None:
+            lease_seconds = args.get("lifetime")  # the pre-lease wire spelling
         return self.trader.export(
-            args["service_type"],
-            args["ref"],
-            args["properties"],
-            self._now(),
-            args.get("lifetime"),
-            args.get("lease_seconds"),
+            args["service_type"], args["ref"], args["properties"], self._now(),
+            lease_seconds,
         )
 
     def _renew(self, args) -> Optional[float]:
@@ -684,7 +687,6 @@ class TraderClient:
         service_type: str,
         ref: Union[ServiceRef, Dict[str, Any]],
         properties: Dict[str, Any],
-        lifetime: Optional[float] = None,
         lease_seconds: Optional[float] = None,
     ) -> str:
         ref_wire = ref.to_wire() if isinstance(ref, ServiceRef) else ref
@@ -694,7 +696,6 @@ class TraderClient:
                 "service_type": service_type,
                 "ref": ref_wire,
                 "properties": properties,
-                "lifetime": lifetime,
                 "lease_seconds": lease_seconds,
             },
         )

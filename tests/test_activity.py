@@ -3,7 +3,6 @@
 import pytest
 
 from repro.activity import (
-    Activity,
     ActivityClient,
     ActivityManager,
     ActivityManagerService,

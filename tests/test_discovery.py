@@ -56,7 +56,7 @@ def test_discovered_browser_is_usable(lan, make_client):
     browser_ref = lan["discoverer"].find_first("browser")
     generic = GenericClient(make_client("fresh-user"))
     browsing = generic.bind(browser_ref)
-    result = browsing.invoke("Search", {"query": "rental"})
+    browsing.invoke("Search", {"query": "rental"})
     rental_binding = browsing.bind_discovered()
     assert rental_binding.invoke("SelectCar", {"selection": SELECTION}).value[
         "available"

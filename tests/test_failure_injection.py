@@ -88,7 +88,6 @@ def test_federation_survives_dead_peer(net, make_server, make_client):
     alive = TraderService(make_server("alive"), client=make_client(timeout=0.02, retries=0))
     dead = TraderService(make_server("dead"), client=make_client())
     alive_client = TraderClient(make_client(), alive.address)
-    rental_sid_type = None
     from repro.sidl.builder import load_service_description
     from repro.services.car_rental import CAR_RENTAL_SIDL
 

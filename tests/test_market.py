@@ -7,7 +7,6 @@ from repro.market import (
     ClientDemand,
     CostModel,
     MarketSimulation,
-    ProviderSpec,
     compare_modes,
     run_all_modes,
 )

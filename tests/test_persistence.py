@@ -40,7 +40,7 @@ def populated_trader():
         ServiceRef.create("r1", Address("h", 1), 4711),
         {"ChargePerDay": 80.0},
         now=7.0,
-        lifetime=100.0,
+        lease_seconds=100.0,
     )
     return trader
 
@@ -240,13 +240,17 @@ def _migration_world(tmp_path):
             ServiceRef.create(f"r{index}", Address("h", index), 1),
             {"ChargePerDay": 10.0 + index},
             now=0.0,
-            lifetime=600.0,
+            lease_seconds=600.0,
         )
     checkpoints = FileCheckpoints(tmp_path / "checkpoints")
     coordinator = MigrationCoordinator(router, checkpoints=checkpoints, chunk_size=1)
     donor = router.effective_owner("CarRentalService")
     target = "s1" if donor == "s0" else "s0"
     return router, coordinator, checkpoints, donor, target
+
+
+def _final_store(router):
+    return sorted(o.to_wire()["offer_id"] for o in router.offers.all())
 
 
 def _crash_restart(router, checkpoints, tmp_path, migration_id):
@@ -268,14 +272,10 @@ def _crash_restart(router, checkpoints, tmp_path, migration_id):
 def test_shard_snapshot_roundtrips_at_every_migration_phase(tmp_path):
     """Crash-restart both shards at every step of a live migration; the
     resumed run must land on exactly the uninterrupted run's final store."""
-    from repro.trader.sharding import MigrationCoordinator, MemoryCheckpoints
-
-    def final_store(router):
-        return sorted(o.to_wire()["offer_id"] for o in router.offers.all())
 
     control, coordinator, _, donor, target = _migration_world(tmp_path / "control")
     coordinator.run(coordinator.begin("CarRentalService", target))
-    expected = final_store(control)
+    expected = _final_store(control)
     # Migrating *against* rendezvous leaves a standing pin — by design.
     expected_pins = control.status()["pins"]
     steps = 1
@@ -292,7 +292,7 @@ def test_shard_snapshot_roundtrips_at_every_migration_phase(tmp_path):
             router, checkpoints, base, state.migration_id
         )
         coordinator.run(state)
-        assert final_store(router) == expected, f"diverged after crash at {steps}"
+        assert _final_store(router) == expected, f"diverged after crash at {steps}"
         assert router.status()["migrations"] == {}
         assert router.status()["pins"] == expected_pins
         if not interrupted:
@@ -320,3 +320,61 @@ def test_restored_recipient_mid_copy_keeps_shield_and_mint_floor(tmp_path):
     ]
     assert len(copied) == state.offers_copied, "restart-time sweep ate the copy"
     assert restored.trader.offers.minted("CarRentalService") == 4
+
+
+# -- torn checkpoint writes ---------------------------------------------------
+
+
+def test_crash_mid_checkpoint_write_resumes_from_the_previous_phase(tmp_path, monkeypatch):
+    """Checkpoints are replaced atomically: a coordinator dying inside a
+    save leaves the previous checkpoint on disk (plus a stray temp file),
+    so a restart resumes one step back and still converges."""
+    from repro.trader.sharding import FileCheckpoints, MigrationCoordinator
+
+    control, coordinator, _, _, target = _migration_world(tmp_path / "control")
+    coordinator.run(coordinator.begin("CarRentalService", target))
+    expected = _final_store(control)
+
+    router, coordinator, checkpoints, _, target = _migration_world(tmp_path / "torn")
+    state = coordinator.begin("CarRentalService", target)
+    coordinator.step(state)  # PREPARE
+    coordinator.step(state)  # first COPY chunk
+    on_disk = checkpoints.load(state.migration_id).to_wire()
+
+    def power_cut(*_args):
+        raise OSError("power cut between the temp file's fsync and its rename")
+
+    monkeypatch.setattr("os.replace", power_cut)
+    with pytest.raises(OSError, match="power cut"):
+        coordinator.step(state)  # the shards moved on; the checkpoint did not
+    monkeypatch.undo()
+
+    revived = MigrationCoordinator(
+        router, checkpoints=FileCheckpoints(tmp_path / "torn" / "checkpoints"), chunk_size=1
+    )
+    resumed = revived.resume(state.migration_id)
+    assert resumed.to_wire() == on_disk
+    revived.run(resumed)
+    assert resumed.phase == "DONE"
+    assert _final_store(router) == expected
+
+
+def test_unreadable_checkpoint_costs_only_its_own_migration(tmp_path):
+    """A torn ``*.migration.json`` (written by a pre-atomic build, or hit
+    by a bad disk) used to kill ``FileCheckpoints.__init__`` — and with it
+    every other migration checkpointed in the directory."""
+    from repro.telemetry.metrics import METRICS
+    from repro.trader.sharding import FileCheckpoints
+    from repro.trader.sharding.migration import MigrationState
+
+    checkpoints = FileCheckpoints(tmp_path)
+    checkpoints.save(MigrationState("mig-a", "A", "s0", "s1", phase="COPY", cursor=3))
+    checkpoints.save(MigrationState("mig-b", "B", "s0", "s1", phase="CATCH_UP"))
+    torn = tmp_path / "mig-b.migration.json"
+    torn.write_text(torn.read_text()[:20])
+    before = METRICS.counter("sharding.migration.checkpoints_unreadable")
+    revived = FileCheckpoints(tmp_path)
+    assert METRICS.counter("sharding.migration.checkpoints_unreadable") - before == 1
+    assert revived.open_migrations() == ["mig-a"]
+    assert revived.load("mig-a").cursor == 3
+    assert revived.load("mig-b") is None

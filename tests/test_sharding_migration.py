@@ -29,6 +29,8 @@ from hypothesis import strategies as st
 from repro.naming.refs import ServiceRef
 from repro.net.endpoints import Address
 from repro.sidl.types import DOUBLE, InterfaceType, LONG, OperationType
+from repro.telemetry.log import use_log_sink
+from repro.telemetry.metrics import METRICS
 from repro.trader.service_types import ServiceType
 from repro.trader.sharding import (
     FileCheckpoints,
@@ -133,7 +135,7 @@ def test_happy_path_walks_the_phases_and_loses_nothing():
 
 def test_migration_is_invisible_to_live_traffic():
     router = make_router()
-    moved = router.add_shard("s2", TraderShard("demo/s2", offer_prefix=router.offer_prefix))
+    router.add_shard("s2", TraderShard("demo/s2", offer_prefix=router.offer_prefix))
     name = moving_type(router)
     baseline = import_ids(router, name)
     coordinator = MigrationCoordinator(router, chunk_size=1)
@@ -180,22 +182,84 @@ def test_begin_guards():
     assert state.phase == "DONE"
 
 
-def test_copy_chunks_are_idempotent():
-    router = make_router()
-    router.add_shard("s2", TraderShard("demo/s2", offer_prefix=router.offer_prefix))
-    name = moving_type(router)
-    coordinator = MigrationCoordinator(router, chunk_size=2)
-    state = coordinator.begin(name, "s2")
-    coordinator.step(state)  # PREPARE -> COPY
-    chunk = router.handle(state.source).call(
-        "migrate_chunk_out", state.migration_id, 0, 2
-    )
-    first = router.handle("s2").call("migrate_chunk_in", state.migration_id, chunk["offers"])
-    again = router.handle("s2").call("migrate_chunk_in", state.migration_id, chunk["offers"])
-    assert first == 2 and again == 0
-    coordinator.run(state)
-    assert state.phase == "DONE"
-    assert len(import_ids(router, name)) == 4
+def _wire(op, **data):
+    return {"op": op, "data": data}
+
+
+def test_replica_and_recipient_fold_the_same_donor_deltas_to_the_same_store():
+    """One donor history, two consumers of it: a replica (``apply_delta``,
+    everything from seq 0) and a migration recipient (``migrate_absorb``:
+    the COPY chunk, then the tail).  Both go through the one interpreter,
+    so they end with the same store — and the recipient's own log holds
+    exactly one delta per change it made, none for what did not apply."""
+    prefix = "demo"
+    donor = TraderShard("demo/donor", offer_prefix=prefix)
+    replica = TraderShard("demo/replica", offer_prefix=prefix, role="replica")
+    recipient = TraderShard("demo/recipient", offer_prefix=prefix)
+    follower = TraderShard("demo/follower", offer_prefix=prefix, role="replica")
+    recipient.attach_replica("follower", follower.apply_delta)
+    for shard in (donor, recipient):
+        shard.add_type(service_type("Alpha"))
+
+    def export(index, lease):
+        return donor.export(
+            "Alpha",
+            ServiceRef.create(f"a{index}", Address("h", index), 1),
+            {"ChargePerDay": float(index)},
+            now=0.0,
+            lease_seconds=lease,
+        )
+
+    lapsing, modified = export(1, 10.0), export(2, 600.0)
+    migration = {"migration_id": "m1", "service_type": "Alpha", "source": "d", "target": "r"}
+    opened = donor.migrate_begin(migration, "out")
+    assert set(opened) == {"migration_id", "snapshot_seq", "count", "mint_floor"}
+    recipient.migrate_begin(dict(migration, extra={"mint_floor": opened["mint_floor"]}), "in")
+    chunk = donor.migrate_chunk_out("m1", 0, 10)["offers"]
+    renewed, withdrawn = export(3, 600.0), export(4, 600.0)
+    donor.modify(modified, {"ChargePerDay": 99.0})
+    donor.renew(renewed, now=7.0)
+    donor.withdraw(withdrawn)
+    assert donor.expire_offers(50.0) == 1  # evicts ``lapsing``
+
+    history = donor.deltas_since(0)
+    for delta in history + history:  # every delta, then a duplicate of each
+        assert replica.apply_delta(delta) is True
+
+    # (what the coordinator sends, absorbed count, op logged the first
+    #  time, op logged when the very same delta is sent again)
+    tail = donor.deltas_since(opened["snapshot_seq"], "Alpha")
+    assert [d["op"] for d in tail] == [
+        "export", "export", "modify", "renew", "withdraw", "expire"
+    ]
+    table = [
+        (_wire("migrate_in", offers=chunk), 2, "migrate_in", None),  # COPY chunk: idempotent
+        (tail[0], 1, "migrate_in", None),
+        (tail[1], 1, "migrate_in", None),
+        (tail[2], 0, "modify", "modify"),  # present: same state, logged again
+        (tail[3], 0, "renew", "renew"),
+        (tail[4], 0, "withdraw", None),
+        (tail[5], 0, "expire", None),  # rescoped to Alpha; evicted ``lapsing``
+        (_wire("withdraw", offer_id="demo:Alpha:99"), 0, None, None),  # absent id
+        (_wire("modify", offer_id="demo:Alpha:99", properties={}), 0, None, None),
+        (_wire("renew", offer_id="demo:Alpha:99", expires_at=9.0), 0, None, None),
+        (_wire("add_type", type={}), 0, None, None),  # not the migration's business
+    ]
+    expected_log = ["add_type", "migrate_begin"]
+    for sent, fresh, first, again in table:
+        assert recipient.migrate_absorb("m1", [sent]) == fresh, sent["op"]
+        assert recipient.migrate_absorb("m1", [sent]) == 0, sent["op"]
+        expected_log += [op for op in (first, again) if op]
+    log = recipient.log.since(0)
+    assert [delta.op for delta in log] == expected_log
+    assert [delta.seq for delta in log] == list(range(1, len(expected_log) + 1))
+    scoped = [delta.data for delta in log if delta.op == "expire"]
+    assert scoped == [{"now": 50.0, "service_type": "Alpha"}]
+
+    assert store_of(recipient) == store_of(replica) == store_of(donor)
+    assert [w["offer_id"] for w in store_of(recipient)] == [modified, renewed]
+    assert store_of(follower) == store_of(recipient)
+    assert follower.applied_seq == recipient.applied_seq
 
 
 def test_recipient_cannot_remint_a_migrated_id():
@@ -213,6 +277,71 @@ def test_recipient_cannot_remint_a_migrated_id():
         lease_seconds=600.0,
     )
     assert fresh not in existing
+
+
+# -- one sweep, one gauge ------------------------------------------------------
+
+
+def test_every_sweep_and_every_applied_delta_keeps_the_books():
+    """The shielded sweep, the scoped sweep that pierces the shield, a
+    COPY chunk and a replica's ``apply_delta`` all go through the one
+    eviction loop / the one interpreter, so the live-offer gauge, the
+    ``swept`` counter and the ``trader.lease_expired`` events stay true
+    whichever route changed the store."""
+    recipient = TraderShard("books/recipient", offer_prefix="books")
+    replica = TraderShard("books/replica", offer_prefix="books", role="replica")
+    recipient.attach_replica("replica", replica.apply_delta)
+    for name in ("Alpha", "Beta"):
+        recipient.add_type(service_type(name))
+
+    def live(shard):
+        return METRICS.gauge("trader.offers.live", (shard.shard_id,))
+
+    def swept(shard):
+        return METRICS.counter("trader.offers.expired", (shard.shard_id, "swept"))
+
+    for index, lease in enumerate((5.0, 5.0, 600.0)):
+        recipient.export(
+            "Beta", ServiceRef.create(f"b{index}", Address("h", index), 1),
+            {"ChargePerDay": 1.0}, now=0.0, lease_seconds=lease,
+        )
+    recipient.migrate_begin(
+        {"migration_id": "m", "service_type": "Alpha", "source": "d", "target": "r"}, "in"
+    )
+    chunk = [
+        {
+            "offer_id": f"books:Alpha:{n}", "service_type": "Alpha",
+            "ref": ServiceRef.create(f"a{n}", Address("h", n), 1).to_wire(),
+            "properties": {"ChargePerDay": 2.0}, "exported_at": 0.0,
+            "expires_at": 5.0, "lease_seconds": 5.0,
+        }
+        for n in (1, 2)
+    ]
+    assert recipient.migrate_absorb("m", [_wire("migrate_in", offers=chunk)]) == 2
+    assert live(recipient) == len(recipient.offers) == 5
+    assert live(replica) == len(replica.offers) == 5
+
+    # The shard's own sweep spares the absorbing type …
+    events = []
+    before = swept(recipient)
+    with use_log_sink(events.append):
+        assert recipient.expire_offers(50.0) == 2
+    assert live(recipient) == len(recipient.offers) == 3
+    assert live(replica) == len(replica.offers) == 3
+    assert swept(recipient) - before == 2
+    for shard in (recipient, replica):  # one event per evicted offer, each
+        assert [
+            (e["offer"], e["mode"])
+            for e in events
+            if e["event"] == "trader.lease_expired" and e["trader"] == shard.shard_id
+        ] == [("books:Beta:1", "swept"), ("books:Beta:2", "swept")]
+
+    # … and FLIP's scoped sweep pierces the shield, through the same loop.
+    before = swept(recipient)
+    recipient.migrate_absorb("m", [_wire("expire", now=50.0)])
+    assert swept(recipient) - before == 2
+    assert live(recipient) == len(recipient.offers) == 1
+    assert live(replica) == len(replica.offers) == 1
 
 
 # -- crash safety ------------------------------------------------------------
@@ -360,7 +489,6 @@ def test_sealed_donor_write_is_forwarded_not_failed():
             ServiceRef.create("direct", Address("h", 4), 1),
             {"ChargePerDay": 4.0},
             0.0,
-            None,
             600.0,
         )
     # …but through the router the same write lands on the other side.

@@ -13,6 +13,9 @@
   (``range_index=False``) return byte-identical import results under
   every preference flavour: the index is an accelerator, never a filter
   with opinions.
+* **Offer ids** — the one id parser inverts the one id minter for any
+  prefix and type name (``:`` and digits included), and answers ``None``
+  — never an exception — for anything the minter could not have made.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from hypothesis import strategies as st
 from repro.naming.refs import ServiceRef
 from repro.net.endpoints import Address
 from repro.sidl.types import DOUBLE, InterfaceType, LONG, OperationType
+from repro.trader.offers import OfferStore, parse_offer_id
 from repro.trader.service_types import ServiceType
 from repro.trader.sharding.hashing import ShardMap
 from repro.trader.trader import ImportRequest, LocalTrader
@@ -219,3 +223,33 @@ def test_index_stays_oracle_true_across_mutations(values, bound, literal):
     )
     expected = [offer.offer_id for offer in oracle.import_(request)]
     assert [offer.offer_id for offer in indexed.import_(request)] == expected
+
+
+# -- offer ids ---------------------------------------------------------------
+
+_id_parts = st.text(alphabet="abXY:/-_019", min_size=1, max_size=10)
+
+
+@given(prefix=_id_parts, service_type=_id_parts, mints=st.integers(1, 5))
+def test_offer_id_parser_inverts_the_minter(prefix, service_type, mints):
+    store = OfferStore(prefix)
+    for number in range(1, mints + 1):
+        minted = store.new_offer_id(service_type)
+        assert parse_offer_id(minted, prefix) == (service_type, number)
+
+
+@given(offer_id=st.text(max_size=20))
+def test_offer_id_parser_never_raises_and_rejects_foreign_ids(offer_id):
+    parsed = parse_offer_id(offer_id, "p")
+    if parsed is not None:
+        service_type, number = parsed
+        assert service_type and number >= 0
+        assert offer_id.startswith("p:" + service_type + ":")
+
+
+def test_offer_id_parser_rejects_malformed_ids():
+    for malformed in (
+        "", "p", "p:", "p:T", "p:T:", "p:T:x", "p:T:-1", "p:T:1.5", "p::3",
+        "q:T:3", "pT:3", ":T:3", "p:T:3:", "p:T:\u00b2",  # superscript two: a digit, not a number
+    ):
+        assert parse_offer_id(malformed, "p") is None, malformed

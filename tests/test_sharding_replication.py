@@ -27,12 +27,14 @@ from repro.trader.service_types import ServiceType
 from repro.trader.sharding import (
     DeltaLog,
     RemoteShardBackend,
+    ShardDelta,
     ShardReplicationService,
     ShardRouter,
     ShardingError,
     SyncGap,
     TraderShard,
 )
+from repro.trader.sharding.replication import DELTA_OPS
 from repro.trader.trader import ImportRequest, TraderService
 
 
@@ -88,6 +90,90 @@ def test_delta_log_starting_at_a_snapshot_seq():
 
 
 # -- push, gaps, catch-up ------------------------------------------------------
+
+
+def test_type_filtered_view_of_the_log_equals_the_old_client_side_filter():
+    """``deltas_since(seq, service_type)`` is the filter the migration
+    coordinator used to run itself over the donor's whole tail."""
+
+    def relevant(delta_wire, service_type):  # MigrationCoordinator._relevant, PR 10
+        op, data = delta_wire["op"], delta_wire["data"]
+        if op == "export":
+            return data["offer"]["service_type"] == service_type
+        if op in ("withdraw", "modify", "renew"):
+            return data["offer_id"].startswith(f"m:{service_type}:")
+        return op == "expire"
+
+    primary = make_primary()
+    other = ServiceType("Other", rental_type().interface, [("ChargePerDay", DOUBLE)])
+    primary.add_type(other)
+    ids = {}
+    for name in ("CarRentalService", "Other"):
+        ids[name] = [
+            primary.export(name, ref(f"{name}-{n}"), {"ChargePerDay": n}, 0.0, lease_seconds=lease)
+            for n, lease in enumerate((5.0, 60.0, 60.0, 60.0))
+        ]
+    migration = {"migration_id": "g", "service_type": "Other", "source": "p", "target": "q"}
+    primary.migrate_begin(migration, "out")
+    for name in ("Other", "CarRentalService"):
+        primary.modify(ids[name][1], {"ChargePerDay": 7.0})
+        primary.renew(ids[name][2], 1.0)
+        primary.withdraw(ids[name][3])
+    assert primary.expire_offers(10.0) == 2
+    primary.mask_type("Other")
+    primary.migrate_flip("g")
+    whole = primary.deltas_since(0)
+    assert {delta["op"] for delta in whole} >= {
+        "add_type", "export", "modify", "renew", "withdraw", "expire",
+        "mask_type", "migrate_begin", "migrate_flip",
+    }
+    for name in ("CarRentalService", "Other", "Unknown"):
+        for since in (0, 5, len(whole)):
+            assert primary.deltas_since(since, name) == [
+                delta for delta in whole[since:] if relevant(delta, name)
+            ]
+    # A recipient's scoped sweep is its own business, except for its type.
+    scoped = ShardDelta(1, "expire", {"now": 1.0, "service_type": "Other"})
+    assert scoped.touches("Other", "m") and not scoped.touches("CarRentalService", "m")
+
+
+def test_interpreter_delta_ops_and_protocol_doc_agree():
+    """Drift guard: ``DELTA_OPS`` is exactly what ``_apply`` interprets
+    and exactly what docs/PROTOCOL.md lists."""
+    import pathlib
+    import re
+
+    offer = {
+        "offer_id": "m:CarRentalService:1", "service_type": "CarRentalService",
+        "ref": ref("x").to_wire(), "properties": {"ChargePerDay": 1.0},
+    }
+    record = {"migration_id": "g", "service_type": "CarRentalService", "side": "out"}
+    samples = {
+        "add_type": {"type": rental_type().to_wire()},
+        "export": {"offer": offer},
+        "modify": {"offer_id": offer["offer_id"], "properties": {"ChargePerDay": 2.0}},
+        "renew": {"offer_id": offer["offer_id"], "expires_at": 9.0},
+        "expire": {"now": 1.0},
+        "withdraw": {"offer_id": offer["offer_id"]},
+        "migrate_begin": {"record": record},
+        "migrate_in": {"migration_id": "g", "offers": [offer]},
+        "migrate_flip": {"migration_id": "g"},
+        "migrate_abort": dict(record),
+        "migrate_done": dict(record),
+        "mask_type": {"name": "CarRentalService"},
+        "remove_type": {"name": "CarRentalService"},
+    }
+    assert sorted(samples) == sorted(DELTA_OPS) and len(DELTA_OPS) == 13
+    replica = TraderShard("r", offer_prefix="m", role="replica")
+    for seq, (op, data) in enumerate(samples.items(), start=1):
+        assert replica.apply_delta(ShardDelta(seq, op, data).to_wire()) is True
+    with pytest.raises(ShardingError, match="unknown delta op"):
+        replica.apply_delta(ShardDelta(len(samples) + 1, "migrate_expire", {}).to_wire())
+
+    protocol = pathlib.Path(__file__).resolve().parents[1] / "docs" / "PROTOCOL.md"
+    table = protocol.read_text().split("| delta op |", 1)[1].split("\n\n", 1)[0]
+    documented = re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE)
+    assert documented == list(DELTA_OPS)
 
 
 def wire_deltas(primary, since=0):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 
 from repro.context import CallContext
-from repro.net import SimNetwork
 from repro.rpc.client import RpcClient
 from repro.rpc.errors import ServerShedding
 from repro.rpc.resilience import BreakerPolicy, CircuitBreaker

@@ -187,7 +187,7 @@ def test_import_preserves_expiry_on_resolved_dynamic_offers():
         ServiceRef.create("dyn-1", Address("t", 1), 4711),
         {"ChargePerDay": marker, "City": "HH"},
         now=0.0,
-        lifetime=10.0,
+        lease_seconds=10.0,
     )
     offers = trader.import_(ImportRequest("CarRentalService"), now=1.0)
     assert len(offers) == 1
@@ -200,7 +200,7 @@ def test_import_preserves_expiry_on_resolved_dynamic_offers():
 def test_select_best_honours_now():
     """Regression: select_best ignored ``now`` so expired offers won."""
     trader = make_trader()
-    export(trader, "stale", 1.0, lifetime=5.0)
+    export(trader, "stale", 1.0, lease_seconds=5.0)
     export(trader, "fresh", 2.0)
     request = ImportRequest("CarRentalService", preference="min ChargePerDay")
     assert trader.select_best(request, now=1.0).service_ref().name == "stale"

@@ -17,7 +17,13 @@ from repro.trader.leases import (
     keep_alive,
 )
 from repro.trader.service_types import ServiceType
-from repro.trader.trader import ImportRequest, LocalTrader, TraderClient, TraderService
+from repro.trader.trader import (
+    TRADER_PROGRAM,
+    ImportRequest,
+    LocalTrader,
+    TraderClient,
+    TraderService,
+)
 
 
 def rental_type():
@@ -111,6 +117,18 @@ def test_sweep_evicts_and_counts(trader):
     assert trader.expire_offers(now=6.0) == 0
 
 
+def test_sweep_can_be_narrowed_to_types_or_spare_them(trader):
+    base = rental_type()
+    trader.add_type(ServiceType("Other", base.interface, list(base.attributes.items())))
+    for name in ("CarRentalService", "Other"):
+        trader.export(name, ref(name, 1), PROPS, now=0.0, lease_seconds=5.0)
+    assert trader.expire_offers(now=6.0, spare={"CarRentalService", "Other"}) == 0
+    assert trader.expire_offers(now=6.0, only=["Other"], spare={"Other"}) == 0
+    assert trader.expire_offers(now=6.0, only=["Other"]) == 1
+    assert [o.service_type for o in trader.offers.all()] == ["CarRentalService"]
+    assert trader.expire_offers(now=6.0, spare={"Other"}) == 1
+
+
 def test_sweep_keeps_equality_index_consistent(trader):
     offer_id = trader.export(
         "CarRentalService", ref(), PROPS, now=0.0, lease_seconds=5.0
@@ -161,6 +179,21 @@ def test_renew_over_rpc(net, make_server, make_client):
     with pytest.raises(RemoteFault) as exc_info:
         client.renew(offer_id)
     assert exc_info.value.kind == "OfferNotFound"
+
+
+def test_pre_lease_peer_spelling_of_the_grant_is_still_honoured(make_server, make_client):
+    """Peers older than leases send the grant as ``lifetime``; the service
+    folds it in at the wire, the only place the word survives."""
+    service = TraderService(make_server("trader-host"), now=lambda: 2.0)
+    rpc = make_client()
+    TraderClient(rpc, service.address).add_type(rental_type())
+    offer_id = rpc.call(
+        service.address, TRADER_PROGRAM, 1, 1,  # EXPORT, as an old stub sends it
+        {"service_type": "CarRentalService", "ref": ref().to_wire(),
+         "properties": PROPS, "lifetime": 5.0},
+    )
+    offer = service.trader.offers.get(offer_id)
+    assert (offer.lease_seconds, offer.expires_at) == (5.0, 7.0)
 
 
 # -- the exporter-side heartbeat ---------------------------------------------

@@ -173,25 +173,17 @@ def test_offer_without_lifetime_never_expires(trader):
 
 
 def test_expired_offer_does_not_match(trader):
-    trader.export("CarRentalService", ref(), PROPS, now=10.0, lifetime=5.0)
+    trader.export("CarRentalService", ref(), PROPS, now=10.0, lease_seconds=5.0)
     assert len(trader.import_(ImportRequest("CarRentalService"), now=14.9)) == 1
     assert trader.import_(ImportRequest("CarRentalService"), now=15.0) == []
     # the offer is still stored until purged
     assert len(trader.offers) == 1
 
 
-def test_purge_expired_reaps(trader):
-    keep = trader.export("CarRentalService", ref("keeper", 1), PROPS, now=0.0)
-    trader.export("CarRentalService", ref("brief", 2), PROPS, now=0.0, lifetime=1.0)
-    assert trader.purge_expired(now=2.0) == 1
-    assert [o.offer_id for o in trader.offers.all()] == [keep]
-    assert trader.purge_expired(now=2.0) == 0
-
-
 def test_reexport_refreshes_visibility(trader):
-    trader.export("CarRentalService", ref("v1", 1), PROPS, now=0.0, lifetime=10.0)
+    trader.export("CarRentalService", ref("v1", 1), PROPS, now=0.0, lease_seconds=10.0)
     assert trader.import_(ImportRequest("CarRentalService"), now=11.0) == []
-    trader.export("CarRentalService", ref("v2", 2), PROPS, now=11.0, lifetime=10.0)
+    trader.export("CarRentalService", ref("v2", 2), PROPS, now=11.0, lease_seconds=10.0)
     offers = trader.import_(ImportRequest("CarRentalService"), now=12.0)
     assert [o.service_ref().name for o in offers] == ["v2"]
 

@@ -127,7 +127,6 @@ class AsyncDriver:
                 "service_type": service_type,
                 "ref": ref.to_wire(),
                 "properties": properties,
-                "lifetime": kw.get("lifetime"),
                 "lease_seconds": kw.get("lease_seconds"),
             },
         )

@@ -6,7 +6,7 @@ from repro.core.generic_client import GenericClient
 from repro.sidl.fsm import FsmViolation
 from repro.services.directory import start_directory
 from repro.uims.controller import OperationController, ServicePanel
-from repro.uims.render import render, render_panel
+from repro.uims.render import render
 from repro.uims.session import UiSession
 from repro.uims.widgets import UiError
 from tests.conftest import SELECTION
