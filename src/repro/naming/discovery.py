@@ -22,10 +22,12 @@ from repro.errors import LookupFailure
 from repro.naming.refs import ServiceRef
 from repro.net.sim import SimNetwork
 from repro.rpc.client import RpcClient
+from repro.rpc.errors import XdrError
 from repro.rpc.message import ReplyStatus, RpcCall
 from repro.rpc.server import RpcProgram, RpcServer
 from repro.rpc.transport import SimTransport
-from repro.rpc.xdr import decode_value
+from repro.rpc.xdr import decode_value, encode_value
+from repro.telemetry.metrics import METRICS
 
 DISCOVERY_PORT = 532
 DISCOVERY_PROGRAM = 100100
@@ -69,6 +71,14 @@ class DiscoveryResponder:
         return [item for item in self._advertised if item["role"] == role]
 
 
+def _advertisements(body: bytes) -> List[Dict[str, object]]:
+    """One responder's answer; anyone on the LAN may answer a broadcast."""
+    items = decode_value(body)
+    if not isinstance(items, list):
+        raise XdrError(f"DISCOVER reply is not a list: {type(items).__name__}")
+    return items
+
+
 class BroadcastDiscoverer:
     """Client side: one broadcast, many replies, gathered by deadline."""
 
@@ -94,8 +104,6 @@ class BroadcastDiscoverer:
         how many answers are coming — unless a ``ctx`` with less budget
         remaining bounds the gather window.
         """
-        from repro.rpc.xdr import encode_value
-
         wait = timeout
         if ctx is not None:
             wait = min(wait, ctx.remaining(self._client.transport.now()))
@@ -119,7 +127,10 @@ class BroadcastDiscoverer:
         def drain() -> bool:
             reply = self._client._pending.pop(xid, None)
             if reply is not None and reply.status is ReplyStatus.SUCCESS:
-                gathered.extend(decode_value(reply.body))
+                try:
+                    gathered.extend(_advertisements(reply.body))
+                except XdrError:
+                    METRICS.inc("rpc.client.malformed_replies")
             return False  # never "done": collect until the deadline
 
         if ctx is not None:

@@ -38,7 +38,6 @@ from repro.rpc.errors import (
     ServerShedding,
 )
 from repro.rpc.message import (
-    MessageAssembler,
     ReplyStatus,
     RpcCall,
     RpcReply,
@@ -63,7 +62,7 @@ from repro.rpc.server import (
 )
 from repro.rpc.transport import SimTransport, TcpTransport, Transport
 from repro.rpc.txn import TransactionCoordinator, TransactionParticipant, TxnOutcome
-from repro.rpc.xdr import XdrDecoder, XdrEncoder, decode_value, encode_value
+from repro.rpc.xdr import decode_value, encode_value
 
 __all__ = [
     "AdmissionPolicy",
@@ -84,7 +83,6 @@ __all__ = [
     "CompiledCodec",
     "DeadlineExceeded",
     "GarbageArguments",
-    "MessageAssembler",
     "MulticastCaller",
     "PORTMAP_PORT",
     "PORTMAP_PROGRAM",
@@ -108,8 +106,6 @@ __all__ = [
     "TransactionCoordinator",
     "TransactionParticipant",
     "TxnOutcome",
-    "XdrDecoder",
-    "XdrEncoder",
     "decode_messages",
     "decode_value",
     "derive_capacity",

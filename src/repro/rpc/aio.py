@@ -34,15 +34,15 @@ from __future__ import annotations
 
 import asyncio
 import inspect
-import struct
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.context import CallContext
 from repro.errors import CommunicationError
 from repro.net.endpoints import Address
+from repro.rpc import xdr
 from repro.rpc.client import _BatchLane, _RpcClientCore, reply_to_result
 from repro.rpc.codec import CODECS
-from repro.rpc.errors import RpcError
+from repro.rpc.errors import RpcError, XdrError
 from repro.rpc.message import RpcCall, RpcReply
 from repro.rpc.server import AdmissionPolicy, RpcServer, _DeadlineLapsed
 from repro.rpc.transport import SimTransport, Transport, enable_nodelay
@@ -84,8 +84,6 @@ class AsyncTcpTransport(Transport):
     queued and a connect task drains the queue once established.
     """
 
-    _HEADER = struct.Struct(">I")
-
     def __init__(self) -> None:
         raise TypeError("use 'await AsyncTcpTransport.create(...)'")
 
@@ -121,7 +119,7 @@ class AsyncTcpTransport(Transport):
             raise CommunicationError("transport closed")
         writer = self._writers.get(destination)
         if writer is not None:
-            writer.write(self._frame(payload))
+            writer.write(xdr.frame(payload))
             return
         queue = self._connecting.get(destination)
         if queue is not None:
@@ -160,9 +158,6 @@ class AsyncTcpTransport(Transport):
 
     # -- internals --------------------------------------------------------
 
-    def _frame(self, payload: bytes) -> bytes:
-        return self._HEADER.pack(len(payload)) + payload
-
     def _spawn(self, coro) -> None:
         task = self._loop.create_task(coro)
         self._tasks.add(task)
@@ -184,10 +179,10 @@ class AsyncTcpTransport(Transport):
         advertised = self.local_address.port
         if advertised == 0:  # listen=False: per-connection reply address
             advertised = writer.get_extra_info("sockname")[1]
-        writer.write(self._frame(str(advertised).encode("ascii")))
+        writer.write(xdr.hello(advertised))
         self._writers[destination] = writer
         for payload in self._connecting.pop(destination, []):
-            writer.write(self._frame(payload))
+            writer.write(xdr.frame(payload))
         await self._read_loop(reader, writer, destination)
 
     async def _accepted(
@@ -195,13 +190,15 @@ class AsyncTcpTransport(Transport):
     ) -> None:
         # First frame is the peer's advertised port (its reply address).
         try:
-            hello = await self._read_frame(reader)
-            source = Address(
-                writer.get_extra_info("peername")[0], int(hello.decode("ascii"))
-            )
-        except (asyncio.IncompleteReadError, ValueError, OSError):
+            port = xdr.parse_hello(await self._read_frame(reader))
+        except XdrError:
+            METRICS.inc("rpc.transport.bad_hello")
             writer.close()
             return
+        except (asyncio.IncompleteReadError, OSError):
+            writer.close()
+            return
+        source = Address(writer.get_extra_info("peername")[0], port)
         enable_nodelay(writer.get_extra_info("socket"))
         self.connections_accepted += 1
         # Replies to this peer ride the inbound connection — no second
@@ -232,9 +229,8 @@ class AsyncTcpTransport(Transport):
             writer.close()
 
     async def _read_frame(self, reader: asyncio.StreamReader) -> bytes:
-        header = await reader.readexactly(self._HEADER.size)
-        (length,) = self._HEADER.unpack(header)
-        return await reader.readexactly(length)
+        header = await reader.readexactly(xdr.FRAME_HEADER_SIZE)
+        return await reader.readexactly(xdr.frame_length(header))
 
 
 class AsyncRpcClient(_RpcClientCore):

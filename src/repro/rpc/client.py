@@ -72,8 +72,15 @@ def reply_to_result(
             f"{destination} shed prog={prog} proc={proc} under load; "
             f"retry against an alternate offer"
         )
-    fault = decode_value(reply.body)
-    raise RemoteFault(fault.get("kind", "Error"), fault.get("detail", ""))
+    raise remote_fault(reply.body)
+
+
+def remote_fault(body: bytes) -> RemoteFault:
+    """The error a REMOTE_FAULT body describes; servers send ``{kind, detail}``."""
+    fault = decode_value(body)
+    if not isinstance(fault, dict):
+        return RemoteFault("Error", repr(fault))
+    return RemoteFault(str(fault.get("kind", "Error")), str(fault.get("detail", "")))
 
 
 class _RpcClientCore:

@@ -36,8 +36,21 @@ import zlib
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.rpc.errors import XdrError, XdrTruncated
-from repro.rpc.xdr import decode_value, encode_value
+from repro.rpc.errors import XdrError
+from repro.rpc.xdr import (
+    decode_value,
+    encode_value,
+    get_bool,
+    get_count,
+    get_fixed,
+    get_opaque,
+    get_string,
+    put_bool,
+    put_opaque,
+    put_string,
+    put_u32,
+    to_bool,
+)
 from repro.telemetry.metrics import METRICS
 
 __all__ = [
@@ -52,7 +65,6 @@ __all__ = [
 #: tag (0..8), so this word is unambiguous at any decode point.
 MAGIC = 0x53494443  # "SIDC"
 
-_U32 = struct.Struct(">I")
 _HEADER = struct.Struct(">II")  # magic, layout fingerprint
 
 
@@ -101,16 +113,6 @@ def _conv_bool(value: Any) -> int:
     raise CodecFallback("not a bool")
 
 
-def _unconv_bool(raw: int) -> bool:
-    if raw not in (0, 1):
-        raise XdrError(f"bool must be 0 or 1, got {raw}")
-    return bool(raw)
-
-
-def _pad(length: int) -> bytes:
-    return b"\x00" * ((-length) % 4)
-
-
 def _compile(spec: tuple) -> Tuple[_Encoder, _Decoder]:
     kind = spec[0]
     if kind == "struct":
@@ -138,7 +140,7 @@ def _packable(spec: tuple):
     if kind == "f64":
         return ("d", _conv_f64, None)
     if kind == "bool":
-        return ("I", _conv_bool, _unconv_bool)
+        return ("I", _conv_bool, to_bool)
     if kind == "enum":
         labels = spec[1]
         index = {label: position for position, label in enumerate(labels)}
@@ -170,12 +172,8 @@ def _compile_leaf(spec: tuple) -> Tuple[_Encoder, _Decoder]:
             raise CodecFallback("value out of range for the compiled layout")
 
     def dec(view: memoryview, offset: int) -> Tuple[Any, int]:
-        try:
-            (raw,) = packer.unpack_from(view, offset)
-        except struct.error:
-            raise XdrTruncated(f"truncated compiled value at offset {offset}")
-        value = raw if from_wire is None else from_wire(raw)
-        return value, offset + packer.size
+        (raw,), offset = get_fixed(packer, view, offset)
+        return (raw if from_wire is None else from_wire(raw)), offset
 
     return enc, dec
 
@@ -237,13 +235,7 @@ def _compile_struct(spec: tuple) -> Tuple[_Encoder, _Decoder]:
         for step in frozen:
             if step[0] == "run":
                 __, packer, __, decoders = step
-                try:
-                    raws = packer.unpack_from(view, offset)
-                except struct.error:
-                    raise XdrTruncated(
-                        f"truncated compiled record at offset {offset}"
-                    )
-                offset += packer.size
+                raws, offset = get_fixed(packer, view, offset)
                 for (name, from_wire), raw in zip(decoders, raws):
                     result[name] = raw if from_wire is None else from_wire(raw)
             else:
@@ -258,75 +250,31 @@ def _compile_string() -> Tuple[_Encoder, _Decoder]:
     def enc(value: Any, out: List[bytes]) -> None:
         if type(value) is not str:
             raise CodecFallback("not a string")
-        data = value.encode("utf-8")
-        out.append(_U32.pack(len(data)))
-        out.append(data)
-        out.append(_pad(len(data)))
+        put_string(out, value)
 
-    def dec(view: memoryview, offset: int) -> Tuple[Any, int]:
-        length, offset = _dec_length(view, offset)
-        end = offset + length
-        try:
-            text = str(view[offset:end], "utf-8")
-        except UnicodeDecodeError as exc:
-            raise XdrError(f"invalid UTF-8 at offset {offset}: {exc}")
-        return text, end + ((-length) % 4)
-
-    return enc, dec
+    return enc, get_string
 
 
 def _compile_bytes() -> Tuple[_Encoder, _Decoder]:
     def enc(value: Any, out: List[bytes]) -> None:
         if not isinstance(value, (bytes, bytearray)):
             raise CodecFallback("not bytes")
-        data = bytes(value)
-        out.append(_U32.pack(len(data)))
-        out.append(data)
-        out.append(_pad(len(data)))
+        put_opaque(out, bytes(value))
 
-    def dec(view: memoryview, offset: int) -> Tuple[Any, int]:
-        length, offset = _dec_length(view, offset)
-        end = offset + length
-        return bytes(view[offset:end]), end + ((-length) % 4)
-
-    return enc, dec
-
-
-def _dec_length(view: memoryview, offset: int) -> Tuple[int, int]:
-    """Read a u32 length and bounds-check it against the buffer."""
-    if offset + 4 > len(view):
-        raise XdrTruncated(f"truncated length prefix at offset {offset}")
-    (length,) = _U32.unpack_from(view, offset)
-    offset += 4
-    padded = length + ((-length) % 4)
-    if offset + padded > len(view):
-        raise XdrTruncated(
-            f"truncated payload at offset {offset}: wanted {padded} bytes, "
-            f"have {len(view) - offset}"
-        )
-    return length, offset
+    return enc, get_opaque
 
 
 def _compile_optional(element: tuple) -> Tuple[_Encoder, _Decoder]:
     sub_enc, sub_dec = _compile(element)
 
     def enc(value: Any, out: List[bytes]) -> None:
-        if value is None:
-            out.append(_U32.pack(0))
-            return
-        out.append(_U32.pack(1))
-        sub_enc(value, out)
+        put_bool(out, value is not None)
+        if value is not None:
+            sub_enc(value, out)
 
     def dec(view: memoryview, offset: int) -> Tuple[Any, int]:
-        if offset + 4 > len(view):
-            raise XdrTruncated(f"truncated optional flag at offset {offset}")
-        (flag,) = _U32.unpack_from(view, offset)
-        offset += 4
-        if flag == 0:
-            return None, offset
-        if flag != 1:
-            raise XdrError(f"optional flag must be 0 or 1, got {flag}")
-        return sub_dec(view, offset)
+        present, offset = get_bool(view, offset)
+        return sub_dec(view, offset) if present else (None, offset)
 
     return enc, dec
 
@@ -337,19 +285,12 @@ def _compile_seq(element: tuple) -> Tuple[_Encoder, _Decoder]:
     def enc(value: Any, out: List[bytes]) -> None:
         if not isinstance(value, (list, tuple)):
             raise CodecFallback("not a sequence")
-        out.append(_U32.pack(len(value)))
+        put_u32(out, len(value))
         for item in value:
             sub_enc(item, out)
 
     def dec(view: memoryview, offset: int) -> Tuple[Any, int]:
-        if offset + 4 > len(view):
-            raise XdrTruncated(f"truncated sequence count at offset {offset}")
-        (count,) = _U32.unpack_from(view, offset)
-        offset += 4
-        if count > len(view):
-            raise XdrError(
-                f"implausible sequence count {count} at offset {offset}"
-            )
+        count, offset = get_count(view, offset)
         items = []
         for __ in range(count):
             item, offset = sub_dec(view, offset)
@@ -398,10 +339,7 @@ class CompiledCodec:
 
 def is_compiled(body) -> bool:
     """True when ``body`` carries the compiled-codec header."""
-    if len(body) < _HEADER.size:
-        return False
-    (magic,) = _U32.unpack_from(body, 0)
-    return magic == MAGIC
+    return len(body) >= _HEADER.size and _HEADER.unpack_from(body, 0)[0] == MAGIC
 
 
 class CodecRegistry:

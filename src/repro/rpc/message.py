@@ -15,10 +15,12 @@ a batch is nothing but encoded messages laid back-to-back in one
 transport payload (:func:`encode_batch` / :func:`decode_messages`).  A
 peer that has never heard of batching decodes the same bytes one
 message at a time; a batching peer saves one write/read per coalesced
-message.  :class:`MessageAssembler` runs the same decoder incrementally
-over a byte *stream*, using the :class:`~repro.rpc.errors.XdrTruncated`
-/ :class:`~repro.rpc.errors.XdrError` distinction to tell "wait for
-more bytes" from "drop the connection".
+message.  Both TCP transports deliver length-prefixed frames, so a
+payload always arrives whole.
+
+What this module owns of the wire is the two fixed headers and the
+``ctx_flags`` logic; every field is read and written through the
+primitives of :mod:`repro.rpc.xdr`.
 """
 
 from __future__ import annotations
@@ -26,10 +28,20 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
-from repro.rpc.errors import XdrError, XdrTruncated
-from repro.rpc.xdr import XdrDecoder
+from repro.rpc.errors import XdrError
+from repro.rpc.xdr import (
+    DOUBLE,
+    get_fixed,
+    get_opaque,
+    get_string,
+    get_u32,
+    put_bool,
+    put_opaque,
+    put_string,
+    put_u32,
+)
 
 _MSG_CALL = 0
 _MSG_REPLY = 1
@@ -39,20 +51,10 @@ _CTX_TRACE = 2
 _CTX_HOPS = 4
 _CTX_SAMPLED = 8
 
-# Frames are encoded with precompiled structs rather than the general
-# XdrEncoder: the header shape is static, and one ``pack`` for the fixed
-# prefix beats six method calls on the per-message fast path.  The byte
-# layout is identical to what XdrEncoder produced (big-endian u32 words,
-# opaques length-prefixed and zero-padded to 4).
+# The header shape is static, so one precompiled ``pack``/``unpack_from``
+# moves the whole fixed prefix of a message.
 _CALL_FIXED = struct.Struct(">IIIIII")  # xid, kind, prog, vers, proc, flags
 _REPLY_FIXED = struct.Struct(">III")  # xid, kind, status
-_U32 = struct.Struct(">I")
-_F64 = struct.Struct(">d")
-_PADDING = (b"", b"\x00\x00\x00", b"\x00\x00", b"\x00")
-
-
-def _opaque(data: bytes) -> bytes:
-    return _U32.pack(len(data)) + data + _PADDING[len(data) % 4]
 
 
 class ReplyStatus(enum.IntEnum):
@@ -97,28 +99,23 @@ class RpcCall:
 
     def encode(self) -> bytes:
         flags = 0
+        parts = [b""]  # the fixed header, packed once the flags are known
         if self.deadline is not None:
             flags |= _CTX_DEADLINE
+            parts.append(DOUBLE.pack(self.deadline))
         if self.trace_id:
             flags |= _CTX_TRACE
+            put_string(parts, self.trace_id)
         if self.hops is not None:
             flags |= _CTX_HOPS
+            put_u32(parts, self.hops)
         if self.sampled is not None:
             flags |= _CTX_SAMPLED
-        parts = [
-            _CALL_FIXED.pack(
-                self.xid, _MSG_CALL, self.prog, self.vers, self.proc, flags
-            )
-        ]
-        if self.deadline is not None:
-            parts.append(_F64.pack(self.deadline))
-        if self.trace_id:
-            parts.append(_opaque(self.trace_id.encode("utf-8")))
-        if self.hops is not None:
-            parts.append(_U32.pack(self.hops))
-        if self.sampled is not None:
-            parts.append(_U32.pack(1 if self.sampled else 0))
-        parts.append(_opaque(self.body))
+            put_bool(parts, self.sampled)
+        put_opaque(parts, self.body)
+        parts[0] = _CALL_FIXED.pack(
+            self.xid, _MSG_CALL, self.prog, self.vers, self.proc, flags
+        )
         return b"".join(parts)
 
 
@@ -131,43 +128,50 @@ class RpcReply:
     body: bytes = b""
 
     def encode(self) -> bytes:
-        return _REPLY_FIXED.pack(self.xid, _MSG_REPLY, int(self.status)) + _opaque(
-            self.body
-        )
+        parts = [_REPLY_FIXED.pack(self.xid, _MSG_REPLY, int(self.status))]
+        put_opaque(parts, self.body)
+        return b"".join(parts)
 
 
 RpcMessage = Union[RpcCall, RpcReply]
 
 
-def _decode_one(dec: XdrDecoder) -> RpcMessage:
-    """Decode one message from the decoder's current offset."""
-    xid, kind = dec.unpack_u32s(2)
+def _decode_one(view: memoryview, offset: int) -> Tuple[RpcMessage, int]:
+    """Decode the message starting at ``offset``: ``(message, next offset)``."""
+    # Both kinds open with xid, kind and one more word.
+    (xid, kind, status_raw), after_reply_header = get_fixed(_REPLY_FIXED, view, offset)
     if kind == _MSG_CALL:
-        prog, vers, proc, flags = dec.unpack_u32s(4)
-        deadline = dec.unpack_double() if flags & _CTX_DEADLINE else None
-        trace_id = dec.unpack_string() if flags & _CTX_TRACE else ""
-        hops = dec.unpack_u32() if flags & _CTX_HOPS else None
-        sampled = bool(dec.unpack_u32()) if flags & _CTX_SAMPLED else None
-        body = dec.unpack_opaque()
-        return RpcCall(
-            xid, prog, vers, proc, body, deadline, trace_id, hops, sampled
-        )
+        (__, __, prog, vers, proc, flags), offset = get_fixed(_CALL_FIXED, view, offset)
+        deadline = hops = sampled = None
+        trace_id = ""
+        if flags & _CTX_DEADLINE:
+            (deadline,), offset = get_fixed(DOUBLE, view, offset)
+        if flags & _CTX_TRACE:
+            trace_id, offset = get_string(view, offset)
+        if flags & _CTX_HOPS:
+            hops, offset = get_u32(view, offset)
+        if flags & _CTX_SAMPLED:
+            # Any non-zero word is "sampled": mixed-version peers.
+            raw, offset = get_u32(view, offset)
+            sampled = bool(raw)
+        body, offset = get_opaque(view, offset)
+        call = RpcCall(xid, prog, vers, proc, body, deadline, trace_id, hops, sampled)
+        return call, offset
     if kind == _MSG_REPLY:
-        status_raw = dec.unpack_u32()
         try:
             status = ReplyStatus(status_raw)
         except ValueError:
-            raise XdrError(f"unknown reply status {status_raw}")
-        body = dec.unpack_opaque()
-        return RpcReply(xid, status, body)
+            raise XdrError(f"unknown reply status {status_raw}") from None
+        body, offset = get_opaque(view, after_reply_header)
+        return RpcReply(xid, status, body), offset
     raise XdrError(f"unknown RPC message kind {kind}")
 
 
 def decode_message(data: bytes) -> RpcMessage:
     """Decode bytes into an :class:`RpcCall` or :class:`RpcReply`."""
-    dec = XdrDecoder(data)
-    message = _decode_one(dec)
-    if not dec.done():
+    view = memoryview(data)
+    message, offset = _decode_one(view, 0)
+    if offset != len(view):
         raise XdrError("trailing bytes after RPC message")
     return message
 
@@ -181,51 +185,17 @@ def decode_messages(data: bytes) -> List[RpcMessage]:
     payload decodes identically, so batching and non-batching peers
     interoperate in both directions.
     """
-    dec = XdrDecoder(data)
-    messages: List[RpcMessage] = []
-    while not dec.done():
-        messages.append(_decode_one(dec))
-    if not messages:
+    view = memoryview(data)
+    if not view:
         raise XdrError("empty RPC payload")
+    messages: List[RpcMessage] = []
+    offset = 0
+    while offset < len(view):
+        message, offset = _decode_one(view, offset)
+        messages.append(message)
     return messages
 
 
 def encode_batch(messages: Iterable[RpcMessage]) -> bytes:
     """Concatenate encoded messages into one BATCH payload."""
     return b"".join(message.encode() for message in messages)
-
-
-class MessageAssembler:
-    """Reassembles RPC messages from an arbitrarily-chunked byte stream.
-
-    Feed it whatever the transport read — half a message, three and a
-    bit, one byte at a time — and it yields every complete message as
-    soon as its last byte arrives.  A read that stops mid-message
-    (:class:`~repro.rpc.errors.XdrTruncated`) stalls until more bytes
-    land; genuinely malformed bytes raise
-    :class:`~repro.rpc.errors.XdrError` and the stream should be
-    dropped, since a byte-stream decoder cannot resynchronise.
-    """
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-
-    def pending(self) -> int:
-        """Bytes buffered waiting for the rest of a message."""
-        return len(self._buffer)
-
-    def feed(self, chunk: bytes) -> List[RpcMessage]:
-        """Absorb ``chunk``; return the messages it completed."""
-        self._buffer.extend(chunk)
-        messages: List[RpcMessage] = []
-        dec = XdrDecoder(bytes(self._buffer))
-        consumed = 0
-        while not dec.done():
-            try:
-                messages.append(_decode_one(dec))
-            except XdrTruncated:
-                break
-            consumed = dec.offset
-        if consumed:
-            del self._buffer[:consumed]
-        return messages

@@ -13,10 +13,11 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.context import CallContext
 from repro.net.endpoints import Address
-from repro.rpc.client import RpcClient
-from repro.rpc.errors import RemoteFault, RpcError
+from repro.rpc.client import RpcClient, remote_fault
+from repro.rpc.errors import RemoteFault, RpcError, XdrError
 from repro.rpc.message import ReplyStatus, RpcCall, RpcReply
 from repro.rpc.xdr import decode_value, encode_value
+from repro.telemetry.metrics import METRICS
 
 
 @dataclass
@@ -103,13 +104,16 @@ class MulticastCaller:
 
     @staticmethod
     def _record(result: MulticastResult, destination: Address, reply: RpcReply) -> None:
-        if reply.status is ReplyStatus.SUCCESS:
-            result.replies[destination] = decode_value(reply.body)
-        elif reply.status is ReplyStatus.REMOTE_FAULT:
-            fault = decode_value(reply.body)
-            result.faults[destination] = f"{fault.get('kind')}: {fault.get('detail')}"
-        else:
-            result.faults[destination] = reply.status.name
+        try:
+            if reply.status is ReplyStatus.SUCCESS:
+                result.replies[destination] = decode_value(reply.body)
+            elif reply.status is ReplyStatus.REMOTE_FAULT:
+                result.faults[destination] = str(remote_fault(reply.body))
+            else:
+                result.faults[destination] = reply.status.name
+        except XdrError as exc:
+            METRICS.inc("rpc.client.malformed_replies")
+            result.faults[destination] = f"malformed reply: {exc}"
 
 
 def anycast(

@@ -13,7 +13,6 @@ provides datagram-style send/receive plus a ``wait`` primitive that blocks
 from __future__ import annotations
 
 import socket
-import struct
 import threading
 import time
 from typing import Callable, Dict, Optional
@@ -21,6 +20,9 @@ from typing import Callable, Dict, Optional
 from repro.errors import CommunicationError
 from repro.net.endpoints import Address, Datagram
 from repro.net.sim import SimNetwork
+from repro.rpc import xdr
+from repro.rpc.errors import XdrError
+from repro.telemetry.metrics import METRICS
 
 Receiver = Callable[[Address, bytes], None]
 
@@ -103,13 +105,11 @@ class SimTransport(Transport):
 class TcpTransport(Transport):
     """Datagram semantics over real TCP connections on localhost.
 
-    Every transport runs one accept loop; each frame is ``u32 length`` +
-    ``source host string frame`` + payload.  Outgoing connections are cached
-    per destination.  Receive callbacks run on reader threads; a shared
-    condition lets :meth:`wait` sleep until state changes.
+    Every transport runs one accept loop; frames and the hello that opens
+    a connection are :mod:`repro.rpc.xdr`'s.  Outgoing connections are
+    cached per destination.  Receive callbacks run on reader threads; a
+    shared condition lets :meth:`wait` sleep until state changes.
     """
-
-    _HEADER = struct.Struct(">I")
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -129,7 +129,7 @@ class TcpTransport(Transport):
         self._accept_thread.start()
 
     def send(self, destination: Address, payload: bytes) -> None:
-        frame = self._frame(payload)
+        frame = xdr.frame(payload)
         with self._lock:
             conn = self._connections.get(destination)
         if conn is None:
@@ -137,8 +137,7 @@ class TcpTransport(Transport):
             enable_nodelay(conn)
             # Announce who we are so replies can come back over a fresh
             # connection to our listener (datagram semantics, not stream).
-            hello = self._frame(str(self.local_address.port).encode("ascii"))
-            conn.sendall(hello)
+            conn.sendall(xdr.hello(self.local_address.port))
             with self._lock:
                 self._connections[destination] = conn
             threading.Thread(
@@ -184,9 +183,6 @@ class TcpTransport(Transport):
 
     # -- internals --------------------------------------------------------
 
-    def _frame(self, payload: bytes) -> bytes:
-        return self._HEADER.pack(len(payload)) + payload
-
     def _accept_loop(self) -> None:
         while not self._closed:
             try:
@@ -203,10 +199,15 @@ class TcpTransport(Transport):
         first = self._read_frame(conn)
         if first is None:
             return
-        source = Address(peer[0], int(first.decode("ascii")))
-        self._read_loop(conn, source, skip_hello=True)
+        try:
+            source = Address(peer[0], xdr.parse_hello(first))
+        except XdrError:
+            METRICS.inc("rpc.transport.bad_hello")
+            conn.close()
+            return
+        self._read_loop(conn, source)
 
-    def _read_loop(self, conn: socket.socket, source: Address, skip_hello: bool = False) -> None:
+    def _read_loop(self, conn: socket.socket, source: Address) -> None:
         while not self._closed:
             payload = self._read_frame(conn)
             if payload is None:
@@ -218,11 +219,10 @@ class TcpTransport(Transport):
                 self.condition.notify_all()
 
     def _read_frame(self, conn: socket.socket) -> Optional[bytes]:
-        header = self._read_exact(conn, self._HEADER.size)
+        header = self._read_exact(conn, xdr.FRAME_HEADER_SIZE)
         if header is None:
             return None
-        (length,) = self._HEADER.unpack(header)
-        return self._read_exact(conn, length)
+        return self._read_exact(conn, xdr.frame_length(header))
 
     @staticmethod
     def _read_exact(conn: socket.socket, count: int) -> Optional[bytes]:

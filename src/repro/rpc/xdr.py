@@ -1,44 +1,40 @@
-"""XDR-style binary marshalling.
+"""XDR-style binary marshalling: the one module that knows the wire.
 
-Two layers:
+Everything the stack sends is built from the primitives here — big-endian
+4-byte words, 8-byte hypers, IEEE doubles, length-prefixed opaques
+zero-padded to 4 (RFC 1014 conventions), the TCP frame and the hello —
+in one style: ``put_*(out, value)`` appends chunks to a list the caller
+joins once, ``get_*(view, offset)`` reads a :class:`memoryview` and
+returns ``(value, next offset)``; only leaves ever copy bytes.  Three
+codecs are written over them: the compiled per-signature layouts
+(:mod:`repro.rpc.codec`), the CALL/REPLY framer
+(:mod:`repro.rpc.message`) and, below, the **tagged** self-describing
+:func:`encode_value` / :func:`decode_value` — what makes the paper's
+*dynamic marshalling* possible: a generic client that has just
+downloaded a SID can marshal parameters for a service it has never
+seen, because values carry their own structure on the wire.
 
-* :class:`XdrEncoder` / :class:`XdrDecoder` — the primitive wire formats of
-  RFC 1014-era XDR: big-endian 4-byte words, 8-byte hypers, IEEE doubles,
-  length-prefixed opaques padded to 4-byte boundaries.
-* :func:`encode_value` / :func:`decode_value` — a *tagged* self-describing
-  encoding of Python values built on the primitives.  This is what makes
-  the paper's **dynamic marshalling** possible: a generic client that has
-  just downloaded a SID can marshal parameters for a service it has never
-  seen, because values carry their own structure on the wire.
-
-The decoder runs on a :class:`memoryview` of the input: primitives are
-read with precompiled ``struct`` ``unpack_from`` at an offset, and only
-the leaves (opaque/string payloads) ever copy bytes — nested values no
-longer re-slice the buffer at every level.  Truncated input raises
-:class:`~repro.rpc.errors.XdrTruncated` with offset context instead of
-surfacing short reads, and :func:`decode_value` bounds nesting depth so
-adversarial payloads fail with a clean :class:`XdrError` rather than
-exhausting the interpreter's recursion limit.
+What counts as malformed is decided here and nowhere else
+(docs/PROTOCOL.md §2 tabulates it), and only
+:class:`~repro.rpc.errors.XdrError` — :class:`XdrTruncated` for a read
+past the end — ever leaves a decoder.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 from repro.net.endpoints import Address
 from repro.rpc.errors import XdrError, XdrTruncated
 
-_I32_MIN, _I32_MAX = -(2**31), 2**31 - 1
-_U32_MAX = 2**32 - 1
-_I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
-
 _U32 = struct.Struct(">I")
-_I32 = struct.Struct(">i")
-_I64 = struct.Struct(">q")
-_F64 = struct.Struct(">d")
-#: Cache of ``>{n}I`` structs for :meth:`XdrDecoder.unpack_u32s`.
-_U32_RUNS: Dict[int, struct.Struct] = {2: struct.Struct(">2I"), 4: struct.Struct(">4I")}
+#: Packers for :func:`get_fixed` / ``pack``: the two 8-byte primitives.
+HYPER = struct.Struct(">q")
+DOUBLE = struct.Struct(">d")
+
+_PADDING = (b"", b"\x00\x00\x00", b"\x00\x00", b"\x00")  # by length % 4
+_FALSE, _TRUE = _U32.pack(0), _U32.pack(1)
 
 #: Maximum nesting depth :func:`decode_value` accepts.  Deep enough for
 #: any real SID-shaped value, shallow enough that an adversarially
@@ -47,147 +43,132 @@ _U32_RUNS: Dict[int, struct.Struct] = {2: struct.Struct(">2I"), 4: struct.Struct
 MAX_VALUE_DEPTH = 64
 
 
-class XdrEncoder:
-    """Accumulates XDR primitives into a byte buffer."""
-
-    def __init__(self) -> None:
-        self._chunks: List[bytes] = []
-
-    def getvalue(self) -> bytes:
-        return b"".join(self._chunks)
-
-    def pack_u32(self, value: int) -> None:
-        if not 0 <= value <= _U32_MAX:
-            raise XdrError(f"u32 out of range: {value!r}")
-        self._chunks.append(_U32.pack(value))
-
-    def pack_i32(self, value: int) -> None:
-        if not _I32_MIN <= value <= _I32_MAX:
-            raise XdrError(f"i32 out of range: {value!r}")
-        self._chunks.append(_I32.pack(value))
-
-    def pack_i64(self, value: int) -> None:
-        if not _I64_MIN <= value <= _I64_MAX:
-            raise XdrError(f"i64 out of range: {value!r}")
-        self._chunks.append(_I64.pack(value))
-
-    def pack_double(self, value: float) -> None:
-        self._chunks.append(_F64.pack(value))
-
-    def pack_bool(self, value: bool) -> None:
-        self.pack_u32(1 if value else 0)
-
-    def pack_opaque(self, data: bytes) -> None:
-        """Variable-length opaque: u32 length, bytes, zero pad to 4."""
-        self.pack_u32(len(data))
-        self._chunks.append(data)
-        pad = (-len(data)) % 4
-        if pad:
-            self._chunks.append(b"\x00" * pad)
-
-    def pack_string(self, text: str) -> None:
-        self.pack_opaque(text.encode("utf-8"))
+# -- primitives ------------------------------------------------------------
 
 
-class XdrDecoder:
-    """Consumes XDR primitives from a byte buffer without copying.
+def put_u32(out: List[bytes], value: int) -> None:
+    try:
+        out.append(_U32.pack(value))
+    except struct.error:
+        raise XdrError(f"u32 out of range: {value!r}") from None
 
-    The input is wrapped in a :class:`memoryview`; fixed-width reads go
-    through ``unpack_from`` at the running offset and opaque payloads
-    are materialised as ``bytes`` only at the leaf.  Every read is
-    bounds-checked: running past the end raises :class:`XdrTruncated`
-    naming the offending offset.
+
+def put_bool(out: List[bytes], value: bool) -> None:
+    out.append(_TRUE if value else _FALSE)
+
+
+def put_opaque(out: List[bytes], data: bytes) -> None:
+    """Variable-length opaque: u32 length, the bytes, zero pad to 4."""
+    out.append(_U32.pack(len(data)))
+    out.append(data)
+    if len(data) & 3:
+        out.append(_PADDING[len(data) & 3])
+
+
+def put_string(out: List[bytes], text: str) -> None:
+    put_opaque(out, text.encode("utf-8"))
+
+
+def _truncated(view: memoryview, offset: int, wanted: int) -> XdrTruncated:
+    return XdrTruncated(
+        f"truncated XDR data at offset {offset}: wanted {wanted} bytes, "
+        f"have {len(view) - offset}"
+    )
+
+
+def get_fixed(packer: struct.Struct, view: memoryview, offset: int) -> Tuple[tuple, int]:
+    """Read one precompiled fixed-width run: ``(fields, next offset)``."""
+    try:
+        return packer.unpack_from(view, offset), offset + packer.size
+    except struct.error:
+        raise _truncated(view, offset, packer.size) from None
+
+
+def get_u32(view: memoryview, offset: int) -> Tuple[int, int]:
+    try:
+        return _U32.unpack_from(view, offset)[0], offset + 4
+    except struct.error:
+        raise _truncated(view, offset, 4) from None
+
+
+def to_bool(raw: int) -> bool:
+    """The bool a wire word stands for; only 0 and 1 are bools."""
+    if raw > 1:
+        raise XdrError(f"bool must be 0 or 1, got {raw}")
+    return raw == 1
+
+
+def get_bool(view: memoryview, offset: int) -> Tuple[bool, int]:
+    raw, offset = get_u32(view, offset)
+    return to_bool(raw), offset
+
+
+def get_opaque(view: memoryview, offset: int) -> Tuple[bytes, int]:
+    size, offset = get_u32(view, offset)
+    end = offset + size
+    stop = end + (-size & 3)
+    if stop > len(view):
+        raise _truncated(view, offset, stop - offset)
+    if size & 3 and view[end:stop] != _PADDING[size & 3]:
+        raise XdrError(f"non-zero XDR padding at offset {end}")
+    return bytes(view[offset:end]), stop
+
+
+def get_string(view: memoryview, offset: int) -> Tuple[str, int]:
+    data, stop = get_opaque(view, offset)
+    try:
+        return data.decode("utf-8"), stop
+    except UnicodeDecodeError as exc:
+        raise XdrError(f"invalid UTF-8 in string at offset {offset}: {exc}") from None
+
+
+def get_count(view: memoryview, offset: int) -> Tuple[int, int]:
+    """Element count of a list, dict or compiled ``seq``.
+
+    Bounded by the whole payload's length rather than by what remains
+    after the count, because a compiled ``seq`` of zero-width elements
+    (``sequence<struct {}>`` is derivable from a SID) must stay
+    decodable.  Either way no decoder allocates more elements than the
+    peer sent bytes.
     """
-
-    def __init__(self, data) -> None:
-        self._view = memoryview(data)
-        self._length = len(self._view)
-        self._offset = 0
-
-    def remaining(self) -> int:
-        return self._length - self._offset
-
-    def done(self) -> bool:
-        return self._offset >= self._length
-
-    @property
-    def offset(self) -> int:
-        return self._offset
-
-    def _require(self, count: int) -> None:
-        if self._offset + count > self._length:
-            raise XdrTruncated(
-                f"truncated XDR data at offset {self._offset}: wanted "
-                f"{count} bytes, have {self._length - self._offset}"
-            )
-
-    def _take(self, count: int) -> memoryview:
-        self._require(count)
-        chunk = self._view[self._offset : self._offset + count]
-        self._offset += count
-        return chunk
-
-    def unpack_u32(self) -> int:
-        self._require(4)
-        (value,) = _U32.unpack_from(self._view, self._offset)
-        self._offset += 4
-        return value
-
-    def unpack_u32s(self, count: int):
-        """Read ``count`` consecutive u32 words with one unpack.
-
-        The message-frame fast path: fixed headers are several u32s in a
-        row, and one precompiled multi-word unpack replaces ``count``
-        bounds checks and method calls.
-        """
-        size = 4 * count
-        self._require(size)
-        fmt = _U32_RUNS.get(count)
-        if fmt is None:
-            fmt = _U32_RUNS[count] = struct.Struct(f">{count}I")
-        values = fmt.unpack_from(self._view, self._offset)
-        self._offset += size
-        return values
-
-    def unpack_i32(self) -> int:
-        self._require(4)
-        (value,) = _I32.unpack_from(self._view, self._offset)
-        self._offset += 4
-        return value
-
-    def unpack_i64(self) -> int:
-        self._require(8)
-        (value,) = _I64.unpack_from(self._view, self._offset)
-        self._offset += 8
-        return value
-
-    def unpack_double(self) -> float:
-        self._require(8)
-        (value,) = _F64.unpack_from(self._view, self._offset)
-        self._offset += 8
-        return value
-
-    def unpack_bool(self) -> bool:
-        value = self.unpack_u32()
-        if value not in (0, 1):
-            raise XdrError(f"bool must be 0 or 1, got {value}")
-        return bool(value)
-
-    def unpack_opaque(self) -> bytes:
-        length = self.unpack_u32()
-        data = bytes(self._take(length))
-        pad = (-length) % 4
-        if pad:
-            padding = self._take(pad)
-            if padding != b"\x00" * pad:
-                raise XdrError("non-zero XDR padding")
-        return data
-
-    def unpack_string(self) -> str:
-        return self.unpack_opaque().decode("utf-8")
+    count, offset = get_u32(view, offset)
+    if count > len(view):
+        raise XdrTruncated(
+            f"implausible element count {count} at offset {offset - 4}: "
+            f"the payload has {len(view)} bytes"
+        )
+    return count, offset
 
 
-# -- tagged generic values -----------------------------------------------
+# -- TCP framing -----------------------------------------------------------
+
+#: Bytes of the length prefix that opens every TCP frame.
+FRAME_HEADER_SIZE = _U32.size
+
+
+def frame(payload: bytes) -> bytes:
+    """One TCP frame: ``u32 length || payload``."""
+    return _U32.pack(len(payload)) + payload
+
+
+def frame_length(header: bytes) -> int:
+    """Payload length announced by a frame's length prefix."""
+    return _U32.unpack(header)[0]
+
+
+def hello(port: int) -> bytes:
+    """First frame of a connection: the sender's reply port, ASCII decimal."""
+    return frame(str(port).encode("ascii"))
+
+
+def parse_hello(payload: bytes) -> int:
+    """The port a hello payload announces: ASCII decimal, 0..65535."""
+    if not payload.isdigit() or len(payload) > 5 or int(payload) > 0xFFFF:
+        raise XdrError(f"malformed hello frame {bytes(payload[:16])!r}")
+    return int(payload)
+
+
+# -- tagged generic values -------------------------------------------------
 
 _TAG_NULL = 0
 _TAG_BOOL = 1
@@ -199,6 +180,16 @@ _TAG_LIST = 6
 _TAG_DICT = 7
 _TAG_ADDRESS = 8
 
+_NULL = _U32.pack(_TAG_NULL)
+_TAGGED_FALSE = _U32.pack(_TAG_BOOL) + _FALSE
+_TAGGED_TRUE = _U32.pack(_TAG_BOOL) + _TRUE
+_STRING = _U32.pack(_TAG_STRING)
+_BYTES = _U32.pack(_TAG_BYTES)
+_ADDRESS = _U32.pack(_TAG_ADDRESS)
+_TAGGED_HYPER = struct.Struct(">Iq")
+_TAGGED_DOUBLE = struct.Struct(">Id")
+_TAGGED_COUNT = struct.Struct(">II")
+
 
 def encode_value(value: Any) -> bytes:
     """Encode a Python value into self-describing XDR bytes.
@@ -208,103 +199,103 @@ def encode_value(value: Any) -> bytes:
     string-keyed dicts of the above.  Dict key order is preserved, so two
     structurally equal values encode identically.
     """
-    encoder = XdrEncoder()
-    _encode_into(value, encoder)
-    return encoder.getvalue()
+    out: List[bytes] = []
+    put_value(out, value)
+    return b"".join(out)
 
 
-def _encode_into(value: Any, enc: XdrEncoder) -> None:
-    if value is None:
-        enc.pack_u32(_TAG_NULL)
-    elif value is True or value is False:
-        enc.pack_u32(_TAG_BOOL)
-        enc.pack_bool(value)
-    elif isinstance(value, Address):
-        # Must precede the tuple check: Address is a NamedTuple.
-        enc.pack_u32(_TAG_ADDRESS)
-        enc.pack_string(value.host)
-        enc.pack_u32(value.port)
-    elif isinstance(value, int):
-        enc.pack_u32(_TAG_INT)
-        enc.pack_i64(value)
-    elif isinstance(value, float):
-        enc.pack_u32(_TAG_FLOAT)
-        enc.pack_double(value)
-    elif isinstance(value, str):
-        enc.pack_u32(_TAG_STRING)
-        enc.pack_string(value)
-    elif isinstance(value, (bytes, bytearray)):
-        enc.pack_u32(_TAG_BYTES)
-        enc.pack_opaque(bytes(value))
-    elif isinstance(value, (list, tuple)):
-        enc.pack_u32(_TAG_LIST)
-        enc.pack_u32(len(value))
-        for item in value:
-            _encode_into(item, enc)
-    elif isinstance(value, dict):
-        enc.pack_u32(_TAG_DICT)
-        enc.pack_u32(len(value))
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise XdrError(f"dict keys must be strings, got {key!r}")
-            enc.pack_string(key)
-            _encode_into(item, enc)
-    else:
-        raise XdrError(f"cannot marshal value of type {type(value).__name__}")
+def put_value(out: List[bytes], value: Any) -> None:
+    """Append the tagged encoding of ``value``: a tag word, then the payload."""
+    try:
+        if value is None:
+            out.append(_NULL)
+        elif value is True:
+            out.append(_TAGGED_TRUE)
+        elif value is False:
+            out.append(_TAGGED_FALSE)
+        elif isinstance(value, Address):
+            # Must precede the tuple check: Address is a NamedTuple.
+            out.append(_ADDRESS)
+            put_string(out, value.host)
+            put_u32(out, value.port)
+        elif isinstance(value, int):
+            out.append(_TAGGED_HYPER.pack(_TAG_INT, value))
+        elif isinstance(value, float):
+            out.append(_TAGGED_DOUBLE.pack(_TAG_FLOAT, value))
+        elif isinstance(value, str):
+            out.append(_STRING)
+            put_string(out, value)
+        elif isinstance(value, (bytes, bytearray)):
+            out.append(_BYTES)
+            put_opaque(out, bytes(value))
+        elif isinstance(value, (list, tuple)):
+            out.append(_TAGGED_COUNT.pack(_TAG_LIST, len(value)))
+            for item in value:
+                put_value(out, item)
+        elif isinstance(value, dict):
+            out.append(_TAGGED_COUNT.pack(_TAG_DICT, len(value)))
+            for key, item in value.items():
+                if not isinstance(key, str):
+                    raise XdrError(f"dict keys must be strings, got {key!r}")
+                put_string(out, key)
+                put_value(out, item)
+        else:
+            raise XdrError(f"cannot marshal value of type {type(value).__name__}")
+    except struct.error:
+        raise XdrError(f"value out of range for the wire: {value!r}") from None
 
 
-def decode_value(data: bytes) -> Any:
+def decode_value(data) -> Any:
     """Decode bytes produced by :func:`encode_value`.
 
     Raises :class:`~repro.rpc.errors.XdrError` on malformed or trailing
     data, and on values nested deeper than :data:`MAX_VALUE_DEPTH`.
     """
-    decoder = XdrDecoder(data)
-    value = _decode_from(decoder, 0)
-    if not decoder.done():
-        raise XdrError(f"{decoder.remaining()} trailing bytes after value")
+    view = memoryview(data)
+    value, offset = get_value(view, 0, 0)
+    if offset != len(view):
+        raise XdrError(f"{len(view) - offset} trailing bytes after value")
     return value
 
 
-def _decode_from(dec: XdrDecoder, depth: int) -> Any:
+def get_value(view: memoryview, offset: int, depth: int) -> Tuple[Any, int]:
+    """Read one tagged value, ``depth`` containers down."""
     if depth > MAX_VALUE_DEPTH:
         raise XdrError(
             f"value nesting exceeds MAX_VALUE_DEPTH={MAX_VALUE_DEPTH} "
-            f"at offset {dec.offset}"
+            f"at offset {offset}"
         )
-    tag = dec.unpack_u32()
-    if tag == _TAG_NULL:
-        return None
-    if tag == _TAG_BOOL:
-        return dec.unpack_bool()
-    if tag == _TAG_INT:
-        return dec.unpack_i64()
-    if tag == _TAG_FLOAT:
-        return dec.unpack_double()
+    tag, offset = get_u32(view, offset)
     if tag == _TAG_STRING:
-        return dec.unpack_string()
-    if tag == _TAG_BYTES:
-        return dec.unpack_opaque()
+        return get_string(view, offset)
+    if tag == _TAG_INT:
+        (value,), offset = get_fixed(HYPER, view, offset)
+        return value, offset
+    if tag == _TAG_FLOAT:
+        (value,), offset = get_fixed(DOUBLE, view, offset)
+        return value, offset
     if tag == _TAG_LIST:
-        length = dec.unpack_u32()
-        if length > dec.remaining():
-            raise XdrTruncated(
-                f"implausible list length {length} at offset {dec.offset}"
-            )
-        return [_decode_from(dec, depth + 1) for __ in range(length)]
+        count, offset = get_count(view, offset)
+        items = []
+        for __ in range(count):
+            item, offset = get_value(view, offset, depth + 1)
+            items.append(item)
+        return items, offset
     if tag == _TAG_DICT:
-        length = dec.unpack_u32()
-        if length > dec.remaining():
-            raise XdrTruncated(
-                f"implausible dict length {length} at offset {dec.offset}"
-            )
+        count, offset = get_count(view, offset)
         result: Dict[str, Any] = {}
-        for __ in range(length):
-            key = dec.unpack_string()
-            result[key] = _decode_from(dec, depth + 1)
-        return result
+        for __ in range(count):
+            key, offset = get_string(view, offset)
+            result[key], offset = get_value(view, offset, depth + 1)
+        return result, offset
+    if tag == _TAG_NULL:
+        return None, offset
+    if tag == _TAG_BOOL:
+        return get_bool(view, offset)
+    if tag == _TAG_BYTES:
+        return get_opaque(view, offset)
     if tag == _TAG_ADDRESS:
-        host = dec.unpack_string()
-        port = dec.unpack_u32()
-        return Address(host, port)
+        host, offset = get_string(view, offset)
+        port, offset = get_u32(view, offset)
+        return Address(host, port), offset
     raise XdrError(f"unknown XDR value tag {tag}")

@@ -6,6 +6,7 @@ import pytest
 
 from repro.net import SimNetwork
 from repro.rpc.client import RpcClient
+from repro.rpc.message import RpcReply, decode_messages
 from repro.rpc.server import RpcServer
 from repro.rpc.transport import SimTransport
 from repro.sidl.builder import load_service_description
@@ -39,6 +40,27 @@ def make_client(net):
         options.setdefault("timeout", 1.0)
         options.setdefault("retries", 3)
         return RpcClient(SimTransport(net, host or f"client-{counter['n']}"), **options)
+
+    return factory
+
+
+#: A tagged string (tag 4, length 2) whose two bytes are not UTF-8.
+BAD_UTF8_VALUE = b"\x00\x00\x00\x04\x00\x00\x00\x02\xff\xfe\x00\x00"
+
+
+@pytest.fixture
+def rogue_peer(net):
+    """Factory: a peer that answers every CALL with a fixed status and raw body."""
+
+    def factory(host: str, status, body: bytes, port: int = None):
+        transport = SimTransport(net, host, port)
+
+        def answer(source, payload):
+            for call in decode_messages(payload):
+                transport.send(source, RpcReply(call.xid, status, body).encode())
+
+        transport.set_receiver(answer)
+        return transport.local_address
 
     return factory
 

@@ -6,10 +6,8 @@ Two generators, two invariants:
   it, the compiled encoding decodes back to exactly the value the
   tagged codec round-trips, and the two encodings never get confused
   for one another (the compiled header cannot be a tagged tag word).
-* **Batch reassembly** — any sequence of RPC messages, concatenated
-  into one BATCH payload and fed to :class:`MessageAssembler` at
-  *arbitrary* chunk boundaries, yields exactly the messages
-  :func:`decode_messages` sees in one shot.
+* **Batch grammar** — any sequence of RPC messages, concatenated into
+  one BATCH payload, decodes back to exactly those messages.
 """
 
 import math
@@ -19,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.rpc.codec import CompiledCodec, is_compiled
 from repro.rpc.message import (
-    MessageAssembler,
     ReplyStatus,
     RpcCall,
     RpcReply,
@@ -132,7 +129,7 @@ def _same(left, right):
     return left == right
 
 
-# -- batch reassembly at arbitrary chunk boundaries --------------------------
+# -- the BATCH envelope -----------------------------------------------------
 
 _calls = st.builds(
     RpcCall,
@@ -158,42 +155,7 @@ _replies = st.builds(
 _messages = st.lists(st.one_of(_calls, _replies), min_size=1, max_size=6)
 
 
-def _chunked(payload, cuts):
-    positions = sorted({min(cut, len(payload)) for cut in cuts})
-    chunks = []
-    start = 0
-    for position in positions:
-        chunks.append(payload[start:position])
-        start = position
-    chunks.append(payload[start:])
-    return chunks
-
-
-@given(
-    _messages,
-    st.lists(st.integers(min_value=0, max_value=4096), max_size=12),
-)
-@settings(max_examples=150, deadline=None)
-def test_assembler_matches_one_shot_decode(messages, cuts):
-    payload = encode_batch(messages)
-    expected = decode_messages(payload)
-    assert expected == messages  # encode/decode is lossless first
-
-    assembler = MessageAssembler()
-    reassembled = []
-    for chunk in _chunked(payload, cuts):
-        reassembled.extend(assembler.feed(chunk))
-    assert reassembled == expected
-    assert assembler.pending() == 0
-
-
 @given(_messages)
-@settings(max_examples=60, deadline=None)
-def test_assembler_byte_at_a_time(messages):
-    payload = encode_batch(messages)
-    assembler = MessageAssembler()
-    reassembled = []
-    for index in range(len(payload)):
-        reassembled.extend(assembler.feed(payload[index : index + 1]))
-    assert reassembled == messages
-    assert assembler.pending() == 0
+@settings(max_examples=150, deadline=None)
+def test_batch_decodes_to_the_messages_encoded(messages):
+    assert decode_messages(encode_batch(messages)) == messages

@@ -4,9 +4,16 @@ import pytest
 
 from repro.core import BrowserService, GenericClient
 from repro.errors import LookupFailure
-from repro.naming.discovery import BroadcastDiscoverer, DiscoveryResponder
+from repro.naming.discovery import (
+    DISCOVERY_PORT,
+    BroadcastDiscoverer,
+    DiscoveryResponder,
+)
 from repro.rpc.client import RpcClient
-from tests.conftest import SELECTION
+from repro.rpc.message import ReplyStatus
+from repro.rpc.xdr import encode_value
+from repro.telemetry.metrics import METRICS
+from tests.conftest import BAD_UTF8_VALUE, SELECTION
 
 
 @pytest.fixture
@@ -93,3 +100,13 @@ def test_tcp_transport_rejected(net):
 def test_empty_lan_returns_empty(net, make_client):
     discoverer = BroadcastDiscoverer(net, make_client())
     assert discoverer.discover(timeout=0.01) == []
+
+
+def test_malformed_responder_replies_are_skipped_and_counted(lan, rogue_peer):
+    """Anyone on the LAN may answer a broadcast; one bad answer spoils nothing."""
+    rogue_peer("garbled-host", ReplyStatus.SUCCESS, BAD_UTF8_VALUE, port=DISCOVERY_PORT)
+    rogue_peer("odd-host", ReplyStatus.SUCCESS, encode_value(7), port=DISCOVERY_PORT)
+    counted = METRICS.counter_total("rpc.client.malformed_replies")
+    found = lan["discoverer"].discover()
+    assert {item["role"] for item in found} == {"browser", "trader"}
+    assert METRICS.counter_total("rpc.client.malformed_replies") == counted + 2

@@ -101,6 +101,24 @@ def test_unmarshallable_result_becomes_fault(net):
     assert excinfo.value.kind == "XdrError"
 
 
+def test_reply_bodies_from_a_foreign_peer_surface_typed(net, rogue_peer):
+    """A REMOTE_FAULT body that is not ``{kind, detail}`` is still a
+    RemoteFault; a SUCCESS body that does not decode is the XdrError."""
+    from repro.rpc.errors import XdrError
+    from repro.rpc.message import ReplyStatus
+    from repro.rpc.xdr import encode_value
+    from tests.conftest import BAD_UTF8_VALUE
+
+    client = RpcClient(SimTransport(net, "cli4"))
+    odd_fault = rogue_peer("odd-fault", ReplyStatus.REMOTE_FAULT, encode_value([1, 2]))
+    with pytest.raises(RemoteFault) as excinfo:
+        client.call(odd_fault, PROG, 1, 1)
+    assert (excinfo.value.kind, excinfo.value.detail) == ("Error", "[1, 2]")
+    garbled = rogue_peer("garbled", ReplyStatus.SUCCESS, BAD_UTF8_VALUE)
+    with pytest.raises(XdrError, match="invalid UTF-8"):
+        client.call(garbled, PROG, 1, 1)
+
+
 def test_timeout_when_server_absent(net):
     client = RpcClient(SimTransport(net, "lonely"), timeout=0.01, retries=2)
     from repro.net.endpoints import Address

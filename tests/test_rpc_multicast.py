@@ -4,9 +4,13 @@ import pytest
 
 from repro.rpc.client import RpcClient
 from repro.rpc.errors import RpcError
+from repro.rpc.message import ReplyStatus
 from repro.rpc.multicast import MulticastCaller, anycast
 from repro.rpc.server import RpcProgram, RpcServer
 from repro.rpc.transport import SimTransport
+from repro.rpc.xdr import encode_value
+from repro.telemetry.metrics import METRICS
+from tests.conftest import BAD_UTF8_VALUE
 
 PROG = 610000
 
@@ -87,3 +91,18 @@ def test_status_faults_reported(members, caller):
     result = caller.call(members, PROG, 1, 99, None, timeout=0.5)
     assert len(result.faults) == 4
     assert all("PROC_UNAVAIL" in fault for fault in result.faults.values())
+
+
+def test_malformed_member_replies_are_faults_not_raises(members, caller, rogue_peer):
+    """Per-destination failures never raise — including undecodable replies."""
+    garbled = rogue_peer("garbled", ReplyStatus.SUCCESS, BAD_UTF8_VALUE)
+    garbled_fault = rogue_peer("garbled-fault", ReplyStatus.REMOTE_FAULT, BAD_UTF8_VALUE)
+    odd_fault = rogue_peer("odd-fault", ReplyStatus.REMOTE_FAULT, encode_value(7))
+    counted = METRICS.counter_total("rpc.client.malformed_replies")
+    result = caller.call(members + [garbled, garbled_fault, odd_fault], PROG, 1, 1)
+    assert result.complete
+    assert set(result.replies) == set(members)
+    assert result.faults[garbled].startswith("malformed reply: invalid UTF-8")
+    assert result.faults[garbled_fault].startswith("malformed reply: invalid UTF-8")
+    assert result.faults[odd_fault] == "Error: 7"
+    assert METRICS.counter_total("rpc.client.malformed_replies") == counted + 2

@@ -1,88 +1,86 @@
 """Tests for XDR primitives and the tagged value codec."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.endpoints import Address
-from repro.rpc.errors import XdrError
-from repro.rpc.xdr import XdrDecoder, XdrEncoder, decode_value, encode_value
+from repro.rpc.errors import XdrError, XdrTruncated
+from repro.rpc.xdr import (
+    decode_value,
+    encode_value,
+    get_bool,
+    get_fixed,
+    get_opaque,
+    get_string,
+    get_u32,
+    put_opaque,
+    put_string,
+    put_u32,
+)
+
+
+def _wire(put, *values) -> memoryview:
+    out = []
+    for value in values:
+        put(out, value)
+    return memoryview(b"".join(out))
 
 
 # -- primitives -----------------------------------------------------------------
 
 
 def test_u32_roundtrip():
-    enc = XdrEncoder()
-    enc.pack_u32(0)
-    enc.pack_u32(2**32 - 1)
-    dec = XdrDecoder(enc.getvalue())
-    assert dec.unpack_u32() == 0
-    assert dec.unpack_u32() == 2**32 - 1
-    assert dec.done()
+    view = _wire(put_u32, 0, 2**32 - 1)
+    first, offset = get_u32(view, 0)
+    second, offset = get_u32(view, offset)
+    assert (first, second) == (0, 2**32 - 1)
+    assert offset == len(view)
 
 
 def test_u32_range_checked():
-    enc = XdrEncoder()
     with pytest.raises(XdrError):
-        enc.pack_u32(-1)
+        put_u32([], -1)
     with pytest.raises(XdrError):
-        enc.pack_u32(2**32)
-
-
-def test_i32_roundtrip_and_range():
-    enc = XdrEncoder()
-    enc.pack_i32(-(2**31))
-    enc.pack_i32(2**31 - 1)
-    dec = XdrDecoder(enc.getvalue())
-    assert dec.unpack_i32() == -(2**31)
-    assert dec.unpack_i32() == 2**31 - 1
-    with pytest.raises(XdrError):
-        XdrEncoder().pack_i32(2**31)
+        put_u32([], 2**32)
 
 
 def test_i64_range_checked():
     with pytest.raises(XdrError):
-        XdrEncoder().pack_i64(2**63)
+        encode_value(2**63)
+    with pytest.raises(XdrError):
+        encode_value(-(2**63) - 1)
 
 
 def test_opaque_padding_to_four_bytes():
-    enc = XdrEncoder()
-    enc.pack_opaque(b"abcde")  # 5 bytes -> 3 bytes padding
-    data = enc.getvalue()
-    assert len(data) == 4 + 5 + 3
-    dec = XdrDecoder(data)
-    assert dec.unpack_opaque() == b"abcde"
-    assert dec.done()
+    view = _wire(put_opaque, b"abcde")  # 5 bytes -> 3 bytes padding
+    assert len(view) == 4 + 5 + 3
+    assert get_opaque(view, 0) == (b"abcde", len(view))
 
 
 def test_nonzero_padding_rejected():
-    enc = XdrEncoder()
-    enc.pack_opaque(b"abcde")
-    corrupted = bytearray(enc.getvalue())
+    corrupted = bytearray(_wire(put_opaque, b"abcde"))
     corrupted[-1] = 0xFF
     with pytest.raises(XdrError):
-        XdrDecoder(bytes(corrupted)).unpack_opaque()
+        get_opaque(memoryview(corrupted), 0)
 
 
 def test_string_utf8_roundtrip():
-    enc = XdrEncoder()
-    enc.pack_string("grüße aus Hamburg")
-    assert XdrDecoder(enc.getvalue()).unpack_string() == "grüße aus Hamburg"
+    view = _wire(put_string, "grüße aus Hamburg")
+    assert get_string(view, 0) == ("grüße aus Hamburg", len(view))
 
 
 def test_bool_strictness():
-    enc = XdrEncoder()
-    enc.pack_u32(2)
     with pytest.raises(XdrError):
-        XdrDecoder(enc.getvalue()).unpack_bool()
+        get_bool(_wire(put_u32, 2), 0)
 
 
 def test_truncated_data_detected():
-    enc = XdrEncoder()
-    enc.pack_u32(4)  # claims 4 bytes follow, none do
+    view = _wire(put_u32, 4)  # claims 4 bytes follow, none do
     with pytest.raises(XdrError):
-        XdrDecoder(enc.getvalue()).unpack_opaque()
+        get_opaque(view, 0)
 
 
 # -- tagged values -----------------------------------------------------------------
@@ -155,10 +153,8 @@ def test_trailing_bytes_rejected():
 
 
 def test_unknown_tag_rejected():
-    enc = XdrEncoder()
-    enc.pack_u32(99)
     with pytest.raises(XdrError):
-        decode_value(enc.getvalue())
+        decode_value(_wire(put_u32, 99))
 
 
 # -- property-based ---------------------------------------------------------------
@@ -203,31 +199,25 @@ def test_encoding_is_deterministic(value):
 
 
 def test_truncation_names_the_offending_offset():
-    from repro.rpc.errors import XdrTruncated
-
-    dec = XdrDecoder(b"\x00\x00\x00\x01\x00\x00")  # one u32, then 2 bytes
-    assert dec.unpack_u32() == 1
+    view = memoryview(b"\x00\x00\x00\x01\x00\x00")  # one u32, then 2 bytes
+    value, offset = get_u32(view, 0)
+    assert value == 1
     with pytest.raises(XdrTruncated) as excinfo:
-        dec.unpack_u32()
+        get_u32(view, offset)
     assert "offset 4" in str(excinfo.value)
     assert "wanted 4 bytes, have 2" in str(excinfo.value)
 
 
 def test_truncated_opaque_reports_offset():
-    from repro.rpc.errors import XdrTruncated
-
-    enc = XdrEncoder()
-    enc.pack_opaque(b"0123456789")
-    data = enc.getvalue()[:8]  # length says 10, only 4 payload bytes left
+    view = _wire(put_opaque, b"0123456789")[:8]  # length says 10, only 4 payload bytes left
     with pytest.raises(XdrTruncated) as excinfo:
-        XdrDecoder(data).unpack_opaque()
-    assert "offset" in str(excinfo.value)
+        get_opaque(view, 0)
+    assert "offset 4" in str(excinfo.value)
+    assert "wanted 12 bytes, have 4" in str(excinfo.value)
 
 
 def test_truncated_is_an_xdr_error():
     """Callers that only catch XdrError still see truncation."""
-    from repro.rpc.errors import XdrError, XdrTruncated
-
     assert issubclass(XdrTruncated, XdrError)
 
 
@@ -251,21 +241,18 @@ def test_depth_guard_admits_reasonable_nesting():
 
 
 def test_unpack_u32s_matches_single_reads():
-    enc = XdrEncoder()
-    for number in (0, 1, 2**32 - 1, 7, 42, 99):
-        enc.pack_u32(number)
-    data = enc.getvalue()
-    bulk = XdrDecoder(data)
-    assert bulk.unpack_u32s(6) == (0, 1, 2**32 - 1, 7, 42, 99)
-    assert bulk.done()
-    single = XdrDecoder(data)
-    assert [single.unpack_u32() for __ in range(6)] == [0, 1, 2**32 - 1, 7, 42, 99]
+    """``get_fixed`` with a multi-word struct: one unpack for a fixed header."""
+    numbers = (0, 1, 2**32 - 1, 7, 42, 99)
+    view = _wire(put_u32, *numbers)
+    assert get_fixed(struct.Struct(">6I"), view, 0) == (numbers, len(view))
+    offset, single = 0, []
+    for __ in numbers:
+        value, offset = get_u32(view, offset)
+        single.append(value)
+    assert tuple(single) == numbers
 
 
 def test_unpack_u32s_truncation():
-    from repro.rpc.errors import XdrTruncated
-
-    dec = XdrDecoder(b"\x00" * 7)  # not even two words
-    with pytest.raises(XdrTruncated):
-        dec.unpack_u32s(2)
-    assert dec.offset == 0  # nothing consumed on failure
+    view = memoryview(b"\x00" * 7)  # not even two words
+    with pytest.raises(XdrTruncated, match="offset 0: wanted 8 bytes, have 7"):
+        get_fixed(struct.Struct(">2I"), view, 0)
