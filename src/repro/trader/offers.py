@@ -455,6 +455,13 @@ class OfferStore:
         check :meth:`has_unindexed` first.
         """
         type_names = list(type_names)
+
+        def ranked(position: int, entries):
+            # A function call binds this stream's own ``position``; a
+            # generator expression in the loop would see the last one.
+            for value, seq, offer_id in entries:
+                yield (-value if reverse else value), position, seq, offer_id
+
         streams = []
         defined: List[Dict[str, Tuple[Any, int]]] = []
         for position, type_name in enumerate(type_names):
@@ -463,12 +470,7 @@ class OfferStore:
                 defined.append({})
                 continue
             defined.append(sorted_values.ids)
-            streams.append(
-                (
-                    ((-value if reverse else value), position, seq, offer_id)
-                    for value, seq, offer_id in sorted_values.walk(reverse)
-                )
-            )
+            streams.append(ranked(position, sorted_values.walk(reverse)))
         for _value, _position, _seq, offer_id in _heap_merge(*streams):
             offer = self._by_id.get(offer_id)
             if offer is not None:

@@ -12,7 +12,8 @@
   constraint, a range-indexed trader and a linear-scanning trader
   (``range_index=False``) return byte-identical import results under
   every preference flavour: the index is an accelerator, never a filter
-  with opinions.
+  with opinions — also across the leaves of a supertype when rank values
+  tie, where a bounded answer is the prefix of the unbounded one.
 * **Offer ids** — the one id parser inverts the one id minter for any
   prefix and type name (``:`` and digits included), and answers ``None``
   — never an exception — for anything the minter could not have made.
@@ -223,6 +224,54 @@ def test_index_stays_oracle_true_across_mutations(values, bound, literal):
     )
     expected = [offer.offer_id for offer in oracle.import_(request)]
     assert [offer.offer_id for offer in indexed.import_(request)] == expected
+
+
+def _leaf_type(name, supers=()):
+    return ServiceType(
+        name,
+        InterfaceType("I", [OperationType("SelectCar", [], LONG)]),
+        [("ChargePerDay", DOUBLE)],
+        super_types=list(supers),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    exports=st.lists(
+        st.tuples(
+            st.sampled_from(["Rental", "A", "B", "C"]),
+            st.sampled_from([5.0, 5.0, 5.0, 7.0, 3.0]),  # tie-heavy
+        ),
+        max_size=14,
+    ),
+    preference=st.sampled_from(["min ChargePerDay", "max ChargePerDay"]),
+    max_matches=st.integers(min_value=1, max_value=6),
+)
+def test_bounded_cross_type_ties_are_a_prefix_of_the_unbounded_answer(
+    exports, preference, max_matches
+):
+    """Bounded answer ≡ prefix of the unbounded answer ≡ the linear oracle."""
+    indexed = LocalTrader("t", offer_prefix="m", range_index=True)
+    oracle = LocalTrader("t", offer_prefix="m", range_index=False)
+    for trader in (indexed, oracle):
+        trader.add_type(_leaf_type("Rental"))
+        for leaf in ("A", "B", "C"):
+            trader.add_type(_leaf_type(leaf, supers=["Rental"]))
+        for index, (type_name, charge) in enumerate(exports):
+            trader.export(
+                type_name,
+                ServiceRef.create(f"svc-{index}", Address("host", 1), 1),
+                {"ChargePerDay": charge},
+            )
+
+    def ids(trader, bound):
+        request = ImportRequest("Rental", "", preference, max_matches=bound)
+        return [offer.offer_id for offer in trader.import_(request)]
+
+    unbounded = ids(oracle, 0)
+    assert ids(indexed, 0) == unbounded
+    assert ids(oracle, max_matches) == unbounded[:max_matches]
+    assert ids(indexed, max_matches) == unbounded[:max_matches]
 
 
 # -- offer ids ---------------------------------------------------------------

@@ -53,6 +53,11 @@ _PROC_LIST_OFFERS = 9
 _PROC_RENEW = 11
 
 
+TIE_EXPORTS = ("TieB", "TieA", "TieB", "TieA", "TieBase", "TieB")
+TIE_PREFERENCES = ("min ChargePerDay", "max ChargePerDay")
+TIE_BOUNDS = (0, 1, 2, 3, 5)  # 0 = unbounded
+
+
 def rental_type(name="CarRentalService", supers=()):
     return ServiceType(
         name,
@@ -211,6 +216,22 @@ def drive(driver):
     for label, request in queries.items():
         outcome[f"q2:{label}"] = driver.import_ids(request)
     outcome["offer_ids"] = driver.offer_ids()
+
+    # Cross-type ties: leaves of one supertype, exports interleaved, one
+    # rank value for all — a bounded answer has to be the prefix of the
+    # unbounded one whichever index path (or shard) produced it.
+    driver.add_type(rental_type("TieBase"))
+    driver.add_type(rental_type("TieA", supers=["TieBase"]))
+    driver.add_type(rental_type("TieB", supers=["TieBase"]))
+    for index, leaf in enumerate(TIE_EXPORTS):
+        driver.export(
+            leaf, ref(f"tie-{index}"), {"ChargePerDay": 5.0, "City": "HH", "Seats": 4}
+        )
+    for preference in TIE_PREFERENCES:
+        for bound in TIE_BOUNDS:
+            outcome[f"tie:{preference}:{bound}"] = driver.import_ids(
+                ImportRequest("TieBase", "", preference, max_matches=bound)
+            )
     return outcome
 
 
@@ -245,6 +266,20 @@ def test_workload_is_not_trivial(outcomes):
 @pytest.mark.parametrize("client", CLIENTS)
 def test_every_backend_and_client_matches_the_bare_trader(outcomes, backend, client):
     assert outcomes[(backend, client)] == outcomes[("bare", "sync")]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_bounded_tie_answers_are_prefixes_of_the_unbounded_one(outcomes, backend):
+    """The sorted-index path (bounded) and the general path (unbounded)
+    rank cross-type ties alike."""
+    outcome = outcomes[(backend, "sync")]
+    for preference in TIE_PREFERENCES:
+        unbounded = outcome[f"tie:{preference}:0"]
+        assert len(unbounded) == len(TIE_EXPORTS)
+        for bound in TIE_BOUNDS[1:]:
+            assert outcome[f"tie:{preference}:{bound}"] == unbounded[:bound], (
+                preference, bound,
+            )
 
 
 def test_offer_ids_are_placement_independent(outcomes):
