@@ -71,14 +71,6 @@ class DiscoveryResponder:
         return [item for item in self._advertised if item["role"] == role]
 
 
-def _advertisements(body: bytes) -> List[Dict[str, object]]:
-    """One responder's answer; anyone on the LAN may answer a broadcast."""
-    items = decode_value(body)
-    if not isinstance(items, list):
-        raise XdrError(f"DISCOVER reply is not a list: {type(items).__name__}")
-    return items
-
-
 class BroadcastDiscoverer:
     """Client side: one broadcast, many replies, gathered by deadline."""
 
@@ -127,9 +119,15 @@ class BroadcastDiscoverer:
         def drain() -> bool:
             reply = self._client._pending.pop(xid, None)
             if reply is not None and reply.status is ReplyStatus.SUCCESS:
+                # Anyone on the LAN may answer a broadcast: skip what is
+                # not a decodable list of advertisements.
                 try:
-                    gathered.extend(_advertisements(reply.body))
+                    items = decode_value(reply.body)
                 except XdrError:
+                    items = None
+                if isinstance(items, list):
+                    gathered.extend(items)
+                else:
                     METRICS.inc("rpc.client.malformed_replies")
             return False  # never "done": collect until the deadline
 

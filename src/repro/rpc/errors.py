@@ -63,10 +63,8 @@ class XdrError(ProtocolError):
 
 
 class XdrTruncated(XdrError):
-    """XDR data ended before the value did.
-
-    Distinct from :class:`XdrError` so stream reassembly can tell
-    "incomplete, wait for more bytes" from "malformed, drop it" — the
-    :class:`~repro.rpc.message.MessageAssembler` stalls on truncation
-    and raises on anything else.
+    """XDR data ended before the value did, or promises more elements
+    than it has bytes; the message names offset, bytes wanted and bytes
+    there.  "Incomplete" as opposed to "wrong" — still an
+    :class:`XdrError` to every caller that does not care.
     """

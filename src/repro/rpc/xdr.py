@@ -29,8 +29,8 @@ from repro.net.endpoints import Address
 from repro.rpc.errors import XdrError, XdrTruncated
 
 _U32 = struct.Struct(">I")
-#: Packers for :func:`get_fixed` / ``pack``: the two 8-byte primitives.
-HYPER = struct.Struct(">q")
+_HYPER = struct.Struct(">q")
+#: Packer for :func:`get_fixed` / ``pack``: an IEEE double.
 DOUBLE = struct.Struct(">d")
 
 _PADDING = (b"", b"\x00\x00\x00", b"\x00\x00", b"\x00")  # by length % 4
@@ -59,10 +59,11 @@ def put_bool(out: List[bytes], value: bool) -> None:
 
 def put_opaque(out: List[bytes], data: bytes) -> None:
     """Variable-length opaque: u32 length, the bytes, zero pad to 4."""
-    out.append(_U32.pack(len(data)))
+    size = len(data)
+    out.append(_U32.pack(size))
     out.append(data)
-    if len(data) & 3:
-        out.append(_PADDING[len(data) & 3])
+    if size & 3:
+        out.append(_PADDING[size & 3])
 
 
 def put_string(out: List[bytes], text: str) -> None:
@@ -269,7 +270,7 @@ def get_value(view: memoryview, offset: int, depth: int) -> Tuple[Any, int]:
     if tag == _TAG_STRING:
         return get_string(view, offset)
     if tag == _TAG_INT:
-        (value,), offset = get_fixed(HYPER, view, offset)
+        (value,), offset = get_fixed(_HYPER, view, offset)
         return value, offset
     if tag == _TAG_FLOAT:
         (value,), offset = get_fixed(DOUBLE, view, offset)

@@ -47,7 +47,7 @@ def _survives(decode, payload):
     _bounded(value, len(payload))
 
 
-def _torture(decode, payload, other, flips, splice):
+def _torture(decode, payload, others, flips, splice):
     for cut in range(len(payload) + 1):
         _survives(decode, payload[:cut])
     damaged = bytearray(payload)
@@ -55,13 +55,14 @@ def _torture(decode, payload, other, flips, splice):
         damaged[index % len(damaged)] ^= mask
     _survives(decode, bytes(damaged))
     head, tail = splice
-    _survives(decode, payload[: head % (len(payload) + 1)] + other[tail % (len(other) + 1) :])
+    for other in others:
+        _survives(decode, payload[: head % (len(payload) + 1)] + other[tail % (len(other) + 1) :])
 
 
 @settings(deadline=None)
 @given(_values, _values, _flips, _splice)
 def test_tagged_values(value, other, flips, splice):
-    _torture(decode_value, encode_value(value), encode_value(other), flips, splice)
+    _torture(decode_value, encode_value(value), [encode_value(other)], flips, splice)
 
 
 @settings(deadline=None)
@@ -77,11 +78,10 @@ def test_compiled_bodies(spec_value, other, flips, splice):
 
     assert decode(body) == value
     # spliced onto a tagged body (the fallback) and onto itself
-    _torture(decode, body, encode_value(other), flips, splice)
-    _torture(decode, body, body, flips, splice)
+    _torture(decode, body, [encode_value(other), body], flips, splice)
 
 
 @settings(deadline=None)
 @given(_messages, _messages, _flips, _splice)
 def test_call_reply_and_batch_payloads(messages, others, flips, splice):
-    _torture(decode_messages, encode_batch(messages), encode_batch(others), flips, splice)
+    _torture(decode_messages, encode_batch(messages), [encode_batch(others)], flips, splice)

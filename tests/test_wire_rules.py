@@ -84,7 +84,8 @@ row("truncated:framer", decode_messages, REPLY_BYTES + CALL_BYTES[:9], XdrTrunca
 for value in ("abcde", b"abcde", {"abcde": None}):
     damaged = _poke(encode_value(value), 4 + (4 if isinstance(value, dict) else 0) + 4 + 5, 1)
     row("padding:tagged", decode_value, damaged, XdrError)
-row("padding:tagged", decode_value, _poke(encode_value(Address("abcde", 1)), 4 + 4 + 7, 1), XdrError)
+damaged = _poke(encode_value(Address("abcde", 1)), 4 + 4 + 7, 1)
+row("padding:tagged", decode_value, damaged, XdrError)
 for spec, value in ((layout.string(), "abcde"), (layout.octets(), b"abcde")):
     decode, body = _compiled(spec, value)
     row("padding:compiled", decode, _poke(body, len(body) - 1, 1), XdrError)

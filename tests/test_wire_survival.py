@@ -22,6 +22,7 @@ from repro.rpc.message import ReplyStatus, RpcCall
 from repro.rpc.server import RpcProgram, RpcServer
 from repro.rpc.transport import TcpTransport
 from repro.telemetry.metrics import METRICS
+from tests.conftest import BAD_UTF8_VALUE
 
 PROG = 710100
 BAD_UTF8 = b"\xff\xfe"
@@ -64,8 +65,7 @@ def test_invalid_utf8_trace_id_is_counted_and_the_connection_lives(
 
 def test_invalid_utf8_in_a_tagged_body_is_garbage_args(echo_over_tcp, no_thread_dies):
     client, address = echo_over_tcp
-    body = struct.pack(">II", 4, len(BAD_UTF8)) + BAD_UTF8 + b"\x00\x00"
-    reply = client.call_raw(address, PROG, 1, 1, body)
+    reply = client.call_raw(address, PROG, 1, 1, BAD_UTF8_VALUE)
     assert reply.status is ReplyStatus.GARBAGE_ARGS
     assert client.call(address, PROG, 1, 1, "after") == {"echo": "after"}
 
