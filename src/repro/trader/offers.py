@@ -450,9 +450,7 @@ class OfferStore:
         ``Preference.apply`` term for term.  Callers that only need the
         top-k stop early and skip sorting the whole candidate set.
 
-        Only sound when no offer of these types carries a dynamic marker
-        for ``prop`` (its resolved value could be numeric); callers must
-        check :meth:`has_unindexed` first.
+        Only sound where :meth:`can_walk` says so.
         """
         type_names = list(type_names)
 
@@ -481,19 +479,19 @@ class OfferStore:
                 if offer_id not in in_index:
                     yield offer
 
-    def has_unindexed(self, type_name: str, prop: str) -> bool:
-        """True when some offer's value for ``prop`` could not be indexed."""
-        return bool(self._unindexed.get((type_name, prop)))
+    def can_walk(self, type_names: Iterable[str], prop: str) -> bool:
+        """May :meth:`ordered_by` rank these types by ``prop``?
 
-    @property
-    def range_index_enabled(self) -> bool:
-        return self._range_enabled
+        Needs the sorted index, and no offer of the types whose value for
+        ``prop`` could not be indexed: a dynamic marker's resolved value
+        could be numeric and re-rank the walk.
+        """
+        return self._range_enabled and not any(
+            self._unindexed.get((type_name, prop)) for type_name in type_names
+        )
 
     def all(self) -> List[ServiceOffer]:
         return list(self._by_id.values())
-
-    def count_for_type(self, type_name: str) -> int:
-        return len(self._by_type.get(type_name, {}))
 
     def __len__(self) -> int:
         return len(self._by_id)

@@ -19,17 +19,19 @@ the instant of detection.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, Iterable, List, Optional, Union
+from dataclasses import replace
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.context import CallContext, Clock, current_context
 from repro.naming.refs import ServiceRef
 from repro.rpc.errors import RemoteFault
 from repro.rpc.resilience import STATE_OPEN, BreakerPolicy, CircuitBreaker
 from repro.telemetry.metrics import METRICS
-from repro.trader.errors import OfferNotFound, TraderError
+from repro.trader.errors import OfferNotFound, TraderError, UnknownServiceType
 from repro.trader.federation import DEFAULT_FANOUT_WORKERS, TraderLink, fan_out
 from repro.trader.offers import ServiceOffer, parse_offer_id
-from repro.trader.policies import parse_preference
+# bench/trace.py patches this attribute by name; leaves with ROADMAP item 3b
+from repro.trader.policies import parse_preference  # noqa: F401
 from repro.trader.service_types import ServiceType
 from repro.trader.sharding.hashing import ShardMap
 from repro.trader.sharding.migration import DUAL_READ_PHASES, MigrationState
@@ -39,7 +41,7 @@ from repro.trader.sharding.replication import (
     ShardUnavailable,
 )
 from repro.trader.sharding.shard import TraderShard
-from repro.trader.trader import ImportRequest
+from repro.trader.trader import ImportRequest, plan_import, rank
 from repro.trader.type_manager import TypeManager
 
 #: Breaker policy for shard primaries: one hard failure opens the
@@ -411,22 +413,19 @@ class ShardRouter:
     ) -> List[ServiceOffer]:
         """Fan the query out to every covering shard; rank at the router.
 
-        The router restores the single-trader candidate order — types in
-        ``matching_types`` order, offers in per-type export order, both
-        recoverable from the offer id — and applies the preference once,
-        so ranking (and the rng behind ``random``) is bit-identical to an
-        unsharded trader.
+        Planned exactly as an unsharded trader plans it (``plan_import``),
+        so a malformed constraint or an unknown type raises before any
+        shard is asked.  The router restores the single-trader candidate
+        order — types in ``matching_types`` order, offers in per-type
+        export order, both recoverable from the offer id — and ranks once
+        (``rank``), so ranking (and the rng behind ``random``) is
+        bit-identical to an unsharded trader.
 
-        Bounded queries with a deterministic preference are answered by
-        **scatter-gather top-K**: ``max_matches`` and the preference are
-        pushed down so each shard returns only its local top-K (riding
-        the sorted-index fast path for ``min``/``max``), and the router
-        re-ranks the union.  This is exact: every deterministic
-        preference is a total order whose ties break on the canonical
-        candidate order, and a shard's candidate order is the global one
-        restricted to that shard — so the global top-K is contained in
-        the union of the shards' local top-Ks.  ``random`` (rng over the
-        full match set) and unbounded queries gather raw matches.
+        Where ``ImportPlan.partition_top_k`` holds (it carries the
+        soundness argument) the request travels as it came —
+        **scatter-gather top-K**: each shard returns only its local top-K,
+        riding the sorted-index walk for ``min``/``max`` — otherwise
+        shards return raw matches.
         """
         if ctx is None:
             ctx = current_context()
@@ -436,17 +435,13 @@ class ShardRouter:
             )
         self.imports_served += 1
         METRICS.inc("trader.imports", (self.trader_id,))
-        preference = parse_preference(request.preference)
-        type_names = self.types.matching_types(
-            request.service_type, structural=request.structural
-        )
-        owners = self._covering_shards(type_names)
-        forwarded = request.to_wire()
-        if request.max_matches > 0 and preference.kind != "random":
+        plan = plan_import(request, self.types)
+        owners = self._covering_shards(plan.type_names)
+        if plan.partition_top_k:
             METRICS.inc("sharding.topk_pushdown", (self.trader_id,))
+            forwarded = request.to_wire()
         else:
-            forwarded["preference"] = ""  # shards return raw matches; we order
-            forwarded["max_matches"] = 0
+            forwarded = request.to_raw_wire()  # shards return raw matches; we order
         forwarded["hop_limit"] = 0  # shards are partitions, not federation hops
         merged = self._merge_owned(
             owners,
@@ -455,7 +450,7 @@ class ShardRouter:
                 for wires in self._gather(owners, forwarded, ctx, now)
             ],
         )
-        position = {name: index for index, name in enumerate(type_names)}
+        position = {name: index for index, name in enumerate(plan.type_names)}
         prefix = self.offer_prefix
 
         def canonical(offer: ServiceOffer):
@@ -466,10 +461,7 @@ class ShardRouter:
             )
 
         merged.sort(key=canonical)
-        ordered = preference.apply(merged, self.rng)
-        if request.max_matches > 0:
-            ordered = ordered[: request.max_matches]
-        return ordered
+        return rank(merged, plan.preference, plan.limit, self.rng)
 
     def _merge_owned(
         self, shard_ids: Iterable[str], offer_lists: Iterable[Iterable[ServiceOffer]]
@@ -488,7 +480,7 @@ class ShardRouter:
                     merged[offer.offer_id] = offer
         return list(merged.values())
 
-    def _covering_shards(self, type_names: List[str]) -> List[str]:
+    def _covering_shards(self, type_names: Sequence[str]) -> List[str]:
         """The shards an import must ask: each queried type's effective
         owner, plus — for types inside a dual-ownership window — the other
         side of the migration (the double-read), appended after the
@@ -541,8 +533,7 @@ class ShardRouter:
         now: float = 0.0,
         ctx: Optional[CallContext] = None,
     ) -> Optional[ServiceOffer]:
-        narrowed = ImportRequest(**{**request.__dict__, "max_matches": 1})
-        offers = self.import_(narrowed, now, ctx)
+        offers = self.import_(replace(request, max_matches=1), now, ctx)
         return offers[0] if offers else None
 
     def import_wire(
@@ -553,8 +544,8 @@ class ShardRouter:
     ) -> List[Dict[str, Any]]:
         try:
             offers = self.import_(ImportRequest.from_wire(request_wire), now, ctx)
-        except TraderError:
-            return []
+        except UnknownServiceType:
+            return []  # the peer rule, as LocalTrader.import_wire states it
         return [offer.to_wire() for offer in offers]
 
     # -- introspection ----------------------------------------------------------------

@@ -8,8 +8,8 @@ domain, and (via :mod:`repro.trader.federation`) links to peer traders.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Collection, Dict, Iterable, List, Optional, Union
+from dataclasses import dataclass, field, replace
+from typing import Any, Collection, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.context import CallContext, Clock, current_context, use_context
 from repro.naming.refs import ServiceRef
@@ -22,9 +22,9 @@ from repro.rpc.transport import SimTransport
 from repro.sidl import layout
 from repro.telemetry.log import LOG
 from repro.telemetry.metrics import METRICS
-from repro.trader.constraints import parse_constraint
+from repro.trader.constraints import Constraint, parse_constraint
 from repro.trader.dynamic import resolve_properties
-from repro.trader.errors import TraderError
+from repro.trader.errors import TraderError, UnknownServiceType
 from repro.trader.federation import (
     DEFAULT_FANOUT_WORKERS,
     TraderLink,
@@ -33,7 +33,7 @@ from repro.trader.federation import (
     fan_out_async,
 )
 from repro.trader.offers import OfferStore, ServiceOffer
-from repro.trader.policies import parse_preference
+from repro.trader.policies import Preference, parse_preference
 from repro.trader.service_types import ServiceType
 from repro.trader.type_manager import TypeManager
 
@@ -117,6 +117,65 @@ class ImportRequest:
             hop_limit=data.get("hop_limit", 0),
             visited=list(data.get("visited", [])),
         )
+
+    def to_raw_wire(self) -> Dict[str, Any]:
+        """The forwarded form asking for *every* match, unranked: whoever
+        gathers the answers (federating trader, shard router) ranks them."""
+        return {**self.to_wire(), "preference": "", "max_matches": 0}
+
+
+@dataclass(frozen=True)
+class ImportPlan:
+    """What one import means, decided once (:func:`plan_import`) for
+    every read path — :meth:`LocalTrader.import_` and the shard router."""
+
+    constraint: Constraint
+    preference: Preference
+    type_names: Tuple[str, ...]  # canonical order: the major tie-break key
+    limit: int  # 0 = unbounded
+
+    @property
+    def partition_top_k(self) -> bool:
+        """May a partition answer with only its own top-``limit``?
+
+        Yes when bounded under a deterministic preference: each is a
+        total order whose ties break on the canonical candidate order,
+        and a partition's candidate order is the global one restricted
+        to it — so the global top-K lies inside the union of the local
+        top-Ks and re-ranking that union is exact.  ``random`` (rng over
+        the *full* match set) and unbounded imports gather raw matches.
+        """
+        return self.limit > 0 and self.preference.kind != "random"
+
+    @property
+    def prefix_suffices(self) -> bool:
+        """Under ``first`` rank order *is* candidate order: the answer is
+        the first ``limit`` matches, whatever comes after them."""
+        return self.limit > 0 and self.preference.kind == "first"
+
+
+def plan_import(request: ImportRequest, types: TypeManager) -> ImportPlan:
+    """Parse and expand ``request``; raises ``ConstraintSyntaxError`` /
+    ``UnknownServiceType`` before any offer is examined or shard asked."""
+    return ImportPlan(
+        parse_constraint(request.constraint),
+        parse_preference(request.preference),
+        tuple(types.matching_types(request.service_type, structural=request.structural)),
+        request.max_matches,
+    )
+
+
+def rank(
+    offers: Iterable[ServiceOffer], preference: Preference, limit: int, rng: random.Random
+) -> List[ServiceOffer]:
+    """Dedup → order → truncate, over ``offers`` in candidate order: the
+    first copy of an offer id wins (federation diamonds), ties keep
+    candidate order, ``limit > 0`` keeps the best ``limit``."""
+    unique: Dict[str, ServiceOffer] = {}
+    for offer in offers:
+        unique.setdefault(offer.offer_id, offer)
+    ordered = preference.apply(list(unique.values()), rng)
+    return ordered[:limit] if limit > 0 else ordered
 
 
 class LocalTrader:
@@ -252,14 +311,7 @@ class LocalTrader:
             self._gauge_live_offers()
             if LOG.active:
                 for offer_id in expired:
-                    LOG.event(
-                        "trader.lease_expired",
-                        level="warning",
-                        at=now,
-                        trader=self.trader_id,
-                        offer=offer_id,
-                        mode="swept",
-                    )
+                    self._log_lease_expired(offer_id, now, "swept")
         return len(expired)
 
     def withdraw(self, offer_id: str) -> ServiceOffer:
@@ -287,6 +339,9 @@ class LocalTrader:
     ) -> List[ServiceOffer]:
         """Match offers; forward to linked traders within the hop budget.
 
+        One pipeline (DESIGN.md §6d): :func:`plan_import`, the access
+        path chosen below, :meth:`_matching`, :func:`rank`.
+
         The hop budget and visited scope live on the
         :class:`~repro.context.CallContext`; the request's legacy
         ``hop_limit``/``visited`` fields are folded into the context when
@@ -298,115 +353,73 @@ class LocalTrader:
         ctx = self._import_context(request, ctx)
         self.imports_served += 1
         METRICS.inc("trader.imports", (self.trader_id,))
-        constraint = parse_constraint(request.constraint)
-        preference = parse_preference(request.preference)
-        type_names = self.types.matching_types(
-            request.service_type, structural=request.structural
-        )
-        fast = self._ordered_fast_path(request, constraint, preference, type_names, now)
-        if fast is not None:
-            return fast
-        # Equality conjuncts pinned by the constraint pre-filter candidates
-        # through the offer store's index; range conjuncts (ceilings and
-        # floors) through the sorted index; no conjuncts = full type scan.
+        plan = plan_import(request, self.types)
+        constraint, preference = plan.constraint, plan.preference
+        # The access path.  A bounded import ranked by one bare property
+        # walks the sorted index in rank order and stops at the limit —
+        # sound only while nothing can re-rank the walk: no peer offers to
+        # merge in, no dynamic marker hiding the property (``can_walk``).
+        prop = preference.key_property
+        if (
+            plan.limit > 0
+            and prop is not None
+            and not self.links
+            and self.offers.can_walk(plan.type_names, prop)
+        ):
+            METRICS.inc("trader.ordered_scans", (self.trader_id,))
+            walk = self.offers.ordered_by(plan.type_names, prop, preference.kind == "max")
+            return self._matching(walk, constraint, now, stop_after=plan.limit)
+        # Otherwise every candidate the pinned conjuncts leave: equalities
+        # through the equality index, ceilings and floors through the
+        # sorted index, neither = the full type scan.
         candidates = self.offers.candidates(
-            type_names, constraint.equality_conjuncts, constraint.range_conjuncts
+            plan.type_names, constraint.equality_conjuncts, constraint.range_conjuncts
         )
-        matched = []
-        for offer in candidates:
+        matched = self._matching(candidates, constraint, now, stop_after=0)
+        # Local offers merge ahead of remote ones, so when a prefix
+        # suffices peers only fill what is still short; ranking
+        # preferences see the full federated candidate set.
+        needed = plan.limit - len(matched) if plan.prefix_suffices else 0
+        if needed > 0 or not plan.prefix_suffices:
+            matched.extend(self._federated_matches(request, ctx, now, needed=needed))
+        return rank(matched, preference, plan.limit, self.rng)
+
+    def _matching(
+        self, offers: Iterable[ServiceOffer], constraint: Constraint, now: float, stop_after: int
+    ) -> List[ServiceOffer]:
+        """The matching loop: the live offers among ``offers`` that satisfy
+        ``constraint``, in the order given, ending at ``stop_after``
+        matches (0 = examine every offer)."""
+        evaluator = self.dynamic_evaluator
+        holds = constraint.evaluate
+        matched: List[ServiceOffer] = []
+        for offer in offers:
             if offer.expired(now):
                 # Lazy exclusion: a lapsed lease stops matching before any
                 # sweep runs, so importers never see a dead exporter.
                 METRICS.inc("trader.offers.expired", (self.trader_id, "lazy"))
                 if LOG.active:
-                    LOG.event(
-                        "trader.lease_expired",
-                        level="warning",
-                        at=now,
-                        trader=self.trader_id,
-                        offer=offer.offer_id,
-                        mode="lazy",
-                    )
+                    self._log_lease_expired(offer.offer_id, now, "lazy")
                 continue
-            resolved = resolve_properties(offer.properties, self.dynamic_evaluator)
-            if constraint.evaluate(resolved):
+            resolved = resolve_properties(offer.properties, evaluator)
+            if holds(resolved):
                 if resolved is not offer.properties:
                     # importers see the fresh values, the store keeps markers
-                    offer = ServiceOffer(
-                        offer_id=offer.offer_id,
-                        service_type=offer.service_type,
-                        ref=offer.ref,
-                        properties=resolved,
-                        exported_at=offer.exported_at,
-                        expires_at=offer.expires_at,
-                        lease_seconds=offer.lease_seconds,
-                    )
+                    offer = replace(offer, properties=resolved)
                 matched.append(offer)
-        # Under the default "first" preference a bounded import may stop as
-        # soon as enough candidates exist — merged order puts local offers
-        # ahead of remote ones, so the truncated set is unchanged.  Ranking
-        # preferences still see the full federated candidate set.
-        bounded_first = request.max_matches > 0 and preference.kind == "first"
-        if not (bounded_first and len(matched) >= request.max_matches):
-            needed = (
-                max(0, request.max_matches - len(matched)) if bounded_first else 0
-            )
-            matched.extend(self._federated_matches(request, ctx, now, needed=needed))
-        unique: Dict[str, ServiceOffer] = {}
-        for offer in matched:
-            unique.setdefault(offer.offer_id, offer)
-        ordered = preference.apply(list(unique.values()), self.rng)
-        if request.max_matches > 0:
-            ordered = ordered[: request.max_matches]
-        return ordered
-
-    def _ordered_fast_path(
-        self, request, constraint, preference, type_names, now
-    ) -> Optional[List[ServiceOffer]]:
-        """Top-k via the sorted index for ``min``/``max`` over one property.
-
-        A bounded import ranked by a bare property reference need not
-        score and sort every candidate: the store can walk offers in
-        exactly preference-rank order, so matching stops as soon as
-        ``max_matches`` offers satisfy the constraint.  Only taken when
-        the ranking is provably identical to the general path — local
-        offers only (federated merges need the full set), the sorted
-        index is on, and no offer hides the property behind a dynamic
-        marker (its resolved value could re-rank it).  Returns None to
-        decline.
-        """
-        if self.links or request.max_matches <= 0:
-            return None
-        prop = preference.key_property
-        if prop is None or not self.offers.range_index_enabled:
-            return None
-        if any(self.offers.has_unindexed(name, prop) for name in type_names):
-            return None
-        METRICS.inc("trader.ordered_scans", (self.trader_id,))
-        matched: List[ServiceOffer] = []
-        walk = self.offers.ordered_by(type_names, prop, reverse=preference.kind == "max")
-        for offer in walk:
-            if offer.expired(now):
-                METRICS.inc("trader.offers.expired", (self.trader_id, "lazy"))
-                continue
-            resolved = resolve_properties(offer.properties, self.dynamic_evaluator)
-            if constraint.evaluate(resolved):
-                if resolved is not offer.properties:
-                    # markers on *other* properties than the ranking key:
-                    # importers still see the fresh values
-                    offer = ServiceOffer(
-                        offer_id=offer.offer_id,
-                        service_type=offer.service_type,
-                        ref=offer.ref,
-                        properties=resolved,
-                        exported_at=offer.exported_at,
-                        expires_at=offer.expires_at,
-                        lease_seconds=offer.lease_seconds,
-                    )
-                matched.append(offer)
-                if len(matched) >= request.max_matches:
+                if len(matched) == stop_after:
                     break
         return matched
+
+    def _log_lease_expired(self, offer_id: str, now: float, mode: str) -> None:
+        LOG.event(
+            "trader.lease_expired",
+            level="warning",
+            at=now,
+            trader=self.trader_id,
+            offer=offer_id,
+            mode=mode,
+        )
 
     def select_best(
         self,
@@ -415,8 +428,7 @@ class LocalTrader:
         ctx: Optional[CallContext] = None,
     ) -> Optional[ServiceOffer]:
         """The "best possible" single offer as of ``now``, or None."""
-        narrowed = ImportRequest(**{**request.__dict__, "max_matches": 1})
-        offers = self.import_(narrowed, now, ctx)
+        offers = self.import_(replace(request, max_matches=1), now, ctx)
         return offers[0] if offers else None
 
     def import_wire(
@@ -428,8 +440,10 @@ class LocalTrader:
         """Wire-dict façade used by RPC handlers and federation links."""
         try:
             offers = self.import_(ImportRequest.from_wire(request_wire), now, ctx)
-        except TraderError:
+        except UnknownServiceType:
             # A peer may ask about types this trader never standardised.
+            # Every other fault — a malformed constraint or preference —
+            # propagates: the RPC layer answers it as a typed REMOTE_FAULT.
             return []
         return [offer.to_wire() for offer in offers]
 
@@ -474,15 +488,13 @@ class LocalTrader:
         if ctx.seen(self.trader_id):
             return []
         child = ctx.hop(self.trader_id)
-        forwarded = request.to_wire()
+        forwarded = request.to_raw_wire()  # peers return raw matches; we order
         if child.hops is None:
             # Unbounded budget: let each link apply its own max_hops cap.
             forwarded.pop("hop_limit", None)
         else:
             forwarded["hop_limit"] = child.hops
         forwarded["visited"] = list(child.visited)
-        forwarded["preference"] = ""  # peers return raw matches; we order
-        forwarded["max_matches"] = 0
         links = list(self.links.values())
         clock = self.clock or (lambda: now)
         if self.fanout_workers > 1:
@@ -722,8 +734,7 @@ class TraderClient:
     def select_best(
         self, request: ImportRequest, ctx: Optional[CallContext] = None
     ) -> Optional[ServiceOffer]:
-        request = ImportRequest(**{**request.__dict__, "max_matches": 1})
-        offers = self.import_(request, ctx)
+        offers = self.import_(replace(request, max_matches=1), ctx)
         return offers[0] if offers else None
 
     def add_type(self, service_type: ServiceType) -> bool:

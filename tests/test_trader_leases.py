@@ -7,6 +7,7 @@ from repro.naming.refs import ServiceRef
 from repro.net.endpoints import Address
 from repro.sidl.builder import load_service_description
 from repro.sidl.types import DOUBLE, InterfaceType, LONG, OperationType, STRING
+from repro.telemetry.log import use_log_sink
 from repro.telemetry.metrics import METRICS
 from repro.services.car_rental import CAR_RENTAL_SIDL
 from repro.trader.errors import OfferNotFound
@@ -101,6 +102,36 @@ def test_expired_offers_are_lazily_excluded_from_matching(trader):
     assert METRICS.counter_total("trader.offers.expired") == lazy_before + 1
     # The expired offer is excluded, not evicted: the sweep does that.
     assert len(trader.offers) == 2
+
+
+def test_ranked_walk_logs_lazy_expiry_like_the_scan():
+    """The sorted-index walk and the linear scan are one matching loop:
+    a lapsed lease met on either is counted *and* logged."""
+    logged = {}
+    for range_index in (True, False):
+        trader = LocalTrader(f"walk-{range_index}", offer_prefix="w", range_index=range_index)
+        trader.add_type(rental_type())
+        for charge, lease in ((10.0, 5.0), (30.0, None), (20.0, None)):
+            trader.export(
+                "CarRentalService", ref(), {**PROPS, "ChargePerDay": charge},
+                now=0.0, lease_seconds=lease,
+            )
+        records = []
+        with use_log_sink(records.append):
+            offers = trader.import_(
+                ImportRequest(
+                    "CarRentalService", preference="min ChargePerDay", max_matches=2
+                ),
+                now=6.0,
+            )
+        assert [o.properties["ChargePerDay"] for o in offers] == [20.0, 30.0]
+        events = [r for r in records if r["event"] == "trader.lease_expired"]
+        assert all(r["mode"] == "lazy" and r["at"] == 6.0 for r in events)
+        logged[range_index] = [r["offer"] for r in events]
+        assert len(events) == METRICS.counter(
+            "trader.offers.expired", (trader.trader_id, "lazy")
+        )
+    assert logged[True] == logged[False] == ["w:CarRentalService:1"]
 
 
 def test_sweep_evicts_and_counts(trader):

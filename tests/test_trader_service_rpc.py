@@ -4,10 +4,15 @@ import pytest
 
 from repro.naming.refs import ServiceRef
 from repro.net.endpoints import Address
+from repro.rpc.client import RpcClient
 from repro.rpc.errors import RemoteFault
+from repro.rpc.server import RpcServer
+from repro.rpc.transport import TcpTransport
 from repro.sidl.types import DOUBLE, InterfaceType, LONG, OperationType, STRING
+from repro.trader.errors import ConstraintSyntaxError
 from repro.trader.service_types import ServiceType
-from repro.trader.trader import ImportRequest, TraderClient, TraderService
+from repro.trader.sharding import build_local_router
+from repro.trader.trader import ImportRequest, LocalTrader, TraderClient, TraderService
 
 
 def rental_type():
@@ -78,6 +83,41 @@ def test_remote_errors_surface_as_faults(stack):
             "Ghost", ServiceRef.create("x", Address("h", 1), 1), {}
         )
     assert excinfo.value.kind == "UnknownServiceType"
+
+
+MALFORMED = (
+    ImportRequest("CarRentalService", "ChargePerDay <"),
+    ImportRequest("CarRentalService", "", "cheapest"),
+)
+
+
+@pytest.mark.parametrize("request_", MALFORMED, ids=("constraint", "preference"))
+@pytest.mark.parametrize("backend", ("bare", "router"))
+def test_malformed_import_is_a_typed_fault_not_an_empty_answer(backend, request_):
+    """Over real loopback TCP: a constraint or preference that does not
+    parse is the importer's error and must come back as one — ``[]``
+    would say "no such offers".  An unknown type still answers ``[]``."""
+    trader = LocalTrader() if backend == "bare" else build_local_router(["s0", "s1"])
+    server_transport, client_transport = TcpTransport(), TcpTransport()
+    try:
+        service = TraderService(RpcServer(server_transport), trader=trader)
+        client = TraderClient(
+            RpcClient(client_transport, timeout=2.0, retries=0), service.address
+        )
+        client.add_type(rental_type())
+        client.export(
+            "CarRentalService", ServiceRef.create("x", Address("h", 1), 1), PROPS
+        )
+        with pytest.raises(ConstraintSyntaxError):
+            trader.import_wire(request_.to_wire())
+        with pytest.raises(RemoteFault) as excinfo:
+            client.import_(request_)
+        assert excinfo.value.kind == "ConstraintSyntaxError"
+        assert client.import_(ImportRequest("Ghost")) == []
+        assert len(client.import_(ImportRequest("CarRentalService"))) == 1
+    finally:
+        server_transport.close()
+        client_transport.close()
 
 
 def test_remote_mask_type(stack):

@@ -28,9 +28,11 @@ from repro.net.aioclock import loop_for
 from repro.net.endpoints import Address
 from repro.rpc.aio import AsyncRpcClient
 from repro.rpc.client import RpcClient
+from repro.rpc.errors import RemoteFault
 from repro.rpc.server import RpcServer
 from repro.rpc.transport import SimTransport
 from repro.sidl.types import DOUBLE, InterfaceType, LONG, OperationType, STRING
+from repro.trader.errors import ConstraintSyntaxError
 from repro.trader.service_types import ServiceType
 from repro.trader.sharding import build_local_router
 from repro.trader.trader import (
@@ -56,6 +58,14 @@ _PROC_RENEW = 11
 TIE_EXPORTS = ("TieB", "TieA", "TieB", "TieA", "TieBase", "TieB")
 TIE_PREFERENCES = ("min ChargePerDay", "max ChargePerDay")
 TIE_BOUNDS = (0, 1, 2, 3, 5)  # 0 = unbounded
+
+#: Imports no backend may answer: the importer's own mistake has to come
+#: back as the same typed fault whether or not the trader is sharded.
+MALFORMED = {
+    "constraint": ImportRequest("CarRentalService", "ChargePerDay <"),
+    "preference": ImportRequest("CarRentalService", "", "cheapest"),
+    "both_bounded": ImportRequest("CarRentalService", "and", "min", max_matches=2),
+}
 
 
 def rental_type(name="CarRentalService", supers=()):
@@ -217,6 +227,13 @@ def drive(driver):
         outcome[f"q2:{label}"] = driver.import_ids(request)
     outcome["offer_ids"] = driver.offer_ids()
 
+    for label, request in MALFORMED.items():
+        try:
+            outcome[f"malformed:{label}"] = driver.import_ids(request)
+        except RemoteFault as fault:
+            outcome[f"malformed:{label}"] = f"fault:{fault.kind}"
+    outcome["unknown_type"] = driver.import_ids(ImportRequest("Ghost", "Seats >= 4"))
+
     # Cross-type ties: leaves of one supertype, exports interleaved, one
     # rank value for all — a bounded answer has to be the prefix of the
     # unbounded one whichever index path (or shard) produced it.
@@ -280,6 +297,25 @@ def test_bounded_tie_answers_are_prefixes_of_the_unbounded_one(outcomes, backend
             assert outcome[f"tie:{preference}:{bound}"] == unbounded[:bound], (
                 preference, bound,
             )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_malformed_imports_raise_alike_and_unknown_types_answer_empty(outcomes, backend):
+    """A constraint or preference that does not parse is a typed fault on
+    the wire and the same exception in-process, sharded or not; only the
+    documented peer case — a type nobody registered — answers ``[]``."""
+    for client in CLIENTS:
+        outcome = outcomes[(backend, client)]
+        for label in MALFORMED:
+            assert outcome[f"malformed:{label}"] == "fault:ConstraintSyntaxError"
+        assert outcome["unknown_type"] == []
+    trader = make_backend(backend)
+    trader.add_type(rental_type())
+    for request in MALFORMED.values():
+        with pytest.raises(ConstraintSyntaxError):
+            trader.import_(request)
+        with pytest.raises(ConstraintSyntaxError):
+            trader.import_wire(request.to_wire())
 
 
 def test_offer_ids_are_placement_independent(outcomes):
