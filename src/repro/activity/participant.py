@@ -94,7 +94,3 @@ class TransactionalServiceRuntime(ServiceRuntime):
 
     def staged_transactions(self) -> int:
         return len(self._resource._staged)
-
-    def results_of(self, txn_id: str) -> List[Dict[str, Any]]:
-        """Results of the staged invocations after commit."""
-        return list(self.committed_results.get(txn_id, []))

@@ -70,12 +70,6 @@ class GenericClient:
         self.bindings_opened += 1
         return GenericBinding(self, binding, depth=_depth, ctx=ctx)
 
-    def bind_wire(
-        self, ref_wire: Dict[str, Any], ctx: Optional[CallContext] = None
-    ) -> "GenericBinding":
-        return self.bind(ServiceRef.from_wire(ref_wire), ctx=ctx)
-
-
 class GenericBinding:
     """A SID-driven session with one service."""
 

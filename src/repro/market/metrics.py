@@ -38,10 +38,6 @@ class MarketOutcome:
     provider_effort: float = 0.0
 
     @property
-    def total_transition_effort(self) -> float:
-        return self.client_effort + self.provider_effort
-
-    @property
     def service_level(self) -> float:
         if self.requests_total == 0:
             return 1.0

@@ -53,9 +53,6 @@ class SimNetwork:
     def unbind(self, address: Address) -> None:
         self._endpoints.pop(address, None)
 
-    def endpoint_at(self, address: Address) -> Optional[Endpoint]:
-        return self._endpoints.get(address)
-
     def addresses(self) -> List[Address]:
         return sorted(self._endpoints)
 

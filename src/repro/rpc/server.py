@@ -214,15 +214,6 @@ class RpcProgram:
         self._procedures[proc] = handler
         self._names[proc] = name or getattr(handler, "__name__", f"proc-{proc}")
 
-    def procedure(self, proc: int, name: str = "") -> Callable[[Handler], Handler]:
-        """Decorator form of :meth:`register`."""
-
-        def wrap(handler: Handler) -> Handler:
-            self.register(proc, handler, name)
-            return handler
-
-        return wrap
-
     def lookup(self, proc: int) -> Optional[Handler]:
         if proc == 0 and 0 not in self._procedures:
             # ONC RPC convention: procedure 0 is the NULL procedure,

@@ -56,10 +56,6 @@ class TelemetryHub:
             except ValueError:
                 return False
 
-    def clear_exporters(self) -> None:
-        with self._lock:
-            self._exporters.clear()
-
     # -- export ------------------------------------------------------------
 
     def export_chain(self, chain: TraceChain) -> None:

@@ -64,9 +64,6 @@ class Histogram:
         if value > self.maximum:
             self.maximum = value
 
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
     def quantile(self, q: float) -> float:
         """Estimated ``q``-quantile (0..1), interpolated within a bucket."""
         if self.count == 0:

@@ -91,20 +91,6 @@ class TraderLink:
     ) -> List[Dict[str, Any]]:
         return step(self._forward(self.forwarder, request_wire, ctx))
 
-    async def forward_async(
-        self,
-        request_wire: Dict[str, Any],
-        ctx: Optional[CallContext] = None,
-    ) -> List[Dict[str, Any]]:
-        """The ``await`` side of :meth:`forward` — used by :func:`fan_out_async`.
-
-        Prefers ``aforwarder``; without one the sync forwarder runs
-        inline on the event loop.
-        """
-        return await self._forward(
-            self.aforwarder or self.forwarder, request_wire, ctx
-        )
-
     async def _forward(
         self,
         forwarder: Forwarder,

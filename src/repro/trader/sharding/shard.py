@@ -229,9 +229,6 @@ class TraderShard:
     def attach_replica(self, name: str, sink: DeltaSink) -> None:
         self._sinks[name] = sink
 
-    def detach_replica(self, name: str) -> None:
-        self._sinks.pop(name, None)
-
     def deltas_since(
         self, seq: int, service_type: Optional[str] = None
     ) -> List[Dict[str, Any]]:

@@ -32,9 +32,6 @@ class UiSession:
         binding = self._client.bind(ref)
         return self._push(binding)
 
-    def open_binding(self, binding: GenericBinding) -> ServicePanel:
-        return self._push(binding)
-
     def _push(self, binding: GenericBinding) -> ServicePanel:
         panel = ServicePanel(binding)
         self.panels.append(panel)

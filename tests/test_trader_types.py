@@ -193,14 +193,14 @@ def test_offer_store_crud():
     offer = ServiceOffer(store.new_offer_id("T"), "T", {}, {"p": 1}, 0.0)
     store.add(offer)
     assert store.get(offer.offer_id) is offer
-    assert store.count_for_type("T") == 1
+    assert len(store.of_types(["T"])) == 1
     store.replace_properties(offer.offer_id, {"p": 2})
     assert store.get(offer.offer_id).properties == {"p": 2}
     removed = store.remove(offer.offer_id)
     assert removed is offer
     with pytest.raises(OfferNotFound):
         store.get(offer.offer_id)
-    assert store.count_for_type("T") == 0
+    assert store.of_types(["T"]) == []
 
 
 def test_offer_ids_carry_prefix_and_type():
