@@ -168,9 +168,11 @@ def measure_local(offer_count: int, conjuncts: int, repeats: int) -> Dict[str, A
 
     seed = timed(lambda: seed_scan(trader, text))
     # The offer store counts how each import was served: equality pins go
-    # through the property index, pin-free constraints fall back to the
-    # full type scan.  Deltas confirm which path the row measured.
+    # through the property index, pin-free constraints go through the
+    # sorted index when they pin a range and fall back to the full type
+    # scan otherwise.  Deltas confirm which path the row measured.
     hits_before = METRICS.counter("offers.index_hits", (trader.trader_id,))
+    ranges_before = METRICS.counter("offers.range_hits", (trader.trader_id,))
     scans_before = METRICS.counter("offers.fallback_scans", (trader.trader_id,))
     indexed = timed(lambda: trader.import_(request))
     return {
@@ -183,6 +185,8 @@ def measure_local(offer_count: int, conjuncts: int, repeats: int) -> Dict[str, A
         "speedup": round(seed / indexed, 2) if indexed else None,
         "index_hits": METRICS.counter("offers.index_hits", (trader.trader_id,))
         - hits_before,
+        "range_hits": METRICS.counter("offers.range_hits", (trader.trader_id,))
+        - ranges_before,
         "fallback_scans": METRICS.counter("offers.fallback_scans", (trader.trader_id,))
         - scans_before,
     }
@@ -249,7 +253,8 @@ def main() -> None:
         if row["eq_conjuncts"] > 0:
             assert row["index_hits"] > 0 and row["fallback_scans"] == 0, row
         else:
-            assert row["fallback_scans"] > 0 and row["index_hits"] == 0, row
+            assert row["fallback_scans"] + row["range_hits"] > 0, row
+            assert row["index_hits"] == 0, row
     print(f"wrote {args.out}")
 
 
