@@ -437,18 +437,17 @@ class AsyncRpcServer(RpcServer):
         self,
         transport: Transport,
         at_most_once: bool = True,
-        reply_cache_size: int = 2048,
         admission: Optional[AdmissionPolicy] = None,
     ) -> None:
-        super().__init__(transport, at_most_once, reply_cache_size, admission)
+        super().__init__(transport, at_most_once, admission)
         self._handler_tasks: Set[asyncio.Task] = set()
         self.cancelled_on_deadline = 0
         self.reply_max_batch = 16
         self._reply_staged: Dict[Address, List[bytes]] = {}
         self._reply_flush_scheduled: Set[Address] = set()
 
-    def _send_reply(self, source: Address, reply: RpcReply) -> None:
-        """Stage a reply; one write flushes everything ready this tick.
+    def _send_reply(self, source: Address, xid: int, data: bytes) -> None:
+        """Stage an encoded reply; one write flushes everything ready this tick.
 
         Handler tasks that complete in the same event-loop tick (common
         for fast handlers fed by one BATCH payload) share a single
@@ -458,10 +457,10 @@ class AsyncRpcServer(RpcServer):
         try:
             loop = asyncio.get_running_loop()
         except RuntimeError:
-            self.transport.send(source, reply.encode())
+            self.transport.send(source, data)
             return
         staged = self._reply_staged.setdefault(source, [])
-        staged.append(reply.encode())
+        staged.append(data)
         if len(staged) >= self.reply_max_batch:
             self._flush_replies(source)
             return

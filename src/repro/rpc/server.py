@@ -20,7 +20,8 @@ deadline will lapse mid-execution):
 
 Duplicate retransmissions of a call that is still queued or executing
 are coalesced (no reply — the original will answer), closing the
-at-most-once gap a queued duplicate would otherwise open.
+at-most-once gap a queued duplicate would otherwise open.  Duplicates
+of a finished call are answered from the :class:`ReplyCache`.
 """
 
 from __future__ import annotations
@@ -193,6 +194,85 @@ class AdmissionQueue:
             self._keys.add(key)
 
 
+#: Bound of every server's at-most-once window: 4 MiB, half for small
+#: replies and half for large ones (:class:`ReplyCache`).  A small reply
+#: is charged at most 1 KiB, so the last 2 048 small replies (write
+#: acks, RENEW, WITHDRAW, naming and browser replies) are always cached,
+#: however many large ones pass; large replies (IMPORT answers) share
+#: the other 2 MiB: about the last 20 of 100 kB.
+REPLY_CACHE_BYTES = 4 * 1024 * 1024
+
+#: The largest payload of a small reply: charged at most 1 KiB.
+_SMALL_REPLY = 768
+
+#: What one cached reply pins beyond its payload: the ``bytes`` header,
+#: the ``(Address, xid)`` key and the ``OrderedDict`` node.  Measured
+#: with ``tracemalloc`` on CPython 3.11 at 190–290 B per entry.  Without
+#: this charge a byte bound would hold tens of thousands of tiny replies.
+_ENTRY_OVERHEAD = 256
+
+
+class ReplyCache:
+    """The at-most-once window: encoded replies by ``(caller, xid)``.
+
+    Bounded by bytes, not entries: each entry is charged ``len(data) +
+    _ENTRY_OVERHEAD``.  Small replies (at most ``_SMALL_REPLY`` bytes)
+    and large ones queue apart, each queue under half of ``limit`` with
+    its oldest entries evicted first, so a run of large replies never
+    pushes a small one out.  A reply whose own charge exceeds its half
+    is not cached and evicts nothing.  Thread-safe: TCP reader threads
+    finish calls concurrently.
+    """
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self.evicted = 0
+        # (small, large): each queue's entries, and what they are charged.
+        self._queues: Tuple["OrderedDict[Tuple[Address, int], bytes]", ...] = (
+            OrderedDict(),
+            OrderedDict(),
+        )
+        self._charged = [0, 0]
+        self._lock = threading.Lock()
+
+    @property
+    def charged(self) -> int:
+        return sum(self._charged)
+
+    def __len__(self) -> int:
+        return sum(map(len, self._queues))
+
+    def get(self, key: Tuple[Address, int]) -> Optional[bytes]:
+        small, large = self._queues
+        data = small.get(key)
+        return large.get(key) if data is None else data
+
+    def put(self, key: Tuple[Address, int], data: bytes) -> None:
+        """Cache ``data`` as the newest entry of its queue, replacing any
+        under ``key``."""
+        charge = len(data) + _ENTRY_OVERHEAD
+        share = self.limit // 2
+        evicted = 0
+        with self._lock:
+            for size_class, queue in enumerate(self._queues):
+                replaced = queue.pop(key, None)
+                if replaced is not None:
+                    self._charged[size_class] -= len(replaced) + _ENTRY_OVERHEAD
+            if charge > share:
+                return
+            size_class = 0 if len(data) <= _SMALL_REPLY else 1
+            queue = self._queues[size_class]
+            queue[key] = data
+            self._charged[size_class] += charge
+            while self._charged[size_class] > share:
+                __, oldest = queue.popitem(last=False)
+                self._charged[size_class] -= len(oldest) + _ENTRY_OVERHEAD
+                evicted += 1
+            self.evicted += evicted
+        if evicted:
+            METRICS.inc("rpc.server.reply_cache_evicted", amount=evicted)
+
+
 class RpcProgram:
     """A numbered RPC program: a set of procedures sharing prog/vers."""
 
@@ -230,10 +310,14 @@ class RpcServer:
     """Serves one or more programs on a transport.
 
     Implements the *at-most-once* semantics the paper's communication level
-    inherits from Sun RPC: replies are cached per ``(caller, xid)`` so a
-    retransmitted request replays the recorded reply instead of re-running
-    the procedure — the difference is measurable in
-    ``benchmarks/bench_ablation_at_most_once.py``.
+    inherits from Sun RPC: the encoded reply is cached per ``(caller,
+    xid)`` so a retransmitted request gets the recorded bytes back instead
+    of re-running the procedure — the difference is measurable in
+    ``benchmarks/bench_ablation_at_most_once.py``.  The window is
+    ``REPLY_CACHE_BYTES`` of replies, each charged its payload plus a fixed
+    per-entry overhead, split between small and large replies
+    (:class:`ReplyCache`): the last 2 048 replies of at most 768 B are
+    always in it.  A duplicate of a reply evicted from it re-executes.
 
     Every inbound call passes through the admission control described in
     the module docstring; ``AdmissionPolicy`` tunes it.  ``SHED`` replies
@@ -245,15 +329,13 @@ class RpcServer:
         self,
         transport: Transport,
         at_most_once: bool = True,
-        reply_cache_size: int = 2048,
         admission: Optional[AdmissionPolicy] = None,
     ) -> None:
         self.transport = transport
         self.at_most_once = at_most_once
         self.admission = admission or AdmissionPolicy()
         self._programs: Dict[Tuple[int, int], RpcProgram] = {}
-        self._reply_cache: "OrderedDict[Tuple[Address, int], RpcReply]" = OrderedDict()
-        self._reply_cache_size = reply_cache_size
+        self._reply_cache = ReplyCache(REPLY_CACHE_BYTES)
         self._auto_capacity = self.admission.capacity == "auto"
         initial_capacity = (
             self.admission.max_capacity if self._auto_capacity else self.admission.capacity
@@ -366,7 +448,7 @@ class RpcServer:
             if cached is not None:
                 self.duplicates_suppressed += 1
                 METRICS.inc("rpc.server.duplicates_suppressed")
-                self._send_reply(source, cached)
+                self._send_reply(source, call.xid, cached)
                 return False
         return self._admit(source, call, cache_key)
 
@@ -390,8 +472,10 @@ class RpcServer:
             # becoming a load vector — beyond it, probes shed like
             # anything else.  Executed inline (the snapshot handler is a
             # pure read), so this works identically on the async server.
+            # Not cached: a pure read gains nothing from replay, and its
+            # metrics dump would crowd other replies out of the window.
             if self._stats_budget.take(now):
-                self._finish(source, call, step(self._execute(call)), cacheable=True)
+                self._finish(source, call, step(self._execute(call)), cacheable=False)
             else:
                 self._finish(
                     source, call, self._shed(call, "stats_budget"), cacheable=False
@@ -471,14 +555,15 @@ class RpcServer:
     def _finish(
         self, source: Address, call: RpcCall, reply: RpcReply, cacheable: bool
     ) -> None:
+        # Encoded once: the cache keeps these bytes, so a duplicate gets
+        # them back verbatim without another encode.
+        data = reply.encode()
         if self.at_most_once and cacheable:
-            self._reply_cache[(source, call.xid)] = reply
-            while len(self._reply_cache) > self._reply_cache_size:
-                self._reply_cache.popitem(last=False)
-        self._send_reply(source, reply)
+            self._reply_cache.put((source, call.xid), data)
+        self._send_reply(source, call.xid, data)
 
-    def _send_reply(self, source: Address, reply: RpcReply) -> None:
-        """Write one reply, or coalesce it into the open batch scope.
+    def _send_reply(self, source: Address, xid: int, data: bytes) -> None:
+        """Write one encoded reply, or coalesce it into the open batch scope.
 
         Only replies the innermost :meth:`handle_batch` scope is
         *expecting* (registered by ``(source, xid)``) are buffered; each
@@ -489,12 +574,12 @@ class RpcServer:
         stack = self._batch_stack()
         if stack:
             expected, buffered = stack[-1]
-            key = (source, reply.xid)
+            key = (source, xid)
             if key in expected:
                 expected.discard(key)
-                buffered.append(reply.encode())
+                buffered.append(data)
                 return
-        self.transport.send(source, reply.encode())
+        self.transport.send(source, data)
 
     def _reject_deadline(self, call: RpcCall) -> RpcReply:
         self.deadlines_rejected += 1

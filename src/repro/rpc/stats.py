@@ -11,7 +11,8 @@ process's observable state:
 
 * server counters (calls handled, duplicates, deadline rejections,
   sheds) and the live admission picture — queue depth, queue capacity,
-  in-flight set, reply-cache occupancy, the admission policy in force;
+  in-flight set, reply-cache fill (entries, charged bytes, the byte
+  bound, evictions), the admission policy in force;
 * the programs the server exports (``prog``/``vers``/procedure names);
 * circuit-breaker state per endpoint, trader lease counters, compiled
   codec hit/fallback rates, the async in-flight gauge, batching health
@@ -126,7 +127,9 @@ def build_snapshot(server: Any) -> Dict[str, Any]:
             "queue_capacity": server._queue.capacity,
             "in_flight": len(server._in_flight),
             "reply_cache": len(server._reply_cache),
-            "reply_cache_limit": server._reply_cache_size,
+            "reply_cache_charged": server._reply_cache.charged,
+            "reply_cache_limit": server._reply_cache.limit,
+            "reply_cache_evicted": server._reply_cache.evicted,
             "admission": {
                 "shed": policy.shed,
                 "defer_while_busy": policy.defer_while_busy,

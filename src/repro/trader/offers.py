@@ -269,8 +269,10 @@ class OfferStore:
         # which a caller may have mutated or aliased since indexing —
         # re-deriving would leave stale index entries behind.
         self._indexed: Dict[str, List[Tuple[Any, ...]]] = {}
-        # Store-wide insertion sequence, stable across property modifies,
-        # so sorted-index walks tie-break in exactly candidate order.
+        # Store-wide insertion sequence, stable across property modifies
+        # and idempotent re-adds: within a type it is ``_by_type``'s
+        # order, so index probes and sorted-index walks both come out in
+        # exactly candidate order.
         self._order: Dict[str, int] = {}
         self._order_counter = itertools.count(1)
         self._counters: Dict[str, int] = {}
@@ -326,7 +328,9 @@ class OfferStore:
             # drop the old generation's index entries first.
             self._unindex(existing)
             if existing.service_type != offer.service_type:
+                # It joins the new type's insertion order at the end.
                 self._drop_from_type(existing)
+                del self._order[offer.offer_id]
         self._by_id[offer.offer_id] = offer
         self._by_type.setdefault(offer.service_type, {})[offer.offer_id] = offer
         self._index(offer)
@@ -407,11 +411,11 @@ class OfferStore:
                 if not surviving:
                     break
             if surviving:
-                # _by_type preserves insertion order; keep it for determinism
+                # ``_order`` is the per-type insertion order ``_by_type``
+                # keeps: sorting the bucket by it is O(bucket), not O(type).
                 offers.extend(
-                    offer
-                    for offer_id, offer in per_type.items()
-                    if offer_id in surviving
+                    per_type[offer_id]
+                    for offer_id in sorted(surviving, key=self._order.__getitem__)
                 )
         return offers
 

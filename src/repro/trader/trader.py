@@ -371,11 +371,13 @@ class LocalTrader:
             return self._matching(walk, constraint, now, stop_after=plan.limit)
         # Otherwise every candidate the pinned conjuncts leave: equalities
         # through the equality index, ceilings and floors through the
-        # sorted index, neither = the full type scan.
+        # sorted index, neither = the full type scan.  Under ``first`` the
+        # answer is the first ``limit`` matches, so the loop stops there.
         candidates = self.offers.candidates(
             plan.type_names, constraint.equality_conjuncts, constraint.range_conjuncts
         )
-        matched = self._matching(candidates, constraint, now, stop_after=0)
+        stop_after = plan.limit if plan.prefix_suffices else 0
+        matched = self._matching(candidates, constraint, now, stop_after)
         # Local offers merge ahead of remote ones, so when a prefix
         # suffices peers only fill what is still short; ranking
         # preferences see the full federated candidate set.
@@ -389,7 +391,9 @@ class LocalTrader:
     ) -> List[ServiceOffer]:
         """The matching loop: the live offers among ``offers`` that satisfy
         ``constraint``, in the order given, ending at ``stop_after``
-        matches (0 = examine every offer)."""
+        matches (0 = examine every offer).  Offers after the stop are
+        never examined, so ``trader.offers.expired{lazy}`` counts only
+        the lapsed leases met before it."""
         evaluator = self.dynamic_evaluator
         holds = constraint.evaluate
         matched: List[ServiceOffer] = []

@@ -1,0 +1,47 @@
+"""tier-1 runs ``tools/linecov.py`` over the functions whose untested
+branches an aggregate coverage floor would not notice: the at-most-once
+window (replay, encode-once, eviction, oversized replies) and the index
+probe's candidate order."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+TARGETS = [
+    "repro.rpc.server:RpcServer._finish",
+    "repro.rpc.server:RpcServer._receive",
+    "repro.rpc.server:ReplyCache.put",
+    "repro.trader.offers:OfferStore._filter",
+]
+# Deterministic tests only: what the hypothesis properties happen to
+# generate must not decide whether a line counts as covered.
+RPC = "tests/test_rpc_client_server.py::"
+UNIT_TESTS = [
+    RPC + "test_at_most_once_suppresses_duplicate_execution",
+    RPC + "test_reply_cache_bounded",
+    RPC + "test_small_replies_outlive_a_run_of_large_ones",
+    RPC + "test_reply_cache_reinsert_replaces_the_old_charge",
+    "tests/test_trader_index.py",
+    "-k",
+    "not candidate_order",
+]
+
+
+def test_named_functions_are_fully_executed_by_their_unit_tests():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    command = [sys.executable, "tools/linecov.py", *TARGETS, "--", *UNIT_TESTS]
+    result = subprocess.run(
+        command + ["-q", "-p", "no:cacheprovider"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert result.returncode == 0, result.stdout[-3000:] + result.stderr[-3000:]
+    counts = dict(
+        line.split(": ", 1) for line in result.stdout.splitlines() if line.startswith("repro.")
+    )
+    assert set(counts) == set(TARGETS)
+    for target, count in counts.items():
+        executed, total = count.split(" ")[0].split("/")
+        assert executed == total != "0", (target, count)

@@ -1,8 +1,16 @@
 """Tests for RPC dispatch, retransmission, and at-most-once semantics."""
 
+import asyncio
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.net import SimNetwork, loop_for
+from repro.net.endpoints import Address
+from repro.rpc.aio import AsyncRpcServer
 from repro.rpc.client import RpcClient
 from repro.rpc.errors import (
     ProcedureUnavailable,
@@ -10,8 +18,17 @@ from repro.rpc.errors import (
     RemoteFault,
     RpcTimeout,
 )
-from repro.rpc.server import RpcProgram, RpcServer
+from repro.rpc.message import ReplyStatus, RpcCall, RpcReply, decode_messages
+from repro.rpc.server import (
+    _ENTRY_OVERHEAD,
+    _SMALL_REPLY,
+    REPLY_CACHE_BYTES,
+    ReplyCache,
+    RpcProgram,
+    RpcServer,
+)
 from repro.rpc.transport import SimTransport
+from repro.rpc.xdr import encode_value
 
 PROG = 555000
 
@@ -175,14 +192,184 @@ def test_without_at_most_once_duplicates_reexecute(net):
 
 
 def test_reply_cache_bounded(net):
-    server = RpcServer(SimTransport(net, "srv4"), reply_cache_size=4)
+    """The bound is in bytes: each entry costs its payload plus overhead,
+    and small replies get half of it."""
+    charge = len(RpcReply(0, ReplyStatus.SUCCESS, encode_value(0)).encode()) + _ENTRY_OVERHEAD
+    server = RpcServer(SimTransport(net, "srv4"))
+    server._reply_cache = ReplyCache(2 * 4 * charge)
     program = RpcProgram(PROG + 3, 1)
     program.register(1, lambda args: args)
     server.serve(program)
     client = RpcClient(SimTransport(net, "cli4"))
     for i in range(10):
         client.call(server.address, PROG + 3, 1, 1, i)
-    assert len(server._reply_cache) == 4
+    cache = server._reply_cache
+    assert (len(cache), cache.charged, cache.evicted) == (4, 4 * charge, 6)
+
+
+def test_small_replies_outlive_a_run_of_large_ones():
+    """At the default bound the last 2 048 replies of at most 768 B stay
+    cached, however many large replies pass between them."""
+    peer = Address("10.0.0.1", 40000)
+    ack, answer = b"a" * _SMALL_REPLY, b"i" * 100_000
+    cache = ReplyCache(REPLY_CACHE_BYTES)
+    cache.put((peer, 0), ack)
+    for xid in range(1, 1001):
+        cache.put((peer, xid), answer)
+    assert cache.get((peer, 0)) == ack
+    assert (len(cache), cache.evicted) == (1 + 20, 980)
+    for xid in range(1001, 1001 + 2047):
+        cache.put((peer, xid), ack)
+    assert cache.get((peer, 0)) == ack
+    cache.put((peer, 3048), ack)
+    assert cache.get((peer, 0)) is None
+
+
+# -- the at-most-once window under arbitrary reply sizes ----------------------
+
+WINDOW = 4096  # bytes: 2 KiB for small replies, 2 KiB for large ones
+reply_sizes = st.one_of(
+    st.just(0),
+    st.integers(1, 16),
+    st.integers(17, 1600),  # small and large replies
+    st.integers(WINDOW // 2, WINDOW),  # larger than its queue's bound alone
+)
+
+
+class _RawPeer:
+    """Sends CALL frames with chosen xids and keeps every reply payload."""
+
+    def __init__(self, net, host):
+        self.transport = SimTransport(net, host)
+        self.payloads = []
+        self.transport.set_receiver(lambda source, payload: self.payloads.append(payload))
+
+    def frames(self, destination, calls, run):
+        """Send ``calls`` as one payload; the reply frames keyed by xid."""
+        self.payloads.clear()
+        self.transport.send(destination, b"".join(call.encode() for call in calls))
+        run()
+        replies = {}
+        for payload in self.payloads:
+            for message in decode_messages(payload):
+                # Cut the raw frame out of the payload rather than trusting
+                # a re-encode: the contract is byte identity.
+                size = len(message.encode())
+                replies[message.xid], payload = payload[:size], payload[size:]
+        return replies
+
+
+def _window_server(flavour, net):
+    server_class = AsyncRpcServer if flavour == "async" else RpcServer
+    server = server_class(SimTransport(net, "window"))
+    server._reply_cache = ReplyCache(WINDOW)
+    executions = {}
+
+    def payload(args):
+        xid, size = args
+        executions[xid] = executions.get(xid, 0) + 1
+        return b"\x00" * size
+
+    program = RpcProgram(PROG + 4, 1)
+    program.register(1, payload)
+    server.serve(program)
+    if flavour == "async":
+        loop = loop_for(net.clock)
+
+        def run():
+            loop.run_until_complete(asyncio.sleep(1.0))
+
+    else:
+        run = net.clock.drain
+    return server, executions, run
+
+
+def _queues(cache):
+    """The (small, large) queues' entries, in eviction order."""
+    return tuple(dict(queue) for queue in cache._queues)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    flavour=st.sampled_from(["sync", "batch", "async"]),
+    steps=st.lists(st.tuples(reply_sizes, st.integers(0, 10**6)), min_size=1, max_size=14),
+)
+def test_reply_cache_window_under_arbitrary_reply_sizes(flavour, steps):
+    net = SimNetwork(seed=1994)
+    server, executions, run = _window_server(flavour, net)
+    peer = _RawPeer(net, "peer")
+    cache, key = server._reply_cache, lambda xid: (peer.transport.local_address, xid)
+    first, sizes = {}, []
+    for xid, (size, pick) in enumerate(steps):
+        sizes.append(size)
+        before = _queues(cache)
+        call = RpcCall(xid, PROG + 4, 1, 1, encode_value([xid, size]))
+        first[xid] = peer.frames(server.address, [call], run)[xid]
+        charge = len(first[xid]) + _ENTRY_OVERHEAD
+        after = _queues(cache)
+        charges = [sum(len(d) + _ENTRY_OVERHEAD for d in q.values()) for q in after]
+        assert cache.charged == sum(charges) and max(charges) <= WINDOW // 2
+        if charge > WINDOW // 2:  # not cached, and nothing else flushed
+            assert after == before
+        else:
+            assert cache.get(key(xid)) == first[xid]
+            # Only its own size class gives way: a large reply never
+            # evicts a small one, nor a small reply a large one.
+            other = 1 if len(first[xid]) <= _SMALL_REPLY else 0
+            assert after[other] == before[other]
+        # A retransmission of any earlier xid: replayed verbatim inside the
+        # window, re-executed once evicted (or never cached).
+        old = pick % (xid + 1)
+        in_window = cache.get(key(old)) is not None
+        runs_before = executions[old]
+        retransmit = RpcCall(old, PROG + 4, 1, 1, encode_value([old, sizes[old]]))
+        batch = [retransmit, RpcCall(10**6 + xid, PROG + 4, 1, 0, b"")]
+        replies = peer.frames(
+            server.address, batch if flavour == "batch" else batch[:1], run
+        )
+        if in_window:
+            assert executions[old] == runs_before
+            assert replies[old] == first[old]
+        else:
+            assert executions[old] == runs_before + 1
+        assert cache.charged <= WINDOW
+
+
+def test_reply_cache_reinsert_replaces_the_old_charge():
+    """A second reply under a cached key (two executions raced past the
+    cache check) replaces the first: one charge, newest position, in the
+    queue of its own size."""
+    first, second = (Address("h", 1), 7), (Address("h", 1), 8)
+    cache = ReplyCache(2 * 2048)
+    cache.put(first, b"a" * 100)
+    cache.put(second, b"b" * 100)
+    cache.put(first, b"c" * 10)
+    assert [list(queue) for queue in _queues(cache)] == [[second, first], []]
+    assert cache.charged == 110 + 2 * _ENTRY_OVERHEAD
+    cache.put(first, b"d" * 1000)  # now a large reply: it changes queue
+    assert [list(queue) for queue in _queues(cache)] == [[second], [first]]
+    assert cache.charged == 1100 + 2 * _ENTRY_OVERHEAD
+    cache.put(first, b"e" * 10_000)  # oversized: the stale reply goes too
+    assert [list(queue) for queue in _queues(cache)] == [[second], []]
+    assert (cache.charged, cache.evicted) == (100 + _ENTRY_OVERHEAD, 0)
+
+
+def test_tiny_replies_cannot_outgrow_the_bound():
+    """20 000 16-byte replies retain no more than 1.25x the byte bound:
+    the per-entry charge covers what the payload total does not see."""
+    bound = 256 * 1024
+    peers = [Address("10.0.0.1", 40000 + n) for n in range(4)]
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        cache = ReplyCache(bound)
+        for xid in range(20_000):
+            cache.put((peers[xid % 4], xid), xid.to_bytes(16, "big"))
+        retained = tracemalloc.get_traced_memory()[0] - baseline
+    finally:
+        tracemalloc.stop()
+    assert cache.charged <= bound and cache.evicted > 0
+    assert retained <= 1.25 * bound, retained
 
 
 def test_duplicate_program_registration_rejected(net):

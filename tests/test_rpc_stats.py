@@ -24,6 +24,7 @@ from repro.rpc import (
 from repro.rpc import stats as stats_mod
 from repro.rpc.errors import ServerShedding
 from repro.rpc.message import ReplyStatus, RpcCall, decode_message
+from repro.rpc.server import ReplyCache
 from repro.rpc.stats import (
     PROC_SNAPSHOT,
     SNAPSHOT_VERSION,
@@ -61,6 +62,35 @@ def test_every_server_serves_stats_automatically(net, make_server, make_client):
     assert set(admission) == {"shed", "defer_while_busy", "capacity", "quantile"}
     assert "sampling" in snapshot and snapshot["sampling"]["rate"] == 1.0
     assert "metrics" in snapshot
+
+
+def test_snapshot_reports_reply_cache_fill_and_evictions(make_server, make_client):
+    server = make_server()
+    server._reply_cache = ReplyCache(8192)  # 4 KiB for small, 4 KiB for large
+    program = RpcProgram(990300, name="fill")
+    program.register(1, lambda size: "x" * size, "fill")
+    server.serve(program)
+    client = make_client()
+    evicted_before = METRICS.counter("rpc.server.reply_cache_evicted")
+    empty = client.stats(server.address)["server"]
+    for _ in range(8):  # ~1.3 kB charged each: the large queue turns over
+        client.call(server.address, 990300, 1, 1, 1000)
+    filled = client.stats(server.address)["server"]
+    assert (empty["reply_cache"], empty["reply_cache_charged"], empty["reply_cache_evicted"]) == (
+        0, 0, 0,
+    )
+    assert empty["reply_cache_limit"] == filled["reply_cache_limit"] == 8192
+    assert filled["reply_cache"] == 3
+    assert 3 * 1000 < filled["reply_cache_charged"] <= 4096
+    assert filled["reply_cache_evicted"] == 5
+    assert (
+        METRICS.counter("rpc.server.reply_cache_evicted") - evicted_before
+        == server._reply_cache.evicted
+    )
+    # STATS replies are not cached: a probe leaves the window as it was.
+    assert client.stats(server.address)["server"]["reply_cache_charged"] == (
+        filled["reply_cache_charged"]
+    )
 
 
 def test_snapshot_round_trips_over_wire_codec(make_server):

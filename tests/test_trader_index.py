@@ -6,11 +6,15 @@ add/remove/mask for the type-match memo — or imports would answer from a
 stale world.
 """
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.naming.refs import ServiceRef
 from repro.net.endpoints import Address
 from repro.sidl.types import DOUBLE, InterfaceType, LONG, OperationType, STRING
 from repro.trader.constraints import parse_constraint
 from repro.trader.dynamic import dynamic_property
+from repro.trader.offers import OfferStore, ServiceOffer
 from repro.trader.service_types import ServiceType
 from repro.trader.trader import ImportRequest, LocalTrader
 
@@ -301,6 +305,63 @@ def test_inplace_property_mutation_cannot_strand_index_entries():
     assert names(trader.import_(ImportRequest("CarRentalService", "City == 'HH'"))) == [
         "hh-2"
     ]
+
+
+# -- an index probe answers in candidate order ---------------------------------
+
+STORE_TYPES = ("A", "B")
+_MARKER = dynamic_property(ServiceRef.create("svc", Address("t", 1), 4711), "Now")
+probe_values = st.sampled_from([0, 1, 2, 2.0, "x", "y", ["x"], _MARKER])
+probe_properties = st.dictionaries(st.sampled_from(["p", "q"]), probe_values)
+store_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("export"), st.sampled_from(STORE_TYPES), probe_properties),
+        st.tuples(st.just("modify"), st.integers(0, 99), probe_properties),
+        st.tuples(st.just("withdraw"), st.integers(0, 99)),
+        # an idempotent re-add of a live id, possibly under another type
+        st.tuples(st.just("readd"), st.integers(0, 99), st.sampled_from(STORE_TYPES)),
+        st.tuples(st.just("reexport"), st.integers(0, 99)),  # a withdrawn id returns
+    ),
+    max_size=24,
+)
+EQ_PROBES = [[("p", 1)], [("q", "x")], [("p", 2), ("q", "x")], [("p", ["x"])]]
+RANGE_PROBES = [[("p", "<", 2)], [("p", ">=", 1), ("q", "<=", "x")], [("q", ">", "x")]]
+TYPE_ORDERS = [("A",), ("B",), ("A", "B"), ("B", "A")]
+
+
+@settings(deadline=None)
+@given(steps=store_steps)
+def test_index_probes_answer_in_candidate_order(steps):
+    """``candidates(types, eq)`` and ``candidates(types, (), ranges)`` are
+    ``of_types(types)`` filtered to the bucket, element for element: the
+    store's ``_order`` sequence is the per-type insertion order."""
+    store = OfferStore(prefix="t")
+    withdrawn = {}
+    for step in steps:
+        live = [offer.offer_id for offer in store.all()]
+        if step[0] == "export":
+            __, type_name, properties = step
+            store.add(ServiceOffer(store.new_offer_id(type_name), type_name, {}, properties))
+        elif step[0] == "modify" and live:
+            store.replace_properties(live[step[1] % len(live)], step[2])
+        elif step[0] == "withdraw" and live:
+            offer = store.remove(live[step[1] % len(live)])
+            withdrawn[offer.offer_id] = offer
+        elif step[0] == "readd" and live:
+            old = store.get(live[step[1] % len(live)])
+            store.add(ServiceOffer(old.offer_id, step[2], {}, dict(old.properties)))
+        elif step[0] == "reexport" and withdrawn:
+            store.add(withdrawn.pop(sorted(withdrawn)[step[1] % len(withdrawn)]))
+        for types in TYPE_ORDERS:
+            scan = store.of_types(types)
+            probes = [(eq, ()) for eq in EQ_PROBES] + [((), rg) for rg in RANGE_PROBES]
+            for equalities, ranges in probes:
+                probed = [o.offer_id for o in store.candidates(types, equalities, ranges)]
+                bucket = set(probed)
+                assert probed == [o.offer_id for o in scan if o.offer_id in bucket]
+            for prop, literal in (("p", 1), ("q", "x")):
+                exact = {o.offer_id for o in scan if o.properties.get(prop) == literal}
+                assert exact <= {o.offer_id for o in store.candidates(types, [(prop, literal)])}
 
 
 def test_min_max_fast_path_counts_ordered_scans():
