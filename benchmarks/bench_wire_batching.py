@@ -1,18 +1,14 @@
 """Wire fast-lane A/B: call batching and compiled codecs, end to end.
 
-Three claims, measured over **real TCP loopback** (wall clock, not the
-simulator — the point is syscalls and bytes, not modelled latency) plus
-a CPU-bound codec microbench:
+Two claims: batching, measured over **real TCP loopback** (wall clock,
+not the simulator — the point is syscalls and bytes, not modelled
+latency), and a CPU-bound codec microbench:
 
 * **batching (sync)** — ``BatchingClient.call_many`` vs the seed path
   (one lockstep ``RpcClient.call`` at a time) on small-arg calls:
   ≥3× calls/sec.  The seed path pays one write + one round trip per
   call; the batch path pipelines watermark-sized BATCH payloads and the
   server coalesces its replies.
-* **batching (async)** — ``AsyncBatchingClient`` under a gather vs the
-  seed path (sequential awaits on ``AsyncRpcClient``): ≥3× calls/sec.
-  The unbatched-concurrent arm (gather on the plain client) is also
-  reported to separate the win of overlap from the win of batching.
 * **codec** — compiled decode ≥2× the tagged decode on the same
   record, with allocations per op reported for both paths.
 
@@ -29,18 +25,11 @@ counts)::
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import sys
 import time
 from typing import Any, Dict, List
 
-from repro.rpc.aio import (
-    AsyncBatchingClient,
-    AsyncRpcClient,
-    AsyncRpcServer,
-    AsyncTcpTransport,
-)
 from repro.rpc.client import BatchingClient, RpcClient
 from repro.rpc.codec import CODECS, CompiledCodec, is_compiled
 from repro.rpc.server import AdmissionPolicy, RpcProgram, RpcServer
@@ -138,14 +127,6 @@ def _best_of(*fns) -> List[float]:
     return best
 
 
-async def _best_of_async(*fns) -> List[float]:
-    best = [float("inf")] * len(fns)
-    for _ in range(ROUNDS):
-        for index, fn in enumerate(fns):
-            best[index] = min(best[index], await fn())
-    return best
-
-
 def check_static_fixtures() -> List[Dict[str, Any]]:
     """Prove every static-layout fixture rides the compiled lane."""
     rows = []
@@ -223,94 +204,6 @@ def bench_sync_tcp(calls: int) -> Dict[str, Any]:
         server_transport.close()
 
 
-# -- async TCP arm -----------------------------------------------------------
-
-
-async def _bench_async_tcp(calls: int) -> Dict[str, Any]:
-    server_transport = await AsyncTcpTransport.create()
-    server = AsyncRpcServer(
-        server_transport, admission=AdmissionPolicy(shed=False)
-    )
-    server.reply_max_batch = 64
-    server.serve(_echo_program())
-    plain_transport = await AsyncTcpTransport.create(listen=False)
-    plain = AsyncRpcClient(plain_transport, timeout=10.0, retries=1)
-    batching_transport = await AsyncTcpTransport.create(listen=False)
-    batching = AsyncBatchingClient(
-        batching_transport, timeout=10.0, retries=1, max_batch=64
-    )
-    try:
-        await plain.call(server.address, PROG, 1, 1, dict(SMALL_ARGS))
-        await batching.call(server.address, PROG, 1, 1, dict(SMALL_ARGS))
-
-        # Seed path: one call at a time, lockstep.
-        async def run_serial() -> float:
-            start = time.perf_counter()
-            for _ in range(calls):
-                await plain.call(server.address, PROG, 1, 1, SMALL_ARGS)
-            return time.perf_counter() - start
-
-        # Unbatched overlap: gather on the plain client (one write per
-        # call, but round trips overlap) — separates the two effects.
-        async def run_gather() -> float:
-            start = time.perf_counter()
-            await asyncio.gather(*[
-                plain.call(server.address, PROG, 1, 1, SMALL_ARGS)
-                for _ in range(calls)
-            ])
-            return time.perf_counter() - start
-
-        # Fast lane: same-tick gather coalescing on the batching client.
-        async def run_gather_batched() -> float:
-            start = time.perf_counter()
-            await asyncio.gather(*[
-                batching.call(server.address, PROG, 1, 1, SMALL_ARGS)
-                for _ in range(calls)
-            ])
-            return time.perf_counter() - start
-
-        # Fastest lane: the explicit batch API — one context and one
-        # collective wait over watermark-sized BATCH writes.
-        request = [(PROG, 1, 1, SMALL_ARGS)] * calls
-
-        async def run_batched() -> float:
-            start = time.perf_counter()
-            outcomes = await batching.call_many(server.address, request)
-            elapsed = time.perf_counter() - start
-            failures = sum(1 for item in outcomes if isinstance(item, Exception))
-            assert failures == 0, f"{failures} batched calls failed"
-            return elapsed
-
-        (
-            serial_elapsed,
-            gather_elapsed,
-            gather_batched_elapsed,
-            batched_elapsed,
-        ) = await _best_of_async(
-            run_serial, run_gather, run_gather_batched, run_batched
-        )
-        return {
-            "stack": "async-tcp",
-            "calls": calls,
-            "baseline_cps": round(calls / serial_elapsed, 1),
-            "unbatched_gather_cps": round(calls / gather_elapsed, 1),
-            "batched_gather_cps": round(calls / gather_batched_elapsed, 1),
-            "batched_cps": round(calls / batched_elapsed, 1),
-            "speedup": round(serial_elapsed / batched_elapsed, 2),
-            "batch_writes": batching.batches_sent,
-        }
-    finally:
-        plain.close()
-        batching.close()
-        await server_transport.aclose()
-        plain_transport.close()
-        batching_transport.close()
-
-
-def bench_async_tcp(calls: int) -> Dict[str, Any]:
-    return asyncio.run(_bench_async_tcp(calls))
-
-
 # -- codec microbench --------------------------------------------------------
 
 
@@ -370,7 +263,6 @@ def run_sweep(smoke: bool = False) -> Dict[str, Any]:
         "fixtures": check_static_fixtures(),
         "rows": [
             bench_sync_tcp(calls),
-            bench_async_tcp(calls),
             bench_codec(iterations),
         ],
     }
@@ -385,10 +277,9 @@ def assert_claims(report: Dict[str, Any]) -> None:
     for fixture in report["fixtures"]:
         assert fixture["ok"], f"compiled path fell back: {fixture}"
     rows = {row["stack"]: row for row in report["rows"]}
-    # Claim 1: batched small-arg calls ≥3× the seed path — both stacks.
+    # Claim 1: batched small-arg calls ≥3× the seed path.
     batching_floor = 2.0 if report["smoke"] else 3.0
     assert rows["sync-tcp"]["speedup"] >= batching_floor, rows["sync-tcp"]
-    assert rows["async-tcp"]["speedup"] >= batching_floor, rows["async-tcp"]
     # Claim 2: compiled decode ≥2× the tagged decode.
     assert rows["codec"]["decode_speedup"] >= 2.0, rows["codec"]
     # Claim 3: the compiled lane allocates less per decode.

@@ -91,6 +91,3 @@ class TransactionalServiceRuntime(ServiceRuntime):
         self.committed_results: Dict[str, List[Dict[str, Any]]] = {}
         self._resource = _DeferredInvocationResource(self)
         self._participant = TransactionParticipant(server, self._resource)
-
-    def staged_transactions(self) -> int:
-        return len(self._resource._staged)

@@ -38,10 +38,6 @@ class InvocationResult:
     state: Optional[str] = None  # FSM state after the call, if any
     references: List[ServiceRef] = field(default_factory=list)
 
-    @property
-    def has_references(self) -> bool:
-        return bool(self.references)
-
 
 class GenericClient:
     """Creates generic bindings; one per human user / application."""
@@ -105,13 +101,6 @@ class GenericBinding:
 
     def operation(self, name: str) -> OperationType:
         return self.sid.interface.operation(name)
-
-    def allowed_operations(self) -> List[str]:
-        """Operations legal in the current FSM state (all, if no FSM)."""
-        names = self.operations()
-        if self.fsm is None:
-            return names
-        return [name for name in names if self.fsm.allows(name)]
 
     def describe(self, operation_name: str) -> str:
         """Signature plus the SID's natural-language annotation, if any."""

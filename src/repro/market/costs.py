@@ -58,16 +58,6 @@ class CostModel:
 
     # -- derived aggregates ------------------------------------------------------
 
-    def trading_provider_delay(self, type_exists: bool) -> float:
-        """Days from entry until a trading-only offer is importable."""
-        if type_exists:
-            return self.offer_registration_delay
-        return (
-            self.type_standardisation_delay
-            + self.type_registration_delay
-            + self.offer_registration_delay
-        )
-
     def trading_provider_effort(self, type_exists: bool) -> float:
         if type_exists:
             return self.offer_registration_effort

@@ -5,7 +5,7 @@ Replaces the prototype's Sun ONC RPC with a compatible-in-spirit layer:
 * :mod:`repro.rpc.xdr` — XDR-style binary marshalling plus a tagged codec
   for dynamic (SID-driven) marshalling of arbitrary values,
 * :mod:`repro.rpc.message` — CALL/REPLY message format with transaction ids,
-* :mod:`repro.rpc.transport` — pluggable transports (simulated network, TCP),
+* :mod:`repro.rpc.transport` — the two transports (simulated network, TCP),
 * :mod:`repro.rpc.server` / :mod:`repro.rpc.client` — dispatch with an
   at-most-once duplicate-request cache, retrying client handles,
 * :mod:`repro.rpc.portmap` — the portmapper on well-known port 111,
@@ -19,12 +19,7 @@ Replaces the prototype's Sun ONC RPC with a compatible-in-spirit layer:
   transparent fallback to the tagged dynamic-marshalling path.
 """
 
-from repro.rpc.aio import (
-    AsyncBatchingClient,
-    AsyncRpcClient,
-    AsyncRpcServer,
-    AsyncTcpTransport,
-)
+from repro.rpc.aio import AsyncRpcClient, AsyncRpcServer
 from repro.rpc.client import BatchBuffer, BatchingClient, RpcClient
 from repro.rpc.codec import CODECS, CodecFallback, CodecRegistry, CompiledCodec
 from repro.rpc.errors import (
@@ -67,10 +62,8 @@ from repro.rpc.xdr import decode_value, encode_value
 __all__ = [
     "AdmissionPolicy",
     "AdmissionQueue",
-    "AsyncBatchingClient",
     "AsyncRpcClient",
     "AsyncRpcServer",
-    "AsyncTcpTransport",
     "BackoffPolicy",
     "BatchBuffer",
     "BatchingClient",

@@ -1,10 +1,9 @@
 """RPC client handles: retransmission, typed errors, and call batching.
 
-The protocol logic lives once, in :class:`_RpcClientCore` and
-:class:`_BatchLane`, as coroutines; the classes here are the blocking
-flavour, which steps them, and :mod:`repro.rpc.aio` holds the coroutine
-flavour, which awaits them.  :class:`RpcClient` is the
-one-call-per-write baseline.
+The protocol logic lives once, in :class:`_RpcClientCore`, as
+coroutines; the classes here are the blocking flavour, which steps them,
+and :mod:`repro.rpc.aio` holds the coroutine flavour, which awaits them
+in virtual time.  :class:`RpcClient` is the one-call-per-write baseline.
 :class:`BatchingClient` adds the wire fast lane: concurrent calls to the
 same endpoint coalesce into a single BATCH payload (one ``send`` for
 many CALL frames), flushed when a count, byte, or deadline-slack
@@ -98,7 +97,7 @@ class _RpcClientCore:
     until every xid is answered (true) or the timeout lapses (false),
     ``_take(xid)`` claims the reply if it came, and ``retire_xid(xid)``
     forgets the xid.
-    ``_send_call`` is the sixth, for the batching subclasses.
+    ``_send_call`` is the sixth, for :class:`BatchingClient`.
 
     Retransmits with the *same* xid on timeout so the server's at-most-once
     cache can suppress re-execution.  Timing is governed by a
@@ -282,8 +281,8 @@ class _RpcClientCore:
     ) -> None:
         """Put one encoded CALL on the wire.
 
-        The seam the batching clients override to coalesce writes; the
-        base clients write immediately, one message per payload.
+        The seam :class:`BatchingClient` overrides to coalesce writes;
+        the base clients write immediately, one message per payload.
         """
         self.transport.send(destination, encoded)
 
@@ -475,14 +474,93 @@ class BatchBuffer:
         return payloads
 
 
-class _BatchLane:
-    """The explicit batch lane (``call_many``), written once for both flavours.
+class BatchingClient(RpcClient):
+    """RPC client that coalesces concurrent calls into BATCH writes.
 
-    Mixed into a client flavour, whose ``_expect`` / ``_wait_replies`` /
-    ``_take`` seams it waits on — collectively, for a whole set of
-    xids — and whose ``max_batch`` / ``max_bytes`` watermarks size the
-    payloads it ships.
+    Two modes, freely mixed:
+
+    * :meth:`call_many` — the explicit fast lane: hand over a sequence
+      of calls for one endpoint and they ship as back-to-back CALL
+      frames in watermark-sized payloads, wait collectively, and
+      return per-call outcomes (result value or the typed error
+      *instance*) in order.  No linger delay.
+    * Transparent coalescing — plain :meth:`call` from concurrent
+      threads routes through :class:`BatchBuffer`: the first call to
+      touch an idle destination becomes the *leader*, lingers up to
+      ``linger`` seconds for companions, then flushes everyone in one
+      write.  Watermarks (count/bytes/deadline slack) cut the linger
+      short.  ``linger=0`` disables coalescing entirely.
+
+    Per-call semantics are untouched: same xids, same retransmission
+    pacing, same at-most-once behaviour server-side, and the wire
+    format is plain concatenated CALL frames, so a non-batching server
+    reads them back-to-back.
     """
+
+    def __init__(
+        self,
+        transport: Transport,
+        timeout: float = 1.0,
+        retries: int = 3,
+        max_batch: int = 16,
+        max_bytes: int = 64 * 1024,
+        linger: float = 0.001,
+        flush_slack: float = 0.005,
+    ) -> None:
+        super().__init__(transport, timeout, retries)
+        self.max_batch = max_batch
+        self.max_bytes = max_bytes
+        self.linger = linger
+        self.batches_sent = 0
+        self._buffer = BatchBuffer(max_batch, max_bytes, flush_slack)
+
+    # -- transparent coalescing -------------------------------------------
+
+    def _send_call(
+        self, destination: Address, encoded: bytes, deadline: Optional[float]
+    ) -> None:
+        if self.linger <= 0:
+            self.transport.send(destination, encoded)
+            return
+        action, data = self._buffer.add(
+            destination, encoded, deadline, self.transport.now()
+        )
+        if action == "flush":
+            self._send_batch(destination, data)
+        elif action == "lead":
+            generation = data
+            self.transport.wait(
+                lambda: self._buffer.flushed(destination, generation),
+                self.linger,
+            )
+            payloads = self._buffer.take(destination, generation)
+            if payloads:
+                self._send_batch(destination, payloads)
+        # "wait": the current leader (or a watermark) flushes it for us
+        # within ``linger``.
+
+    # -- explicit batch API -----------------------------------------------
+
+    def call_many(
+        self,
+        destination: Address,
+        calls: Sequence[Tuple[int, int, int, Any]],
+        timeout: Optional[float] = None,
+        retries: Optional[int] = None,
+        context: Optional[CallContext] = None,
+    ) -> List[Any]:
+        """Issue many ``(prog, vers, proc, args)`` calls as batches.
+
+        Returns outcomes in call order: the decoded result, or the
+        typed :class:`RpcError` instance that call would have raised.
+        All calls share one context (one deadline budget, one trace).
+        """
+        return step(self._call_many(destination, calls, timeout, retries, context))
+
+    # -- the batch lane: coroutine bodies, stepped by call_many -----------
+    #
+    # They wait on the client seams (``_expect`` / ``_wait_replies`` /
+    # ``_take``) collectively, for a whole set of xids.
 
     async def _call_many(
         self,
@@ -613,87 +691,3 @@ class _BatchLane:
         METRICS.inc("rpc.client.batches_sent")
         METRICS.observe("rpc.client.batch_size", float(len(payloads)))
         self.transport.send(destination, b"".join(payloads))
-
-
-class BatchingClient(_BatchLane, RpcClient):
-    """RPC client that coalesces concurrent calls into BATCH writes.
-
-    Two modes, freely mixed:
-
-    * :meth:`call_many` — the explicit fast lane: hand over a sequence
-      of calls for one endpoint and they ship as back-to-back CALL
-      frames in watermark-sized payloads, wait collectively, and
-      return per-call outcomes (result value or the typed error
-      *instance*) in order.  No linger delay.
-    * Transparent coalescing — plain :meth:`call` from concurrent
-      threads routes through :class:`BatchBuffer`: the first call to
-      touch an idle destination becomes the *leader*, lingers up to
-      ``linger`` seconds for companions, then flushes everyone in one
-      write.  Watermarks (count/bytes/deadline slack) cut the linger
-      short.  ``linger=0`` disables coalescing entirely.
-
-    Per-call semantics are untouched: same xids, same retransmission
-    pacing, same at-most-once behaviour server-side, and the wire
-    format is plain concatenated CALL frames, so a non-batching server
-    reads them back-to-back.
-    """
-
-    def __init__(
-        self,
-        transport: Transport,
-        timeout: float = 1.0,
-        retries: int = 3,
-        max_batch: int = 16,
-        max_bytes: int = 64 * 1024,
-        linger: float = 0.001,
-        flush_slack: float = 0.005,
-    ) -> None:
-        super().__init__(transport, timeout, retries)
-        self.max_batch = max_batch
-        self.max_bytes = max_bytes
-        self.linger = linger
-        self.batches_sent = 0
-        self._buffer = BatchBuffer(max_batch, max_bytes, flush_slack)
-
-    # -- transparent coalescing -------------------------------------------
-
-    def _send_call(
-        self, destination: Address, encoded: bytes, deadline: Optional[float]
-    ) -> None:
-        if self.linger <= 0:
-            self.transport.send(destination, encoded)
-            return
-        action, data = self._buffer.add(
-            destination, encoded, deadline, self.transport.now()
-        )
-        if action == "flush":
-            self._send_batch(destination, data)
-        elif action == "lead":
-            generation = data
-            self.transport.wait(
-                lambda: self._buffer.flushed(destination, generation),
-                self.linger,
-            )
-            payloads = self._buffer.take(destination, generation)
-            if payloads:
-                self._send_batch(destination, payloads)
-        # "wait": the current leader (or a watermark) flushes it for us
-        # within ``linger``.
-
-    # -- explicit batch API -----------------------------------------------
-
-    def call_many(
-        self,
-        destination: Address,
-        calls: Sequence[Tuple[int, int, int, Any]],
-        timeout: Optional[float] = None,
-        retries: Optional[int] = None,
-        context: Optional[CallContext] = None,
-    ) -> List[Any]:
-        """Issue many ``(prog, vers, proc, args)`` calls as batches.
-
-        Returns outcomes in call order: the decoded result, or the
-        typed :class:`RpcError` instance that call would have raised.
-        All calls share one context (one deadline budget, one trace).
-        """
-        return step(self._call_many(destination, calls, timeout, retries, context))

@@ -2,12 +2,17 @@
 
 The RPC client/server code is transport-agnostic; a :class:`Transport`
 provides datagram-style send/receive plus a ``wait`` primitive that blocks
-(simulated or real time) until a predicate holds.  Two implementations:
+(simulated or real time) until a predicate holds.  Exactly two networks
+run the one RPC stack:
 
 * :class:`SimTransport` — over :class:`repro.net.SimNetwork`; ``wait``
-  advances the shared virtual clock, keeping tests deterministic.
+  advances the shared virtual clock, keeping tests deterministic.  Both
+  client flavours run on it (the coroutine one via
+  :class:`~repro.net.aioclock.SimEventLoop`).
 * :class:`TcpTransport` — real TCP sockets with length-prefixed frames,
-  demonstrating that the stack also runs over a genuine network.
+  the only socket transport.  Every message, a reply included, travels
+  on the sender's own outgoing connection to the receiver's advertised
+  listener.
 """
 
 from __future__ import annotations
@@ -34,8 +39,8 @@ def enable_nodelay(sock: Optional[socket.socket]) -> None:
     CALL sits in the kernel until the previous segment is ACKed, adding
     up to an RTT (or a 40 ms delayed-ACK stall) per call.  Batching
     makes its *own* flush decisions (count/byte/slack watermarks), so
-    every TCP transport — sync and asyncio, connect and accept side —
-    disables Nagle and owns its write boundaries.
+    the TCP transport disables Nagle on both the connect and the accept
+    side and owns its write boundaries.
     """
     if sock is None:
         return
@@ -107,8 +112,11 @@ class TcpTransport(Transport):
 
     Every transport runs one accept loop; frames and the hello that opens
     a connection are :mod:`repro.rpc.xdr`'s.  Outgoing connections are
-    cached per destination.  Receive callbacks run on reader threads; a
-    shared condition lets :meth:`wait` sleep until state changes.
+    cached per destination and only ever written: the peer answers on its
+    own connection to our listener.  Receive callbacks run on the reader
+    thread of each accepted connection; a shared condition lets
+    :meth:`wait` sleep until state changes.  Connect and write failures
+    surface as :class:`~repro.errors.CommunicationError`.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
@@ -132,23 +140,25 @@ class TcpTransport(Transport):
         frame = xdr.frame(payload)
         with self._lock:
             conn = self._connections.get(destination)
-        if conn is None:
-            conn = socket.create_connection((destination.host, destination.port), timeout=5)
-            enable_nodelay(conn)
-            # Announce who we are so replies can come back over a fresh
-            # connection to our listener (datagram semantics, not stream).
-            conn.sendall(xdr.hello(self.local_address.port))
-            with self._lock:
-                self._connections[destination] = conn
-            threading.Thread(
-                target=self._read_loop, args=(conn, destination), daemon=True
-            ).start()
         try:
+            if conn is None:
+                conn = socket.create_connection(
+                    (destination.host, destination.port), timeout=5
+                )
+                enable_nodelay(conn)
+                # Announce our listener: the peer replies on its own
+                # connection to it, never on this one.
+                conn.sendall(xdr.hello(self.local_address.port))
+                with self._lock:
+                    self._connections[destination] = conn
             conn.sendall(frame)
         except OSError as exc:
+            # A refused connect is as transient as a failed write.
             with self._lock:
                 self._connections.pop(destination, None)
-            raise CommunicationError(f"send to {destination} failed: {exc}")
+            if conn is not None:
+                conn.close()
+            raise CommunicationError(f"send to {destination} failed: {exc}") from exc
 
     def set_receiver(self, receiver: Receiver) -> None:
         self._receiver = receiver

@@ -151,15 +151,6 @@ class ModuleDecl:
     name: str
     body: List[Any] = field(default_factory=list)
 
-    def submodules(self) -> List["ModuleDecl"]:
-        return [decl for decl in self.body if isinstance(decl, ModuleDecl)]
-
-    def find_module(self, name: str) -> Optional["ModuleDecl"]:
-        for decl in self.submodules():
-            if decl.name == name:
-                return decl
-        return None
-
     def declarations(self, kind) -> List[Any]:
         return [decl for decl in self.body if isinstance(decl, kind)]
 

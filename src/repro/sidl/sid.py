@@ -76,10 +76,6 @@ class ServiceDescription:
         present.extend(name for name, __ in self.unknown_modules)
         return present
 
-    def conforms_to_base(self) -> bool:
-        """Every SID with type + operation elements conforms to SIDBase."""
-        return self.interface is not None
-
     def conforms_to(self, base: "ServiceDescription") -> bool:
         """Structural SID conformance: self is usable wherever ``base`` is.
 

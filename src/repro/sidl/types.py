@@ -340,9 +340,6 @@ class OperationType:
     def in_params(self) -> List[Tuple[str, SidlType]]:
         return [(n, t) for n, d, t in self.params if d in ("in", "inout")]
 
-    def out_params(self) -> List[Tuple[str, SidlType]]:
-        return [(n, t) for n, d, t in self.params if d in ("out", "inout")]
-
     def check_arguments(self, arguments: Dict[str, Any]) -> Dict[str, Any]:
         """Validate a name->value argument dict against the in-params."""
         if not isinstance(arguments, dict):

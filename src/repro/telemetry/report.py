@@ -278,7 +278,7 @@ def run_async_cell(model: str, clients: int = 32, seed: int = 1994) -> Dict[str,
     Runs ``clients`` concurrent calls against an
     :class:`~repro.rpc.aio.AsyncRpcServer` on a virtual-time event loop,
     sampling the ``rpc.async.inflight`` gauge mid-flight — the report's
-    window onto the async transport: peak concurrency, the gauge
+    window onto the coroutine flavour: peak concurrency, the gauge
     returning to zero at rest, and the virtual makespan (≈ one call's
     round trip, not ``clients`` of them, when the fan-out overlaps).
     """

@@ -70,15 +70,6 @@ class UiSession:
         """Submit an operation's form on the current panel."""
         return self.current.submit(operation_name)
 
-    def add_list_item(self, path: str) -> str:
-        """Grow the list editor at ``path``; returns the new item's path."""
-        operation_name = path.split(".", 1)[0]
-        form = self.current.controller(operation_name).form
-        editor = form.find(path)
-        if not hasattr(editor, "add_item"):
-            raise UiError(f"{path!r} is not a list editor")
-        return editor.add_item().path
-
     def click_bind(self, operation_name: str, index: int = 0) -> ServicePanel:
         """Activate a bind button in a result: the Fig. 4 cascade step."""
         form = self.current.controller(operation_name).form

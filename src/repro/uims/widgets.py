@@ -199,11 +199,6 @@ class ListEditor(Widget):
         self.items.append(item)
         return item
 
-    def remove_item(self, index: int) -> None:
-        del self.items[index]
-        for position, item in enumerate(self.items):
-            _repath(item, f"{self.path}.{position}")
-
     def get_value(self) -> List[Any]:
         return [item.get_value() for item in self.items]
 
@@ -367,11 +362,3 @@ class Form(Widget):
             if key not in by_label:
                 raise UiError(f"{self.path}: no field {key!r}")
             by_label[key].set_value(item)
-
-
-def _repath(widget: Widget, new_path: str) -> None:
-    old_path = widget.path
-    widget.path = new_path
-    for child in widget.children():
-        if child.path.startswith(old_path + "."):
-            _repath(widget=child, new_path=new_path + child.path[len(old_path):])

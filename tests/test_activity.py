@@ -138,14 +138,6 @@ def test_transactional_runtime_still_mediates(make_client, hotel):
     assert booking.value["confirmation"] >= 5000
 
 
-def test_staged_transactions_counter(manager, hotel):
-    assert hotel.staged_transactions() == 0
-    activity = manager.begin("count")
-    activity.add_step(hotel.ref, "BookRoom", {"stay": STAY})
-    activity.execute()
-    assert hotel.staged_transactions() == 0  # drained at commit
-
-
 # -- the networked activity manager service ----------------------------------------------
 
 

@@ -22,7 +22,6 @@ def browser_client(browser, make_client):
 def test_browser_has_its_own_sid(browser):
     assert browser.sid.name == "CosmBrowser"
     assert "Register" in browser.sid.operation_names()
-    assert browser.sid.conforms_to_base()
 
 
 def test_register_and_list(browser_client, rental):

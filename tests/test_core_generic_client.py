@@ -40,7 +40,8 @@ def test_describe_includes_signature_and_annotation(binding):
 
 def test_initial_state_and_allowed_operations(binding):
     assert binding.state() == "INIT"
-    assert binding.allowed_operations() == ["SelectCar"]
+    assert binding.fsm.allows("SelectCar")
+    assert not binding.fsm.allows("BookCar")
 
 
 # -- dynamic invocation with local guards -------------------------------------------
@@ -50,7 +51,7 @@ def test_invoke_returns_result_and_state(binding):
     result = binding.invoke("SelectCar", {"selection": SELECTION})
     assert result.value["available"] is True
     assert result.state == "SELECTED"
-    assert binding.allowed_operations() == ["SelectCar", "BookCar"]
+    assert binding.fsm.allows("SelectCar") and binding.fsm.allows("BookCar")
 
 
 def test_local_fsm_rejection_without_network(binding, rental, generic):
@@ -106,7 +107,7 @@ def test_stateless_service_has_no_guard(generic, make_server):
     quotes = start_stock_quotes(make_server())
     binding = generic.bind(quotes.ref)
     assert binding.state() is None
-    assert binding.allowed_operations() == binding.operations()
+    assert binding.fsm is None
     result = binding.invoke("GetQuote", {"symbol": "DAI"})
     assert result.value["symbol"] == "DAI"
 
@@ -122,7 +123,7 @@ def test_references_discovered_in_results(generic, make_server, rental):
         {"category": "travel", "description": "cars", "ref": rental.ref.to_wire()},
     )
     result = directory_binding.invoke("Lookup", {"category": "travel"})
-    assert result.has_references
+    assert result.references
     assert result.references[0].name == "CarRentalService"
     assert directory_binding.discovered == result.references
 

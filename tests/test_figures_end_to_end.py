@@ -94,7 +94,7 @@ def test_fig4_browser_mediation_and_cascade(make_server, make_client, rental):
     generic = GenericClient(make_client())
     browser_binding = generic.bind(browser.ref)
     result = browser_binding.invoke("Search", {"query": "rental"})
-    assert result.has_references
+    assert result.references
     # step 3: binding to the server out of the browse result
     rental_binding = browser_binding.bind_discovered()
     assert rental_binding.depth == 1

@@ -1,7 +1,8 @@
 """tier-1 runs ``tools/linecov.py`` over the functions whose untested
 branches an aggregate coverage floor would not notice: the at-most-once
-window (replay, encode-once, eviction, oversized replies) and the index
-probe's candidate order."""
+window (replay, encode-once, eviction, oversized replies), the index
+probe's candidate order, the TCP send path (a refused connect or a
+failed write is a typed, transient error) and the batch lane's entry."""
 
 import os
 import subprocess
@@ -15,15 +16,24 @@ TARGETS = [
     "repro.rpc.server:RpcServer._receive",
     "repro.rpc.server:ReplyCache.put",
     "repro.trader.offers:OfferStore._filter",
+    "repro.rpc.transport:TcpTransport.send",
+    "repro.rpc.client:BatchingClient._call_many",
 ]
 # Deterministic tests only: what the hypothesis properties happen to
 # generate must not decide whether a line counts as covered.
 RPC = "tests/test_rpc_client_server.py::"
+TCP = "tests/test_rpc_tcp.py::"
+BATCHING = "tests/test_rpc_batching.py::"
 UNIT_TESTS = [
     RPC + "test_at_most_once_suppresses_duplicate_execution",
     RPC + "test_reply_cache_bounded",
     RPC + "test_small_replies_outlive_a_run_of_large_ones",
     RPC + "test_reply_cache_reinsert_replaces_the_old_charge",
+    TCP + "test_refused_connect_is_a_transient_communication_error",
+    TCP + "test_resilient_caller_fails_over_past_a_closed_port",
+    TCP + "test_failed_write_drops_the_connection_and_the_next_call_redials",
+    BATCHING + "test_call_many_outcomes_in_order",
+    BATCHING + "test_call_many_empty_is_empty",
     "tests/test_trader_index.py",
     "-k",
     "not candidate_order",

@@ -34,10 +34,9 @@ def outcomes(providers, demand):
 
 def test_cost_model_defaults_encode_paper_ordering():
     costs = CostModel()
-    assert costs.trading_provider_delay(type_exists=False) > 10 * costs.mediation_provider_delay()
     assert costs.trading_provider_effort(type_exists=False) > 10 * costs.mediation_provider_effort()
     # once the type exists, exporting is cheap (§3.3 steady state)
-    assert costs.trading_provider_delay(type_exists=True) < costs.trading_provider_delay(type_exists=False)
+    assert costs.trading_provider_effort(type_exists=True) < costs.trading_provider_effort(type_exists=False)
 
 
 def test_cost_model_scaled_copy():

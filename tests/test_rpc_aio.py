@@ -1,11 +1,10 @@
-"""Tests for the async RPC stack: AsyncRpcClient/AsyncRpcServer/AsyncTcpTransport.
+"""Tests for the coroutine RPC flavour: AsyncRpcClient/AsyncRpcServer.
 
-Virtual-time cases drive a :class:`SimEventLoop` explicitly (no asyncio
-plugin needed); the TCP cases use :func:`asyncio.run` on real sockets.
+Every case runs in virtual time, driving a :class:`SimEventLoop`
+explicitly (no asyncio plugin needed).
 """
 
 import asyncio
-import time
 
 import pytest
 
@@ -16,7 +15,6 @@ from repro.rpc import (
     AdmissionPolicy,
     AsyncRpcClient,
     AsyncRpcServer,
-    AsyncTcpTransport,
     RpcClient,
     RpcProgram,
     RpcServer,
@@ -260,75 +258,3 @@ def test_ambient_context_crosses_tasks(net):
     )
     assert result == "pong"
     assert traces == ["trace-xyz"]
-
-
-# -- real sockets ----------------------------------------------------------
-
-
-def test_async_tcp_roundtrip_and_connection_reuse():
-    async def main():
-        st = await AsyncTcpTransport.create()
-        server = AsyncRpcServer(st)
-        program = RpcProgram(PROG + 4, 1, "tcp")
-
-        async def slow(args):
-            await asyncio.sleep(args["delay"])
-            return args["msg"]
-
-        program.register(1, slow)
-        server.serve(program)
-        ct = await AsyncTcpTransport.create(listen=False)
-        client = AsyncRpcClient(ct, timeout=5.0, retries=1)
-        t0 = time.perf_counter()
-        out = await asyncio.gather(*[
-            client.call(server.address, PROG + 4, 1, 1, {"msg": f"m{i}", "delay": 0.2})
-            for i in range(20)
-        ])
-        elapsed = time.perf_counter() - t0
-        stats = (ct.connections_opened, st.connections_accepted, st.connections_opened)
-        ct.close()
-        await st.aclose()
-        return out, elapsed, stats
-
-    out, elapsed, (opened, accepted, server_opened) = asyncio.run(main())
-    assert out == [f"m{i}" for i in range(20)]
-    # Concurrent on real sockets too: 20 x 0.2s in well under 4s serial time.
-    assert elapsed < 2.0
-    # One multiplexed connection carried all calls, and replies reused it
-    # (the server never dialled back).
-    assert opened == 1 and accepted == 1 and server_opened == 0
-
-
-def test_async_tcp_sets_nodelay_both_sides():
-    """Nagle stays off on connect and accept: small CALL frames must not
-    sit in the kernel waiting for an ACK to piggyback on."""
-    import socket
-
-    async def main():
-        st = await AsyncTcpTransport.create()
-        server = AsyncRpcServer(st)
-        program = RpcProgram(PROG + 5, 1, "nodelay")
-        program.register(1, lambda args: args)
-        server.serve(program)
-        ct = await AsyncTcpTransport.create(listen=False)
-        client = AsyncRpcClient(ct, timeout=5.0, retries=1)
-        await client.call(server.address, PROG + 5, 1, 1, {"x": 1})
-
-        def nodelay_flags(transport):
-            flags = []
-            for writer in transport._writers.values():
-                sock = writer.get_extra_info("socket")
-                flags.append(
-                    sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
-                )
-            return flags
-
-        client_flags = nodelay_flags(ct)
-        server_flags = nodelay_flags(st)
-        ct.close()
-        await st.aclose()
-        return client_flags, server_flags
-
-    client_flags, server_flags = asyncio.run(main())
-    assert client_flags and all(flag == 1 for flag in client_flags)
-    assert server_flags and all(flag == 1 for flag in server_flags)

@@ -9,19 +9,11 @@ the server side proves replies coalesce without ever deadlocking a
 reentrant topology.
 """
 
-import asyncio
-
 import pytest
 
-from repro.net import SimNetwork, loop_for
+from repro.net import SimNetwork
 from repro.net.latency import FixedLatency
-from repro.rpc import (
-    AdmissionPolicy,
-    AsyncBatchingClient,
-    AsyncRpcServer,
-    RpcProgram,
-    RpcServer,
-)
+from repro.rpc import RpcProgram, RpcServer
 from repro.rpc.client import BatchBuffer, BatchingClient, RpcClient
 from repro.rpc.errors import ProgramUnavailable, RemoteFault
 from repro.rpc.transport import SimTransport
@@ -249,64 +241,3 @@ def test_batching_client_against_pre_batch_handler_path(net, server):
     finally:
         server.handle_batch = original
         assert dispatcher.server is server
-
-
-# -- async batching ----------------------------------------------------------
-
-
-def make_async_stack(net, **client_options):
-    server = AsyncRpcServer(
-        SimTransport(net, "absrv"), admission=AdmissionPolicy(shed=False)
-    )
-    server.serve(echo_program())
-    client_options.setdefault("timeout", 1.0)
-    client_options.setdefault("retries", 2)
-    client = AsyncBatchingClient(SimTransport(net, "abcli"), **client_options)
-    return server, client
-
-
-def run_sim(net, coro):
-    return loop_for(net.clock).run_until_complete(coro)
-
-
-def test_async_call_many_outcomes_in_order(net):
-    server, client = make_async_stack(net, max_batch=4)
-    request = [(PROG, 1, 1, {"n": index}) for index in range(10)]
-    outcomes = run_sim(net, client.call_many(server.address, request))
-    assert [item["echo"]["n"] for item in outcomes] == list(range(10))
-    assert client.batches_sent == 3
-
-
-def test_async_call_many_typed_errors_in_place(net):
-    server, client = make_async_stack(net)
-    outcomes = run_sim(
-        net,
-        client.call_many(
-            server.address,
-            [(PROG, 1, 1, {}), (PROG, 1, 2, {}), (PROG + 1, 1, 1, {})],
-        ),
-    )
-    assert outcomes[0]["echo"] == {}
-    assert isinstance(outcomes[1], RemoteFault)
-    assert isinstance(outcomes[2], ProgramUnavailable)
-
-
-def test_async_gather_coalesces_same_tick_calls(net):
-    """An asyncio.gather fan-out stages in one tick → few BATCH writes."""
-    server, client = make_async_stack(net, max_batch=8)
-
-    async def fan_out():
-        return await asyncio.gather(
-            *[client.call(server.address, PROG, 1, 1, {"i": i}) for i in range(8)]
-        )
-
-    results = run_sim(net, fan_out())
-    assert [item["echo"]["i"] for item in results] == list(range(8))
-    assert client.batches_sent == 1
-
-
-def test_async_lone_call_flushes_same_tick(net):
-    server, client = make_async_stack(net)
-    result = run_sim(net, client.call(server.address, PROG, 1, 1, {"solo": 1}))
-    assert result["echo"] == {"solo": 1}
-    assert client.batches_sent == 1

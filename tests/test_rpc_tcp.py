@@ -5,9 +5,15 @@ transport abstraction holds: client, server, and the COSM layers above
 run unchanged.
 """
 
+import socket
+
 import pytest
 
+from repro.errors import CommunicationError
+from repro.net.endpoints import Address
 from repro.rpc.client import RpcClient
+from repro.rpc.errors import RpcError
+from repro.rpc.resilience import ResilientCaller, transient
 from repro.rpc.server import RpcProgram, RpcServer
 from repro.rpc.transport import TcpTransport
 
@@ -46,18 +52,59 @@ def test_many_sequential_calls(tcp_pair):
         assert client.call(server_transport.local_address, PROG, 1, 1, i) == i * 2
 
 
+def closed_port():
+    """An address nothing listens on: connecting to it is refused."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return Address(*probe.getsockname())
+
+
 def test_timeout_against_dead_port(tcp_pair):
     __, client_transport = tcp_pair
     client = RpcClient(client_transport, timeout=0.1, retries=0)
-    from repro.net.endpoints import Address
-    from repro.rpc.errors import RpcError
-
     # A bound-then-closed listener: connection refused or timeout.
     probe = TcpTransport()
     dead = probe.local_address
     probe.close()
-    with pytest.raises((RpcError, OSError)):
-        client.call(Address(dead.host, dead.port), PROG, 1, 1)
+    with pytest.raises(CommunicationError):
+        client.call(dead, PROG, 1, 1)
+
+
+def test_refused_connect_is_a_transient_communication_error(tcp_pair):
+    __, client_transport = tcp_pair
+    client = RpcClient(client_transport, timeout=0.1, retries=0)
+    with pytest.raises(CommunicationError) as excinfo:
+        client.call(closed_port(), PROG, 1, 1)
+    assert not isinstance(excinfo.value, RpcError)
+    assert transient(excinfo.value)
+
+
+def test_resilient_caller_fails_over_past_a_closed_port(tcp_pair):
+    server_transport, client_transport = tcp_pair
+    server = RpcServer(server_transport)
+    program = RpcProgram(PROG, 1)
+    program.register(1, lambda args: {"pong": args})
+    server.serve(program)
+    caller = ResilientCaller(RpcClient(client_transport, timeout=2.0, retries=0))
+    targets = [closed_port(), server_transport.local_address]
+    assert caller.call(targets, PROG, 1, 1, "ping") == {"pong": "ping"}
+    assert caller.failovers == 1
+
+
+def test_failed_write_drops_the_connection_and_the_next_call_redials(tcp_pair):
+    server_transport, client_transport = tcp_pair
+    server = RpcServer(server_transport)
+    program = RpcProgram(PROG, 1)
+    program.register(1, lambda args: args)
+    server.serve(program)
+    client = RpcClient(client_transport, timeout=2.0, retries=0)
+    address = server_transport.local_address
+    assert client.call(address, PROG, 1, 1, 1) == 1
+    client_transport._connections[address].close()
+    with pytest.raises(CommunicationError):
+        client.call(address, PROG, 1, 1, 2)
+    assert address not in client_transport._connections
+    assert client.call(address, PROG, 1, 1, 3) == 3
 
 
 def test_generic_client_over_tcp():
@@ -85,8 +132,6 @@ def test_generic_client_over_tcp():
 def test_nodelay_set_on_outgoing_connections(tcp_pair):
     """Nagle must stay off on the wire fast lane: a 100-byte CALL frame
     sitting in the kernel for 40 ms would dwarf every software win."""
-    import socket
-
     server_transport, client_transport = tcp_pair
     server = RpcServer(server_transport)
     program = RpcProgram(PROG, 1)
@@ -101,8 +146,6 @@ def test_nodelay_set_on_outgoing_connections(tcp_pair):
 
 
 def test_enable_nodelay_tolerates_non_tcp_sockets():
-    import socket
-
     from repro.rpc.transport import enable_nodelay
 
     left, right = socket.socketpair()  # AF_UNIX: no TCP_NODELAY option

@@ -40,8 +40,7 @@ def test_module_trailing_semicolon_optional():
 
 def test_nested_modules():
     module = parse_one("module A { module B { }; };")
-    assert module.find_module("B") is not None
-    assert module.find_module("C") is None
+    assert [sub.name for sub in module.declarations(ModuleDecl)] == ["B"]
 
 
 def test_interface_with_operations():

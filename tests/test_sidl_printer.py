@@ -61,7 +61,9 @@ def test_fsm_roundtrip():
     };
     """
     __, second, printed = roundtrip(source)
-    fsm = second.find_module("COSM_FSM").declarations(FsmDecl)[0]
+    [fsm_module] = second.declarations(ModuleDecl)
+    assert fsm_module.name == "COSM_FSM"
+    fsm = fsm_module.declarations(FsmDecl)[0]
     assert fsm.initial == "A"
     assert fsm.transitions[0].target == "B"
     assert "transition A -> B on Go;" in printed

@@ -147,7 +147,6 @@ def test_wire_roundtrip_stable(sid):
 @given(sids())
 def test_conformance_reflexive(sid):
     assert sid.conforms_to(sid)
-    assert sid.conforms_to_base()
 
 
 @settings(max_examples=80, deadline=None)

@@ -67,8 +67,9 @@ def test_extended_elements(extended_sid):
 
 
 def test_every_sid_conforms_to_sidbase(base_sid, extended_sid):
-    assert base_sid.conforms_to_base()
-    assert extended_sid.conforms_to_base()
+    # SIDBase is the types + operations pair every SID leads with.
+    for sid in (base_sid, extended_sid):
+        assert sid.elements()[:2] == [ELEMENT_TYPES, ELEMENT_OPERATIONS]
 
 
 # -- SID conformance (Fig. 2: SIDSub <: SIDBase) ----------------------------------

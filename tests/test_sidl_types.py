@@ -275,13 +275,11 @@ def test_operation_out_params_not_required():
         "Get", [("key", "in", STRING), ("found", "out", BOOLEAN)], STRING
     )
     assert op.check_arguments({"key": "k"}) == {"key": "k"}
-    assert op.out_params() == [("found", BOOLEAN)]
 
 
 def test_inout_param_is_both(add_op):
     op = OperationType("Bump", [("counter", "inout", LONG)], VOID)
     assert ("counter", LONG) in op.in_params()
-    assert ("counter", LONG) in op.out_params()
 
 
 def test_interface_duplicate_operation_rejected(add_op):

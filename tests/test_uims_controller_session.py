@@ -198,8 +198,8 @@ def test_union_tag_fill_rebuilds_arm():
     assert editor.get_value() == {"tag": "S", "value": "hello"}
 
 
-def test_session_add_list_item(generic, make_server):
-    """Growing a sequence parameter through the scripted session."""
+def test_session_fills_a_sequence_parameter(generic, make_server):
+    """Filling a sequence parameter through the scripted session."""
     from repro.core.service_runtime import ServiceRuntime
     from repro.sidl.builder import load_service_description
 
@@ -216,16 +216,8 @@ def test_session_add_list_item(generic, make_server):
     )
     session = UiSession(generic)
     session.open(runtime.ref)
-    first = session.add_list_item("Sum.numbers")
-    session.fill(first, 20)
-    second = session.add_list_item("Sum.numbers")
-    session.fill(second, 22)
+    session.fill("Sum.numbers", [20, 22])
     assert session.click("Sum") == 42
-
-
-def test_add_list_item_wrong_widget(session):
-    with pytest.raises(UiError):
-        session.add_list_item("SelectCar.selection")
 
 
 # -- the HTML backend (second renderer, same widget model) -------------------------

@@ -84,9 +84,9 @@ def test_list_editor_add_remove():
     editor.add_item().set_value(1)
     editor.add_item().set_value(2)
     assert editor.get_value() == [1, 2]
-    editor.remove_item(0)
+    editor.set_value([2])  # a shorter value drops the surplus items
     assert editor.get_value() == [2]
-    assert editor.items[0].path == "l.0"  # re-pathed
+    assert editor.items[0].path == "l.0"
 
 
 def test_list_editor_bound():

@@ -9,14 +9,12 @@ and ``ValueError`` escaped the ``except XdrError`` boundaries and killed
 the reader thread, so every later call on the connection timed out.
 """
 
-import asyncio
 import socket
 import struct
 import threading
 
 import pytest
 
-from repro.rpc.aio import AsyncTcpTransport
 from repro.rpc.client import RpcClient
 from repro.rpc.message import ReplyStatus, RpcCall
 from repro.rpc.server import RpcProgram, RpcServer
@@ -86,18 +84,3 @@ def test_non_numeric_hello_closes_the_socket_threaded(echo_over_tcp, no_thread_d
     assert _closed_by_peer(address)
     assert METRICS.counter_total("rpc.transport.bad_hello") == bad + 1
     assert client.call(address, PROG, 1, 1, "after") == {"echo": "after"}
-
-
-def test_non_numeric_hello_closes_the_socket_asyncio():
-    async def main():
-        transport = await AsyncTcpTransport.create()
-        try:
-            return await asyncio.get_running_loop().run_in_executor(
-                None, _closed_by_peer, transport.local_address
-            )
-        finally:
-            await transport.aclose()
-
-    bad = METRICS.counter_total("rpc.transport.bad_hello")
-    assert asyncio.run(main())
-    assert METRICS.counter_total("rpc.transport.bad_hello") == bad + 1
