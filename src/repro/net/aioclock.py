@@ -122,7 +122,7 @@ class SimEventLoop(asyncio.SelectorEventLoop):
 
 
 #: One loop per clock, so every component of one simulated world — sync
-#: callers driving ``run_until_complete``, async servers creating tasks —
+#: callers driving ``run_until_complete``, heartbeats creating tasks —
 #: schedules onto the same ready queue.  Weak keys: a dropped network
 #: drops its loop; the finalizer closes the loop's real FDs.
 _loops: "weakref.WeakKeyDictionary[SimClock, SimEventLoop]" = (

@@ -19,7 +19,7 @@ Replaces the prototype's Sun ONC RPC with a compatible-in-spirit layer:
   transparent fallback to the tagged dynamic-marshalling path.
 """
 
-from repro.rpc.aio import AsyncRpcClient, AsyncRpcServer
+from repro.rpc.aio import AsyncRpcClient
 from repro.rpc.client import BatchBuffer, BatchingClient, RpcClient
 from repro.rpc.codec import CODECS, CodecFallback, CodecRegistry, CompiledCodec
 from repro.rpc.errors import (
@@ -63,7 +63,6 @@ __all__ = [
     "AdmissionPolicy",
     "AdmissionQueue",
     "AsyncRpcClient",
-    "AsyncRpcServer",
     "BackoffPolicy",
     "BatchBuffer",
     "BatchingClient",

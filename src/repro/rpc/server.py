@@ -53,10 +53,6 @@ from repro.telemetry.metrics import METRICS, MetricsRegistry
 Handler = Callable[..., Any]
 
 
-class _DeadlineLapsed(Exception):
-    """An awaited handler was cancelled because its wire deadline passed."""
-
-
 @dataclass(frozen=True)
 class AdmissionPolicy:
     """How a server decides which inbound calls are worth executing.
@@ -471,11 +467,11 @@ class RpcServer:
             # would shed it.  The token bucket keeps the bypass from
             # becoming a load vector — beyond it, probes shed like
             # anything else.  Executed inline (the snapshot handler is a
-            # pure read), so this works identically on the async server.
-            # Not cached: a pure read gains nothing from replay, and its
-            # metrics dump would crowd other replies out of the window.
+            # pure read).  Not cached: a pure read gains nothing from
+            # replay, and its metrics dump would crowd other replies out
+            # of the window.
             if self._stats_budget.take(now):
-                self._finish(source, call, step(self._execute(call)), cacheable=False)
+                self._finish(source, call, self._execute(call), cacheable=False)
             else:
                 self._finish(
                     source, call, self._shed(call, "stats_budget"), cacheable=False
@@ -517,7 +513,7 @@ class RpcServer:
                 if entry is None:
                     break
                 source, call = entry
-                self._dispatch_entry(source, call)
+                self._run_entry(source, call)
         finally:
             self._active -= 1
             # Depth gauge per drain, not per pop: arrivals re-gauge on
@@ -530,11 +526,7 @@ class RpcServer:
             # depth decrement (TCP reader-thread interleaving): claim it.
             self._drain()
 
-    def _dispatch_entry(self, source: Address, call: RpcCall) -> None:
-        """The blocking lane: step one queued call through the shared body."""
-        step(self._run_entry(source, call))
-
-    async def _run_entry(self, source: Address, call: RpcCall) -> None:
+    def _run_entry(self, source: Address, call: RpcCall) -> None:
         """Dequeue-time re-check, execution, reply."""
         now = self.transport.now()
         if call.deadline is not None and now >= call.deadline:
@@ -547,7 +539,7 @@ class RpcServer:
         cache_key = (source, call.xid)
         self._in_flight.add(cache_key)
         try:
-            reply = await self._execute(call)
+            reply = self._execute(call)
         finally:
             self._in_flight.discard(cache_key)
         self._finish(source, call, reply, cacheable=True)
@@ -736,8 +728,8 @@ class RpcServer:
             # drop accounting lives with the chain owner (the caller).
             flush_context(ctx)
 
-    async def _execute(self, call: RpcCall) -> RpcReply:
-        """Run one admitted call: the body every scheduling lane drives."""
+    def _execute(self, call: RpcCall) -> RpcReply:
+        """Run one admitted call: resolve, invoke under its context, reply."""
         program, handler, args, early = self._prepare(call)
         if early is not None:
             return early
@@ -747,65 +739,54 @@ class RpcServer:
         ctx = self._context_for(call)
         started = self.transport.now()
         try:
-            try:
-                if ctx is None:
-                    result = await self._invoke(handler, args, call, program)
-                elif spans_wanted() and ctx.sampled is not False:
-                    # The server built this context from the wire and
-                    # drops it after the dispatch; record a span only
-                    # when an exporter will actually read the chain.
-                    with ctx.span(
-                        "server", f"{program.name}:{call.proc}", self.transport.now
-                    ):
-                        with use_context(ctx):
-                            result = await self._invoke(handler, args, call, program)
-                else:
-                    # A wire stamp of ``sampled=False`` means the chain
-                    # can only ever be exported by the tail error keep,
-                    # so the success path skips span bookkeeping
-                    # entirely and the except arm reconstructs the span
-                    # — head sampling then costs the hot path nothing.
+            if ctx is None:
+                result = self._invoke(handler, args)
+            elif spans_wanted() and ctx.sampled is not False:
+                # The server built this context from the wire and drops
+                # it after the dispatch; record a span only when an
+                # exporter will actually read the chain.
+                with ctx.span(
+                    "server", f"{program.name}:{call.proc}", self.transport.now
+                ):
                     with use_context(ctx):
-                        result = await self._invoke(handler, args, call, program)
-            except _DeadlineLapsed:
-                return self._reject_deadline(call)
-            except Exception as exc:  # noqa: BLE001 - faults cross the wire as data
-                if ctx is not None and ctx.sampled is False and spans_wanted():
-                    # Rebuild the span the fast path skipped: the tail
-                    # keep still needs the error chain.
-                    record = SpanRecord(
-                        "server",
-                        f"{program.name}:{call.proc}",
-                        started_at=started,
-                        elapsed=self.transport.now() - started,
-                        outcome=type(exc).__name__,
-                    )
-                    ctx.record_span(record)
-                return self._fault_reply(call.xid, exc)
+                        result = self._invoke(handler, args)
+            else:
+                # A wire stamp of ``sampled=False`` means the chain can
+                # only ever be exported by the tail error keep, so the
+                # success path skips span bookkeeping entirely and the
+                # except arm reconstructs the span — head sampling then
+                # costs the hot path nothing.
+                with use_context(ctx):
+                    result = self._invoke(handler, args)
+        except Exception as exc:  # noqa: BLE001 - faults cross the wire as data
+            if ctx is not None and ctx.sampled is False and spans_wanted():
+                # Rebuild the span the fast path skipped: the tail keep
+                # still needs the error chain.
+                record = SpanRecord(
+                    "server",
+                    f"{program.name}:{call.proc}",
+                    started_at=started,
+                    elapsed=self.transport.now() - started,
+                    outcome=type(exc).__name__,
+                )
+                ctx.record_span(record)
+            return self._fault_reply(call.xid, exc)
+        else:
             return self._success_reply(call, result)
         finally:
             self._observe(call, program, ctx, started)
 
-    async def _invoke(
-        self, handler: Handler, args: Any, call: RpcCall, program: RpcProgram
-    ) -> Any:
+    @staticmethod
+    def _invoke(handler: Handler, args: Any) -> Any:
+        """Call the handler; an awaitable result is stepped to completion.
+
+        A handler result that really suspends faults the call with
+        :class:`~repro.rpc.stepper.BodySuspended` (DESIGN.md §6a).
+        """
         result = handler(args)
         if inspect.isawaitable(result):
-            result = await self._bounded(result, call, program)
+            result = step(result)
         return result
-
-    async def _bounded(self, awaitable, call: RpcCall, program: RpcProgram) -> Any:
-        """Finish a handler result that turned out to be awaitable.
-
-        The scheduling seam of :meth:`_execute`.  On a blocking lane the
-        awaitable must complete without suspending — it is stepped, and
-        one that really waits faults the call with
-        :class:`~repro.rpc.stepper.BodySuspended`.  The event-loop lane
-        of :class:`~repro.rpc.aio.AsyncRpcServer` awaits it instead,
-        bounded by the wire deadline, raising :class:`_DeadlineLapsed`
-        when that cancels the handler.
-        """
-        return step(awaitable)
 
     @staticmethod
     def _context_for(call: RpcCall) -> Optional[CallContext]:

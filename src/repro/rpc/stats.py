@@ -95,8 +95,8 @@ def _series_by_label(table: Dict[str, Dict[Any, float]], name: str) -> Dict[str,
 
 def build_snapshot(server: Any) -> Dict[str, Any]:
     """The versioned stats snapshot for ``server`` (duck-typed: anything
-    with the RpcServer attribute surface works, including the asyncio
-    subclass).  Pure read — never raises into the caller's dispatch."""
+    with the RpcServer attribute surface works).  Pure read — never
+    raises into the caller's dispatch."""
     transport = server.transport
     address = transport.local_address
     policy = server.admission
@@ -138,10 +138,7 @@ def build_snapshot(server: Any) -> Dict[str, Any]:
             },
             "programs": programs,
         },
-        "async": {
-            "inflight": METRICS.gauge("rpc.async.inflight"),
-            "cancelled_on_deadline": getattr(server, "cancelled_on_deadline", 0),
-        },
+        "async": {"inflight": METRICS.gauge("rpc.async.inflight")},
         "breakers": breakers,
         "leases": {
             "renewed": METRICS.counter_total("trader.offers.renewed"),

@@ -1,13 +1,13 @@
 """The blocking driver of the one-body, two-drivers protocol code.
 
 Every concurrency-bearing routine of the RPC stack (client attempt loop,
-batch collection, server execute, failover rounds, bind rounds, link
-forwards) is written once, as a coroutine whose few flavour-specific
-statements sit behind seam methods.  The async façades ``await`` that
-body on an event loop; the blocking façades hand it to :func:`step`.
-On the blocking flavour every seam blocks in ``Transport.wait`` and
-returns without ever suspending, so one ``send(None)`` runs the body to
-completion.
+batch collection, failover rounds, bind rounds, link forwards) is written
+once, as a coroutine whose few flavour-specific statements sit behind
+seam methods.  The async façades ``await`` that body on an event loop;
+the blocking façades hand it to :func:`step`.  On the blocking flavour
+every seam blocks in ``Transport.wait`` and returns without ever
+suspending, so one ``send(None)`` runs the body to completion.  The RPC
+server steps a handler result that is awaitable the same way.
 """
 
 from __future__ import annotations

@@ -179,6 +179,12 @@ class TcpTransport(Transport):
     def close(self) -> None:
         self._closed = True
         try:
+            # Closing alone does not wake the accept thread, which would
+            # then accept one more connection; shutdown does.
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
             self._listener.close()
         except OSError:
             pass

@@ -39,7 +39,6 @@ from repro.telemetry.exporters import (
 from repro.telemetry.hub import (
     TelemetryHub,
     flush_context,
-    flush_on_task_completion,
     get_hub,
     set_hub,
     use_exporter,
@@ -64,7 +63,6 @@ __all__ = [
     "TraceChain",
     "derive_parents",
     "flush_context",
-    "flush_on_task_completion",
     "get_hub",
     "head_sampled",
     "set_hub",

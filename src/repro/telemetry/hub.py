@@ -141,35 +141,6 @@ def flush_context(ctx: Any) -> None:
     hub.flush(ctx)
 
 
-def flush_on_task_completion(ctx: Any) -> bool:
-    """Drain ``ctx``'s chain when the current asyncio task completes.
-
-    The async boundary hook: fire-and-forget tasks (spawned handlers,
-    fan-out legs that own their chain) have no return path where a
-    ``finally: flush_context(ctx)`` could live in the caller, so they
-    register the flush as a done-callback instead — it runs whether the
-    task returns, raises, or is cancelled at its deadline.  Returns
-    False (and flushes nothing) outside a running task, so callers can
-    fall back to a synchronous flush.  The no-exporter fast path never
-    touches asyncio.
-    """
-    if not _hub._exporters:
-        # Cheap and honest: with nobody listening there is nothing to
-        # arrange.  (A caller that installs an exporter *mid-task* misses
-        # that task's chain — same contract as flush_context.)
-        return False
-    import asyncio
-
-    try:
-        task = asyncio.current_task()
-    except RuntimeError:
-        task = None
-    if task is None:
-        return False
-    task.add_done_callback(lambda _task: flush_context(ctx))
-    return True
-
-
 @contextmanager
 def use_exporter(exporter: SpanExporter) -> Iterator[SpanExporter]:
     """Install an exporter for a scope (reports, tests)."""

@@ -275,28 +275,24 @@ def run_recovery_cell(model: str, repeats: int, seed: int = 1994) -> Dict[str, A
 def run_async_cell(model: str, clients: int = 32, seed: int = 1994) -> Dict[str, Any]:
     """The async stack's footprint: in-flight concurrency on one loop.
 
-    Runs ``clients`` concurrent calls against an
-    :class:`~repro.rpc.aio.AsyncRpcServer` on a virtual-time event loop,
-    sampling the ``rpc.async.inflight`` gauge mid-flight — the report's
-    window onto the coroutine flavour: peak concurrency, the gauge
-    returning to zero at rest, and the virtual makespan (≈ one call's
-    round trip, not ``clients`` of them, when the fan-out overlaps).
+    Runs ``clients`` concurrent :class:`~repro.rpc.aio.AsyncRpcClient`
+    calls against a plain-handler :class:`~repro.rpc.server.RpcServer` on
+    a virtual-time event loop, sampling the ``rpc.async.inflight`` gauge
+    after one loop yield — the report's window onto the coroutine
+    flavour: peak concurrency, the gauge returning to zero at rest, and
+    the virtual makespan (≈ one call's round trip, not ``clients`` of
+    them, when the fan-out overlaps).
     """
     import asyncio
 
     from repro.net.aioclock import loop_for
-    from repro.rpc.aio import AsyncRpcClient, AsyncRpcServer
-    from repro.rpc.server import RpcProgram
+    from repro.rpc.aio import AsyncRpcClient
+    from repro.rpc.server import RpcProgram, RpcServer
 
     net = SimNetwork(latency=LATENCY_MODELS[model](), seed=seed)
-    server = AsyncRpcServer(SimTransport(net, "asrv.site-b"))
+    server = RpcServer(SimTransport(net, "asrv.site-b"))
     program = RpcProgram(662100, 1, "report-async")
-
-    async def hold(args):
-        await asyncio.sleep(args["hold"])
-        return True
-
-    program.register(1, hold, "hold")
+    program.register(1, lambda args: True, "ack")
     server.serve(program)
     client = AsyncRpcClient(
         SimTransport(net, "acli.site-a"), timeout=10.0, retries=1
@@ -304,18 +300,15 @@ def run_async_cell(model: str, clients: int = 32, seed: int = 1994) -> Dict[str,
     peak = {"inflight": 0}
 
     async def probe() -> None:
-        # Sample while every call is still holding (hold >> probe delay).
-        await asyncio.sleep(0.05)
+        # One loop yield: every call has sent and awaits its reply.
+        await asyncio.sleep(0)
         peak["inflight"] = METRICS.gauge("rpc.async.inflight")
 
     async def main() -> float:
         start = net.clock.now
         await asyncio.gather(
             probe(),
-            *[
-                client.call(server.address, 662100, 1, 1, {"hold": 1.0})
-                for _ in range(clients)
-            ],
+            *[client.call(server.address, 662100, 1, 1) for _ in range(clients)],
         )
         return net.clock.now - start
 

@@ -1,17 +1,16 @@
 """Chaos on the async stack: failover + rebind under seeded faults.
 
 The sync crash/failover/rebind workload has a coroutine twin here: the
-workers serve through :class:`AsyncRpcServer`, the recovery layer drives
-``RebindingClient.invoke_async`` over an :class:`AsyncRpcClient`, and the
-whole grid runs as one coroutine on the event-loop sim clock.  The fault
-plane throws everything at it at once — seeded datagram drops, a
-partition window across the client edge, and a crash/recover window that
-eats two workers *and* their lease heartbeats.
+recovery layer drives ``RebindingClient.invoke_async`` over an
+:class:`AsyncRpcClient`, and the whole grid runs as one coroutine on the
+event-loop sim clock.  The fault plane throws everything at it at once —
+seeded datagram drops, a partition window across the client edge, and a
+crash/recover window that eats two workers *and* their lease heartbeats.
 
 The claims match the sync suite: availability recovers, the resilience
-counters actually moved, and — the satellite's point — the run is
-replay-identical per seed even though the calls flow through asyncio
-task scheduling rather than a serial loop.
+counters actually moved, and the run is replay-identical per seed even
+though the calls flow through asyncio task scheduling rather than a
+serial loop.
 """
 
 import asyncio
@@ -22,7 +21,7 @@ from repro.core.integration import keep_tradable
 from repro.core.rebind import RebindingClient
 from repro.errors import BindingError, CommunicationError, CosmError
 from repro.net import SimNetwork, loop_for
-from repro.rpc import AsyncRpcClient, AsyncRpcServer, RpcServer
+from repro.rpc import AsyncRpcClient, RpcServer
 from repro.rpc.client import RpcClient
 from repro.rpc.errors import DeadlineExceeded, RpcTimeout, ServerShedding
 from repro.rpc.resilience import BackoffPolicy, BreakerPolicy, ResilientCaller
@@ -50,8 +49,8 @@ def run_async_failover_workload(
 ) -> ChaosRun:
     """The failover workload, rebuilt on the async RPC stack.
 
-    ``workers`` car-rental runtimes serve through :class:`AsyncRpcServer`
-    and keep leased offers alive with RENEW heartbeats from their own
+    ``workers`` car-rental runtimes serve through :class:`RpcServer` and
+    keep leased offers alive with RENEW heartbeats from their own
     hosts.  A paced call grid drives ``RebindingClient.invoke_async``
     from one coroutine on the virtual-time loop, riding out three fault
     families at once: ``drop`` datagram loss for the whole run, a
@@ -73,7 +72,7 @@ def run_async_failover_workload(
     for index in range(workers):
         host = f"w{index:02d}"
         runtime = start_car_rental(
-            AsyncRpcServer(SimTransport(net, host)), enforce_fsm=False
+            RpcServer(SimTransport(net, host)), enforce_fsm=False
         )
         runtimes.append((host, runtime))
         stub = TraderClient(

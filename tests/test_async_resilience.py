@@ -20,7 +20,7 @@ from repro.core.integration import make_tradable
 from repro.core.generic_client import GenericClient
 from repro.net import SimNetwork, loop_for
 from repro.net.latency import FixedLatency
-from repro.rpc import AsyncRpcClient, AsyncRpcServer, RpcProgram, RpcServer
+from repro.rpc import AsyncRpcClient, RpcProgram, RpcServer
 from repro.rpc.client import RpcClient
 from repro.rpc.message import RpcCall
 from repro.rpc.resilience import BackoffPolicy, BreakerPolicy, ResilientCaller
@@ -44,7 +44,7 @@ def run_sim(net, coro):
 
 
 def echo_server(net, host):
-    server = AsyncRpcServer(SimTransport(net, host))
+    server = RpcServer(SimTransport(net, host))
     program = RpcProgram(PROG, 1, "echo")
     program.register(1, lambda args: {"host": host, "echo": args})
     server.serve(program)
@@ -281,7 +281,7 @@ def test_queued_call_ages_out_at_virtual_dequeue_time(net):
     """An admitted call whose deadline lapses while queued is rejected
     when its turn comes — with the aging measured on the sim clock, not
     a wall clock."""
-    server = AsyncRpcServer(SimTransport(net, "srv"))
+    server = RpcServer(SimTransport(net, "srv"))
     program = RpcProgram(PROG + 1, 1, "aged")
     program.register(1, lambda args: "ran")
     server.serve(program)
@@ -294,11 +294,10 @@ def test_queued_call_ages_out_at_virtual_dequeue_time(net):
             deadline=net.clock.now + 0.5,
         )
         # Admit now; let virtual time pass the deadline before the
-        # entry's task gets to its dequeue-time re-check.
+        # drain reaches the entry's dequeue-time re-check.
         assert server._admit(source, call, (source, call.xid))
         await asyncio.sleep(1.0)
         server._drain()
-        await asyncio.sleep(0.0)
         return server.deadlines_rejected
 
     rejected = loop.run_until_complete(main())

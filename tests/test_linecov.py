@@ -1,6 +1,8 @@
 """tier-1 runs ``tools/linecov.py`` over the functions whose untested
 branches an aggregate coverage floor would not notice: the at-most-once
-window (replay, encode-once, eviction, oversized replies), the index
+window (replay, encode-once, eviction, oversized replies), the server's
+execute body (dequeue re-checks, the span gate with its ``sampled=0``
+fault-span rebuild, a stepped awaitable handler result), the index
 probe's candidate order, the TCP send path (a refused connect or a
 failed write is a typed, transient error) and the batch lane's entry."""
 
@@ -15,6 +17,9 @@ TARGETS = [
     "repro.rpc.server:RpcServer._finish",
     "repro.rpc.server:RpcServer._receive",
     "repro.rpc.server:ReplyCache.put",
+    "repro.rpc.server:RpcServer._run_entry",
+    "repro.rpc.server:RpcServer._execute",
+    "repro.rpc.server:RpcServer._invoke",
     "repro.trader.offers:OfferStore._filter",
     "repro.rpc.transport:TcpTransport.send",
     "repro.rpc.client:BatchingClient._call_many",
@@ -22,6 +27,8 @@ TARGETS = [
 # Deterministic tests only: what the hypothesis properties happen to
 # generate must not decide whether a line counts as covered.
 RPC = "tests/test_rpc_client_server.py::"
+ADMISSION = "tests/test_rpc_admission.py::"
+SAMPLING = "tests/test_telemetry_sampling.py::"
 TCP = "tests/test_rpc_tcp.py::"
 BATCHING = "tests/test_rpc_batching.py::"
 UNIT_TESTS = [
@@ -29,6 +36,14 @@ UNIT_TESTS = [
     RPC + "test_reply_cache_bounded",
     RPC + "test_small_replies_outlive_a_run_of_large_ones",
     RPC + "test_reply_cache_reinsert_replaces_the_old_charge",
+    RPC + "test_remote_exception_surfaces_as_fault",
+    RPC + "test_unknown_program_raises",
+    RPC + "test_awaitable_handler_results_are_stepped",
+    ADMISSION + "test_queued_call_aged_out_is_dropped_before_execution",
+    ADMISSION + "test_queued_call_whose_budget_shrank_below_the_estimate_is_shed_at_dequeue",
+    SAMPLING + "test_sampled_in_chain_is_exported",
+    SAMPLING + "test_sampled_out_fault_rebuilds_the_server_span_for_the_tail_keep[blocking]",
+    "tests/test_rpc_stats.py::test_probes_beyond_budget_are_shed",
     TCP + "test_refused_connect_is_a_transient_communication_error",
     TCP + "test_resilient_caller_fails_over_past_a_closed_port",
     TCP + "test_failed_write_drops_the_connection_and_the_next_call_redials",

@@ -210,6 +210,24 @@ def test_queued_call_aged_out_is_dropped_before_execution(net):
     assert server.deadlines_rejected == 1
 
 
+def test_queued_call_whose_budget_shrank_below_the_estimate_is_shed_at_dequeue(net):
+    policy = AdmissionPolicy(defer_while_busy=True, min_samples=1, quantile=0.5)
+    server, executed = serve_slow_program(net, "srv", 0.5, policy)
+    server._service_times.observe("rpc.server.handler_seconds", 0.5, ("work", "1"))
+    probe, replies = probe_on(net)
+    shed_before = METRICS.counter("rpc.server.shed", ("dequeue", "work", "1"))
+    t0 = net.clock.now
+    probe.send(server.address, work_call(1, t0 + 10.0, tag="A").encode())
+    # B's budget covers the service-time estimate when B arrives, but no
+    # longer once A has run.
+    call_b = work_call(2, t0 + 0.8, tag="B")
+    net.clock.schedule(0.05, lambda: probe.send(server.address, call_b.encode()))
+    net.clock.drain()
+    assert replies == {1: [ReplyStatus.SUCCESS], 2: [ReplyStatus.SHED]}
+    assert [args["tag"] for args in executed] == ["A"]
+    assert METRICS.counter("rpc.server.shed", ("dequeue", "work", "1")) == shed_before + 1
+
+
 def test_queue_overflow_sheds_latest_deadline_entry(net):
     policy = AdmissionPolicy(shed=False, defer_while_busy=True, capacity=1)
     server, executed = serve_slow_program(net, "srv", 0.5, policy)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.net import SimNetwork, loop_for
 from repro.net.endpoints import Address
-from repro.rpc.aio import AsyncRpcServer
 from repro.rpc.client import RpcClient
 from repro.rpc.errors import (
     ProcedureUnavailable,
@@ -116,6 +115,34 @@ def test_unmarshallable_result_becomes_fault(net):
     with pytest.raises(RemoteFault) as excinfo:
         client.call(server.address, PROG + 2, 1, 1)
     assert excinfo.value.kind == "XdrError"
+
+
+def test_awaitable_handler_results_are_stepped(net):
+    """An ``async def`` handler that never suspends is answered; one that
+    really waits faults its call as ``BodySuspended``; the server goes on."""
+    server = RpcServer(SimTransport(net, "srv5"))
+    program = RpcProgram(PROG + 5, 1)
+    loop = asyncio.new_event_loop()
+    pending = loop.create_future()
+
+    async def ready(args):
+        return {"ready": args}
+
+    async def waits(args):
+        return await pending
+
+    program.register(1, ready)
+    program.register(2, waits)
+    server.serve(program)
+    client = RpcClient(SimTransport(net, "cli5"))
+    try:
+        assert client.call(server.address, PROG + 5, 1, 1, 7) == {"ready": 7}
+        with pytest.raises(RemoteFault) as excinfo:
+            client.call(server.address, PROG + 5, 1, 2)
+        assert excinfo.value.kind == "BodySuspended"
+        assert client.call(server.address, PROG + 5, 1, 1, 8) == {"ready": 8}
+    finally:
+        loop.close()
 
 
 def test_reply_bodies_from_a_foreign_peer_surface_typed(net, rogue_peer):
@@ -260,8 +287,7 @@ class _RawPeer:
 
 
 def _window_server(flavour, net):
-    server_class = AsyncRpcServer if flavour == "async" else RpcServer
-    server = server_class(SimTransport(net, "window"))
+    server = RpcServer(SimTransport(net, "window"))
     server._reply_cache = ReplyCache(WINDOW)
     executions = {}
 
@@ -273,7 +299,7 @@ def _window_server(flavour, net):
     program = RpcProgram(PROG + 4, 1)
     program.register(1, payload)
     server.serve(program)
-    if flavour == "async":
+    if flavour == "async":  # the clock driven by the event loop
         loop = loop_for(net.clock)
 
         def run():

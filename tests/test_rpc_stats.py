@@ -3,7 +3,7 @@
 Covers the snapshot contents (including the PR 7 batching health
 sections), the wire-codec round-trip guarantee, the admission bypass
 with its token-bucket budget, overload behaviour (STATS answers while
-normal calls are SHED), the async server, and the CLI.
+normal calls are SHED), and the CLI.
 """
 
 from __future__ import annotations
@@ -12,12 +12,9 @@ import json
 
 import pytest
 
-from repro.net import SimNetwork, loop_for
-from repro.net.latency import FixedLatency
+from repro.net import SimNetwork
 from repro.rpc import (
     AdmissionPolicy,
-    AsyncRpcClient,
-    AsyncRpcServer,
     RpcProgram,
     RpcServer,
 )
@@ -208,17 +205,6 @@ def test_stats_answers_while_overload_sheds_normal_calls(net):
     assert snapshot["server"]["queue_depth"] >= 1
     assert snapshot["server"]["in_flight"] >= 1
     assert snapshot["server"]["calls_shed"] >= 1
-
-
-def test_async_server_answers_stats():
-    sim = SimNetwork(seed=7, latency=FixedLatency(0.01))
-    server = AsyncRpcServer(SimTransport(sim, "async-stats"))
-    client = AsyncRpcClient(SimTransport(sim, "async-cli"), timeout=1.0)
-    snapshot = loop_for(sim.clock).run_until_complete(
-        client.stats(server.address)
-    )
-    assert snapshot["stats_version"] == SNAPSHOT_VERSION
-    assert snapshot["server"]["programs"]["stats"]["prog"] == STATS_PROGRAM
 
 
 # -- the CLI -----------------------------------------------------------------

@@ -10,7 +10,6 @@ import socket
 import pytest
 
 from repro.errors import CommunicationError
-from repro.net.endpoints import Address
 from repro.rpc.client import RpcClient
 from repro.rpc.errors import RpcError
 from repro.rpc.resilience import ResilientCaller, transient
@@ -53,21 +52,23 @@ def test_many_sequential_calls(tcp_pair):
 
 
 def closed_port():
-    """An address nothing listens on: connecting to it is refused."""
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return Address(*probe.getsockname())
+    """An address nothing listens on: a closed transport's port."""
+    transport = TcpTransport()
+    transport.close()
+    return transport.local_address
+
+
+def test_closed_transport_refuses_the_first_connect():
+    address = closed_port()
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection((address.host, address.port), timeout=1).close()
 
 
 def test_timeout_against_dead_port(tcp_pair):
     __, client_transport = tcp_pair
     client = RpcClient(client_transport, timeout=0.1, retries=0)
-    # A bound-then-closed listener: connection refused or timeout.
-    probe = TcpTransport()
-    dead = probe.local_address
-    probe.close()
     with pytest.raises(CommunicationError):
-        client.call(dead, PROG, 1, 1)
+        client.call(closed_port(), PROG, 1, 1)
 
 
 def test_refused_connect_is_a_transient_communication_error(tcp_pair):

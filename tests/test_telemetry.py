@@ -194,76 +194,6 @@ def test_finish_flushes_once_and_is_idempotent():
     assert chain.layers() == ["rpc"]
 
 
-def test_flush_on_task_completion_drains_chain_when_task_ends():
-    import asyncio
-
-    from repro.telemetry.hub import flush_on_task_completion
-
-    with use_exporter(RingExporter()) as ring:
-
-        async def fire_and_forget(ctx):
-            assert flush_on_task_completion(ctx)
-            with ctx.span("rpc", "background ping", lambda: 0.0):
-                pass
-            # No finish(), no caller finally: the done-callback drains it.
-
-        async def main():
-            ctx = CallContext.background()
-            task = asyncio.get_running_loop().create_task(fire_and_forget(ctx))
-            await task
-            await asyncio.sleep(0)  # let the done-callback run
-            return ctx
-
-        ctx = asyncio.run(main())
-    assert ring.exported == 1
-    assert ring.chains()[0].trace_id == ctx.trace_id
-
-
-def test_flush_on_task_completion_drains_cancelled_tasks_too():
-    import asyncio
-
-    from repro.telemetry.hub import flush_on_task_completion
-
-    with use_exporter(RingExporter()) as ring:
-
-        async def doomed(ctx):
-            flush_on_task_completion(ctx)
-            with ctx.span("rpc", "never finishes", lambda: 0.0):
-                await asyncio.sleep(3600)
-
-        async def main():
-            ctx = CallContext.background()
-            task = asyncio.get_running_loop().create_task(doomed(ctx))
-            await asyncio.sleep(0)
-            task.cancel()
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-            await asyncio.sleep(0)
-
-        asyncio.run(main())
-    assert ring.exported == 1  # the cancelled task's chain still drained
-
-
-def test_flush_on_task_completion_outside_a_task_returns_false():
-    from repro.telemetry.hub import flush_on_task_completion
-
-    with use_exporter(RingExporter()) as ring:
-        ctx = CallContext.background()
-        with ctx.span("rpc", "sync ping", lambda: 0.0):
-            pass
-        assert not flush_on_task_completion(ctx)  # caller must flush itself
-    assert ring.exported == 0
-
-
-def test_flush_on_task_completion_without_exporters_is_a_noop():
-    from repro.telemetry.hub import flush_on_task_completion
-
-    ctx = CallContext.background()
-    assert not flush_on_task_completion(ctx)
-
-
 def test_flush_context_without_exporters_is_a_fast_noop():
     ctx = CallContext.background()
     with ctx.span("rpc", "ping", lambda: 0.0):

@@ -256,7 +256,7 @@ def test_report_async_cell_surfaces_inflight_gauge():
     assert cell["inflight_peak"] == 16
     # … and the gauge drains back to zero once the calls complete.
     assert cell["inflight_at_rest"] == 0
-    # Concurrent: the makespan is ~one held call, not 16 serial ones.
+    # Concurrent: the makespan is ~one round trip, not 16 serial ones.
     assert cell["makespan"] < 2.0
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.context import CallContext
 from repro.net import SimNetwork, loop_for
-from repro.rpc.aio import AsyncRpcClient, AsyncRpcServer
+from repro.rpc.aio import AsyncRpcClient
 from repro.rpc.client import RpcClient
 from repro.rpc.errors import RemoteFault
 from repro.rpc.message import RpcCall, decode_message
@@ -171,7 +171,7 @@ def test_tail_keep_can_be_disabled():
     assert all(chain.trace_id != trace_id for chain in ring.chains())
 
 
-# -- the server span gate, on every scheduling lane ---------------------------
+# -- the server span gate, for plain and awaitable handler results -----------
 
 
 async def _async_maybe(args):
@@ -186,23 +186,18 @@ def _plain_maybe(args):
     return "ok"
 
 
-#: (server flavour, handler) -> the lane the one execute body runs on
-LANES = {
-    "blocking": (RpcServer, _plain_maybe),
-    "async-inline": (AsyncRpcServer, _plain_maybe),
-    "async-task": (AsyncRpcServer, _async_maybe),
-}
+#: A plain handler's result is returned; an ``async def`` one's is stepped.
+HANDLERS = {"blocking": _plain_maybe, "async-def": _async_maybe}
 
 
-def sampled_out_dispatch(lane, fail):
-    """One sampled-out call through ``lane``; returns what the *server*
+def sampled_out_dispatch(handler, fail):
+    """One sampled-out call to ``handler``; returns what the *server*
     side exported and how many spans it threw away, before the client's
     own chain is finished."""
-    server_class, handler = LANES[lane]
     net = SimNetwork(seed=7)
-    server = server_class(SimTransport(net, "gate-srv"))
+    server = RpcServer(SimTransport(net, "gate-srv"))
     program = RpcProgram(991200, name="gate")
-    program.register(1, handler, "maybe")
+    program.register(1, HANDLERS[handler], "maybe")
     server.serve(program)
     client = AsyncRpcClient(SimTransport(net, "gate-cli"), timeout=1.0, retries=0)
     ring = RingExporter()
@@ -230,18 +225,18 @@ def sampled_out_dispatch(lane, fail):
     return server_spans, discarded
 
 
-@pytest.mark.parametrize("lane", LANES)
-def test_sampled_out_success_records_no_server_span(lane):
-    server_spans, discarded = sampled_out_dispatch(lane, fail=False)
+@pytest.mark.parametrize("handler", HANDLERS)
+def test_sampled_out_success_records_no_server_span(handler):
+    server_spans, discarded = sampled_out_dispatch(handler, fail=False)
     assert server_spans == []
     # Not "recorded, then dropped at export": nothing was recorded at all.
     assert discarded == 0
 
 
-@pytest.mark.parametrize("lane", LANES)
-def test_sampled_out_fault_rebuilds_the_server_span_for_the_tail_keep(lane):
+@pytest.mark.parametrize("handler", HANDLERS)
+def test_sampled_out_fault_rebuilds_the_server_span_for_the_tail_keep(handler):
     rescued_before = METRICS.counter_total("telemetry.chains_kept_tail")
-    server_spans, __ = sampled_out_dispatch(lane, fail=True)
+    server_spans, __ = sampled_out_dispatch(handler, fail=True)
     (span,) = server_spans
     assert span.outcome == "ValueError"
     assert METRICS.counter_total("telemetry.chains_kept_tail") > rescued_before
