@@ -104,21 +104,32 @@ def get_bool(view: memoryview, offset: int) -> Tuple[bool, int]:
     return to_bool(raw), offset
 
 
-def get_opaque(view: memoryview, offset: int) -> Tuple[bytes, int]:
-    size, offset = get_u32(view, offset)
-    end = offset + size
+def _span(view: memoryview, offset: int) -> Tuple[int, int, int]:
+    """Where the opaque at ``offset`` lies: ``(start, end, stop)`` of its
+    bytes and of the zero padding after them, both checked."""
+    try:
+        size = _U32.unpack_from(view, offset)[0]
+    except struct.error:
+        raise _truncated(view, offset, 4) from None
+    start = offset + 4
+    end = start + size
     stop = end + (-size & 3)
     if stop > len(view):
-        raise _truncated(view, offset, stop - offset)
+        raise _truncated(view, start, stop - start)
     if size & 3 and view[end:stop] != _PADDING[size & 3]:
         raise XdrError(f"non-zero XDR padding at offset {end}")
-    return bytes(view[offset:end]), stop
+    return start, end, stop
+
+
+def get_opaque(view: memoryview, offset: int) -> Tuple[bytes, int]:
+    start, end, stop = _span(view, offset)
+    return bytes(view[start:end]), stop
 
 
 def get_string(view: memoryview, offset: int) -> Tuple[str, int]:
-    data, stop = get_opaque(view, offset)
+    start, end, stop = _span(view, offset)
     try:
-        return data.decode("utf-8"), stop
+        return str(view[start:end], "utf-8"), stop
     except UnicodeDecodeError as exc:
         raise XdrError(f"invalid UTF-8 in string at offset {offset}: {exc}") from None
 

@@ -23,11 +23,14 @@ spec             meaning
 ``("struct", ((name, spec), ...))``  a dict with exactly these keys
 ``("optional", spec)``  ``None`` or a value: u32 presence flag + value
 ``("seq", spec)``  list of values: u32 count + elements
+``("any",)``     one tagged value (docs/PROTOCOL.md §3) inside the body
 ===============  =======================================================
 
 Types without a static layout (``any``, unions, service references,
 SIDs) have none — :func:`layout_for` raises :class:`SidlLayoutError`
-and the caller keeps the tagged path for that signature.
+and the caller keeps the tagged path for that signature.  ``any`` is
+for hand-written layouts that pin a record down except for one dynamic
+field, as the trader's offer record does with its properties.
 """
 
 from __future__ import annotations
@@ -96,6 +99,10 @@ def optional(element: Spec) -> Spec:
 
 def seq(element: Spec) -> Spec:
     return ("seq", element)
+
+
+def any_value() -> Spec:
+    return ("any",)
 
 
 # -- SIDL type -> spec ----------------------------------------------------

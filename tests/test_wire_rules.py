@@ -144,6 +144,32 @@ row("unknown:framer", decode_messages, _word(CALL_BYTES, 4, 2), XdrError)
 row("unknown:framer", decode_messages, _word(REPLY_BYTES, 8, 7), XdrError)
 row("unknown:framer", decode_messages, b"", XdrError)
 
+# -- the same rules inside an ``any`` leaf: a tagged value in a compiled body -
+# (appended, so the ids above keep their numbers).  In ANY_RECORD's body
+# the name's length word sits at 8, the dict's tag word at 16 and its
+# count at 20, "abcde" at 28..33 (padding to 36), the list's count at 40,
+# the int's tag at 44, and "ab" at 64..66 (padding to 68).
+ANY_RECORD = layout.struct(name=layout.string(), props=layout.any_value())
+ANY_VALUE = {"name": "x", "props": {"abcde": [7, "ab"]}}
+decode, body = _compiled(ANY_RECORD, ANY_VALUE)
+for cut in (10, 18, 30, 50, len(body) - 1):
+    row("truncated:compiled", decode, body[:cut], XdrTruncated)
+row("padding:compiled", decode, _poke(body, 34, 1), XdrError)  # after a dict key
+row("padding:compiled", decode, _poke(body, len(body) - 1, 1), XdrError)  # after a string
+row("count:compiled", decode, _word(body, 20, 0xFFFFFFFF), XdrTruncated)  # the dict's
+row("count:compiled", decode, _word(body, 40, 1000), XdrTruncated)  # the list's
+row("unknown:compiled", decode, _word(body, 16, 9), XdrError)  # the any leaf's tag
+row("unknown:compiled", decode, _word(body, 44, 0x53494443), XdrError)  # a nested tag
+for props in ({"k": ["ab"]}, {"ab": 1}):
+    decode, body = _compiled(ANY_RECORD, dict(ANY_VALUE, props=props))
+    row("utf8:compiled", decode, body[:HEADER] + body[HEADER:].replace(b"ab", BAD_UTF8), XdrError)
+# Nesting counts from the compiled body: one level less than ``deep``
+# fits a tagged body, but not an ``any`` leaf, which sits one level down.
+decode, body = _compiled(layout.any_value(), deep[0])
+row("nesting:compiled", decode, body, XdrError)
+decode, body = _compiled(layout.seq(ANY_RECORD), [dict(ANY_VALUE, props=deep[0])])
+row("nesting:compiled", decode, body, XdrError)
+
 
 @pytest.mark.parametrize("decoder, payload, expected", ROWS)
 def test_damage_raises_the_same_class_from_every_decoder(decoder, payload, expected):
@@ -164,12 +190,19 @@ def test_every_rule_is_checked_against_every_decoder_that_has_it():
             "utf8": ("tagged", "compiled", "framer"),
             "bool": ("tagged", "compiled"),  # the framer's is below
             "count": ("tagged", "compiled"),  # the framer has no counts
-            "nesting": ("tagged",),
+            "nesting": ("tagged", "compiled"),  # compiled: inside an any leaf
             "trailing": ("tagged", "compiled", "framer"),
-            "unknown": ("tagged", "framer"),
+            "unknown": ("tagged", "compiled", "framer"),  # compiled: ditto
         }.items()
         for decoder in decoders
     }
+
+
+def test_a_tagged_body_one_level_shallower_still_decodes():
+    """The nesting rows fail for depth, not for damage."""
+    assert decode_value(encode_value(deep[0])) == deep[0]
+    decode, body = _compiled(ANY_RECORD, dict(ANY_VALUE, props=deep[0][0]))
+    assert decode(body)["props"] == deep[0][0]
 
 
 def test_truncation_text_names_offset_wanted_and_have():
