@@ -51,7 +51,7 @@ def service_type(name: str) -> ServiceType:
 
 def build_world(total_offers: int):
     router = build_local_router(
-        ("s0", "s1"), router_id="bench", offer_prefix="m", fanout_workers=1
+        ("s0", "s1"), router_id="bench", offer_prefix="m"
     )
     router.add_type(service_type(HOT))
     router.add_type(service_type(COLD))

@@ -3,9 +3,9 @@
 Two perf claims are tracked per PR (ISSUE 2, ROADMAP "Federation-wide
 budget splitting"):
 
-* **Fan-out** — with 4+ federated links under a slow-peer latency model,
-  the parallel sweep completes an import in ≈ max(per-link latency)
-  where the seed's serial sweep paid the sum.
+* **Fan-out** — with 4+ remote federated links to slow peers over real
+  TCP, a sweep keeping every forward in flight completes an import in
+  ≈ max(per-link latency) where a window of one pays the sum.
 * **Local matching** — importing against 10k offers with a cached,
   index-pre-filtered constraint beats the seed's fresh-parse linear scan.
 
@@ -25,16 +25,18 @@ import argparse
 import json
 import statistics
 import time
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 from repro.naming.refs import ServiceRef
 from repro.net.endpoints import Address
+from repro.rpc.client import RpcClient
+from repro.rpc.server import RpcServer
+from repro.rpc.transport import TcpTransport
 from repro.sidl.types import DOUBLE, InterfaceType, LONG, OperationType, STRING
 from repro.telemetry.metrics import METRICS
 from repro.trader.constraints import Constraint, _Parser, _tokenize
-from repro.trader.federation import TraderLink
 from repro.trader.service_types import ServiceType
-from repro.trader.trader import ImportRequest, LocalTrader
+from repro.trader.trader import ImportRequest, LocalTrader, TraderService
 
 
 def rental_type() -> ServiceType:
@@ -64,23 +66,39 @@ def populate(trader: LocalTrader, count: int) -> None:
 # -- federation fan-out ------------------------------------------------------
 
 
-def slow_peer_link(name: str, peer: LocalTrader, delay: float) -> TraderLink:
-    def forward(request_wire, ctx=None):
+def _slowed(import_wire, delay: float):
+    def slow_import(request_wire, now=0.0, ctx=None):
         time.sleep(delay)
-        return peer.import_wire(request_wire, ctx=ctx)
+        return import_wire(request_wire, now, ctx)
 
-    return TraderLink(name, forward)
+    return slow_import
 
 
-def build_hub(latencies: List[float], offers_per_peer: int, workers: int) -> LocalTrader:
-    hub = LocalTrader("hub", fanout_workers=workers, clock=time.perf_counter)
-    hub.add_type(rental_type())
+def build_hub(
+    latencies: List[float], offers_per_peer: int, workers: int
+) -> Tuple[LocalTrader, List[TcpTransport]]:
+    """A hub trader federated with slow peers over real TCP.
+
+    Each peer's IMPORT handler sleeps its link latency before answering.
+    The hub forwards over remote links, keeping up to ``workers`` of them
+    in flight.  Returns the hub and every transport, for closing.
+    """
+    transports = [TcpTransport(), TcpTransport()]
+    hub = TraderService(
+        RpcServer(transports[0]),
+        trader=LocalTrader("hub", fanout_workers=workers),
+        client=RpcClient(transports[1], timeout=5.0, retries=0),
+    )
+    hub.trader.add_type(rental_type())
     for index, delay in enumerate(latencies):
         peer = LocalTrader(f"peer{index}")
         peer.add_type(rental_type())
         populate(peer, offers_per_peer)
-        hub.link(slow_peer_link(f"to-{index}", peer, delay))
-    return hub
+        peer.import_wire = _slowed(peer.import_wire, delay)
+        transports.append(TcpTransport())
+        peer_service = TraderService(RpcServer(transports[-1]), trader=peer)
+        hub.link_to(peer_service.address, f"to-{index}")
+    return hub.trader, transports
 
 
 def measure_fanout(latencies: List[float], offers_per_peer: int, repeats: int) -> Dict[str, Any]:
@@ -88,12 +106,16 @@ def measure_fanout(latencies: List[float], offers_per_peer: int, repeats: int) -
     expected = len(latencies) * offers_per_peer
     timings: Dict[str, List[float]] = {"serial": [], "parallel": []}
     for mode, workers in (("serial", 1), ("parallel", 8)):
-        hub = build_hub(latencies, offers_per_peer, workers)
-        for _ in range(repeats):
-            started = time.perf_counter()
-            offers = hub.import_(request)
-            timings[mode].append(time.perf_counter() - started)
-            assert len(offers) == expected, (len(offers), expected)
+        hub, transports = build_hub(latencies, offers_per_peer, workers)
+        try:
+            for _ in range(repeats):
+                started = time.perf_counter()
+                offers = hub.import_(request)
+                timings[mode].append(time.perf_counter() - started)
+                assert len(offers) == expected, (len(offers), expected)
+        finally:
+            for transport in transports:
+                transport.close()
     serial = statistics.median(timings["serial"])
     parallel = statistics.median(timings["parallel"])
     return {
@@ -279,11 +301,17 @@ def test_local_matching_seed_scan(benchmark):
 
 
 def test_parallel_fanout_slow_peer(benchmark):
-    hub = build_hub([0.005, 0.005, 0.005, 0.02], offers_per_peer=10, workers=8)
-    request = ImportRequest("CarRentalService", hop_limit=1)
-    offers = benchmark.pedantic(
-        lambda: hub.import_(request), rounds=3, iterations=1
+    hub, transports = build_hub(
+        [0.005, 0.005, 0.005, 0.02], offers_per_peer=10, workers=8
     )
+    request = ImportRequest("CarRentalService", hop_limit=1)
+    try:
+        offers = benchmark.pedantic(
+            lambda: hub.import_(request), rounds=3, iterations=1
+        )
+    finally:
+        for transport in transports:
+            transport.close()
     assert len(offers) == 40
 
 

@@ -64,7 +64,7 @@ def build_arm(arm: str):
         shard_count = int(arm.removeprefix("router"))
         shard_ids = [f"s{index}" for index in range(shard_count)]
         trader = build_local_router(
-            shard_ids, router_id=arm, offer_prefix="m", fanout_workers=1
+            shard_ids, router_id=arm, offer_prefix="m"
         )
     for name in TYPE_NAMES:
         trader.add_type(service_type(name))

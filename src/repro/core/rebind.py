@@ -20,18 +20,15 @@ extended over failures.
 
 from __future__ import annotations
 
-import inspect
 import threading
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.context import CallContext
 from repro.core.generic_client import GenericBinding, GenericClient
 from repro.errors import BindingError, CommunicationError, LookupFailure
-from repro.naming.binder import PROC_BIND, PROC_INVOKE
 from repro.rpc.client import RpcClient
-from repro.rpc.errors import DeadlineExceeded, RpcError
+from repro.rpc.errors import DeadlineExceeded
 from repro.rpc.resilience import CircuitOpen, ResilientCaller, transient
-from repro.rpc.stepper import step
 from repro.telemetry.metrics import METRICS
 from repro.trader.offers import ServiceOffer
 from repro.trader.trader import ImportRequest
@@ -60,7 +57,6 @@ class RebindingClient:
         generic: Optional[GenericClient] = None,
         max_matches: int = 0,
         max_rebinds: int = 2,
-        async_client: Any = None,
     ) -> None:
         self._client = client
         self._trader = trader
@@ -70,12 +66,6 @@ class RebindingClient:
         # a single invocation can ride out before a re-import is needed.
         self.max_matches = max_matches
         self.max_rebinds = max(0, max_rebinds)
-        # An AsyncRpcClient enables invoke_async; the async path keeps
-        # raw session ids instead of GenericBinding objects (no SID/FSM
-        # mirror: async invocations are for data-plane calls, not the
-        # generated UI).
-        self._async_client = async_client
-        self._async_sessions: Dict[str, Any] = {}
         self._offers: Dict[_CacheKey, List[ServiceOffer]] = {}
         self._bindings: Dict[str, GenericBinding] = {}
         self._lock = threading.Lock()
@@ -106,57 +96,6 @@ class RebindingClient:
         :class:`DeadlineExceeded` propagates — re-importing cannot buy a
         request more time.
         """
-        return step(
-            self._invoke(
-                self.resilient.run, self._attempt,
-                service_type, operation, arguments, constraint, preference, ctx,
-            )
-        )
-
-    async def invoke_async(
-        self,
-        service_type: str,
-        operation: str,
-        arguments: Optional[Dict[str, Any]] = None,
-        constraint: str = "",
-        preference: str = "",
-        ctx: Optional[CallContext] = None,
-    ) -> Any:
-        """The ``await`` side of :meth:`invoke`, for the async RPC stack.
-
-        The same bind-round loop, driven through
-        :meth:`~repro.rpc.resilience.ResilientCaller.run_async` so backoff
-        pauses never block the event loop.  Each offer attempt is a raw
-        BIND + INVOKE over the ``async_client`` given at construction —
-        session ids are cached per offer, but no SID is transferred and no
-        FSM mirror is kept (use the sync :meth:`invoke` for the guarded,
-        UI-generating path).  Re-imports go through the sync trader stub
-        inline; on a virtual-time stack the sim loop absorbs the wait, on
-        wall clocks a re-import briefly parks the loop (they are rare —
-        only when a whole cohort died).
-        """
-        if self._async_client is None:
-            raise BindingError(
-                "RebindingClient.invoke_async needs an async_client"
-            )
-        return await self._invoke(
-            self.resilient.run_async, self._attempt_async,
-            service_type, operation, arguments, constraint, preference, ctx,
-        )
-
-    async def _invoke(
-        self,
-        run: Callable[..., Any],
-        attempt: Callable[..., Any],
-        service_type: str,
-        operation: str,
-        arguments: Optional[Dict[str, Any]],
-        constraint: str,
-        preference: str,
-        ctx: Optional[CallContext],
-    ) -> Any:
-        """The bind-round loop; ``run`` is the failover engine's entry for
-        this flavour and ``attempt`` what one offer attempt does on it."""
         key: _CacheKey = (service_type, constraint, preference)
         last_error: Optional[BaseException] = None
         rounds = 1 + self.max_rebinds
@@ -170,15 +109,14 @@ class RebindingClient:
                     + (f" with {constraint!r}" if constraint else "")
                 )
             try:
-                result = run(
+                return self.resilient.run(
                     offers,
-                    lambda offer, child: attempt(offer, operation,
-                                                 arguments, child),
+                    lambda offer, child: self._attempt(offer, operation,
+                                                       arguments, child),
                     ctx=self._round_context(ctx, rounds - round_index),
                     key=_endpoint,
                     operation=f"{service_type}.{operation}",
                 )
-                return await result if inspect.isawaitable(result) else result
             except DeadlineExceeded:
                 if ctx is None or ctx.expired(self._client.transport.now()):
                     raise  # truly out of budget
@@ -253,10 +191,6 @@ class RebindingClient:
                 binding = self._bindings.pop(offer.offer_id, None)
                 if binding is not None:
                     _quiet_unbind(binding)
-                # Async sessions are simply dropped: the cohort is
-                # presumed dead, and the server-side session dies with
-                # its endpoint (or is reaped by the runtime's own GC).
-                self._async_sessions.pop(offer.offer_id, None)
 
     # -- one failover attempt ----------------------------------------------
 
@@ -281,50 +215,6 @@ class RebindingClient:
                 # dead endpoint; the next attempt rebinds from scratch.
                 with self._lock:
                     self._bindings.pop(offer.offer_id, None)
-            raise
-
-    async def _attempt_async(
-        self,
-        offer: ServiceOffer,
-        operation: str,
-        arguments: Optional[Dict[str, Any]],
-        ctx: Optional[CallContext],
-    ) -> Any:
-        """One async failover attempt: (cached) BIND, then INVOKE."""
-        ref = offer.service_ref()
-        with self._lock:
-            session = self._async_sessions.get(offer.offer_id)
-        try:
-            if session is None:
-                try:
-                    session = await self._async_client.call(
-                        ref.address, ref.prog, ref.vers, PROC_BIND, {},
-                        context=ctx,
-                    )
-                except RpcError as exc:
-                    raise BindingError(
-                        f"cannot bind to {ref.name} at {ref.address}: {exc}"
-                    ) from exc
-                with self._lock:
-                    self._async_sessions[offer.offer_id] = session
-            return await self._async_client.call(
-                ref.address,
-                ref.prog,
-                ref.vers,
-                PROC_INVOKE,
-                {
-                    "session": session,
-                    "operation": operation,
-                    "arguments": arguments or {},
-                },
-                context=ctx,
-            )
-        except BaseException as exc:
-            if transient(exc) or isinstance(exc, BindingError):
-                # A stale session on a dead endpoint: rebind from scratch
-                # on the next attempt, exactly like the sync path.
-                with self._lock:
-                    self._async_sessions.pop(offer.offer_id, None)
             raise
 
     # -- lifecycle ---------------------------------------------------------
@@ -359,7 +249,6 @@ class RebindingClient:
         with self._lock:
             bindings = list(self._bindings.values())
             self._bindings.clear()
-            self._async_sessions.clear()
             self._offers.clear()
         for binding in bindings:
             _quiet_unbind(binding)

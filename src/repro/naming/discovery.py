@@ -111,7 +111,7 @@ class BroadcastDiscoverer:
         sent = self._network.broadcast(source, DISCOVERY_PORT, call.encode())
         if sent == 0:
             return []
-        self._client._expect(xid)
+        self._client._awaited.add(xid)
         gathered: List[Dict[str, object]] = []
 
         # Replies share one xid; the dispatcher keeps only the latest per

@@ -9,7 +9,6 @@ simulator or real TCP sockets, so every higher layer (naming, trading,
 mediation) exercises identical code paths.
 """
 
-from repro.net.aioclock import SimEventLoop, loop_for
 from repro.net.clock import SimClock
 from repro.net.endpoints import Address, Datagram, Endpoint
 from repro.net.faults import FaultPlan
@@ -31,7 +30,5 @@ __all__ = [
     "LanWanLatency",
     "LatencyModel",
     "SimClock",
-    "SimEventLoop",
     "SimNetwork",
-    "loop_for",
 ]

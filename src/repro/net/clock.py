@@ -100,32 +100,6 @@ class SimClock:
                 return predicate()
             self.step()
 
-    def advance_toward(self, target: Optional[float]) -> bool:
-        """Advance virtual time by at most one event, bounded by ``target``.
-
-        The primitive the event-loop integration
-        (:mod:`repro.net.aioclock`) drives: run the earliest runnable
-        event when it is due at or before ``target`` (advancing ``now``
-        to its time) and return ``True``; otherwise jump ``now`` straight
-        to ``target`` and return ``False``.  ``target=None`` means "no
-        bound": run one event if any exists.  Stepping one event at a
-        time lets the caller interleave its own timers with simulation
-        events deterministically.
-        """
-        while self._queue:
-            time, __, event = self._queue[0]
-            if event.cancelled:
-                heapq.heappop(self._queue)
-                continue
-            if target is not None and time > target:
-                self._now = max(self._now, target)
-                return False
-            self.step()
-            return True
-        if target is not None:
-            self._now = max(self._now, target)
-        return False
-
     def run_for(self, duration: float) -> None:
         """Run all events scheduled within the next ``duration`` seconds."""
         target = self._now + duration

@@ -19,7 +19,6 @@ Replaces the prototype's Sun ONC RPC with a compatible-in-spirit layer:
   transparent fallback to the tagged dynamic-marshalling path.
 """
 
-from repro.rpc.aio import AsyncRpcClient
 from repro.rpc.client import BatchBuffer, BatchingClient, RpcClient
 from repro.rpc.codec import CODECS, CodecFallback, CodecRegistry, CompiledCodec
 from repro.rpc.errors import (
@@ -62,7 +61,6 @@ from repro.rpc.xdr import decode_value, encode_value
 __all__ = [
     "AdmissionPolicy",
     "AdmissionQueue",
-    "AsyncRpcClient",
     "BackoffPolicy",
     "BatchBuffer",
     "BatchingClient",

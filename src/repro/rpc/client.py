@@ -1,9 +1,9 @@
 """RPC client handles: retransmission, typed errors, and call batching.
 
-The protocol logic lives once, in :class:`_RpcClientCore`, as
-coroutines; the classes here are the blocking flavour, which steps them,
-and :mod:`repro.rpc.aio` holds the coroutine flavour, which awaits them
-in virtual time.  :class:`RpcClient` is the one-call-per-write baseline.
+:class:`RpcClient` is the one-call-per-write baseline; its split-phase
+pair (``start`` a call, ``gather`` a set of calls) is the one attempt
+loop that single calls, multicast and the trader federation fan-out all
+run on.
 :class:`BatchingClient` adds the wire fast lane: concurrent calls to the
 same endpoint coalesce into a single BATCH payload (one ``send`` for
 many CALL frames), flushed when a count, byte, or deadline-slack
@@ -15,10 +15,12 @@ schedule, and typed error surface.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.context import CallContext, SpanRecord, current_context
+from repro.errors import CommunicationError
 from repro.net.endpoints import Address
 from repro.rpc.codec import CODECS
 from repro.rpc.dispatch import dispatcher_for
@@ -33,7 +35,6 @@ from repro.rpc.errors import (
     ServerShedding,
 )
 from repro.rpc.message import ReplyStatus, RpcCall, RpcReply
-from repro.rpc.stepper import step
 from repro.rpc.transport import Transport
 from repro.rpc.xdr import decode_value
 from repro.telemetry import sampling
@@ -46,8 +47,8 @@ def reply_to_result(
 ) -> Any:
     """Decode a reply body or raise the typed error its status maps to.
 
-    One mapping for every client flavour (sync, async, multicast), so a
-    given status always surfaces as the same exception type.
+    One mapping for every caller (single calls, fan-outs, batches), so
+    a given status always surfaces as the same exception type.
     """
     if reply.status is ReplyStatus.SUCCESS:
         return CODECS.decode_result(prog, vers, proc, reply.body)
@@ -82,38 +83,77 @@ def remote_fault(body: bytes) -> RemoteFault:
     return RemoteFault(str(fault.get("kind", "Error")), str(fault.get("detail", "")))
 
 
-class _RpcClientCore:
-    """The one client body both flavours drive.
+class PendingCall:
+    """One call in flight: :meth:`RpcClient.start` returns it and
+    :meth:`RpcClient.gather` settles it.
 
-    Context resolution, the ``rpc`` span, xid minting, the attempt loop
-    with its retransmission events, SHED accounting, the
-    deadline-vs-timeout classification and xid retirement are written
-    once here, as coroutines.  :class:`RpcClient` steps them to
-    completion on the calling thread; :class:`~repro.rpc.aio.AsyncRpcClient`
-    awaits them on an event loop.  What differs per flavour sits behind
-    five seams: ``_expect(xid)`` registers interest in a reply,
-    ``_deliver(reply)`` hands an arriving reply to whoever expects it
-    (false when nobody does), ``_wait_replies(xids, timeout)`` waits
-    until every xid is answered (true) or the timeout lapses (false),
-    ``_take(xid)`` claims the reply if it came, and ``retire_xid(xid)``
-    forgets the xid.
-    ``_send_call`` is the sixth, for :class:`BatchingClient`.
+    A settled call holds its ``reply`` or its ``error`` — the typed
+    :class:`RpcError` its attempts ended in, or the
+    :class:`~repro.errors.CommunicationError` a send raised.  ``done`` is
+    true once the call is settled or retired.
+    """
 
-    Retransmits with the *same* xid on timeout so the server's at-most-once
-    cache can suppress re-execution.  Timing is governed by a
-    :class:`~repro.context.CallContext`: each attempt's wait is carved out
-    of the context's *remaining* deadline budget
-    (:meth:`CallContext.attempt_timeout`).  The legacy ``timeout``/
-    ``retries`` kwargs remain as a shim that builds an equivalent context
-    with total budget ``timeout * (retries + 1)``.
+    __slots__ = (
+        "destination", "prog", "vers", "proc", "ctx", "xid", "encoded",
+        "span", "owns_chain", "attempt", "due", "reply", "error", "done",
+    )
+
+    def __init__(
+        self,
+        destination: Address,
+        prog: int,
+        vers: int,
+        proc: int,
+        ctx: CallContext,
+        span: SpanRecord,
+        owns_chain: bool,
+    ) -> None:
+        self.destination = destination
+        self.prog = prog
+        self.vers = vers
+        self.proc = proc
+        self.ctx = ctx
+        self.span = span
+        self.owns_chain = owns_chain
+        self.xid = 0
+        self.encoded = b""
+        self.attempt = 0
+        self.due = 0.0
+        self.reply: Optional[RpcReply] = None
+        self.error: Optional[CommunicationError] = None
+        self.done = False
+
+    def result(self) -> Any:
+        """The decoded result; raises the typed error the call ended in."""
+        if self.error is not None:
+            raise self.error
+        return reply_to_result(
+            self.reply, self.destination, self.prog, self.vers, self.proc
+        )
+
+
+class RpcClient:
+    """Blocking client with a split-phase core.
+
+    :meth:`start` sends a call and returns its :class:`PendingCall`;
+    :meth:`gather` waits in ``Transport.wait`` until enough of a set of
+    calls are settled.  ``gather`` is the one attempt loop: every
+    unsettled xid is retransmitted on its own attempt timer with the
+    *same* xid, so the server's at-most-once cache can suppress
+    re-execution, and each attempt's wait is carved out of the call
+    context's *remaining* deadline budget
+    (:meth:`CallContext.attempt_timeout`).  :meth:`call` is ``start``
+    plus ``gather`` of one call.  The legacy ``timeout``/``retries``
+    kwargs remain as a shim that builds an equivalent context with total
+    budget ``timeout * (retries + 1)``.
 
     Calls made while serving an RPC (e.g. a trader forwarding a federated
     import) inherit the ambient server-side context automatically, so one
     deadline and one trace id cover the whole cascade.
     """
 
-    #: One counter for every client of either flavour: a process mixing
-    #: both never reuses a live xid against one server's reply cache.
+    #: One counter for every client in the process: no two clients ever
+    #: put the same live xid in front of one server's reply cache.
     _xid_counter = itertools.count(1)
 
     def __init__(
@@ -128,6 +168,8 @@ class _RpcClientCore:
         self.calls_sent = 0
         self.retransmissions = 0
         self.duplicate_replies_dropped = 0
+        self._awaited: Set[int] = set()
+        self._pending: Dict[int, RpcReply] = {}
         dispatcher_for(transport).client = self
 
     @property
@@ -141,9 +183,16 @@ class _RpcClientCore:
         issued by this client — is dropped and counted, so a peer
         spraying unsolicited replies cannot grow the client's memory.
         """
-        if not self._deliver(reply):
+        if reply.xid in self._awaited:
+            self._pending[reply.xid] = reply
+        else:
             self.duplicate_replies_dropped += 1
             METRICS.inc("rpc.client.duplicate_replies_dropped")
+
+    def retire_xid(self, xid: int) -> None:
+        """Mark ``xid`` finished: later replies for it are dropped."""
+        self._awaited.discard(xid)
+        self._pending.pop(xid, None)
 
     def _effective_context(
         self,
@@ -179,7 +228,24 @@ class _RpcClientCore:
             shim.sampled = ambient.sampled
         return shim
 
-    async def _call_raw(
+    # -- the split-phase pair ------------------------------------------------
+
+    def start(
+        self,
+        destination: Address,
+        prog: int,
+        vers: int,
+        proc: int,
+        args: Any = None,
+        context: Optional[CallContext] = None,
+    ) -> PendingCall:
+        """Send one call and return its handle; :meth:`gather` settles it."""
+        return self._start(
+            destination, prog, vers, proc,
+            CODECS.encode_args(prog, vers, proc, args), None, None, context,
+        )
+
+    def _start(
         self,
         destination: Address,
         prog: int,
@@ -189,92 +255,144 @@ class _RpcClientCore:
         timeout: Optional[float],
         retries: Optional[int],
         context: Optional[CallContext],
-    ) -> RpcReply:
+    ) -> PendingCall:
         ambient = current_context() if context is None else None
         ctx = self._effective_context(context, timeout, retries, ambient)
-        # A shim built with no ambient request owns its chain: nobody
-        # else will ever see it, so flush it at the reply boundary
-        # (a no-op unless an exporter is installed).
-        owns_chain = context is None and ambient is None
-        try:
-            with ctx.span("rpc", f"call {prog}:{proc}", self.transport.now) as span:
-                return await self._call_attempts(
-                    ctx, destination, prog, vers, proc, body, span
-                )
-        finally:
-            if owns_chain:
-                flush_context(ctx)
-
-    async def _call_attempts(
-        self,
-        ctx: CallContext,
-        destination: Address,
-        prog: int,
-        vers: int,
-        proc: int,
-        body: bytes,
-        span: Optional[SpanRecord] = None,
-    ) -> RpcReply:
         now = self.transport.now()
-        labels = (str(prog), str(proc))
+        # A shim built with no ambient request owns its chain: nobody
+        # else will ever see it, so it is flushed when the call settles
+        # (a no-op unless an exporter is installed).
+        call = PendingCall(
+            destination, prog, vers, proc, ctx,
+            SpanRecord("rpc", f"call {prog}:{proc}", started_at=now),
+            context is None and ambient is None,
+        )
         if ctx.expired(now):
-            METRICS.inc("rpc.client.deadline_exceeded", labels)
-            raise DeadlineExceeded(
+            METRICS.inc("rpc.client.deadline_exceeded", (str(prog), str(proc)))
+            self._settle(call, now, error=DeadlineExceeded(
                 f"deadline expired before calling {destination} "
                 f"(trace {ctx.trace_id})"
-            )
-        xid = next(self._xid_counter)
-        call = RpcCall(
+            ))
+            return call
+        call.xid = xid = next(self._xid_counter)
+        call.encoded = RpcCall(
             xid, prog, vers, proc, body,
             deadline=ctx.deadline, trace_id=ctx.trace_id, hops=ctx.hops,
             sampled=sampling.mark(ctx),
-        )
-        encoded = call.encode()
-        # One expectation per xid, shared across attempts: whichever
-        # attempt's reply lands first resolves the call.
-        self._expect(xid)
-        awaited = {xid}
-        attempts = ctx.retry.attempts
-        try:
-            for attempt in range(attempts):
-                now = self.transport.now()
-                if ctx.expired(now):
-                    METRICS.inc("rpc.client.deadline_exceeded", labels)
-                    raise DeadlineExceeded(
-                        f"deadline expired after {attempt} attempt(s) to "
-                        f"{destination} (trace {ctx.trace_id})"
-                    )
-                if attempt:
-                    self.retransmissions += 1
-                    METRICS.inc("rpc.client.retransmissions", labels)
-                    if span is not None:
-                        # Wire-level visibility: each extra attempt is an
-                        # event on the rpc span, exported with the chain.
-                        span.add_event("retransmission", at=now, attempt=attempt)
-                self.calls_sent += 1
-                wait = ctx.attempt_timeout(now, attempts - attempt)
-                self._send_call(destination, encoded, ctx.deadline)
-                if await self._wait_replies(awaited, wait):
-                    reply = self._take(xid)
-                    if reply.status is ReplyStatus.SHED:
-                        METRICS.inc("rpc.client.shed_received", labels)
-                        if span is not None:
-                            span.add_event(
-                                "shed", at=self.transport.now(), attempt=attempt
-                            )
-                    return reply
-            if ctx.expired(self.transport.now()) and ctx.retry.attempt_timeout is None:
-                METRICS.inc("rpc.client.deadline_exceeded", labels)
-                raise DeadlineExceeded(
-                    f"no reply from {destination} within the deadline "
-                    f"(trace {ctx.trace_id})"
-                )
-            raise RpcTimeout(
-                f"no reply from {destination} for prog={prog} proc={proc} "
-                f"after {attempts} attempt(s)"
+        ).encode()
+        self._awaited.add(xid)
+        self._transmit(call, ctx.attempt_timeout(now, ctx.retry.attempts))
+        return call
+
+    def gather(
+        self, calls: Sequence[PendingCall], needed: Optional[int] = None
+    ) -> None:
+        """Wait until ``needed`` of ``calls`` are settled (default: all).
+
+        Each unsettled xid is retransmitted when its own attempt timer
+        lapses; a call whose attempts or deadline run out settles with
+        :class:`DeadlineExceeded` (the budget lapsed) or
+        :class:`RpcTimeout` (the attempts did).  Calls still unsettled on
+        return stay live until a later ``gather`` or :meth:`retire`.
+        """
+        wanted = len(calls) if needed is None else needed
+        pending = self._pending
+        while True:
+            now = self.transport.now()
+            settled = 0
+            live: Set[int] = set()
+            wake = math.inf
+            for call in calls:
+                if not call.done:
+                    reply = pending.get(call.xid)
+                    if reply is not None:
+                        self._settle(call, now, reply=reply)
+                    elif now >= call.due:
+                        self._retransmit(call, now)
+                if call.done:
+                    settled += 1
+                else:
+                    live.add(call.xid)
+                    wake = min(wake, call.due)
+            if settled >= wanted or not live:
+                return
+            self.transport.wait(
+                lambda: not pending.keys().isdisjoint(live),
+                wake - self.transport.now(),
             )
-        finally:
-            self.retire_xid(xid)
+
+    def retire(self, calls: Sequence[PendingCall]) -> None:
+        """Give up on the unsettled ``calls``: later replies are dropped
+        and each one's span closes with outcome ``retired``."""
+        now = self.transport.now()
+        for call in calls:
+            if not call.done:
+                call.span.outcome = "retired"
+                self._settle(call, now)
+
+    def _retransmit(self, call: PendingCall, now: float) -> None:
+        """The attempt timer lapsed: send again, or settle with the error."""
+        ctx = call.ctx
+        attempts = ctx.retry.attempts
+        attempt = call.attempt + 1
+        labels = (str(call.prog), str(call.proc))
+        if attempt < attempts:
+            if ctx.expired(now):
+                METRICS.inc("rpc.client.deadline_exceeded", labels)
+                self._settle(call, now, error=DeadlineExceeded(
+                    f"deadline expired after {attempt} attempt(s) to "
+                    f"{call.destination} (trace {ctx.trace_id})"
+                ))
+                return
+            call.attempt = attempt
+            self.retransmissions += 1
+            METRICS.inc("rpc.client.retransmissions", labels)
+            # Wire-level visibility: each extra attempt is an event on
+            # the rpc span, exported with the chain.
+            call.span.add_event("retransmission", at=now, attempt=attempt)
+            self._transmit(call, ctx.attempt_timeout(now, attempts - attempt))
+        elif ctx.expired(now) and ctx.retry.attempt_timeout is None:
+            METRICS.inc("rpc.client.deadline_exceeded", labels)
+            self._settle(call, now, error=DeadlineExceeded(
+                f"no reply from {call.destination} within the deadline "
+                f"(trace {ctx.trace_id})"
+            ))
+        else:
+            self._settle(call, now, error=RpcTimeout(
+                f"no reply from {call.destination} for prog={call.prog} "
+                f"proc={call.proc} after {attempts} attempt(s)"
+            ))
+
+    def _transmit(self, call: PendingCall, wait: float) -> None:
+        """One attempt: put the CALL on the wire and arm its timer."""
+        self.calls_sent += 1
+        try:
+            self._send_call(call.destination, call.encoded, call.ctx.deadline)
+        except CommunicationError as error:  # a refused connect, a failed write
+            self._settle(call, self.transport.now(), error=error)
+            return
+        call.due = self.transport.now() + wait
+
+    def _settle(
+        self,
+        call: PendingCall,
+        now: float,
+        reply: Optional[RpcReply] = None,
+        error: Optional[CommunicationError] = None,
+    ) -> None:
+        """Retire the xid, close the span, and keep the outcome."""
+        self.retire_xid(call.xid)
+        call.reply, call.error, call.done = reply, error, True
+        span = call.span
+        if reply is not None and reply.status is ReplyStatus.SHED:
+            METRICS.inc("rpc.client.shed_received", (str(call.prog), str(call.proc)))
+            span.add_event("shed", at=now, attempt=call.attempt)
+        if error is not None:
+            span.outcome = type(error).__name__
+        span.elapsed = now - span.started_at
+        call.ctx.record_span(span)
+        if call.owns_chain:
+            flush_context(call.ctx)
 
     def _send_call(
         self, destination: Address, encoded: bytes, deadline: Optional[float]
@@ -282,63 +400,11 @@ class _RpcClientCore:
         """Put one encoded CALL on the wire.
 
         The seam :class:`BatchingClient` overrides to coalesce writes;
-        the base clients write immediately, one message per payload.
+        the base client writes immediately, one message per payload.
         """
         self.transport.send(destination, encoded)
 
-    def stats(self, destination: Address, **kwargs: Any) -> Any:
-        """Fetch the STATS snapshot from the server at ``destination``.
-
-        Every :class:`~repro.rpc.server.RpcServer` serves the well-known
-        stats program; this is the client-side one-liner for it (the
-        snapshot on the blocking client, an awaitable of it on the
-        coroutine client — whatever ``call`` returns).
-        """
-        from repro.rpc import stats as stats_mod
-
-        return stats_mod.fetch(self, destination, **kwargs)
-
-    def close(self) -> None:
-        dispatcher_for(self.transport).client = None
-
-
-class RpcClient(_RpcClientCore):
-    """Blocking client: steps the shared body on the calling thread.
-
-    Its wait seam blocks in ``Transport.wait`` until the awaited replies
-    have landed in ``_pending``, so the body never suspends.
-    """
-
-    def __init__(
-        self,
-        transport: Transport,
-        timeout: float = 1.0,
-        retries: int = 3,
-    ) -> None:
-        super().__init__(transport, timeout, retries)
-        self._awaited: Set[int] = set()
-        self._pending: Dict[int, RpcReply] = {}
-
-    def _expect(self, xid: int) -> None:
-        self._awaited.add(xid)
-
-    def _deliver(self, reply: RpcReply) -> bool:
-        if reply.xid not in self._awaited:
-            return False
-        self._pending[reply.xid] = reply
-        return True
-
-    async def _wait_replies(self, xids, timeout: float) -> bool:
-        pending = self._pending
-        return self.transport.wait(lambda: pending.keys() >= xids, timeout)
-
-    def _take(self, xid: int) -> Optional[RpcReply]:
-        return self._pending.pop(xid, None)
-
-    def retire_xid(self, xid: int) -> None:
-        """Mark ``xid`` finished: later replies for it are dropped."""
-        self._awaited.discard(xid)
-        self._pending.pop(xid, None)
+    # -- single calls --------------------------------------------------------
 
     def call(
         self,
@@ -371,11 +437,13 @@ class RpcClient(_RpcClientCore):
         context: Optional[CallContext] = None,
     ) -> RpcReply:
         """Send pre-encoded bytes and return the raw reply."""
-        return step(
-            self._call_raw(
-                destination, prog, vers, proc, body, timeout, retries, context
-            )
+        call = self._start(
+            destination, prog, vers, proc, body, timeout, retries, context
         )
+        self.gather((call,))
+        if call.error is not None:
+            raise call.error
+        return call.reply
 
     def ping(self, destination: Address, prog: int, vers: int = 1) -> bool:
         """True when the destination answers procedure 0 (NULL proc)."""
@@ -384,6 +452,19 @@ class RpcClient(_RpcClientCore):
             return True
         except RpcError:
             return False
+
+    def stats(self, destination: Address, **kwargs: Any) -> Any:
+        """Fetch the STATS snapshot from the server at ``destination``.
+
+        Every :class:`~repro.rpc.server.RpcServer` serves the well-known
+        stats program; this is the client-side one-liner for it.
+        """
+        from repro.rpc import stats as stats_mod
+
+        return stats_mod.fetch(self, destination, **kwargs)
+
+    def close(self) -> None:
+        dispatcher_for(self.transport).client = None
 
 
 class BatchBuffer:
@@ -555,21 +636,6 @@ class BatchingClient(RpcClient):
         typed :class:`RpcError` instance that call would have raised.
         All calls share one context (one deadline budget, one trace).
         """
-        return step(self._call_many(destination, calls, timeout, retries, context))
-
-    # -- the batch lane: coroutine bodies, stepped by call_many -----------
-    #
-    # They wait on the client seams (``_expect`` / ``_wait_replies`` /
-    # ``_take``) collectively, for a whole set of xids.
-
-    async def _call_many(
-        self,
-        destination: Address,
-        calls: Sequence[Tuple[int, int, int, Any]],
-        timeout: Optional[float],
-        retries: Optional[int],
-        context: Optional[CallContext],
-    ) -> List[Any]:
         calls = list(calls)
         if not calls:
             return []
@@ -580,12 +646,12 @@ class BatchingClient(RpcClient):
             with ctx.span(
                 "rpc", f"call_many x{len(calls)}", self.transport.now
             ):
-                return await self._batch_attempts(ctx, destination, calls)
+                return self._batch_attempts(ctx, destination, calls)
         finally:
             if owns_chain:
                 flush_context(ctx)
 
-    async def _batch_attempts(
+    def _batch_attempts(
         self,
         ctx: CallContext,
         destination: Address,
@@ -601,10 +667,10 @@ class BatchingClient(RpcClient):
                 deadline=ctx.deadline, trace_id=ctx.trace_id, hops=ctx.hops,
                 sampled=sampled,
             )
-            self._expect(xid)
+            self._awaited.add(xid)
             entries.append((xid, prog, vers, proc, call.encode()))
         try:
-            replies = await self._collect_replies(ctx, destination, entries)
+            replies = self._collect_replies(ctx, destination, entries)
             expired = ctx.expired(self.transport.now())
             outcomes: List[Any] = []
             for xid, prog, vers, proc, __ in entries:
@@ -633,11 +699,12 @@ class BatchingClient(RpcClient):
             for xid, *__ in entries:
                 self.retire_xid(xid)
 
-    async def _collect_replies(
+    def _collect_replies(
         self, ctx: CallContext, destination: Address, entries
     ) -> Dict[int, RpcReply]:
         """Send batches and gather replies, retransmitting only gaps."""
         replies: Dict[int, RpcReply] = {}
+        pending = self._pending
         outstanding = {
             xid: (prog, proc, encoded)
             for xid, prog, vers, proc, encoded in entries
@@ -658,9 +725,9 @@ class BatchingClient(RpcClient):
                 destination, [encoded for __, __, encoded in outstanding.values()]
             )
             wait = ctx.attempt_timeout(now, attempts - attempt)
-            await self._wait_replies(outstanding.keys(), wait)
+            self.transport.wait(lambda: pending.keys() >= outstanding.keys(), wait)
             for xid in list(outstanding):
-                reply = self._take(xid)
+                reply = pending.pop(xid, None)
                 if reply is not None:
                     replies[xid] = reply
                     del outstanding[xid]

@@ -11,12 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.context import CallContext
+from repro.context import CallContext, RetryPolicy
 from repro.net.endpoints import Address
-from repro.rpc.client import RpcClient, remote_fault
+from repro.rpc.client import PendingCall, RpcClient, remote_fault
 from repro.rpc.errors import RemoteFault, RpcError, XdrError
-from repro.rpc.message import ReplyStatus, RpcCall, RpcReply
-from repro.rpc.xdr import decode_value, encode_value
+from repro.rpc.message import ReplyStatus
 from repro.telemetry.metrics import METRICS
 
 
@@ -38,7 +37,12 @@ class MulticastResult:
 
 
 class MulticastCaller:
-    """Fans a call out to many destinations over one client transport."""
+    """Fans a call out to many destinations over one client.
+
+    One :meth:`~repro.rpc.client.RpcClient.start` per member, then one
+    :meth:`~repro.rpc.client.RpcClient.gather` for the quorum: the same
+    attempt loop, codecs and reply mapping as a single call.
+    """
 
     def __init__(self, client: RpcClient) -> None:
         self._client = client
@@ -58,55 +62,40 @@ class MulticastCaller:
 
         ``quorum=None`` waits for every destination.  Always returns a
         result object — per-destination failures never raise, they appear
-        in ``faults``/``missing``.  With a ``context``, the gather window
-        is bounded by the remaining deadline budget and the fan-out is
-        stamped with the context's wire fields.
+        in ``faults``/``missing``.  Each member gets one attempt, lasting
+        the gather window: ``timeout``, or less when a ``context`` has
+        less budget left (the fan-out then carries that context's trace
+        and hop budget).
         """
-        if quorum is None:
-            quorum = len(destinations)
-        transport = self._client.transport
-        if context is not None:
-            timeout = min(timeout, context.remaining(transport.now()))
-        pending: Dict[int, Address] = {}
-        body = encode_value(args)
-        for destination in destinations:
-            xid = next(self._client._xid_counter)
-            if context is not None:
-                call = RpcCall(
-                    xid, prog, vers, proc, body,
-                    deadline=context.deadline,
-                    trace_id=context.trace_id,
-                    hops=context.hops,
-                )
-            else:
-                call = RpcCall(xid, prog, vers, proc, body)
-            pending[xid] = destination
-            self._client._expect(xid)
-            self._client.calls_sent += 1
-            transport.send(destination, call.encode())
-
-        def arrived() -> int:
-            return sum(1 for xid in pending if xid in self._client._pending)
-
-        transport.wait(lambda: arrived() >= quorum, timeout)
-
+        client = self._client
+        now = client.transport.now()
+        base = context if context is not None else CallContext()
+        member = base.derive(
+            deadline=now + min(timeout, base.remaining(now)),
+            retry=RetryPolicy(retries=0),
+        )
+        calls = [
+            client.start(destination, prog, vers, proc, args, context=member)
+            for destination in destinations
+        ]
+        client.gather(calls, needed=len(calls) if quorum is None else quorum)
+        # Members still out after the gather window would otherwise hold
+        # their xids forever.
+        client.retire(calls)
         result = MulticastResult()
-        for xid, destination in pending.items():
-            reply = self._client._pending.pop(xid, None)
-            # Replies arriving after the gather window would otherwise sit
-            # in the client's pending table forever.
-            self._client.retire_xid(xid)
-            if reply is None:
+        for destination, call in zip(destinations, calls):
+            if call.reply is None:
                 result.missing.append(destination)
-                continue
-            self._record(result, destination, reply)
+            else:
+                self._record(result, destination, call)
         return result
 
     @staticmethod
-    def _record(result: MulticastResult, destination: Address, reply: RpcReply) -> None:
+    def _record(result: MulticastResult, destination: Address, call: PendingCall) -> None:
+        reply = call.reply
         try:
             if reply.status is ReplyStatus.SUCCESS:
-                result.replies[destination] = decode_value(reply.body)
+                result.replies[destination] = call.result()
             elif reply.status is ReplyStatus.REMOTE_FAULT:
                 result.faults[destination] = str(remote_fault(reply.body))
             else:

@@ -32,8 +32,6 @@ on virtual-time simulations and wall-clock TCP stacks.
 
 from __future__ import annotations
 
-import asyncio
-import inspect
 import random
 import threading
 from dataclasses import dataclass
@@ -43,7 +41,6 @@ from repro.context import CallContext, Clock, current_context
 from repro.errors import BindingError, CommunicationError
 from repro.rpc.client import RpcClient
 from repro.rpc.errors import DeadlineExceeded, RpcError, RpcTimeout, ServerShedding
-from repro.rpc.stepper import step
 from repro.telemetry.log import LOG
 from repro.telemetry.metrics import METRICS
 
@@ -305,45 +302,6 @@ class ResilientCaller:
         Raises the last transient failure when everything is exhausted,
         or :class:`DeadlineExceeded` the moment the budget lapses.
         """
-        return step(
-            self._run(targets, attempt, ctx, key, operation, self._block)
-        )
-
-    async def run_async(
-        self,
-        targets: Sequence[T],
-        attempt: Callable[[T, Optional[CallContext]], Any],
-        ctx: Optional[CallContext] = None,
-        key: Callable[[T], str] = str,
-        operation: str = "call",
-    ) -> Any:
-        """The ``await`` side of :meth:`run`, for the async RPC stack.
-
-        The same rounds engine; backoff pauses are ``asyncio.sleep``
-        (virtual seconds on a :class:`~repro.net.aioclock.SimEventLoop`)
-        instead of blocking transport waits, so concurrent failover
-        rounds interleave on one event loop.  ``attempt`` may be a
-        coroutine function or a plain callable returning an awaitable;
-        plain results pass through.
-        """
-        return await self._run(
-            targets, attempt, ctx, key, operation, asyncio.sleep
-        )
-
-    async def _block(self, seconds: float) -> None:
-        """The blocking flavour's pause: park in the transport's wait."""
-        self._client.transport.wait(lambda: False, seconds)
-
-    async def _run(
-        self,
-        targets: Sequence[T],
-        attempt: Callable[[T, Optional[CallContext]], Any],
-        ctx: Optional[CallContext],
-        key: Callable[[T], str],
-        operation: str,
-        pause: Callable[[float], Any],
-    ) -> Any:
-        """The rounds engine; ``pause`` is its only per-flavour seam."""
         if not targets:
             raise ValueError("ResilientCaller.run needs at least one target")
         if ctx is None:
@@ -370,9 +328,7 @@ class ResilientCaller:
                     if not first_attempt:
                         # Every attempt after the first is a failover (or a
                         # new round's retry): pause first, then move on.
-                        delay = await self._sleep_backoff(
-                            ctx, delay, span, clock, pause
-                        )
+                        delay = self._sleep_backoff(ctx, delay, span, clock)
                         if ctx is not None and ctx.expired(clock()):
                             raise self._deadline_error(ctx, last_error)
                         self.failovers += 1
@@ -393,8 +349,6 @@ class ResilientCaller:
                     child = self._attempt_context(ctx, len(targets) - position)
                     try:
                         result = attempt(target, child)
-                        if inspect.isawaitable(result):
-                            result = await result
                     except BaseException as exc:  # noqa: BLE001 - classified below
                         now = clock()
                         if _is_deadline(exc):
@@ -426,13 +380,8 @@ class ResilientCaller:
                 raise last_error
             raise CircuitOpen("no attempt could be made within the round budget")
 
-    async def _sleep_backoff(
-        self,
-        ctx: Optional[CallContext],
-        delay: float,
-        span,
-        clock: Clock,
-        pause: Callable[[float], Any],
+    def _sleep_backoff(
+        self, ctx: Optional[CallContext], delay: float, span, clock: Clock
     ) -> float:
         """Pause the current delay (clamped to the budget); returns the
         next decorrelated-jitter delay."""
@@ -443,7 +392,7 @@ class ResilientCaller:
             self.backoff_sleeps += wait
             METRICS.inc("rpc.backoff.sleeps")
             METRICS.observe("rpc.backoff.seconds", wait)
-            await pause(wait)
+            self._client.transport.wait(lambda: False, wait)
         return self.backoff.next_delay(delay, self._rng)
 
     def _attempt_context(
@@ -480,34 +429,13 @@ class ResilientCaller:
         ctx: Optional[CallContext] = None,
     ) -> Any:
         """``RpcClient.call`` with failover across ``destinations``."""
-        return self._call(self.run, destinations, prog, vers, proc, args, ctx)
 
-    async def call_async(
-        self,
-        destinations: Sequence[Any],
-        prog: int,
-        vers: int,
-        proc: int,
-        args: Any = None,
-        ctx: Optional[CallContext] = None,
-    ) -> Any:
-        """:meth:`call` on the async stack.
-
-        Construct the caller with an
-        :class:`~repro.rpc.aio.AsyncRpcClient` (its ``call`` returns an
-        awaitable, which the engine awaits per attempt).
-        """
-        return await self._call(
-            self.run_async, destinations, prog, vers, proc, args, ctx
-        )
-
-    def _call(self, run, destinations, prog, vers, proc, args, ctx) -> Any:
         def attempt(destination: Any, child: Optional[CallContext]) -> Any:
             return self._client.call(
                 destination, prog, vers, proc, args, context=child
             )
 
-        return run(
+        return self.run(
             destinations, attempt, ctx=ctx,
             key=lambda d: f"{d.host}:{d.port}",
             operation=f"call {prog}:{proc}",

@@ -42,7 +42,6 @@ from repro.rpc.codec import CODECS
 from repro.rpc.dispatch import dispatcher_for
 from repro.rpc.errors import XdrError
 from repro.rpc.message import ReplyStatus, RpcCall, RpcReply
-from repro.rpc.stepper import step
 from repro.rpc.transport import Transport
 from repro.rpc.xdr import encode_value
 from repro.rpc import stats as stats_mod
@@ -51,6 +50,14 @@ from repro.telemetry.log import LOG
 from repro.telemetry.metrics import METRICS, MetricsRegistry
 
 Handler = Callable[..., Any]
+
+
+class AwaitableResult(TypeError):
+    """A handler returned an awaitable (a coroutine function's result, say).
+
+    The server never runs one: it is closed unrun and the call is
+    answered ``REMOTE_FAULT`` with this kind.
+    """
 
 
 @dataclass(frozen=True)
@@ -778,14 +785,18 @@ class RpcServer:
 
     @staticmethod
     def _invoke(handler: Handler, args: Any) -> Any:
-        """Call the handler; an awaitable result is stepped to completion.
-
-        A handler result that really suspends faults the call with
-        :class:`~repro.rpc.stepper.BodySuspended` (DESIGN.md §6a).
-        """
+        """Call the handler.  Handlers are plain functions: an awaitable
+        result is closed unrun and faults the call as
+        :class:`AwaitableResult`."""
         result = handler(args)
         if inspect.isawaitable(result):
-            result = step(result)
+            close = getattr(result, "close", None)
+            if close is not None:
+                close()
+            raise AwaitableResult(
+                f"handler returned {type(result).__name__}; "
+                f"RPC handlers are plain functions"
+            )
         return result
 
     @staticmethod

@@ -5,7 +5,7 @@ a first-class query interface (the Grid Market Directory ships a status
 API next to its publication API; cooperating independent registries must
 see each other's health to federate safely).  This module gives every
 COSM RPC server the same property: each :class:`~repro.rpc.server.RpcServer`
-— sync or asyncio — automatically serves the well-known **stats**
+automatically serves the well-known **stats**
 program, whose single procedure returns a versioned snapshot of the
 process's observable state:
 
@@ -15,7 +15,7 @@ process's observable state:
   bound, evictions), the admission policy in force;
 * the programs the server exports (``prog``/``vers``/procedure names);
 * circuit-breaker state per endpoint, trader lease counters, compiled
-  codec hit/fallback rates, the async in-flight gauge, batching health
+  codec hit/fallback rates, batching health
   (per-payload reply histogram + per-endpoint queue-depth gauges), and
   the sampling policy with its drop accounting;
 * the full :data:`~repro.telemetry.metrics.METRICS` snapshot, so a
@@ -138,7 +138,6 @@ def build_snapshot(server: Any) -> Dict[str, Any]:
             },
             "programs": programs,
         },
-        "async": {"inflight": METRICS.gauge("rpc.async.inflight")},
         "breakers": breakers,
         "leases": {
             "renewed": METRICS.counter_total("trader.offers.renewed"),
@@ -206,9 +205,8 @@ def build_snapshot(server: Any) -> Dict[str, Any]:
 def fetch(client: Any, destination: Any, **kwargs: Any) -> Dict[str, Any]:
     """Pull one snapshot from the server at ``destination``.
 
-    ``client`` is an RPC client of either flavour (on the coroutine
-    one the snapshot comes back as an awaitable); keyword arguments
-    (``context=``, ``timeout=``) pass through to its ``call``.
+    ``client`` is an :class:`~repro.rpc.client.RpcClient`; keyword
+    arguments (``context=``, ``timeout=``) pass through to its ``call``.
     """
     return client.call(destination, STATS_PROGRAM, STATS_VERSION, PROC_SNAPSHOT, **kwargs)
 

@@ -6,9 +6,7 @@ provides datagram-style send/receive plus a ``wait`` primitive that blocks
 run the one RPC stack:
 
 * :class:`SimTransport` — over :class:`repro.net.SimNetwork`; ``wait``
-  advances the shared virtual clock, keeping tests deterministic.  Both
-  client flavours run on it (the coroutine one via
-  :class:`~repro.net.aioclock.SimEventLoop`).
+  advances the shared virtual clock, keeping tests deterministic.
 * :class:`TcpTransport` — real TCP sockets with length-prefixed frames,
   the only socket transport.  Every message, a reply included, travels
   on the sender's own outgoing connection to the receiver's advertised
@@ -78,8 +76,6 @@ class SimTransport(Transport):
     """Datagram transport over the simulated network."""
 
     def __init__(self, network: SimNetwork, host: str, port: Optional[int] = None) -> None:
-        #: Public so peers of this transport (async side-cars, the event
-        #: loop integration) can join the same simulated world.
         self.network = network
         self._endpoint = network.bind(host, port)
         self.local_address = self._endpoint.address

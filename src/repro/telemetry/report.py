@@ -272,56 +272,6 @@ def run_recovery_cell(model: str, repeats: int, seed: int = 1994) -> Dict[str, A
     }
 
 
-def run_async_cell(model: str, clients: int = 32, seed: int = 1994) -> Dict[str, Any]:
-    """The async stack's footprint: in-flight concurrency on one loop.
-
-    Runs ``clients`` concurrent :class:`~repro.rpc.aio.AsyncRpcClient`
-    calls against a plain-handler :class:`~repro.rpc.server.RpcServer` on
-    a virtual-time event loop, sampling the ``rpc.async.inflight`` gauge
-    after one loop yield — the report's window onto the coroutine
-    flavour: peak concurrency, the gauge returning to zero at rest, and
-    the virtual makespan (≈ one call's round trip, not ``clients`` of
-    them, when the fan-out overlaps).
-    """
-    import asyncio
-
-    from repro.net.aioclock import loop_for
-    from repro.rpc.aio import AsyncRpcClient
-    from repro.rpc.server import RpcProgram, RpcServer
-
-    net = SimNetwork(latency=LATENCY_MODELS[model](), seed=seed)
-    server = RpcServer(SimTransport(net, "asrv.site-b"))
-    program = RpcProgram(662100, 1, "report-async")
-    program.register(1, lambda args: True, "ack")
-    server.serve(program)
-    client = AsyncRpcClient(
-        SimTransport(net, "acli.site-a"), timeout=10.0, retries=1
-    )
-    peak = {"inflight": 0}
-
-    async def probe() -> None:
-        # One loop yield: every call has sent and awaits its reply.
-        await asyncio.sleep(0)
-        peak["inflight"] = METRICS.gauge("rpc.async.inflight")
-
-    async def main() -> float:
-        start = net.clock.now
-        await asyncio.gather(
-            probe(),
-            *[client.call(server.address, 662100, 1, 1) for _ in range(clients)],
-        )
-        return net.clock.now - start
-
-    makespan = loop_for(net.clock).run_until_complete(main())
-    return {
-        "model": model,
-        "clients": clients,
-        "inflight_peak": int(peak["inflight"]),
-        "inflight_at_rest": int(METRICS.gauge("rpc.async.inflight")),
-        "makespan": makespan,
-    }
-
-
 #: Program number of the wire-cell echo service.
 WIRE_PROGRAM = 662200
 
@@ -423,7 +373,6 @@ def build_report(
         "repeats": repeats,
         "cells": cells,
         "recovery": [run_recovery_cell(model, repeats) for model in models],
-        "async": [run_async_cell(model) for model in models],
         "wire": [run_wire_cell(model, repeats) for model in models],
     }
 
@@ -476,20 +425,6 @@ def report_widgets(report: Dict[str, Any]) -> List[Widget]:
         )
     if report.get("recovery"):
         widgets.append(recovery)
-    async_table = Table(
-        "async stack (concurrent in-flight calls, per model)",
-        ["model", "clients", "inflight peak", "inflight at rest", "makespan"],
-    )
-    for cell in report.get("async", []):
-        async_table.add_row(
-            cell["model"],
-            cell["clients"],
-            cell["inflight_peak"],
-            cell["inflight_at_rest"],
-            cell["makespan"],
-        )
-    if report.get("async"):
-        widgets.append(async_table)
     wire_table = Table(
         "wire path (call batching + compiled codecs, per model)",
         [

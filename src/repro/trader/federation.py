@@ -1,12 +1,16 @@
 """Trader federation (§2.2): links between traders with hop-limited search.
 
-A link names a peer trader and a *forwarder* — a callable taking an
-import-request wire dict (and, for context-aware forwarders, a ``ctx``
-keyword) and returning a list of offer wire dicts.  For co-located
-traders the forwarder calls the peer's
-:meth:`~repro.trader.trader.LocalTrader.import_wire` directly; for
-networked federation :meth:`repro.trader.trader.TraderService.link_to`
-installs a forwarder that issues the IMPORT RPC.
+A link names a peer trader and takes one of two forms:
+
+* **in-process** — a *forwarder*, a callable taking an import-request
+  wire dict (and, for context-aware forwarders, a ``ctx`` keyword) and
+  returning a list of offer wire dicts.  Co-located traders link with the
+  peer's :meth:`~repro.trader.trader.LocalTrader.import_wire`; a sweep
+  runs it inline on the calling thread.
+* **remote** — an :class:`~repro.rpc.client.RpcClient` plus the peer's
+  address; :meth:`repro.trader.trader.TraderService.link_to` builds it, and
+  a sweep issues the IMPORT RPC through the client's split-phase pair so
+  several remote links are in flight at once.
 
 Hop budget and loop breaking are carried by the request's
 :class:`~repro.context.CallContext` (``hops`` and ``visited``); the
@@ -16,23 +20,25 @@ and as a compatibility surface for pre-context callers.
 
 from __future__ import annotations
 
-import asyncio
 import inspect
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-import math
-
 from repro.context import CallContext, Clock, DeadlineLedger, SpanRecord, use_context
-from repro.rpc.errors import DeadlineExceeded, ServerShedding
-from repro.rpc.stepper import step
+from repro.net.endpoints import Address
+from repro.rpc.client import PendingCall, RpcClient
+from repro.rpc.errors import DeadlineExceeded, RpcTimeout, ServerShedding
 from repro.telemetry.metrics import METRICS
 
 Forwarder = Callable[..., List[Dict[str, Any]]]
 
-#: Default cap on concurrent link forwards during a fan-out.
+#: Default cap on remote link forwards in flight during a fan-out.
 DEFAULT_FANOUT_WORKERS = 8
+
+#: The trader RPC program and its IMPORT procedure: what a remote link calls.
+TRADER_PROGRAM = 100200
+PROC_IMPORT = 4
 
 
 def _accepts_ctx(forwarder: Forwarder) -> bool:
@@ -49,17 +55,16 @@ def _accepts_ctx(forwarder: Forwarder) -> bool:
 
 @dataclass
 class TraderLink:
-    """One edge of the trading graph."""
+    """One edge of the trading graph: a ``forwarder``, or a ``client``
+    plus the peer's ``address``."""
 
     name: str
-    forwarder: Forwarder
+    forwarder: Optional[Forwarder] = None
     # A link may cap how deep queries travel onward from here, on top of
     # the request's own hop budget (the ODP notion of link scope).
     max_hops: int = 8
-    #: Optional coroutine-function twin of ``forwarder`` used by the
-    #: async fan-out; when absent the sync forwarder runs inline (fine
-    #: for co-located traders, which answer without blocking).
-    aforwarder: Optional[Forwarder] = None
+    client: Optional[RpcClient] = None
+    address: Optional[Address] = None
     #: forwarder -> does it take a ``ctx`` keyword (signature probed once)
     _ctx_aware: Dict[Forwarder, bool] = field(
         default_factory=dict, repr=False, compare=False
@@ -89,71 +94,56 @@ class TraderLink:
         request_wire: Dict[str, Any],
         ctx: Optional[CallContext] = None,
     ) -> List[Dict[str, Any]]:
-        return step(self._forward(self.forwarder, request_wire, ctx))
-
-    async def _forward(
-        self,
-        forwarder: Forwarder,
-        request_wire: Dict[str, Any],
-        ctx: Optional[CallContext],
-    ) -> List[Dict[str, Any]]:
+        """Forward one import over this link and wait for the answer."""
         capped, ctx = self._capped(request_wire, ctx)
-        wants_ctx = self._ctx_aware.get(forwarder)
+        if self.forwarder is None:
+            call = self._start(capped, ctx)
+            self.client.gather((call,))
+            return call.result()
+        wants_ctx = self._ctx_aware.get(self.forwarder)
         if wants_ctx is None:
-            wants_ctx = self._ctx_aware[forwarder] = _accepts_ctx(forwarder)
-        result = forwarder(capped, ctx=ctx) if wants_ctx else forwarder(capped)
-        if inspect.isawaitable(result):
-            result = await result
-        return result
+            wants_ctx = self._ctx_aware[self.forwarder] = _accepts_ctx(self.forwarder)
+        if wants_ctx:
+            return self.forwarder(capped, ctx=ctx)
+        return self.forwarder(capped)
 
+    def _start(
+        self, capped: Dict[str, Any], ctx: Optional[CallContext]
+    ) -> PendingCall:
+        """Send a remote link's IMPORT.
 
-async def _forward_link(
-    link: TraderLink,
-    forwarder: Forwarder,
-    request_wire: Dict[str, Any],
-    leased: CallContext,
-    clock: Clock,
-    now: float,
-) -> Optional[List[Dict[str, Any]]]:
-    """One link forward, whichever shell scheduled it.
-
-    Skips a link whose lease is already spent as of ``now`` (an
-    ``expired`` span and count), otherwise forwards over ``forwarder``
-    with the leased context installed ambiently — forwarders that consult
-    :func:`~repro.context.current_context`, and anything they call,
-    inherit the query's deadline, hops, and trace — inside a
-    ``federation`` span, and maps what happened onto exactly one
-    ``federation.link{ok,shed,expired,unreachable}`` count.  A link that
-    did not answer yields ``None``: the sweep degrades to a partial merge.
-    """
-    if leased.expired(now):
-        leased.record_span(
-            SpanRecord(
-                "federation", f"link {link.name}", started_at=now, outcome="expired"
+        The context is installed ambiently rather than passed outright:
+        the client keeps its own retry pacing for unreachable peers while
+        inheriting the query's deadline cap, hop budget, and trace.
+        """
+        with use_context(ctx):
+            return self.client.start(
+                self.address, TRADER_PROGRAM, 1, PROC_IMPORT, capped
             )
-        )
-        METRICS.inc("federation.link", (link.name, "expired"))
-        return None
-    try:
-        with use_context(leased):
-            with leased.span("federation", f"link {link.name}", clock):
-                results = await link._forward(forwarder, request_wire, leased)
-    except ServerShedding:
-        # An overloaded peer shed the forward: counted separately from
-        # an unreachable one — shedding is a load signal, not a
+
+
+def _count(
+    link: TraderLink,
+    error: Optional[Exception],
+    leased: CallContext,
+    now: float,
+) -> None:
+    """Map one forward's ending onto its ``federation.link`` count."""
+    if error is None:
+        outcome = "ok"
+    elif isinstance(error, ServerShedding):
+        # An overloaded peer shed the forward: a load signal, not a
         # liveness one.
-        METRICS.inc("federation.link", (link.name, "shed"))
-    except DeadlineExceeded:
-        # The lease lapsed mid-forward: a budget outcome, not a
-        # liveness one — counted like the pre-flight expiry check.
-        METRICS.inc("federation.link", (link.name, "expired"))
-    except Exception:  # noqa: BLE001 - unreachable peers are skipped
-        # the span already recorded the failure outcome
-        METRICS.inc("federation.link", (link.name, "unreachable"))
+        outcome = "shed"
+    elif isinstance(error, DeadlineExceeded) or (
+        isinstance(error, RpcTimeout) and leased.expired(now)
+    ):
+        # The lease lapsed mid-forward: a budget outcome, not a liveness
+        # one — counted like the pre-flight expiry check.
+        outcome = "expired"
     else:
-        METRICS.inc("federation.link", (link.name, "ok"))
-        return results
-    return None
+        outcome = "unreachable"
+    METRICS.inc("federation.link", (link.name, outcome))
 
 
 def fan_out(
@@ -164,154 +154,114 @@ def fan_out(
     workers: int = DEFAULT_FANOUT_WORKERS,
     needed: int = 0,
 ) -> List[Optional[List[Dict[str, Any]]]]:
-    """Forward one import over every link concurrently, splitting the budget.
+    """Forward one import over every link, splitting the budget.
 
-    Each link runs on a bounded worker pool and receives a *lease* on the
-    shared deadline: ``remaining / outstanding`` at the moment it starts,
-    re-donated through the :class:`~repro.context.DeadlineLedger` as fast
-    links finish (see docs/PROTOCOL.md, "Deadline splitting").  The leased
-    context is installed ambiently in the worker via ``use_context`` so
-    forwarders that consult :func:`~repro.context.current_context` — and
-    anything they call — inherit the query's deadline, hops, and trace.
+    Every link receives a *lease* on the shared deadline from a
+    :class:`~repro.context.DeadlineLedger`: ``remaining / outstanding`` at
+    the moment it starts, re-donated as links finish (see
+    docs/PROTOCOL.md, "Deadline splitting").  Up to ``workers`` remote
+    forwards are kept started on their client; in-process links run
+    inline while those are in flight, with the lease installed
+    ambiently, so forwarders that consult
+    :func:`~repro.context.current_context` — and anything they call —
+    inherit the query's deadline, hops, and trace.
 
-    Degrades the way the serial sweep does: an unreachable peer yields
-    ``None`` in its slot (and an error span), an exhausted budget stops the
-    wait and returns whatever has arrived, and with ``needed > 0`` the wait
-    ends early once that many offers have been gathered.  Results come back
-    in link order regardless of completion order, so merges stay
+    Each link that runs gets one ``federation`` span and one
+    ``federation.link{ok,shed,expired,unreachable}`` count.  A link whose
+    lease is spent before it starts is skipped as ``expired``; a link
+    that did not answer yields ``None`` in its slot, so the sweep
+    degrades to a partial merge.  With ``needed > 0`` the sweep ends as
+    soon as that many offers are in: links not yet run are skipped and
+    forwards still in flight are retired, neither counted.  Results come
+    back in link order regardless of completion order, so merges stay
     deterministic.
     """
     links = list(links)
     results: List[Optional[List[Dict[str, Any]]]] = [None] * len(links)
-    if not links:
-        return results
     ledger = DeadlineLedger(ctx, clock, len(links))
-
-    def forward_one(index: int, link: TraderLink) -> None:
-        leased = ledger.lease()
-        try:
-            results[index] = step(
-                _forward_link(
-                    link, link.forwarder, request_wire, leased, clock, clock()
-                )
-            )
-        finally:
-            ledger.release()
-
-    executor = ThreadPoolExecutor(
-        max_workers=max(1, min(workers, len(links))),
-        thread_name_prefix="trader-fanout",
+    # ``gather`` settles the calls of one client: the remote links of a
+    # trader share its service's client, and any other runs inline.
+    client = next((link.client for link in links if link.forwarder is None), None)
+    queued = deque(
+        index for index, link in enumerate(links)
+        if link.forwarder is None and link.client is client
     )
-    link_for = {}
-    pending = set()
-    budget_exhausted = False
-    try:
-        for index, link in enumerate(links):
-            future = executor.submit(forward_one, index, link)
-            link_for[future] = link
-            pending.add(future)
-        while pending:
-            budget = ledger.remaining()
-            timeout = None if math.isinf(budget) else budget
-            done, pending = wait(pending, timeout=timeout, return_when=FIRST_COMPLETED)
-            if not done:
-                budget_exhausted = True
-                break  # budget spent: return the partial sweep
-            if needed > 0:
-                gathered = sum(len(r) for r in results if r)
-                if gathered >= needed:
-                    break
-    finally:
-        for future in pending:
-            # Links a spent budget kept from ever starting are counted
-            # "expired", matching the serial sweep's skip accounting; an
-            # early exit because ``needed`` was reached counts nothing
-            # (the serial sweep does not either).  Links already running
-            # count their own outcome in ``forward_one``.
-            if future.cancel() and budget_exhausted:
-                METRICS.inc("federation.link", (link_for[future].name, "expired"))
-        executor.shutdown(wait=False)
-    # Snapshot: links still running past an early exit must not mutate
-    # what the importer already merged.
-    return list(results)
+    paired = set(queued)
+    in_flight: Dict[PendingCall, Tuple[int, CallContext, SpanRecord]] = {}
 
+    def enough() -> bool:
+        return needed > 0 and sum(len(r) for r in results if r) >= needed
 
-async def fan_out_async(
-    links: List[TraderLink],
-    request_wire: Dict[str, Any],
-    ctx: CallContext,
-    clock: Clock,
-    workers: int = DEFAULT_FANOUT_WORKERS,
-    needed: int = 0,
-) -> List[Optional[List[Dict[str, Any]]]]:
-    """Coroutine fan-out: :func:`fan_out` semantics on the event loop.
+    def lease(index: int) -> Optional[Tuple[CallContext, SpanRecord]]:
+        """The link's lease and span; None (recorded) when already spent."""
+        leased = ledger.lease()
+        now = clock()
+        span = SpanRecord("federation", f"link {links[index].name}", started_at=now)
+        if not leased.expired(now):
+            return leased, span
+        span.outcome = "expired"
+        leased.record_span(span)
+        METRICS.inc("federation.link", (links[index].name, "expired"))
+        ledger.release()
+        return None
 
-    Identical outcome accounting and deadline-ledger leasing, but each
-    link is a task instead of a pooled thread — on a virtual-time
-    :class:`~repro.net.aioclock.SimEventLoop` every link is genuinely in
-    flight at once while the run stays deterministic (tasks start in
-    link order; the loop interleaves them in virtual-time order).  On a
-    spent budget, links that never started are counted ``expired`` and
-    links cancelled mid-flight count ``expired`` too — the async stack's
-    cancellation-on-deadline reaches into the fan-out itself.
-    """
-    links = list(links)
-    results: List[Optional[List[Dict[str, Any]]]] = [None] * len(links)
-    if not links:
-        return results
-    ledger = DeadlineLedger(ctx, clock, len(links))
-    semaphore = asyncio.Semaphore(max(1, min(workers, len(links))))
-    started: Dict[int, bool] = {}
-    budget_exhausted = {"flag": False}
+    def finish(
+        index: int,
+        leased: CallContext,
+        span: SpanRecord,
+        error: Optional[Exception],
+        answer: Optional[List[Dict[str, Any]]],
+    ) -> None:
+        if error is not None:
+            span.outcome = type(error).__name__
+        now = clock()
+        span.elapsed = now - span.started_at
+        leased.record_span(span)
+        _count(links[index], error, leased, now)
+        ledger.release()
+        results[index] = answer
 
-    async def forward_one(index: int, link: TraderLink) -> None:
-        async with semaphore:
-            started[index] = True
-            leased = ledger.lease()
-            try:
-                results[index] = await _forward_link(
-                    link, link.aforwarder or link.forwarder,
-                    request_wire, leased, clock, clock(),
-                )
-            except asyncio.CancelledError:
-                if budget_exhausted["flag"]:
-                    # Cancelled mid-flight by a spent budget: a budget
-                    # outcome.  Cancellation from an early ``needed``
-                    # exit counts nothing, like the sync paths.
-                    METRICS.inc("federation.link", (link.name, "expired"))
-                raise
-            finally:
-                ledger.release()
+    def start_remote() -> None:
+        while queued and len(in_flight) < max(1, workers) and not enough():
+            index = queued.popleft()
+            granted = lease(index)
+            if granted is not None:
+                link = links[index]
+                call = link._start(*link._capped(request_wire, granted[0]))
+                in_flight[call] = (index, *granted)
 
-    pending = set()
-    link_index = {}
+    start_remote()
     for index, link in enumerate(links):
-        task = asyncio.ensure_future(forward_one(index, link))
-        link_index[task] = index
-        pending.add(task)
-    try:
-        while pending:
-            budget = ledger.remaining()
-            timeout = None if math.isinf(budget) else max(0.0, budget)
-            done, pending = await asyncio.wait(
-                pending, timeout=timeout, return_when=asyncio.FIRST_COMPLETED
-            )
-            if not done:
-                budget_exhausted["flag"] = True
-                break  # budget spent: return the partial sweep
-            if needed > 0:
-                gathered = sum(len(r) for r in results if r)
-                if gathered >= needed:
-                    break
-    finally:
-        for task in pending:
-            task.cancel()
-            if budget_exhausted["flag"] and not started.get(link_index[task]):
-                # Never started: counted like the serial sweep's skip.
-                METRICS.inc(
-                    "federation.link", (links[link_index[task]].name, "expired")
-                )
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
-    # Snapshot for symmetry with the sync fan-out.
+        if index in paired:
+            continue
+        if enough():
+            break
+        granted = lease(index)
+        if granted is None:
+            continue
+        try:
+            with use_context(granted[0]):
+                answer = link.forward(request_wire, granted[0])
+        except Exception as error:  # noqa: BLE001 - every failure is an outcome
+            finish(index, *granted, error, None)
+        else:
+            finish(index, *granted, None, answer)
+    while in_flight:
+        for call in [call for call in in_flight if call.done]:
+            try:
+                answer, error = call.result(), None
+            except Exception as exc:  # noqa: BLE001 - every failure is an outcome
+                answer, error = None, exc
+            finish(*in_flight.pop(call), error, answer)
+        start_remote()
+        if enough() or not in_flight:
+            break
+        client.gather(list(in_flight), needed=1)
+    if in_flight:
+        client.retire(list(in_flight))
+        for index, leased, span in in_flight.values():
+            span.outcome = "retired"
+            span.elapsed = clock() - span.started_at
+            leased.record_span(span)
+    # Snapshot: the importer merges exactly what arrived in the sweep.
     return list(results)

@@ -117,48 +117,22 @@ class LeaseHeartbeat:
     # -- clock bindings ----------------------------------------------------
 
     def schedule_on(self, clock: Any) -> None:
-        """Heartbeat forever on a SimClock-style scheduler (virtual time)."""
-
-        def tick() -> None:
-            if self.stopped:
-                return
-            self.beat()
-            if not self.stopped:
-                clock.schedule(self.interval, tick)
-
-        clock.schedule(self.interval, tick)
-
-    def start_task(self, loop: Optional[Any] = None) -> "Any":
-        """Heartbeat as an asyncio task; :meth:`stop` cancels it.
-
-        On a :class:`~repro.net.aioclock.SimEventLoop` the sleeps are
-        virtual seconds — an exporter's heartbeat then costs no wall
-        time at all, and crashing its simulated host eats the RENEW
-        datagrams exactly as with :meth:`schedule_on`.  With no ``loop``
-        the running loop is used (call from a coroutine).
-        """
-        import asyncio
-
-        loop = loop if loop is not None else asyncio.get_running_loop()
-
-        async def beat_forever() -> None:
-            try:
-                while not self.stopped:
-                    await asyncio.sleep(self.interval)
-                    if not self.stopped:
-                        self.beat()
-            except asyncio.CancelledError:
-                pass  # stop() cancelled us; the lease lapses naturally
-
-        task = loop.create_task(beat_forever())
+        """Heartbeat forever on a SimClock-style scheduler (virtual time);
+        :meth:`stop` withdraws the pending beat from the clock."""
         original_stop = self.stop
 
-        def stop_task() -> None:
+        def stop_pending() -> None:
             original_stop()
-            task.cancel()
+            pending[0].cancel()
 
-        self.stop = stop_task  # type: ignore[method-assign]
-        return task
+        self.stop = stop_pending  # type: ignore[method-assign]
+
+        def tick() -> None:
+            self.beat()
+            if not self.stopped:
+                pending[0] = clock.schedule(self.interval, tick)
+
+        pending = [clock.schedule(self.interval, tick)]
 
     def start_thread(self) -> threading.Thread:
         """Heartbeat on the wall clock (daemon thread); :meth:`stop` ends it."""

@@ -62,7 +62,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     shard_ids = [f"s{index}" for index in range(max(1, args.shards))]
     router = build_local_router(
-        shard_ids, replicas=max(0, args.replicas), router_id="demo", fanout_workers=1
+        shard_ids, replicas=max(0, args.replicas), router_id="demo"
     )
     print(f"shard map v{router.map.version}: {list(router.map.shard_ids)}")
 

@@ -28,7 +28,7 @@ from repro.rpc.errors import RemoteFault
 from repro.rpc.resilience import STATE_OPEN, BreakerPolicy, CircuitBreaker
 from repro.telemetry.metrics import METRICS
 from repro.trader.errors import OfferNotFound, TraderError, UnknownServiceType
-from repro.trader.federation import DEFAULT_FANOUT_WORKERS, TraderLink, fan_out
+from repro.trader.federation import TraderLink
 from repro.trader.offers import ServiceOffer, parse_offer_id
 # bench/trace.py patches this attribute by name; leaves with ROADMAP item 3b
 from repro.trader.policies import parse_preference  # noqa: F401
@@ -156,7 +156,11 @@ class _RouterOffers:
 
 
 class ShardRouter:
-    """Route the trader surface over rendezvous-placed shards."""
+    """Route the trader surface over rendezvous-placed shards.
+
+    An import asks its covering shards one after another.
+    ``fanout_workers`` is accepted for existing callers and unread.
+    """
 
     def __init__(
         self,
@@ -164,7 +168,7 @@ class ShardRouter:
         offer_prefix: Optional[str] = None,
         seed: int = 0,
         clock: Optional[Clock] = None,
-        fanout_workers: int = DEFAULT_FANOUT_WORKERS,
+        fanout_workers: int = 1,
         breaker_policy: BreakerPolicy = SHARD_BREAKER,
     ) -> None:
         self.trader_id = router_id
@@ -173,8 +177,6 @@ class ShardRouter:
         self.rng = random.Random(seed)
         self.map = ShardMap((), version=0)
         self.clock = clock
-        self.fanout_workers = fanout_workers
-        self.fanout_loop = None  # duck compat with LocalTrader (sim stacks)
         self.links: Dict[str, TraderLink] = {}  # routers do not federate (yet)
         self.dynamic_evaluator = None
         self._breaker_policy = breaker_policy
@@ -509,23 +511,10 @@ class ShardRouter:
         METRICS.inc(
             "sharding.fanout", (self.trader_id,), amount=max(len(owners), 1)
         )
-        if len(owners) == 1 or self.fanout_workers <= 1:
-            results: List[Optional[List[Dict[str, Any]]]] = []
-            for shard_id in owners:
-                results.append(
-                    self._handles[shard_id].call("import_wire", forwarded, now, ctx)
-                )
-            return results
-        clock = self.clock or (lambda: now)
-        links = []
-        for shard_id in owners:
-            handle = self._handles[shard_id]
-
-            def forward(wire, ctx=None, _handle=handle, _now=now):
-                return _handle.call("import_wire", wire, _now, ctx)
-
-            links.append(TraderLink(f"shard:{shard_id}", forward))
-        return fan_out(links, forwarded, ctx, clock, workers=self.fanout_workers)
+        return [
+            self._handles[shard_id].call("import_wire", forwarded, now, ctx)
+            for shard_id in owners
+        ]
 
     def select_best(
         self,
@@ -572,7 +561,6 @@ def build_local_router(
     offer_prefix: Optional[str] = None,
     seed: int = 0,
     clock: Optional[Clock] = None,
-    fanout_workers: int = 1,
     breaker_policy: BreakerPolicy = SHARD_BREAKER,
     dynamic_evaluator=None,
     range_index: bool = True,
@@ -588,7 +576,6 @@ def build_local_router(
         offer_prefix=offer_prefix,
         seed=seed,
         clock=clock,
-        fanout_workers=fanout_workers,
         breaker_policy=breaker_policy,
     )
     for shard_id in shard_ids:

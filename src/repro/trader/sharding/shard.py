@@ -67,9 +67,8 @@ class TraderShard:
             range_index=range_index,
         )
         # Duck compat with ``LocalTrader`` for service wrappers that
-        # configure their trader's clock/fan-out plumbing.
+        # configure their trader's clock.
         self.clock = clock
-        self.fanout_loop = None
         self.log = DeltaLog(base_seq)
         #: Replica-side high-water mark: the last delta folded in (equals
         #: ``log.last_seq`` except transiently inside ``apply_delta``).

@@ -11,14 +11,12 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Any, Collection, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.context import CallContext, Clock, current_context, use_context
+from repro.context import CallContext, Clock, current_context
 from repro.naming.refs import ServiceRef
 from repro.net.endpoints import Address
 from repro.rpc.client import RpcClient
 from repro.rpc.codec import CODECS
 from repro.rpc.server import RpcProgram, RpcServer
-from repro.rpc.stepper import step
-from repro.rpc.transport import SimTransport
 from repro.sidl import layout
 from repro.telemetry.log import LOG
 from repro.telemetry.metrics import METRICS
@@ -27,22 +25,20 @@ from repro.trader.dynamic import resolve_properties
 from repro.trader.errors import TraderError, UnknownServiceType
 from repro.trader.federation import (
     DEFAULT_FANOUT_WORKERS,
+    PROC_IMPORT,
+    TRADER_PROGRAM,
     TraderLink,
-    _forward_link,
     fan_out,
-    fan_out_async,
 )
 from repro.trader.offers import OFFER_LAYOUT, OfferStore, ServiceOffer
 from repro.trader.policies import Preference, parse_preference
 from repro.trader.service_types import ServiceType
 from repro.trader.type_manager import TypeManager
 
-TRADER_PROGRAM = 100200
-
 _PROC_EXPORT = 1
 _PROC_WITHDRAW = 2
 _PROC_MODIFY = 3
-_PROC_IMPORT = 4
+_PROC_IMPORT = PROC_IMPORT  # what federation links call
 _PROC_ADD_TYPE = 5
 _PROC_REMOVE_TYPE = 6
 _PROC_LIST_TYPES = 7
@@ -209,18 +205,13 @@ class LocalTrader:
         # resolves dynamic-property markers at import time (ODP-style
         # late-bound attributes); None = dynamic properties never match
         self.dynamic_evaluator = dynamic_evaluator
-        # Federated sweeps over 2+ links fan out on a bounded worker pool
-        # (1 = always serial); ``clock`` feeds deadline splitting and the
+        # A federated sweep keeps up to ``fanout_workers`` remote link
+        # forwards in flight; ``clock`` feeds deadline splitting and the
         # per-link spans.  None freezes time at each import's ``now`` —
         # right for virtual-time tests, where budgets must not tick
-        # between forwards; wall-clock traders pass their transport clock.
+        # between forwards; networked traders pass their transport clock.
         self.fanout_workers = fanout_workers
         self.clock = clock
-        # On virtual-time stacks concurrency comes from coroutines, not
-        # threads: when set (by TraderService over a SimTransport), the
-        # fan-out runs as tasks on this loop so links overlap in virtual
-        # time while staying deterministic.
-        self.fanout_loop = None
         self.exports_accepted = 0
         self.imports_served = 0
 
@@ -476,19 +467,8 @@ class LocalTrader:
     def _federated_matches(
         self, request: ImportRequest, ctx: CallContext, now: float, needed: int = 0
     ) -> List[ServiceOffer]:
-        """Sweep the federation links; ``needed > 0`` allows early exit.
-
-        Concurrent by default: with ``fanout_workers > 1`` links fan out
-        with the remaining deadline split across outstanding links (see
-        :mod:`repro.trader.federation`) — as coroutine tasks on
-        ``fanout_loop`` when one is installed (virtual-time sim stacks),
-        on a bounded worker pool otherwise (wall-clock stacks).  The
-        serial sweep remains only for ``fanout_workers=1`` and for
-        *nested* hops on a sim stack (the loop is already running this
-        import, so a nested fan-out continues inline); its budget checks
-        stay frozen at the import's ``now``, so one slow peer cannot
-        spend a budget that has already run out.
-        """
+        """Sweep the federation links (:func:`fan_out`); ``needed > 0``
+        allows early exit."""
         if not self.links:
             return []
         if not ctx.can_hop():
@@ -507,41 +487,12 @@ class LocalTrader:
         else:
             forwarded["hop_limit"] = child.hops
         forwarded["visited"] = list(child.visited)
-        links = list(self.links.values())
-        clock = self.clock or (lambda: now)
-        if self.fanout_workers > 1:
-            loop = self.fanout_loop
-            if loop is not None and not loop.is_running():
-                wire_lists = loop.run_until_complete(
-                    fan_out_async(
-                        links, forwarded, child, clock,
-                        workers=self.fanout_workers, needed=needed,
-                    )
-                )
-                return self._offers_from(wire_lists)
-            if loop is None:
-                wire_lists = fan_out(
-                    links, forwarded, child, clock,
-                    workers=self.fanout_workers, needed=needed,
-                )
-                return self._offers_from(wire_lists)
-            # loop is running: this is a nested hop inside an async
-            # fan-out already in flight — continue serially inline.
-        gathered: List[ServiceOffer] = []
-        for position, link in enumerate(links):
-            if ctx.expired(now):
-                # budget spent: stop fanning out, return what we have
-                for skipped in links[position:]:
-                    METRICS.inc("federation.link", (skipped.name, "expired"))
-                break
-            if needed > 0 and len(gathered) >= needed:
-                break  # enough candidates for a bounded import
-            results = step(
-                _forward_link(link, link.forwarder, forwarded, child, clock, now)
-            )
-            if results:
-                gathered.extend(ServiceOffer.from_wire(item) for item in results)
-        return gathered
+        wire_lists = fan_out(
+            list(self.links.values()), forwarded, child,
+            self.clock or (lambda: now),
+            workers=self.fanout_workers, needed=needed,
+        )
+        return self._offers_from(wire_lists)
 
     @staticmethod
     def _offers_from(
@@ -584,27 +535,8 @@ class TraderService:
             from repro.trader.dynamic import BindingEvaluator
 
             self.trader.dynamic_evaluator = BindingEvaluator(client)
-        self._async_client = None
-        if client is not None:
-            if isinstance(client.transport, SimTransport):
-                # Virtual-time concurrency: fan-out runs as coroutine
-                # tasks on the clock's shared event loop, with federated
-                # forwards issued by an async side-car client.  The
-                # side-car binds to the *same simulated host*, so
-                # partitions and crashes cut it exactly as they cut the
-                # sync client — chaos scenarios see one node, not two.
-                from repro.net.aioclock import loop_for
-                from repro.rpc.aio import AsyncRpcClient
-
-                network = client.transport.network
-                self.trader.fanout_loop = loop_for(network.clock)
-                self._async_client = AsyncRpcClient(
-                    SimTransport(network, client.transport.local_address.host),
-                    timeout=client.timeout,
-                    retries=client.retries,
-                )
-            if self.trader.clock is None:
-                self.trader.clock = client.transport.now
+        if client is not None and self.trader.clock is None:
+            self.trader.clock = client.transport.now
         program = RpcProgram(TRADER_PROGRAM, 1, "trader")
         program.register(_PROC_EXPORT, self._export, "export")
         program.register(_PROC_WITHDRAW, self._withdraw, "withdraw")
@@ -624,34 +556,10 @@ class TraderService:
         """Federate with a remote trader over RPC."""
         if self._client is None:
             raise TraderError("TraderService needs an RpcClient to federate")
-        client = self._client
-
-        def forward(
-            request_wire: Dict[str, Any], ctx: Optional[CallContext] = None
-        ) -> List[Dict[str, Any]]:
-            # Install the (decremented) context ambiently rather than
-            # passing it outright: the federation client keeps its own —
-            # typically tight — retry pacing for unreachable peers, while
-            # inheriting the query's deadline cap, hop budget, and trace.
-            with use_context(ctx if ctx is not None else current_context()):
-                return client.call(
-                    peer_address, TRADER_PROGRAM, 1, _PROC_IMPORT, request_wire
-                )
-
-        aforward = None
-        if self._async_client is not None:
-            aclient = self._async_client
-
-            async def aforward(
-                request_wire: Dict[str, Any], ctx: Optional[CallContext] = None
-            ) -> List[Dict[str, Any]]:
-                with use_context(ctx if ctx is not None else current_context()):
-                    return await aclient.call(
-                        peer_address, TRADER_PROGRAM, 1, _PROC_IMPORT, request_wire
-                    )
-
         link_name = name or f"link:{peer_address.host}:{peer_address.port}"
-        self.trader.link(TraderLink(link_name, forward, aforwarder=aforward))
+        self.trader.link(
+            TraderLink(link_name, client=self._client, address=peer_address)
+        )
 
     # -- handlers ---------------------------------------------------------------
 

@@ -1,27 +1,24 @@
-"""Chaos on the async stack: failover + rebind under seeded faults.
+"""Chaos with every fault family at once: failover + rebind under seeds.
 
-The sync crash/failover/rebind workload has a coroutine twin here: the
-recovery layer drives ``RebindingClient.invoke_async`` over an
-:class:`AsyncRpcClient`, and the whole grid runs as one coroutine on the
-event-loop sim clock.  The fault plane throws everything at it at once —
-seeded datagram drops, a partition window across the client edge, and a
-crash/recover window that eats two workers *and* their lease heartbeats.
+The recovery layer drives ``RebindingClient.invoke`` over a data-plane
+:class:`RpcClient` on its own host, while the fault plane throws
+everything at it at once — seeded datagram drops, a partition window
+across the client edge, and a crash/recover window that eats two workers
+*and* their lease heartbeats.  (The scenario once ran on a coroutine
+client; it now runs on the blocking ``RpcClient``.)
 
-The claims match the sync suite: availability recovers, the resilience
-counters actually moved, and the run is replay-identical per seed even
-though the calls flow through asyncio task scheduling rather than a
-serial loop.
+The claims match the crash-only suite: availability recovers, the
+resilience counters actually moved, and the run is replay-identical per
+seed.
 """
-
-import asyncio
 
 from repro.context import CallContext
 from repro.core.generic_client import GenericClient
 from repro.core.integration import keep_tradable
 from repro.core.rebind import RebindingClient
 from repro.errors import BindingError, CommunicationError, CosmError
-from repro.net import SimNetwork, loop_for
-from repro.rpc import AsyncRpcClient, RpcServer
+from repro.net import SimNetwork
+from repro.rpc import RpcServer
 from repro.rpc.client import RpcClient
 from repro.rpc.errors import DeadlineExceeded, RpcTimeout, ServerShedding
 from repro.rpc.resilience import BackoffPolicy, BreakerPolicy, ResilientCaller
@@ -34,7 +31,7 @@ from tests.chaos.harness import ChaosRun, availability
 RECOVERY_BAR = 0.95
 
 
-def run_async_failover_workload(
+def run_mixed_fault_workload(
     seed: int,
     workers: int = 6,
     crashed: int = 2,
@@ -47,14 +44,14 @@ def run_async_failover_workload(
     recover_at: float = 3.5,
     deadline_budget: float = 1.0,
 ) -> ChaosRun:
-    """The failover workload, rebuilt on the async RPC stack.
+    """The failover workload with drops and a partition on top.
 
     ``workers`` car-rental runtimes serve through :class:`RpcServer` and
     keep leased offers alive with RENEW heartbeats from their own
-    hosts.  A paced call grid drives ``RebindingClient.invoke_async``
-    from one coroutine on the virtual-time loop, riding out three fault
+    hosts.  A paced call grid drives ``RebindingClient.invoke``, riding
+    out three fault
     families at once: ``drop`` datagram loss for the whole run, a
-    partition cutting the async client off from worker ``w02`` during
+    partition cutting the data-plane client off from worker ``w02`` during
     ``partition_window``, and the first ``crashed`` workers' hosts dying
     at ``crash_at`` (taking their heartbeats with them) until
     ``recover_at``.
@@ -100,15 +97,15 @@ def run_async_failover_workload(
         clock.schedule_at(crash_at, lambda h=host: net.faults.crash(h))
         clock.schedule_at(recover_at, lambda h=host: net.faults.recover(h))
 
-    # Drops hit everything; the partition cuts only the async data plane's
-    # edge to one *live* worker, forcing a mid-window failover.
+    # Drops hit everything; the partition cuts only the data plane's edge
+    # to one *live* worker, forcing a mid-window failover.
     net.faults.drop_probability = drop
     part_start, part_end = partition_window
     clock.schedule_at(part_start, lambda: net.faults.partition("acli", "w02"))
     clock.schedule_at(part_end, lambda: net.faults.heal("acli", "w02"))
 
     rpc = RpcClient(SimTransport(net, "cli"), timeout=0.2, retries=1)
-    arpc = AsyncRpcClient(SimTransport(net, "acli"), timeout=0.2, retries=1)
+    arpc = RpcClient(SimTransport(net, "acli"), timeout=0.2, retries=1)
     importer = TraderClient(rpc, trader_service.address)
 
     expired_imports = {"count": 0, "imports": 0}
@@ -130,11 +127,10 @@ def run_async_failover_workload(
         seed=seed,
     )
     rebinder = RebindingClient(
-        rpc,
+        arpc,
         importer,
         resilient=caller,
-        generic=GenericClient(rpc, enforce_fsm=False),
-        async_client=arpc,
+        generic=GenericClient(arpc, enforce_fsm=False),
     )
 
     selection = {"CarModel": "AUDI", "BookingDate": "1994-06-21", "Days": 1}
@@ -142,38 +138,35 @@ def run_async_failover_workload(
     latencies = {}
     recovered_after = recover_at + lease_seconds
 
-    async def drive() -> None:
-        for index in range(calls):
-            start = clock.now
-            if start < crash_at:
-                phase = "before"
-            elif start < recovered_after:
-                phase = "crashed"
-            else:
-                phase = "recovered"
-            ctx = CallContext(deadline=start + deadline_budget)
-            call_id = f"c{index:02d}"
-            try:
-                await rebinder.invoke_async(
-                    "CarRentalService", "SelectCar", {"selection": selection},
-                    ctx=ctx,
-                )
-                outcome = "success"
-            except ServerShedding:
-                outcome = "shed"
-            except DeadlineExceeded:
-                outcome = "deadline"
-            except RpcTimeout:
-                outcome = "timeout"
-            except (CommunicationError, BindingError, CosmError):
-                outcome = "unavailable"
-            outcomes[call_id] = f"{phase}:{outcome}"
-            latencies[call_id] = round(clock.now - start, 9)
-            target = start + spacing
-            if clock.now < target:
-                await asyncio.sleep(target - clock.now)
-
-    loop_for(clock).run_until_complete(drive())
+    for index in range(calls):
+        start = clock.now
+        if start < crash_at:
+            phase = "before"
+        elif start < recovered_after:
+            phase = "crashed"
+        else:
+            phase = "recovered"
+        ctx = CallContext(deadline=start + deadline_budget)
+        call_id = f"c{index:02d}"
+        try:
+            rebinder.invoke(
+                "CarRentalService", "SelectCar", {"selection": selection},
+                ctx=ctx,
+            )
+            outcome = "success"
+        except ServerShedding:
+            outcome = "shed"
+        except DeadlineExceeded:
+            outcome = "deadline"
+        except RpcTimeout:
+            outcome = "timeout"
+        except (CommunicationError, BindingError, CosmError):
+            outcome = "unavailable"
+        outcomes[call_id] = f"{phase}:{outcome}"
+        latencies[call_id] = round(clock.now - start, 9)
+        target = start + spacing
+        if clock.now < target:
+            clock.run_for(target - clock.now)
 
     sweeping["on"] = False
     for heartbeat in heartbeats:
@@ -205,8 +198,8 @@ def run_async_failover_workload(
 
 
 def test_async_failover_restores_availability(chaos_seed):
-    run = run_async_failover_workload(chaos_seed)
-    # Post-recovery the async stack is back above the bar …
+    run = run_mixed_fault_workload(chaos_seed)
+    # Post-recovery the stack is back above the bar …
     assert availability(run, phase="recovered") >= RECOVERY_BAR
     # … and the recovery machinery demonstrably carried it there.
     assert run.extra["failovers"] > 0
@@ -215,7 +208,7 @@ def test_async_failover_restores_availability(chaos_seed):
 
 
 def test_async_crashed_workers_reenter_the_market(chaos_seed):
-    run = run_async_failover_workload(chaos_seed)
+    run = run_mixed_fault_workload(chaos_seed)
     # Both crashed workers lapsed out of the market and re-exported on
     # recovery, so the full fleet is matchable again at the end.
     assert run.extra["reexports"] == 2
@@ -224,12 +217,12 @@ def test_async_crashed_workers_reenter_the_market(chaos_seed):
 
 
 def test_async_failover_replays_identically(chaos_seed):
-    first = run_async_failover_workload(chaos_seed)
-    second = run_async_failover_workload(chaos_seed)
+    first = run_mixed_fault_workload(chaos_seed)
+    second = run_mixed_fault_workload(chaos_seed)
     assert first.fingerprint() == second.fingerprint()
     assert first.extra == second.extra
 
 
 def test_async_fingerprints_differ_across_seeds():
-    runs = {seed: run_async_failover_workload(seed) for seed in (1994, 2024)}
+    runs = {seed: run_mixed_fault_workload(seed) for seed in (1994, 2024)}
     assert runs[1994].fingerprint() != runs[2024].fingerprint()

@@ -69,26 +69,16 @@ def test_one_context_observed_across_federated_import(make_server, make_client):
 
     observed = {}
 
-    link = a.trader.links["to-b"]
-    inner_forward = link.forwarder
+    # The remote link starts its IMPORT on trader-a's client with the
+    # leased context installed ambiently: observe that context.
+    forwarding = a.trader.links["to-b"].client
+    inner_start = forwarding.start
 
-    def forward_spy(request_wire, ctx=None):
-        observed["forwarder"] = ctx
-        return inner_forward(request_wire, ctx=ctx)
+    def start_spy(*args, **kwargs):
+        observed["forwarder"] = current_context()
+        return inner_start(*args, **kwargs)
 
-    link.forwarder = forward_spy
-    link._wants_ctx = None  # re-detect the new callable's signature
-
-    # On a sim stack the federated sweep routes through the link's async
-    # forwarder; spy on that path too so the observation is path-agnostic.
-    inner_aforward = link.aforwarder
-    if inner_aforward is not None:
-        async def aforward_spy(request_wire, ctx=None):
-            observed["forwarder"] = ctx
-            return await inner_aforward(request_wire, ctx=ctx)
-
-        link.aforwarder = aforward_spy
-        link._awants_ctx = None
+    forwarding.start = start_spy
 
     inner_import = peer.import_wire
 
@@ -170,7 +160,7 @@ def test_expired_call_rejected_before_handler_runs(make_server, make_client):
         0x7E000001, 777, 1, 1, encode_value(None),
         deadline=client.transport.now(), trace_id="t-expired",
     )
-    client._expect(0x7E000001)  # an unawaited reply would be dropped
+    client._awaited.add(0x7E000001)  # an unawaited reply would be dropped
     client.transport.send(server.address, call.encode())
     assert client.transport.wait(lambda: 0x7E000001 in client._pending, 1.0)
     reply = client._pending.pop(0x7E000001)

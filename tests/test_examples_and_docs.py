@@ -51,16 +51,17 @@ def test_quickstart_snippet_from_readme():
     assert binding.describe("SelectCar")
 
 
-def test_async_quickstart_snippet_from_readme():
-    """The README's async quickstart, executed verbatim."""
+def test_split_phase_quickstart_snippet_from_readme():
+    """The README's split-phase quickstart, executed verbatim."""
     readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
-    section = readme.split("### Async quickstart\n", 1)[1]
+    section = readme.split("### Split-phase quickstart\n", 1)[1]
     snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
     namespace = {}
     exec(snippet, namespace)
     assert namespace["results"] == [{"i": i} for i in range(1000)]
-    # All 1000 calls overlapped: about one round trip of virtual time.
+    # All 1000 calls overlapped: one round trip of virtual time.
     assert namespace["net"].clock.now < 0.1
+    assert namespace["client"].calls_sent == 1000
 
 
 def test_all_examples_present():

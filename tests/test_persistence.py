@@ -231,7 +231,7 @@ def _migration_world(tmp_path):
     )
 
     router = build_local_router(
-        ("s0", "s1"), router_id="p", offer_prefix="p", fanout_workers=1
+        ("s0", "s1"), router_id="p", offer_prefix="p"
     )
     router.add_type(rental_type())
     for index in range(4):

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.naming.refs import ServiceRef
+from repro.net.endpoints import Address
 from repro.rpc.client import RpcClient
 from repro.rpc.errors import RpcError
 from repro.rpc.message import ReplyStatus
@@ -9,7 +11,11 @@ from repro.rpc.multicast import MulticastCaller, anycast
 from repro.rpc.server import RpcProgram, RpcServer
 from repro.rpc.transport import SimTransport
 from repro.rpc.xdr import encode_value
+from repro.sidl.types import DOUBLE, InterfaceType, LONG, OperationType
 from repro.telemetry.metrics import METRICS
+from repro.trader.offers import ServiceOffer
+from repro.trader.service_types import ServiceType
+from repro.trader.trader import TRADER_PROGRAM, ImportRequest, LocalTrader, TraderService
 from tests.conftest import BAD_UTF8_VALUE
 
 PROG = 610000
@@ -106,3 +112,40 @@ def test_malformed_member_replies_are_faults_not_raises(members, caller, rogue_p
     assert result.faults[garbled_fault].startswith("malformed reply: invalid UTF-8")
     assert result.faults[odd_fault] == "Error: 7"
     assert METRICS.counter_total("rpc.client.malformed_replies") == counted + 2
+
+
+def rental_type():
+    return ServiceType(
+        "CarRentalService",
+        InterfaceType("I", [OperationType("SelectCar", [], LONG)]),
+        [("ChargePerDay", DOUBLE)],
+    )
+
+
+def test_import_multicast_decodes_compiled_offer_records(net):
+    """TRADER IMPORT answers with compiled offer records: a multicast of
+    it decodes them through the codec registry, like a single call."""
+    traders = []
+    for host in ("hamburg", "bremen"):
+        service = TraderService(RpcServer(SimTransport(net, host)), trader=LocalTrader(host))
+        service.trader.add_type(rental_type())
+        service.trader.export(
+            "CarRentalService",
+            ServiceRef.create(f"{host}-rental", Address(host, 1), 4711),
+            {"ChargePerDay": 80.0},
+        )
+        traders.append(service.address)
+    caller = MulticastCaller(RpcClient(SimTransport(net, "importer"), timeout=0.5))
+    malformed = METRICS.counter_total("rpc.client.malformed_replies")
+    result = caller.call(
+        traders, TRADER_PROGRAM, 1, 4,
+        ImportRequest("CarRentalService").to_wire(), timeout=0.5,
+    )
+    assert result.complete and result.faults == {}
+    names = sorted(
+        ServiceOffer.from_wire(wire).service_ref().name
+        for offers in result.values()
+        for wire in offers
+    )
+    assert names == ["bremen-rental", "hamburg-rental"]
+    assert METRICS.counter_total("rpc.client.malformed_replies") == malformed

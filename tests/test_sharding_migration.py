@@ -57,7 +57,7 @@ def service_type(name):
 
 def make_router(offers_per_type=4, shard_ids=("s0", "s1"), replicas=1):
     router = build_local_router(
-        list(shard_ids), replicas=replicas, router_id="demo", fanout_workers=1
+        list(shard_ids), replicas=replicas, router_id="demo"
     )
     for name in TYPE_NAMES:
         router.add_type(service_type(name))
@@ -576,7 +576,7 @@ def test_migrating_router_equals_never_sharded_oracle(ops, seed_exports):
     leaves the router's store — ids, leases, properties, rankings —
     identical to a plain LocalTrader's fed the same script."""
     router = build_local_router(
-        ["s0", "s1", "s2"], replicas=0, router_id="m", fanout_workers=1
+        ["s0", "s1", "s2"], replicas=0, router_id="m"
     )
     oracle = LocalTrader("m", offer_prefix="m", fanout_workers=1)
     for name in TYPE_NAMES[:3]:

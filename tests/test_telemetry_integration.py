@@ -250,24 +250,6 @@ def test_report_renders_recovery_columns():
     assert "lease expirations" in html
 
 
-def test_report_async_cell_surfaces_inflight_gauge():
-    cell = report.run_async_cell("lan", clients=16)
-    # Every client was in flight at once on the virtual-time loop …
-    assert cell["inflight_peak"] == 16
-    # … and the gauge drains back to zero once the calls complete.
-    assert cell["inflight_at_rest"] == 0
-    # Concurrent: the makespan is ~one round trip, not 16 serial ones.
-    assert cell["makespan"] < 2.0
-
-
-def test_report_renders_async_columns():
-    grid = report.build_report(models=("lan",), fleets=(2,), repeats=2)
-    assert [cell["model"] for cell in grid["async"]] == ["lan"]
-    text = report.render_report_text(grid)
-    assert "async stack (concurrent in-flight calls, per model)" in text
-    assert "inflight peak" in text
-
-
 def test_report_percentile_interpolates():
     assert report.percentile([], 0.5) == 0.0
     assert report.percentile([3.0], 0.95) == 3.0

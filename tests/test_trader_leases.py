@@ -290,6 +290,7 @@ def test_keep_alive_on_virtual_clock_keeps_offer_matchable(net, trader):
     clock.run_for(10.0)  # several lease periods
     assert not trader.offers.get(offer_id).expired(clock.now)
     heartbeat.stop()
+    assert clock.pending() == 0  # the next beat is withdrawn, not a no-op
     clock.run_for(4.0)  # > one lease period without renewal
     assert trader.offers.get(offer_id).expired(clock.now)
     assert trader.expire_offers(clock.now) == 1

@@ -10,9 +10,7 @@ surface:
 * a :class:`~repro.trader.sharding.router.ShardRouter` over one shard,
 * a router over four shards (each with a warm replica).
 
-and through two client flavours: the synchronous :class:`TraderClient`
-stub and a raw :class:`~repro.rpc.aio.AsyncRpcClient` driving the same
-procedures on the virtual-time event loop.  All six outcome maps —
+through the :class:`TraderClient` stub.  All three outcome maps —
 minted offer ids, ranked import results, renew leases, ack booleans —
 must be *identical*: sharding is an implementation detail the wire
 surface must not leak.
@@ -24,9 +22,7 @@ import pytest
 
 from repro.naming.refs import ServiceRef
 from repro.net import SimNetwork
-from repro.net.aioclock import loop_for
 from repro.net.endpoints import Address
-from repro.rpc.aio import AsyncRpcClient
 from repro.rpc.client import RpcClient
 from repro.rpc.errors import RemoteFault
 from repro.rpc.server import RpcServer
@@ -36,7 +32,6 @@ from repro.trader.errors import ConstraintSyntaxError
 from repro.trader.service_types import ServiceType
 from repro.trader.sharding import build_local_router
 from repro.trader.trader import (
-    TRADER_PROGRAM,
     ImportRequest,
     LocalTrader,
     TraderClient,
@@ -44,16 +39,7 @@ from repro.trader.trader import (
 )
 
 BACKENDS = ("bare", "router1", "router4")
-CLIENTS = ("sync", "async")
-
-_PROC_EXPORT = 1
-_PROC_WITHDRAW = 2
-_PROC_MODIFY = 3
-_PROC_IMPORT = 4
-_PROC_ADD_TYPE = 5
-_PROC_LIST_OFFERS = 9
-_PROC_RENEW = 11
-
+CLIENTS = ("sync",)  # the TraderClient stub
 
 TIE_EXPORTS = ("TieB", "TieA", "TieB", "TieA", "TieBase", "TieB")
 TIE_PREFERENCES = ("min ChargePerDay", "max ChargePerDay")
@@ -115,51 +101,6 @@ class SyncDriver:
 
     def offer_ids(self):
         return sorted(offer.offer_id for offer in self._stub.list_offers())
-
-
-class AsyncDriver:
-    """Same workload, raw procedure calls on the coroutine client."""
-
-    def __init__(self, net, address):
-        self._loop = loop_for(net.clock)
-        self._client = AsyncRpcClient(
-            SimTransport(net, "acli"), timeout=1.0, retries=3
-        )
-        self._address = address
-
-    def _call(self, proc, args):
-        return self._loop.run_until_complete(
-            self._client.call(self._address, TRADER_PROGRAM, 1, proc, args)
-        )
-
-    def add_type(self, service_type):
-        return self._call(_PROC_ADD_TYPE, {"type": service_type.to_wire()})
-
-    def export(self, service_type, ref, properties, **kw):
-        return self._call(
-            _PROC_EXPORT,
-            {
-                "service_type": service_type,
-                "ref": ref.to_wire(),
-                "properties": properties,
-                "lease_seconds": kw.get("lease_seconds"),
-            },
-        )
-
-    def import_ids(self, request):
-        return [item["offer_id"] for item in self._call(_PROC_IMPORT, request.to_wire())]
-
-    def modify(self, offer_id, properties):
-        return self._call(_PROC_MODIFY, {"offer_id": offer_id, "properties": properties})
-
-    def withdraw(self, offer_id):
-        return self._call(_PROC_WITHDRAW, {"offer_id": offer_id})
-
-    def renew(self, offer_id):
-        return self._call(_PROC_RENEW, {"offer_id": offer_id})
-
-    def offer_ids(self):
-        return sorted(item["offer_id"] for item in self._call(_PROC_LIST_OFFERS, {}))
 
 
 def ref(name):
@@ -252,19 +193,18 @@ def drive(driver):
     return outcome
 
 
-def run(backend_flavour, client_flavour):
+def run(backend_flavour):
     net = SimNetwork(seed=1994)
     service = TraderService(
         RpcServer(SimTransport(net, "trader")), trader=make_backend(backend_flavour)
     )
-    driver_cls = SyncDriver if client_flavour == "sync" else AsyncDriver
-    return drive(driver_cls(net, service.address))
+    return drive(SyncDriver(net, service.address))
 
 
 @pytest.fixture(scope="module")
 def outcomes():
     return {
-        (backend, client): run(backend, client)
+        (backend, client): run(backend)
         for backend in BACKENDS
         for client in CLIENTS
     }
