@@ -4,11 +4,11 @@ Two claims: batching, measured over **real TCP loopback** (wall clock,
 not the simulator — the point is syscalls and bytes, not modelled
 latency), and a CPU-bound codec microbench:
 
-* **batching (sync)** — ``BatchingClient.call_many`` vs the seed path
+* **batching (sync)** — ``RpcClient.call_many`` vs the seed path
   (one lockstep ``RpcClient.call`` at a time) on small-arg calls:
   ≥3× calls/sec.  The seed path pays one write + one round trip per
-  call; the batch path pipelines watermark-sized BATCH payloads and the
-  server coalesces its replies.
+  call; ``call_many`` pipelines BATCH envelopes of up to 16 frames and
+  the server coalesces its replies.
 * **codec** — compiled decode ≥2× the tagged decode on the same
   record, with allocations per op reported for both paths.
 
@@ -30,7 +30,7 @@ import sys
 import time
 from typing import Any, Dict, List
 
-from repro.rpc.client import BatchingClient, RpcClient
+from repro.rpc.client import RpcClient
 from repro.rpc.codec import CODECS, CompiledCodec, is_compiled
 from repro.rpc.server import AdmissionPolicy, RpcProgram, RpcServer
 from repro.rpc.transport import TcpTransport
@@ -159,12 +159,7 @@ def bench_sync_tcp(calls: int) -> Dict[str, Any]:
     baseline_transport = TcpTransport()
     baseline = RpcClient(baseline_transport, timeout=10.0, retries=1)
     batching_transport = TcpTransport()
-    # Deep batches: the bench wants the asymptote, not the latency-tuned
-    # default of 16 — small-arg CALL frames are ~100 B, so 64 per write
-    # still sits well inside the byte watermark.
-    batching = BatchingClient(
-        batching_transport, timeout=10.0, retries=1, linger=0.0, max_batch=64
-    )
+    batching = RpcClient(batching_transport, timeout=10.0, retries=1)
     try:
         # Warm both connections (connect + hello outside the timed region).
         baseline.call(server.address, PROG, 1, 1, dict(SMALL_ARGS))

@@ -12,7 +12,6 @@ from typing import Dict, List, Set
 from repro.errors import LookupFailure
 from repro.net.endpoints import Address
 from repro.rpc.client import RpcClient
-from repro.rpc.multicast import MulticastCaller, MulticastResult
 from repro.rpc.server import RpcProgram, RpcServer
 
 GROUP_PROGRAM = 100400
@@ -79,12 +78,11 @@ class GroupManagerService:
 
 
 class GroupClient:
-    """Client-side stub plus group-call convenience."""
+    """Client-side stub of the group manager."""
 
     def __init__(self, client: RpcClient, address: Address) -> None:
         self._client = client
         self._address = address
-        self._caller = MulticastCaller(client)
 
     def create(self, group: str) -> bool:
         return self._call(_PROC_CREATE, {"group": group})
@@ -108,20 +106,6 @@ class GroupClient:
 
     def delete(self, group: str) -> bool:
         return self._call(_PROC_DELETE, {"group": group})
-
-    def group_call(
-        self,
-        group: str,
-        prog: int,
-        vers: int,
-        proc: int,
-        args=None,
-        timeout: float = 1.0,
-        quorum=None,
-    ) -> MulticastResult:
-        """Multicast an RPC to every current member of ``group``."""
-        members = self.members(group)
-        return self._caller.call(members, prog, vers, proc, args, timeout, quorum)
 
     def _call(self, proc: int, args) -> object:
         return self._client.call(self._address, GROUP_PROGRAM, 1, proc, args)

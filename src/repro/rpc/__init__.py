@@ -19,7 +19,7 @@ Replaces the prototype's Sun ONC RPC with a compatible-in-spirit layer:
   transparent fallback to the tagged dynamic-marshalling path.
 """
 
-from repro.rpc.client import BatchBuffer, BatchingClient, RpcClient
+from repro.rpc.client import RpcClient
 from repro.rpc.codec import CODECS, CodecFallback, CodecRegistry, CompiledCodec
 from repro.rpc.errors import (
     DeadlineExceeded,
@@ -62,8 +62,6 @@ __all__ = [
     "AdmissionPolicy",
     "AdmissionQueue",
     "BackoffPolicy",
-    "BatchBuffer",
-    "BatchingClient",
     "BreakerPolicy",
     "CODECS",
     "CircuitBreaker",

@@ -1,22 +1,19 @@
 """RPC client handles: retransmission, typed errors, and call batching.
 
-:class:`RpcClient` is the one-call-per-write baseline; its split-phase
-pair (``start`` a call, ``gather`` a set of calls) is the one attempt
-loop that single calls, multicast and the trader federation fan-out all
-run on.
-:class:`BatchingClient` adds the wire fast lane: concurrent calls to the
-same endpoint coalesce into a single BATCH payload (one ``send`` for
-many CALL frames), flushed when a count, byte, or deadline-slack
-watermark trips — see :class:`BatchBuffer`.  Batching never changes
-call semantics: each call keeps its own xid, deadline, retransmission
-schedule, and typed error surface.
+:class:`RpcClient`'s split-phase pair (``start`` a call, ``gather`` a
+set of calls) is the one attempt loop that single calls, ``call_many``,
+multicast and the trader federation fan-out all run on.  ``gather`` is
+also the one place a CALL frame is written: each round puts every due
+call — a first attempt or a retransmission — on the wire as one BATCH
+envelope per destination (back-to-back CALL frames in one ``send``), cut
+at :data:`BATCH_FRAMES` frames or :data:`BATCH_BYTES` bytes.  Batching
+never changes call semantics: each call keeps its own xid, deadline,
+retransmission schedule, and typed error surface.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-import threading
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.context import CallContext, SpanRecord, current_context
@@ -40,6 +37,11 @@ from repro.rpc.xdr import decode_value
 from repro.telemetry import sampling
 from repro.telemetry.hub import flush_context
 from repro.telemetry.metrics import METRICS
+
+#: A BATCH envelope is cut before its frame count passes this …
+BATCH_FRAMES = 16
+#: … or its payload passes this many bytes (one sane write).
+BATCH_BYTES = 64 * 1024
 
 
 def reply_to_result(
@@ -84,11 +86,12 @@ def remote_fault(body: bytes) -> RemoteFault:
 
 
 class PendingCall:
-    """One call in flight: :meth:`RpcClient.start` returns it and
-    :meth:`RpcClient.gather` settles it.
+    """One call: :meth:`RpcClient.start` returns it unsent and
+    :meth:`RpcClient.gather` sends and settles it.
 
-    A settled call holds its ``reply`` or its ``error`` — the typed
-    :class:`RpcError` its attempts ended in, or the
+    ``attempt`` is -1 until the first attempt is written and ``due`` is
+    when the next one is.  A settled call holds its ``reply`` or its
+    ``error`` — the typed :class:`RpcError` its attempts ended in, or the
     :class:`~repro.errors.CommunicationError` a send raised.  ``done`` is
     true once the call is settled or retired.
     """
@@ -117,7 +120,7 @@ class PendingCall:
         self.owns_chain = owns_chain
         self.xid = 0
         self.encoded = b""
-        self.attempt = 0
+        self.attempt = -1
         self.due = 0.0
         self.reply: Optional[RpcReply] = None
         self.error: Optional[CommunicationError] = None
@@ -135,15 +138,16 @@ class PendingCall:
 class RpcClient:
     """Blocking client with a split-phase core.
 
-    :meth:`start` sends a call and returns its :class:`PendingCall`;
-    :meth:`gather` waits in ``Transport.wait`` until enough of a set of
-    calls are settled.  ``gather`` is the one attempt loop: every
-    unsettled xid is retransmitted on its own attempt timer with the
-    *same* xid, so the server's at-most-once cache can suppress
-    re-execution, and each attempt's wait is carved out of the call
-    context's *remaining* deadline budget
+    :meth:`start` prepares a call and returns its :class:`PendingCall`;
+    :meth:`gather` sends the due calls of a set and waits in
+    ``Transport.wait`` until enough of them are settled.  ``gather`` is
+    the one attempt loop: every unsettled xid is retransmitted on its own
+    attempt timer with the *same* xid, so the server's at-most-once cache
+    can suppress re-execution, and each attempt's wait is carved out of
+    the call context's *remaining* deadline budget
     (:meth:`CallContext.attempt_timeout`).  :meth:`call` is ``start``
-    plus ``gather`` of one call.  The legacy ``timeout``/``retries``
+    plus ``gather`` of one call; :meth:`call_many` is ``start`` of each
+    plus one ``gather``.  The legacy ``timeout``/``retries``
     kwargs remain as a shim that builds an equivalent context with total
     budget ``timeout * (retries + 1)``.
 
@@ -167,6 +171,7 @@ class RpcClient:
         self.retries = retries
         self.calls_sent = 0
         self.retransmissions = 0
+        self.batches_sent = 0
         self.duplicate_replies_dropped = 0
         self._awaited: Set[int] = set()
         self._pending: Dict[int, RpcReply] = {}
@@ -239,7 +244,8 @@ class RpcClient:
         args: Any = None,
         context: Optional[CallContext] = None,
     ) -> PendingCall:
-        """Send one call and return its handle; :meth:`gather` settles it."""
+        """Prepare one call and return its unsent handle; :meth:`gather`
+        sends and settles it."""
         return self._start(
             destination, prog, vers, proc,
             CODECS.encode_args(prog, vers, proc, args), None, None, context,
@@ -281,44 +287,47 @@ class RpcClient:
             sampled=sampling.mark(ctx),
         ).encode()
         self._awaited.add(xid)
-        self._transmit(call, ctx.attempt_timeout(now, ctx.retry.attempts))
         return call
 
     def gather(
         self, calls: Sequence[PendingCall], needed: Optional[int] = None
     ) -> None:
-        """Wait until ``needed`` of ``calls`` are settled (default: all).
+        """Send the due ``calls``, then wait until ``needed`` of them are
+        settled (default: all).
 
-        Each unsettled xid is retransmitted when its own attempt timer
-        lapses; a call whose attempts or deadline run out settles with
-        :class:`DeadlineExceeded` (the budget lapsed) or
-        :class:`RpcTimeout` (the attempts did).  Calls still unsettled on
-        return stay live until a later ``gather`` or :meth:`retire`.
+        Each round writes every call that is due — a started call's first
+        attempt, or an unsettled xid whose own attempt timer lapsed — as
+        one BATCH envelope per destination.  A call whose attempts or
+        deadline run out settles with :class:`DeadlineExceeded` (the
+        budget lapsed) or :class:`RpcTimeout` (the attempts did).
+        ``needed=0`` only sends: the calls are in flight on return, so a
+        caller can do other work before gathering them.  Calls still
+        unsettled on return stay live until a later ``gather`` or
+        :meth:`retire`.
         """
         wanted = len(calls) if needed is None else needed
         pending = self._pending
         while True:
             now = self.transport.now()
-            settled = 0
-            live: Set[int] = set()
-            wake = math.inf
+            due = []
             for call in calls:
                 if not call.done:
                     reply = pending.get(call.xid)
                     if reply is not None:
                         self._settle(call, now, reply=reply)
-                    elif now >= call.due:
-                        self._retransmit(call, now)
-                if call.done:
-                    settled += 1
-                else:
-                    live.add(call.xid)
-                    wake = min(wake, call.due)
-            if settled >= wanted or not live:
+                    elif now >= call.due and self._attempt(call, now):
+                        due.append(call)
+            if due:
+                self._send(due)
+            live = {call.xid: call.due for call in calls if not call.done}
+            short = wanted - len(calls) + len(live)
+            if short <= 0 or not live:
                 return
+            # Wake once enough replies are in to make up the shortfall,
+            # or when the earliest attempt timer lapses.
             self.transport.wait(
-                lambda: not pending.keys().isdisjoint(live),
-                wake - self.transport.now(),
+                lambda: len(pending.keys() & live.keys()) >= short,
+                min(live.values()) - self.transport.now(),
             )
 
     def retire(self, calls: Sequence[PendingCall]) -> None:
@@ -330,11 +339,15 @@ class RpcClient:
                 call.span.outcome = "retired"
                 self._settle(call, now)
 
-    def _retransmit(self, call: PendingCall, now: float) -> None:
-        """The attempt timer lapsed: send again, or settle with the error."""
+    def _attempt(self, call: PendingCall, now: float) -> bool:
+        """The call is due: True when its next attempt should be written,
+        else settle it with the error its attempts or deadline ended in."""
+        attempt = call.attempt + 1
+        if not attempt:  # the first attempt; start checked the deadline
+            call.attempt = 0
+            return True
         ctx = call.ctx
         attempts = ctx.retry.attempts
-        attempt = call.attempt + 1
         labels = (str(call.prog), str(call.proc))
         if attempt < attempts:
             if ctx.expired(now):
@@ -343,15 +356,15 @@ class RpcClient:
                     f"deadline expired after {attempt} attempt(s) to "
                     f"{call.destination} (trace {ctx.trace_id})"
                 ))
-                return
+                return False
             call.attempt = attempt
             self.retransmissions += 1
             METRICS.inc("rpc.client.retransmissions", labels)
             # Wire-level visibility: each extra attempt is an event on
             # the rpc span, exported with the chain.
             call.span.add_event("retransmission", at=now, attempt=attempt)
-            self._transmit(call, ctx.attempt_timeout(now, attempts - attempt))
-        elif ctx.expired(now) and ctx.retry.attempt_timeout is None:
+            return True
+        if ctx.expired(now) and ctx.retry.attempt_timeout is None:
             METRICS.inc("rpc.client.deadline_exceeded", labels)
             self._settle(call, now, error=DeadlineExceeded(
                 f"no reply from {call.destination} within the deadline "
@@ -362,16 +375,58 @@ class RpcClient:
                 f"no reply from {call.destination} for prog={call.prog} "
                 f"proc={call.proc} after {attempts} attempt(s)"
             ))
+        return False
 
-    def _transmit(self, call: PendingCall, wait: float) -> None:
-        """One attempt: put the CALL on the wire and arm its timer."""
-        self.calls_sent += 1
-        try:
-            self._send_call(call.destination, call.encoded, call.ctx.deadline)
-        except CommunicationError as error:  # a refused connect, a failed write
-            self._settle(call, self.transport.now(), error=error)
+    def _send(self, due: List[PendingCall]) -> None:
+        """Group the due calls by destination, in first-seen order, and
+        write each group as envelopes of at most :data:`BATCH_FRAMES`
+        frames and :data:`BATCH_BYTES` bytes."""
+        if len(due) == 1:
+            self._write(due[0].destination, due)
             return
-        call.due = self.transport.now() + wait
+        groups: Dict[Address, List[PendingCall]] = {}
+        for call in due:
+            groups.setdefault(call.destination, []).append(call)
+        for destination, group in groups.items():
+            envelope: List[PendingCall] = []
+            size = 0
+            for call in group:
+                if envelope and (
+                    len(envelope) == BATCH_FRAMES
+                    or size + len(call.encoded) > BATCH_BYTES
+                ):
+                    self._write(destination, envelope)
+                    envelope, size = [], 0
+                envelope.append(call)
+                size += len(call.encoded)
+            self._write(destination, envelope)
+
+    def _write(self, destination: Address, envelope: List[PendingCall]) -> None:
+        """Put one envelope on the wire and arm each call's attempt timer.
+
+        A lone call is its plain CALL frame; several are one BATCH
+        payload.  A failed write (a refused connect, a broken connection)
+        settles every call in the envelope with its error.
+        """
+        self.calls_sent += len(envelope)
+        if len(envelope) == 1:
+            payload = envelope[0].encoded
+        else:
+            self.batches_sent += 1
+            METRICS.inc("rpc.client.batches_sent")
+            METRICS.observe("rpc.client.batch_size", float(len(envelope)))
+            payload = b"".join([call.encoded for call in envelope])
+        try:
+            self.transport.send(destination, payload)
+        except CommunicationError as error:
+            now = self.transport.now()
+            for call in envelope:
+                self._settle(call, now, error=error)
+            return
+        now = self.transport.now()
+        for call in envelope:
+            ctx = call.ctx
+            call.due = now + ctx.attempt_timeout(now, ctx.retry.attempts - call.attempt)
 
     def _settle(
         self,
@@ -393,16 +448,6 @@ class RpcClient:
         call.ctx.record_span(span)
         if call.owns_chain:
             flush_context(call.ctx)
-
-    def _send_call(
-        self, destination: Address, encoded: bytes, deadline: Optional[float]
-    ) -> None:
-        """Put one encoded CALL on the wire.
-
-        The seam :class:`BatchingClient` overrides to coalesce writes;
-        the base client writes immediately, one message per payload.
-        """
-        self.transport.send(destination, encoded)
 
     # -- single calls --------------------------------------------------------
 
@@ -445,6 +490,38 @@ class RpcClient:
             raise call.error
         return call.reply
 
+    def call_many(
+        self,
+        destination: Address,
+        calls: Sequence[Tuple[int, int, int, Any]],
+        timeout: Optional[float] = None,
+        retries: Optional[int] = None,
+        context: Optional[CallContext] = None,
+    ) -> List[Any]:
+        """Issue many ``(prog, vers, proc, args)`` calls to one destination.
+
+        One context covers them all (one deadline budget, one trace); each
+        call is started and one :meth:`gather` writes them as BATCH
+        envelopes.  Returns outcomes in call order: the decoded result,
+        or the typed error instance that call would have raised.
+        """
+        ambient = current_context() if context is None else None
+        ctx = self._effective_context(context, timeout, retries, ambient)
+        started = [
+            self.start(destination, prog, vers, proc, args, context=ctx)
+            for prog, vers, proc, args in calls
+        ]
+        self.gather(started)
+        if context is None and ambient is None:
+            flush_context(ctx)
+        outcomes: List[Any] = []
+        for call in started:
+            try:
+                outcomes.append(call.result())
+            except CommunicationError as error:
+                outcomes.append(error)
+        return outcomes
+
     def ping(self, destination: Address, prog: int, vers: int = 1) -> bool:
         """True when the destination answers procedure 0 (NULL proc)."""
         try:
@@ -465,296 +542,3 @@ class RpcClient:
 
     def close(self) -> None:
         dispatcher_for(self.transport).client = None
-
-
-class BatchBuffer:
-    """Per-destination staging area for encoded CALL frames.
-
-    Three flush watermarks, checked on every :meth:`add`:
-
-    * ``max_batch`` — staged call count;
-    * ``max_bytes`` — staged payload bytes (keeps one batch inside a
-      sane write size);
-    * ``flush_slack`` — earliest-deadline slack: the moment the most
-      urgent staged call has less than this much budget left, the batch
-      goes out now rather than waiting for stragglers.
-
-    Flushes are tracked per destination by a generation counter so a
-    lingering leader can tell "someone already flushed my batch" from
-    "still mine to send" without holding the lock while sleeping.
-    """
-
-    def __init__(
-        self,
-        max_batch: int = 16,
-        max_bytes: int = 64 * 1024,
-        flush_slack: float = 0.005,
-    ) -> None:
-        self.max_batch = max_batch
-        self.max_bytes = max_bytes
-        self.flush_slack = flush_slack
-        self._lock = threading.Lock()
-        self._staged: Dict[Address, List[bytes]] = {}
-        self._bytes: Dict[Address, int] = {}
-        self._earliest: Dict[Address, float] = {}
-        self._generation: Dict[Address, int] = {}
-
-    def add(
-        self,
-        destination: Address,
-        encoded: bytes,
-        deadline: Optional[float],
-        now: float,
-    ) -> Tuple[str, Any]:
-        """Stage one encoded CALL.
-
-        Returns ``("flush", payloads)`` when a watermark tripped (the
-        caller must send them), ``("lead", generation)`` when this entry
-        opened an empty buffer (the caller should linger then
-        :meth:`take`), or ``("wait", None)`` when an existing leader
-        will flush it.
-        """
-        with self._lock:
-            staged = self._staged.setdefault(destination, [])
-            leader = not staged
-            staged.append(encoded)
-            self._bytes[destination] = self._bytes.get(destination, 0) + len(encoded)
-            if deadline is not None:
-                earliest = self._earliest.get(destination)
-                if earliest is None or deadline < earliest:
-                    self._earliest[destination] = deadline
-            if (
-                len(staged) >= self.max_batch
-                or self._bytes[destination] >= self.max_bytes
-                or (
-                    destination in self._earliest
-                    and self._earliest[destination] - now <= self.flush_slack
-                )
-            ):
-                return "flush", self._pop(destination)
-            if leader:
-                return "lead", self._generation.get(destination, 0)
-            return "wait", None
-
-    def take(self, destination: Address, generation: int) -> List[bytes]:
-        """Claim the staged batch if generation still matches, else []."""
-        with self._lock:
-            if self._generation.get(destination, 0) != generation:
-                return []
-            return self._pop(destination)
-
-    def flushed(self, destination: Address, generation: int) -> bool:
-        with self._lock:
-            return self._generation.get(destination, 0) != generation
-
-    def _pop(self, destination: Address) -> List[bytes]:
-        payloads = self._staged.pop(destination, [])
-        self._bytes.pop(destination, None)
-        self._earliest.pop(destination, None)
-        self._generation[destination] = self._generation.get(destination, 0) + 1
-        return payloads
-
-
-class BatchingClient(RpcClient):
-    """RPC client that coalesces concurrent calls into BATCH writes.
-
-    Two modes, freely mixed:
-
-    * :meth:`call_many` — the explicit fast lane: hand over a sequence
-      of calls for one endpoint and they ship as back-to-back CALL
-      frames in watermark-sized payloads, wait collectively, and
-      return per-call outcomes (result value or the typed error
-      *instance*) in order.  No linger delay.
-    * Transparent coalescing — plain :meth:`call` from concurrent
-      threads routes through :class:`BatchBuffer`: the first call to
-      touch an idle destination becomes the *leader*, lingers up to
-      ``linger`` seconds for companions, then flushes everyone in one
-      write.  Watermarks (count/bytes/deadline slack) cut the linger
-      short.  ``linger=0`` disables coalescing entirely.
-
-    Per-call semantics are untouched: same xids, same retransmission
-    pacing, same at-most-once behaviour server-side, and the wire
-    format is plain concatenated CALL frames, so a non-batching server
-    reads them back-to-back.
-    """
-
-    def __init__(
-        self,
-        transport: Transport,
-        timeout: float = 1.0,
-        retries: int = 3,
-        max_batch: int = 16,
-        max_bytes: int = 64 * 1024,
-        linger: float = 0.001,
-        flush_slack: float = 0.005,
-    ) -> None:
-        super().__init__(transport, timeout, retries)
-        self.max_batch = max_batch
-        self.max_bytes = max_bytes
-        self.linger = linger
-        self.batches_sent = 0
-        self._buffer = BatchBuffer(max_batch, max_bytes, flush_slack)
-
-    # -- transparent coalescing -------------------------------------------
-
-    def _send_call(
-        self, destination: Address, encoded: bytes, deadline: Optional[float]
-    ) -> None:
-        if self.linger <= 0:
-            self.transport.send(destination, encoded)
-            return
-        action, data = self._buffer.add(
-            destination, encoded, deadline, self.transport.now()
-        )
-        if action == "flush":
-            self._send_batch(destination, data)
-        elif action == "lead":
-            generation = data
-            self.transport.wait(
-                lambda: self._buffer.flushed(destination, generation),
-                self.linger,
-            )
-            payloads = self._buffer.take(destination, generation)
-            if payloads:
-                self._send_batch(destination, payloads)
-        # "wait": the current leader (or a watermark) flushes it for us
-        # within ``linger``.
-
-    # -- explicit batch API -----------------------------------------------
-
-    def call_many(
-        self,
-        destination: Address,
-        calls: Sequence[Tuple[int, int, int, Any]],
-        timeout: Optional[float] = None,
-        retries: Optional[int] = None,
-        context: Optional[CallContext] = None,
-    ) -> List[Any]:
-        """Issue many ``(prog, vers, proc, args)`` calls as batches.
-
-        Returns outcomes in call order: the decoded result, or the
-        typed :class:`RpcError` instance that call would have raised.
-        All calls share one context (one deadline budget, one trace).
-        """
-        calls = list(calls)
-        if not calls:
-            return []
-        ambient = current_context() if context is None else None
-        ctx = self._effective_context(context, timeout, retries, ambient)
-        owns_chain = context is None and ambient is None
-        try:
-            with ctx.span(
-                "rpc", f"call_many x{len(calls)}", self.transport.now
-            ):
-                return self._batch_attempts(ctx, destination, calls)
-        finally:
-            if owns_chain:
-                flush_context(ctx)
-
-    def _batch_attempts(
-        self,
-        ctx: CallContext,
-        destination: Address,
-        calls: Sequence[Tuple[int, int, int, Any]],
-    ) -> List[Any]:
-        entries = []
-        sampled = sampling.mark(ctx)
-        for prog, vers, proc, args in calls:
-            xid = next(self._xid_counter)
-            call = RpcCall(
-                xid, prog, vers, proc,
-                CODECS.encode_args(prog, vers, proc, args),
-                deadline=ctx.deadline, trace_id=ctx.trace_id, hops=ctx.hops,
-                sampled=sampled,
-            )
-            self._awaited.add(xid)
-            entries.append((xid, prog, vers, proc, call.encode()))
-        try:
-            replies = self._collect_replies(ctx, destination, entries)
-            expired = ctx.expired(self.transport.now())
-            outcomes: List[Any] = []
-            for xid, prog, vers, proc, __ in entries:
-                reply = replies.get(xid)
-                if reply is None:
-                    if expired:
-                        outcomes.append(DeadlineExceeded(
-                            f"no reply from {destination} for prog={prog} "
-                            f"proc={proc} within the deadline "
-                            f"(trace {ctx.trace_id})"
-                        ))
-                    else:
-                        outcomes.append(RpcTimeout(
-                            f"no reply from {destination} for prog={prog} "
-                            f"proc={proc} after {ctx.retry.attempts} attempt(s)"
-                        ))
-                    continue
-                try:
-                    outcomes.append(
-                        reply_to_result(reply, destination, prog, vers, proc)
-                    )
-                except RpcError as error:
-                    outcomes.append(error)
-            return outcomes
-        finally:
-            for xid, *__ in entries:
-                self.retire_xid(xid)
-
-    def _collect_replies(
-        self, ctx: CallContext, destination: Address, entries
-    ) -> Dict[int, RpcReply]:
-        """Send batches and gather replies, retransmitting only gaps."""
-        replies: Dict[int, RpcReply] = {}
-        pending = self._pending
-        outstanding = {
-            xid: (prog, proc, encoded)
-            for xid, prog, vers, proc, encoded in entries
-        }
-        attempts = ctx.retry.attempts
-        for attempt in range(attempts):
-            now = self.transport.now()
-            if ctx.expired(now):
-                break
-            if attempt:
-                for prog, proc, __ in outstanding.values():
-                    self.retransmissions += 1
-                    METRICS.inc(
-                        "rpc.client.retransmissions", (str(prog), str(proc))
-                    )
-            self.calls_sent += len(outstanding)
-            self._send_batches(
-                destination, [encoded for __, __, encoded in outstanding.values()]
-            )
-            wait = ctx.attempt_timeout(now, attempts - attempt)
-            self.transport.wait(lambda: pending.keys() >= outstanding.keys(), wait)
-            for xid in list(outstanding):
-                reply = pending.pop(xid, None)
-                if reply is not None:
-                    replies[xid] = reply
-                    del outstanding[xid]
-            if not outstanding:
-                break
-        return replies
-
-    def _send_batches(
-        self, destination: Address, encoded_calls: List[bytes]
-    ) -> None:
-        """Ship encoded CALLs in watermark-sized BATCH payloads."""
-        chunk: List[bytes] = []
-        chunk_bytes = 0
-        for encoded in encoded_calls:
-            if chunk and (
-                len(chunk) >= self.max_batch
-                or chunk_bytes + len(encoded) > self.max_bytes
-            ):
-                self._send_batch(destination, chunk)
-                chunk, chunk_bytes = [], 0
-            chunk.append(encoded)
-            chunk_bytes += len(encoded)
-        if chunk:
-            self._send_batch(destination, chunk)
-
-    def _send_batch(self, destination: Address, payloads: List[bytes]) -> None:
-        self.batches_sent += 1
-        METRICS.inc("rpc.client.batches_sent")
-        METRICS.observe("rpc.client.batch_size", float(len(payloads)))
-        self.transport.send(destination, b"".join(payloads))

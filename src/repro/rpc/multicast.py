@@ -14,7 +14,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.context import CallContext, RetryPolicy
 from repro.net.endpoints import Address
 from repro.rpc.client import PendingCall, RpcClient, remote_fault
-from repro.rpc.errors import RemoteFault, RpcError, XdrError
+from repro.rpc.errors import XdrError
 from repro.rpc.message import ReplyStatus
 from repro.telemetry.metrics import METRICS
 
@@ -60,7 +60,9 @@ class MulticastCaller:
     ) -> MulticastResult:
         """Send to all ``destinations``; wait for ``quorum`` replies.
 
-        ``quorum=None`` waits for every destination.  Always returns a
+        ``quorum=None`` waits for every destination; ``quorum=1`` is an
+        anycast (the first reply wins).  A group call is this call on
+        :meth:`~repro.naming.groups.GroupClient.members`.  Always returns a
         result object — per-destination failures never raise, they appear
         in ``faults``/``missing``.  Each member gets one attempt, lasting
         the gather window: ``timeout``, or less when a ``context`` has
@@ -78,7 +80,15 @@ class MulticastCaller:
             client.start(destination, prog, vers, proc, args, context=member)
             for destination in destinations
         ]
-        client.gather(calls, needed=len(calls) if quorum is None else quorum)
+        # The quorum counts replies: a member that settles with an error
+        # (a refused connect, a timeout) does not stand in for one.
+        wanted = len(calls) if quorum is None else quorum
+        while True:
+            replied = sum(call.reply is not None for call in calls)
+            unsettled = [call for call in calls if not call.done]
+            if replied >= wanted or not unsettled:
+                break
+            client.gather(unsettled, needed=wanted - replied)
         # Members still out after the gather window would otherwise hold
         # their xids forever.
         client.retire(calls)
@@ -104,20 +114,3 @@ class MulticastCaller:
             METRICS.inc("rpc.client.malformed_replies")
             result.faults[destination] = f"malformed reply: {exc}"
 
-
-def anycast(
-    caller: MulticastCaller,
-    destinations: Sequence[Address],
-    prog: int,
-    vers: int,
-    proc: int,
-    args: Any = None,
-    timeout: float = 1.0,
-) -> Any:
-    """First successful reply wins; raises :class:`RpcError` if none."""
-    result = caller.call(destinations, prog, vers, proc, args, timeout, quorum=1)
-    for value in result.replies.values():
-        return value
-    for fault in result.faults.values():
-        raise RemoteFault("AnycastFault", fault)
-    raise RpcError(f"no reply from any of {len(destinations)} destination(s)")

@@ -279,9 +279,9 @@ WIRE_PROGRAM = 662200
 def run_wire_cell(model: str, repeats: int, seed: int = 1994) -> Dict[str, Any]:
     """The wire fast lane's footprint: call batching and compiled codecs.
 
-    A :class:`~repro.rpc.client.BatchingClient` fires a burst of
-    identical small calls at an echo server over the simulated network:
-    the burst leaves as BATCH payloads (watermark-sized), the server
+    An :class:`~repro.rpc.client.RpcClient` fires a burst of identical
+    small calls at an echo server over the simulated network with
+    ``call_many``: the burst leaves as BATCH envelopes, the server
     admits the whole batch before executing, and its replies coalesce
     into shared writes.  The echo procedure's signature is registered
     with the compiled codec, so the same burst also exercises the
@@ -290,7 +290,6 @@ def run_wire_cell(model: str, repeats: int, seed: int = 1994) -> Dict[str, Any]:
     saved in both directions, codec hit/fallback counters, and the
     static-vs-tagged body size of the fixture arguments.
     """
-    from repro.rpc.client import BatchingClient
     from repro.rpc.codec import CODECS
     from repro.rpc.server import RpcProgram
     from repro.rpc.xdr import encode_value
@@ -314,9 +313,7 @@ def run_wire_cell(model: str, repeats: int, seed: int = 1994) -> Dict[str, Any]:
         "count": 0, "sum": 0.0,
     }
 
-    client = BatchingClient(
-        SimTransport(net, "wire.site-a"), timeout=5.0, retries=1, linger=0.0
-    )
+    client = RpcClient(SimTransport(net, "wire.site-a"), timeout=5.0, retries=1)
     outcomes = client.call_many(
         server.address, [(WIRE_PROGRAM, 1, 1, dict(payload))] * calls
     )
@@ -324,7 +321,7 @@ def run_wire_cell(model: str, repeats: int, seed: int = 1994) -> Dict[str, Any]:
         1 for outcome in outcomes if not isinstance(outcome, Exception)
     )
     # One dynamic-marshalling call beside the fast lane: an unregistered
-    # signature rides the tagged codec through the same batching client.
+    # signature rides the tagged codec through the same client.
     client.call(
         server.address, WIRE_PROGRAM, 1, 2, {"nested": {"mixed": [1, 2.5, "x"]}}
     )

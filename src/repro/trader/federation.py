@@ -110,7 +110,7 @@ class TraderLink:
     def _start(
         self, capped: Dict[str, Any], ctx: Optional[CallContext]
     ) -> PendingCall:
-        """Send a remote link's IMPORT.
+        """Start a remote link's IMPORT (the next ``gather`` sends it).
 
         The context is installed ambiently rather than passed outright:
         the client keeps its own retry pacing for unreachable peers while
@@ -231,6 +231,9 @@ def fan_out(
                 in_flight[call] = (index, *granted)
 
     start_remote()
+    if in_flight:
+        # Put the forwards on the wire before the inline links run.
+        client.gather(list(in_flight), needed=0)
     for index, link in enumerate(links):
         if index in paired:
             continue

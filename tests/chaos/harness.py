@@ -166,20 +166,17 @@ def run_rpc_workload_batched(
     calls: int = 12,
     timeout: float = 0.08,
     retries: int = 3,
-    max_batch: int = 4,
 ) -> ChaosRun:
     """The :func:`run_rpc_workload` traffic, shipped through the batched
     wire path instead of one frame per call.
 
     Same seed, same echo program, same fault knobs — the only variable
-    is the envelope: ``BatchingClient.call_many`` coalesces the calls
-    into BATCH payloads and the server coalesces the replies.  Chaos
+    is the envelope: ``RpcClient.call_many`` writes the calls as one
+    BATCH envelope and the server coalesces the replies.  Chaos
     parity means the *outcome labels* match the serial run's invariants
     (drops masked by retransmission, duplicates never double-executed),
     not byte-identical traffic.
     """
-    from repro.rpc.client import BatchingClient
-
     net = SimNetwork(seed=seed)
     server = RpcServer(SimTransport(net, "srv"))
     program = RpcProgram(WORK_PROG, name="chaos-work")
@@ -191,12 +188,7 @@ def run_rpc_workload_batched(
 
     program.register(1, work, "work")
     server.serve(program)
-    client = BatchingClient(
-        SimTransport(net, "cli"),
-        timeout=timeout,
-        retries=retries,
-        max_batch=max_batch,
-    )
+    client = RpcClient(SimTransport(net, "cli"), timeout=timeout, retries=retries)
 
     net.faults.drop_probability = drop
     net.faults.duplicate_probability = duplicate

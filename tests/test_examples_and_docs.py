@@ -64,6 +64,25 @@ def test_split_phase_quickstart_snippet_from_readme():
     assert namespace["client"].calls_sent == 1000
 
 
+def test_batching_snippet_from_readme():
+    """The README's batching snippet, executed verbatim after the
+    split-phase quickstart it continues."""
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+    def snippet(heading):
+        section = readme.split(heading, 1)[1]
+        return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+    namespace = {}
+    exec(snippet("### Split-phase quickstart\n"), namespace)
+    before = namespace["client"].batches_sent
+    exec(snippet("### The wire fast lane"), namespace)
+    assert namespace["outcomes"] == [{"i": i} for i in range(100)]
+    assert len(namespace["ok"]) == 100
+    # 100 calls at 16 frames an envelope: 7 BATCH writes.
+    assert namespace["client"].batches_sent - before == 7
+
+
 def test_all_examples_present():
     names = {script.name for script in EXAMPLES}
     assert "quickstart.py" in names

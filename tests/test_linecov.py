@@ -6,8 +6,9 @@ fault-span rebuild, an awaitable handler result refused as a typed
 fault), the index probe's candidate order, the TCP send path (a refused
 connect or a failed write is a typed, transient error), the client's
 split-phase pair (``start``, and ``gather``: the one attempt loop), the
-federation fan-out over remote and in-process links, the batch lane's
-entry, and the offer-record wire path (the ``any`` leaf, and the string
+envelope writer every CALL frame leaves through (``_send`` cuts, ``_write``
+writes), ``call_many``, the federation fan-out over remote and in-process
+links, and the offer-record wire path (the ``any`` leaf, and the string
 and opaque reads the compiled decoder spends its time in)."""
 
 import os
@@ -28,8 +29,10 @@ TARGETS = [
     "repro.rpc.transport:TcpTransport.send",
     "repro.rpc.client:RpcClient.start",
     "repro.rpc.client:RpcClient.gather",
+    "repro.rpc.client:RpcClient._send",
+    "repro.rpc.client:RpcClient._write",
+    "repro.rpc.client:RpcClient.call_many",
     "repro.trader.federation:fan_out",
-    "repro.rpc.client:BatchingClient.call_many",
     "repro.rpc.codec:_compile_any",
     "repro.rpc.xdr:_span",
     "repro.rpc.xdr:get_string",
@@ -66,6 +69,11 @@ UNIT_TESTS = [
     TCP + "test_failed_write_drops_the_connection_and_the_next_call_redials",
     BATCHING + "test_call_many_outcomes_in_order",
     BATCHING + "test_call_many_empty_is_empty",
+    BATCHING + "test_call_many_mixes_results_and_typed_errors",
+    BATCHING + "test_count_watermark_flushes",
+    BATCHING + "test_bytes_watermark_flushes",
+    BATCHING + "test_destinations_stage_independently",
+    BATCHING + "test_refused_connect_settles_the_whole_envelope",
     "tests/test_wire_rules.py",
     "tests/test_wire_golden.py::test_compiled_import_reply_of_two_offers",
     "tests/test_trader_index.py",

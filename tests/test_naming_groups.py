@@ -1,8 +1,11 @@
-"""Tests for the group manager and group calls."""
+"""Tests for the group manager and group calls.
+
+A group call is a :class:`MulticastCaller` call on the group's members."""
 
 import pytest
 
 from repro.naming.groups import GroupClient, GroupManagerService
+from repro.rpc.multicast import MulticastCaller
 from repro.rpc.errors import RemoteFault
 from repro.rpc.server import RpcProgram
 
@@ -51,7 +54,7 @@ def test_delete_group(groups):
     assert client.list() == []
 
 
-def test_group_call_reaches_all_members(groups, make_server):
+def test_group_call_reaches_all_members(groups, make_server, make_client):
     __, client = groups
     client.create("workers")
     for index in range(3):
@@ -60,12 +63,13 @@ def test_group_call_reaches_all_members(groups, make_server):
         program.register(1, lambda args, i=index: {"worker": i})
         server.serve(program)
         client.join("workers", server.address)
-    result = client.group_call("workers", PROG, 1, 1, timeout=0.5)
+    caller = MulticastCaller(make_client())
+    result = caller.call(client.members("workers"), PROG, 1, 1, timeout=0.5)
     assert result.complete
     assert {r["worker"] for r in result.values()} == {0, 1, 2}
 
 
-def test_group_call_with_quorum(groups, make_server, net):
+def test_group_call_with_quorum(groups, make_server, make_client, net):
     __, client = groups
     client.create("q")
     for index in range(3):
@@ -75,13 +79,14 @@ def test_group_call_with_quorum(groups, make_server, net):
         server.serve(program)
         client.join("q", server.address)
     net.faults.crash("qw-2")
-    result = client.group_call("q", PROG, 1, 1, timeout=0.2, quorum=2)
+    caller = MulticastCaller(make_client())
+    result = caller.call(client.members("q"), PROG, 1, 1, timeout=0.2, quorum=2)
     assert len(result.replies) == 2
 
 
-def test_group_call_empty_group(groups):
+def test_group_call_empty_group(groups, make_client):
     __, client = groups
     client.create("empty")
-    result = client.group_call("empty", PROG, 1, 1)
+    result = MulticastCaller(make_client()).call(client.members("empty"), PROG, 1, 1)
     assert result.complete
     assert result.values() == []

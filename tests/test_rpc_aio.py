@@ -1,8 +1,9 @@
 """Tests for the split-phase pair: several calls in flight on one RpcClient.
 
-``start`` sends a call and returns its handle; ``gather`` waits in
-virtual time until the handles it is given are settled, retransmitting
-each xid on its own timer; ``retire`` drops the ones nobody waits for.
+``start`` prepares a call and returns its handle; ``gather`` sends the
+due handles and waits in virtual time until they are settled,
+retransmitting each xid on its own timer; ``retire`` drops the ones
+nobody waits for.
 """
 
 import pytest

@@ -1,22 +1,27 @@
-"""Client call batching: BatchBuffer watermarks, call_many semantics,
-reply coalescing, and mixed-version interop.
+"""Call batching: BATCH envelopes from ``gather``, ``call_many``
+semantics, reply coalescing, and mixed-version interop.
 
 The BATCH envelope is nothing but self-delimiting messages laid
-back-to-back, so correctness splits cleanly: the buffer decides *when*
-frames leave (watermarks, linger leadership), ``call_many`` decides
+back-to-back, so correctness splits cleanly: ``gather`` decides *how*
+frames leave (one envelope per destination per round, cut at
+``BATCH_FRAMES`` frames or ``BATCH_BYTES`` bytes), ``call_many`` decides
 *what the caller sees* (ordered outcomes, typed error instances), and
 the server side proves replies coalesce without ever deadlocking a
-reentrant topology.
+reentrant topology.  The envelope tests count the writes a transport
+sees.
 """
 
 import pytest
 
+from repro.errors import CommunicationError
 from repro.net import SimNetwork
+from repro.net.endpoints import Address
 from repro.net.latency import FixedLatency
 from repro.rpc import RpcProgram, RpcServer
-from repro.rpc.client import BatchBuffer, BatchingClient, RpcClient
-from repro.rpc.errors import ProgramUnavailable, RemoteFault
-from repro.rpc.transport import SimTransport
+from repro.rpc.client import BATCH_BYTES, BATCH_FRAMES, RpcClient
+from repro.rpc.errors import ProgramUnavailable, RemoteFault, RpcTimeout
+from repro.rpc.message import decode_messages
+from repro.rpc.transport import SimTransport, TcpTransport
 from repro.telemetry.metrics import METRICS
 
 PROG = 771000
@@ -45,86 +50,147 @@ def server(net):
     return server
 
 
-def make_batching(net, host="bcli", **options):
+class CountingTransport(SimTransport):
+    """A simulated transport that logs each write: (destination, frames)."""
+
+    def __init__(self, network, host):
+        super().__init__(network, host)
+        self.writes = []
+
+    def send(self, destination, payload):
+        self.writes.append((destination, len(decode_messages(payload))))
+        super().send(destination, payload)
+
+
+def make_client(net, host="bcli", **options):
     options.setdefault("timeout", 1.0)
     options.setdefault("retries", 2)
-    return BatchingClient(SimTransport(net, host), **options)
+    return RpcClient(CountingTransport(net, host), **options)
 
 
-# -- BatchBuffer watermarks --------------------------------------------------
+# -- envelopes ----------------------------------------------------------------
 
 
-DEST = ("peer", 9)
+def test_started_calls_to_one_destination_leave_as_one_write(net, server):
+    client = make_client(net)
+    calls = [client.start(server.address, PROG, 1, 1, {"i": i}) for i in range(3)]
+    assert client.transport.writes == []  # start only prepares
+    client.gather(calls)
+    assert client.transport.writes == [(server.address, 3)]
+    assert [call.result()["echo"]["i"] for call in calls] == [0, 1, 2]
+    assert client.batches_sent == 1
 
 
-def test_count_watermark_flushes():
-    buffer = BatchBuffer(max_batch=3)
-    assert buffer.add(DEST, b"a", None, 0.0) == ("lead", 0)
-    assert buffer.add(DEST, b"b", None, 0.0) == ("wait", None)
-    action, payloads = buffer.add(DEST, b"c", None, 0.0)
-    assert action == "flush"
-    assert payloads == [b"a", b"b", b"c"]
+def test_destinations_stage_independently(net, server):
+    """Calls to two destinations leave as two writes, one per destination."""
+    other = RpcServer(SimTransport(net, "bsrv2"))
+    other.serve(echo_program())
+    client = make_client(net)
+    calls = [
+        client.start(address, PROG, 1, 1, {"i": i})
+        for i, address in enumerate([server.address, other.address] * 2)
+    ]
+    client.gather(calls)
+    assert client.transport.writes == [(server.address, 2), (other.address, 2)]
+    assert all(call.reply is not None for call in calls)
 
 
-def test_bytes_watermark_flushes():
-    buffer = BatchBuffer(max_batch=100, max_bytes=8)
-    buffer.add(DEST, b"aaaa", None, 0.0)
-    action, payloads = buffer.add(DEST, b"bbbb", None, 0.0)
-    assert action == "flush"
-    assert payloads == [b"aaaa", b"bbbb"]
+def test_count_watermark_flushes(net, server):
+    """17 calls leave as two envelopes: BATCH_FRAMES frames, then one."""
+    assert BATCH_FRAMES == 16
+    client = make_client(net)
+    outcomes = client.call_many(
+        server.address, [(PROG, 1, 1, {"i": i}) for i in range(17)]
+    )
+    assert [item["echo"]["i"] for item in outcomes] == list(range(17))
+    assert client.transport.writes == [(server.address, 16), (server.address, 1)]
+    assert client.batches_sent == 1  # the lone 17th is a plain frame
 
 
-def test_deadline_slack_watermark_flushes():
-    """A staged call about to run out of budget cuts the linger short."""
-    buffer = BatchBuffer(max_batch=100, flush_slack=0.005)
-    buffer.add(DEST, b"a", deadline=10.0, now=0.0)
-    action, payloads = buffer.add(DEST, b"b", deadline=9.999, now=9.996)
-    assert action == "flush"
-    assert payloads == [b"a", b"b"]
+def test_bytes_watermark_flushes(net, server):
+    """An envelope is cut before it would pass BATCH_BYTES."""
+    client = make_client(net)
+    bulky = "x" * (BATCH_BYTES // 3)
+    outcomes = client.call_many(
+        server.address, [(PROG, 1, 1, {"blob": bulky})] * 3
+    )
+    assert all(item["echo"]["blob"] == bulky for item in outcomes)
+    assert client.transport.writes == [(server.address, 2), (server.address, 1)]
 
 
-def test_generation_guards_double_take():
-    """A leader whose batch a watermark already flushed takes nothing."""
-    buffer = BatchBuffer(max_batch=2)
-    action, generation = buffer.add(DEST, b"a", None, 0.0)
-    assert action == "lead"
-    buffer.add(DEST, b"b", None, 0.0)  # trips the watermark, flushes
-    assert buffer.flushed(DEST, generation)
-    assert buffer.take(DEST, generation) == []
+def test_lone_call_is_a_plain_frame(net, server):
+    client = make_client(net)
+    result = client.call(server.address, PROG, 1, 1, {"solo": 1})
+    assert result["echo"] == {"solo": 1}
+    assert client.transport.writes == [(server.address, 1)]
+    assert client.batches_sent == 0  # plain single-frame write
 
 
-def test_take_claims_own_generation():
-    buffer = BatchBuffer(max_batch=10)
-    action, generation = buffer.add(DEST, b"a", None, 0.0)
-    assert not buffer.flushed(DEST, generation)
-    assert buffer.take(DEST, generation) == [b"a"]
-    # a fresh leader starts the next generation
-    assert buffer.add(DEST, b"z", None, 0.0) == ("lead", generation + 1)
+def test_retransmission_round_is_one_write(net):
+    """Three unanswered calls to one destination: each round re-sends
+    them as one envelope, and every call keeps its own retransmission
+    event and its own RpcTimeout."""
+    ghost = Address("ghost", 9)
+    client = make_client(net, timeout=0.1, retries=1)
+    calls = [client.start(ghost, PROG, 1, 1, {"i": i}) for i in range(3)]
+    client.gather(calls)
+    assert client.transport.writes == [(ghost, 3), (ghost, 3)]
+    assert client.retransmissions == 3 and client.calls_sent == 6
+    for call in calls:
+        assert isinstance(call.error, RpcTimeout)
+        events = [event["name"] for event in call.span.events]
+        assert events == ["retransmission"]
 
 
-def test_destinations_stage_independently():
-    buffer = BatchBuffer(max_batch=2)
-    other = ("elsewhere", 1)
-    buffer.add(DEST, b"a", None, 0.0)
-    assert buffer.add(other, b"x", None, 0.0) == ("lead", 0)
-    action, payloads = buffer.add(DEST, b"b", None, 0.0)
-    assert (action, payloads) == ("flush", [b"a", b"b"])
+def test_refused_connect_settles_the_whole_envelope():
+    """A refused TCP connect fails the one write; every call in the
+    envelope settles with the typed transient error."""
+    refused = TcpTransport()
+    refused.close()
+    transport = TcpTransport()
+    try:
+        client = RpcClient(transport, timeout=2.0, retries=0)
+        calls = [
+            client.start(refused.local_address, PROG, 1, 1, {"i": i})
+            for i in range(3)
+        ]
+        client.gather(calls)
+        errors = {id(call.error) for call in calls}
+        assert len(errors) == 1  # one failed write, one error, three calls
+        assert all(isinstance(call.error, CommunicationError) for call in calls)
+        assert client.calls_sent == 3 and client.retransmissions == 0
+    finally:
+        transport.close()
 
 
-# -- sync call_many ----------------------------------------------------------
+def test_gather_needed_zero_sends_without_waiting(net, server):
+    client = make_client(net)
+    calls = [client.start(server.address, PROG, 1, 1, {"i": i}) for i in range(3)]
+    started_at = client.transport.now()
+    client.gather(calls, needed=0)
+    assert client.transport.writes == [(server.address, 3)]
+    assert client.transport.now() == started_at  # no virtual time passed
+    assert not any(call.done for call in calls)
+    client.gather(calls)  # the calls already on the wire are not re-sent
+    assert client.transport.writes == [(server.address, 3)]
+    assert all(call.reply is not None for call in calls)
+
+
+# -- call_many ----------------------------------------------------------------
 
 
 def test_call_many_outcomes_in_order(net, server):
-    client = make_batching(net, max_batch=4)
+    client = make_client(net)
     request = [(PROG, 1, 1, {"n": index}) for index in range(10)]
     outcomes = client.call_many(server.address, request)
     assert [item["echo"]["n"] for item in outcomes] == list(range(10))
-    # 10 calls at watermark 4 → 3 BATCH writes, not 10.
-    assert client.batches_sent == 3
+    # 10 calls → one BATCH write, not 10.
+    assert client.batches_sent == 1
+    assert client.transport.writes == [(server.address, 10)]
 
 
 def test_call_many_mixes_results_and_typed_errors(net, server):
-    client = make_batching(net)
+    client = make_client(net)
     outcomes = client.call_many(
         server.address,
         [
@@ -141,12 +207,22 @@ def test_call_many_mixes_results_and_typed_errors(net, server):
 
 
 def test_call_many_empty_is_empty(net, server):
-    assert make_batching(net).call_many(server.address, []) == []
+    client = make_client(net)
+    assert client.call_many(server.address, []) == []
+    assert client.transport.writes == []
+
+
+def test_call_many_unanswered_calls_time_out_like_single_calls(net):
+    client = make_client(net, timeout=0.1, retries=1)
+    outcomes = client.call_many(Address("ghost", 9), [(PROG, 1, 1, {})] * 2)
+    assert all(isinstance(item, RpcTimeout) for item in outcomes)
+    with pytest.raises(RpcTimeout):
+        client.call(Address("ghost", 9), PROG, 1, 1, {}, timeout=0.1, retries=1)
 
 
 def test_call_many_at_most_once_under_retransmission(net, server):
     """Batched xids obey the same at-most-once regime as lone calls."""
-    client = make_batching(net, timeout=2.0, retries=3)
+    client = make_client(net, timeout=2.0, retries=3)
     outcomes = client.call_many(
         server.address, [(PROG, 1, 1, {"i": i}) for i in range(6)]
     )
@@ -155,28 +231,13 @@ def test_call_many_at_most_once_under_retransmission(net, server):
     assert server.duplicates_coalesced == 0
 
 
-def test_transparent_linger_coalesces_lone_call(net, server):
-    """With linger on, a lone call still leaves (leader flushes itself)."""
-    client = make_batching(net, linger=0.05)
-    result = client.call(server.address, PROG, 1, 1, {"solo": 1})
-    assert result["echo"] == {"solo": 1}
-    assert client.batches_sent == 1
-
-
-def test_linger_zero_bypasses_the_buffer(net, server):
-    client = make_batching(net, linger=0.0)
-    result = client.call(server.address, PROG, 1, 1, {"solo": 1})
-    assert result["echo"] == {"solo": 1}
-    assert client.batches_sent == 0  # plain single-frame write
-
-
 # -- server-side reply coalescing -------------------------------------------
 
 
 def test_sync_server_coalesces_batch_replies(net, server):
     before = METRICS.histogram("rpc.server.batch_replies")
     count_before = before["count"] if before else 0
-    client = make_batching(net, max_batch=8)
+    client = make_client(net)
     outcomes = client.call_many(
         server.address, [(PROG, 1, 1, {"i": i}) for i in range(8)]
     )
@@ -203,7 +264,7 @@ def test_reentrant_nested_call_is_not_deadlocked_by_reply_buffering(net):
     program.register(2, outer, "outer")
     server.serve(program)
 
-    client = make_batching(net, max_batch=4)
+    client = make_client(net)
     outcomes = client.call_many(
         server.address, [(PROG, 1, 2, {"n": i}) for i in range(3)]
     )
@@ -233,7 +294,7 @@ def test_batching_client_against_pre_batch_handler_path(net, server):
         server.handle_call(source, call) for call in calls
     ]
     try:
-        client = make_batching(net, max_batch=4)
+        client = make_client(net)
         outcomes = client.call_many(
             server.address, [(PROG, 1, 1, {"i": i}) for i in range(5)]
         )

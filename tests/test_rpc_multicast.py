@@ -1,15 +1,16 @@
-"""Tests for multicast/broadcast RPC calls."""
+"""Tests for multicast/broadcast RPC calls.
+
+An anycast is a :class:`MulticastCaller` call with ``quorum=1``."""
 
 import pytest
 
 from repro.naming.refs import ServiceRef
 from repro.net.endpoints import Address
 from repro.rpc.client import RpcClient
-from repro.rpc.errors import RpcError
 from repro.rpc.message import ReplyStatus
-from repro.rpc.multicast import MulticastCaller, anycast
+from repro.rpc.multicast import MulticastCaller
 from repro.rpc.server import RpcProgram, RpcServer
-from repro.rpc.transport import SimTransport
+from repro.rpc.transport import SimTransport, TcpTransport
 from repro.rpc.xdr import encode_value
 from repro.sidl.types import DOUBLE, InterfaceType, LONG, OperationType
 from repro.telemetry.metrics import METRICS
@@ -81,15 +82,38 @@ def test_empty_destination_list(caller):
 
 
 def test_anycast_returns_first_success(members, caller):
-    value = anycast(caller, members, PROG, 1, 1, None, timeout=0.5)
-    assert "member" in value
+    result = caller.call(members, PROG, 1, 1, None, timeout=0.5, quorum=1)
+    assert len(result.replies) >= 1
+    assert all("member" in value for value in result.values())
 
 
 def test_anycast_raises_when_nobody_answers(net, caller, members):
     for index in range(4):
         net.faults.crash(f"member-{index}")
-    with pytest.raises(RpcError):
-        anycast(caller, members, PROG, 1, 1, None, timeout=0.05)
+    result = caller.call(members, PROG, 1, 1, None, timeout=0.05, quorum=1)
+    assert result.replies == {} and result.faults == {}
+    assert result.missing == members
+
+
+def test_quorum_counts_replies_not_refused_members():
+    """Over TCP a refused connect settles its member at once; it must
+    not stand in for the reply the quorum is waiting for."""
+    server_transport, client_transport = TcpTransport(), TcpTransport()
+    try:
+        server = RpcServer(server_transport)
+        program = RpcProgram(PROG, 1)
+        program.register(1, lambda args: {"member": "live"})
+        server.serve(program)
+        refused = TcpTransport()
+        refused.close()
+        closed, live = refused.local_address, server_transport.local_address
+        caller = MulticastCaller(RpcClient(client_transport))
+        result = caller.call([closed, live], PROG, 1, 1, timeout=2.0, quorum=1)
+        assert result.replies == {live: {"member": "live"}}
+        assert result.missing == [closed]
+    finally:
+        server_transport.close()
+        client_transport.close()
 
 
 def test_status_faults_reported(members, caller):
