@@ -6,12 +6,14 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from heapq import merge as _heap_merge
+from types import MappingProxyType
 from typing import (  # noqa: F401
     Any,
     Dict,
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Set,
     Tuple,
@@ -36,12 +38,15 @@ class ServiceOffer:
     refresh it via RENEW (the service runtime heartbeats it), and a lease
     that lapses — because the exporter crashed or lost connectivity —
     takes the offer out of matching without any explicit withdraw.
+
+    Once in an :class:`OfferStore`, ``properties`` is a read-only view of
+    a dict the store owns; only the store's MODIFY path replaces it.
     """
 
     offer_id: str
     service_type: str
     ref: Dict[str, Any]  # ServiceRef wire form (kept marshallable)
-    properties: Dict[str, Any] = field(default_factory=dict)
+    properties: Mapping[str, Any] = field(default_factory=dict)
     exported_at: float = 0.0
     expires_at: Optional[float] = None
     lease_seconds: Optional[float] = None
@@ -136,7 +141,9 @@ def _range_class(value: Any) -> Optional[str]:
     unknown) and they are re-admitted via the unindexed fallback bucket.
     """
     if isinstance(value, bool) or isinstance(value, (int, float)):
-        return "num"
+        # NaN has no order: every comparison with it is false, and inside
+        # the sorted run it would misplace every bisect cut.
+        return "num" if value == value else None
     if isinstance(value, str):
         return "str"
     return None
@@ -159,13 +166,12 @@ class _SortedValues:
     #: amortised-linear while point queries never scan a huge overlay.
     _QUERY_LIMIT = 512
 
-    __slots__ = ("entries", "pending", "dead", "ids")
+    __slots__ = ("entries", "pending", "dead")
 
     def __init__(self) -> None:
         self.entries: List[Tuple[Any, int, str]] = []
         self.pending: List[Tuple[Any, int, str]] = []
         self.dead: Set[Tuple[Any, int, str]] = set()
-        self.ids: Dict[str, Tuple[Any, int]] = {}
 
     def add(self, value: Any, seq: int, offer_id: str) -> None:
         entry = (value, seq, offer_id)
@@ -175,14 +181,11 @@ class _SortedValues:
             self.dead.discard(entry)
         else:
             self.pending.append(entry)
-        self.ids[offer_id] = (value, seq)
         limit = max(self._QUERY_LIMIT, len(self.entries) >> 3)
         if len(self.pending) > limit or len(self.dead) > limit:
             self.compact()
 
     def discard(self, value: Any, seq: int, offer_id: str) -> None:
-        if self.ids.pop(offer_id, None) is None:
-            return
         entry = (value, seq, offer_id)
         try:
             self.pending.remove(entry)
@@ -276,6 +279,11 @@ class OfferStore:
     Values that cannot be indexed (unhashable, or dynamic-property
     markers whose import-time value is unknown) land in a per-property
     fallback set that every index lookup includes.
+
+    The store is the only writer of an offer's properties: :meth:`add`
+    and :meth:`replace_properties` keep a read-only view over a private
+    copy, so what :meth:`_index` put where can always be derived again
+    from the offer itself.
     """
 
     def __init__(self, prefix: str = "offer", range_index: bool = True) -> None:
@@ -286,11 +294,6 @@ class OfferStore:
         self._unindexed: Dict[Tuple[str, str], Set[str]] = {}
         self._range_index: Dict[Tuple[str, str], Dict[str, _SortedValues]] = {}
         self._range_enabled = range_index
-        # Exactly what _index put where, per offer id.  _unindex replays
-        # this record instead of re-deriving it from offer.properties,
-        # which a caller may have mutated or aliased since indexing —
-        # re-deriving would leave stale index entries behind.
-        self._indexed: Dict[str, List[Tuple[Any, ...]]] = {}
         # Store-wide insertion sequence, stable across property modifies
         # and idempotent re-adds: within a type it is ``_by_type``'s
         # order, so index probes and sorted-index walks both come out in
@@ -353,6 +356,8 @@ class OfferStore:
                 # It joins the new type's insertion order at the end.
                 self._drop_from_type(existing)
                 del self._order[offer.offer_id]
+        # A copy, not just a view: ``from_wire`` aliases the caller's dict.
+        offer.properties = MappingProxyType(dict(offer.properties))
         self._by_id[offer.offer_id] = offer
         self._by_type.setdefault(offer.service_type, {})[offer.offer_id] = offer
         self._index(offer)
@@ -368,7 +373,7 @@ class OfferStore:
         del self._by_id[offer_id]
         self._drop_from_type(offer)
         self._unindex(offer)
-        self._order.pop(offer_id, None)
+        del self._order[offer_id]
         return offer
 
     def _drop_from_type(self, offer: ServiceOffer) -> None:
@@ -380,7 +385,7 @@ class OfferStore:
     def replace_properties(self, offer_id: str, properties: Dict[str, Any]) -> ServiceOffer:
         offer = self.get(offer_id)
         self._unindex(offer)
-        offer.properties = dict(properties)
+        offer.properties = MappingProxyType(dict(properties))
         self._index(offer)
         return offer
 
@@ -472,9 +477,9 @@ class OfferStore:
         ``(value, position)`` — position being the offer's index in the
         ``of_types`` candidate list — with values descending when
         ``reverse``; offers where the preference is undefined (missing
-        property, non-numeric value) follow in candidate order, matching
-        ``Preference.apply`` term for term.  Callers that only need the
-        top-k stop early and skip sorting the whole candidate set.
+        property, non-numeric or NaN value) follow in candidate order,
+        matching ``Preference.apply`` term for term.  Callers that only
+        need the top-k stop early and skip sorting the whole candidate set.
 
         Only sound where :meth:`can_walk` says so.
         """
@@ -487,22 +492,16 @@ class OfferStore:
                 yield (-value if reverse else value), position, seq, offer_id
 
         streams = []
-        defined: List[Dict[str, Tuple[Any, int]]] = []
         for position, type_name in enumerate(type_names):
             sorted_values = self._range_index.get((type_name, prop), {}).get("num")
-            if sorted_values is None or not sorted_values.ids:
-                defined.append({})
-                continue
-            defined.append(sorted_values.ids)
-            streams.append(ranked(position, sorted_values.walk(reverse)))
+            if sorted_values is not None:
+                streams.append(ranked(position, sorted_values.walk(reverse)))
         for _value, _position, _seq, offer_id in _heap_merge(*streams):
-            offer = self._by_id.get(offer_id)
-            if offer is not None:
-                yield offer
-        for position, type_name in enumerate(type_names):
-            in_index = defined[position]
-            for offer_id, offer in self._by_type.get(type_name, {}).items():
-                if offer_id not in in_index:
+            yield self._by_id[offer_id]
+        # The tail is exactly what the walk did not yield.
+        for type_name in type_names:
+            for offer in self._by_type.get(type_name, {}).values():
+                if _range_class(offer.properties.get(prop)) != "num":
                     yield offer
 
     def can_walk(self, type_names: Iterable[str], prop: str) -> bool:
@@ -532,17 +531,14 @@ class OfferStore:
         seq = self._order.get(offer_id)
         if seq is None:
             seq = self._order[offer_id] = next(self._order_counter)
-        recorded: List[Tuple[Any, ...]] = []
         for prop, value in offer.properties.items():
             key = (offer.service_type, prop)
             if _indexable(value):
                 self._eq_index.setdefault(key, {}).setdefault(value, set()).add(
                     offer_id
                 )
-                recorded.append(("eq", key, value))
             else:
                 self._unindexed.setdefault(key, set()).add(offer_id)
-                recorded.append(("fb", key))
             if self._range_enabled:
                 value_class = _range_class(value)
                 if value_class is not None:
@@ -551,40 +547,29 @@ class OfferStore:
                     if sorted_values is None:
                         sorted_values = per_class[value_class] = _SortedValues()
                     sorted_values.add(value, seq, offer_id)
-                    recorded.append(("rg", key, value_class, value, seq))
-        self._indexed[offer_id] = recorded
 
     def _unindex(self, offer: ServiceOffer) -> None:
-        # Replay the record of what _index actually stored rather than
-        # walking offer.properties again: the caller may have mutated or
-        # aliased that dict since, and deriving removals from the current
-        # values would strand the original entries in the index forever.
+        # The mirror of _index over the same frozen properties.  It must
+        # run while ``_order`` still holds the id (remove() and add()'s
+        # re-add path call it first): the sorted entries carry that seq.
         offer_id = offer.offer_id
-        for entry in self._indexed.pop(offer_id, ()):
-            kind, key = entry[0], entry[1]
-            if kind == "eq":
-                per_value = self._eq_index.get(key)
-                if per_value is None:
-                    continue
-                ids = per_value.get(entry[2])
-                if ids is None:
-                    continue
+        seq = self._order[offer_id]
+        for prop, value in offer.properties.items():
+            key = (offer.service_type, prop)
+            if _indexable(value):
+                per_value = self._eq_index[key]
+                ids = per_value[value]
                 ids.discard(offer_id)
                 if not ids:
-                    del per_value[entry[2]]
+                    del per_value[value]
                 if not per_value:
                     del self._eq_index[key]
-            elif kind == "fb":
-                ids = self._unindexed.get(key)
-                if ids is None:
-                    continue
+            else:
+                ids = self._unindexed[key]
                 ids.discard(offer_id)
                 if not ids:
                     del self._unindexed[key]
-            else:  # "rg"
-                per_class = self._range_index.get(key)
-                if per_class is None:
-                    continue
-                sorted_values = per_class.get(entry[2])
-                if sorted_values is not None:
-                    sorted_values.discard(entry[3], entry[4], offer_id)
+            if self._range_enabled:
+                value_class = _range_class(value)
+                if value_class is not None:
+                    self._range_index[key][value_class].discard(value, seq, offer_id)

@@ -53,7 +53,8 @@ class Preference:
         scored: List[Tuple[int, Any, ServiceOffer]] = []
         for index, offer in enumerate(offers):
             value = self._expr(offer.properties)
-            defined = value is not MISSING and isinstance(value, (int, float))
+            # NaN has no order, so it ranks as undefined (the sorted index agrees).
+            defined = value is not MISSING and isinstance(value, (int, float)) and value == value
             scored.append((index, value if defined else None, offer))
         defined_offers = [item for item in scored if item[1] is not None]
         undefined_offers = [item for item in scored if item[1] is None]

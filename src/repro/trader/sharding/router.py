@@ -5,8 +5,8 @@ The router implements the same computational and management interface as
 either without knowing which it got.  EXPORT/WITHDRAW/MODIFY/RENEW route
 to the one shard that owns the offer's service type (rendezvous placement
 over the versioned :class:`ShardMap`); IMPORT fans out to the owner plus
-every shard covering a subtype-widened query, over the same
-deadline-ledger engine federation uses; management ops broadcast.
+every shard covering a subtype-widened query, asking them one after
+another under the caller's deadline; management ops broadcast.
 
 Each shard is a :class:`ShardHandle`: a primary backend, an ordered list
 of replica backends, and a circuit breaker around the primary.  When the
@@ -30,7 +30,7 @@ from repro.telemetry.metrics import METRICS
 from repro.trader.errors import OfferNotFound, TraderError, UnknownServiceType
 from repro.trader.federation import TraderLink
 from repro.trader.offers import ServiceOffer, parse_offer_id
-# bench/trace.py patches this attribute by name; leaves with ROADMAP item 3b
+# bench/trace.py patches this attribute by name; leaves with ROADMAP item 7b
 from repro.trader.policies import parse_preference  # noqa: F401
 from repro.trader.service_types import ServiceType
 from repro.trader.sharding.hashing import ShardMap

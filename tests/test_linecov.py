@@ -3,8 +3,11 @@ branches an aggregate coverage floor would not notice: the at-most-once
 window (replay, encode-once, eviction, oversized replies), the server's
 execute body (dequeue re-checks, the span gate with its ``sampled=0``
 fault-span rebuild, an awaitable handler result refused as a typed
-fault), the index probe's candidate order, the TCP send path (a refused
-connect or a failed write is a typed, transient error), the client's
+fault), the index probe's candidate order, the offer store's derived
+index removals and its ordered walk (NaN and the other unrankable values
+in its tail), the preference ranking that walk must agree with, the TCP
+send path (a refused connect or a failed write is a typed, transient
+error), the client's
 split-phase pair (``start``, and ``gather``: the one attempt loop), the
 envelope writer every CALL frame leaves through (``_send`` cuts, ``_write``
 writes), ``call_many``, the federation fan-out over remote and in-process
@@ -26,6 +29,10 @@ TARGETS = [
     "repro.rpc.server:RpcServer._execute",
     "repro.rpc.server:RpcServer._invoke",
     "repro.trader.offers:OfferStore._filter",
+    "repro.trader.offers:OfferStore._unindex",
+    "repro.trader.offers:OfferStore.ordered_by",
+    "repro.trader.offers:_SortedValues.discard",
+    "repro.trader.policies:Preference.apply",
     "repro.rpc.transport:TcpTransport.send",
     "repro.rpc.client:RpcClient.start",
     "repro.rpc.client:RpcClient.gather",
@@ -77,6 +84,7 @@ UNIT_TESTS = [
     "tests/test_wire_rules.py",
     "tests/test_wire_golden.py::test_compiled_import_reply_of_two_offers",
     "tests/test_trader_index.py",
+    "tests/test_trader_policies.py",
     "-k",
     "not candidate_order",
 ]

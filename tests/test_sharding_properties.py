@@ -137,6 +137,7 @@ _values = st.lists(
     st.one_of(
         st.integers(min_value=-100, max_value=100),
         st.floats(min_value=-100, max_value=100, allow_nan=False, width=32),
+        st.just(float("nan")),  # DOUBLE accepts it; it has no order
         st.booleans(),
         st.sampled_from(["HH", "B", "M", ""]),  # strings: TypeError -> no match
     ),
@@ -200,6 +201,26 @@ def test_unconstrained_import_agrees_with_oracle(values, preference):
     request = ImportRequest("CarRentalService", "", preference)
     expected = [offer.offer_id for offer in oracle.import_(request)]
     assert [offer.offer_id for offer in indexed.import_(request)] == expected
+
+
+def test_nan_prices_past_the_compaction_threshold_agree_with_oracle():
+    """1 200 offers, every fifth priced NaN: past 512 pending entries the
+    sorted run compacts and range probes bisect it, so a NaN inside the
+    run would cut in the wrong places."""
+    values = [float("nan") if n % 5 == 0 else float(n % 7) for n in range(1200)]
+    indexed = LocalTrader("t", offer_prefix="m", range_index=True)
+    oracle = LocalTrader("t", offer_prefix="m", range_index=False)
+    _populate(indexed, values)
+    _populate(oracle, values)
+    for constraint in ["", "Price < 4", "Price >= 2", "Price > 5", "Price <= 0"]:
+        for preference in ["", "min Price", "max Price", "min Price * 2"]:
+            for max_matches in (0, 3):
+                request = ImportRequest(
+                    "CarRentalService", constraint, preference, max_matches=max_matches
+                )
+                expected = [offer.offer_id for offer in oracle.import_(request)]
+                got = [offer.offer_id for offer in indexed.import_(request)]
+                assert got == expected, (constraint, preference, max_matches)
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,6 +6,7 @@ add/remove/mask for the type-match memo — or imports would answer from a
 stale world.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -293,11 +294,12 @@ def test_readding_the_same_offer_id_is_idempotent():
 
 
 def test_inplace_property_mutation_cannot_strand_index_entries():
-    """Withdraw must unindex what was *recorded at index time*, not what
-    the (possibly aliased and since-mutated) properties dict now says."""
+    """Stored properties are read-only, so withdraw's removals, derived
+    from the offer, are exactly what export indexed."""
     trader = make_trader()
     offer_id = export(trader, "hh-1", 40.0, "HH")
-    trader.offers.get(offer_id).properties["City"] = "B"  # aliasing abuse
+    with pytest.raises(TypeError):
+        trader.offers.get(offer_id).properties["City"] = "B"  # aliasing abuse
     trader.withdraw(offer_id)
     assert trader.import_(ImportRequest("CarRentalService", "City == 'HH'")) == []
     assert trader.import_(ImportRequest("CarRentalService", "City == 'B'")) == []
@@ -305,6 +307,48 @@ def test_inplace_property_mutation_cannot_strand_index_entries():
     assert names(trader.import_(ImportRequest("CarRentalService", "City == 'HH'"))) == [
         "hh-2"
     ]
+
+
+def test_mutating_the_dict_handed_to_add_reaches_neither_index_nor_offer():
+    """The store keeps its own copy: ``from_wire`` aliases the caller's
+    dict, and a later write to it must not move the stored offer."""
+    store = OfferStore(prefix="t")
+    wire = {"ChargePerDay": 40.0, "City": "HH"}
+    ref = ServiceRef.create("hh-1", Address("t", 1), 4711).to_wire()
+    store.add(ServiceOffer.from_wire(
+        {"offer_id": "t:T:1", "service_type": "T", "ref": ref, "properties": wire}
+    ))
+    wire["City"] = "B"
+    wire["ChargePerDay"] = 1.0
+    assert dict(store.get("t:T:1").properties) == {"ChargePerDay": 40.0, "City": "HH"}
+    assert [o.offer_id for o in store.candidates(["T"], [("City", "HH")])] == ["t:T:1"]
+    assert store.candidates(["T"], [("City", "B")]) == []
+    assert store.candidates(["T"], [], [("ChargePerDay", "<", 2.0)]) == []
+    store.remove("t:T:1")
+    assert store.candidates(["T"], [("City", "HH")]) == []
+    assert list(store.ordered_by(["T"], "ChargePerDay")) == []
+
+
+def test_ordered_by_ranks_numbers_then_the_undefined_tail_per_type():
+    """Numbers first by value; then, per type in candidate order, the
+    offers the walk could not rank: a string, a missing property, NaN.
+    A removal after the walk compacted the run leaves a tombstone."""
+    store = OfferStore(prefix="t")
+    ref = ServiceRef.create("svc", Address("t", 1), 4711).to_wire()
+    population = [
+        ("A", {"p": 3}), ("A", {"p": "x"}), ("A", {}), ("B", {"p": float("nan")}),
+        ("B", {"p": 1}), ("A", {"p": 2.5}), ("B", {"p": 3}),
+    ]
+    for n, (type_name, properties) in enumerate(population, start=1):
+        store.add(ServiceOffer(f"t:{type_name}:{n}", type_name, ref, properties))
+    ranked = [o.offer_id for o in store.ordered_by(["A", "B"], "p")]
+    assert ranked == ["t:B:5", "t:A:6", "t:A:1", "t:B:7", "t:A:2", "t:A:3", "t:B:4"]
+    descending = [o.offer_id for o in store.ordered_by(["A", "B"], "p", reverse=True)]
+    assert descending[:4] == ["t:A:1", "t:B:7", "t:A:6", "t:B:5"]
+    store.remove("t:A:6")  # the walk compacted the run: a tombstone, not a splice
+    ranked = [o.offer_id for o in store.ordered_by(["A", "B"], "p")]
+    assert ranked == ["t:B:5", "t:A:1", "t:B:7", "t:A:2", "t:A:3", "t:B:4"]
+    assert [o.offer_id for o in store.candidates(["A"], [], [("p", ">", 2)])] == ["t:A:1"]
 
 
 # -- an index probe answers in candidate order ---------------------------------

@@ -89,3 +89,9 @@ def test_stable_ties_keep_registration_order(offers):
 def test_apply_does_not_mutate_input(offers):
     parse_preference("min price").apply(offers)
     assert ids(offers) == ["a", "b", "c"]
+
+
+def test_nan_score_sorts_last_like_a_missing_one(offers):
+    offers.insert(0, offer("n", price=float("nan")))
+    assert ids(parse_preference("min price").apply(offers)) == ["b", "c", "a", "n"]
+    assert ids(parse_preference("max price").apply(offers)) == ["a", "c", "b", "n"]
