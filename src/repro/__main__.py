@@ -115,6 +115,9 @@ def tour() -> None:
     browser.register_local(rental)
     browser.register_local(quotes)
     print(f"    browser now lists {browser.entries()} services")
+    meta = BrowserService(RpcServer(SimTransport(net, "meta-host")))
+    browser.register_at(meta.ref, RpcClient(SimTransport(net, "browser-client")))
+    print(f"    and registers its own SID at a meta-browser ({meta.entries()} entry)")
 
     print("\n[2] a generic client browses and binds — no stubs, no foreknowledge")
     generic = GenericClient(RpcClient(SimTransport(net, "user-host")))

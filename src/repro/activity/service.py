@@ -27,8 +27,8 @@ _PROC_STATUS = 4
 class ActivityManagerService:
     """Hosts an :class:`ActivityManager` behind RPC."""
 
-    def __init__(self, server: RpcServer, client: RpcClient, timeout: float = 1.0) -> None:
-        self.manager = ActivityManager(client, timeout=timeout)
+    def __init__(self, server: RpcServer, client: RpcClient) -> None:
+        self.manager = ActivityManager(client)
         self._open: Dict[str, Any] = {}
         program = RpcProgram(ACTIVITY_PROGRAM, 1, "activity-manager")
         program.register(_PROC_BEGIN, self._begin, "begin")

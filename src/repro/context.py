@@ -75,7 +75,6 @@ class RetryPolicy:
 
     retries: int = 3
     attempt_timeout: Optional[float] = None
-    min_attempt_timeout: float = 0.001
 
     @property
     def attempts(self) -> int:
@@ -127,6 +126,10 @@ SPAN_LIMIT = 1024
 #: Fallback per-attempt timeout when a context has neither a deadline nor
 #: an attempt cap (mirrors the RPC client's historical default).
 DEFAULT_ATTEMPT_TIMEOUT = 1.0
+
+#: Floor of a sliced per-attempt timeout, so a nearly spent budget still
+#: gives each attempt a moment on the wire.
+MIN_ATTEMPT_TIMEOUT = 0.001
 
 
 @dataclass
@@ -217,7 +220,7 @@ class CallContext:
         """Per-attempt wait derived from the *remaining* deadline budget.
 
         Splits what is left of the deadline evenly over the attempts still
-        available (clamped below by ``min_attempt_timeout`` and above by
+        available (clamped below by ``MIN_ATTEMPT_TIMEOUT`` and above by
         the policy's flat cap, when one is set).
         """
         budget = self.remaining(now)
@@ -227,7 +230,7 @@ class CallContext:
         share = budget / max(1, attempts_left)
         if cap is not None:
             share = min(share, cap)
-        return min(budget, max(share, self.retry.min_attempt_timeout))
+        return min(budget, max(share, MIN_ATTEMPT_TIMEOUT))
 
     # -- hop budget / scope ------------------------------------------------
 

@@ -151,10 +151,10 @@ class _BrowserImplementation:
 class BrowserService:
     """A running browser: a :class:`ServiceRuntime` over the registry."""
 
-    def __init__(self, server: RpcServer, prog: Optional[int] = None) -> None:
+    def __init__(self, server: RpcServer) -> None:
         sid = load_service_description(BROWSER_SIDL)
         self._implementation = _BrowserImplementation()
-        self.runtime = ServiceRuntime(server, sid, self._implementation, prog=prog)
+        self.runtime = ServiceRuntime(server, sid, self._implementation)
 
     @property
     def ref(self) -> ServiceRef:

@@ -46,12 +46,10 @@ class GenericClient:
         self,
         client: RpcClient,
         enforce_fsm: bool = True,
-        check_types: bool = True,
     ) -> None:
         self._client = client
         self._binder = Binder(client)
         self.enforce_fsm = enforce_fsm
-        self.check_types = check_types
         self.bindings_opened = 0
         self.local_rejections = 0
 
@@ -124,9 +122,7 @@ class GenericBinding:
         """Dynamically marshalled, FSM-guarded invocation."""
         ctx = ctx if ctx is not None else self.ctx
         operation = self.operation(operation_name)
-        arguments = arguments or {}
-        if self._owner.check_types:
-            arguments = operation.check_arguments(arguments)
+        arguments = operation.check_arguments(arguments or {})
         if self._owner.enforce_fsm and self.fsm is not None:
             if not self.fsm.allows(operation_name):
                 # Rejected locally (§4.2): no network traffic happens.

@@ -17,17 +17,15 @@ from repro.rpc.errors import RemoteFault
 from repro.sidl.sid import ServiceDescription
 from repro.trader.errors import DuplicateServiceType
 from repro.trader.leases import LeaseHeartbeat, keep_alive
-from repro.trader.service_types import ServiceType, service_type_from_sid
+from repro.trader.service_types import RESERVED_EXPORTS, service_type_from_sid
 from repro.trader.trader import LocalTrader, TraderClient
-
-_RESERVED_EXPORT_KEYS = ("ServiceID", "TOD", "ServiceType")
 
 
 def export_properties(sid: ServiceDescription) -> Dict[str, Any]:
     """The offer properties a SID's trader export carries (§4.1)."""
     export = sid.trader_export or {}
     return {
-        key: value for key, value in export.items() if key not in _RESERVED_EXPORT_KEYS
+        key: value for key, value in export.items() if key not in RESERVED_EXPORTS
     }
 
 
@@ -35,7 +33,6 @@ def make_tradable(
     sid: ServiceDescription,
     ref: ServiceRef,
     trader: Union[LocalTrader, TraderClient],
-    service_type: Optional[ServiceType] = None,
     now: float = 0.0,
     lease_seconds: Optional[float] = None,
 ) -> str:
@@ -60,7 +57,7 @@ def make_tradable(
             f"SID {sid.name!r} carries no COSM_TraderExport; "
             f"it can only be mediated via browsers"
         )
-    derived = service_type or service_type_from_sid(sid)
+    derived = service_type_from_sid(sid)
     if isinstance(trader, LocalTrader):
         if not trader.types.has(derived.name):
             trader.add_type(derived, now)
@@ -88,7 +85,6 @@ def keep_tradable(
     trader: Union[LocalTrader, TraderClient],
     lease_seconds: float,
     clock: Optional[Any] = None,
-    service_type: Optional[ServiceType] = None,
     now: float = 0.0,
 ) -> LeaseHeartbeat:
     """Export with a liveness lease and keep heartbeating it.
@@ -96,8 +92,8 @@ def keep_tradable(
     The combination a service runtime wants at startup: the offer is
     registered via :func:`make_tradable`, then a
     :class:`~repro.trader.leases.LeaseHeartbeat` renews it at the default
-    cadence — on ``clock`` (a :class:`~repro.net.clock.SimClock`) in
-    simulations, or via ``heartbeat.start_thread()`` on the wall clock.
+    cadence on ``clock`` (a :class:`~repro.net.clock.SimClock`), or
+    whenever the caller calls ``heartbeat.beat()``.
     Should the trader sweep the offer anyway (the host was partitioned
     past its lease), the heartbeat **re-exports** it with the same SID and
     reference, so a recovered service re-enters the market on its own.
@@ -113,9 +109,7 @@ def keep_tradable(
 
     def export() -> str:
         return make_tradable(
-            sid, ref, trader,
-            service_type=service_type, now=current(),
-            lease_seconds=lease_seconds,
+            sid, ref, trader, now=current(), lease_seconds=lease_seconds,
         )
 
     offer_id = export()

@@ -55,16 +55,12 @@ class RebindingClient:
         trader: Any,
         resilient: Optional[ResilientCaller] = None,
         generic: Optional[GenericClient] = None,
-        max_matches: int = 0,
         max_rebinds: int = 2,
     ) -> None:
         self._client = client
         self._trader = trader
         self.generic = generic or GenericClient(client)
         self.resilient = resilient or ResilientCaller(client)
-        # 0 = "all matches": the deeper the ranked list, the more crashes
-        # a single invocation can ride out before a re-import is needed.
-        self.max_matches = max_matches
         self.max_rebinds = max(0, max_rebinds)
         self._offers: Dict[_CacheKey, List[ServiceOffer]] = {}
         self._bindings: Dict[str, GenericBinding] = {}
@@ -177,9 +173,9 @@ class RebindingClient:
         self, key: _CacheKey, ctx: Optional[CallContext]
     ) -> List[ServiceOffer]:
         service_type, constraint, preference = key
-        request = ImportRequest(
-            service_type, constraint, preference, self.max_matches
-        )
+        # All matches: the deeper the ranked list, the more crashes a
+        # single invocation can ride out before a re-import is needed.
+        request = ImportRequest(service_type, constraint, preference)
         self.imports += 1
         METRICS.inc("client.rebind.imports", (service_type,))
         return self._trader.import_(request, ctx=ctx)

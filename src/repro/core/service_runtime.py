@@ -46,12 +46,10 @@ class ServiceRuntime:
         implementation: Implementation,
         prog: Optional[int] = None,
         enforce_fsm: bool = True,
-        check_types: bool = True,
     ) -> None:
         self.sid = sid
         self.implementation = implementation
         self.enforce_fsm = enforce_fsm
-        self.check_types = check_types
         if prog is None:
             exported = (sid.trader_export or {}).get("ServiceID")
             prog = exported if isinstance(exported, int) else _next_auto_prog()
@@ -90,9 +88,7 @@ class ServiceRuntime:
             raise BindingError(f"unknown session {session_id!r}")
         operation_name = args.get("operation", "")
         operation = self.sid.interface.operation(operation_name)
-        arguments = args.get("arguments") or {}
-        if self.check_types:
-            arguments = operation.check_arguments(arguments)
+        arguments = operation.check_arguments(args.get("arguments") or {})
         fsm_session = self._sessions[session_id]
         if self.enforce_fsm and fsm_session is not None:
             if not fsm_session.allows(operation_name):
@@ -101,14 +97,13 @@ class ServiceRuntime:
                 raise _fsm_violation(fsm_session, operation_name)
         handler = self._handler_for(operation_name)
         result = handler(**arguments)
-        if self.check_types:
-            try:
-                result = operation.result.check(result)
-            except SidlTypeError as exc:
-                raise SidlTypeError(
-                    f"{self.sid.name}.{operation_name} returned a value "
-                    f"outside its declared result type: {exc}"
-                )
+        try:
+            result = operation.result.check(result)
+        except SidlTypeError as exc:
+            raise SidlTypeError(
+                f"{self.sid.name}.{operation_name} returned a value "
+                f"outside its declared result type: {exc}"
+            )
         if fsm_session is not None:
             fsm_session.advance(operation_name)
         self.invocations += 1

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 
 @dataclass(frozen=True)
@@ -56,15 +56,13 @@ def staggered_providers(
     count: int,
     first_entry: float = 0.0,
     spacing: float = 30.0,
-    base_charge: float = 1.0,
-    rng: Optional[random.Random] = None,
 ) -> List[ProviderSpec]:
     """A family of competing providers entering one after another.
 
     Later entrants imitate with slightly lower prices/higher quality —
     the §2.2 "follow-up competitors imitate the innovator" dynamic.
     """
-    rng = rng or random.Random(42)
+    rng = random.Random(42)
     providers = []
     for index in range(count):
         providers.append(
@@ -72,7 +70,7 @@ def staggered_providers(
                 name=f"{family}-{index + 1}",
                 family=family,
                 enter_time=first_entry + index * spacing,
-                charge=round(base_charge * (1.0 - 0.05 * index), 4),
+                charge=round(1.0 - 0.05 * index, 4),
                 quality=round(1.0 + 0.1 * index + rng.random() * 0.01, 4),
             )
         )

@@ -43,13 +43,12 @@ class Binding:
         client: RpcClient,
         ref: ServiceRef,
         session_id: str,
-        sid: Optional[ServiceDescription] = None,
         ctx: Optional[CallContext] = None,
     ) -> None:
         self._client = client
         self.ref = ref
         self.session_id = session_id
-        self.sid = sid
+        self.sid: Optional[ServiceDescription] = None
         self.ctx = ctx  # default context for calls made through this binding
         self.bound = True
         self.invocations = 0

@@ -29,8 +29,8 @@ _PROC_FIND_CONFORMING = 6
 class InterfaceManagerService:
     """Hosts an interface repository behind RPC."""
 
-    def __init__(self, server: RpcServer, repository: Optional[InterfaceRepository] = None) -> None:
-        self.repository = repository or InterfaceRepository()
+    def __init__(self, server: RpcServer) -> None:
+        self.repository = InterfaceRepository()
         program = RpcProgram(IFMGR_PROGRAM, 1, "interface-manager")
         program.register(_PROC_STORE, self._store, "store")
         program.register(_PROC_FETCH, self._fetch, "fetch")

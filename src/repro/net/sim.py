@@ -23,12 +23,11 @@ class SimNetwork:
 
     def __init__(
         self,
-        clock: Optional[SimClock] = None,
         latency: Optional[LatencyModel] = None,
         faults: Optional[FaultPlan] = None,
         seed: int = 1994,
     ) -> None:
-        self.clock = clock or SimClock()
+        self.clock = SimClock()
         self.latency = latency or FixedLatency()
         self.faults = faults or FaultPlan()
         self.rng = random.Random(seed)

@@ -52,7 +52,6 @@ from repro.rpc.server import (
     AdmissionQueue,
     RpcProgram,
     RpcServer,
-    derive_capacity,
 )
 from repro.rpc.transport import SimTransport, TcpTransport, Transport
 from repro.rpc.txn import TransactionCoordinator, TransactionParticipant, TxnOutcome
@@ -96,7 +95,6 @@ __all__ = [
     "TxnOutcome",
     "decode_messages",
     "decode_value",
-    "derive_capacity",
     "encode_batch",
     "encode_value",
     "portmap_lookup",

@@ -27,7 +27,6 @@ from repro.rpc.errors import (
     ProcedureUnavailable,
     ProgramUnavailable,
     RemoteFault,
-    RpcError,
     RpcTimeout,
     ServerShedding,
 )
@@ -521,14 +520,6 @@ class RpcClient:
             except CommunicationError as error:
                 outcomes.append(error)
         return outcomes
-
-    def ping(self, destination: Address, prog: int, vers: int = 1) -> bool:
-        """True when the destination answers procedure 0 (NULL proc)."""
-        try:
-            self.call(destination, prog, vers, 0)
-            return True
-        except RpcError:
-            return False
 
     def stats(self, destination: Address, **kwargs: Any) -> Any:
         """Fetch the STATS snapshot from the server at ``destination``.

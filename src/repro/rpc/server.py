@@ -33,7 +33,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.context import CallContext, SpanRecord, use_context
 from repro.errors import ConfigurationError
@@ -68,13 +68,7 @@ class AdmissionPolicy:
     still bounds memory but every live-deadline call is admitted (the
     pre-admission behaviour, used as the bench baseline).
 
-    ``capacity`` bounds the admission queue.  The literal ``"auto"``
-    derives the bound from what the server observes (see
-    :func:`derive_capacity`): the queue holds no more calls than a
-    typical arrival's deadline budget can absorb at the measured service
-    time — Little's law applied to the admission queue.  Until enough
-    samples exist the queue runs at ``max_capacity``; the derived value
-    is clamped to ``[min_capacity, max_capacity]``.
+    ``capacity`` bounds the admission queue.
 
     ``defer_while_busy`` makes the queue a real waiting line: arrivals
     during handler execution are parked and drained deadline-first when
@@ -86,43 +80,11 @@ class AdmissionPolicy:
     scheduling under load.
     """
 
-    capacity: Union[int, str] = 256
+    capacity: int = 256
     quantile: float = 0.95
     min_samples: int = 5
     shed: bool = True
     defer_while_busy: bool = False
-    min_capacity: int = 8
-    max_capacity: int = 4096
-
-
-#: Labels under which the server aggregates observations across all its
-#: procedures — the per-procedure split admission shedding uses would
-#: fragment the samples a whole-queue capacity estimate needs.
-_ALL_PROCS = ("*", "*")
-
-#: Quantile of the arrival-budget distribution that stands in for the
-#: "typical deadline budget" in the capacity derivation.
-BUDGET_QUANTILE = 0.5
-
-
-def derive_capacity(
-    service_seconds: float,
-    budget_seconds: float,
-    floor: int = 8,
-    ceiling: int = 4096,
-) -> int:
-    """Queue bound from Little's law: ``ceil(budget / service)``, clamped.
-
-    A queued call only makes sense if it can still be served before a
-    typical deadline lapses; with one execution stream working through
-    the queue, at most ``budget / service`` calls ahead of an arrival
-    can drain in time.  Queueing deeper than that admits work that is
-    doomed to age out — exactly what shedding exists to refuse early.
-    """
-    if service_seconds <= 0:
-        return ceiling
-    derived = math.ceil(budget_seconds / service_seconds)
-    return int(min(ceiling, max(floor, derived)))
 
 
 class AdmissionQueue:
@@ -339,11 +301,7 @@ class RpcServer:
         self.admission = admission or AdmissionPolicy()
         self._programs: Dict[Tuple[int, int], RpcProgram] = {}
         self._reply_cache = ReplyCache(REPLY_CACHE_BYTES)
-        self._auto_capacity = self.admission.capacity == "auto"
-        initial_capacity = (
-            self.admission.max_capacity if self._auto_capacity else self.admission.capacity
-        )
-        self._queue = AdmissionQueue(initial_capacity)
+        self._queue = AdmissionQueue(self.admission.capacity)
         # Admission estimates come from *this server's* observations, not
         # the process-global registry: many servers share one process in
         # tests and simulations, and a fresh server must not shed on the
@@ -484,13 +442,6 @@ class RpcServer:
                     source, call, self._shed(call, "stats_budget"), cacheable=False
                 )
             return False
-        if call.deadline is not None and self._auto_capacity:
-            # Arrival budgets only feed the "auto" capacity derivation;
-            # with a fixed bound the sample would never be read.
-            self._service_times.observe(
-                "rpc.server.arrival_budget_seconds", call.deadline - now
-            )
-            self._adapt_capacity()
         if self._shedding_needed(call, now):
             self._finish(source, call, self._shed(call, "arrival"), cacheable=False)
             return False
@@ -602,41 +553,6 @@ class RpcServer:
             )
         return RpcReply(call.xid, ReplyStatus.SHED)
 
-    def _adapt_capacity(self) -> None:
-        """Re-derive the ``"auto"`` queue bound from current estimates.
-
-        Uses the server's own observations: the policy-quantile service
-        time over *all* procedures and the median arrival budget.  Until
-        both have ``min_samples`` the queue keeps its current bound.
-        Shrinking below the current depth is safe — ``push`` evicts the
-        latest-deadline entry per overflow, so depth converges as the
-        queue drains.
-        """
-        if not self._auto_capacity:
-            return
-        service = self._service_times.estimate(
-            "rpc.server.handler_seconds",
-            _ALL_PROCS,
-            q=self.admission.quantile,
-            min_count=self.admission.min_samples,
-        )
-        budget = self._service_times.estimate(
-            "rpc.server.arrival_budget_seconds",
-            (),
-            q=BUDGET_QUANTILE,
-            min_count=self.admission.min_samples,
-        )
-        if service is None or budget is None:
-            return
-        capacity = derive_capacity(
-            service, budget, self.admission.min_capacity, self.admission.max_capacity
-        )
-        if capacity != self._queue.capacity:
-            self._queue.capacity = capacity
-            METRICS.set_gauge(
-                "rpc.server.queue_capacity", capacity, self._gauge_label
-            )
-
     def _shedding_needed(self, call: RpcCall, now: float) -> bool:
         """True when the estimated service time exceeds the remaining budget."""
         if not self.admission.shed or call.deadline is None:
@@ -715,11 +631,6 @@ class RpcServer:
             # Per-procedure estimates are only consulted by shedding.
             self._service_times.observe(
                 "rpc.server.handler_seconds", elapsed, labels
-            )
-        if self._auto_capacity:
-            # Aggregate stream feeding the "auto" capacity derivation.
-            self._service_times.observe(
-                "rpc.server.handler_seconds", elapsed, _ALL_PROCS
             )
         if call.deadline is not None and ended > call.deadline:
             # The deadline lapsed *mid-execution*: these handler

@@ -125,16 +125,11 @@ class CarRentalImpl:
         self,
         charge_per_day: float = 80.0,
         currency: str = "USD",
-        available_models: Optional[Dict[str, int]] = None,
-        pickup_station: str = "Hamburg Airport",
     ) -> None:
         self.charge_per_day = charge_per_day
         self.currency = currency
-        self.fleet = dict(
-            available_models if available_models is not None
-            else {"AUDI": 3, "FIAT-Uno": 5, "VW-Golf": 2}
-        )
-        self.pickup_station = pickup_station
+        self.fleet = {"AUDI": 3, "FIAT-Uno": 5, "VW-Golf": 2}
+        self.pickup_station = "Hamburg Airport"
         self.last_selection: Optional[Dict[str, Any]] = None
         self.bookings = 0
 
@@ -167,12 +162,11 @@ class CarRentalImpl:
 def start_car_rental(
     server: RpcServer,
     sid: Optional[ServiceDescription] = None,
-    implementation: Optional[CarRentalImpl] = None,
     **runtime_options: Any,
 ) -> ServiceRuntime:
     """Host a car rental service on an RPC server."""
     sid = sid or load_service_description(CAR_RENTAL_SIDL)
-    implementation = implementation or CarRentalImpl(
+    implementation = CarRentalImpl(
         charge_per_day=(sid.trader_export or {}).get("ChargePerDay", 80.0),
         currency=(sid.trader_export or {}).get("ChargeCurrency", "USD"),
     )

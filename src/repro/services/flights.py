@@ -8,7 +8,7 @@ with a hotel room atomically.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.activity.participant import TransactionalServiceRuntime
 from repro.rpc.server import RpcServer
@@ -47,9 +47,9 @@ class FlightsImpl:
 
     _confirmations = itertools.count(9000)
 
-    def __init__(self, base_fare: float = 199.0, seats_per_route: int = 4) -> None:
-        self.base_fare = base_fare
-        self.seats_per_route = seats_per_route
+    def __init__(self) -> None:
+        self.base_fare = 199.0
+        self.seats_per_route = 4
         self.seats: Dict[str, int] = {}
         self._held: Dict[str, int] = {}
         self.tickets: Dict[int, Dict[str, Any]] = {}
@@ -100,11 +100,7 @@ class FlightsImpl:
 
 
 def start_flights(
-    server: RpcServer,
-    implementation: Optional[FlightsImpl] = None,
-    **runtime_options: Any,
+    server: RpcServer, **runtime_options: Any
 ) -> TransactionalServiceRuntime:
     sid = load_service_description(FLIGHTS_SIDL)
-    return TransactionalServiceRuntime(
-        server, sid, implementation or FlightsImpl(), **runtime_options
-    )
+    return TransactionalServiceRuntime(server, sid, FlightsImpl(), **runtime_options)

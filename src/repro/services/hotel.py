@@ -9,7 +9,7 @@ trip activity can book a hotel and a flight atomically.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.activity.participant import TransactionalServiceRuntime
 from repro.rpc.server import RpcServer
@@ -50,13 +50,9 @@ class HotelImpl:
 
     _confirmations = itertools.count(5000)
 
-    def __init__(
-        self,
-        rate_per_night: float = 120.0,
-        rooms: Optional[Dict[str, int]] = None,
-    ) -> None:
-        self.rate_per_night = rate_per_night
-        self.rooms = dict(rooms if rooms is not None else {"SINGLE": 5, "DOUBLE": 3, "SUITE": 1})
+    def __init__(self) -> None:
+        self.rate_per_night = 120.0
+        self.rooms = {"SINGLE": 5, "DOUBLE": 3, "SUITE": 1}
         self._held: Dict[str, int] = {}
         self.bookings: Dict[int, Dict[str, Any]] = {}
 
@@ -109,11 +105,7 @@ class HotelImpl:
 
 
 def start_hotel(
-    server: RpcServer,
-    implementation: Optional[HotelImpl] = None,
-    **runtime_options: Any,
+    server: RpcServer, **runtime_options: Any
 ) -> TransactionalServiceRuntime:
     sid = load_service_description(HOTEL_SIDL)
-    return TransactionalServiceRuntime(
-        server, sid, implementation or HotelImpl(), **runtime_options
-    )
+    return TransactionalServiceRuntime(server, sid, HotelImpl(), **runtime_options)

@@ -10,7 +10,7 @@ in format X — a service composed out of another service.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.core.service_runtime import ServiceRuntime
 from repro.naming.binder import Binder
@@ -73,17 +73,13 @@ module ImageConversion {
 class ImageArchiveImpl:
     """Serves a small synthetic image collection, all in one format."""
 
-    def __init__(self, fmt: str = "PPM", images: Optional[Dict[str, bytes]] = None) -> None:
-        self.format = fmt
-        self.images = dict(
-            images
-            if images is not None
-            else {
-                "alster": b"P3 2 2 255 0 0 0 255 255 255 0 0 0 255 255 255",
-                "hafen": b"P3 1 1 255 10 20 30",
-                "michel": b"P3 1 2 255 1 2 3 4 5 6",
-            }
-        )
+    def __init__(self) -> None:
+        self.format = "PPM"
+        self.images = {
+            "alster": b"P3 2 2 255 0 0 0 255 255 255 0 0 0 255 255 255",
+            "hafen": b"P3 1 1 255 10 20 30",
+            "michel": b"P3 1 2 255 1 2 3 4 5 6",
+        }
         self.fetches = 0
 
     def ListImages(self) -> List[str]:

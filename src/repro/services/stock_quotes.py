@@ -41,8 +41,8 @@ module StockQuotes {
 class StockQuotesImpl:
     """Deterministic synthetic quotes (seeded)."""
 
-    def __init__(self, seed: int = 7) -> None:
-        rng = random.Random(seed)
+    def __init__(self) -> None:
+        rng = random.Random(7)
         self._quotes: Dict[str, Dict[str, Any]] = {}
         for symbol in ("DAI", "SIE", "VOW", "BAS", "ALV"):
             base = round(rng.uniform(20.0, 400.0), 2)

@@ -61,17 +61,16 @@ _KNOWN_MODULES = frozenset(
 def load_service_description(
     source: str,
     name: Optional[str] = None,
-    lenient: bool = True,
     type_fallback: bool = False,
 ) -> ServiceDescription:
     """Parse SIDL source and build the SID of one service module.
 
-    ``lenient`` controls parser-level skipping of unknown constructs;
-    ``type_fallback`` maps unresolved type names to ``any`` instead of
-    raising (useful when mediating descriptions written against types the
-    local component does not know).
+    Unknown constructs are skipped (a lenient parse); ``type_fallback``
+    maps unresolved type names to ``any`` instead of raising (useful when
+    mediating descriptions written against types the local component does
+    not know).
     """
-    declarations = parse(source, lenient=lenient)
+    declarations = parse(source)
     return build_service_description(declarations, name, type_fallback)
 
 

@@ -30,9 +30,9 @@ from repro.sidl.tokens import KEYWORDS
 _INDENT = "  "
 
 
-def print_module(declaration: Any, indent: int = 0) -> str:
+def print_module(declaration: Any) -> str:
     """Render any AST declaration (usually a module) as SIDL source."""
-    lines = _print_declaration(declaration, indent)
+    lines = _print_declaration(declaration, 0)
     return "\n".join(lines) + "\n"
 
 

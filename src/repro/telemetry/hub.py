@@ -24,14 +24,13 @@ from typing import Any, Iterator, List
 
 from repro.telemetry import sampling
 from repro.telemetry.exporters import SpanExporter, TraceChain
-from repro.telemetry.metrics import METRICS, MetricsRegistry
+from repro.telemetry.metrics import METRICS
 
 
 class TelemetryHub:
     """Exporter fan-out plus the shared metrics registry."""
 
-    def __init__(self, metrics: MetricsRegistry = METRICS) -> None:
-        self.metrics = metrics
+    def __init__(self) -> None:
         self._exporters: List[SpanExporter] = []
         self._lock = threading.Lock()
         self.chains_exported = 0
@@ -61,13 +60,13 @@ class TelemetryHub:
     def export_chain(self, chain: TraceChain) -> None:
         """Hand one finished chain to every exporter; never raises."""
         if chain.dropped:
-            self.metrics.inc("context.spans_dropped_total", amount=chain.dropped)
+            METRICS.inc("context.spans_dropped_total", amount=chain.dropped)
         exporters = list(self._exporters)
         for exporter in exporters:
             try:
                 exporter.export(chain)
             except Exception:  # noqa: BLE001 - telemetry never fails a request
-                self.metrics.inc(
+                METRICS.inc(
                     "telemetry.export_errors", (type(exporter).__name__,)
                 )
         if exporters:
@@ -95,8 +94,8 @@ class TelemetryHub:
         # the *export* is sampled, so the tail override still sees error
         # chains that were head-sampled out.
         if not sampling.export_decision(ctx, spans):
-            self.metrics.inc("telemetry.spans_sampled_out", amount=len(spans))
-            self.metrics.inc("telemetry.chains_sampled_out")
+            METRICS.inc("telemetry.spans_sampled_out", amount=len(spans))
+            METRICS.inc("telemetry.chains_sampled_out")
             return
         self.export_chain(TraceChain(ctx.trace_id, spans, ctx.spans_dropped))
 

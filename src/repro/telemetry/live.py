@@ -297,9 +297,9 @@ class StatsPoller:
     instead of killing the dashboard.
     """
 
-    def __init__(self, endpoints: Sequence[Any], timeout: float = 1.0) -> None:
+    def __init__(self, endpoints: Sequence[Any]) -> None:
         self.endpoints = list(endpoints)
-        self.timeout = timeout
+        self.timeout = 1.0
         self._transport = None
         self._client = None
 
@@ -352,13 +352,12 @@ def _migration_phase_name(value: Any) -> str:
 def dashboard_widgets(
     aggregator: RedAggregator,
     stats_snapshots: Sequence[Dict[str, Any]] = (),
-    title: str = "COSM live telemetry",
 ) -> List[Widget]:
     """The widget tree one dashboard frame renders."""
     widgets: List[Widget] = [
         Label(
             "telemetry-dash",
-            f"{title} — chains {aggregator.chains_seen}, "
+            f"COSM live telemetry — chains {aggregator.chains_seen}, "
             f"spans {aggregator.spans_seen}, "
             f"log events {aggregator.events_seen}",
         )
@@ -450,12 +449,11 @@ def dashboard_widgets(
 def render_frame(
     aggregator: RedAggregator,
     stats_snapshots: Sequence[Dict[str, Any]] = (),
-    title: str = "COSM live telemetry",
 ) -> str:
     """One dashboard frame as text."""
     return "\n\n".join(
         render(widget)
-        for widget in dashboard_widgets(aggregator, stats_snapshots, title)
+        for widget in dashboard_widgets(aggregator, stats_snapshots)
     )
 
 

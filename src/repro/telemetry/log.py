@@ -115,14 +115,13 @@ class use_log_sink:
             ...
     """
 
-    def __init__(self, sink: Sink, logger: StructuredLogger = LOG) -> None:
+    def __init__(self, sink: Sink) -> None:
         self._sink = sink
-        self._logger = logger
 
     def __enter__(self) -> Sink:
-        self._logger.attach(self._sink)
+        LOG.attach(self._sink)
         return self._sink
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self._logger.detach(self._sink)
+        LOG.detach(self._sink)
         return False

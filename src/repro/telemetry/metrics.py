@@ -172,7 +172,6 @@ class MetricsRegistry:
         name: str,
         value: float,
         labels: Labels = (),
-        bounds: Iterable[float] = DEFAULT_BUCKETS,
     ) -> None:
         if not isinstance(value, (int, float)) or math.isnan(value):
             return  # telemetry never raises on a bad observation
@@ -180,7 +179,7 @@ class MetricsRegistry:
         with self._lock:
             histogram = self._histograms.get(key)
             if histogram is None:
-                histogram = self._histograms[key] = Histogram(bounds)
+                histogram = self._histograms[key] = Histogram(DEFAULT_BUCKETS)
             histogram.observe(value)
 
     def histogram(self, name: str, labels: Labels = ()) -> Optional[Dict[str, Any]]:

@@ -10,16 +10,12 @@ crashed or partitioned exporter simply stops renewing, and the lease
 lapses on its own (the registry-liveness argument of Miraz 2008 and the
 Grid Market Directory's leased publications).
 
-The heartbeat is clock-agnostic:
+:meth:`LeaseHeartbeat.schedule_on` self-reschedules on a
+:class:`~repro.net.clock.SimClock`, so simulated exporters heartbeat in
+virtual time (and crashing the exporter's *host* silently eats the RENEW
+datagrams — no special test plumbing needed).
 
-* :meth:`LeaseHeartbeat.schedule_on` self-reschedules on a
-  :class:`~repro.net.clock.SimClock`, so simulated exporters heartbeat in
-  virtual time (and crashing the exporter's *host* silently eats the
-  RENEW datagrams — no special test plumbing needed);
-* :meth:`LeaseHeartbeat.start_thread` runs the same loop on a daemon
-  thread against the wall clock for TCP deployments.
-
-Either way :meth:`beat` is one renewal attempt; when the trader reports
+:meth:`beat` is one renewal attempt; when the trader reports
 the offer gone (swept after a missed lease) an optional ``reexport``
 callback re-registers it, which is how a recovered exporter re-enters the
 market without operator action.
@@ -27,7 +23,6 @@ market without operator action.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable, Optional
 
 from repro.telemetry.metrics import METRICS
@@ -134,25 +129,6 @@ class LeaseHeartbeat:
 
         pending = [clock.schedule(self.interval, tick)]
 
-    def start_thread(self) -> threading.Thread:
-        """Heartbeat on the wall clock (daemon thread); :meth:`stop` ends it."""
-        stop_event = threading.Event()
-        original_stop = self.stop
-
-        def stop_both() -> None:
-            stop_event.set()
-            original_stop()
-
-        self.stop = stop_both  # type: ignore[method-assign]
-
-        def loop() -> None:
-            while not stop_event.wait(self.interval):
-                self.beat()
-
-        thread = threading.Thread(target=loop, name="lease-heartbeat", daemon=True)
-        thread.start()
-        return thread
-
 
 def keep_alive(
     renew: Renewer,
@@ -162,8 +138,7 @@ def keep_alive(
     reexport: Optional[Callable[[], str]] = None,
 ) -> LeaseHeartbeat:
     """Convenience: a heartbeat at the default cadence, scheduled if a
-    virtual clock is given (otherwise the caller drives ``beat`` or
-    ``start_thread``)."""
+    virtual clock is given (otherwise the caller drives ``beat``)."""
     heartbeat = LeaseHeartbeat(
         renew, offer_id, heartbeat_interval(lease_seconds), reexport=reexport
     )

@@ -142,11 +142,11 @@ def _attribute_type_for(value: Any) -> SidlType:
     return STRING
 
 
-def service_type_from_sid(
-    sid: ServiceDescription,
-    name: Optional[str] = None,
-    reserved: Sequence[str] = ("ServiceID", "TOD", "ServiceType"),
-) -> ServiceType:
+#: Export-embedding entries that describe the offer, not the service type.
+RESERVED_EXPORTS = ("ServiceID", "TOD", "ServiceType")
+
+
+def service_type_from_sid(sid: ServiceDescription) -> ServiceType:
     """Derive a service type from a SID's ``COSM_TraderExport`` (§4.1).
 
     This is the maturation path: once an innovative service's description
@@ -158,12 +158,12 @@ def service_type_from_sid(
     export = sid.trader_export or {}
     attributes: List[Tuple[str, SidlType]] = []
     for attr_name, value in export.items():
-        if attr_name in reserved:
+        if attr_name in RESERVED_EXPORTS:
             continue
         declared = _declared_enum_for(sid, value)
         attributes.append((attr_name, declared or _attribute_type_for(value)))
     return ServiceType(
-        name or sid.service_type_name or sid.name,
+        sid.service_type_name or sid.name,
         sid.interface,
         attributes,
     )

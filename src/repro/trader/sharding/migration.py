@@ -64,6 +64,9 @@ DUAL_READ_PHASES = ("COPY", "CATCH_UP", "FLIP", "DRAIN")
 #: type; past it the only way out is forward.
 ABORTABLE_PHASES = ("PREPARE", "COPY", "CATCH_UP")
 
+#: CATCH_UP replay rounds before FLIP's seal bounds the tail instead.
+MAX_CATCHUP_ROUNDS = 4
+
 
 class MigrationError(ShardingError):
     """The migration protocol was driven outside its state machine."""
@@ -212,12 +215,10 @@ class MigrationCoordinator:
         router: Any,
         checkpoints: Optional[MemoryCheckpoints] = None,
         chunk_size: int = 256,
-        max_catchup_rounds: int = 4,
     ) -> None:
         self.router = router
         self.checkpoints = checkpoints if checkpoints is not None else MemoryCheckpoints()
         self.chunk_size = max(1, chunk_size)
-        self.max_catchup_rounds = max(1, max_catchup_rounds)
         self._contexts: Dict[str, CallContext] = {}
 
     # -- lifecycle ---------------------------------------------------------
@@ -226,8 +227,6 @@ class MigrationCoordinator:
         self,
         service_type: str,
         target: str,
-        source: Optional[str] = None,
-        migration_id: Optional[str] = None,
     ) -> MigrationState:
         """Open a migration of ``service_type`` onto shard ``target``."""
         router = self.router
@@ -235,16 +234,14 @@ class MigrationCoordinator:
             raise MigrationError(f"target shard {target!r} is not in the map")
         if not router.types.has(service_type):
             raise MigrationError(f"unknown service type {service_type!r}")
-        source = source or router.effective_owner(service_type)
+        source = router.effective_owner(service_type)
         if source == target:
             raise MigrationError(
                 f"{service_type!r} already lives on {target!r}; nothing to migrate"
             )
         if router.migration_for(service_type) is not None:
             raise MigrationError(f"{service_type!r} is already migrating")
-        migration_id = migration_id or (
-            f"mig-{service_type}-{source}-{target}-v{router.map.version}"
-        )
+        migration_id = f"mig-{service_type}-{source}-{target}-v{router.map.version}"
         state = MigrationState(migration_id, service_type, source, target)
         router.open_migration(state)
         self._checkpoint(state)
@@ -324,7 +321,7 @@ class MigrationCoordinator:
     def max_steps(self, state: MigrationState) -> int:
         """A safe upper bound on remaining ``step()`` calls."""
         chunks = (max(state.total, len(PHASES)) // self.chunk_size) + 2
-        return chunks + self.max_catchup_rounds + len(PHASES) + 4
+        return chunks + MAX_CATCHUP_ROUNDS + len(PHASES) + 4
 
     # -- the phases --------------------------------------------------------
 
@@ -368,7 +365,7 @@ class MigrationCoordinator:
     def _catch_up(self, state: MigrationState) -> None:
         replayed = self._replay_tail(state)
         state.catchup_rounds += 1
-        if replayed == 0 or state.catchup_rounds >= self.max_catchup_rounds:
+        if replayed == 0 or state.catchup_rounds >= MAX_CATCHUP_ROUNDS:
             # The tail ran dry — or won't under sustained load, in which
             # case FLIP's seal bounds it: after the seal no new delta for
             # the type can appear, so the final replay is finite.
@@ -451,23 +448,6 @@ class MigrationCoordinator:
         return clock() if callable(clock) else 0.0
 
     # -- topology workflows ------------------------------------------------
-
-    def expand(
-        self,
-        shard_id: str,
-        primary: Any,
-        replicas: Any = (),
-        now: Optional[float] = None,
-    ) -> List[MigrationState]:
-        """Grow the fleet: add ``shard_id`` and migrate every type whose
-        rendezvous placement moved onto it.  ``add_shard`` pins moved
-        types to their old owners, so routing never misses an offer in
-        the gap between the map change and each migration's FLIP."""
-        moved = self.router.add_shard(shard_id, primary, replicas)
-        return [
-            self.run(self.begin(service_type, self.router.map.owner(service_type)), now)
-            for service_type in sorted(moved)
-        ]
 
     def drain(self, shard_id: str, now: Optional[float] = None) -> List[MigrationState]:
         """Empty ``shard_id`` ahead of removal: migrate every type it

@@ -44,9 +44,9 @@ _PROC_TRADER_IMPORT = 4  # the trader program's IMPORT procedure
 class ShardReplicationService:
     """Expose a :class:`TraderShard`'s replication surface over RPC."""
 
-    def __init__(self, server: RpcServer, shard: TraderShard, now=lambda: 0.0) -> None:
+    def __init__(self, server: RpcServer, shard: TraderShard, now=None) -> None:
         self.shard = shard
-        self._now = now
+        self._now = now or server.transport.now
         program = RpcProgram(SHARDING_PROGRAM, 1, "sharding")
         program.register(_PROC_APPLY_DELTA, self._apply_delta, "apply_delta")
         program.register(_PROC_DELTAS_SINCE, self._deltas_since, "deltas_since")

@@ -510,9 +510,9 @@ class LocalTrader:
     def link(self, link: TraderLink) -> None:
         self.links[link.name] = link
 
-    def link_local(self, peer: "LocalTrader", max_hops: int = 8) -> None:
+    def link_local(self, peer: "LocalTrader") -> None:
         """Convenience: federate with a co-located trader instance."""
-        self.link(TraderLink(peer.trader_id, peer.import_wire, max_hops))
+        self.link(TraderLink(peer.trader_id, peer.import_wire))
 
     def unlink(self, name: str) -> bool:
         return self.links.pop(name, None) is not None
@@ -526,11 +526,11 @@ class TraderService:
         server: RpcServer,
         trader: Optional[LocalTrader] = None,
         client: Optional[RpcClient] = None,
-        now=lambda: 0.0,
+        now=None,
     ) -> None:
         self.trader = trader or LocalTrader()
         self._client = client
-        self._now = now
+        self._now = now or server.transport.now
         if client is not None and self.trader.dynamic_evaluator is None:
             from repro.trader.dynamic import BindingEvaluator
 

@@ -22,8 +22,6 @@ any / sid            AnyField
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.sidl.sid import ServiceDescription
 from repro.sidl.types import (
     AnyType,
@@ -112,14 +110,13 @@ def widget_for_type(sidl_type: SidlType, label: str, path: str) -> Widget:
 def form_for_operation(
     sid: ServiceDescription,
     operation: OperationType,
-    path_prefix: Optional[str] = None,
 ) -> Form:
     """Generate the value-entry form for one operation.
 
     One widget per in-parameter; textual annotations from the SID become
     the form's caption, so the generated dialogue is self-explaining.
     """
-    base = path_prefix if path_prefix is not None else operation.name
+    base = operation.name
     fields = [
         widget_for_type(param_type, param_name, f"{base}.{param_name}")
         for param_name, param_type in operation.in_params()

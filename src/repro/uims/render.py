@@ -32,9 +32,9 @@ def _cell(value) -> str:
     return str(value)
 
 
-def render(widget: Widget, indent: int = 0) -> str:
+def render(widget: Widget) -> str:
     """Render any widget subtree as indented text."""
-    return "\n".join(_render_lines(widget, indent))
+    return "\n".join(_render_lines(widget, 0))
 
 
 def _render_lines(widget: Widget, indent: int) -> List[str]:

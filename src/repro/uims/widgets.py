@@ -293,16 +293,10 @@ class Table(Widget):
     and HTML backends render it.
     """
 
-    def __init__(
-        self,
-        label: str,
-        columns: List[str],
-        rows: Optional[List[List[Any]]] = None,
-        path: str = "",
-    ) -> None:
-        super().__init__(label, path)
+    def __init__(self, label: str, columns: List[str]) -> None:
+        super().__init__(label)
         self.columns = list(columns)
-        self.rows: List[List[Any]] = [list(row) for row in (rows or [])]
+        self.rows: List[List[Any]] = []
 
     def add_row(self, *cells: Any) -> None:
         if len(cells) != len(self.columns):

@@ -159,6 +159,10 @@ def run_rpc_workload(
     )
 
 
+#: Calls per ``call_many`` round in :func:`run_rpc_workload_batched`.
+BATCH_ROUND = 3
+
+
 def run_rpc_workload_batched(
     seed: int,
     drop: float = 0.0,
@@ -171,8 +175,11 @@ def run_rpc_workload_batched(
     wire path instead of one frame per call.
 
     Same seed, same echo program, same fault knobs — the only variable
-    is the envelope: ``RpcClient.call_many`` writes the calls as one
-    BATCH envelope and the server coalesces the replies.  Chaos
+    is the envelope: ``RpcClient.call_many`` writes each round of
+    ``BATCH_ROUND`` calls as one BATCH envelope and the server coalesces
+    the replies.  Several rounds give a per-envelope fault several draws
+    per run, so a run at ``duplicate=0.5`` sees a duplicate on every
+    seed, not only on the seeds whose single envelope drew one.  Chaos
     parity means the *outcome labels* match the serial run's invariants
     (drops masked by retransmission, duplicates never double-executed),
     not byte-identical traffic.
@@ -194,10 +201,13 @@ def run_rpc_workload_batched(
     net.faults.duplicate_probability = duplicate
 
     ids = [f"c{index:02d}" for index in range(calls)]
-    results = client.call_many(
-        server.address,
-        [(WORK_PROG, 1, 1, {"id": call_id}) for call_id in ids],
-    )
+    results = []
+    for start in range(0, calls, BATCH_ROUND):
+        round_ids = ids[start:start + BATCH_ROUND]
+        results += client.call_many(
+            server.address,
+            [(WORK_PROG, 1, 1, {"id": call_id}) for call_id in round_ids],
+        )
     outcomes: Dict[str, str] = {}
     for call_id, result in zip(ids, results):
         if isinstance(result, ServerShedding):

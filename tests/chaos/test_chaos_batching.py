@@ -29,7 +29,7 @@ def test_batched_baseline_matches_serial_outcomes(chaos_seed):
     assert batched.outcomes == serial.outcomes
     assert sorted(batched.executions) == sorted(serial.executions)
     assert batched.extra["batches_sent"] >= 1
-    # 12 calls leave as one envelope; a retransmission round adds one more
+    # 12 calls leave as four envelopes; a retransmission round adds more
     assert batched.extra["batches_sent"] <= 3 * 4  # retries bound the growth
     assert_core_invariants(batched)
 

@@ -95,7 +95,7 @@ def test_fsm_stays_put_when_server_faults(generic, make_server):
 
 
 def test_guards_can_be_disabled(make_client, rental):
-    loose = GenericClient(make_client(), enforce_fsm=False, check_types=False)
+    loose = GenericClient(make_client(), enforce_fsm=False)
     binding = loose.bind(rental.ref)
     # the client lets it through; the server rejects it
     with pytest.raises(RemoteFault) as excinfo:

@@ -160,17 +160,6 @@ def test_mapping_implementation(make_server, make_client):
     assert binding.invoke("Twice", {"n": 21}) == 42
 
 
-def test_checks_can_be_disabled(make_server, make_client):
-    sid = load_service_description(
-        "module Loose { interface COSM_Operations { long Id(in long n); }; };"
-    )
-    runtime = ServiceRuntime(
-        make_server(), sid, {"Id": lambda n: n}, check_types=False
-    )
-    binding = Binder(make_client()).bind(runtime.ref)
-    assert binding.invoke("Id", {"n": "not-a-long"}) == "not-a-long"
-
-
 def test_fsm_enforcement_can_be_disabled(make_server, make_client):
     from repro.services.car_rental import CAR_RENTAL_SIDL
 

@@ -1,6 +1,9 @@
 """tier-1 runs ``tools/linecov.py`` over the functions whose untested
 branches an aggregate coverage floor would not notice: the at-most-once
 window (replay, encode-once, eviction, oversized replies), the server's
+admission path (arrival rejection and shed, coalesced duplicates, the
+queue-full shed) and its post-execution epilogue (wasted handler
+seconds), the trader service's constructor (its clock default), the
 execute body (dequeue re-checks, the span gate with its ``sampled=0``
 fault-span rebuild, an awaitable handler result refused as a typed
 fault), the index probe's candidate order, the offer store's derived
@@ -28,6 +31,9 @@ TARGETS = [
     "repro.rpc.server:RpcServer._run_entry",
     "repro.rpc.server:RpcServer._execute",
     "repro.rpc.server:RpcServer._invoke",
+    "repro.rpc.server:RpcServer._admit",
+    "repro.rpc.server:RpcServer._observe",
+    "repro.trader.trader:TraderService.__init__",
     "repro.trader.offers:OfferStore._filter",
     "repro.trader.offers:OfferStore._unindex",
     "repro.trader.offers:OfferStore.ordered_by",
@@ -68,6 +74,11 @@ UNIT_TESTS = [
     "tests/test_federation_outcomes.py",
     ADMISSION + "test_queued_call_aged_out_is_dropped_before_execution",
     ADMISSION + "test_queued_call_whose_budget_shrank_below_the_estimate_is_shed_at_dequeue",
+    ADMISSION + "test_estimate_shed_on_tight_budget",
+    ADMISSION + "test_queue_overflow_sheds_latest_deadline_entry",
+    ADMISSION + "test_retransmission_of_queued_or_executing_call_is_coalesced",
+    ADMISSION + "test_disabled_shedding_burns_wasted_handler_seconds",
+    "tests/test_context_integration.py::test_expired_call_rejected_before_handler_runs",
     SAMPLING + "test_sampled_in_chain_is_exported",
     SAMPLING + "test_sampled_out_fault_rebuilds_the_server_span_for_the_tail_keep[blocking]",
     "tests/test_rpc_stats.py::test_probes_beyond_budget_are_shed",

@@ -61,7 +61,6 @@ def test_successful_call_decodes_result(net):
 def test_null_procedure_always_available(net):
     server, __, client, __calls = make_stack(net)
     assert client.call(server.address, PROG, 1, 0) is None
-    assert client.ping(server.address, PROG)
 
 
 def test_explicit_null_proc_can_be_overridden(net):

@@ -34,14 +34,16 @@ def test_car_rental_quote_scales_with_days():
 
 
 def test_car_rental_unavailable_model():
-    impl = CarRentalImpl(available_models={"AUDI": 0})
+    impl = CarRentalImpl()
+    impl.fleet = {"AUDI": 0}
     quote = impl.SelectCar({"CarModel": "AUDI", "BookingDate": "d", "Days": 1})
     assert quote["available"] is False
     assert quote["charge"] == 0.0
 
 
 def test_car_rental_booking_decrements_fleet():
-    impl = CarRentalImpl(available_models={"AUDI": 1})
+    impl = CarRentalImpl()
+    impl.fleet = {"AUDI": 1}
     impl.SelectCar({"CarModel": "AUDI", "BookingDate": "d", "Days": 1})
     booking = impl.BookCar()
     assert booking["pickup_station"] == "Hamburg Airport"
@@ -126,8 +128,8 @@ def test_converter_exposes_upstream_reference(generic, make_server, make_client)
 
 
 def test_quotes_deterministic_by_seed():
-    first = StockQuotesImpl(seed=1).GetQuote("DAI")
-    second = StockQuotesImpl(seed=1).GetQuote("DAI")
+    first = StockQuotesImpl().GetQuote("DAI")
+    second = StockQuotesImpl().GetQuote("DAI")
     assert first == second
     assert first["ask"] > first["bid"]
 

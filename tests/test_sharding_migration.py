@@ -544,9 +544,12 @@ def test_expand_workflow_moves_everything_in_one_call():
     router = make_router()
     before = store_of(router)
     coordinator = MigrationCoordinator(router, chunk_size=2)
-    states = coordinator.expand(
+    moved = router.add_shard(
         "s2", TraderShard("demo/s2", offer_prefix=router.offer_prefix)
     )
+    states = [
+        coordinator.run(coordinator.begin(name, "s2")) for name in sorted(moved)
+    ]
     assert all(s.phase == "DONE" for s in states)
     assert store_of(router) == before
     assert router.status()["pins"] == {}

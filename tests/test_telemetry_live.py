@@ -327,7 +327,8 @@ def test_stats_poller_over_tcp():
         probe = TcpTransport()
         dead = probe.local_address
         probe.close()
-        poller = StatsPoller([good, dead], timeout=0.3)
+        poller = StatsPoller([good, dead])
+        poller.timeout = 0.3
         first, second = poller.poll()
         poller.close()
     finally:

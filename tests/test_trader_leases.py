@@ -18,6 +18,8 @@ from repro.trader.leases import (
     keep_alive,
 )
 from repro.trader.service_types import ServiceType
+from repro.trader.sharding.rpc import SHARDING_PROGRAM, ShardReplicationService
+from repro.trader.sharding.shard import TraderShard
 from repro.trader.trader import (
     TRADER_PROGRAM,
     ImportRequest,
@@ -210,6 +212,26 @@ def test_renew_over_rpc(net, make_server, make_client):
     with pytest.raises(RemoteFault) as exc_info:
         client.renew(offer_id)
     assert exc_info.value.kind == "OfferNotFound"
+
+
+def test_services_built_without_now_judge_leases_on_the_transport_clock(
+    net, make_server, make_client
+):
+    """No lease is served past expiry: without ``now=`` both services read
+    the server transport's clock, so virtual time lapses a 5 s lease."""
+    server = make_server("trader-host")
+    shard = TraderShard("s0")
+    service = TraderService(server, trader=shard)
+    ShardReplicationService(server, shard)
+    rpc = make_client()
+    client = TraderClient(rpc, service.address)
+    client.add_type(rental_type())
+    client.export("CarRentalService", ref(), PROPS, lease_seconds=5.0)
+    request = ImportRequest("CarRentalService")
+    assert len(client.import_(request)) == 1
+    net.clock.run_for(100.0)
+    assert client.import_(request) == []
+    assert rpc.call(service.address, SHARDING_PROGRAM, 1, 6, {}) == 1  # EXPIRE
 
 
 def test_pre_lease_peer_spelling_of_the_grant_is_still_honoured(make_server, make_client):
