@@ -23,6 +23,12 @@ and the tagged path remains the transparent fallback:
 * decode falls back whenever the body is tagged, so compiled-codec
   peers interoperate with peers that never negotiated.
 
+A relay answering with another procedure's reply returns it as an
+:class:`Encoded` body, which ``encode_result`` writes verbatim only when
+it is tagged or carries this procedure's own fingerprint (else it is
+decoded under the origin's checks and encoded afresh): the importer's
+decoder checks every relayed byte against the layout it negotiated.
+
 Hits and fallbacks are counted per direction in the metrics registry
 (``rpc.codec.compiled_hits`` / ``rpc.codec.fallback``); the telemetry
 report surfaces them in the wire-path table.
@@ -33,6 +39,7 @@ from __future__ import annotations
 import struct
 import threading
 import zlib
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -60,6 +67,7 @@ __all__ = [
     "CodecFallback",
     "CodecRegistry",
     "CompiledCodec",
+    "Encoded",
     "MAGIC",
 ]
 
@@ -354,6 +362,20 @@ class CompiledCodec:
         return value
 
 
+@dataclass(frozen=True)
+class Encoded:
+    """A SUCCESS result body kept as the peer's procedure encoded it: a
+    relay returns this from a handler in place of the decoded value."""
+
+    body: bytes
+    prog: int
+    vers: int
+    proc: int
+
+    def decode(self) -> Any:
+        return CODECS.decode_result(self.prog, self.vers, self.proc, self.body)
+
+
 def is_compiled(body) -> bool:
     """True when ``body`` carries the compiled-codec header."""
     return len(body) >= _HEADER.size and _HEADER.unpack_from(body, 0)[0] == MAGIC
@@ -474,7 +496,16 @@ class CodecRegistry:
         return self._decode(self.lookup(prog, vers, proc, "args"), body, "args")
 
     def encode_result(self, prog: int, vers: int, proc: int, value: Any) -> bytes:
-        return self._encode(self.lookup(prog, vers, proc, "result"), value, "result")
+        codec = self.lookup(prog, vers, proc, "result")
+        if type(value) is Encoded:
+            body = value.body
+            if not is_compiled(body) or (
+                codec is not None
+                and _HEADER.unpack_from(body, 0)[1] == codec.fingerprint
+            ):
+                return body
+            value = self.decode_result(value.prog, value.vers, value.proc, body)
+        return self._encode(codec, value, "result")
 
     def decode_result(self, prog: int, vers: int, proc: int, body) -> Any:
         return self._decode(self.lookup(prog, vers, proc, "result"), body, "result")

@@ -6,7 +6,10 @@ either without knowing which it got.  EXPORT/WITHDRAW/MODIFY/RENEW route
 to the one shard that owns the offer's service type (rendezvous placement
 over the versioned :class:`ShardMap`); IMPORT fans out to the owner plus
 every shard covering a subtype-widened query, asking them one after
-another under the caller's deadline; management ops broadcast.
+another under the caller's deadline, and merges and re-ranks their
+answers — except a bounded, deterministic import that one shard covers,
+whose answer is relayed exactly as the shard encoded it; management ops
+broadcast.
 
 Each shard is a :class:`ShardHandle`: a primary backend, an ordered list
 of replica backends, and a circuit breaker around the primary.  When the
@@ -24,6 +27,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Unio
 
 from repro.context import CallContext, Clock, current_context
 from repro.naming.refs import ServiceRef
+from repro.rpc.codec import Encoded
 from repro.rpc.errors import RemoteFault
 from repro.rpc.resilience import STATE_OPEN, BreakerPolicy, CircuitBreaker
 from repro.telemetry.metrics import METRICS
@@ -409,10 +413,10 @@ class ShardRouter:
 
     def import_(
         self,
-        request: ImportRequest,
+        request: Union[ImportRequest, Dict[str, Any]],
         now: float = 0.0,
         ctx: Optional[CallContext] = None,
-    ) -> List[ServiceOffer]:
+    ) -> Union[List[ServiceOffer], List[Dict[str, Any]], Encoded]:
         """Fan the query out to every covering shard; rank at the router.
 
         Planned exactly as an unsharded trader plans it (``plan_import``),
@@ -427,8 +431,16 @@ class ShardRouter:
         soundness argument) the request travels as it came —
         **scatter-gather top-K**: each shard returns only its local top-K,
         riding the sorted-index walk for ``min``/``max`` — otherwise
-        shards return raw matches.
+        shards return raw matches.  The *only* covering shard's top-K is
+        the answer as it stands: the global candidate order restricted to
+        one partition is that partition's (a shard stores each type's
+        offers in mint order), so re-ranking would be the identity.  A
+        request in wire form (from :meth:`import_wire`) is answered in
+        wire form — a remote single owner's reply still encoded.
         """
+        wire_form = not isinstance(request, ImportRequest)
+        if wire_form:
+            request = ImportRequest.from_wire(request)
         if ctx is None:
             ctx = current_context()
         if ctx is None:
@@ -445,11 +457,16 @@ class ShardRouter:
         else:
             forwarded = request.to_raw_wire()  # shards return raw matches; we order
         forwarded["hop_limit"] = 0  # shards are partitions, not federation hops
+        answers = self._gather(owners, forwarded, ctx, now)
+        if plan.partition_top_k and len(owners) == 1:
+            if wire_form:
+                return answers[0]
+            return [ServiceOffer.from_wire(item) for item in _wires(answers[0])]
         merged = self._merge_owned(
             owners,
             [
-                [ServiceOffer.from_wire(item) for item in wires or ()]
-                for wires in self._gather(owners, forwarded, ctx, now)
+                [ServiceOffer.from_wire(item) for item in _wires(answer)]
+                for answer in answers
             ],
         )
         position = {name: index for index, name in enumerate(plan.type_names)}
@@ -463,7 +480,8 @@ class ShardRouter:
             )
 
         merged.sort(key=canonical)
-        return rank(merged, plan.preference, plan.limit, self.rng)
+        ranked = rank(merged, plan.preference, plan.limit, self.rng)
+        return [offer.to_wire() for offer in ranked] if wire_form else ranked
 
     def _merge_owned(
         self, shard_ids: Iterable[str], offer_lists: Iterable[Iterable[ServiceOffer]]
@@ -507,7 +525,7 @@ class ShardRouter:
         forwarded: Dict[str, Any],
         ctx: CallContext,
         now: float,
-    ) -> List[Optional[List[Dict[str, Any]]]]:
+    ) -> List[Any]:
         METRICS.inc(
             "sharding.fanout", (self.trader_id,), amount=max(len(owners), 1)
         )
@@ -530,12 +548,13 @@ class ShardRouter:
         request_wire: Dict[str, Any],
         now: float = 0.0,
         ctx: Optional[CallContext] = None,
-    ) -> List[Dict[str, Any]]:
+    ) -> Union[List[Dict[str, Any]], Encoded]:
+        """Wire dicts, or a remote single owner's reply still encoded
+        (``TraderService`` hands either to the RPC layer as it is)."""
         try:
-            offers = self.import_(ImportRequest.from_wire(request_wire), now, ctx)
+            return self.import_(request_wire, now, ctx)
         except UnknownServiceType:
             return []  # the peer rule, as LocalTrader.import_wire states it
-        return [offer.to_wire() for offer in offers]
 
     # -- introspection ----------------------------------------------------------------
 
@@ -552,6 +571,13 @@ class ShardRouter:
             },
             "pins": dict(sorted(self._pins.items())),
         }
+
+
+def _wires(answer: Any) -> List[Dict[str, Any]]:
+    """A shard's IMPORT answer as wire dicts: a remote one arrives encoded."""
+    if isinstance(answer, Encoded):
+        return answer.decode()
+    return answer or []
 
 
 def build_local_router(

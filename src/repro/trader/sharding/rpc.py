@@ -5,7 +5,9 @@ program (100200) for the client-facing surface, and this replication
 program for the delta stream, catch-up SYNC, promotion, and shard-map
 distribution.  A router reaches such a node through
 :class:`RemoteShardBackend`, which presents the same duck surface as an
-in-process :class:`~repro.trader.sharding.shard.TraderShard`.
+in-process :class:`~repro.trader.sharding.shard.TraderShard` — except
+that its IMPORT answer stays encoded (:class:`~repro.rpc.codec.Encoded`),
+so the router can relay a single owner's reply without a codec pass.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.context import CallContext
+from repro.rpc.client import reply_to_result
+from repro.rpc.codec import CODECS, Encoded
+from repro.rpc.message import ReplyStatus
 from repro.rpc.server import RpcProgram, RpcServer
 from repro.trader.service_types import ServiceType
 from repro.trader.sharding.shard import TraderShard
@@ -134,15 +139,18 @@ class RemoteShardBackend(TraderClient):
         request_wire: Dict[str, Any],
         now: float = 0.0,
         ctx: Optional[CallContext] = None,
-    ) -> List[Dict[str, Any]]:
-        if ctx is not None:
-            return self._client.call(
-                self.address, TRADER_PROGRAM, 1, _PROC_TRADER_IMPORT,
-                request_wire, context=ctx,
-            )
-        return self._client.call(
-            self.address, TRADER_PROGRAM, 1, _PROC_TRADER_IMPORT, request_wire
+    ) -> Encoded:
+        """The shard's IMPORT answer, its SUCCESS body left undecoded:
+        the router relays a single owner's reply as it came and decodes
+        only the answers it merges.  Any other status raises the typed
+        error ``reply_to_result`` maps it to."""
+        key = (TRADER_PROGRAM, 1, _PROC_TRADER_IMPORT)
+        reply = self._client.call_raw(
+            self.address, *key, CODECS.encode_args(*key, request_wire), context=ctx
         )
+        if reply.status is not ReplyStatus.SUCCESS:
+            reply_to_result(reply, self.address, *key)
+        return Encoded(reply.body, *key)
 
     # replication surface ----------------------------------------------------
 

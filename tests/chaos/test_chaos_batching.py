@@ -38,8 +38,15 @@ def test_batched_drops_are_masked_by_retransmission(chaos_seed):
     # call_many shares ONE deadline budget across the whole batch (the
     # serial workload budgets per call), so the collective gets the sum;
     # and a dropped BATCH datagram loses a whole chunk at once, so the
-    # correlated loss needs a couple more attempts than serial frames.
-    run = run_rpc_workload_batched(chaos_seed, drop=0.2, timeout=0.96, retries=6)
+    # correlated loss needs more attempts than serial frames.  Twelve
+    # rounds put 24 envelopes (calls and replies) in front of the drop
+    # fault, so no seed escapes it (0.8 ** 24 < 0.5 %); twelve calls left
+    # it a one-in-six chance of never firing.
+    run = run_rpc_workload_batched(
+        chaos_seed, drop=0.2, calls=36, timeout=0.96, retries=8
+    )
+    assert run.dropped > 0
+    assert run.retransmissions > 0
     assert set(run.outcomes.values()) == {"success"}
     assert_core_invariants(run)
 

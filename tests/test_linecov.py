@@ -14,8 +14,10 @@ error), the client's
 split-phase pair (``start``, and ``gather``: the one attempt loop), the
 envelope writer every CALL frame leaves through (``_send`` cuts, ``_write``
 writes), ``call_many``, the federation fan-out over remote and in-process
-links, and the offer-record wire path (the ``any`` leaf, and the string
-and opaque reads the compiled decoder spends its time in)."""
+links, the offer-record wire path (the ``any`` leaf, and the string
+and opaque reads the compiled decoder spends its time in), and the
+single-owner relay (the router's branch, the remote backend's undecoded
+IMPORT answer and ``encode_result``'s rule for a relayed body)."""
 
 import os
 import subprocess
@@ -47,6 +49,9 @@ TARGETS = [
     "repro.rpc.client:RpcClient.call_many",
     "repro.trader.federation:fan_out",
     "repro.rpc.codec:_compile_any",
+    "repro.rpc.codec:CodecRegistry.encode_result",
+    "repro.trader.sharding.router:ShardRouter.import_",
+    "repro.trader.sharding.rpc:RemoteShardBackend.import_wire",
     "repro.rpc.xdr:_span",
     "repro.rpc.xdr:get_string",
     "repro.rpc.xdr:get_opaque",
@@ -93,6 +98,9 @@ UNIT_TESTS = [
     BATCHING + "test_destinations_stage_independently",
     BATCHING + "test_refused_connect_settles_the_whole_envelope",
     "tests/test_wire_rules.py",
+    "tests/test_trader_sharding_parity.py",
+    "tests/test_sharding_migration.py::test_spliced_and_merged_paths_answer_a_migrated_type_alike",
+    "tests/test_sharding_replication.py::test_a_remote_import_answers_encoded_or_raises_its_mapped_error",
     "tests/test_wire_golden.py::test_compiled_import_reply_of_two_offers",
     "tests/test_trader_index.py",
     "tests/test_trader_policies.py",

@@ -557,6 +557,43 @@ def test_expand_workflow_moves_everything_in_one_call():
         assert router.effective_owner(state.service_type) == "s2"
 
 
+def test_spliced_and_merged_paths_answer_a_migrated_type_alike():
+    """After a completed migration the recipient is the type's only owner,
+    so a bounded import relays its answer unranked by the router (the
+    splice) while an unbounded one is merged and re-ranked.  They agree
+    because the recipient stores the type in mint order: copied offers
+    first, then the ids it mints above the donor's burnt counter."""
+    router = make_router()
+    moved = router.add_shard(
+        "s2", TraderShard("demo/s2", offer_prefix=router.offer_prefix)
+    )
+    name = moving_type(router, moved)
+    coordinator = MigrationCoordinator(router, chunk_size=1)
+    assert coordinator.run(coordinator.begin(name, "s2")).phase == "DONE"
+    for price in (11.0, 10.0, 13.0):  # ties with the copied offers
+        router.export(
+            name,
+            ServiceRef.create("late", Address("h", 9), 1),
+            {"ChargePerDay": price},
+            now=0.0,
+            lease_seconds=600.0,
+        )
+    first_copied = f"{router.offer_prefix}:{name}:1"
+    router.modify(first_copied, {"ChargePerDay": 12.0})
+    assert router._covering_shards((name,)) == ["s2"]
+    for preference in ("", "first", "min ChargePerDay", "max ChargePerDay"):
+        merged = [
+            offer.offer_id
+            for offer in router.import_(ImportRequest(name, "", preference))
+        ]
+        assert len(merged) == 7
+        for bound in range(1, 8):
+            spliced = router.import_(ImportRequest(name, "", preference, bound))
+            assert [offer.offer_id for offer in spliced] == merged[:bound], (
+                preference, bound,
+            )
+
+
 # -- oracle property ---------------------------------------------------------
 
 _OPS = st.lists(

@@ -20,6 +20,8 @@ import pytest
 from repro.naming.refs import ServiceRef
 from repro.net.endpoints import Address
 from repro.rpc.client import RpcClient
+from repro.rpc.codec import Encoded
+from repro.rpc.errors import ProgramUnavailable, RemoteFault
 from repro.rpc.server import RpcServer
 from repro.rpc.transport import SimTransport
 from repro.sidl.types import DOUBLE, InterfaceType, LONG, OperationType
@@ -353,6 +355,25 @@ def test_host_crash_fails_over_to_the_replica_node(wired):
         router.export("CarRentalService", ref("c"), {"ChargePerDay": 40.0})
         == "m:CarRentalService:3"
     )
+
+
+def test_a_remote_import_answers_encoded_or_raises_its_mapped_error(wired):
+    """A remote shard's SUCCESS body comes back undecoded, for the router
+    to relay or decode; any other status raises the typed error
+    ``reply_to_result`` maps it to, so nothing but an answer is relayed."""
+    net, router, primary, replica = wired
+    router.export("CarRentalService", ref("a"), {"ChargePerDay": 10.0})
+    backend = router.handle("s0").primary
+    request = ImportRequest("CarRentalService", "", "min ChargePerDay", 1).to_wire()
+    answer = backend.import_wire(request)
+    assert isinstance(answer, Encoded)
+    assert [wire["offer_id"] for wire in answer.decode()] == ["m:CarRentalService:1"]
+    with pytest.raises(RemoteFault) as fault:
+        backend.import_wire(dict(request, constraint="ChargePerDay <"))
+    assert fault.value.kind == "ConstraintSyntaxError"
+    bare = RpcServer(SimTransport(net, "node-c"))  # serves no trader program
+    with pytest.raises(ProgramUnavailable):
+        RemoteShardBackend(backend._client, bare.address).import_wire(request)
 
 
 def test_shard_map_pushes_reach_remote_nodes(wired):

@@ -3,14 +3,17 @@
 One deterministic workload script — type registration (including a
 subtype), a spread of exports with leases, every preference flavour of
 import, then MODIFY/WITHDRAW/RENEW and the re-imports that observe them
-— runs against three backends behind the *same* ``TraderService`` wire
+— runs against four backends behind the *same* ``TraderService`` wire
 surface:
 
 * a bare :class:`~repro.trader.trader.LocalTrader`,
 * a :class:`~repro.trader.sharding.router.ShardRouter` over one shard,
-* a router over four shards (each with a warm replica).
+* a router over four shards (each with a warm replica),
+* a router over four shard primaries that each run on their own
+  ``RpcServer`` behind a :class:`RemoteShardBackend` — the only flavour
+  in which a single owner's IMPORT reply is relayed still encoded.
 
-through the :class:`TraderClient` stub.  All three outcome maps —
+through the :class:`TraderClient` stub.  All four outcome maps —
 minted offer ids, ranked import results, renew leases, ack booleans —
 must be *identical*: sharding is an implementation detail the wire
 surface must not leak.
@@ -23,22 +26,33 @@ import pytest
 from repro.naming.refs import ServiceRef
 from repro.net import SimNetwork
 from repro.net.endpoints import Address
+from repro.net.latency import LanWanLatency
 from repro.rpc.client import RpcClient
+from repro.rpc.codec import CODECS
 from repro.rpc.errors import RemoteFault
 from repro.rpc.server import RpcServer
 from repro.rpc.transport import SimTransport
 from repro.sidl.types import DOUBLE, InterfaceType, LONG, OperationType, STRING
 from repro.trader.errors import ConstraintSyntaxError
 from repro.trader.service_types import ServiceType
-from repro.trader.sharding import build_local_router
+from repro.trader.sharding import (
+    RemoteShardBackend,
+    ShardReplicationService,
+    ShardRouter,
+    TraderShard,
+    build_local_router,
+)
 from repro.trader.trader import (
+    _PROC_IMPORT,
+    TRADER_PROGRAM,
     ImportRequest,
     LocalTrader,
     TraderClient,
     TraderService,
 )
 
-BACKENDS = ("bare", "router1", "router4")
+BACKENDS = ("bare", "router1", "router4", "remote4")
+SHARD_IDS = ("s0", "s1", "s2", "s3")
 CLIENTS = ("sync",)  # the TraderClient stub
 
 TIE_EXPORTS = ("TieB", "TieA", "TieB", "TieA", "TieBase", "TieB")
@@ -63,14 +77,36 @@ def rental_type(name="CarRentalService", supers=()):
     )
 
 
-def make_backend(flavour):
-    """The trader the service wraps — all three share prefix and seed."""
+def make_backend(flavour, net=None):
+    """The trader the service wraps — all flavours share prefix and seed."""
     if flavour == "bare":
         return LocalTrader("bare", offer_prefix="m", seed=0, fanout_workers=1)
-    shard_ids = ["s0"] if flavour == "router1" else ["s0", "s1", "s2", "s3"]
+    if flavour == "remote4":
+        return remote_router(net or network())
+    shard_ids = ["s0"] if flavour == "router1" else list(SHARD_IDS)
     return build_local_router(
         shard_ids, replicas=1, router_id=flavour, offer_prefix="m", seed=0
     )
+
+
+def network():
+    """Client ↔ trader hops cost 1 ms of virtual time; the hops between a
+    router and its shards, all on the ``fleet`` site, cost none — so a
+    remote shard stamps a lease at the instant the bare trader would."""
+    return SimNetwork(latency=LanWanLatency(lan=0.0, wan=0.001), seed=1994)
+
+
+def remote_router(net):
+    """Four shard primaries, each a node of its own on ``net``."""
+    router = ShardRouter(router_id="remote4", offer_prefix="m", seed=0)
+    client = RpcClient(SimTransport(net, "router.fleet"), timeout=1.0, retries=3)
+    for shard_id in SHARD_IDS:
+        server = RpcServer(SimTransport(net, f"{shard_id}.fleet"))
+        shard = TraderShard(f"remote4/{shard_id}", offer_prefix="m", seed=0)
+        TraderService(server, trader=shard)
+        ShardReplicationService(server, shard)
+        router.add_shard(shard_id, RemoteShardBackend(client, server.address))
+    return router
 
 
 class SyncDriver:
@@ -194,9 +230,10 @@ def drive(driver):
 
 
 def run(backend_flavour):
-    net = SimNetwork(seed=1994)
+    net = network()
     service = TraderService(
-        RpcServer(SimTransport(net, "trader")), trader=make_backend(backend_flavour)
+        RpcServer(SimTransport(net, "trader")),
+        trader=make_backend(backend_flavour, net),
     )
     return drive(SyncDriver(net, service.address))
 
@@ -278,3 +315,33 @@ def test_four_shard_router_actually_partitions():
         for name in ("CarRentalService", "LuxuryRental", "BikeRental")
     }
     assert len(set(owners.values())) > 1
+
+
+def test_single_owner_import_costs_one_encode_and_one_decode(monkeypatch):
+    """The shard encodes the answer once and the importer decodes it once;
+    the router, relaying a single owner's top-K, runs no codec pass."""
+    net = network()
+    router = remote_router(net)
+    service = TraderService(RpcServer(SimTransport(net, "trader")), trader=router)
+    driver = SyncDriver(net, service.address)
+    driver.add_type(rental_type("BikeRental"))
+    for index in range(3):
+        driver.export(
+            "BikeRental", ref(f"bike-{index}"),
+            {"ChargePerDay": 5.0 + index, "City": "HH", "Seats": 1},
+        )
+    codec = CODECS.lookup(TRADER_PROGRAM, 1, _PROC_IMPORT, "result")
+    passes = []
+    for method in ("encode", "decode"):
+        def counted(value, _method=method, _inner=getattr(codec, method)):
+            passes.append(_method)
+            return _inner(value)
+
+        monkeypatch.setattr(codec, method, counted)
+    request = ImportRequest("BikeRental", "", "max ChargePerDay", max_matches=2)
+    assert driver.import_ids(request) == ["m:BikeRental:3", "m:BikeRental:2"]
+    assert passes == ["encode", "decode"]
+    # A multi-owner or unbounded import still decodes at the router.
+    passes.clear()
+    driver.import_ids(ImportRequest("BikeRental"))
+    assert passes == ["encode", "decode", "encode", "decode"]

@@ -16,7 +16,7 @@ import pytest
 
 import repro
 from repro.net.endpoints import Address
-from repro.rpc.codec import CompiledCodec
+from repro.rpc.codec import CodecRegistry, CompiledCodec, Encoded
 from repro.rpc.errors import XdrError, XdrTruncated
 from repro.rpc.message import ReplyStatus, RpcCall, RpcReply, decode_message, decode_messages
 from repro.rpc.xdr import MAX_VALUE_DEPTH, decode_value, encode_value
@@ -252,3 +252,101 @@ def test_only_three_modules_know_struct():
         if re.search(r"^\s*(import struct|from struct import)", path.read_text(), re.M)
     }
     assert users == {"rpc/xdr.py", "rpc/codec.py", "rpc/message.py"}
+
+
+# -- a relayed body (``Encoded``): forwarded only under its own fingerprint ---
+# A router that relays one shard's IMPORT reply hands the server the bytes
+# the shard sent.  ``encode_result`` may write them verbatim only where
+# the importer's decoder will check them against the layout it negotiated.
+RELAY_PROG = 940300
+OTHER = layout.struct(x=layout.i64())
+RELAY = CodecRegistry()
+RELAY.register(RELAY_PROG, 1, 1, result=RECORD)  # the answering procedure
+RELAY.register(RELAY_PROG, 1, 2, result=RECORD)  # a shard's: same layout
+RELAY.register(RELAY_PROG, 1, 3, result=OTHER)  # a shard's: another layout
+ORIGIN_BODIES = {
+    "tagged": (2, encode_value(RECORD_VALUE)),
+    "fingerprint": (2, CompiledCodec(RECORD).encode(RECORD_VALUE)),
+    "foreign": (3, CompiledCodec(OTHER).encode({"x": 7})),
+    "foreign-to-both": (2, CompiledCodec(OTHER).encode({"x": 7})),
+}
+
+
+@pytest.mark.parametrize("kind", list(ORIGIN_BODIES))
+def test_a_relayed_body_passes_through_only_where_the_importer_checks_it(kind):
+    origin, body = ORIGIN_BODIES[kind]
+    relayed = Encoded(body, RELAY_PROG, 1, origin)
+    if kind == "foreign-to-both":
+        with pytest.raises(XdrError, match="fingerprint") as excinfo:
+            RELAY.encode_result(RELAY_PROG, 1, 1, relayed)
+        assert type(excinfo.value) is XdrError
+        return
+    written = RELAY.encode_result(RELAY_PROG, 1, 1, relayed)
+    if kind == "foreign":
+        # decoded under the origin's layout, encoded afresh under ours
+        assert written != body
+        assert RELAY.decode_result(RELAY_PROG, 1, 1, written) == {"x": 7}
+    else:
+        assert written is body
+        assert RELAY.decode_result(RELAY_PROG, 1, 1, written) == RECORD_VALUE
+
+
+def test_a_truncated_single_owner_reply_reaches_the_importer_as_xdr_truncated(
+    monkeypatch,
+):
+    """The router relays a single owner's reply undecoded, so damage is
+    found where it is decoded — at the importer, as the same class the
+    decoder raises on the bytes themselves — in one attempt, with the
+    shard's breaker untouched."""
+    from repro.naming.refs import ServiceRef
+    from repro.net import SimNetwork
+    from repro.rpc.client import RpcClient
+    from repro.rpc.codec import CODECS, is_compiled
+    from repro.rpc.server import RpcServer
+    from repro.rpc.transport import SimTransport
+    from repro.sidl.types import DOUBLE, InterfaceType, LONG, OperationType
+    from repro.trader.service_types import ServiceType
+    from repro.trader.sharding import (
+        RemoteShardBackend, ShardReplicationService, ShardRouter, TraderShard,
+    )
+    from repro.trader.trader import (
+        _PROC_IMPORT, TRADER_PROGRAM, ImportRequest, TraderClient, TraderService,
+    )
+
+    net = SimNetwork(seed=7)
+    router = ShardRouter(router_id="r", offer_prefix="m")
+    backend_client = RpcClient(SimTransport(net, "router"), timeout=0.5, retries=2)
+    shard = TraderShard("r/s0", offer_prefix="m")
+    shard_server = RpcServer(SimTransport(net, "s0"))
+    TraderService(shard_server, trader=shard)
+    ShardReplicationService(shard_server, shard)
+    router.add_shard("s0", RemoteShardBackend(backend_client, shard_server.address))
+    front = TraderService(RpcServer(SimTransport(net, "front")), trader=router)
+    importer = RpcClient(SimTransport(net, "cli"), timeout=0.5, retries=2)
+    stub = TraderClient(importer, front.address)
+    stub.add_type(ServiceType(
+        "Bike", InterfaceType("I", [OperationType("Ride", [], LONG)]),
+        [("ChargePerDay", DOUBLE)],
+    ))
+    stub.export(
+        "Bike", ServiceRef.create("bike", Address("h", 1), 1), {"ChargePerDay": 5.0}
+    )
+
+    key = (TRADER_PROGRAM, 1, _PROC_IMPORT)
+    answer = shard.import_wire
+    damaged = []
+
+    def truncated(request_wire, now=0.0, ctx=None):
+        body = CODECS.encode_result(*key, answer(request_wire, now, ctx))
+        damaged.append(body[:-1])
+        return Encoded(damaged[-1], *key)
+
+    monkeypatch.setattr(shard, "import_wire", truncated)
+    with pytest.raises(XdrError) as at_importer:
+        stub.import_(ImportRequest("Bike", "", "min ChargePerDay", 1))
+    assert len(damaged) == 1 and is_compiled(damaged[0])
+    with pytest.raises(XdrError) as decoded_here:
+        CODECS.decode_result(*key, damaged[0])
+    assert type(at_importer.value) is type(decoded_here.value) is XdrTruncated
+    assert importer.retransmissions == 0
+    assert router.handle("s0").breaker.state_name == "closed"
