@@ -13,7 +13,6 @@ from typing import Any, Dict, Optional, Union
 
 from repro.errors import CosmError
 from repro.naming.refs import ServiceRef
-from repro.rpc.errors import RemoteFault
 from repro.sidl.sid import ServiceDescription
 from repro.trader.errors import DuplicateServiceType
 from repro.trader.leases import LeaseHeartbeat, keep_alive
@@ -71,9 +70,6 @@ def make_tradable(
             trader.add_type(derived)
         except DuplicateServiceType:
             pass  # registration race with another exporter
-        except RemoteFault as exc:
-            if exc.kind != "DuplicateServiceType":
-                raise
     return trader.export(
         derived.name, ref, export_properties(sid), lease_seconds=lease_seconds
     )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import NoReturn
+
 from repro.errors import CommunicationError, ProtocolError
 
 
@@ -56,6 +58,17 @@ class RemoteFault(RpcError):
         super().__init__(f"{kind}: {detail}")
         self.kind = kind
         self.detail = detail
+
+    def reraise_as(self, base: type) -> NoReturn:
+        """Raise the subclass of ``base`` that ``kind`` names (the error the
+        remote side raised), else this fault itself."""
+        pending = [base]
+        while pending:
+            error = pending.pop()
+            if error.__name__ == self.kind:
+                raise error(self.detail) from self
+            pending.extend(error.__subclasses__())
+        raise self
 
 
 class XdrError(ProtocolError):

@@ -232,19 +232,22 @@ class ResilientCaller:
     """Failover + backoff + breakers over a ranked list of targets.
 
     The generic engine is :meth:`run` — it drives any per-target attempt
-    callable (the rebind layer reuses it for bind-and-invoke attempts);
+    callable (the rebind layer's bind-and-invoke; the shard router's
+    backends, on an engine with no client: its ``clock``, zero backoff);
     :meth:`call` is the plain RPC form over a list of addresses.
     """
 
     def __init__(
         self,
-        client: RpcClient,
+        client: Optional[RpcClient],
         backoff: Optional[BackoffPolicy] = None,
         breaker: Optional[BreakerPolicy] = None,
         rounds: int = 3,
         seed: int = 0,
+        clock: Optional[Clock] = None,
     ) -> None:
         self._client = client
+        self.clock = clock or client.transport.now
         self.backoff = backoff or BackoffPolicy()
         self.breaker_policy = breaker or BreakerPolicy()
         # Without a deadline the retry loop needs *some* bound: at most
@@ -256,10 +259,6 @@ class ResilientCaller:
         self.failovers = 0
         self.backoff_sleeps = 0.0
 
-    @property
-    def transport(self):
-        return self._client.transport
-
     def breaker_opens(self) -> int:
         """Total open transitions across every endpoint's breaker."""
         with self._lock:
@@ -270,7 +269,7 @@ class ResilientCaller:
             breaker = self._breakers.get(key)
             if breaker is None:
                 breaker = self._breakers[key] = CircuitBreaker(
-                    key, self.breaker_policy, self._client.transport.now
+                    key, self.breaker_policy, self.clock
                 )
             return breaker
 
@@ -307,7 +306,7 @@ class ResilientCaller:
         if ctx is None:
             ctx = current_context()
         targets = list(targets)
-        clock = self._client.transport.now
+        clock = self.clock
         span_ctx = ctx if ctx is not None else CallContext.background()
         with span_ctx.span("resilience", operation, clock) as span:
             last_error: Optional[BaseException] = None
@@ -405,7 +404,7 @@ class ResilientCaller:
         """
         if ctx is None or ctx.deadline is None:
             return ctx
-        now = self._client.transport.now()
+        now = self.clock()
         share = ctx.remaining(now) / max(1, candidates_left)
         return ctx.derive(deadline=min(ctx.deadline, now + share))
 

@@ -84,29 +84,24 @@ class LeaseHeartbeat:
         try:
             self.renew(self.offer_id)
         except OfferNotFound:
-            return self._handle_lost()
-        except Exception as exc:  # noqa: BLE001 - liveness must not propagate
-            if type(exc).__name__ == "RemoteFault" and getattr(exc, "kind", "") == "OfferNotFound":
-                return self._handle_lost()
+            self.failures += 1
+            METRICS.inc("trader.lease.heartbeats", ("lost",))
+            if self.reexport is None:
+                return False
+            try:
+                self.offer_id = self.reexport()
+            except Exception:  # noqa: BLE001 - retried on the next beat
+                METRICS.inc("trader.lease.heartbeats", ("reexport_failed",))
+                return False
+            self.reexports += 1
+            METRICS.inc("trader.lease.heartbeats", ("reexported",))
+            return True
+        except Exception:  # noqa: BLE001 - liveness must not propagate
             self.failures += 1
             METRICS.inc("trader.lease.heartbeats", ("failed",))
             return False
         self.beats += 1
         METRICS.inc("trader.lease.heartbeats", ("ok",))
-        return True
-
-    def _handle_lost(self) -> bool:
-        self.failures += 1
-        METRICS.inc("trader.lease.heartbeats", ("lost",))
-        if self.reexport is None:
-            return False
-        try:
-            self.offer_id = self.reexport()
-        except Exception:  # noqa: BLE001 - retried on the next beat
-            METRICS.inc("trader.lease.heartbeats", ("reexport_failed",))
-            return False
-        self.reexports += 1
-        METRICS.inc("trader.lease.heartbeats", ("reexported",))
         return True
 
     # -- clock bindings ----------------------------------------------------

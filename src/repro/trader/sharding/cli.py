@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 from typing import List, Optional, Sequence
 
+from repro.errors import CommunicationError
 from repro.naming.refs import ServiceRef
 from repro.net.endpoints import Address
 from repro.sidl.types import DOUBLE, InterfaceType, LONG, OperationType
@@ -25,7 +26,7 @@ class _CrashedBackend:
 
     def __getattr__(self, name):
         def refuse(*args, **kwargs):
-            raise ConnectionError("shard primary crashed")
+            raise CommunicationError("shard primary crashed")
 
         return refuse
 

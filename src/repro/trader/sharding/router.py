@@ -11,12 +11,12 @@ answers — except a bounded, deterministic import that one shard covers,
 whose answer is relayed exactly as the shard encoded it; management ops
 broadcast.
 
-Each shard is a :class:`ShardHandle`: a primary backend, an ordered list
-of replica backends, and a circuit breaker around the primary.  When the
-breaker opens, the handle promotes the first replica — which expires any
-leases that lapsed in the failover window before serving — and retries
-the failed call there, so a primary crash costs availability only for
-the instant of detection.
+Each shard is a :class:`ShardHandle`: a primary and its ranked replicas,
+tried in order on the one failover engine, ``ResilientCaller.run``.  An
+outage fails over within the caller's deadline and promotes the replica
+reached, which expires any lease that lapsed in the failover window before
+it serves; a shard's application error (an unknown offer id, a sealed
+type) is an answer, not an outage, whether the shard is local or remote.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Unio
 from repro.context import CallContext, Clock, current_context
 from repro.naming.refs import ServiceRef
 from repro.rpc.codec import Encoded
-from repro.rpc.errors import RemoteFault
-from repro.rpc.resilience import STATE_OPEN, BreakerPolicy, CircuitBreaker
+from repro.rpc.resilience import BackoffPolicy, BreakerPolicy, ResilientCaller, transient
 from repro.telemetry.metrics import METRICS
 from repro.trader.errors import OfferNotFound, TraderError, UnknownServiceType
 from repro.trader.federation import TraderLink
@@ -48,83 +47,70 @@ from repro.trader.sharding.shard import TraderShard
 from repro.trader.trader import ImportRequest, plan_import, rank
 from repro.trader.type_manager import TypeManager
 
-#: Breaker policy for shard primaries: one hard failure opens the
+#: Breaker policy for shard backends: one hard failure opens the
 #: circuit, because unlike a federation peer a shard has a warm replica
 #: standing by — failing over immediately beats retrying a corpse.
 SHARD_BREAKER = BreakerPolicy(failure_threshold=1, probe_interval=30.0)
 
+#: No pause before a replica: it is warm, and a promotion is not a retry.
+SHARD_BACKOFF = BackoffPolicy(base=0.0, cap=0.0)
+
 
 class ShardHandle:
-    """One shard's primary + replicas behind a circuit breaker."""
+    """One shard: ``[primary, *replicas]``, a ranked target list.  Breakers
+    go by rank as built (``router/s0``, ``router/s0-r1`` …): a promoted
+    replica keeps its own."""
 
     def __init__(
-        self,
-        shard_id: str,
-        primary: Any,
-        replicas: Iterable[Any] = (),
-        clock: Optional[Clock] = None,
-        policy: BreakerPolicy = SHARD_BREAKER,
-        router_id: str = "router",
+        self, router_id: str, shard_id: str, primary: Any, replicas: Iterable[Any],
+        engine: ResilientCaller,
     ) -> None:
         self.shard_id = shard_id
         self.primary = primary
         self.replicas: List[Any] = list(replicas)
-        self._clock = clock or (lambda: 0.0)
-        self._policy = policy
-        self._router_id = router_id
-        self.breaker = self._new_breaker()
+        self._engine = engine
+        self._labels = (router_id, shard_id)
+        self._promoted = 0  # ranks spent on promotions
 
-    def _new_breaker(self) -> CircuitBreaker:
-        return CircuitBreaker(
-            f"{self._router_id}/{self.shard_id}", self._policy, self._clock
-        )
+    @property
+    def breaker(self):
+        return self._engine.breaker_for(self._key(self.primary))
 
-    def call(self, op: str, *args: Any, **kwargs: Any) -> Any:
-        """Invoke ``op`` on the primary, failing over when its breaker opens.
+    def _key(self, backend: Any) -> str:
+        built_as = self._promoted
+        if backend is not self.primary:
+            built_as += 1 + self.replicas.index(backend)
+        return "/".join(self._labels) + (f"-r{built_as}" if built_as else "")
 
-        Application errors (:class:`TraderError` — unknown type, missing
-        offer…) are *successful* calls of the backend and propagate
-        untouched; only infrastructure failures trip the breaker.
+    def call(self, op: str, *args: Any, ctx: Optional[CallContext] = None) -> Any:
+        """Invoke ``op`` on the first backend that answers, promoting the
+        replica reached.  Outages fail over (``resilience.transient``);
+        application errors propagate and leave the breakers alone.  With
+        ``ctx`` the backend gets the attempt's deadline slice as its last
+        argument.  No backend answering raises :class:`ShardUnavailable`.
         """
-        if self.breaker.allow():
-            try:
-                result = getattr(self.primary, op)(*args, **kwargs)
-            except TraderError:
-                self.breaker.record_success()
-                raise
-            except RemoteFault as fault:
-                if fault.kind == "MigrationSealed":
-                    # A remote donor refusing a sealed type is an
-                    # application answer, not an outage: re-raise it
-                    # typed so the router's forwarding window catches it.
-                    self.breaker.record_success()
-                    raise MigrationSealed(fault.detail) from fault
-                self.breaker.record_failure()
-                if self.breaker.state != STATE_OPEN:
-                    raise
-                return self._failover(op, args, kwargs, fault)
-            except Exception as failure:  # noqa: BLE001 - backend is down
-                self.breaker.record_failure()
-                if self.breaker.state != STATE_OPEN:
-                    raise  # transient; breaker still closed, let caller retry
-                return self._failover(op, args, kwargs, failure)
-            else:
-                self.breaker.record_success()
-                return result
-        return self._failover(op, args, kwargs, None)
 
-    def _failover(self, op, args, kwargs, failure: Optional[Exception]) -> Any:
-        if not self.replicas:
+        def attempt(backend: Any, child: Optional[CallContext]) -> Any:
+            if backend is not self.primary:
+                backend.promote(self._engine.clock())
+                index = self.replicas.index(backend)
+                del self.replicas[: index + 1]
+                self._promoted += index + 1
+                self.primary = backend
+                METRICS.inc("sharding.failovers", self._labels)
+            method = getattr(backend, op)
+            return method(*args) if ctx is None else method(*args, child)
+
+        try:
+            return self._engine.run(
+                [self.primary, *self.replicas], attempt, ctx, self._key, op
+            )
+        except Exception as failure:
+            if not transient(failure):
+                raise
             raise ShardUnavailable(
-                f"shard {self.shard_id}: primary down, no replica to promote"
+                f"shard {self.shard_id}: no backend answered {op}"
             ) from failure
-        promoted = self.replicas.pop(0)
-        now = self._clock()
-        promoted.promote(now)
-        self.primary = promoted
-        self.breaker = self._new_breaker()
-        METRICS.inc("sharding.failovers", (self._router_id, self.shard_id))
-        return self.call(op, *args, **kwargs)
 
     def status(self) -> Dict[str, Any]:
         return {
@@ -164,6 +150,8 @@ class ShardRouter:
 
     An import asks its covering shards one after another.
     ``fanout_workers`` is accepted for existing callers and unread.
+    An import's deadline is sliced over a shard's backends on ``clock``, the
+    remote shards' transport clock; a router without one passes it whole.
     """
 
     def __init__(
@@ -173,7 +161,6 @@ class ShardRouter:
         seed: int = 0,
         clock: Optional[Clock] = None,
         fanout_workers: int = 1,
-        breaker_policy: BreakerPolicy = SHARD_BREAKER,
     ) -> None:
         self.trader_id = router_id
         self.offer_prefix = offer_prefix or router_id
@@ -183,7 +170,11 @@ class ShardRouter:
         self.clock = clock
         self.links: Dict[str, TraderLink] = {}  # routers do not federate (yet)
         self.dynamic_evaluator = None
-        self._breaker_policy = breaker_policy
+        # Every shard's failover engine (PROTOCOL §8): one pass per call.
+        self._engine = ResilientCaller(
+            None, SHARD_BACKOFF, SHARD_BREAKER, rounds=1,
+            clock=lambda: self.clock() if self.clock else 0.0,
+        )
         self._handles: Dict[str, ShardHandle] = {}
         self.offers = _RouterOffers(self)
         self.exports_accepted = 0
@@ -213,12 +204,7 @@ class ShardRouter:
         """
         old_map = self.map if len(self.map) else None
         self._handles[shard_id] = ShardHandle(
-            shard_id,
-            primary,
-            replicas,
-            clock=self.clock,
-            policy=self._breaker_policy,
-            router_id=self.trader_id,
+            self.trader_id, shard_id, primary, replicas, self._engine
         )
         self.map = self.map.with_shard(shard_id)
         self._seed_types(self._handles[shard_id])
@@ -529,8 +515,9 @@ class ShardRouter:
         METRICS.inc(
             "sharding.fanout", (self.trader_id,), amount=max(len(owners), 1)
         )
+        args, sliced = ((forwarded, now), ctx) if self.clock else ((forwarded, now, ctx), None)
         return [
-            self._handles[shard_id].call("import_wire", forwarded, now, ctx)
+            self._handles[shard_id].call("import_wire", *args, ctx=sliced)
             for shard_id in owners
         ]
 
@@ -587,7 +574,6 @@ def build_local_router(
     offer_prefix: Optional[str] = None,
     seed: int = 0,
     clock: Optional[Clock] = None,
-    breaker_policy: BreakerPolicy = SHARD_BREAKER,
     dynamic_evaluator=None,
     range_index: bool = True,
 ) -> ShardRouter:
@@ -602,7 +588,6 @@ def build_local_router(
         offer_prefix=offer_prefix,
         seed=seed,
         clock=clock,
-        breaker_policy=breaker_policy,
     )
     for shard_id in shard_ids:
         primary = TraderShard(

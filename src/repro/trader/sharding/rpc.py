@@ -17,8 +17,10 @@ from typing import Any, Dict, List, Optional
 from repro.context import CallContext
 from repro.rpc.client import reply_to_result
 from repro.rpc.codec import CODECS, Encoded
+from repro.rpc.errors import RemoteFault
 from repro.rpc.message import ReplyStatus
 from repro.rpc.server import RpcProgram, RpcServer
+from repro.trader.errors import TraderError
 from repro.trader.service_types import ServiceType
 from repro.trader.sharding.shard import TraderShard
 from repro.trader.trader import TRADER_PROGRAM, TraderClient
@@ -143,13 +145,16 @@ class RemoteShardBackend(TraderClient):
         """The shard's IMPORT answer, its SUCCESS body left undecoded:
         the router relays a single owner's reply as it came and decodes
         only the answers it merges.  Any other status raises the typed
-        error ``reply_to_result`` maps it to."""
+        error ``reply_to_result`` maps it to, a shard's own as it raised it."""
         key = (TRADER_PROGRAM, 1, _PROC_TRADER_IMPORT)
         reply = self._client.call_raw(
             self.address, *key, CODECS.encode_args(*key, request_wire), context=ctx
         )
         if reply.status is not ReplyStatus.SUCCESS:
-            reply_to_result(reply, self.address, *key)
+            try:
+                reply_to_result(reply, self.address, *key)
+            except RemoteFault as fault:
+                fault.reraise_as(TraderError)
         return Encoded(reply.body, *key)
 
     # replication surface ----------------------------------------------------
@@ -215,4 +220,4 @@ class RemoteShardBackend(TraderClient):
         return self._shard_call(_PROC_MIGRATE_STATUS, {"migration_id": migration_id})
 
     def _shard_call(self, proc: int, args: Dict[str, Any]) -> Any:
-        return self._client.call(self.address, SHARDING_PROGRAM, 1, proc, args)
+        return self._call(proc, args, prog=SHARDING_PROGRAM)

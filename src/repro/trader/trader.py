@@ -16,6 +16,7 @@ from repro.naming.refs import ServiceRef
 from repro.net.endpoints import Address
 from repro.rpc.client import RpcClient
 from repro.rpc.codec import CODECS
+from repro.rpc.errors import RemoteFault
 from repro.rpc.server import RpcProgram, RpcServer
 from repro.sidl import layout
 from repro.telemetry.log import LOG
@@ -675,10 +676,14 @@ class TraderClient:
     def list_offers(self) -> List[ServiceOffer]:
         return [ServiceOffer.from_wire(item) for item in self._call(_PROC_LIST_OFFERS, {})]
 
-    def _call(self, proc: int, args, ctx: Optional[CallContext] = None) -> Any:
-        if ctx is not None:
+    def _call(
+        self, proc: int, args, ctx: Optional[CallContext] = None, prog: int = TRADER_PROGRAM
+    ) -> Any:
+        """A remote :class:`TraderError` raises as itself, as a local one does."""
+        try:
+            if ctx is None:
+                return self._client.call(self.address, prog, 1, proc, args)
             with ctx.span("trader", f"proc {proc}", self._client.transport.now):
-                return self._client.call(
-                    self.address, TRADER_PROGRAM, 1, proc, args, context=ctx
-                )
-        return self._client.call(self.address, TRADER_PROGRAM, 1, proc, args)
+                return self._client.call(self.address, prog, 1, proc, args, context=ctx)
+        except RemoteFault as fault:
+            fault.reraise_as(TraderError)

@@ -70,6 +70,8 @@ class ChaosRun:
     calls_shed: int = 0
     deadlines_rejected: int = 0
     extra: Dict[str, Any] = field(default_factory=dict)
+    #: What a contract check reads beyond the fingerprinted fields; not hashed.
+    observed: Dict[str, Any] = field(default_factory=dict)
 
     def fingerprint(self) -> str:
         payload = {

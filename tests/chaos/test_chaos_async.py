@@ -24,11 +24,35 @@ from repro.rpc.errors import DeadlineExceeded, RpcTimeout, ServerShedding
 from repro.rpc.resilience import BackoffPolicy, BreakerPolicy, ResilientCaller
 from repro.rpc.transport import SimTransport
 from repro.services.car_rental import start_car_rental
+from repro.trader.errors import OfferNotFound
 from repro.trader.trader import LocalTrader, TraderClient, TraderService
 
 from tests.chaos.harness import ChaosRun, availability
 
 RECOVERY_BAR = 0.95
+
+#: The heartbeat stubs' RPC timeout (no retries): a renewal's reply
+#: arrives at most this long after the trader stamped the lease.
+STUB_TIMEOUT = 0.05
+
+
+def _logged(call, log, clock, success):
+    """``call``, appending each outcome — ``success``, ``lost`` (the trader
+    no longer knows the offer) or ``failed`` — and its time to ``log``."""
+
+    def logged(*args):
+        try:
+            result = call(*args)
+        except OfferNotFound:
+            log.append(("lost", clock.now))
+            raise
+        except Exception:
+            log.append(("failed", clock.now))
+            raise
+        log.append((success, clock.now))
+        return result
+
+    return logged
 
 
 def run_mixed_fault_workload(
@@ -65,6 +89,7 @@ def run_mixed_fault_workload(
     )
 
     heartbeats = []
+    renewals = []  # per worker: (outcome, time) of every RENEW and re-export
     runtimes = []
     for index in range(workers):
         host = f"w{index:02d}"
@@ -73,14 +98,14 @@ def run_mixed_fault_workload(
         )
         runtimes.append((host, runtime))
         stub = TraderClient(
-            RpcClient(SimTransport(net, host), timeout=0.05, retries=0),
+            RpcClient(SimTransport(net, host), timeout=STUB_TIMEOUT, retries=0),
             trader_service.address,
         )
-        heartbeats.append(
-            keep_tradable(
-                runtime.sid, runtime.ref, stub, lease_seconds, clock=clock
-            )
-        )
+        heartbeat = keep_tradable(runtime.sid, runtime.ref, stub, lease_seconds, clock=clock)
+        renewals.append([])
+        heartbeat.renew = _logged(heartbeat.renew, renewals[-1], clock, "ok")
+        heartbeat.reexport = _logged(heartbeat.reexport, renewals[-1], clock, "reexported")
+        heartbeats.append(heartbeat)
 
     sweeping = {"on": True}
 
@@ -194,6 +219,7 @@ def run_mixed_fault_workload(
             "offers_live": len(trader_service.trader.offers),
             "latencies": latencies,
         },
+        observed={"renewals": renewals, "lease_seconds": lease_seconds},
     )
 
 
@@ -209,11 +235,26 @@ def test_async_failover_restores_availability(chaos_seed):
 
 def test_async_crashed_workers_reenter_the_market(chaos_seed):
     run = run_mixed_fault_workload(chaos_seed)
-    # Both crashed workers lapsed out of the market and re-exported on
+    renewals = run.observed["renewals"]
+    reexported = [sum(1 for outcome, __ in log if outcome == "reexported") for log in renewals]
+    # Both crashed workers lapsed out of the market and re-exported once on
     # recovery, so the full fleet is matchable again at the end.
-    assert run.extra["reexports"] == 2
+    assert reexported[:2] == [1, 1]
+    assert sum(reexported) == run.extra["reexports"]
     assert run.extra["heartbeat_failures"] > 0
     assert run.extra["offers_live"] == 6
+    # The lease contract, for every worker: an offer is lost only after its
+    # exporter went a whole lease without a renewal (BEATS_PER_LEASE = 3
+    # survives one lost RENEW, not two).  A live worker whose RENEWs drop
+    # twice running re-exports too: seed 43 loses w03's at t ≈ 4.71 and 4.97.
+    lease = run.observed["lease_seconds"]
+    for log in renewals:
+        live_since = 0.0
+        for outcome, at in log:
+            if outcome in ("ok", "reexported"):
+                live_since = at
+            elif outcome == "lost":
+                assert at - live_since >= lease - STUB_TIMEOUT, (log, at)
 
 
 def test_async_failover_replays_identically(chaos_seed):

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.errors import CommunicationError
 from repro.naming.refs import ServiceRef
 from repro.net import SimNetwork
 from repro.net.endpoints import Address
@@ -57,7 +58,7 @@ class _CrashedPrimary:
 
     def __getattr__(self, name):
         def refuse(*args, **kwargs):
-            raise ConnectionError("shard primary crashed")
+            raise CommunicationError("shard primary crashed")
 
         return refuse
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.errors import CommunicationError
 from repro.naming.refs import ServiceRef
 from repro.net import SimNetwork
 from repro.net.endpoints import Address
@@ -48,7 +49,7 @@ class _CrashedPrimary:
 
     def __getattr__(self, name):
         def refuse(*args, **kwargs):
-            raise ConnectionError("shard primary crashed")
+            raise CommunicationError("shard primary crashed")
 
         return refuse
 

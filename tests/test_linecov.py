@@ -17,7 +17,11 @@ writes), ``call_many``, the federation fan-out over remote and in-process
 links, the offer-record wire path (the ``any`` leaf, and the string
 and opaque reads the compiled decoder spends its time in), and the
 single-owner relay (the router's branch, the remote backend's undecoded
-IMPORT answer and ``encode_result``'s rule for a relayed body)."""
+IMPORT answer and ``encode_result``'s rule for a relayed body), a shard's
+failover on the shared engine (``ShardHandle.call``: promotion, deadline
+slice, application error, no backend left), the rule that types a remote
+trader's fault, and the lease heartbeat's beat (renewed, lost and
+re-exported, failed)."""
 
 import os
 import subprocess
@@ -52,6 +56,9 @@ TARGETS = [
     "repro.rpc.codec:CodecRegistry.encode_result",
     "repro.trader.sharding.router:ShardRouter.import_",
     "repro.trader.sharding.rpc:RemoteShardBackend.import_wire",
+    "repro.trader.sharding.router:ShardHandle.call",
+    "repro.rpc.errors:RemoteFault.reraise_as",
+    "repro.trader.leases:LeaseHeartbeat.beat",
     "repro.rpc.xdr:_span",
     "repro.rpc.xdr:get_string",
     "repro.rpc.xdr:get_opaque",
@@ -100,7 +107,9 @@ UNIT_TESTS = [
     "tests/test_wire_rules.py",
     "tests/test_trader_sharding_parity.py",
     "tests/test_sharding_migration.py::test_spliced_and_merged_paths_answer_a_migrated_type_alike",
-    "tests/test_sharding_replication.py::test_a_remote_import_answers_encoded_or_raises_its_mapped_error",
+    "tests/test_sharding_replication.py",
+    "tests/test_trader_service_rpc.py::test_a_fault_is_raised_as_the_trader_error_its_kind_names",
+    "tests/test_trader_leases.py",
     "tests/test_wire_golden.py::test_compiled_import_reply_of_two_offers",
     "tests/test_trader_index.py",
     "tests/test_trader_policies.py",

@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import CommunicationError
 from repro.naming.refs import ServiceRef
 from repro.net.endpoints import Address
 from repro.sidl.types import DOUBLE, InterfaceType, LONG, OperationType
@@ -102,7 +103,7 @@ def moving_type(router, moved=None):
 class CrashedBackend:
     def __getattr__(self, name):
         def refuse(*args, **kwargs):
-            raise ConnectionError("shard primary crashed")
+            raise CommunicationError("shard primary crashed")
 
         return refuse
 

@@ -17,14 +17,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.context import CallContext
 from repro.naming.refs import ServiceRef
 from repro.net.endpoints import Address
 from repro.rpc.client import RpcClient
 from repro.rpc.codec import Encoded
-from repro.rpc.errors import ProgramUnavailable, RemoteFault
+from repro.rpc.errors import ProgramUnavailable, RpcTimeout
+from repro.rpc.resilience import CircuitOpen
 from repro.rpc.server import RpcServer
 from repro.rpc.transport import SimTransport
 from repro.sidl.types import DOUBLE, InterfaceType, LONG, OperationType
+from repro.trader.errors import ConstraintSyntaxError, OfferNotFound
 from repro.trader.service_types import ServiceType
 from repro.trader.sharding import (
     DeltaLog,
@@ -32,6 +35,7 @@ from repro.trader.sharding import (
     ShardDelta,
     ShardReplicationService,
     ShardRouter,
+    ShardUnavailable,
     ShardingError,
     SyncGap,
     TraderShard,
@@ -315,7 +319,9 @@ def wired(net):
     primary.attach_replica("node-b", replica_admin.apply_delta)
 
     router_rpc = RpcClient(SimTransport(net, "router"), timeout=0.2, retries=1)
-    router = ShardRouter(router_id="wired", offer_prefix="m", fanout_workers=1)
+    router = ShardRouter(
+        router_id="wired", offer_prefix="m", clock=router_rpc.transport.now, fanout_workers=1
+    )
     router.add_shard(
         "s0",
         RemoteShardBackend(router_rpc, server_a.address),
@@ -368,12 +374,109 @@ def test_a_remote_import_answers_encoded_or_raises_its_mapped_error(wired):
     answer = backend.import_wire(request)
     assert isinstance(answer, Encoded)
     assert [wire["offer_id"] for wire in answer.decode()] == ["m:CarRentalService:1"]
-    with pytest.raises(RemoteFault) as fault:
+    with pytest.raises(ConstraintSyntaxError):
         backend.import_wire(dict(request, constraint="ChargePerDay <"))
-    assert fault.value.kind == "ConstraintSyntaxError"
     bare = RpcServer(SimTransport(net, "node-c"))  # serves no trader program
     with pytest.raises(ProgramUnavailable):
         RemoteShardBackend(backend._client, bare.address).import_wire(request)
+
+
+def test_a_remote_shards_application_error_is_no_outage(wired):
+    """A remote shard refusing an unknown offer id answers the way a local
+    one does — ``OfferNotFound`` — and trips no breaker: the primary keeps
+    serving and the replica stays a replica."""
+    net, router, primary, replica = wired
+    router.export("CarRentalService", ref("a"), {"ChargePerDay": 10.0})
+    stale = "m:CarRentalService:99"
+    for op, args in (("withdraw", ()), ("renew", ()), ("modify", ({"ChargePerDay": 1.0},))):
+        with pytest.raises(OfferNotFound):
+            getattr(router, op)(stale, *args)
+    assert router.handle("s0").status() == {
+        "shard_id": "s0", "breaker": "closed", "replicas": 1,
+    }
+    assert (primary.role, replica.role) == ("primary", "replica")
+    assert router.export("CarRentalService", ref("b"), {"ChargePerDay": 12.0})
+
+
+def test_a_silent_primary_forfeits_only_its_slice_of_the_deadline(wired):
+    """The primary stops answering mid-run: the import's 0.5 s budget is
+    sliced over primary and replica, so the promoted replica answers in
+    time, and the shard keeps serving imports and exports afterwards."""
+    net, router, primary, replica = wired
+    router.export("CarRentalService", ref("a"), {"ChargePerDay": 10.0})
+    request = ImportRequest("CarRentalService", "ChargePerDay < 30")
+    net.faults.crash("node-a")
+    start = net.clock.now
+    answer = router.import_(request, ctx=CallContext(deadline=start + 0.5))
+    assert [offer.offer_id for offer in answer] == ["m:CarRentalService:1"]
+    assert net.clock.now - start < 0.5
+    assert replica.role == "primary"
+    assert router.handle("s0").status()["replicas"] == 0
+    assert [o.offer_id for o in router.import_(request)] == ["m:CarRentalService:1"]
+    assert (
+        router.export("CarRentalService", ref("b"), {"ChargePerDay": 12.0})
+        == "m:CarRentalService:2"
+    )
+
+
+def test_a_router_without_a_clock_hands_each_shard_the_whole_deadline(wired):
+    """Slices are cut on the router's clock.  A router without one cannot
+    cut them, so each shard gets the caller's context whole: a deadline
+    late in virtual time is not mistaken for a spent one."""
+    net, router, primary, replica = wired
+    router.export("CarRentalService", ref("a"), {"ChargePerDay": 10.0})
+    handle = router.handle("s0")
+    clockless = ShardRouter(router_id="unclocked", offer_prefix="m")
+    clockless.types.add(rental_type())
+    clockless.add_shard("s0", handle.primary, handle.replicas)
+    net.clock.run_for(100.0)
+    ctx = CallContext(deadline=net.clock.now + 1.0)
+    answer = clockless.import_(ImportRequest("CarRentalService"), ctx=ctx)
+    assert [offer.offer_id for offer in answer] == ["m:CarRentalService:1"]
+    assert (primary.role, replica.role) == ("primary", "replica")
+
+
+def test_a_shard_with_no_backend_answering_is_unavailable(wired):
+    """Both nodes down: the call fails over once and raises
+    ``ShardUnavailable``; with both breakers open the next call is refused
+    without traffic until a probe is due."""
+    net, router, primary, replica = wired
+    net.faults.crash("node-a")
+    net.faults.crash("node-b")
+    with pytest.raises(ShardUnavailable) as outage:
+        router.export("CarRentalService", ref("a"), {"ChargePerDay": 10.0})
+    assert isinstance(outage.value.__cause__, RpcTimeout)
+    sent = router.handle("s0").primary._client.calls_sent
+    with pytest.raises(ShardUnavailable) as refused:
+        router.import_(ImportRequest("CarRentalService"))
+    assert isinstance(refused.value.__cause__, CircuitOpen)
+    assert router.handle("s0").primary._client.calls_sent == sent
+    assert router.handle("s0").status() == {
+        "shard_id": "s0", "breaker": "open", "replicas": 1,
+    }
+
+
+def test_a_rejoining_remote_shard_that_knows_the_types_keeps_its_primary(wired):
+    """Seeding types into a backend that already holds them is refused with
+    ``DuplicateServiceType`` — an answer, not an outage."""
+    net, router, primary, replica = wired
+    client = router.handle("s0").primary._client
+    nodes = []
+    for host, role in (("node-c", "primary"), ("node-d", "replica")):
+        shard = TraderShard(host, offer_prefix="m", role=role)
+        if role == "primary":
+            shard.add_type(rental_type())
+        server = RpcServer(SimTransport(net, host))
+        TraderService(server, trader=shard)
+        ShardReplicationService(server, shard)
+        nodes.append((shard, RemoteShardBackend(client, server.address)))
+    (joining, joining_backend), (spare, spare_backend) = nodes
+    router.add_shard("s1", joining_backend, [spare_backend])
+    handle = router.handle("s1")
+    assert handle.primary is joining_backend
+    assert handle.status() == {"shard_id": "s1", "breaker": "closed", "replicas": 1}
+    assert (joining.role, spare.role) == ("primary", "replica")
+    assert joining.map_version == router.map.version
 
 
 def test_shard_map_pushes_reach_remote_nodes(wired):

@@ -65,7 +65,7 @@ shard_snapshot
 
 #: Python lines under ``src/`` may not exceed this.  It only moves up in a
 #: diff that says in CHANGES.md why ``src/`` had to grow.
-SRC_LINE_CEILING = 20554
+SRC_LINE_CEILING = 20553
 
 _NOW = "item 14: the node's clock replaces every now= and clock="
 _CTX = "call context: every operation that may call out takes one (PROTOCOL §4)"
@@ -127,7 +127,6 @@ TEST_ONLY_KNOBS = {
     "RebindingClient.invoke(preference)": _INPUT,
     "RebindingClient.refresh(service_type)": _INPUT,
     "RedAggregator(recent_events)": _TUNING,
-    "ResilientCaller(rounds)": _TUNING,
     "RpcClient.call_many(context)": _CTX,
     "RpcClient.call_many(retries)": "item 7e: the timeout=/retries= shim goes",
     "RpcClient.call_many(timeout)": "item 7e: the timeout=/retries= shim goes",
@@ -144,7 +143,6 @@ TEST_ONLY_KNOBS = {
     "TcpTransport(port)": _DEPLOY,
     "TraderClient.select_best(ctx)": _CTX,
     "UiSession.click_bind(index)": _INPUT,
-    "build_local_router(breaker_policy)": _TUNING,
     "build_local_router(clock)": _NOW,
     "build_local_router(dynamic_evaluator)": _SEAM,
     "build_local_router(range_index)": "reference: range_index=False is the tests' oracle",
@@ -492,5 +490,5 @@ def test_src_line_count_stays_under_its_ceiling():
 def test_allow_list_only_shrinks():
     assert len(set(TEST_ONLY)) == len(TEST_ONLY) <= 15
     assert len(UNCALLED) <= 8
-    assert len(TEST_ONLY_KNOBS) <= 65
+    assert len(TEST_ONLY_KNOBS) <= 63
     assert all(UNCALLED.values()) and all(TEST_ONLY_KNOBS.values())

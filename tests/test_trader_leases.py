@@ -207,11 +207,8 @@ def test_renew_over_rpc(net, make_server, make_client):
     clock["now"] = 4.0
     assert client.renew(offer_id) == 9.0
     service.trader.expire_offers(now=20.0)
-    from repro.rpc.errors import RemoteFault
-
-    with pytest.raises(RemoteFault) as exc_info:
+    with pytest.raises(OfferNotFound):
         client.renew(offer_id)
-    assert exc_info.value.kind == "OfferNotFound"
 
 
 def test_services_built_without_now_judge_leases_on_the_transport_clock(
@@ -287,6 +284,15 @@ def test_heartbeat_reexports_swept_offer():
     assert heartbeat.offer_id == "new"
     assert heartbeat.reexports == 1
     assert heartbeat.beat()  # the fresh offer renews normally
+
+
+def test_heartbeat_without_reexport_reports_the_lost_offer():
+    def renew(offer_id):
+        raise OfferNotFound("swept")
+
+    heartbeat = LeaseHeartbeat(renew, "o1", interval=1.0)
+    assert not heartbeat.beat()  # lost, and nothing to re-export it with
+    assert (heartbeat.failures, heartbeat.reexports) == (1, 0)
 
 
 def test_heartbeat_reexport_failure_is_contained():

@@ -10,9 +10,9 @@ from repro.rpc.server import RpcServer
 from repro.rpc.transport import TcpTransport
 from repro.sidl.types import DOUBLE, InterfaceType, LONG, OperationType, STRING
 from repro.telemetry.metrics import METRICS
-from repro.trader.errors import ConstraintSyntaxError
+from repro.trader.errors import ConstraintSyntaxError, TraderError, UnknownServiceType
 from repro.trader.service_types import ServiceType
-from repro.trader.sharding import build_local_router
+from repro.trader.sharding import MigrationSealed, build_local_router
 from repro.trader.trader import (
     _PROC_EXPORT,
     ImportRequest,
@@ -85,11 +85,22 @@ def test_remote_select_best(stack):
 
 def test_remote_errors_surface_as_faults(stack):
     __, client = stack
-    with pytest.raises(RemoteFault) as excinfo:
+    with pytest.raises(UnknownServiceType):
         client.export(
             "Ghost", ServiceRef.create("x", Address("h", 1), 1), {}
         )
-    assert excinfo.value.kind == "UnknownServiceType"
+
+
+def test_a_fault_is_raised_as_the_trader_error_its_kind_names():
+    """The stub's rule: a kind naming a :class:`TraderError` subclass raises
+    that class, with the remote detail as message and the fault as cause;
+    any other kind stays a :class:`RemoteFault`."""
+    with pytest.raises(MigrationSealed) as typed:
+        RemoteFault("MigrationSealed", "CarRentalService sealed").reraise_as(TraderError)
+    assert str(typed.value) == "CarRentalService sealed"
+    assert isinstance(typed.value.__cause__, RemoteFault)
+    with pytest.raises(RemoteFault, match="KeyError"):
+        RemoteFault("KeyError", "'ref'").reraise_as(TraderError)
 
 
 MALFORMED = (
@@ -117,9 +128,8 @@ def test_malformed_import_is_a_typed_fault_not_an_empty_answer(backend, request_
         )
         with pytest.raises(ConstraintSyntaxError):
             trader.import_wire(request_.to_wire())
-        with pytest.raises(RemoteFault) as excinfo:
+        with pytest.raises(ConstraintSyntaxError):
             client.import_(request_)
-        assert excinfo.value.kind == "ConstraintSyntaxError"
         assert client.import_(ImportRequest("Ghost")) == []
         assert len(client.import_(ImportRequest("CarRentalService"))) == 1
     finally:

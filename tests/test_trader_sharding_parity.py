@@ -29,11 +29,10 @@ from repro.net.endpoints import Address
 from repro.net.latency import LanWanLatency
 from repro.rpc.client import RpcClient
 from repro.rpc.codec import CODECS
-from repro.rpc.errors import RemoteFault
 from repro.rpc.server import RpcServer
 from repro.rpc.transport import SimTransport
 from repro.sidl.types import DOUBLE, InterfaceType, LONG, OperationType, STRING
-from repro.trader.errors import ConstraintSyntaxError
+from repro.trader.errors import ConstraintSyntaxError, TraderError
 from repro.trader.service_types import ServiceType
 from repro.trader.sharding import (
     RemoteShardBackend,
@@ -143,6 +142,14 @@ def ref(name):
     return ServiceRef.create(name, Address("provider", 4711), 1)
 
 
+def answer_or_fault(call, *args):
+    """The call's answer, or the typed error it raised, by class name."""
+    try:
+        return call(*args)
+    except TraderError as fault:
+        return f"fault:{type(fault).__name__}"
+
+
 def drive(driver):
     """The scripted workload; returns the full observable outcome map."""
     outcome = {}
@@ -198,6 +205,12 @@ def drive(driver):
     )
     outcome["withdraw"] = driver.withdraw(ids["b-cheap"])
     outcome["renew"] = driver.renew(ids["hh-cheap"])
+    # A stale id is the caller's mistake, not an outage of the shard owning
+    # its type: the same typed fault, and the shard keeps serving.
+    for op in ("withdraw", "renew"):
+        outcome[f"{op}:stale"] = answer_or_fault(
+            getattr(driver, op), "m:CarRentalService:99"
+        )
     outcome["random_again"] = driver.import_ids(queries["random"])
 
     for label, request in queries.items():
@@ -205,10 +218,7 @@ def drive(driver):
     outcome["offer_ids"] = driver.offer_ids()
 
     for label, request in MALFORMED.items():
-        try:
-            outcome[f"malformed:{label}"] = driver.import_ids(request)
-        except RemoteFault as fault:
-            outcome[f"malformed:{label}"] = f"fault:{fault.kind}"
+        outcome[f"malformed:{label}"] = answer_or_fault(driver.import_ids, request)
     outcome["unknown_type"] = driver.import_ids(ImportRequest("Ghost", "Seats >= 4"))
 
     # Cross-type ties: leaves of one supertype, exports interleaved, one
@@ -254,6 +264,7 @@ def test_workload_is_not_trivial(outcomes):
     assert baseline["q1:eq_max"] != baseline["q2:eq_max"]  # mutations observed
     assert baseline["withdraw"] is True
     assert isinstance(baseline["renew"], float)
+    assert baseline["withdraw:stale"] == baseline["renew:stale"] == "fault:OfferNotFound"
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
