@@ -3,21 +3,11 @@
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from heapq import merge as _heap_merge
 from types import MappingProxyType
-from typing import (  # noqa: F401
-    Any,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.naming.refs import ServiceRef
 from repro.sidl import layout
@@ -153,18 +143,20 @@ class _SortedValues:
     """One sorted run of ``(value, seq, offer_id)`` plus a write overlay.
 
     Keeping the run exactly sorted on every insert would cost an O(n)
-    memmove per export at million-offer scale, so writes land in an
-    unsorted ``pending`` list and removals in a ``dead`` tombstone set;
-    both fold into the sorted run when they grow past a threshold
-    (geometric in the run length, so a bulk load compacts O(log n)
-    times).  Range lookups bisect the run and linearly scan the small
-    overlay; ordered walks force a full compaction first.
+    memmove per export at million-offer scale, so writes land in a small
+    sorted ``pending`` list and removals in a ``dead`` tombstone set (the
+    two never share an entry).  Only writes fold the overlay into the
+    run, once either side outgrows a threshold geometric in the run
+    length, so a bulk load compacts O(log n) times.  Reads never fold:
+    range lookups bisect the run and the overlay, and an ordered walk
+    merges the two lazily, so a bounded walk costs O(K) however recent
+    the last write.  A walk must be consumed before the next write.
     """
 
-    #: Overlay sizes above which a *query* forces compaction.  Mutation
-    #: uses ``max(_QUERY_LIMIT, len(entries) >> 3)`` so bulk loads stay
-    #: amortised-linear while point queries never scan a huge overlay.
-    _QUERY_LIMIT = 512
+    #: Floor of the overlay bound: a write folds once ``pending`` or
+    #: ``dead`` exceeds ``max(_FOLD_FLOOR, len(entries) >> 3)``, so bulk
+    #: loads stay amortised-linear while the overlay stays small.
+    _FOLD_FLOOR = 512
 
     __slots__ = ("entries", "pending", "dead")
 
@@ -180,82 +172,83 @@ class _SortedValues:
         if entry in self.dead:
             self.dead.discard(entry)
         else:
-            self.pending.append(entry)
-        limit = max(self._QUERY_LIMIT, len(self.entries) >> 3)
-        if len(self.pending) > limit or len(self.dead) > limit:
-            self.compact()
+            insort(self.pending, entry)
+        self._bound()
 
     def discard(self, value: Any, seq: int, offer_id: str) -> None:
         entry = (value, seq, offer_id)
-        try:
-            self.pending.remove(entry)
-        except ValueError:
+        pending = self.pending
+        at = bisect_left(pending, entry)
+        if at < len(pending) and pending[at] == entry:
+            del pending[at]
+        else:
             self.dead.add(entry)
+        self._bound()
+
+    def _bound(self) -> None:
+        limit = max(self._FOLD_FLOOR, len(self.entries) >> 3)
+        if len(self.pending) > limit or len(self.dead) > limit:
+            self.compact()
 
     def compact(self) -> None:
         if self.dead:
             dead = self.dead
             self.entries = [entry for entry in self.entries if entry not in dead]
-            self.pending = [entry for entry in self.pending if entry not in dead]
             self.dead = set()
         if self.pending:
-            # Timsort gallops over the already-sorted run, so this is an
-            # O(n + k log k) merge, not a from-scratch sort.
+            # Timsort merges the two sorted runs: O(n + k), not a full sort.
             self.entries.extend(self.pending)
             self.entries.sort()
             self.pending = []
 
     def ids_matching(self, operator: str, literal: Any) -> Set[str]:
         """Live offer ids whose indexed value satisfies ``value OP literal``."""
-        if len(self.pending) > self._QUERY_LIMIT or len(self.dead) > self._QUERY_LIMIT:
-            self.compact()
-        entries = self.entries
-        # ``(x,)`` sorts before every ``(x, seq, id)`` and ``(x, inf)``
-        # after (seq is always an int), giving clean half-open cuts.
-        if operator == "<":
-            start, stop = 0, bisect_left(entries, (literal,))
-        elif operator == "<=":
-            start, stop = 0, bisect_left(entries, (literal, float("inf")))
-        elif operator == ">":
-            start, stop = bisect_left(entries, (literal, float("inf"))), len(entries)
-        else:  # ">="
-            start, stop = bisect_left(entries, (literal,)), len(entries)
         dead = self.dead
-        matched = {entry[2] for entry in entries[start:stop] if entry not in dead}
-        for entry in self.pending:
-            value = entry[0]
-            try:
-                if (
-                    (operator == "<" and value < literal)
-                    or (operator == "<=" and value <= literal)
-                    or (operator == ">" and value > literal)
-                    or (operator == ">=" and value >= literal)
-                ):
-                    matched.add(entry[2])
-            except TypeError:  # mixed class within the overlay: no match
-                continue
+        matched: Set[str] = set()
+        for run in (self.entries, self.pending):
+            # ``(x,)`` sorts before every ``(x, seq, id)`` and ``(x, inf)``
+            # after (seq is always an int), giving clean half-open cuts.
+            if operator == "<":
+                start, stop = 0, bisect_left(run, (literal,))
+            elif operator == "<=":
+                start, stop = 0, bisect_left(run, (literal, float("inf")))
+            elif operator == ">":
+                start, stop = bisect_left(run, (literal, float("inf"))), len(run)
+            else:  # ">="
+                start, stop = bisect_left(run, (literal,)), len(run)
+            matched.update(entry[2] for entry in run[start:stop] if entry not in dead)
         return matched
 
     def walk(self, reverse: bool = False) -> Iterator[Tuple[Any, int, str]]:
-        """Yield live entries ordered by ``(value, seq)``.
+        """Live entries ordered by ``(value, seq)``, merged lazily: a
+        caller that stops after K entries pays for K plus the tombstones
+        it skipped, and nothing is folded.
 
         For ``reverse`` the values descend but *ties keep ascending
         seq* — exactly the order a ``max`` preference ranks candidates
         (stable sort on the negated value preserves insertion order).
         """
-        self.compact()
-        entries = self.entries
-        if not reverse:
-            yield from entries
-            return
-        upper = len(entries)
-        while upper:
-            lower = upper - 1
-            value = entries[lower][0]
-            while lower and entries[lower - 1][0] == value:
-                lower -= 1
-            yield from entries[lower:upper]
-            upper = lower
+        order = _descending if reverse else iter
+        run, dead = order(self.entries), self.dead
+        if dead:
+            run = (entry for entry in run if entry not in dead)
+        if not self.pending:
+            return run
+        # Reversed, both streams descend by ``(value, -seq)``.
+        key = (lambda entry: (entry[0], -entry[1])) if reverse else None
+        return _heap_merge(run, order(self.pending), key=key, reverse=reverse)
+
+
+def _descending(run: List[Tuple[Any, int, str]]) -> Iterator[Tuple[Any, int, str]]:
+    """``run`` by descending value, each tie in its ascending seq order."""
+    upper = len(run)
+    while upper:
+        lower = upper - 1
+        value = run[lower][0]
+        while lower and run[lower - 1][0] == value:
+            lower -= 1
+        yield from run[lower:upper]
+        upper = lower
 
 
 def parse_offer_id(offer_id: str, prefix: str) -> Optional[Tuple[str, int]]:

@@ -8,7 +8,8 @@ execute body (dequeue re-checks, the span gate with its ``sampled=0``
 fault-span rebuild, an awaitable handler result refused as a typed
 fault), the index probe's candidate order, the offer store's derived
 index removals and its ordered walk (NaN and the other unrankable values
-in its tail), the preference ranking that walk must agree with, the TCP
+in its tail; the sorted run's writes, tombstones included, and its walk
+over a folded or a dirty run), the preference ranking that walk must agree with, the TCP
 send path (a refused connect or a failed write is a typed, transient
 error), the client's
 split-phase pair (``start``, and ``gather``: the one attempt loop), the
@@ -43,7 +44,9 @@ TARGETS = [
     "repro.trader.offers:OfferStore._filter",
     "repro.trader.offers:OfferStore._unindex",
     "repro.trader.offers:OfferStore.ordered_by",
+    "repro.trader.offers:_SortedValues.add",
     "repro.trader.offers:_SortedValues.discard",
+    "repro.trader.offers:_SortedValues.walk",
     "repro.trader.policies:Preference.apply",
     "repro.rpc.transport:TcpTransport.send",
     "repro.rpc.client:RpcClient.start",
@@ -112,6 +115,7 @@ UNIT_TESTS = [
     "tests/test_trader_leases.py",
     "tests/test_wire_golden.py::test_compiled_import_reply_of_two_offers",
     "tests/test_trader_index.py",
+    "tests/test_trader_sorted_run.py::test_modify_back_to_a_folded_value_cancels_its_tombstone",
     "tests/test_trader_policies.py",
     "-k",
     "not candidate_order",

@@ -65,7 +65,7 @@ shard_snapshot
 
 #: Python lines under ``src/`` may not exceed this.  It only moves up in a
 #: diff that says in CHANGES.md why ``src/`` had to grow.
-SRC_LINE_CEILING = 20553
+SRC_LINE_CEILING = 20546
 
 _NOW = "item 14: the node's clock replaces every now= and clock="
 _CTX = "call context: every operation that may call out takes one (PROTOCOL §4)"

@@ -332,7 +332,7 @@ def test_mutating_the_dict_handed_to_add_reaches_neither_index_nor_offer():
 def test_ordered_by_ranks_numbers_then_the_undefined_tail_per_type():
     """Numbers first by value; then, per type in candidate order, the
     offers the walk could not rank: a string, a missing property, NaN.
-    A removal after the walk compacted the run leaves a tombstone."""
+    A removal from a folded run leaves a tombstone the walk skips."""
     store = OfferStore(prefix="t")
     ref = ServiceRef.create("svc", Address("t", 1), 4711).to_wire()
     population = [
@@ -345,7 +345,10 @@ def test_ordered_by_ranks_numbers_then_the_undefined_tail_per_type():
     assert ranked == ["t:B:5", "t:A:6", "t:A:1", "t:B:7", "t:A:2", "t:A:3", "t:B:4"]
     descending = [o.offer_id for o in store.ordered_by(["A", "B"], "p", reverse=True)]
     assert descending[:4] == ["t:A:1", "t:B:7", "t:A:6", "t:B:5"]
-    store.remove("t:A:6")  # the walk compacted the run: a tombstone, not a splice
+    run = store._range_index[("A", "p")]["num"]
+    run.compact()  # fold the overlay, so the removal below is a tombstone
+    store.remove("t:A:6")
+    assert run.dead == {(2.5, 6, "t:A:6")} and not run.pending
     ranked = [o.offer_id for o in store.ordered_by(["A", "B"], "p")]
     assert ranked == ["t:B:5", "t:A:1", "t:B:7", "t:A:2", "t:A:3", "t:B:4"]
     assert [o.offer_id for o in store.candidates(["A"], [], [("p", ">", 2)])] == ["t:A:1"]
