@@ -34,7 +34,7 @@ from repro.rpc.server import RpcServer
 from repro.rpc.transport import TcpTransport
 from repro.sidl.types import DOUBLE, InterfaceType, LONG, OperationType, STRING
 from repro.telemetry.metrics import METRICS
-from repro.trader.constraints import Constraint, _Parser, _tokenize
+from repro.trader.constraints import Constraint, parse_tree
 from repro.trader.service_types import ServiceType
 from repro.trader.trader import ImportRequest, LocalTrader, TraderService
 
@@ -141,11 +141,8 @@ CONSTRAINTS = {
 
 
 def fresh_parse(text: str) -> Constraint:
-    """The seed's per-import compile: a brand-new parse, no cache."""
-    parser = _Parser(_tokenize(text))
-    root = parser.parse_or()
-    parser.expect("\0")
-    return Constraint(text, root)
+    """The seed's per-import compile: a brand-new parse, no text cache."""
+    return Constraint(text, parse_tree(text, expression=False))
 
 
 def seed_scan(trader: LocalTrader, text: str) -> List[Any]:

@@ -11,13 +11,22 @@ Semantics are *matching-oriented*: referencing a property the offer does
 not carry makes the enclosing comparison false (never an error), and type
 mismatches compare unequal instead of raising — a malformed offer should
 fail to match, not take the trader down.
+
+The parser builds a plain tree of nested tuples, the idiom of
+:mod:`repro.sidl.layout` specs: ``("lit", value)``, ``("prop", name)``,
+``("exist", name)``, ``("not", node)``, ``("and", nodes)`` and ``("or",
+nodes)`` (a whole chain), ``("cmp", op, left, right)`` (``op`` a
+comparison or ``in``), ``("arith", op, left, right)``, ``("neg", node)``
+and ``("list", nodes)``.  :func:`generate` turns a tree into one Python
+function, so matching an offer is one call, not a walk over the tree.
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Any, Dict, List, Optional, Tuple
+from types import CodeType, FunctionType
+from typing import Any, Callable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.trader.errors import ConstraintSyntaxError
 
@@ -31,6 +40,14 @@ class _Missing:
 
 MISSING = _Missing()
 
+#: Bounds on a constraint or preference expression, past which it is a
+#: ConstraintSyntaxError: nesting (of parentheses, brackets, ``not`` and
+#: unary minus, and of the tree, where ``a + b + c`` nests twice but an
+#: ``and``/``or`` chain once however long) and node count.  They keep the
+#: parser and the generated code far from Python's recursion limits.
+MAX_DEPTH = 32
+MAX_NODES = 1024
+
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
@@ -38,26 +55,30 @@ _TOKEN_RE = re.compile(
   | (?P<string>'[^']*'|"[^"]*")
   | (?P<op><=|>=|==|!=|<|>|\(|\)|\[|\]|,|\+|-|\*|/)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 _KEYWORDS = {"and", "or", "not", "in", "exist", "true", "false"}
 
+#: The fixed operator tables: the only operator text generated code holds.
+_COMPARE = {op: op for op in ("==", "!=", "<", "<=", ">", ">=", "in")}
+_ARITH = {op: op for op in "+-*/"}
+
+#: Mirrored comparison operators: ``lit OP Prop`` == ``Prop MIRROR[OP] lit``.
+_MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
 
 def _tokenize(text: str) -> List[str]:
     tokens: List[str] = []
-    position = 0
-    while position < len(text):
-        match = _TOKEN_RE.match(text, position)
-        if match is None:
+    for match in _TOKEN_RE.finditer(text):
+        if match.lastgroup == "bad":
             raise ConstraintSyntaxError(
-                f"bad character {text[position]!r} at offset {position}"
+                f"bad character {match.group()!r} at offset {match.start()}"
             )
-        position = match.end()
-        if match.lastgroup == "ws":
-            continue
-        tokens.append(match.group())
+        if match.lastgroup != "ws":
+            tokens.append(match.group())
     tokens.append("\0")
     return tokens
 
@@ -80,25 +101,38 @@ class Constraint:
     same way the equality index pre-filters pins.
     """
 
-    def __init__(self, source: str, root) -> None:
+    def __init__(self, source: str, tree: tuple) -> None:
         self.source = source
-        self._root = root
-        self.equality_conjuncts: Tuple[Tuple[str, Any], ...] = getattr(
-            root, "eq_conjuncts", ()
+        self._holds = generate(tree, value=False)
+        pinned = list(_pinned(tree))
+        self.equality_conjuncts: Tuple[Tuple[str, Any], ...] = tuple(
+            (name, literal) for name, operator, literal in pinned if operator == "=="
         )
-        self.range_conjuncts: Tuple[Tuple[str, str, Any], ...] = getattr(
-            root, "range_conjuncts", ()
+        self.range_conjuncts: Tuple[Tuple[str, str, Any], ...] = tuple(
+            pin for pin in pinned if pin[1] in _MIRRORED
         )
 
-    def evaluate(self, properties: Dict[str, Any]) -> bool:
+    def evaluate(self, properties: Mapping[str, Any]) -> bool:
         """True when the offer's properties satisfy the constraint."""
-        return _truth(self._root(properties))
+        return self._holds(properties)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Constraint {self.source!r}>"
 
 
-_ALWAYS_TRUE = Constraint("", lambda properties: True)
+def _pinned(tree: tuple) -> Iterator[Tuple[str, str, Any]]:
+    """``(property, operator, literal)`` for each comparison an ``and``-chain
+    requires, nested chains included, left to right, mirrored ones turned
+    round; nothing under an ``or`` or a ``not``."""
+    if tree[0] == "and":
+        for child in tree[1]:
+            yield from _pinned(child)
+    elif tree[0] == "cmp":
+        _, operator, left, right = tree
+        if left[0] == "prop" and right[0] == "lit":
+            yield left[1], operator, right[1]
+        elif left[0] == "lit" and right[0] == "prop":
+            yield right[1], _MIRRORED.get(operator, operator), left[1]
 
 
 @lru_cache(maxsize=1024)
@@ -109,10 +143,7 @@ def _compile(text: str) -> Constraint:
     compiled constraint is safely shared across imports and threads;
     failed parses raise and are never cached.
     """
-    parser = _Parser(_tokenize(text))
-    root = parser.parse_or()
-    parser.expect("\0")
-    return Constraint(text, root)
+    return Constraint(text, parse_tree(text, expression=False))
 
 
 def parse_constraint(text: Optional[str]) -> Constraint:
@@ -126,18 +157,23 @@ def parse_constraint(text: Optional[str]) -> Constraint:
     return _compile(text)
 
 
-def _truth(value: Any) -> bool:
-    if value is MISSING:
-        return False
-    return bool(value)
+def parse_tree(text: str, expression: bool) -> tuple:
+    """``text`` as a tree: a whole constraint, or with ``expression`` only
+    an arithmetic expression (a ``min``/``max`` preference's operand).
+    Raises :class:`ConstraintSyntaxError` past :data:`MAX_DEPTH` nesting."""
+    parser = _Parser(_tokenize(text))
+    tree = parser.parse_sum() if expression else parser.parse_or()
+    parser.expect("\0")
+    return tree
 
 
 class _Parser:
-    """Recursive descent over the token list; builds evaluator closures."""
+    """Recursive descent over the token list; builds the tree."""
 
     def __init__(self, tokens: List[str]) -> None:
         self._tokens = tokens
         self._pos = 0
+        self._depth = 0
 
     def peek(self) -> str:
         return self._tokens[self._pos]
@@ -159,236 +195,218 @@ class _Parser:
             want = "end of input" if token == "\0" else repr(token)
             raise ConstraintSyntaxError(f"expected {want}, found {self.peek()!r}")
 
+    def nested(self, rule: Callable[[], tuple]) -> tuple:
+        """``rule()`` one nesting level down; refused past :data:`MAX_DEPTH`."""
+        self._depth += 1
+        if self._depth > MAX_DEPTH:
+            raise ConstraintSyntaxError(f"nested deeper than {MAX_DEPTH} levels")
+        node = rule()
+        self._depth -= 1
+        return node
+
     # -- grammar --------------------------------------------------------------
 
-    def parse_or(self):
-        left = self.parse_and()
-        while self.accept("or"):
-            right = self.parse_and()
-            left = _make_or(left, right)
-        return left
+    def parse_or(self) -> tuple:
+        return self.chain("or", self.parse_and)
 
-    def parse_and(self):
-        left = self.parse_not()
-        while self.accept("and"):
-            right = self.parse_not()
-            left = _make_and(left, right)
-        return left
+    def parse_and(self) -> tuple:
+        return self.chain("and", self.parse_not)
 
-    def parse_not(self):
+    def chain(self, keyword: str, operand: Callable[[], tuple]) -> tuple:
+        terms = [operand()]
+        while self.accept(keyword):
+            terms.append(operand())
+        return terms[0] if len(terms) == 1 else (keyword, tuple(terms))
+
+    def parse_not(self) -> tuple:
         if self.accept("not"):
-            inner = self.parse_not()
-            return lambda props: not _truth(inner(props))
+            return ("not", self.nested(self.parse_not))
         return self.parse_comparison()
 
-    def parse_comparison(self):
+    def parse_comparison(self) -> tuple:
         if self.accept("exist"):
             token = self.advance()
             if not _is_ident(token):
                 raise ConstraintSyntaxError(f"exist needs a property name, found {token!r}")
-            return lambda props, name=token: name in props
+            return ("exist", token)
         left = self.parse_sum()
-        operator = self.peek()
-        if operator in ("==", "!=", "<", "<=", ">", ">="):
-            self.advance()
-            right = self.parse_sum()
-            return _make_comparison(left, operator, right)
-        if operator == "in":
-            self.advance()
-            right = self.parse_sum()
-            return _make_in(left, right)
+        if self.peek() in _COMPARE:
+            return ("cmp", self.advance(), left, self.parse_sum())
         return left
 
-    def parse_sum(self):
-        left = self.parse_term()
-        while self.peek() in ("+", "-"):
-            operator = self.advance()
-            right = self.parse_term()
-            left = _make_arith(left, operator, right)
+    def parse_sum(self) -> tuple:
+        return self.arithmetic(("+", "-"), self.parse_term)
+
+    def parse_term(self) -> tuple:
+        return self.arithmetic(("*", "/"), self.parse_factor)
+
+    def arithmetic(self, operators: Tuple[str, str], operand: Callable[[], tuple]) -> tuple:
+        left = operand()
+        while self.peek() in operators:
+            left = ("arith", self.advance(), left, operand())
         return left
 
-    def parse_term(self):
-        left = self.parse_factor()
-        while self.peek() in ("*", "/"):
-            operator = self.advance()
-            right = self.parse_factor()
-            left = _make_arith(left, operator, right)
-        return left
-
-    def parse_factor(self):
-        token = self.peek()
+    def parse_factor(self) -> tuple:
+        token = self.advance()
         if token == "(":
-            self.advance()
-            inner = self.parse_or()
+            inner = self.nested(self.parse_or)
             self.expect(")")
             return inner
         if token == "[":
-            self.advance()
-            items = []
-            if self.peek() != "]":
-                items.append(self.parse_sum())
-                while self.accept(","):
-                    items.append(self.parse_sum())
-            self.expect("]")
-            return _make_list(items)
+            return self.nested(self.parse_list)
         if token == "-":
-            self.advance()
-            inner = self.parse_factor()
-            return _make_negate(inner)
-        if re.fullmatch(r"\d+\.\d+", token):
-            self.advance()
-            return _make_literal(float(token))
-        if re.fullmatch(r"\d+", token):
-            self.advance()
-            return _make_literal(int(token))
-        if token and token[0] in "'\"":
-            self.advance()
-            return _make_literal(token[1:-1])
-        if token == "true":
-            self.advance()
-            return _make_literal(True)
-        if token == "false":
-            self.advance()
-            return _make_literal(False)
+            return ("neg", self.nested(self.parse_factor))
+        first = token[0]
+        if first.isdigit():
+            return ("lit", float(token) if "." in token else int(token))
+        if first in "'\"":
+            return ("lit", token[1:-1])
+        if token == "true" or token == "false":
+            return ("lit", token == "true")
         if _is_ident(token):
-            self.advance()
-            return _make_property(token)
+            return ("prop", token)
         raise ConstraintSyntaxError(f"unexpected token {token!r}")
+
+    def parse_list(self) -> tuple:
+        items = []
+        if self.peek() != "]":
+            items.append(self.parse_sum())
+            while self.accept(","):
+                items.append(self.parse_sum())
+        self.expect("]")
+        return ("list", tuple(items))
 
 
 def _is_ident(token: str) -> bool:
-    return bool(re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", token)) and token not in _KEYWORDS
+    # The tokenizer only yields identifiers that start with a letter or _.
+    return (token[0].isalpha() or token[0] == "_") and token not in _KEYWORDS
 
 
-def _make_literal(value):
-    def literal(props, v=value):
-        return v
+# -- the code generator -------------------------------------------------------
 
-    literal.literal_value = value
-    return literal
-
-
-def _make_property(name: str):
-    def lookup(props, key=name):
-        return props.get(key, MISSING)
-
-    lookup.prop_name = name
-    return lookup
+#: What an operand may raise that the language reads as "undefined": a
+#: missing property (``p[name]``), a type mismatch, a zero divisor.
+_UNDEFINED = (KeyError, TypeError, ZeroDivisionError)
+_BOOLEAN_KINDS = frozenset({"and", "or", "not", "exist", "cmp"})
+#: Generated functions see no builtins and no module state at all.
+_GENERATED_GLOBALS = {"__builtins__": {}}
 
 
-def _make_or(left, right):
-    return lambda props: _truth(left(props)) or _truth(right(props))
-
-
-def _make_and(left, right):
-    combined = lambda props: _truth(left(props)) and _truth(right(props))  # noqa: E731
-    # An and-node requires every equality and range bound its children require.
-    combined.eq_conjuncts = getattr(left, "eq_conjuncts", ()) + getattr(
-        right, "eq_conjuncts", ()
-    )
-    combined.range_conjuncts = getattr(left, "range_conjuncts", ()) + getattr(
-        right, "range_conjuncts", ()
-    )
-    return combined
-
-
-#: Mirrored comparison operators: ``lit OP Prop`` == ``Prop MIRROR[OP] lit``.
-_MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-
-def _make_comparison(left, operator: str, right):
-    def compare(props):
-        lhs = left(props)
-        rhs = right(props)
-        if lhs is MISSING or rhs is MISSING:
-            return False
-        try:
-            if operator == "==":
-                return lhs == rhs
-            if operator == "!=":
-                return lhs != rhs
-            if operator == "<":
-                return lhs < rhs
-            if operator == "<=":
-                return lhs <= rhs
-            if operator == ">":
-                return lhs > rhs
-            return lhs >= rhs
-        except TypeError:
-            return False
-
-    if operator == "==":
-        name = getattr(left, "prop_name", None)
-        value = getattr(right, "literal_value", MISSING)
-        if name is None:  # also recognise the mirrored `literal == Prop`
-            name = getattr(right, "prop_name", None)
-            value = getattr(left, "literal_value", MISSING)
-        if name is not None and value is not MISSING:
-            compare.eq_conjuncts = ((name, value),)
-    elif operator in _MIRRORED:
-        name = getattr(left, "prop_name", None)
-        value = getattr(right, "literal_value", MISSING)
-        bound = operator
-        if name is None:  # mirrored `literal < Prop` pins `Prop > literal`
-            name = getattr(right, "prop_name", None)
-            value = getattr(left, "literal_value", MISSING)
-            bound = _MIRRORED[operator]
-        if name is not None and value is not MISSING:
-            compare.range_conjuncts = ((name, bound, value),)
-    return compare
-
-
-def _make_in(left, right):
-    def contains(props):
-        lhs = left(props)
-        rhs = right(props)
-        if lhs is MISSING or rhs is MISSING:
-            return False
-        try:
-            return lhs in rhs
-        except TypeError:
-            return False
-
-    return contains
-
-
-def _make_arith(left, operator: str, right):
-    def apply(props):
-        lhs = left(props)
-        rhs = right(props)
-        if lhs is MISSING or rhs is MISSING:
-            return MISSING
-        try:
-            if operator == "+":
-                return lhs + rhs
-            if operator == "-":
-                return lhs - rhs
-            if operator == "*":
-                return lhs * rhs
-            if isinstance(rhs, (int, float)) and rhs == 0:
-                return MISSING
-            return lhs / rhs
-        except TypeError:
-            return MISSING
-
-    return apply
-
-
-def _make_negate(inner):
-    def negate(props):
-        value = inner(props)
-        if value is MISSING or not isinstance(value, (int, float)):
-            return MISSING
+def _negate(value: Any) -> Any:
+    if isinstance(value, (int, float)):
         return -value
+    raise TypeError("only a number negates")
 
-    return negate
+
+def generate(tree: tuple, value: bool) -> Callable[[Mapping[str, Any]], Any]:
+    """``tree`` as one function of an offer's properties, returning its
+    truth (``value=False``) or its value, MISSING where undefined.
+
+    The source holds node kinds and the fixed operator tables only: each
+    property name and literal is a parameter ``sN`` defaulting to it, so
+    one code object per tree *shape* serves every tree of that shape.
+    Raises :class:`ConstraintSyntaxError` past the module's bounds.
+    """
+    writer = _Writer()
+    if value:
+        writer.atom("r", writer.value(tree, 1, 1), 1, undefined="M")
+        writer.line(1, "return r")
+    else:
+        writer.test(tree, "r", 1, 1)
+        writer.line(1, "return True if r else False")
+    parameters = "".join(f", s{index}" for index in range(len(writer.slots)))
+    source = f"def generated(p, E, M, neg{parameters}):\n" + "\n".join(writer.lines)
+    defaults = (_UNDEFINED, MISSING, _negate, *writer.slots)
+    return FunctionType(_code(source), _GENERATED_GLOBALS, "generated", defaults)
 
 
-def _make_list(items):
-    def build(props):
-        values = [item(props) for item in items]
-        if any(value is MISSING for value in values):
-            return MISSING
-        return values
+@lru_cache(maxsize=256)
+def _code(source: str) -> CodeType:
+    namespace: dict = {}
+    # No request text reaches the source, and it runs without builtins.
+    exec(source, dict(_GENERATED_GLOBALS), namespace)  # noqa: S102 - the one generated function
+    return namespace["generated"].__code__
 
-    return build
+
+class _Writer:
+    """The source of one generated function, and the values it binds.
+
+    A comparison or a bare value is an *atom*: one ``try`` that sets the
+    result variable, reading anything ``_UNDEFINED`` raises as false.  An
+    ``and``/``or`` chain is a flat run of atoms, each under one ``if`` on
+    the result so far, so the code nests as deep as the constraint does,
+    not as long as its chains are.  A boolean inside a value (``(a < 1) +
+    2``) is computed first, into a temporary of its own: its falseness is
+    a value there, not the whole atom's.
+    """
+
+    def __init__(self) -> None:
+        self.lines: List[str] = []
+        self.slots: List[Any] = []
+        self.temps = self.nodes = 0
+
+    def line(self, indent: int, text: str) -> None:
+        self.lines.append("    " * indent + text)
+
+    def slot(self, constant: Any) -> str:
+        self.slots.append(constant)
+        return f"s{len(self.slots) - 1}"
+
+    def visit(self, depth: int) -> None:
+        self.nodes += 1
+        if depth > MAX_DEPTH:
+            raise ConstraintSyntaxError(f"nested deeper than {MAX_DEPTH} levels")
+        if self.nodes > MAX_NODES:
+            raise ConstraintSyntaxError(f"more than {MAX_NODES} terms")
+
+    def test(self, node: tuple, result: str, depth: int, indent: int) -> None:
+        """Statements leaving ``result`` with ``node``'s truth."""
+        kind = node[0]
+        if kind not in _BOOLEAN_KINDS:
+            return self.atom(result, self.value(node, depth, indent), indent)
+        self.visit(depth)
+        if kind == "exist":
+            self.line(indent, f"{result} = {self.slot(node[1])} in p")
+        elif kind == "not":
+            self.test(node[1], result, depth + 1, indent)
+            self.line(indent, f"{result} = not {result}")
+        elif kind == "cmp":
+            left, right = (self.value(side, depth + 1, indent) for side in node[2:])
+            self.atom(result, f"{left} {_COMPARE[node[1]]} {right}", indent)
+        else:  # and/or: each later term runs only while the chain is undecided
+            first, *rest = node[1]
+            self.test(first, result, depth + 1, indent)
+            for term in rest:
+                self.line(indent, f"if {result}:" if kind == "and" else f"if not {result}:")
+                self.test(term, result, depth + 1, indent + 1)
+
+    def atom(self, result: str, expression: str, indent: int, undefined: str = "False") -> None:
+        self.line(indent, "try:")
+        self.line(indent + 1, f"{result} = {expression}")
+        self.line(indent, "except E:")
+        self.line(indent + 1, f"{result} = {undefined}")
+
+    def value(self, node: tuple, depth: int, indent: int) -> str:
+        """An expression for ``node``'s value, raising one of
+        ``_UNDEFINED`` where the value is undefined."""
+        kind = node[0]
+        if kind in _BOOLEAN_KINDS:
+            temp = f"t{self.temps}"
+            self.temps += 1
+            self.test(node, temp, depth, indent)
+            self.line(indent, f"{temp} = True if {temp} else False")
+            return temp
+        self.visit(depth)
+        if kind == "lit":
+            return self.slot(node[1])
+        if kind == "prop":
+            return f"p[{self.slot(node[1])}]"
+        if kind == "neg":
+            return f"neg({self.value(node[1], depth + 1, indent)})"
+        if kind == "list":
+            return "[" + "".join(self.value(item, depth + 1, indent) + ", " for item in node[1]) + "]"
+        left, right = (self.value(side, depth + 1, indent) for side in node[2:])
+        return f"({left} {_ARITH[node[1]]} {right})"
+
+
+_ALWAYS_TRUE = Constraint("", ("lit", True))

@@ -287,6 +287,8 @@ class OfferStore:
         self._unindexed: Dict[Tuple[str, str], Set[str]] = {}
         self._range_index: Dict[Tuple[str, str], Dict[str, _SortedValues]] = {}
         self._range_enabled = range_index
+        #: Ids of the offers holding a dynamic marker: all an import resolves.
+        self.dynamic_ids: Set[str] = set()
         # Store-wide insertion sequence, stable across property modifies
         # and idempotent re-adds: within a type it is ``_by_type``'s
         # order, so index probes and sorted-index walks both come out in
@@ -532,6 +534,8 @@ class OfferStore:
                 )
             else:
                 self._unindexed.setdefault(key, set()).add(offer_id)
+                if is_dynamic(value):
+                    self.dynamic_ids.add(offer_id)
             if self._range_enabled:
                 value_class = _range_class(value)
                 if value_class is not None:
@@ -562,6 +566,7 @@ class OfferStore:
                 ids.discard(offer_id)
                 if not ids:
                     del self._unindexed[key]
+                self.dynamic_ids.discard(offer_id)
             if self._range_enabled:
                 value_class = _range_class(value)
                 if value_class is not None:

@@ -15,9 +15,10 @@ criteria:
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import Any, List, Optional, Tuple
 
-from repro.trader.constraints import MISSING, _Parser, _tokenize
+from repro.trader.constraints import MISSING, generate, parse_tree
 from repro.trader.errors import ConstraintSyntaxError
 from repro.trader.offers import ServiceOffer
 
@@ -25,16 +26,18 @@ from repro.trader.offers import ServiceOffer
 class Preference:
     """A parsed preference; apply to an offer list to order it."""
 
-    def __init__(self, source: str, kind: str, expr=None) -> None:
+    def __init__(self, source: str, kind: str, expr: Optional[tuple] = None) -> None:
         self.source = source
         self.kind = kind
-        self._expr = expr
+        # A min/max expression's tree (``repro.trader.constraints``), as
+        # one generated function returning the value or MISSING.
+        self._score = None if expr is None else generate(expr, value=True)
         # For a min/max over a bare property reference ("min ChargePerDay")
         # the sorted property index can rank candidates without scoring
         # each one; compound expressions keep this None and take the
         # general path.
         self.key_property: Optional[str] = (
-            getattr(expr, "prop_name", None) if kind in ("min", "max") else None
+            expr[1] if expr is not None and expr[0] == "prop" else None
         )
 
     def apply(self, offers: List[ServiceOffer], rng: Optional[random.Random] = None) -> List[ServiceOffer]:
@@ -52,7 +55,7 @@ class Preference:
         reverse = self.kind == "max"
         scored: List[Tuple[int, Any, ServiceOffer]] = []
         for index, offer in enumerate(offers):
-            value = self._expr(offer.properties)
+            value = self._score(offer.properties)
             # NaN has no order, so it ranks as undefined (the sorted index agrees).
             defined = value is not MISSING and isinstance(value, (int, float)) and value == value
             scored.append((index, value if defined else None, offer))
@@ -65,8 +68,9 @@ class Preference:
         return f"<Preference {self.source!r}>"
 
 
+@lru_cache(maxsize=256)
 def parse_preference(text: Optional[str]) -> Preference:
-    """Parse preference text; ``None``/blank means registration order."""
+    """Parse preference text, memoised; ``None``/blank means registration order."""
     if text is None or not text.strip():
         return Preference("", "first")
     stripped = text.strip()
@@ -76,8 +80,5 @@ def parse_preference(text: Optional[str]) -> Preference:
     for keyword in ("max", "min"):
         if lowered.startswith(keyword + " ") or lowered.startswith(keyword + "("):
             expression_text = stripped[len(keyword):].strip()
-            parser = _Parser(_tokenize(expression_text))
-            expr = parser.parse_sum()
-            parser.expect("\0")
-            return Preference(stripped, keyword, expr)
+            return Preference(stripped, keyword, parse_tree(expression_text, expression=True))
     raise ConstraintSyntaxError(f"unknown preference {text!r}")

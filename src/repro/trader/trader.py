@@ -393,23 +393,28 @@ class LocalTrader:
         ``constraint``, in the order given, ending at ``stop_after``
         matches (0 = examine every offer).  Offers after the stop are
         never examined, so ``trader.offers.expired{lazy}`` counts only
-        the lapsed leases met before it."""
+        the lapsed leases met before it.  Only offers the store lists in
+        ``dynamic_ids`` have markers to resolve; the rest match as stored."""
         evaluator = self.dynamic_evaluator
         holds = constraint.evaluate
+        dynamic = self.offers.dynamic_ids
         matched: List[ServiceOffer] = []
         for offer in offers:
-            if offer.expired(now):
+            expires_at = offer.expires_at
+            if expires_at is not None and now >= expires_at:
                 # Lazy exclusion: a lapsed lease stops matching before any
                 # sweep runs, so importers never see a dead exporter.
                 METRICS.inc("trader.offers.expired", (self.trader_id, "lazy"))
                 if LOG.active:
                     self._log_lease_expired(offer.offer_id, now, "lazy")
                 continue
-            resolved = resolve_properties(offer.properties, evaluator)
-            if holds(resolved):
-                if resolved is not offer.properties:
+            properties = offer.properties
+            if dynamic and offer.offer_id in dynamic:
+                properties = resolve_properties(properties, evaluator)
+            if holds(properties):
+                if properties is not offer.properties:
                     # importers see the fresh values, the store keeps markers
-                    offer = replace(offer, properties=resolved)
+                    offer = replace(offer, properties=properties)
                 matched.append(offer)
                 if len(matched) == stop_after:
                     break

@@ -21,8 +21,10 @@ single-owner relay (the router's branch, the remote backend's undecoded
 IMPORT answer and ``encode_result``'s rule for a relayed body), a shard's
 failover on the shared engine (``ShardHandle.call``: promotion, deadline
 slice, application error, no backend left), the rule that types a remote
-trader's fault, and the lease heartbeat's beat (renewed, lost and
-re-exported, failed)."""
+trader's fault, the lease heartbeat's beat (renewed, lost and
+re-exported, failed), the constraint code generator (every node kind,
+booleans used as values, both bounds) and the matching loop (lazy lease
+exclusion, marker resolution, the stop)."""
 
 import os
 import subprocess
@@ -65,6 +67,13 @@ TARGETS = [
     "repro.rpc.xdr:_span",
     "repro.rpc.xdr:get_string",
     "repro.rpc.xdr:get_opaque",
+    "repro.trader.constraints:generate",
+    "repro.trader.constraints:_code",
+    "repro.trader.constraints:_Writer.visit",
+    "repro.trader.constraints:_Writer.test",
+    "repro.trader.constraints:_Writer.atom",
+    "repro.trader.constraints:_Writer.value",
+    "repro.trader.trader:LocalTrader._matching",
 ]
 # Deterministic tests only: what the hypothesis properties happen to
 # generate must not decide whether a line counts as covered.
@@ -74,6 +83,7 @@ ADMISSION = "tests/test_rpc_admission.py::"
 SAMPLING = "tests/test_telemetry_sampling.py::"
 TCP = "tests/test_rpc_tcp.py::"
 BATCHING = "tests/test_rpc_batching.py::"
+CONSTRAINTS = "tests/test_trader_constraints.py::"
 UNIT_TESTS = [
     RPC + "test_at_most_once_suppresses_duplicate_execution",
     RPC + "test_reply_cache_bounded",
@@ -117,6 +127,13 @@ UNIT_TESTS = [
     "tests/test_trader_index.py",
     "tests/test_trader_sorted_run.py::test_modify_back_to_a_folded_value_cancels_its_tombstone",
     "tests/test_trader_policies.py",
+    CONSTRAINTS + "test_hostile_constraints_are_a_syntax_error",
+    CONSTRAINTS + "test_and_or_not",
+    CONSTRAINTS + "test_in_list",
+    CONSTRAINTS + "test_unary_minus",
+    CONSTRAINTS + "test_exist",
+    CONSTRAINTS + "test_boolean_property_direct",
+    "tests/test_trader_dynamic.py::test_only_marked_offers_are_resolved",
     "-k",
     "not candidate_order",
 ]

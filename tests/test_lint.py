@@ -1,6 +1,7 @@
 """tier-1 runs the repo's own lint (``tools/lint.py``) over ``src`` and
-``tools``, so an import or a local orphaned by a refactor fails here and
-not only in CI's ``ruff`` step (which the sandbox cannot install)."""
+``tools``, so an import or a local orphaned by a refactor, or a new
+``exec``, fails here and not only in CI's ``ruff`` step (which the
+sandbox cannot install)."""
 
 import importlib.util
 from pathlib import Path
@@ -53,3 +54,16 @@ def test_unused_locals_are_found_but_closures_and_underscores_are_not():
         "    return g\n"
     )
     assert codes(source) == [(2, "F841"), (8, "F841")]
+
+
+def test_exec_is_found_unless_excused():
+    source = (
+        "exec('x = 1')\n"
+        "exec(code, {})  # noqa: S102 - compiled from a fixed template\n"
+        "loader.exec_module(module)\n"
+        "def f(exec):\n"
+        "    return exec\n"
+        "exec(\n"
+        "    'y = 2')\n"
+    )
+    assert codes(source) == [(1, "S102"), (6, "S102")]

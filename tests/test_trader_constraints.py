@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.trader.constraints import parse_constraint
+from repro.trader.constraints import MAX_DEPTH, MAX_NODES, parse_constraint
 from repro.trader.errors import ConstraintSyntaxError
 
 OFFER = {
@@ -149,6 +149,17 @@ def test_syntax_errors_raise():
             parse_constraint(bad)
 
 
+def test_pinned_conjuncts_are_read_off_the_tree():
+    constraint = parse_constraint(
+        "30 > ChargePerDay and City == 'C1' and ('M3' == Model and 2 <= Seats)"
+        " and Doors != 4 and Doors == Seats and not Fuel == 'D' and -1 < Rating"
+    )
+    assert constraint.equality_conjuncts == (("City", "C1"), ("Model", "M3"))
+    assert constraint.range_conjuncts == (("ChargePerDay", "<", 30), ("Seats", ">=", 2))
+    either = parse_constraint("City == 'C1' or ChargePerDay < 30")
+    assert either.equality_conjuncts == either.range_conjuncts == ()
+
+
 def test_constraints_are_reusable():
     constraint = parse_constraint("ChargePerDay < 100")
     assert constraint.evaluate({"ChargePerDay": 50})
@@ -185,3 +196,85 @@ def test_parser_never_crashes_unexpectedly(text):
         parse_constraint(text)
     except ConstraintSyntaxError:
         pass
+
+
+# -- hostile input: typed errors, never RecursionError ---------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * 200 + "a == 1" + ")" * 200,  # the parser's own recursion
+        "not " * 200 + "a",
+        "-" * 200 + "a == 1",
+        "a in " + "[" * 200 + "]" * 200,
+        " and ".join(["a == 1"] * 3000),  # node count
+        "a" + " + 1" * (MAX_DEPTH + 1) + " > 0",  # a left-deep tree, however flat the text
+    ],
+    ids=["parens", "not", "minus", "brackets", "and-chain", "sum-chain"],
+)
+def test_hostile_constraints_are_a_syntax_error(text):
+    with pytest.raises(ConstraintSyntaxError, match="nested deeper|more than"):
+        parse_constraint(text)
+
+
+def test_nesting_up_to_the_bound_compiles():
+    nested = "(" * (MAX_DEPTH - 1) + "a == 1" + ")" * (MAX_DEPTH - 1)
+    assert parse_constraint(nested).evaluate({"a": 1})
+    assert parse_constraint("not " * (MAX_DEPTH - 1) + "a").evaluate({"a": 0}) is (
+        (MAX_DEPTH - 1) % 2 == 1
+    )
+
+
+def test_long_chains_generate_flat_code():
+    """An ``and``/``or`` chain is one nesting level however long: 300
+    terms stay far inside Python's 100 indentation levels."""
+    terms = [f"p{index} == {index}" for index in range(300)]
+    every = {f"p{index}": index for index in range(300)}
+    conjunction = parse_constraint(" and ".join(terms))
+    disjunction = parse_constraint(" or ".join(terms))
+    assert len(terms) * 3 <= MAX_NODES
+    assert conjunction.evaluate(every)
+    assert not conjunction.evaluate(dict(every, p299=0))
+    assert len(conjunction.equality_conjuncts) == 300
+    assert disjunction.evaluate({"p299": 299})
+    assert not disjunction.evaluate({})
+
+
+def test_one_code_object_per_shape():
+    first = parse_constraint("City == 'C1' and ChargePerDay < 10")
+    second = parse_constraint("City == 'C2' and ChargePerDay < 20.5")
+    assert first._holds.__code__ is second._holds.__code__
+    assert first.evaluate({"City": "C1", "ChargePerDay": 9})
+    assert not second.evaluate({"City": "C1", "ChargePerDay": 9})
+    assert second.evaluate({"City": "C2", "ChargePerDay": 20})
+
+
+SOURCE_TEXT = [
+    "'); __import__('os').system('exit 1') #",
+    "\n    return True\n",
+    '""" + r + """',
+    "s0",
+    "\\' or True or \\'",
+]
+
+
+@pytest.mark.parametrize("literal", SOURCE_TEXT)
+def test_string_literals_are_plain_data(literal):
+    quote = '"' if "'" in literal else "'"
+    constraint = parse_constraint(f"name == {quote}{literal}{quote} or {quote}{literal}{quote} in tags")
+    assert constraint.evaluate({"name": literal})
+    assert constraint.evaluate({"tags": [literal]})
+    assert not constraint.evaluate({"name": literal + " ", "tags": []})
+    assert not constraint.evaluate({})
+
+
+def test_property_names_are_plain_data():
+    """Names that mean something to the generated function or to Python
+    (its own parameters, builtins, dunders) are only dictionary keys."""
+    names = ["p", "r", "E", "M", "neg", "s0", "t0", "True", "__import__", "__builtins__", "exec"]
+    text = " and ".join(f"{name} == {index}" for index, name in enumerate(names))
+    properties = {name: index for index, name in enumerate(names)}
+    assert parse_constraint(text).evaluate(properties)
+    assert not parse_constraint(text).evaluate(dict(properties, exec=-1))
+    assert parse_constraint("exist __import__ and not exist eval").evaluate(properties)

@@ -1,7 +1,10 @@
 """Tests for dynamic service properties (ODP late-bound attributes)."""
 
+import random
 
 from repro.core.service_runtime import ServiceRuntime
+from repro.naming.refs import ServiceRef
+from repro.net.endpoints import Address
 from repro.sidl.builder import load_service_description
 from repro.sidl.types import DOUBLE, InterfaceType, OperationType, STRING
 from repro.trader.dynamic import (
@@ -10,7 +13,9 @@ from repro.trader.dynamic import (
     is_dynamic,
     resolve_properties,
 )
+from repro.trader.offers import ServiceOffer
 from repro.trader.service_types import ServiceType
+from repro.trader.sharding import TraderShard
 from repro.trader.trader import ImportRequest, LocalTrader, TraderClient, TraderService
 
 PRICED_SIDL = """
@@ -205,3 +210,78 @@ def test_networked_trader_evaluates_dynamics(make_server, make_client):
     implementation.charge = 95.0
     offers = client.import_(ImportRequest("PricedRental", "ChargePerDay == 95"))
     assert len(offers) == 1
+
+
+# -- the store's book of marked offers ----------------------------------------------
+
+
+def _marked(store):
+    """The ids whose stored properties hold a marker, read off the offers."""
+    return {
+        offer.offer_id
+        for offer in store.all()
+        if any(is_dynamic(value) for value in offer.properties.values())
+    }
+
+
+def test_marker_book_follows_every_write_on_primary_and_replica():
+    """Export, modify (marker <-> static), withdraw, an idempotent re-add
+    and replayed deltas: after every step each store's ``dynamic_ids`` is
+    exactly the set of offers holding a marker."""
+    rng = random.Random(1994)
+    primary = TraderShard("p", offer_prefix="m")
+    replica = TraderShard("r", offer_prefix="m", role="replica")
+    primary.attach_replica("r", replica.apply_delta)
+    primary.add_type(rental_type())
+    marker = dynamic_property(ServiceRef.create("live", Address("h", 1), 1), "CurrentCharge")
+
+    def properties():
+        return {
+            "ChargePerDay": rng.choice([marker, 10.0, 20.0]),
+            "City": rng.choice([marker, "Hamburg"]),
+            "Tags": rng.choice([marker, ["not", "hashable"], "static"]),  # undeclared
+        }
+
+    live = []
+    for step in range(300):
+        action = rng.choice(["export", "export", "modify", "modify", "withdraw", "re-add", "replay"])
+        if action == "export" or not live:
+            ref = ServiceRef.create(f"s{step}", Address("h", 2), 1)
+            live.append(primary.export("PricedRental", ref, properties()))
+        elif action == "modify":
+            primary.modify(rng.choice(live), properties())
+        elif action == "withdraw":
+            primary.withdraw(live.pop(rng.randrange(len(live))))
+        elif action == "re-add":
+            store = rng.choice([primary, replica]).trader.offers
+            store.add(ServiceOffer.from_wire(store.get(rng.choice(live)).to_wire()))
+        else:
+            assert replica.apply_delta(rng.choice(primary.deltas_since(0))) is True
+        for shard in (primary, replica):
+            assert shard.trader.offers.dynamic_ids == _marked(shard.trader.offers), (step, action)
+    assert primary.trader.offers.dynamic_ids == replica.trader.offers.dynamic_ids
+    assert primary.trader.offers.dynamic_ids  # the walk did hold markers
+
+
+def test_only_marked_offers_are_resolved():
+    """Unmarked offers match as stored: the evaluator sees markers only."""
+    seen = []
+
+    def evaluator(marker):
+        seen.append(marker["operation"])
+        return 5.0
+
+    trader = LocalTrader(dynamic_evaluator=evaluator)
+    trader.add_type(rental_type())
+    ref = ServiceRef.create("x", Address("h", 1), 1)
+    static = trader.export("PricedRental", ref, {"ChargePerDay": 10.0, "City": "Kiel"})
+    dynamic = trader.export(
+        "PricedRental", ref, {"ChargePerDay": dynamic_property(ref, "Live"), "City": "Kiel"}
+    )
+    assert trader.offers.dynamic_ids == {dynamic}
+    offers = trader.import_(ImportRequest("PricedRental", "ChargePerDay < 20"))
+    assert [offer.offer_id for offer in offers] == [static, dynamic]
+    assert offers[1].properties["ChargePerDay"] == 5.0
+    assert seen == ["Live"]
+    trader.modify(dynamic, {"ChargePerDay": 7.0, "City": "Kiel"})
+    assert trader.offers.dynamic_ids == set()

@@ -5,22 +5,33 @@ pre-filter are pure optimisations: for any offer population and any
 well-formed constraint, the trader must return exactly the offers a naive
 linear scan with a fresh parse would.
 
+The generated matcher itself is pinned to :func:`reference`, a straight
+recursive reading of the parsed tree, over the whole language: ``and``,
+``or``, ``not``, ``exist``, comparisons, ``in``, ``+ - * /``, unary minus,
+bare-value truth and booleans used as values, against tie-heavy values
+(``True``/``1``/``1.0``, ``0.0``/``-0.0``, NaN, strings, lists).  So are
+``min``/``max`` preference expressions, through ``Preference.apply``.
+
 The second half holds the read path to *one* implementation per decision
 (DESIGN.md §6d): every access path and every deployment shape gives the
 same ranked answer, and a source guard counts the call sites.
 """
 
 import ast
+import operator
 from pathlib import Path
+from types import MappingProxyType
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.naming.refs import ServiceRef
 from repro.net.endpoints import Address
 from repro.sidl.types import InterfaceType, LONG, OperationType
-from repro.trader.constraints import Constraint, _Parser, _tokenize
+from repro.trader.constraints import MISSING, Constraint, parse_constraint, parse_tree
 from repro.trader.dynamic import dynamic_property
+from repro.trader.offers import ServiceOffer
+from repro.trader.policies import parse_preference
 from repro.trader.service_types import ServiceType
 from repro.trader.sharding import build_local_router
 from repro.trader.trader import ImportRequest, LocalTrader
@@ -39,6 +50,11 @@ comparisons = st.one_of(
         st.sampled_from(["==", "!=", "<", "<=", ">", ">="]),
         st.sampled_from(VALUES),
     ).map(lambda t: f"{t[0]} {t[1]} {_literal(t[2])}"),
+    st.tuples(  # mirrored: the index pre-filter turns these round
+        st.sampled_from(VALUES),
+        st.sampled_from(["==", "<", "<=", ">", ">="]),
+        st.sampled_from(PROPS),
+    ).map(lambda t: f"{_literal(t[0])} {t[1]} {t[2]}"),
     st.tuples(
         st.sampled_from(PROPS),
         st.lists(st.sampled_from(VALUES), min_size=1, max_size=3),
@@ -65,10 +81,165 @@ offer_properties = st.dictionaries(
 
 def fresh_parse(text):
     """A brand-new parse, bypassing the lru_cache entirely."""
-    parser = _Parser(_tokenize(text))
-    root = parser.parse_or()
-    parser.expect("\0")
-    return Constraint(text, root)
+    return Constraint(text, parse_tree(text, expression=False))
+
+
+# -- the reference semantics --------------------------------------------------
+
+_COMPARISONS = {
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+_ARITHMETIC = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+}
+
+
+def truth(value):
+    return value is not MISSING and bool(value)
+
+
+def reference(node, props):
+    """The language, read straight off the tree: a missing property is
+    MISSING and MISSING propagates through values; a comparison or ``in``
+    over MISSING, or one that raises ``TypeError``, is false; arithmetic
+    that raises ``TypeError``, a zero divisor and a negated non-number
+    are MISSING; a bare value's truth is its own; ``and``/``or``
+    short-circuit and yield a bool."""
+    kind = node[0]
+    if kind == "lit":
+        return node[1]
+    if kind == "prop":
+        return props.get(node[1], MISSING)
+    if kind == "exist":
+        return node[1] in props
+    if kind == "not":
+        return not truth(reference(node[1], props))
+    if kind == "and":
+        return all(truth(reference(child, props)) for child in node[1])
+    if kind == "or":
+        return any(truth(reference(child, props)) for child in node[1])
+    if kind == "list":
+        items = [reference(item, props) for item in node[1]]
+        return MISSING if any(item is MISSING for item in items) else items
+    if kind == "neg":
+        value = reference(node[1], props)
+        return -value if isinstance(value, (int, float)) else MISSING
+    left, right = node[-2], node[-1]
+    lhs, rhs = reference(left, props), reference(right, props)
+    if kind == "arith":
+        if lhs is MISSING or rhs is MISSING:
+            return MISSING
+        if node[1] == "/" and isinstance(rhs, (int, float)) and rhs == 0:
+            return MISSING
+        try:
+            return _ARITHMETIC[node[1]](lhs, rhs)
+        except TypeError:
+            return MISSING
+    if lhs is MISSING or rhs is MISSING:
+        return False
+    try:
+        return lhs in rhs if node[1] == "in" else _COMPARISONS[node[1]](lhs, rhs)
+    except TypeError:
+        return False
+
+
+# Ties across types, signed zeros, NaN (one object, so `in` may find it by
+# identity), empty and non-empty strings and lists.
+TIE_VALUES = [True, False, 1, 0, 1.0, 0.0, -0.0, 2, float("nan"), "x", "xy", "", [1, "x"], []]
+tie_properties = st.dictionaries(st.sampled_from(PROPS), st.sampled_from(TIE_VALUES))
+
+_LITERALS = ["0", "1", "2", "0.0", "1.5", "'x'", "'xy'", "''", "true", "false"]
+operands = st.one_of(st.sampled_from(PROPS), st.sampled_from(_LITERALS))
+
+
+def _values(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from("+-*/"), children).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"
+        ),
+        children.map(lambda c: f"-{c}"),
+        st.lists(children, max_size=3).map(lambda items: f"[{', '.join(items)}]"),
+    )
+
+
+values = st.recursive(operands, _values, max_leaves=4)
+atoms = st.one_of(
+    st.tuples(values, st.sampled_from(sorted(_COMPARISONS)), values).map(" ".join),
+    st.tuples(values, values).map(lambda t: f"{t[0]} in {t[1]}"),
+    st.sampled_from(PROPS).map(lambda p: f"exist {p}"),
+    values,  # a bare value: its own truth
+    # a chain compared as a value: and/or yield a bool, not an operand
+    st.tuples(
+        values, st.sampled_from(["and", "or"]), values, st.sampled_from(sorted(_COMPARISONS)), values
+    ).map(lambda t: f"({t[0]} {t[1]} {t[2]}) {t[3]} {t[4]}"),
+)
+
+
+def _booleans(children):
+    return st.one_of(
+        st.tuples(children, children).map(lambda t: f"({t[0]} and {t[1]})"),
+        st.tuples(children, children).map(lambda t: f"({t[0]} or {t[1]})"),
+        children.map(lambda c: f"not {c}"),
+        # a boolean used as a value: its falseness is a number there
+        st.tuples(children, st.sampled_from("+*"), values).map(
+            lambda t: f"({t[0]}) {t[1]} {t[2]} > 0"
+        ),
+    )
+
+
+full_constraints = st.recursive(atoms, _booleans, max_leaves=5)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=full_constraints, props=tie_properties)
+@example(text="(a and b) == 'x'", props={"a": 1, "b": "x"})  # a chain's value is a bool
+@example(text="(a or b) + 1 > 1", props={"a": 0, "b": 2})
+@example(text="not (a < 'x') and b", props={"a": 1, "b": [0]})
+@example(text="a / 0 == a / 0 or not a / b", props={"a": 1.5, "b": -0.0})
+@example(text="-a < 0 or -b in [a]", props={"a": True, "b": "x"})
+@example(text="a in b and 'x' in c", props={"a": "x", "b": "xy", "c": [1, "x"]})
+@example(text="a != a", props={"a": float("nan")})
+def test_compiled_matcher_equals_the_reference_reading(text, props):
+    tree = parse_tree(text, expression=False)
+    expected = truth(reference(tree, props))
+    for compiled in (parse_constraint(text), fresh_parse(text)):
+        assert compiled.evaluate(props) is expected, (text, props)
+        assert compiled.evaluate(MappingProxyType(props)) is expected, (text, props)
+
+
+def _same(left, right):
+    """Identical values: ``repr`` tells 1 from 1.0 from True, -0.0 from
+    0.0, and NaN equals itself."""
+    return type(left) is type(right) and repr(left) == repr(right)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    expression=values,
+    kind=st.sampled_from(["min", "max"]),
+    population=st.lists(tie_properties, max_size=6),
+)
+def test_preference_expressions_equal_the_reference_reading(expression, kind, population):
+    tree = parse_tree(expression, expression=True)
+    preference = parse_preference(f"{kind} {expression}")
+    offers = [
+        ServiceOffer(f"o{index}", "T", {}, properties)
+        for index, properties in enumerate(population)
+    ]
+    for offer in offers:
+        assert _same(preference._score(offer.properties), reference(tree, offer.properties))
+    # The reference ranking: defined numbers first (NaN is undefined), by
+    # value then position, the rest in candidate order.
+    scored = [(reference(tree, offer.properties), index) for index, offer in enumerate(offers)]
+    defined = [
+        (value, index) for value, index in scored
+        if isinstance(value, (int, float)) and value == value
+    ]
+    defined.sort(key=lambda item: (-item[0] if kind == "max" else item[0], item[1]))
+    ranked = [index for _, index in defined]
+    ranked += [index for _, index in scored if index not in ranked]
+    assert preference.apply(offers) == [offers[index] for index in ranked], expression
 
 
 def build_trader(property_dicts):
@@ -92,19 +263,27 @@ def build_trader(property_dicts):
     offers=st.lists(offer_properties, max_size=8),
     constraint_text=constraints,
 )
+@example(offers=[{"a": 0}, {"a": 1}, {"a": 2}], constraint_text="2 > a")
+@example(offers=[{"a": 1, "b": "x"}, {"a": 2, "b": "x"}], constraint_text="1 <= a and 'x' == b")
 def test_indexed_matching_equals_linear_scan(offers, constraint_text):
     trader = build_trader(offers)
-    reference = fresh_parse(constraint_text)
+    reference_parse = fresh_parse(constraint_text)
     expected = {
         offer.offer_id
         for offer in trader.offers.all()
-        if reference.evaluate(offer.properties)
+        if reference_parse.evaluate(offer.properties)
     }
     actual = {
         offer.offer_id
         for offer in trader.import_(ImportRequest("T", constraint_text))
     }
     assert actual == expected
+    tree = parse_tree(constraint_text, expression=False)
+    assert expected == {
+        offer.offer_id
+        for offer in trader.offers.all()
+        if truth(reference(tree, offer.properties))
+    }
 
 
 @settings(max_examples=40, deadline=None)
@@ -119,11 +298,11 @@ def test_equivalence_survives_modify_and_withdraw(offers, constraint_text, modif
     trader.modify(ids[0], dict(modified))
     if len(ids) > 1:
         trader.withdraw(ids[1])
-    reference = fresh_parse(constraint_text)
+    reference_parse = fresh_parse(constraint_text)
     expected = {
         offer.offer_id
         for offer in trader.offers.all()
-        if reference.evaluate(offer.properties)
+        if reference_parse.evaluate(offer.properties)
     }
     actual = {
         offer.offer_id

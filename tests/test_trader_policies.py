@@ -95,3 +95,27 @@ def test_nan_score_sorts_last_like_a_missing_one(offers):
     offers.insert(0, offer("n", price=float("nan")))
     assert ids(parse_preference("min price").apply(offers)) == ["b", "c", "a", "n"]
     assert ids(parse_preference("max price").apply(offers)) == ["a", "c", "b", "n"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "min " + "(" * 200 + "price" + ")" * 200,
+        "max " + " + ".join(["price"] * 100),
+        "min " + "-" * 200 + "price",
+    ],
+    ids=["parens", "sum-chain", "minus"],
+)
+def test_hostile_expression_is_a_syntax_error(text):
+    with pytest.raises(ConstraintSyntaxError, match="nested deeper"):
+        parse_preference(text)
+
+
+def test_expression_undefined_and_boolean_scores(offers):
+    offers.append(offer("z", price=0, quality="high"))
+    # price / quality: "high" is undefined (TypeError), 0 divides to undefined
+    assert ids(parse_preference("min price / quality").apply(offers)) == ["c", "b", "a", "z"]
+    assert ids(parse_preference("min quality / (price - 10)").apply(offers)) == ["a", "c", "b", "z"]
+    # a comparison is a number (False < True) when it ranks
+    assert ids(parse_preference("max (price < 25) + 0").apply(offers)) == ["b", "c", "z", "a"]
+    assert ids(parse_preference("min -price").apply(offers)) == ["a", "c", "b", "z"]

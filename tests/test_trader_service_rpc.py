@@ -137,6 +137,30 @@ def test_malformed_import_is_a_typed_fault_not_an_empty_answer(backend, request_
         client_transport.close()
 
 
+HOSTILE = {
+    "parens": "(" * 200 + "ChargePerDay < 90" + ")" * 200,
+    "and-chain": " and ".join(["ChargePerDay < 90"] * 3000),
+}
+
+
+@pytest.mark.parametrize("text", HOSTILE.values(), ids=HOSTILE.keys())
+@pytest.mark.parametrize("backend", ("bare", "router"))
+def test_hostile_constraint_is_a_typed_fault(make_server, make_client, backend, text):
+    """A constraint past the nesting or size bound is refused as
+    ``ConstraintSyntaxError`` on the wire (never ``RecursionError``), and
+    the stub raises it typed, whether a trader or a shard router serves."""
+    trader = LocalTrader() if backend == "bare" else build_local_router(["s0", "s1"])
+    service = TraderService(make_server("trader-host"), trader=trader)
+    client = TraderClient(make_client(), service.address)
+    client.add_type(rental_type())
+    client.export("CarRentalService", ServiceRef.create("x", Address("h", 1), 1), PROPS)
+    with pytest.raises(ConstraintSyntaxError) as typed:
+        client.import_(ImportRequest("CarRentalService", text))
+    fault = typed.value.__cause__
+    assert isinstance(fault, RemoteFault) and fault.kind == "ConstraintSyntaxError"
+    assert len(client.import_(ImportRequest("CarRentalService", "ChargePerDay < 90"))) == 1
+
+
 def test_remote_mask_type(stack):
     __, client = stack
     client.export(

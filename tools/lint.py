@@ -1,9 +1,10 @@
-"""A dependency-free lint: unused imports and unused local assignments.
+"""A dependency-free lint: unused imports, unused local assignments, ``exec``.
 
 The CI ``lint`` job runs ``ruff``, which the development sandbox cannot
-install; this is the subset of its ``F`` rules that keeps finding real
-leftovers after a refactor, on nothing but the standard library, so
-tier-1 can run it (``tests/test_lint.py``)::
+install; this is the subset of its rules that keeps finding real
+leftovers after a refactor, plus the one that keeps generated code
+rare, on nothing but the standard library, so tier-1 can run it
+(``tests/test_lint.py``)::
 
     python tools/lint.py src tools
 
@@ -13,6 +14,8 @@ tier-1 can run it (``tests/test_lint.py``)::
   ``except … as name`` that its function never reads.  Names starting
   with ``_`` say "unused on purpose" and are skipped, as are functions
   that call ``locals()``.
+* ``S102`` — a call of the builtin ``exec``: code built at run time must
+  say, in its ``noqa``, why it is safe.
 
 A ``# noqa`` comment (bare, or listing the code) on the reported line
 suppresses a finding; give the reason next to it.
@@ -142,12 +145,19 @@ def _unused_locals(tree: ast.Module) -> Iterator[tuple]:
                 yield (line,), "F841", f"local variable {name!r} is assigned to but never used"
 
 
+def _exec_calls(tree: ast.Module) -> Iterator[tuple]:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "exec":
+                yield (node.lineno,), "S102", "use of `exec`"
+
+
 def check_source(text: str, path: str = "<string>") -> List[Finding]:
     """Lint one module's source; findings in line order."""
     tree = ast.parse(text, filename=path)
     lines = text.splitlines()
     findings = []
-    for check in (_unused_imports, _unused_locals):
+    for check in (_unused_imports, _unused_locals, _exec_calls):
         for noqa_lines, code, message in check(tree):
             if not any(_suppressed(lines, line, code) for line in noqa_lines):
                 findings.append(Finding(path, noqa_lines[0], code, message))
