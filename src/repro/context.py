@@ -53,8 +53,9 @@ def _new_span_uid() -> str:
 
     Export-time span ids are positional within the chain
     (``<trace>-s0003``) and therefore unknowable while the span is still
-    open; the uid exists so structured log records emitted *inside* a
-    span (:mod:`repro.telemetry.log`) can be joined to it after export.
+    open; the uid exists so occurrence records written *inside* a span
+    (:func:`repro.telemetry.hub.occurred`) can be joined to it after
+    export.
     """
     return f"u{next(_span_uid_counter):06d}"
 
@@ -431,9 +432,8 @@ _current_span: ContextVar[Optional[SpanRecord]] = ContextVar(
 def current_span() -> Optional[SpanRecord]:
     """The innermost open span of the executing task/thread, if any.
 
-    Maintained by :meth:`CallContext.span`'s scope; structured log
-    records use it to stamp the ``span_uid`` of the work they happened
-    inside.
+    Maintained by :meth:`CallContext.span`'s scope; occurrence records
+    use it to stamp the ``span_uid`` of the work they happened inside.
     """
     return _current_span.get()
 

@@ -34,7 +34,7 @@ from repro.rpc.message import ReplyStatus, RpcCall, RpcReply
 from repro.rpc.transport import Transport
 from repro.rpc.xdr import decode_value
 from repro.telemetry import sampling
-from repro.telemetry.hub import flush_context
+from repro.telemetry.hub import flush_context, occurred
 from repro.telemetry.metrics import METRICS
 
 #: A BATCH envelope is cut before its frame count passes this …
@@ -358,10 +358,10 @@ class RpcClient:
                 return False
             call.attempt = attempt
             self.retransmissions += 1
-            METRICS.inc("rpc.client.retransmissions", labels)
-            # Wire-level visibility: each extra attempt is an event on
-            # the rpc span, exported with the chain.
-            call.span.add_event("retransmission", at=now, attempt=attempt)
+            # Wire-level visibility: each extra attempt is also an event
+            # on the rpc span, exported with the chain.
+            occurred("rpc.client.retransmissions", labels, now, call.span,
+                     attempt=attempt)
             return True
         if ctx.expired(now) and ctx.retry.attempt_timeout is None:
             METRICS.inc("rpc.client.deadline_exceeded", labels)
@@ -439,8 +439,8 @@ class RpcClient:
         call.reply, call.error, call.done = reply, error, True
         span = call.span
         if reply is not None and reply.status is ReplyStatus.SHED:
-            METRICS.inc("rpc.client.shed_received", (str(call.prog), str(call.proc)))
-            span.add_event("shed", at=now, attempt=call.attempt)
+            occurred("rpc.client.shed_received", (str(call.prog), str(call.proc)),
+                     now, span, attempt=call.attempt)
         if error is not None:
             span.outcome = type(error).__name__
         span.elapsed = now - span.started_at

@@ -21,10 +21,11 @@ is that client-side half of the failure-recovery layer:
   running on a slice of the remaining deadline so one dead endpoint
   cannot eat the whole budget.
 
-Everything is surfaced: ``rpc.failover.attempts`` / ``rpc.backoff.sleeps``
-counters, a ``rpc.breaker.state`` gauge (0 closed, 1 half-open, 2 open)
-with ``rpc.breaker.opens``, and ``backoff`` / ``failover`` /
-``breaker_open`` events on the request's resilience span.
+Everything is surfaced through :func:`~repro.telemetry.hub.occurred`:
+``rpc.failover.attempts`` / ``rpc.backoff.sleeps`` / ``rpc.breaker.skipped``
+counters, each also an event of that name on the request's resilience
+span, and ``rpc.breaker.opens`` / ``rpc.breaker.closes`` beside a
+``rpc.breaker.state`` gauge (0 closed, 1 half-open, 2 open).
 
 All timing flows through the transport clock, so behaviour is identical
 on virtual-time simulations and wall-clock TCP stacks.
@@ -41,7 +42,7 @@ from repro.context import CallContext, Clock, current_context
 from repro.errors import BindingError, CommunicationError
 from repro.rpc.client import RpcClient
 from repro.rpc.errors import DeadlineExceeded, RpcError, RpcTimeout, ServerShedding
-from repro.telemetry.log import LOG
+from repro.telemetry.hub import occurred
 from repro.telemetry.metrics import METRICS
 
 T = TypeVar("T")
@@ -182,46 +183,43 @@ class CircuitBreaker:
                 return True
             return False
 
+    # Transitions change state under the lock and record the occurrence
+    # after releasing it: an exporter's write never holds up the
+    # breaker's other callers, and may read the breaker itself.
+
     def record_success(self, now: Optional[float] = None) -> None:
         with self._lock:
             self._consecutive_failures = 0
-            if self._state != STATE_CLOSED:
+            closing = self._state != STATE_CLOSED
+            if closing:
                 self._state = STATE_CLOSED
                 self._publish()
-                if LOG.active:
-                    LOG.event(
-                        "rpc.breaker_closed",
-                        at=self._clock() if now is None else now,
-                        endpoint=self.name,
-                    )
+        if closing:
+            occurred(
+                "rpc.breaker.closes", (self.name,),
+                self._clock() if now is None else now, endpoint=self.name,
+            )
 
     def record_failure(self, now: Optional[float] = None) -> None:
         now = self._clock() if now is None else now
         with self._lock:
             self._consecutive_failures += 1
-            if self._state == STATE_HALF_OPEN:
-                # The probe failed: back to open, a fresh probe interval.
-                self._trip(now)
-            elif (
+            failures = self._consecutive_failures
+            # A failed half-open probe re-opens for a fresh interval.
+            tripped = self._state == STATE_HALF_OPEN or (
                 self._state == STATE_CLOSED
-                and self._consecutive_failures >= self.policy.failure_threshold
-            ):
-                self._trip(now)
-
-    def _trip(self, now: float) -> None:
-        self._state = STATE_OPEN
-        self._opened_at = now
-        self.opens += 1
-        METRICS.inc("rpc.breaker.opens", (self.name,))
-        self._publish()
-        if LOG.active:
-            LOG.event(
-                "rpc.breaker_open",
-                level="warning",
-                at=now,
-                endpoint=self.name,
-                failures=self._consecutive_failures,
-                opens=self.opens,
+                and failures >= self.policy.failure_threshold
+            )
+            if tripped:
+                self._state = STATE_OPEN
+                self._opened_at = now
+                self.opens += 1
+                opens = self.opens
+                self._publish()
+        if tripped:
+            occurred(
+                "rpc.breaker.opens", (self.name,), now,
+                endpoint=self.name, failures=failures, opens=opens,
             )
 
     def _publish(self) -> None:
@@ -293,8 +291,8 @@ class ResilientCaller:
           decorrelated-jitter delay (clamped to the remaining budget) and
           fails over to the next candidate;
         * targets whose breaker is open are skipped without network
-          traffic (a ``breaker_open`` span event); if *every* target is
-          skipped that way, :class:`CircuitOpen` is raised;
+          traffic (an ``rpc.breaker.skipped`` occurrence); if *every*
+          target is skipped that way, :class:`CircuitOpen` is raised;
         * with budget left after a full pass, the list is retried up to
           ``rounds`` times (a second chance for shed-but-alive servers).
 
@@ -321,8 +319,8 @@ class ResilientCaller:
                     endpoint = key(target)
                     breaker = self.breaker_for(endpoint)
                     if not breaker.allow(now):
-                        span.add_event("breaker_open", at=now, endpoint=endpoint)
-                        METRICS.inc("rpc.breaker.skipped", (endpoint,))
+                        occurred("rpc.breaker.skipped", (endpoint,), now, span,
+                                 endpoint=endpoint)
                         continue
                     if not first_attempt:
                         # Every attempt after the first is a failover (or a
@@ -331,18 +329,11 @@ class ResilientCaller:
                         if ctx is not None and ctx.expired(clock()):
                             raise self._deadline_error(ctx, last_error)
                         self.failovers += 1
-                        METRICS.inc("rpc.failover.attempts", (endpoint,))
-                        span.add_event("failover", at=clock(), endpoint=endpoint,
-                                       round=round_index)
-                        if LOG.active:
-                            LOG.event(
-                                "rpc.failover",
-                                level="warning",
-                                at=clock(),
-                                endpoint=endpoint,
-                                round=round_index,
-                                candidates_left=len(targets) - position,
-                            )
+                        occurred(
+                            "rpc.failover.attempts", (endpoint,), clock(), span,
+                            endpoint=endpoint, round=round_index,
+                            candidates_left=len(targets) - position,
+                        )
                     attempted += 1
                     first_attempt = False
                     child = self._attempt_context(ctx, len(targets) - position)
@@ -387,9 +378,8 @@ class ResilientCaller:
         now = clock()
         wait = delay if ctx is None else min(delay, ctx.remaining(now))
         if wait > 0:
-            span.add_event("backoff", at=now, delay=wait)
+            occurred("rpc.backoff.sleeps", (), now, span, delay=wait)
             self.backoff_sleeps += wait
-            METRICS.inc("rpc.backoff.sleeps")
             METRICS.observe("rpc.backoff.seconds", wait)
             self._client.transport.wait(lambda: False, wait)
         return self.backoff.next_delay(delay, self._rng)

@@ -45,8 +45,7 @@ from repro.rpc.message import ReplyStatus, RpcCall, RpcReply
 from repro.rpc.transport import Transport
 from repro.rpc.xdr import encode_value
 from repro.rpc import stats as stats_mod
-from repro.telemetry.hub import flush_context, spans_wanted
-from repro.telemetry.log import LOG
+from repro.telemetry.hub import flush_context, occurred, spans_wanted
 from repro.telemetry.metrics import METRICS, MetricsRegistry
 
 Handler = Callable[..., Any]
@@ -540,17 +539,11 @@ class RpcServer:
         self.calls_shed += 1
         program = self._programs.get((call.prog, call.vers))
         name = program.name if program is not None else str(call.prog)
-        METRICS.inc("rpc.server.shed", (stage, name, str(call.proc)))
-        if LOG.active:
-            LOG.event(
-                "rpc.shed",
-                level="warning",
-                at=self.transport.now(),
-                stage=stage,
-                program=name,
-                proc=call.proc,
-                trace_id=call.trace_id or None,
-            )
+        occurred(
+            "rpc.server.shed", (stage, name, str(call.proc)), self.transport.now(),
+            stage=stage, program=name, proc=call.proc,
+            trace_id=call.trace_id or None,
+        )
         return RpcReply(call.xid, ReplyStatus.SHED)
 
     def _shedding_needed(self, call: RpcCall, now: float) -> bool:

@@ -7,16 +7,16 @@ them.  This package is where those chains (and the layers' counters) go:
 * :mod:`repro.telemetry.metrics` — lock-protected counters and
   fixed-bucket histograms (``METRICS``, the process registry),
 * :mod:`repro.telemetry.exporters` — the :class:`SpanExporter` protocol
-  with bounded-ring, JSONL-file, and OTLP-dict implementations,
+  with bounded-ring and JSONL-file implementations,
 * :mod:`repro.telemetry.hub` — the process-global :class:`TelemetryHub`
   finished chains flush into (``ctx.finish()`` plus best-effort flushes
-  at the RPC server dispatch and client reply boundaries),
+  at the RPC server dispatch and client reply boundaries), and
+  :func:`occurred`, the one call a site makes per notable occurrence
+  (it counts, annotates the site's span, and — with an exporter
+  installed — writes one trace-correlated record),
 * :mod:`repro.telemetry.sampling` — head trace sampling keyed on the
   trace id (every federated hop agrees without coordination) with a
   tail "always keep" override for error chains,
-* :mod:`repro.telemetry.log` — trace-correlated structured logging
-  (``LOG.event(...)`` stamps ``trace_id``/``span_uid`` from the ambient
-  context into JSONL records sharing the span exporter sink),
 * :mod:`repro.telemetry.live` — the streaming side: a rotation-aware
   :class:`JsonlTailReader`, a sliding-window per-layer RED aggregator,
   and the ``python -m repro telemetry-dash`` terminal dashboard,
@@ -30,7 +30,6 @@ and it costs next to nothing when no exporter is installed.
 
 from repro.telemetry.exporters import (
     JsonlExporter,
-    OtlpExporter,
     RingExporter,
     SpanExporter,
     TraceChain,
@@ -40,10 +39,10 @@ from repro.telemetry.hub import (
     TelemetryHub,
     flush_context,
     get_hub,
+    occurred,
     set_hub,
     use_exporter,
 )
-from repro.telemetry.log import LOG, StructuredLogger, use_log_sink
 from repro.telemetry.metrics import DEFAULT_BUCKETS, METRICS, Histogram, MetricsRegistry
 from repro.telemetry.sampling import SamplingPolicy, head_sampled, use_policy
 
@@ -51,22 +50,19 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "Histogram",
     "JsonlExporter",
-    "LOG",
     "METRICS",
     "MetricsRegistry",
-    "OtlpExporter",
     "RingExporter",
     "SamplingPolicy",
     "SpanExporter",
-    "StructuredLogger",
     "TelemetryHub",
     "TraceChain",
     "derive_parents",
     "flush_context",
     "get_hub",
     "head_sampled",
+    "occurred",
     "set_hub",
     "use_exporter",
-    "use_log_sink",
     "use_policy",
 ]

@@ -7,18 +7,15 @@ dispatch / client reply boundaries) the :class:`~repro.telemetry.hub.
 TelemetryHub` hands it to every installed exporter as a
 :class:`TraceChain`.
 
-Three implementations, mirroring the usual observability deployment
-shapes:
+Two implementations:
 
 * :class:`RingExporter` — a bounded in-memory ring, the "recent traces"
   buffer reports and tests read back;
 * :class:`JsonlExporter` — an append-only JSONL file, one chain per
   line; on any I/O failure it degrades to a **no-op** and bumps the
   ``telemetry.export_errors`` counter (telemetry must never fail a
-  request);
-* :class:`OtlpExporter` — OTLP-shaped dicts (``resourceSpans`` →
-  ``scopeSpans`` → ``spans`` nesting with ``traceId``/``spanId``/
-  ``parentSpanId``), handed to a sink callable or collected in memory.
+  request).  Occurrence records (:func:`repro.telemetry.hub.occurred`)
+  interleave with the chains in the same file.
 
 Parent links are *derived* from the chain: spans are appended on
 completion, so a span's parent is the first span completed after it
@@ -33,7 +30,7 @@ import os
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.telemetry.metrics import METRICS
 
@@ -99,11 +96,15 @@ def derive_parents(spans: List[Any]) -> List[Optional[int]]:
 
 
 class SpanExporter:
-    """Exporter protocol: receive one finished chain.  Must not raise —
-    the hub guards regardless and counts ``telemetry.export_errors``."""
+    """Exporter protocol: receive one finished chain, and one record per
+    occurrence.  Must not raise — the hub guards regardless and counts
+    ``telemetry.export_errors``."""
 
     def export(self, chain: TraceChain) -> None:  # pragma: no cover - protocol
         raise NotImplementedError
+
+    def write_record(self, record: Dict[str, Any]) -> None:
+        """An occurrence record; exporters that keep only chains drop it."""
 
 
 class RingExporter(SpanExporter):
@@ -178,10 +179,9 @@ class JsonlExporter(SpanExporter):
     def write_record(self, record: Dict[str, Any]) -> None:
         """Append an arbitrary JSON record (one line) to the same file.
 
-        The structured logger (:mod:`repro.telemetry.log`) shares the
-        span sink through this: log records and span chains interleave
-        in one stream, rotate together, and carry the same trace ids —
-        which is what lets the live dashboard join them.
+        The hub writes occurrence records through this: records and span
+        chains interleave in one stream, rotate together, and carry the
+        same trace ids — which is what lets the live dashboard join them.
         """
         self._write_json(record)
 
@@ -208,14 +208,6 @@ class JsonlExporter(SpanExporter):
                 self.disabled = True
                 METRICS.inc("telemetry.export_errors", ("jsonl",))
                 self._close_quietly()
-
-    def rotated_paths(self) -> List[str]:
-        """Existing rotated files, newest first (``path.1`` onward)."""
-        return [
-            f"{self.path}.{index}"
-            for index in range(1, self.retain + 1)
-            if os.path.exists(f"{self.path}.{index}")
-        ]
 
     def _open(self) -> None:
         self._handle = open(self.path, "a", encoding="utf-8")
@@ -245,103 +237,3 @@ class JsonlExporter(SpanExporter):
                 handle.close()
             except OSError:
                 pass
-
-
-class OtlpExporter(SpanExporter):
-    """Emits OTLP-shaped dicts (the OTLP/JSON trace format, dict form).
-
-    Each chain becomes one ``{"resourceSpans": [...]}`` batch with the
-    standard resource → scope → span nesting; span ``attributes`` carry
-    the COSM ``layer``/``operation``/``outcome`` triple, and timestamps
-    are nanoseconds on the exporting clock (virtual seconds × 1e9 for sim
-    stacks).  Batches go to ``sink`` when given, else pile up in
-    ``self.batches`` for a shipper to drain.
-    """
-
-    def __init__(
-        self,
-        service_name: str = "cosm",
-        sink: Optional[Callable[[Dict[str, Any]], None]] = None,
-    ) -> None:
-        self.service_name = service_name
-        self.sink = sink
-        self.batches: List[Dict[str, Any]] = []
-        self._lock = threading.Lock()
-
-    def export(self, chain: TraceChain) -> None:
-        batch = self.encode(chain)
-        if self.sink is not None:
-            self.sink(batch)
-            return
-        with self._lock:
-            self.batches.append(batch)
-
-    def encode(self, chain: TraceChain) -> Dict[str, Any]:
-        parents = derive_parents(chain.spans)
-        spans = []
-        for index, span in enumerate(chain.spans):
-            parent = parents[index]
-            record: Dict[str, Any] = {
-                "traceId": chain.trace_id,
-                "spanId": span_id(chain.trace_id, index),
-                "name": f"{span.layer}/{span.operation}",
-                "startTimeUnixNano": int(span.started_at * 1e9),
-                "endTimeUnixNano": int((span.started_at + span.elapsed) * 1e9),
-                "attributes": [
-                    _attribute("cosm.layer", span.layer),
-                    _attribute("cosm.operation", span.operation),
-                    _attribute("cosm.outcome", span.outcome),
-                ],
-                "status": (
-                    {"code": "STATUS_CODE_OK"}
-                    if span.outcome == "ok"
-                    else {"code": "STATUS_CODE_ERROR", "message": span.outcome}
-                ),
-            }
-            events = getattr(span, "events", None)
-            if events:
-                record["events"] = [
-                    {
-                        "timeUnixNano": int(event.get("at", 0.0) * 1e9),
-                        "name": event.get("name", ""),
-                        "attributes": [
-                            _attribute(key, value)
-                            for key, value in event.items()
-                            if key not in ("name", "at")
-                        ],
-                    }
-                    for event in events
-                ]
-            if parent is not None:
-                record["parentSpanId"] = span_id(chain.trace_id, parent)
-            spans.append(record)
-        return {
-            "resourceSpans": [
-                {
-                    "resource": {
-                        "attributes": [
-                            _attribute("service.name", self.service_name),
-                            _attribute("cosm.spans_dropped", chain.dropped),
-                        ]
-                    },
-                    "scopeSpans": [
-                        {
-                            "scope": {"name": "repro.telemetry"},
-                            "spans": spans,
-                        }
-                    ],
-                }
-            ]
-        }
-
-
-def _attribute(key: str, value: Any) -> Dict[str, Any]:
-    if isinstance(value, bool):
-        wrapped: Dict[str, Any] = {"boolValue": value}
-    elif isinstance(value, int):
-        wrapped = {"intValue": str(value)}
-    elif isinstance(value, float):
-        wrapped = {"doubleValue": value}
-    else:
-        wrapped = {"stringValue": str(value)}
-    return {"key": key, "value": wrapped}

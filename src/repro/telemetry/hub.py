@@ -7,21 +7,29 @@ server after a traced handler returns, the RPC client when a call it
 created the context for completes — and the hub fans the chain out to
 every installed exporter.
 
+The hub is also where a notable occurrence goes: :func:`occurred` is
+the one call a site makes for a shed, a breaker trip, a failover or a
+lapsed lease.  It bumps the occurrence's counter, annotates the span the
+site passes, and — only while an exporter is installed — hands one
+span-less record to every exporter's ``write_record``.
+
 Two hard rules:
 
 * **Never fail a request.**  Exporter exceptions are swallowed (counted
   as ``telemetry.export_errors``); a chain is exported at most once.
 * **Near-zero cost when idle.**  With no exporter installed
   :func:`flush_context` is one attribute test and returns — the RPC
-  micro-bench bounds the overhead at < 5 %.
+  micro-bench bounds the overhead at < 5 %; :func:`occurred` is a
+  counter bump and builds no record.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Any, Iterator, List
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
+from repro.context import SpanRecord, current_context, current_span
 from repro.telemetry import sampling
 from repro.telemetry.exporters import SpanExporter, TraceChain
 from repro.telemetry.metrics import METRICS
@@ -61,16 +69,23 @@ class TelemetryHub:
         """Hand one finished chain to every exporter; never raises."""
         if chain.dropped:
             METRICS.inc("context.spans_dropped_total", amount=chain.dropped)
+        if self._fan_out(lambda exporter: exporter.export(chain)):
+            self.chains_exported += 1
+
+    def write_record(self, record: Dict[str, Any]) -> None:
+        """Hand one occurrence record to every exporter; never raises."""
+        self._fan_out(lambda exporter: exporter.write_record(record))
+
+    def _fan_out(self, deliver: Callable[[SpanExporter], None]) -> int:
         exporters = list(self._exporters)
         for exporter in exporters:
             try:
-                exporter.export(chain)
+                deliver(exporter)
             except Exception:  # noqa: BLE001 - telemetry never fails a request
                 METRICS.inc(
                     "telemetry.export_errors", (type(exporter).__name__,)
                 )
-        if exporters:
-            self.chains_exported += 1
+        return len(exporters)
 
     def flush(self, ctx: Any) -> None:
         """Flush a finished :class:`~repro.context.CallContext` chain.
@@ -138,6 +153,48 @@ def flush_context(ctx: Any) -> None:
     if not hub._exporters:
         return
     hub.flush(ctx)
+
+
+def occurred(
+    name: str,
+    labels: Tuple[str, ...],
+    at: float,
+    span: Optional[SpanRecord] = None,
+    **fields: Any,
+) -> None:
+    """Record one notable occurrence, under its counter's name.
+
+    Bumps the counter ``name{labels}``; appends the event to ``span``
+    when the site passes one (the sites that annotate their own span);
+    and, with an exporter installed, writes one record — ``kind``
+    ``"event"``, the name, ``at`` (the transport clock, never the wall),
+    the labels, the non-``None`` fields, the ambient ``trace_id`` unless
+    a field gives it (a shed carries the *wire* trace id of a call that
+    never reached its handler), and the ``span_uid`` of ``span`` or else
+    of the ambient span.  Records are not head-sampled: an occurrence is
+    rarer than the chain it sits in.
+    """
+    METRICS.inc(name, labels)
+    if span is not None:
+        span.add_event(name, at, **fields)
+    hub = _hub
+    if not hub._exporters:
+        return
+    record: Dict[str, Any] = {"kind": "event", "event": name, "at": at}
+    if labels:
+        record["labels"] = list(labels)
+    for key, value in fields.items():
+        if value is not None:
+            record[key] = value
+    if "trace_id" not in record:
+        ctx = current_context()
+        if ctx is not None:
+            record["trace_id"] = ctx.trace_id
+    if span is None:
+        span = current_span()
+    if span is not None:
+        record["span_uid"] = span.uid
+    hub.write_record(record)
 
 
 @contextmanager

@@ -6,12 +6,12 @@ live side, fed by what a *running* deployment already produces:
 
 * :class:`JsonlTailReader` follows the rotating JSONL files a
   :class:`~repro.telemetry.exporters.JsonlExporter` writes — span chains
-  and structured log records interleaved — surviving rotation
+  and occurrence records interleaved — surviving rotation
   (rename-to-``.1``), truncation, and torn trailing lines without ever
   dropping or double-reading a record;
 * :class:`RedAggregator` folds those records into a sliding-window
   per-layer **RED** view — Rate, Errors, Duration (p50/p95) — plus the
-  most recent structured log events;
+  most recent occurrence records;
 * :class:`StatsPoller` pulls wire-level :mod:`repro.rpc.stats`
   snapshots from configured endpoints, adding the server-side picture
   (queue depth, sheds, breaker states) the span stream cannot show;
@@ -199,20 +199,25 @@ def _quantile(sorted_values: Sequence[float], q: float) -> float:
     return sorted_values[max(0, min(len(sorted_values) - 1, index))]
 
 
+#: Occurrence records the dashboard's "Recent events" table keeps.
+RECENT_EVENTS = 12
+
+
 class RedAggregator:
-    """Sliding-window per-layer RED over a mixed span/log record stream.
+    """Sliding-window per-layer RED over a mixed span/event record stream.
 
     Feed it the records a :class:`JsonlTailReader` yields (span chains
     as written by :class:`~repro.telemetry.exporters.JsonlExporter`,
-    log records from :mod:`repro.telemetry.log`); read back per-layer
-    Rate / Errors / Duration rows over the trailing ``window`` seconds
-    of *record time* (span end timestamps — wall or virtual, whatever
-    clock the producing stack ran on), plus the most recent structured
-    log events.  Incremental: each span is appended once and evicted
-    once, so a long tail session does O(1) work per record.
+    ``kind: "event"`` records from :func:`repro.telemetry.hub.occurred`);
+    read back per-layer Rate / Errors / Duration rows over the trailing
+    ``window`` seconds of *record time* (span end timestamps — wall or
+    virtual, whatever clock the producing stack ran on), plus the last
+    :data:`RECENT_EVENTS` occurrence records.  Incremental: each span is
+    appended once and evicted once, so a long tail session does O(1)
+    work per record.
     """
 
-    def __init__(self, window: float = 30.0, recent_events: int = 12) -> None:
+    def __init__(self, window: float = 30.0) -> None:
         self.window = window
         # layer -> deque of (end_time, elapsed, is_error), time-ordered
         self._samples: Dict[str, Deque[Tuple[float, float, bool]]] = {}
@@ -220,13 +225,12 @@ class RedAggregator:
         self.chains_seen = 0
         self.spans_seen = 0
         self.events_seen = 0
-        self.recent_events: Deque[Dict[str, Any]] = deque(maxlen=recent_events)
-        self._event_counts: Dict[str, int] = {}
+        self.recent_events: Deque[Dict[str, Any]] = deque(maxlen=RECENT_EVENTS)
 
     def feed(self, record: Dict[str, Any]) -> None:
         """Absorb one tailed record; unknown shapes are ignored."""
-        if record.get("kind") == "log":
-            self._feed_log(record)
+        if record.get("kind") == "event":
+            self._feed_event(record)
         elif "spans" in record:
             self._feed_chain(record)
 
@@ -246,10 +250,8 @@ class RedAggregator:
             self.spans_seen += 1
             self._advance(started + elapsed)
 
-    def _feed_log(self, record: Dict[str, Any]) -> None:
+    def _feed_event(self, record: Dict[str, Any]) -> None:
         self.events_seen += 1
-        event = str(record.get("event", "?"))
-        self._event_counts[event] = self._event_counts.get(event, 0) + 1
         self.recent_events.append(record)
         at = record.get("at")
         if isinstance(at, (int, float)):
@@ -284,9 +286,6 @@ class RedAggregator:
                 }
             )
         return rows
-
-    def event_counts(self) -> Dict[str, int]:
-        return dict(sorted(self._event_counts.items()))
 
 
 class StatsPoller:
@@ -359,7 +358,7 @@ def dashboard_widgets(
             "telemetry-dash",
             f"COSM live telemetry — chains {aggregator.chains_seen}, "
             f"spans {aggregator.spans_seen}, "
-            f"log events {aggregator.events_seen}",
+            f"events {aggregator.events_seen}",
         )
     ]
     red = Table(
@@ -434,12 +433,12 @@ def dashboard_widgets(
                 )
             widgets.append(sharding)
     if aggregator.recent_events:
-        events = Table("Recent events", ["at", "event", "level", "trace"])
+        events = Table("Recent events", ["at", "event", "labels", "trace"])
         for record in aggregator.recent_events:
             events.add_row(
                 record.get("at", ""),
                 record.get("event", "?"),
-                record.get("level", ""),
+                "|".join(map(str, record.get("labels", ()))),
                 record.get("trace_id", ""),
             )
         widgets.append(events)
@@ -486,7 +485,7 @@ def main(argv: Any = None) -> int:
             "and/or polls STATS endpoints of running servers."
         ),
     )
-    parser.add_argument("--file", help="JSONL span/log file to tail")
+    parser.add_argument("--file", help="JSONL span/event file to tail")
     parser.add_argument(
         "--stats",
         action="append",

@@ -19,7 +19,7 @@ from repro.rpc.codec import CODECS
 from repro.rpc.errors import RemoteFault
 from repro.rpc.server import RpcProgram, RpcServer
 from repro.sidl import layout
-from repro.telemetry.log import LOG
+from repro.telemetry.hub import occurred
 from repro.telemetry.metrics import METRICS
 from repro.trader.constraints import Constraint, parse_constraint
 from repro.trader.dynamic import resolve_properties
@@ -304,14 +304,9 @@ class LocalTrader:
         ]
         for offer_id in expired:
             self.offers.remove(offer_id)
+            self._lease_expired(offer_id, now, "swept")
         if expired:
-            METRICS.inc(
-                "trader.offers.expired", (self.trader_id, "swept"), amount=len(expired)
-            )
             self._gauge_live_offers()
-            if LOG.active:
-                for offer_id in expired:
-                    self._log_lease_expired(offer_id, now, "swept")
         return len(expired)
 
     def withdraw(self, offer_id: str) -> ServiceOffer:
@@ -404,9 +399,7 @@ class LocalTrader:
             if expires_at is not None and now >= expires_at:
                 # Lazy exclusion: a lapsed lease stops matching before any
                 # sweep runs, so importers never see a dead exporter.
-                METRICS.inc("trader.offers.expired", (self.trader_id, "lazy"))
-                if LOG.active:
-                    self._log_lease_expired(offer.offer_id, now, "lazy")
+                self._lease_expired(offer.offer_id, now, "lazy")
                 continue
             properties = offer.properties
             if dynamic and offer.offer_id in dynamic:
@@ -420,14 +413,11 @@ class LocalTrader:
                     break
         return matched
 
-    def _log_lease_expired(self, offer_id: str, now: float, mode: str) -> None:
-        LOG.event(
-            "trader.lease_expired",
-            level="warning",
-            at=now,
-            trader=self.trader_id,
-            offer=offer_id,
-            mode=mode,
+    def _lease_expired(self, offer_id: str, now: float, mode: str) -> None:
+        """The one site of a lapsed lease, met by the sweep or the scan."""
+        occurred(
+            "trader.offers.expired", (self.trader_id, mode), now,
+            trader=self.trader_id, offer=offer_id, mode=mode,
         )
 
     def select_best(

@@ -11,6 +11,21 @@ from repro.rpc.server import RpcServer
 from repro.rpc.transport import SimTransport
 from repro.sidl.builder import load_service_description
 from repro.services.car_rental import CAR_RENTAL_SIDL, start_car_rental
+from repro.telemetry.exporters import SpanExporter
+
+
+class RecordExporter(SpanExporter):
+    """Keeps the occurrence records the hub hands its exporters; install
+    it with ``use_exporter`` and read ``records``."""
+
+    def __init__(self) -> None:
+        self.records = []
+
+    def export(self, chain) -> None:
+        pass
+
+    def write_record(self, record) -> None:
+        self.records.append(record)
 
 
 @pytest.fixture

@@ -165,16 +165,16 @@ PINNED = {
         "outcome": "ok", "calls_sent": 2, "retransmissions": 1,
         "duplicate_replies_dropped": 0, "failovers": 0, "backoff_sleeps": 0.0,
         "rebinds": 0, "finished_at": 1.27,
-        "spans": [("rpc", "ok", ["retransmission"]), ("resilience", "ok", [])],
+        "spans": [("rpc", "ok", ["rpc.client.retransmissions"]), ("resilience", "ok", [])],
     },
     shed_then_failover: {
         "outcome": "ok", "calls_sent": 2, "retransmissions": 0,
         "duplicate_replies_dropped": 0, "failovers": 1, "backoff_sleeps": 0.05,
         "rebinds": 0, "finished_at": 0.09,
         "spans": [
-            ("rpc", "ok", ["shed"]),
+            ("rpc", "ok", ["rpc.client.shed_received"]),
             ("rpc", "ok", []),
-            ("resilience", "ok", ["backoff", "failover"]),
+            ("resilience", "ok", ["rpc.backoff.sleeps", "rpc.failover.attempts"]),
         ],
     },
     slice_lapses_budget_remains: {
@@ -182,9 +182,9 @@ PINNED = {
         "duplicate_replies_dropped": 0, "failovers": 1, "backoff_sleeps": 0.05,
         "rebinds": 0, "finished_at": 1.07,
         "spans": [
-            ("rpc", "DeadlineExceeded", ["retransmission"] * 3),
+            ("rpc", "DeadlineExceeded", ["rpc.client.retransmissions"] * 3),
             ("rpc", "ok", []),
-            ("resilience", "ok", ["backoff", "failover"]),
+            ("resilience", "ok", ["rpc.backoff.sleeps", "rpc.failover.attempts"]),
         ],
     },
     budget_lapses: {
@@ -192,7 +192,7 @@ PINNED = {
         "duplicate_replies_dropped": 0, "failovers": 0, "backoff_sleeps": 0.0,
         "rebinds": 0, "finished_at": 1.0,
         "spans": [
-            ("rpc", "DeadlineExceeded", ["retransmission"] * 3),
+            ("rpc", "DeadlineExceeded", ["rpc.client.retransmissions"] * 3),
             ("resilience", "DeadlineExceeded", []),
         ],
     },
@@ -207,9 +207,11 @@ PINNED = {
         "duplicate_replies_dropped": 0, "failovers": 1, "backoff_sleeps": 0.05,
         "rebinds": 0, "finished_at": 8.05,
         "spans": [
-            ("rpc", "RpcTimeout", ["retransmission"] * 3),
-            ("rpc", "RpcTimeout", ["retransmission"] * 3),
-            ("resilience", "CircuitOpen", ["backoff", "failover", "breaker_open"]),
+            ("rpc", "RpcTimeout", ["rpc.client.retransmissions"] * 3),
+            ("rpc", "RpcTimeout", ["rpc.client.retransmissions"] * 3),
+            ("resilience", "CircuitOpen", [
+                "rpc.backoff.sleeps", "rpc.failover.attempts", "rpc.breaker.skipped",
+            ]),
         ],
     },
     dead_cohort_rebinds: {
@@ -217,12 +219,12 @@ PINNED = {
         "duplicate_replies_dropped": 0, "failovers": 2, "backoff_sleeps": 0.1,
         "rebinds": 1, "finished_at": 30.0,
         "spans": [
-            ("rpc", "DeadlineExceeded", ["retransmission"] * 3),
-            ("rpc", "DeadlineExceeded", ["retransmission"] * 3),
-            ("resilience", "DeadlineExceeded", ["backoff", "failover"]),
-            ("rpc", "DeadlineExceeded", ["retransmission"] * 3),
-            ("rpc", "DeadlineExceeded", ["retransmission"] * 3),
-            ("resilience", "DeadlineExceeded", ["backoff", "failover"]),
+            ("rpc", "DeadlineExceeded", ["rpc.client.retransmissions"] * 3),
+            ("rpc", "DeadlineExceeded", ["rpc.client.retransmissions"] * 3),
+            ("resilience", "DeadlineExceeded", ["rpc.backoff.sleeps", "rpc.failover.attempts"]),
+            ("rpc", "DeadlineExceeded", ["rpc.client.retransmissions"] * 3),
+            ("rpc", "DeadlineExceeded", ["rpc.client.retransmissions"] * 3),
+            ("resilience", "DeadlineExceeded", ["rpc.backoff.sleeps", "rpc.failover.attempts"]),
         ],
     },
 }

@@ -1,5 +1,6 @@
-"""tier-1 runs the repo's own lint (``tools/lint.py``) over ``src`` and
-``tools``, so an import or a local orphaned by a refactor, or a new
+"""tier-1 runs the repo's own lint (``tools/lint.py``) over ``tools`` and
+every path CI's ``ruff`` step checks (``src``, ``tests``, ``benchmarks``,
+``examples``), so an import or a local orphaned by a refactor, or a new
 ``exec``, fails here and not only in CI's ``ruff`` step (which the
 sandbox cannot install)."""
 
@@ -17,8 +18,11 @@ def codes(source):
     return [(f.line, f.code) for f in lint.check_source(source)]
 
 
+LINTED = ("src", "tools", "tests", "benchmarks", "examples")
+
+
 def test_src_and_tools_are_clean():
-    findings = lint.check_paths([str(ROOT / "src"), str(ROOT / "tools")])
+    findings = lint.check_paths([str(ROOT / top) for top in LINTED])
     assert findings == [], "\n".join(map(str, findings))
 
 

@@ -92,7 +92,7 @@ def test_retransmission_survives_drops(net):
     # At-most-once: retransmissions reuse their xid, so nothing re-ran.
     assert calls["count"] == 5
     events = [event["name"] for call in pending for event in call.span.events]
-    assert events.count("retransmission") == client.retransmissions
+    assert events.count("rpc.client.retransmissions") == client.retransmissions
 
 
 def test_gather_needed_leaves_the_rest_live_until_retired(net):

@@ -139,7 +139,7 @@ def test_retransmission_round_is_one_write(net):
     for call in calls:
         assert isinstance(call.error, RpcTimeout)
         events = [event["name"] for event in call.span.events]
-        assert events == ["retransmission"]
+        assert events == ["rpc.client.retransmissions"]
 
 
 def test_refused_connect_settles_the_whole_envelope():

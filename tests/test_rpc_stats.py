@@ -12,7 +12,6 @@ import json
 
 import pytest
 
-from repro.net import SimNetwork
 from repro.rpc import (
     AdmissionPolicy,
     RpcProgram,

@@ -30,7 +30,7 @@ from repro.errors import CommunicationError
 from repro.naming.refs import ServiceRef
 from repro.net.endpoints import Address
 from repro.sidl.types import DOUBLE, InterfaceType, LONG, OperationType
-from repro.telemetry.log import use_log_sink
+from repro.telemetry.hub import use_exporter
 from repro.telemetry.metrics import METRICS
 from repro.trader.service_types import ServiceType
 from repro.trader.sharding import (
@@ -44,6 +44,7 @@ from repro.trader.sharding import (
     build_local_router,
 )
 from repro.trader.trader import ImportRequest, LocalTrader
+from tests.conftest import RecordExporter
 
 TYPE_NAMES = ("Alpha", "Beta", "Gamma", "Delta")
 
@@ -323,9 +324,8 @@ def test_every_sweep_and_every_applied_delta_keeps_the_books():
     assert live(replica) == len(replica.offers) == 5
 
     # The shard's own sweep spares the absorbing type …
-    events = []
     before = swept(recipient)
-    with use_log_sink(events.append):
+    with use_exporter(RecordExporter()) as sink:
         assert recipient.expire_offers(50.0) == 2
     assert live(recipient) == len(recipient.offers) == 3
     assert live(replica) == len(replica.offers) == 3
@@ -333,8 +333,8 @@ def test_every_sweep_and_every_applied_delta_keeps_the_books():
     for shard in (recipient, replica):  # one event per evicted offer, each
         assert [
             (e["offer"], e["mode"])
-            for e in events
-            if e["event"] == "trader.lease_expired" and e["trader"] == shard.shard_id
+            for e in sink.records
+            if e["event"] == "trader.offers.expired" and e["trader"] == shard.shard_id
         ] == [("books:Beta:1", "swept"), ("books:Beta:2", "swept")]
 
     # … and FLIP's scoped sweep pierces the shield, through the same loop.

@@ -51,9 +51,7 @@ CosmMediator.add_browser
 DeltaLog.truncate_to
 FaultPlan.heal
 FaultPlan.heal_all
-JsonlExporter.rotated_paths
 MemoryCheckpoints.open_migrations
-RedAggregator.event_counts
 SimClock.schedule_at
 TypeManager.unmask
 browser_snapshot
@@ -65,7 +63,7 @@ shard_snapshot
 
 #: Python lines under ``src/`` may not exceed this.  It only moves up in a
 #: diff that says in CHANGES.md why ``src/`` had to grow.
-SRC_LINE_CEILING = 20575
+SRC_LINE_CEILING = 20365
 
 _NOW = "item 14: the node's clock replaces every now= and clock="
 _CTX = "call context: every operation that may call out takes one (PROTOCOL §4)"
@@ -84,7 +82,6 @@ UNCALLED = {
     "SimNetwork.addresses": "item 8: simulated-network scaffolding moves under tests/",
     "SimNetwork.hosts": "item 8: simulated-network scaffolding moves under tests/",
     "ServiceDescription.validate": "item 8: a paper component that needs a tour caller or goes",
-    "JsonlExporter.write_record": "item 11d: the log sink a deployment attaches",
     "MigrationCoordinator.resume": "item 5: restart = snapshot + replay",
     "load_snapshot": "item 5: restart = snapshot + replay",
     "save_snapshot": "item 5: restart = snapshot + replay",
@@ -120,13 +117,10 @@ TEST_ONLY_KNOBS = {
     "MigrationCoordinator(checkpoints)": "item 5: checkpoints become log records",
     "MigrationCoordinator.drain(now)": _NOW,
     "NameServerService(registry)": _SEAM,
-    "OtlpExporter(service_name)": _DEPLOY,
-    "OtlpExporter(sink)": _DEPLOY,
     "RebindingClient(max_rebinds)": _TUNING,
     "RebindingClient.invoke(constraint)": _INPUT,
     "RebindingClient.invoke(preference)": _INPUT,
     "RebindingClient.refresh(service_type)": _INPUT,
-    "RedAggregator(recent_events)": _TUNING,
     "RpcClient.call_many(context)": _CTX,
     "RpcClient.call_many(retries)": "item 7e: the timeout=/retries= shim goes",
     "RpcClient.call_many(timeout)": "item 7e: the timeout=/retries= shim goes",
@@ -488,7 +482,7 @@ def test_src_line_count_stays_under_its_ceiling():
 
 
 def test_allow_list_only_shrinks():
-    assert len(set(TEST_ONLY)) == len(TEST_ONLY) <= 15
-    assert len(UNCALLED) <= 8
-    assert len(TEST_ONLY_KNOBS) <= 63
+    assert len(set(TEST_ONLY)) == len(TEST_ONLY) <= 13
+    assert len(UNCALLED) <= 7
+    assert len(TEST_ONLY_KNOBS) <= 60
     assert all(UNCALLED.values()) and all(TEST_ONLY_KNOBS.values())

@@ -7,7 +7,6 @@ import time
 from repro.context import SPAN_LIMIT, CallContext, SpanRecord
 from repro.telemetry.exporters import (
     JsonlExporter,
-    OtlpExporter,
     RingExporter,
     SpanExporter,
     TraceChain,
@@ -121,38 +120,6 @@ def nested_chain():
 def test_derive_parents_uses_interval_containment():
     chain = nested_chain()
     assert derive_parents(chain.spans) == [1, None]
-
-
-def test_otlp_batch_shape_and_json_roundtrip():
-    exporter = OtlpExporter(service_name="cosm-test")
-    chain = nested_chain()
-    chain.spans[0].outcome = "RpcTimeout"
-    exporter.export(chain)
-    assert len(exporter.batches) == 1
-    batch = exporter.batches[0]
-    assert json.loads(json.dumps(batch)) == batch  # plain-JSON clean
-    resource = batch["resourceSpans"][0]["resource"]["attributes"]
-    assert {"key": "service.name", "value": {"stringValue": "cosm-test"}} in resource
-    assert {"key": "cosm.spans_dropped", "value": {"intValue": "2"}} in resource
-    scope = batch["resourceSpans"][0]["scopeSpans"][0]
-    assert scope["scope"]["name"] == "repro.telemetry"
-    spans = scope["spans"]
-    assert [span["name"] for span in spans] == ["rpc/call", "trader/import"]
-    assert spans[0]["traceId"] == "t-nest"
-    assert spans[0]["parentSpanId"] == spans[1]["spanId"]
-    assert "parentSpanId" not in spans[1]
-    assert spans[0]["startTimeUnixNano"] == int(1e9)
-    assert spans[0]["endTimeUnixNano"] == int(2e9)
-    assert spans[0]["status"]["code"] == "STATUS_CODE_ERROR"
-    assert spans[1]["status"]["code"] == "STATUS_CODE_OK"
-
-
-def test_otlp_sink_receives_batches():
-    received = []
-    exporter = OtlpExporter(sink=received.append)
-    exporter.export(make_chain())
-    assert len(received) == 1
-    assert exporter.batches == []
 
 
 # -- hub ---------------------------------------------------------------------

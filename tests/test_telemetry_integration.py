@@ -10,7 +10,7 @@ from repro.rpc.errors import RpcError
 from repro.services.car_rental import CAR_RENTAL_SIDL, start_car_rental
 from repro.sidl.builder import load_service_description
 from repro.telemetry import report
-from repro.telemetry.exporters import JsonlExporter, OtlpExporter
+from repro.telemetry.exporters import JsonlExporter, RingExporter
 from repro.telemetry.hub import use_exporter
 from repro.telemetry.metrics import METRICS
 from repro.trader.service_types import service_type_from_sid
@@ -22,7 +22,7 @@ def test_traced_cascade_exports_one_connected_trace(
     net, make_server, make_client, rental, tmp_path
 ):
     """The Fig. 6 cascade (import -> bind -> invoke) under one context
-    flushes through both file exporters as a single connected trace
+    flushes through both exporters as a single connected trace
     covering the trader, binder, generic, rpc, and server layers."""
     trader_service = TraderService(make_server("hub-trader"), client=make_client())
     client = make_client()
@@ -32,8 +32,8 @@ def test_traced_cascade_exports_one_connected_trace(
 
     path = tmp_path / "traces.jsonl"
     jsonl = JsonlExporter(str(path))
-    otlp = OtlpExporter()
-    with use_exporter(jsonl), use_exporter(otlp):
+    ring = RingExporter()
+    with use_exporter(jsonl), use_exporter(ring):
         ctx = CallContext.with_timeout(30.0, client.transport.now())
         offers = trader.import_(ImportRequest("CarRentalService"), ctx=ctx)
         assert offers
@@ -57,15 +57,8 @@ def test_traced_cascade_exports_one_connected_trace(
     span_ids = {span["span_id"] for span in client_chain["spans"]}
     assert all(span["parent_id"] in span_ids for span in child_spans)
 
-    # the OTLP exporter saw the same chains, as JSON-clean batches
-    assert len(otlp.batches) == len(chains)
-    batch = max(
-        otlp.batches,
-        key=lambda b: len(b["resourceSpans"][0]["scopeSpans"][0]["spans"]),
-    )
-    assert json.loads(json.dumps(batch)) == batch
-    otlp_spans = batch["resourceSpans"][0]["scopeSpans"][0]["spans"]
-    assert any("parentSpanId" in span for span in otlp_spans)
+    # the ring exporter saw the same chains, and they encode to the lines
+    assert [chain.to_wire() for chain in ring.chains()] == chains
 
 
 def test_expired_call_is_rejected_and_counted_server_side(net, make_server, make_client):

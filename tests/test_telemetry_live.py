@@ -15,6 +15,7 @@ from repro.rpc.server import RpcServer
 from repro.rpc.transport import TcpTransport
 from repro.telemetry.exporters import JsonlExporter, TraceChain
 from repro.telemetry.live import (
+    RECENT_EVENTS,
     JsonlTailReader,
     RedAggregator,
     StatsPoller,
@@ -235,15 +236,15 @@ def test_red_window_evicts_old_samples():
 
 
 def test_log_records_feed_recent_events():
-    agg = RedAggregator(window=30.0, recent_events=2)
-    for index in range(3):
-        agg.feed({"kind": "log", "event": "rpc.shed", "level": "warning",
+    agg = RedAggregator(window=30.0)
+    for index in range(RECENT_EVENTS + 1):
+        agg.feed({"kind": "event", "event": "rpc.server.shed",
                   "at": float(index), "trace_id": f"t-{index}"})
-    agg.feed({"kind": "log", "event": "rpc.failover", "at": 3.0})
-    assert agg.events_seen == 4
-    assert agg.event_counts() == {"rpc.failover": 1, "rpc.shed": 3}
-    assert len(agg.recent_events) == 2  # bounded
-    assert agg.recent_events[-1]["event"] == "rpc.failover"
+    agg.feed({"kind": "event", "event": "rpc.failover.attempts", "at": 99.0})
+    assert agg.events_seen == RECENT_EVENTS + 2
+    assert len(agg.recent_events) == RECENT_EVENTS  # bounded
+    assert agg.recent_events[-1]["event"] == "rpc.failover.attempts"
+    assert agg.recent_events[0]["trace_id"] == "t-2"
 
 
 def test_unknown_record_shapes_are_ignored():
@@ -259,7 +260,7 @@ def test_unknown_record_shapes_are_ignored():
 def sample_aggregator():
     agg = RedAggregator(window=10.0)
     agg.feed(make_chain("t-1", layer="rpc", started=1.0, elapsed=0.2).to_wire())
-    agg.feed({"kind": "log", "event": "rpc.shed", "level": "warning",
+    agg.feed({"kind": "event", "event": "rpc.server.shed", "labels": ["arrival"],
               "at": 1.5, "trace_id": "t-1"})
     return agg
 
@@ -281,7 +282,7 @@ def test_dashboard_frame_renders_red_stats_and_events():
     assert "host-a:7" in frame
     assert "connection refused" in frame
     assert "Recent events" in frame
-    assert "rpc.shed" in frame
+    assert "rpc.server.shed" in frame
 
 
 def test_dashboard_frame_renders_migration_table():
@@ -355,7 +356,7 @@ def fixture_file(tmp_path):
     exporter.export(make_chain("t-fix-1", layer="rpc", started=1.0, elapsed=0.2))
     exporter.export(make_chain("t-fix-2", layer="trader", started=1.5, elapsed=0.4,
                                outcome="error:shed"))
-    exporter.write_record({"kind": "log", "event": "rpc.shed", "level": "warning",
+    exporter.write_record({"kind": "event", "event": "rpc.server.shed",
                            "at": 1.6, "trace_id": "t-fix-2"})
     exporter.close()
     return path
@@ -369,7 +370,7 @@ def test_dash_once_renders_fixture_without_live_stack(tmp_path, capsys):
     frame = out.read_text()
     assert "Per-layer RED" in frame
     assert "rpc" in frame and "trader" in frame
-    assert "rpc.shed" in frame
+    assert "rpc.server.shed" in frame
     assert "Per-layer RED" in capsys.readouterr().out
 
 
@@ -384,7 +385,7 @@ def test_dash_renders_committed_ci_fixture(tmp_path):
     assert code == 0
     frame = out.read_text()
     for expected in ("Per-layer RED", "rpc", "server", "trader", "resilience",
-                     "rpc.shed", "rpc.breaker_open"):
+                     "rpc.server.shed", "rpc.breaker.opens", "hamburg:700"):
         assert expected in frame
 
 

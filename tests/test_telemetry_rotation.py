@@ -13,7 +13,6 @@ from repro.rpc.errors import RpcTimeout
 from repro.rpc.transport import SimTransport
 from repro.telemetry.exporters import (
     JsonlExporter,
-    OtlpExporter,
     RingExporter,
     TraceChain,
 )
@@ -37,6 +36,13 @@ def line_length(tmp_path):
     return len(probe_path.read_bytes())
 
 
+def rotated_files(path):
+    """The rotated siblings of ``path`` (``path.1`` onward), newest first."""
+    return sorted(
+        path.parent.glob(path.name + ".*"), key=lambda p: int(p.suffix[1:])
+    )
+
+
 def read_lines(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
 
@@ -57,9 +63,9 @@ def test_rotation_at_exact_boundary(tmp_path):
     assert len(read_lines(tmp_path / "traces.jsonl.1")) == 2
     assert len(read_lines(tmp_path / "traces.jsonl.2")) == 2
     assert exporter.lines_written == 5
-    assert exporter.rotated_paths() == [
-        str(tmp_path / "traces.jsonl.1"),
-        str(tmp_path / "traces.jsonl.2"),
+    assert rotated_files(path) == [
+        tmp_path / "traces.jsonl.1",
+        tmp_path / "traces.jsonl.2",
     ]
 
 
@@ -71,7 +77,7 @@ def test_retention_cap_deletes_oldest(tmp_path):
         exporter.export(make_chain(trace_id=f"t-{index}"))
     exporter.close()
     assert exporter.rotations == 5
-    assert exporter.rotated_paths() == [str(tmp_path / "traces.jsonl.1")]
+    assert rotated_files(path) == [tmp_path / "traces.jsonl.1"]
     # Only the live file and one rotated file survive, newest content last.
     assert read_lines(path)[0]["trace_id"] == "t-5"
     assert read_lines(tmp_path / "traces.jsonl.1")[0]["trace_id"] == "t-4"
@@ -129,8 +135,8 @@ def test_concurrent_writers_never_tear_lines(tmp_path):
     exporter.close()
     assert exporter.disabled is False
     rows = read_lines(path)  # json.loads raises on any torn line
-    for rotated in exporter.rotated_paths():
-        rows.extend(read_lines(tmp_path / rotated.rsplit("/", 1)[-1]))
+    for rotated in rotated_files(path):
+        rows.extend(read_lines(rotated))
     assert len(rows) == 4 * per_thread
     assert sorted(row["trace_id"] for row in rows) == sorted(
         f"w{worker}-{index}" for worker in range(4) for index in range(per_thread)
@@ -149,8 +155,8 @@ def test_rotation_parameters_are_validated(tmp_path):
 
 def event_chain():
     span = SpanRecord("rpc", "call 900:1", started_at=1.0, elapsed=0.5)
-    span.add_event("retransmission", at=1.2, attempt=1)
-    span.add_event("shed", at=1.4, attempt=1)
+    span.add_event("rpc.client.retransmissions", at=1.2, attempt=1)
+    span.add_event("rpc.client.shed_received", at=1.4, attempt=1)
     return TraceChain("t-events", [span])
 
 
@@ -158,7 +164,7 @@ def test_events_survive_the_ring_exporter():
     ring = RingExporter()
     ring.export(event_chain())
     events = ring.chains()[0].spans[0].events
-    assert [event["name"] for event in events] == ["retransmission", "shed"]
+    assert [event["name"] for event in events] == ["rpc.client.retransmissions", "rpc.client.shed_received"]
     assert events[0]["attempt"] == 1
 
 
@@ -169,8 +175,8 @@ def test_events_survive_jsonl_export(tmp_path):
     exporter.close()
     (row,) = read_lines(path)
     assert row["spans"][0]["events"] == [
-        {"name": "retransmission", "at": 1.2, "attempt": 1},
-        {"name": "shed", "at": 1.4, "attempt": 1},
+        {"name": "rpc.client.retransmissions", "at": 1.2, "attempt": 1},
+        {"name": "rpc.client.shed_received", "at": 1.4, "attempt": 1},
     ]
 
 
@@ -181,17 +187,6 @@ def test_eventless_spans_stay_compact_on_the_wire(tmp_path):
     exporter.close()
     (row,) = read_lines(path)
     assert "events" not in row["spans"][0]
-
-
-def test_events_survive_otlp_encoding():
-    batch = OtlpExporter().encode(event_chain())
-    (span,) = batch["resourceSpans"][0]["scopeSpans"][0]["spans"]
-    assert span["events"][0]["timeUnixNano"] == int(1.2 * 1e9)
-    assert span["events"][0]["name"] == "retransmission"
-    assert span["events"][0]["attributes"] == [
-        {"key": "attempt", "value": {"intValue": "1"}}
-    ]
-    assert span["events"][1]["name"] == "shed"
 
 
 def test_client_retransmissions_export_as_span_events(net):
@@ -207,5 +202,5 @@ def test_client_retransmissions_export_as_span_events(net):
     (chain,) = [c for c in ring.chains() if any(s.layer == "rpc" for s in c.spans)]
     (rpc_span,) = [s for s in chain.spans if s.layer == "rpc"]
     names = [event["name"] for event in rpc_span.events]
-    assert names == ["retransmission", "retransmission"]
+    assert names == ["rpc.client.retransmissions", "rpc.client.retransmissions"]
     assert [event["attempt"] for event in rpc_span.events] == [1, 2]

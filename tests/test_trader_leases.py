@@ -7,7 +7,7 @@ from repro.naming.refs import ServiceRef
 from repro.net.endpoints import Address
 from repro.sidl.builder import load_service_description
 from repro.sidl.types import DOUBLE, InterfaceType, LONG, OperationType, STRING
-from repro.telemetry.log import use_log_sink
+from repro.telemetry.hub import use_exporter
 from repro.telemetry.metrics import METRICS
 from repro.services.car_rental import CAR_RENTAL_SIDL
 from repro.trader.errors import OfferNotFound
@@ -27,6 +27,7 @@ from repro.trader.trader import (
     TraderClient,
     TraderService,
 )
+from tests.conftest import RecordExporter
 
 
 def rental_type():
@@ -108,8 +109,8 @@ def test_expired_offers_are_lazily_excluded_from_matching(trader):
 
 def test_ranked_walk_logs_lazy_expiry_like_the_scan():
     """The sorted-index walk and the linear scan are one matching loop:
-    a lapsed lease met on either is counted *and* logged."""
-    logged = {}
+    a lapsed lease met on either is counted *and* recorded."""
+    recorded = {}
     for range_index in (True, False):
         trader = LocalTrader(f"walk-{range_index}", offer_prefix="w", range_index=range_index)
         trader.add_type(rental_type())
@@ -118,8 +119,7 @@ def test_ranked_walk_logs_lazy_expiry_like_the_scan():
                 "CarRentalService", ref(), {**PROPS, "ChargePerDay": charge},
                 now=0.0, lease_seconds=lease,
             )
-        records = []
-        with use_log_sink(records.append):
+        with use_exporter(RecordExporter()) as sink:
             offers = trader.import_(
                 ImportRequest(
                     "CarRentalService", preference="min ChargePerDay", max_matches=2
@@ -127,13 +127,13 @@ def test_ranked_walk_logs_lazy_expiry_like_the_scan():
                 now=6.0,
             )
         assert [o.properties["ChargePerDay"] for o in offers] == [20.0, 30.0]
-        events = [r for r in records if r["event"] == "trader.lease_expired"]
+        events = [r for r in sink.records if r["event"] == "trader.offers.expired"]
         assert all(r["mode"] == "lazy" and r["at"] == 6.0 for r in events)
-        logged[range_index] = [r["offer"] for r in events]
+        recorded[range_index] = [r["offer"] for r in events]
         assert len(events) == METRICS.counter(
             "trader.offers.expired", (trader.trader_id, "lazy")
         )
-    assert logged[True] == logged[False] == ["w:CarRentalService:1"]
+    assert recorded[True] == recorded[False] == ["w:CarRentalService:1"]
 
 
 def test_sweep_evicts_and_counts(trader):

@@ -4,9 +4,9 @@ The CI ``lint`` job runs ``ruff``, which the development sandbox cannot
 install; this is the subset of its rules that keeps finding real
 leftovers after a refactor, plus the one that keeps generated code
 rare, on nothing but the standard library, so tier-1 can run it
-(``tests/test_lint.py``)::
+(``tests/test_lint.py``) over ``tools`` and the paths ``ruff`` checks::
 
-    python tools/lint.py src tools
+    python tools/lint.py src tools tests benchmarks examples
 
 * ``F401`` — a name bound by ``import`` that the module never reads and
   does not list in ``__all__``.
@@ -175,7 +175,7 @@ def check_paths(paths: Iterable[str]) -> List[Finding]:
 
 
 def main(argv: List[str]) -> int:
-    findings = check_paths(argv or ["src", "tools"])
+    findings = check_paths(argv or ["src", "tools", "tests", "benchmarks", "examples"])
     for finding in findings:
         print(finding)
     return 1 if findings else 0
