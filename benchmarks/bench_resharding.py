@@ -31,10 +31,11 @@ import time
 from typing import Any, Dict, List
 
 from repro.naming.refs import ServiceRef
+from repro.net.clock import SimClock
 from repro.net.endpoints import Address
 from repro.sidl.types import DOUBLE, InterfaceType, LONG, OperationType
 from repro.trader.service_types import ServiceType
-from repro.trader.sharding import MigrationCoordinator, build_local_router
+from repro.trader.sharding import MigrationCoordinator, build_router
 from repro.trader.trader import ImportRequest
 
 HOT = "HotRentalService"
@@ -50,8 +51,9 @@ def service_type(name: str) -> ServiceType:
 
 
 def build_world(total_offers: int):
-    router = build_local_router(
-        ("s0", "s1"), router_id="bench", offer_prefix="m"
+    clock = SimClock()  # every stamp below is an explicit now=
+    router = build_router(
+        ("s0", "s1"), clock=lambda: clock.now, router_id="bench", offer_prefix="m"
     )
     router.add_type(service_type(HOT))
     router.add_type(service_type(COLD))

@@ -33,11 +33,12 @@ import time
 from typing import Any, Dict, List
 
 from repro.naming.refs import ServiceRef
+from repro.net.clock import SimClock
 from repro.net.endpoints import Address
 from repro.sidl.types import DOUBLE, InterfaceType, LONG, OperationType, STRING
 from repro.telemetry.metrics import METRICS
 from repro.trader.service_types import ServiceType
-from repro.trader.sharding import build_local_router
+from repro.trader.sharding import build_router
 from repro.trader.trader import ImportRequest, LocalTrader
 
 TYPE_NAMES = [f"RentalService{index}" for index in range(8)]
@@ -63,8 +64,9 @@ def build_arm(arm: str):
     else:
         shard_count = int(arm.removeprefix("router"))
         shard_ids = [f"s{index}" for index in range(shard_count)]
-        trader = build_local_router(
-            shard_ids, router_id=arm, offer_prefix="m"
+        clock = SimClock()  # every stamp below is an explicit now=
+        trader = build_router(
+            shard_ids, clock=lambda: clock.now, router_id=arm, offer_prefix="m"
         )
     for name in TYPE_NAMES:
         trader.add_type(service_type(name))

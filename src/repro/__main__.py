@@ -3,7 +3,9 @@
 Runs a compact end-to-end narrative on a simulated network: an innovative
 service registers at a browser, a generic client drives it through a
 generated UI, the service matures into a trader offer, and an importer
-selects and books through the trader — the whole arc of the paper.
+selects and books through the trader — the whole arc of the paper —
+then a sharded trader loses the primary that owns the offer, and its
+replica answers the same import.
 
 Subcommands::
 
@@ -11,7 +13,6 @@ Subcommands::
     python -m repro telemetry-report …  # per-layer latency report
     python -m repro telemetry-dash …    # live RED dashboard (tail + STATS)
     python -m repro stats HOST:PORT     # one-shot STATS snapshot dump
-    python -m repro sharded-trader …    # sharded trader: placement, failover
 """
 
 from __future__ import annotations
@@ -46,12 +47,6 @@ def _run_stats(argv: Sequence[str]) -> int:
     return stats.main(list(argv))
 
 
-def _run_sharded_trader(argv: Sequence[str]) -> int:
-    from repro.trader.sharding import cli
-
-    return cli.main(list(argv))
-
-
 #: subcommand -> (runner, one-line help).  ``tour`` is also the default
 #: when no subcommand is given.
 COMMANDS: Dict[str, Tuple[Callable[[Sequence[str]], int], str]] = {
@@ -59,10 +54,6 @@ COMMANDS: Dict[str, Tuple[Callable[[Sequence[str]], int], str]] = {
     "telemetry-report": (_run_telemetry_report, "per-layer latency report from a JSONL trace"),
     "telemetry-dash": (_run_telemetry_dash, "live RED dashboard: tail a JSONL trace and/or poll STATS"),
     "stats": (_run_stats, "fetch one STATS snapshot from a live server"),
-    "sharded-trader": (
-        _run_sharded_trader,
-        "sharded/replicated trader walkthrough: placement, fan-out, failover",
-    ),
 }
 
 
@@ -101,7 +92,8 @@ def tour() -> None:
     from repro.rpc.transport import SimTransport
     from repro.services import start_car_rental, start_stock_quotes
     from repro.sidl.fsm import FsmViolation
-    from repro.trader.trader import TraderClient, TraderService
+    from repro.trader.sharding import build_router
+    from repro.trader.trader import ImportRequest, TraderClient, TraderService
     from repro.uims.session import UiSession
 
     print(__doc__.strip().splitlines()[0])
@@ -162,6 +154,23 @@ def tour() -> None:
         {"selection": {"CarModel": "AUDI", "BookingDate": "1994-08-02", "Days": 1}},
     )
     print(f"    via trader: {result.value}")
+
+    print("\n[7] a sharded trader: two shards, one replica each, every one a node")
+    router = build_router(
+        ["s0", "s1"], clock=lambda: net.clock.now, replicas=1, router_id="shards",
+        node=lambda name: SimTransport(net, name),
+    )
+    front = TraderService(RpcServer(SimTransport(net, "shards-front")), trader=router)
+    sharded = TraderClient(RpcClient(SimTransport(net, "shards-importer")), front.address)
+    make_tradable(rental.sid, rental.ref, sharded)
+    request = ImportRequest("CarRentalService", "ChargePerDay < 100")
+    before = [offer.offer_id for offer in sharded.import_(request)]
+    owner = router.effective_owner("CarRentalService")
+    host = router.handle(owner).primary.address.host
+    net.faults.crash(host)
+    after = [offer.offer_id for offer in sharded.import_(request)]
+    print(f"    shard {owner} holds {before}; its primary {host} crashes")
+    print(f"    the promoted replica answered the import identically: {after == before}")
     print("\nall layers exercised — see examples/ for the full walkthroughs.")
 
 

@@ -44,9 +44,9 @@ class JitteredLatency(LatencyModel):
 class LanWanLatency(LatencyModel):
     """Cheap delivery inside a site, expensive across sites.
 
-    A *site* is the part of the hostname before the first ``.``, or the
-    whole hostname when there is no dot; explicit overrides take
-    precedence.
+    A *site* is the part of the hostname after the first ``.``
+    (``"s0.fleet"`` is on site ``fleet``), or the whole hostname when
+    there is no dot; explicit overrides take precedence.
     """
 
     def __init__(

@@ -361,7 +361,7 @@ class RpcClient:
             # Wire-level visibility: each extra attempt is also an event
             # on the rpc span, exported with the chain.
             occurred("rpc.client.retransmissions", labels, now, call.span,
-                     attempt=attempt)
+                     ctx.trace_id, attempt=attempt)
             return True
         if ctx.expired(now) and ctx.retry.attempt_timeout is None:
             METRICS.inc("rpc.client.deadline_exceeded", labels)
@@ -440,7 +440,7 @@ class RpcClient:
         span = call.span
         if reply is not None and reply.status is ReplyStatus.SHED:
             occurred("rpc.client.shed_received", (str(call.prog), str(call.proc)),
-                     now, span, attempt=call.attempt)
+                     now, span, call.ctx.trace_id, attempt=call.attempt)
         if error is not None:
             span.outcome = type(error).__name__
         span.elapsed = now - span.started_at

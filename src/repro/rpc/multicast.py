@@ -27,10 +27,6 @@ class MulticastResult:
     faults: Dict[Address, str] = field(default_factory=dict)
     missing: List[Address] = field(default_factory=list)
 
-    @property
-    def complete(self) -> bool:
-        return not self.missing
-
     def values(self) -> List[Any]:
         """Successful reply values, in destination order."""
         return list(self.replies.values())

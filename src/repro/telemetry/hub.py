@@ -160,6 +160,7 @@ def occurred(
     labels: Tuple[str, ...],
     at: float,
     span: Optional[SpanRecord] = None,
+    trace_id: Optional[str] = None,
     **fields: Any,
 ) -> None:
     """Record one notable occurrence, under its counter's name.
@@ -168,9 +169,10 @@ def occurred(
     when the site passes one (the sites that annotate their own span);
     and, with an exporter installed, writes one record — ``kind``
     ``"event"``, the name, ``at`` (the transport clock, never the wall),
-    the labels, the non-``None`` fields, the ambient ``trace_id`` unless
-    a field gives it (a shed carries the *wire* trace id of a call that
-    never reached its handler), and the ``span_uid`` of ``span`` or else
+    the labels, the non-``None`` fields, ``trace_id`` or else the
+    ambient one (a shed carries the *wire* trace id of a call that never
+    reached its handler, a client the trace of the call it settles
+    outside any ambient scope), and the ``span_uid`` of ``span`` or else
     of the ambient span.  Records are not head-sampled: an occurrence is
     rarer than the chain it sits in.
     """
@@ -186,10 +188,11 @@ def occurred(
     for key, value in fields.items():
         if value is not None:
             record[key] = value
-    if "trace_id" not in record:
+    if trace_id is None:
         ctx = current_context()
-        if ctx is not None:
-            record["trace_id"] = ctx.trace_id
+        trace_id = ctx.trace_id if ctx is not None else None
+    if trace_id is not None:
+        record["trace_id"] = trace_id
     if span is None:
         span = current_span()
     if span is not None:

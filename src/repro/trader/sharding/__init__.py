@@ -31,7 +31,7 @@ from repro.trader.sharding.router import (
     SHARD_BREAKER,
     ShardHandle,
     ShardRouter,
-    build_local_router,
+    build_router,
 )
 from repro.trader.sharding.rpc import (
     SHARDING_PROGRAM,
@@ -64,6 +64,6 @@ __all__ = [
     "ShardingError",
     "SyncGap",
     "TraderShard",
-    "build_local_router",
+    "build_router",
     "rendezvous_score",
 ]

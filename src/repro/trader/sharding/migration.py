@@ -442,10 +442,7 @@ class MigrationCoordinator:
             ctx.finish()
 
     def _now(self, now: Optional[float]) -> float:
-        if now is not None:
-            return now
-        clock = getattr(self.router, "clock", None)
-        return clock() if callable(clock) else 0.0
+        return self.router.clock() if now is None else now
 
     # -- topology workflows ------------------------------------------------
 

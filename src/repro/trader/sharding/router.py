@@ -25,10 +25,13 @@ import random
 from dataclasses import replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
 
-from repro.context import CallContext, Clock, current_context
+from repro.context import CallContext, Clock, current_context, use_context
 from repro.naming.refs import ServiceRef
+from repro.rpc.client import RpcClient
 from repro.rpc.codec import Encoded
 from repro.rpc.resilience import BackoffPolicy, BreakerPolicy, ResilientCaller, transient
+from repro.rpc.server import RpcServer
+from repro.rpc.transport import Transport
 from repro.telemetry.metrics import METRICS
 from repro.trader.errors import OfferNotFound, TraderError, UnknownServiceType
 from repro.trader.federation import TraderLink
@@ -43,8 +46,9 @@ from repro.trader.sharding.replication import (
     ShardNotDrained,
     ShardUnavailable,
 )
-from repro.trader.sharding.shard import TraderShard
-from repro.trader.trader import ImportRequest, plan_import, rank
+from repro.trader.sharding.rpc import RemoteShardBackend, ShardReplicationService
+from repro.trader.sharding.shard import ROLE_PRIMARY, ROLE_REPLICA, TraderShard
+from repro.trader.trader import ImportRequest, TraderService, plan_import, rank
 from repro.trader.type_manager import TypeManager
 
 #: Breaker policy for shard backends: one hard failure opens the
@@ -87,7 +91,9 @@ class ShardHandle:
         replica reached.  Outages fail over (``resilience.transient``);
         application errors propagate and leave the breakers alone.  With
         ``ctx`` the backend gets the attempt's deadline slice as its last
-        argument.  No backend answering raises :class:`ShardUnavailable`.
+        argument; without, the slice of the ambient deadline becomes the
+        attempt's ambient context, which a remote call inherits.  No
+        backend answering raises :class:`ShardUnavailable`.
         """
 
         def attempt(backend: Any, child: Optional[CallContext]) -> Any:
@@ -99,7 +105,10 @@ class ShardHandle:
                 self.primary = backend
                 METRICS.inc("sharding.failovers", self._labels)
             method = getattr(backend, op)
-            return method(*args) if ctx is None else method(*args, child)
+            if ctx is not None:
+                return method(*args, child)
+            with use_context(child):
+                return method(*args)
 
         try:
             return self._engine.run(
@@ -150,30 +159,30 @@ class ShardRouter:
 
     An import asks its covering shards one after another.
     ``fanout_workers`` is accepted for existing callers and unread.
-    An import's deadline is sliced over a shard's backends on ``clock``, the
-    remote shards' transport clock; a router without one passes it whole.
+    A call's deadline is sliced over a shard's backends on ``clock``, the
+    remote shards' transport clock, which also times the shard breakers'
+    probes.
     """
 
     def __init__(
         self,
         router_id: str = "router",
         offer_prefix: Optional[str] = None,
-        seed: int = 0,
-        clock: Optional[Clock] = None,
+        *,
+        clock: Clock,
         fanout_workers: int = 1,
     ) -> None:
         self.trader_id = router_id
         self.offer_prefix = offer_prefix or router_id
         self.types = TypeManager()
-        self.rng = random.Random(seed)
+        self.rng = random.Random(0)
         self.map = ShardMap((), version=0)
         self.clock = clock
         self.links: Dict[str, TraderLink] = {}  # routers do not federate (yet)
         self.dynamic_evaluator = None
         # Every shard's failover engine (PROTOCOL §8): one pass per call.
         self._engine = ResilientCaller(
-            None, SHARD_BACKOFF, SHARD_BREAKER, rounds=1,
-            clock=lambda: self.clock() if self.clock else 0.0,
+            None, SHARD_BACKOFF, SHARD_BREAKER, rounds=1, clock=clock
         )
         self._handles: Dict[str, ShardHandle] = {}
         self.offers = _RouterOffers(self)
@@ -515,9 +524,8 @@ class ShardRouter:
         METRICS.inc(
             "sharding.fanout", (self.trader_id,), amount=max(len(owners), 1)
         )
-        args, sliced = ((forwarded, now), ctx) if self.clock else ((forwarded, now, ctx), None)
         return [
-            self._handles[shard_id].call("import_wire", *args, ctx=sliced)
+            self._handles[shard_id].call("import_wire", forwarded, now, ctx=ctx)
             for shard_id in owners
         ]
 
@@ -567,62 +575,74 @@ def _wires(answer: Any) -> List[Dict[str, Any]]:
     return answer or []
 
 
-def build_local_router(
+def build_router(
     shard_ids: Iterable[str],
+    *,
+    clock: Clock,
     replicas: int = 0,
     router_id: str = "router",
     offer_prefix: Optional[str] = None,
-    seed: int = 0,
-    clock: Optional[Clock] = None,
+    node: Optional[Callable[[str], Transport]] = None,
     dynamic_evaluator=None,
     range_index: bool = True,
 ) -> ShardRouter:
-    """An in-process sharded trader: N primaries, R replicas each, wired.
+    """A sharded trader: N primaries, R replicas each, wired.
 
-    Every primary pushes deltas straight into its replicas' ``apply_delta``;
-    a push that finds the replica out of sequence falls back to a pull
-    ``sync_from`` (which also runs the lease-expiry catch-up step).
+    In-process (``node=None``) every primary pushes deltas straight into
+    its replicas' ``apply_delta``; a push that finds the replica out of
+    sequence falls back to a pull ``sync_from`` (which also runs the
+    lease-expiry catch-up step).
+
+    With a ``node(name) -> Transport`` factory every primary and replica
+    is a node of its own, named ``<router_id>/<shard_id>`` (``…-r1`` for
+    a replica), serving the trader and replication programs.  The router
+    reaches them through :class:`RemoteShardBackend` over one client on
+    ``node(router_id)``, and each primary pushes ``APPLY_DELTA`` to its
+    replicas from a client on its own transport.
     """
-    router = ShardRouter(
-        router_id=router_id,
-        offer_prefix=offer_prefix,
-        seed=seed,
-        clock=clock,
-    )
-    for shard_id in shard_ids:
-        primary = TraderShard(
-            f"{router.trader_id}/{shard_id}",
+    router = ShardRouter(router_id=router_id, offer_prefix=offer_prefix, clock=clock)
+    client = None if node is None else RpcClient(node(router_id))
+
+    def place(name: str, role: str) -> tuple:
+        """The shard, the backend the router reaches it by, its transport."""
+        transport = None if node is None else node(name)
+        shard = TraderShard(
+            name,
             offer_prefix=router.offer_prefix,
-            seed=seed,
+            role=role,
             dynamic_evaluator=dynamic_evaluator,
-            clock=clock,
+            clock=clock if transport is None else transport.now,
             range_index=range_index,
         )
-        shard_replicas = []
-        for replica_index in range(replicas):
-            replica = TraderShard(
-                f"{router.trader_id}/{shard_id}-r{replica_index + 1}",
-                offer_prefix=router.offer_prefix,
-                seed=seed,
-                dynamic_evaluator=dynamic_evaluator,
-                clock=clock,
-                range_index=range_index,
-                role="replica",
-            )
-            primary.attach_replica(
-                replica.shard_id, _push_with_sync(primary, replica, clock)
-            )
-            shard_replicas.append(replica)
-        router.add_shard(shard_id, primary, shard_replicas)
+        if transport is None:
+            return shard, shard, None
+        server = RpcServer(transport)
+        TraderService(server, trader=shard)
+        ShardReplicationService(server, shard)
+        return shard, RemoteShardBackend(client, server.address), transport
+
+    for shard_id in shard_ids:
+        name = f"{router.trader_id}/{shard_id}"
+        primary, primary_backend, transport = place(name, ROLE_PRIMARY)
+        pusher = RpcClient(transport) if transport is not None and replicas else None
+        backends = []
+        for index in range(1, replicas + 1):
+            replica, backend, _ = place(f"{name}-r{index}", ROLE_REPLICA)
+            if pusher is None:
+                sink = _push_with_sync(primary, replica, clock)
+            else:
+                sink = RemoteShardBackend(pusher, backend.address).apply_delta
+            primary.attach_replica(replica.shard_id, sink)
+            backends.append(backend)
+        router.add_shard(shard_id, primary_backend, backends)
     return router
 
 
 def _push_with_sync(
-    primary: TraderShard, replica: TraderShard, clock: Optional[Clock]
+    primary: TraderShard, replica: TraderShard, clock: Clock
 ) -> Callable[[Dict[str, Any]], None]:
     def push(delta_wire: Dict[str, Any]) -> None:
         if not replica.apply_delta(delta_wire):
-            now = clock() if clock is not None else 0.0
-            replica.sync_from(primary.deltas_since, now)
+            replica.sync_from(primary.deltas_since, clock())
 
     return push

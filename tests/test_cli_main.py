@@ -23,9 +23,7 @@ def test_top_level_help_lists_subcommands(capsys):
         assert name in out
 
 
-@pytest.mark.parametrize(
-    "subcommand", ["telemetry-dash", "stats", "telemetry-report", "sharded-trader"]
-)
+@pytest.mark.parametrize("subcommand", ["telemetry-dash", "stats", "telemetry-report"])
 def test_each_subcommand_answers_help(subcommand, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main([subcommand, "--help"])
@@ -38,11 +36,12 @@ def test_tour_help_prints_module_doc(capsys):
     assert "two-minute tour" in capsys.readouterr().out
 
 
-def test_sharded_trader_walkthrough_survives_its_own_crash(capsys):
-    assert main(
-        ["sharded-trader", "--shards", "3", "--replicas", "1",
-         "--types", "6", "--offers", "2"]
-    ) == 0
+def test_the_tour_runs_every_step(capsys):
+    """The default command: every step of the tour prints its header,
+    and the sharded trader's import survives the crash of its primary."""
+    assert main([]) == 0
     out = capsys.readouterr().out
-    assert "placement (rendezvous by type name)" in out
-    assert "result identical across failover: True" in out
+    for step in range(1, 8):
+        assert f"\n[{step}] " in out, step
+    assert "the promoted replica answered the import identically: True" in out
+    assert "all layers exercised" in out

@@ -83,6 +83,18 @@ def test_batching_snippet_from_readme():
     assert namespace["client"].batches_sent - before == 7
 
 
+def test_sharded_trader_snippet_from_readme():
+    """The README's sharded trader, executed verbatim: a primary crash
+    it asserts is invisible to the import."""
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Run a sharded trader\n", 1)[1]
+    snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(snippet, namespace)  # noqa: S102 - the docs' snippets are exec'd to prove they run
+    assert [offer.offer_id for offer in namespace["offers"]] == ["router:CarRentalService:1"]
+    assert namespace["router"].handle(namespace["owner"]).status()["replicas"] == 0
+
+
 def test_all_examples_present():
     names = {script.name for script in EXAMPLES}
     assert "quickstart.py" in names

@@ -20,7 +20,9 @@ and opaque reads the compiled decoder spends its time in), and the
 single-owner relay (the router's branch, the remote backend's undecoded
 IMPORT answer and ``encode_result``'s rule for a relayed body), a shard's
 failover on the shared engine (``ShardHandle.call``: promotion, deadline
-slice, application error, no backend left), the rule that types a remote
+slice, application error, no backend left), the shard-tier builder's
+two shapes (``build_router``: in-process, and every shard a node of its
+own, replicas fed either way), the rule that types a remote
 trader's fault, the lease heartbeat's beat (renewed, lost and
 re-exported, failed), the constraint code generator (every node kind,
 booleans used as values, both bounds) and the matching loop (lazy lease
@@ -62,6 +64,7 @@ TARGETS = [
     "repro.trader.sharding.router:ShardRouter.import_",
     "repro.trader.sharding.rpc:RemoteShardBackend.import_wire",
     "repro.trader.sharding.router:ShardHandle.call",
+    "repro.trader.sharding.router:build_router",
     "repro.rpc.errors:RemoteFault.reraise_as",
     "repro.trader.leases:LeaseHeartbeat.beat",
     "repro.rpc.xdr:_span",

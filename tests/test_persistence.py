@@ -17,6 +17,7 @@ from repro.sidl.types import DOUBLE, InterfaceType, LONG, OperationType, OCTETS
 from repro.trader.service_types import ServiceType
 from repro.trader.trader import ImportRequest, LocalTrader
 from repro.naming.refs import ServiceRef
+from repro.net.clock import SimClock
 from repro.net.endpoints import Address
 
 
@@ -227,11 +228,12 @@ def _migration_world(tmp_path):
     from repro.trader.sharding import (
         FileCheckpoints,
         MigrationCoordinator,
-        build_local_router,
+        build_router,
     )
 
-    router = build_local_router(
-        ("s0", "s1"), router_id="p", offer_prefix="p"
+    clock = SimClock()
+    router = build_router(
+        ("s0", "s1"), clock=lambda: clock.now, router_id="p", offer_prefix="p"
     )
     router.add_type(rental_type())
     for index in range(4):

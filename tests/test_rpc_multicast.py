@@ -49,7 +49,7 @@ def caller(net):
 
 def test_call_gathers_all_replies(members, caller):
     result = caller.call(members, PROG, 1, 1, {"q": 1})
-    assert result.complete
+    assert not result.missing
     assert len(result.replies) == 4
     assert {r["member"] for r in result.values()} == {0, 1, 2, 3}
 
@@ -63,7 +63,7 @@ def test_quorum_returns_early(members, caller, net):
 def test_missing_members_reported(members, caller, net):
     net.faults.crash("member-0")
     result = caller.call(members, PROG, 1, 1, None, timeout=0.1)
-    assert not result.complete
+    assert result.missing
     assert members[0] in result.missing
     assert len(result.replies) == 3
 
@@ -77,7 +77,7 @@ def test_faults_reported_per_member(members, caller):
 
 def test_empty_destination_list(caller):
     result = caller.call([], PROG, 1, 1)
-    assert result.complete
+    assert not result.missing
     assert result.replies == {}
 
 
@@ -130,7 +130,7 @@ def test_malformed_member_replies_are_faults_not_raises(members, caller, rogue_p
     odd_fault = rogue_peer("odd-fault", ReplyStatus.REMOTE_FAULT, encode_value(7))
     counted = METRICS.counter_total("rpc.client.malformed_replies")
     result = caller.call(members + [garbled, garbled_fault, odd_fault], PROG, 1, 1)
-    assert result.complete
+    assert not result.missing
     assert set(result.replies) == set(members)
     assert result.faults[garbled].startswith("malformed reply: invalid UTF-8")
     assert result.faults[garbled_fault].startswith("malformed reply: invalid UTF-8")
@@ -165,7 +165,7 @@ def test_import_multicast_decodes_compiled_offer_records(net):
         traders, TRADER_PROGRAM, 1, 4,
         ImportRequest("CarRentalService").to_wire(), timeout=0.5,
     )
-    assert result.complete and result.faults == {}
+    assert not result.missing and result.faults == {}
     names = sorted(
         ServiceOffer.from_wire(wire).service_ref().name
         for offers in result.values()

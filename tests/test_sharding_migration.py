@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 from repro.errors import CommunicationError
 from repro.naming.refs import ServiceRef
+from repro.net.clock import SimClock
 from repro.net.endpoints import Address
 from repro.sidl.types import DOUBLE, InterfaceType, LONG, OperationType
 from repro.telemetry.hub import use_exporter
@@ -41,7 +42,7 @@ from repro.trader.sharding import (
     MigrationSealed,
     ShardNotDrained,
     TraderShard,
-    build_local_router,
+    build_router,
 )
 from repro.trader.trader import ImportRequest, LocalTrader
 from tests.conftest import RecordExporter
@@ -58,8 +59,9 @@ def service_type(name):
 
 
 def make_router(offers_per_type=4, shard_ids=("s0", "s1"), replicas=1):
-    router = build_local_router(
-        list(shard_ids), replicas=replicas, router_id="demo"
+    clock = SimClock()
+    router = build_router(
+        list(shard_ids), clock=lambda: clock.now, replicas=replicas, router_id="demo"
     )
     for name in TYPE_NAMES:
         router.add_type(service_type(name))
@@ -616,9 +618,8 @@ def test_migrating_router_equals_never_sharded_oracle(ops, seed_exports):
     """Random mutation churn with migration steps interleaved anywhere
     leaves the router's store — ids, leases, properties, rankings —
     identical to a plain LocalTrader's fed the same script."""
-    router = build_local_router(
-        ["s0", "s1", "s2"], replicas=0, router_id="m"
-    )
+    clock = SimClock()
+    router = build_router(["s0", "s1", "s2"], clock=lambda: clock.now, router_id="m")
     oracle = LocalTrader("m", offer_prefix="m", fanout_workers=1)
     for name in TYPE_NAMES[:3]:
         router.add_type(service_type(name))

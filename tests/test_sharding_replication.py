@@ -20,7 +20,6 @@ import pytest
 from repro.context import CallContext
 from repro.naming.refs import ServiceRef
 from repro.net.endpoints import Address
-from repro.rpc.client import RpcClient
 from repro.rpc.codec import Encoded
 from repro.rpc.errors import ProgramUnavailable, RpcTimeout
 from repro.rpc.resilience import CircuitOpen
@@ -34,11 +33,11 @@ from repro.trader.sharding import (
     RemoteShardBackend,
     ShardDelta,
     ShardReplicationService,
-    ShardRouter,
     ShardUnavailable,
     ShardingError,
     SyncGap,
     TraderShard,
+    build_router,
 )
 from repro.trader.sharding.replication import DELTA_OPS
 from repro.trader.trader import ImportRequest, TraderService
@@ -298,37 +297,21 @@ def test_stale_map_version_is_refused():
 
 @pytest.fixture
 def wired(net):
-    """Two shard nodes (primary + replica) and a router on its own host.
+    """One shard whose primary and replica are nodes of their own, and a
+    router on a third (``build_router(node=…)``).
 
-    Replication is pushed over RPC: the primary's sink calls the replica
-    node's APPLY_DELTA procedure through its own client.
+    Replication is pushed over RPC: the primary's node calls the replica
+    node's APPLY_DELTA procedure through its own client.  The tests read
+    a shard's own state as the router would, through its backend's
+    ``status()`` and ``list_offers()``.
     """
-    primary = TraderShard("node-a", offer_prefix="m")
-    replica = TraderShard("node-b", offer_prefix="m", role="replica")
-
-    server_a = RpcServer(SimTransport(net, "node-a"))
-    TraderService(server_a, trader=primary)
-    ShardReplicationService(server_a, primary)
-
-    server_b = RpcServer(SimTransport(net, "node-b"))
-    TraderService(server_b, trader=replica)
-    ShardReplicationService(server_b, replica)
-
-    push_rpc = RpcClient(SimTransport(net, "node-a"), timeout=0.2, retries=1)
-    replica_admin = RemoteShardBackend(push_rpc, server_b.address)
-    primary.attach_replica("node-b", replica_admin.apply_delta)
-
-    router_rpc = RpcClient(SimTransport(net, "router"), timeout=0.2, retries=1)
-    router = ShardRouter(
-        router_id="wired", offer_prefix="m", clock=router_rpc.transport.now, fanout_workers=1
-    )
-    router.add_shard(
-        "s0",
-        RemoteShardBackend(router_rpc, server_a.address),
-        [RemoteShardBackend(router_rpc, server_b.address)],
+    router = build_router(
+        ["s0"], clock=lambda: net.clock.now, replicas=1, router_id="wired",
+        offer_prefix="m", node=lambda name: SimTransport(net, name),
     )
     router.add_type(rental_type())
-    return net, router, primary, replica
+    handle = router.handle("s0")
+    return net, router, handle.primary, handle.replicas[0]
 
 
 def test_remote_backend_replicates_over_rpc(wired):
@@ -337,11 +320,12 @@ def test_remote_backend_replicates_over_rpc(wired):
         "CarRentalService", ref("a"), {"ChargePerDay": 10.0}
     )
     assert offer_id == "m:CarRentalService:1"
-    assert replica.applied_seq == primary.log.last_seq
+    assert replica.status()["applied_seq"] == primary.status()["last_seq"]
     assert len(replica.list_offers()) == 1
     status = router.handle("s0").primary.status()
-    assert status["shard_id"] == "node-a"
+    assert status["shard_id"] == "wired/s0"
     assert status["role"] == "primary"
+    assert status["replicas"] == ["wired/s0-r1"]
 
 
 def test_host_crash_fails_over_to_the_replica_node(wired):
@@ -351,16 +335,38 @@ def test_host_crash_fails_over_to_the_replica_node(wired):
     request = ImportRequest("CarRentalService", "ChargePerDay < 30", "min ChargePerDay")
     before = [o.offer_id for o in router.import_(request)]
 
-    net.faults.crash("node-a")
+    net.faults.crash(primary.address.host)
     after = [o.offer_id for o in router.import_(request)]
     assert after == before
-    assert replica.role == "primary"  # promoted over the wire
+    assert replica.status()["role"] == "primary"  # promoted over the wire
     assert router.handle("s0").status()["replicas"] == 0
     # Writes keep flowing to the promoted node, with id continuity.
     assert (
         router.export("CarRentalService", ref("c"), {"ChargePerDay": 40.0})
         == "m:CarRentalService:3"
     )
+
+
+def test_a_crashed_lone_primary_serves_again_once_its_breaker_probes(net):
+    """A shard with no replica: the crash trips its breaker and the import
+    fails; once the node recovers and the breaker's probe interval has run
+    on the router's clock, the next import reaches it again."""
+    router = build_router(
+        ["s0"], clock=lambda: net.clock.now, router_id="lone", offer_prefix="m",
+        node=lambda name: SimTransport(net, name),
+    )
+    router.add_type(rental_type())
+    router.export("CarRentalService", ref("a"), {"ChargePerDay": 10.0})
+    request = ImportRequest("CarRentalService")
+    host = router.handle("s0").primary.address.host
+    net.faults.crash(host)
+    with pytest.raises(ShardUnavailable):
+        router.import_(request)
+    assert router.handle("s0").status()["breaker"] == "open"
+    net.faults.recover(host)
+    net.clock.run_for(60.0)
+    assert [o.offer_id for o in router.import_(request)] == ["m:CarRentalService:1"]
+    assert router.handle("s0").status()["breaker"] == "closed"
 
 
 def test_a_remote_import_answers_encoded_or_raises_its_mapped_error(wired):
@@ -394,7 +400,7 @@ def test_a_remote_shards_application_error_is_no_outage(wired):
     assert router.handle("s0").status() == {
         "shard_id": "s0", "breaker": "closed", "replicas": 1,
     }
-    assert (primary.role, replica.role) == ("primary", "replica")
+    assert [primary.status()["role"], replica.status()["role"]] == ["primary", "replica"]
     assert router.export("CarRentalService", ref("b"), {"ChargePerDay": 12.0})
 
 
@@ -405,12 +411,12 @@ def test_a_silent_primary_forfeits_only_its_slice_of_the_deadline(wired):
     net, router, primary, replica = wired
     router.export("CarRentalService", ref("a"), {"ChargePerDay": 10.0})
     request = ImportRequest("CarRentalService", "ChargePerDay < 30")
-    net.faults.crash("node-a")
+    net.faults.crash(primary.address.host)
     start = net.clock.now
     answer = router.import_(request, ctx=CallContext(deadline=start + 0.5))
     assert [offer.offer_id for offer in answer] == ["m:CarRentalService:1"]
     assert net.clock.now - start < 0.5
-    assert replica.role == "primary"
+    assert replica.status()["role"] == "primary"
     assert router.handle("s0").status()["replicas"] == 0
     assert [o.offer_id for o in router.import_(request)] == ["m:CarRentalService:1"]
     assert (
@@ -419,30 +425,13 @@ def test_a_silent_primary_forfeits_only_its_slice_of_the_deadline(wired):
     )
 
 
-def test_a_router_without_a_clock_hands_each_shard_the_whole_deadline(wired):
-    """Slices are cut on the router's clock.  A router without one cannot
-    cut them, so each shard gets the caller's context whole: a deadline
-    late in virtual time is not mistaken for a spent one."""
-    net, router, primary, replica = wired
-    router.export("CarRentalService", ref("a"), {"ChargePerDay": 10.0})
-    handle = router.handle("s0")
-    clockless = ShardRouter(router_id="unclocked", offer_prefix="m")
-    clockless.types.add(rental_type())
-    clockless.add_shard("s0", handle.primary, handle.replicas)
-    net.clock.run_for(100.0)
-    ctx = CallContext(deadline=net.clock.now + 1.0)
-    answer = clockless.import_(ImportRequest("CarRentalService"), ctx=ctx)
-    assert [offer.offer_id for offer in answer] == ["m:CarRentalService:1"]
-    assert (primary.role, replica.role) == ("primary", "replica")
-
-
 def test_a_shard_with_no_backend_answering_is_unavailable(wired):
     """Both nodes down: the call fails over once and raises
     ``ShardUnavailable``; with both breakers open the next call is refused
     without traffic until a probe is due."""
     net, router, primary, replica = wired
-    net.faults.crash("node-a")
-    net.faults.crash("node-b")
+    net.faults.crash(primary.address.host)
+    net.faults.crash(replica.address.host)
     with pytest.raises(ShardUnavailable) as outage:
         router.export("CarRentalService", ref("a"), {"ChargePerDay": 10.0})
     assert isinstance(outage.value.__cause__, RpcTimeout)
@@ -481,6 +470,6 @@ def test_a_rejoining_remote_shard_that_knows_the_types_keeps_its_primary(wired):
 
 def test_shard_map_pushes_reach_remote_nodes(wired):
     net, router, primary, replica = wired
-    assert primary.map_version == router.map.version
+    assert primary.status()["map_version"] == router.map.version
     router.add_shard("s1", TraderShard("wired/s1", offer_prefix="m"))
-    assert primary.map_version == router.map.version == 2
+    assert primary.status()["map_version"] == router.map.version == 2

@@ -175,6 +175,21 @@ def test_server_shed_emits_correlated_log_record(net):
     assert received["span_uid"]  # the rpc span the event was added to
 
 
+def test_client_shed_record_carries_the_calls_trace_id(net):
+    """The client settles a shed call outside any ambient scope, so its
+    record takes the call's own trace id — the one the server read off
+    the wire for its shed record — not an ambient one."""
+    server, client = shedding_server(net)
+    with use_exporter(RecordExporter()) as sink:
+        try:
+            client.call(server.address, 992000, 1, 1, None, timeout=0.05, retries=0)
+        except ServerShedding:
+            pass
+    sheds = [record for record in sink.records if record["event"] == "rpc.server.shed"]
+    (received,) = [r for r in sink.records if r["event"] == "rpc.client.shed_received"]
+    assert sheds and received["trace_id"] == sheds[0]["trace_id"]
+
+
 def test_breaker_transitions_emit_log_records():
     clock = {"now": 0.0}
     breaker = CircuitBreaker(

@@ -26,6 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.naming.refs import ServiceRef
+from repro.net.clock import SimClock
 from repro.net.endpoints import Address
 from repro.sidl.types import InterfaceType, LONG, OperationType
 from repro.trader.constraints import MISSING, Constraint, parse_constraint, parse_tree
@@ -33,7 +34,7 @@ from repro.trader.dynamic import dynamic_property
 from repro.trader.offers import ServiceOffer
 from repro.trader.policies import parse_preference
 from repro.trader.service_types import ServiceType
-from repro.trader.sharding import build_local_router
+from repro.trader.sharding import build_router
 from repro.trader.trader import ImportRequest, LocalTrader
 
 PROPS = ["a", "b", "c"]
@@ -346,12 +347,14 @@ def _marker_value(marker):
 def _deployments():
     """The four shapes that must be indistinguishable; the linear-scan
     ``LocalTrader`` is the oracle that defines the right answer."""
-    shared = {"offer_prefix": "m", "seed": 0, "dynamic_evaluator": _marker_value}
+    shared = {"offer_prefix": "m", "dynamic_evaluator": _marker_value}
+    clock = SimClock()
+    routed = dict(shared, clock=lambda: clock.now)
     return {
         "oracle": LocalTrader("oracle", range_index=False, fanout_workers=1, **shared),
         "indexed": LocalTrader("indexed", fanout_workers=1, **shared),
-        "router1": build_local_router(["s0"], router_id="r1", **shared),
-        "router3": build_local_router(["s0", "s1", "s2"], router_id="r3", **shared),
+        "router1": build_router(["s0"], router_id="r1", **routed),
+        "router3": build_router(["s0", "s1", "s2"], router_id="r3", **routed),
     }
 
 

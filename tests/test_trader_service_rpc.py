@@ -12,7 +12,7 @@ from repro.sidl.types import DOUBLE, InterfaceType, LONG, OperationType, STRING
 from repro.telemetry.metrics import METRICS
 from repro.trader.errors import ConstraintSyntaxError, TraderError, UnknownServiceType
 from repro.trader.service_types import ServiceType
-from repro.trader.sharding import MigrationSealed, build_local_router
+from repro.trader.sharding import MigrationSealed, build_router
 from repro.trader.trader import (
     _PROC_EXPORT,
     ImportRequest,
@@ -115,8 +115,11 @@ def test_malformed_import_is_a_typed_fault_not_an_empty_answer(backend, request_
     """Over real loopback TCP: a constraint or preference that does not
     parse is the importer's error and must come back as one — ``[]``
     would say "no such offers".  An unknown type still answers ``[]``."""
-    trader = LocalTrader() if backend == "bare" else build_local_router(["s0", "s1"])
     server_transport, client_transport = TcpTransport(), TcpTransport()
+    trader = (
+        LocalTrader() if backend == "bare"
+        else build_router(["s0", "s1"], clock=server_transport.now)
+    )
     try:
         service = TraderService(RpcServer(server_transport), trader=trader)
         client = TraderClient(
@@ -149,8 +152,12 @@ def test_hostile_constraint_is_a_typed_fault(make_server, make_client, backend, 
     """A constraint past the nesting or size bound is refused as
     ``ConstraintSyntaxError`` on the wire (never ``RecursionError``), and
     the stub raises it typed, whether a trader or a shard router serves."""
-    trader = LocalTrader() if backend == "bare" else build_local_router(["s0", "s1"])
-    service = TraderService(make_server("trader-host"), trader=trader)
+    server = make_server("trader-host")
+    trader = (
+        LocalTrader() if backend == "bare"
+        else build_router(["s0", "s1"], clock=server.transport.now)
+    )
+    service = TraderService(server, trader=trader)
     client = TraderClient(make_client(), service.address)
     client.add_type(rental_type())
     client.export("CarRentalService", ServiceRef.create("x", Address("h", 1), 1), PROPS)

@@ -9,9 +9,10 @@ surface:
 * a bare :class:`~repro.trader.trader.LocalTrader`,
 * a :class:`~repro.trader.sharding.router.ShardRouter` over one shard,
 * a router over four shards (each with a warm replica),
-* a router over four shard primaries that each run on their own
-  ``RpcServer`` behind a :class:`RemoteShardBackend` — the only flavour
-  in which a single owner's IMPORT reply is relayed still encoded.
+* the same router with every shard primary and replica a node of its
+  own behind a :class:`RemoteShardBackend` (``build_router(node=…)``) —
+  the only flavour in which a single owner's IMPORT reply is relayed
+  still encoded.
 
 through the :class:`TraderClient` stub.  All four outcome maps —
 minted offer ids, ranked import results, renew leases, ack booleans —
@@ -34,13 +35,7 @@ from repro.rpc.transport import SimTransport
 from repro.sidl.types import DOUBLE, InterfaceType, LONG, OperationType, STRING
 from repro.trader.errors import ConstraintSyntaxError, TraderError
 from repro.trader.service_types import ServiceType
-from repro.trader.sharding import (
-    RemoteShardBackend,
-    ShardReplicationService,
-    ShardRouter,
-    TraderShard,
-    build_local_router,
-)
+from repro.trader.sharding import build_router
 from repro.trader.trader import (
     _PROC_IMPORT,
     TRADER_PROGRAM,
@@ -80,11 +75,15 @@ def make_backend(flavour, net=None):
     """The trader the service wraps — all flavours share prefix and seed."""
     if flavour == "bare":
         return LocalTrader("bare", offer_prefix="m", seed=0, fanout_workers=1)
-    if flavour == "remote4":
-        return remote_router(net or network())
-    shard_ids = ["s0"] if flavour == "router1" else list(SHARD_IDS)
-    return build_local_router(
-        shard_ids, replicas=1, router_id=flavour, offer_prefix="m", seed=0
+    net = net or network()
+    return build_router(
+        ["s0"] if flavour == "router1" else SHARD_IDS,
+        clock=lambda: net.clock.now,
+        replicas=1,
+        router_id=flavour,
+        offer_prefix="m",
+        node=(lambda name: SimTransport(net, f"{name}.fleet"))
+        if flavour == "remote4" else None,
     )
 
 
@@ -93,19 +92,6 @@ def network():
     router and its shards, all on the ``fleet`` site, cost none — so a
     remote shard stamps a lease at the instant the bare trader would."""
     return SimNetwork(latency=LanWanLatency(lan=0.0, wan=0.001), seed=1994)
-
-
-def remote_router(net):
-    """Four shard primaries, each a node of its own on ``net``."""
-    router = ShardRouter(router_id="remote4", offer_prefix="m", seed=0)
-    client = RpcClient(SimTransport(net, "router.fleet"), timeout=1.0, retries=3)
-    for shard_id in SHARD_IDS:
-        server = RpcServer(SimTransport(net, f"{shard_id}.fleet"))
-        shard = TraderShard(f"remote4/{shard_id}", offer_prefix="m", seed=0)
-        TraderService(server, trader=shard)
-        ShardReplicationService(server, shard)
-        router.add_shard(shard_id, RemoteShardBackend(client, server.address))
-    return router
 
 
 class SyncDriver:
@@ -332,7 +318,7 @@ def test_single_owner_import_costs_one_encode_and_one_decode(monkeypatch):
     """The shard encodes the answer once and the importer decodes it once;
     the router, relaying a single owner's top-K, runs no codec pass."""
     net = network()
-    router = remote_router(net)
+    router = make_backend("remote4", net)
     service = TraderService(RpcServer(SimTransport(net, "trader")), trader=router)
     driver = SyncDriver(net, service.address)
     driver.add_type(rental_type("BikeRental"))

@@ -306,21 +306,16 @@ def test_a_truncated_single_owner_reply_reaches_the_importer_as_xdr_truncated(
     from repro.rpc.transport import SimTransport
     from repro.sidl.types import DOUBLE, InterfaceType, LONG, OperationType
     from repro.trader.service_types import ServiceType
-    from repro.trader.sharding import (
-        RemoteShardBackend, ShardReplicationService, ShardRouter, TraderShard,
-    )
+    from repro.trader.sharding import TraderShard, build_router
     from repro.trader.trader import (
         _PROC_IMPORT, TRADER_PROGRAM, ImportRequest, TraderClient, TraderService,
     )
 
     net = SimNetwork(seed=7)
-    router = ShardRouter(router_id="r", offer_prefix="m")
-    backend_client = RpcClient(SimTransport(net, "router"), timeout=0.5, retries=2)
-    shard = TraderShard("r/s0", offer_prefix="m")
-    shard_server = RpcServer(SimTransport(net, "s0"))
-    TraderService(shard_server, trader=shard)
-    ShardReplicationService(shard_server, shard)
-    router.add_shard("s0", RemoteShardBackend(backend_client, shard_server.address))
+    router = build_router(
+        ["s0"], clock=lambda: net.clock.now, router_id="r", offer_prefix="m",
+        node=lambda name: SimTransport(net, name),
+    )
     front = TraderService(RpcServer(SimTransport(net, "front")), trader=router)
     importer = RpcClient(SimTransport(net, "cli"), timeout=0.5, retries=2)
     stub = TraderClient(importer, front.address)
@@ -333,15 +328,15 @@ def test_a_truncated_single_owner_reply_reaches_the_importer_as_xdr_truncated(
     )
 
     key = (TRADER_PROGRAM, 1, _PROC_IMPORT)
-    answer = shard.import_wire
+    answer = TraderShard.import_wire
     damaged = []
 
-    def truncated(request_wire, now=0.0, ctx=None):
-        body = CODECS.encode_result(*key, answer(request_wire, now, ctx))
+    def truncated(shard, request_wire, now=0.0, ctx=None):
+        body = CODECS.encode_result(*key, answer(shard, request_wire, now, ctx))
         damaged.append(body[:-1])
         return Encoded(damaged[-1], *key)
 
-    monkeypatch.setattr(shard, "import_wire", truncated)
+    monkeypatch.setattr(TraderShard, "import_wire", truncated)
     with pytest.raises(XdrError) as at_importer:
         stub.import_(ImportRequest("Bike", "", "min ChargePerDay", 1))
     assert len(damaged) == 1 and is_compiled(damaged[0])
