@@ -4,16 +4,19 @@ Everything above (SIDs, trading, mediation) rides on these costs; the
 series here make the higher-level numbers interpretable.  The
 ``codec_*`` series compare the tagged dynamic-marshalling path against
 the compiled per-signature path on the same values — the per-call floor
-the wire fast lane lowers.
+the wire fast lane lowers.  ``offers200`` is the IMPORT reply of the
+end-to-end bench's ``bulk`` read: 200 offer records of its population.
 """
 
 import pytest
 
+from bench import config
 from benchmarks.conftest import Stack
 from repro.rpc.codec import CompiledCodec
 from repro.rpc.server import RpcProgram
 from repro.rpc.xdr import decode_value, encode_value
 from repro.sidl import layout
+from repro.trader.offers import OFFER_LAYOUT, ServiceOffer
 
 PROG = 910000
 
@@ -40,6 +43,21 @@ WIDE_VALUE = {
     "site": "site-b.example",
     "matches": [{"rank": rank, "score": rank * 0.5} for rank in range(8)],
 }
+
+#: 200 offer records as a trader's IMPORT reply carries them (``bulk``).
+OFFERS_SPEC = layout.seq(OFFER_LAYOUT)
+OFFERS_VALUE = [
+    ServiceOffer(
+        f"offer-{index}", leaf, ref, properties,
+        exported_at=1000.0 + index, expires_at=1300.0 + index, lease_seconds=300.0,
+    ).to_wire()
+    for index, (leaf, ref, properties) in enumerate(config.preload(200))
+]
+COMPILED_SHAPES = [
+    ("small", SMALL_SPEC, SMALL_VALUE),
+    ("wide", WIDE_SPEC, WIDE_VALUE),
+    ("offers200", OFFERS_SPEC, OFFERS_VALUE),
+]
 
 
 def nested_value(depth: int, width: int):
@@ -82,12 +100,7 @@ def test_xdr_bytes_payload(benchmark):
 
 
 @pytest.mark.parametrize(
-    "shape,spec,value",
-    [
-        ("small", SMALL_SPEC, SMALL_VALUE),
-        ("wide", WIDE_SPEC, WIDE_VALUE),
-    ],
-    ids=["small", "wide"],
+    "shape,spec,value", COMPILED_SHAPES, ids=[shape for shape, *__ in COMPILED_SHAPES]
 )
 def test_codec_compiled_encode(benchmark, shape, spec, value):
     codec = CompiledCodec(spec)
@@ -96,12 +109,7 @@ def test_codec_compiled_encode(benchmark, shape, spec, value):
 
 
 @pytest.mark.parametrize(
-    "shape,spec,value",
-    [
-        ("small", SMALL_SPEC, SMALL_VALUE),
-        ("wide", WIDE_SPEC, WIDE_VALUE),
-    ],
-    ids=["small", "wide"],
+    "shape,spec,value", COMPILED_SHAPES, ids=[shape for shape, *__ in COMPILED_SHAPES]
 )
 def test_codec_compiled_decode(benchmark, shape, spec, value):
     codec = CompiledCodec(spec)

@@ -1,13 +1,22 @@
-"""Compiled wire codecs: precomputed ``struct`` formats per signature.
+"""Compiled wire codecs: one generated encoder and decoder per signature.
 
 The tagged codec (:func:`repro.rpc.xdr.encode_value`) pays for dynamic
 marshalling on every call: each leaf carries a tag word, each dict entry
 carries its key string, and decoding walks the structure one tagged
 primitive at a time.  When the SID pins a signature down statically,
-none of that is needed — this module compiles a layout spec
-(:mod:`repro.sidl.layout`) into a :class:`CompiledCodec` whose
-fixed-layout runs collapse into a single ``Struct.pack`` /
-``unpack_from`` and whose string/opaque tails are handled generically.
+none of that is needed — :func:`generate` turns a layout spec
+(:mod:`repro.sidl.layout`) into the Python source of two straight-line
+functions, ``enc(value, out)`` and ``dec(view, offset)``, and
+:class:`CompiledCodec` runs them.  Every field, string, flag and
+fixed-width run (consecutive fixed-width struct fields share one
+``Struct`` call) is inlined in spec order, each ``seq`` is a plain loop,
+and an ``any`` leaf holding a dict of ``str``/``float``/``int`` values
+is read and written in place.  The source holds no text of the spec:
+field names, label tables and packers are constants ``kN`` in the
+functions' globals, which hold no builtins beyond ``_RUNTIME``.  The
+decoder reads a ``bytes`` body; wherever it meets damage it re-reads
+that offset through the primitive of :mod:`repro.rpc.xdr`, which raises
+the rule's own error (docs/PROTOCOL.md §2).
 
 Negotiation is per ``(prog, vers, proc)`` through the process-global
 :data:`CODECS` registry: both peers derive the same layout from the
@@ -45,17 +54,23 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.errors import ConfigurationError
 from repro.rpc.errors import XdrError
 from repro.rpc.xdr import (
+    _HYPER,
+    _PADDING,
+    _TAG_DICT,
+    _TAG_FLOAT,
+    _TAG_INT,
+    _TAG_STRING,
+    _TAGGED_DOUBLE,
+    _TAGGED_HYPER,
+    DOUBLE,
     decode_value,
     encode_value,
-    get_bool,
     get_count,
     get_fixed,
     get_opaque,
     get_string,
+    get_u32,
     get_value,
-    put_bool,
-    put_opaque,
-    put_string,
     put_u32,
     put_value,
     to_bool,
@@ -92,255 +107,329 @@ def fingerprint_of(spec: tuple) -> int:
     return zlib.crc32(repr(spec).encode("utf-8")) & 0xFFFFFFFF
 
 
-# A compiled spec is a pair of closures:
-#   enc(value, out)            append wire chunks for ``value`` to ``out``
-#   dec(view, offset) -> (value, offset)
-_Encoder = Callable[[Any, List[bytes]], None]
-_Decoder = Callable[[memoryview, int], Tuple[Any, int]]
+# -- the code generator -----------------------------------------------------
 
-# Packable leaves: (struct format char, to-wire converter, from-wire
-# converter).  Converters raise CodecFallback on values that belong to
-# the dynamic path so the whole encode can restart as tagged.
-
-
-def _conv_i64(value: Any) -> int:
-    if type(value) is not int:
-        raise CodecFallback("not an int")
-    return value
-
-
-def _conv_f64(value: Any) -> float:
-    if type(value) is not float:
-        raise CodecFallback("not a float")
-    return value
-
-
-def _conv_bool(value: Any) -> int:
-    if value is True:
-        return 1
-    if value is False:
-        return 0
-    raise CodecFallback("not a bool")
+#: Struct format of each fixed-width leaf kind.
+_FIXED = {"i64": "q", "f64": "d", "bool": "I", "enum": "I"}
+#: Past this indentation a nested value is generated as a helper function
+#: of its own: Python refuses code nested more than 20 blocks deep.
+_MAX_INDENT = 10
+_U32 = struct.Struct(">I")
+_PAIR = struct.Struct(">II")  # a tag word and a length or count
+#: All that generated code sees besides its constants ``kN``.
+_RUNTIME = {
+    "__builtins__": {}, "type": type, "len": len, "range": range, "isinstance": isinstance,
+    "bytes": bytes, "dict": dict, "str": str, "int": int, "float": float,
+    "SEQUENCE": (list, tuple), "OPAQUE": (bytes, bytearray), "KeyError": KeyError,
+    "TypeError": TypeError, "UnicodeDecodeError": UnicodeDecodeError, "SE": struct.error,
+    "Fallback": CodecFallback, "XdrError": XdrError, "PAD": _PADDING,
+    "TRUE": _U32.pack(1), "FALSE": _U32.pack(0), "u32": _U32.pack, "pair": _PAIR.pack,
+    "tagged_int": _TAGGED_HYPER.pack, "tagged_float": _TAGGED_DOUBLE.pack,
+    "read_u32": _U32.unpack_from, "read_pair": _PAIR.unpack_from,
+    "read_int": _HYPER.unpack_from, "read_float": DOUBLE.unpack_from,
+    "put_u32": put_u32, "put_value": put_value, "get_value": get_value, "get_u32": get_u32,
+    "get_count": get_count, "get_fixed": get_fixed, "get_string": get_string,
+    "get_opaque": get_opaque, "to_bool": to_bool,
+}
 
 
-def _compile(spec: tuple) -> Tuple[_Encoder, _Decoder]:
-    kind = spec[0]
-    if kind == "struct":
-        return _compile_struct(spec)
-    if kind in ("i64", "f64", "bool", "enum"):
-        return _compile_leaf(spec)
-    if kind == "string":
-        return _compile_string()
-    if kind == "bytes":
-        return _compile_bytes()
-    if kind == "optional":
-        return _compile_optional(spec[1])
-    if kind == "seq":
-        return _compile_seq(spec[1])
-    if kind == "void":
-        return _compile_void()
-    if kind == "any":
-        return _compile_any()
-    raise ConfigurationError(f"unknown layout spec kind {kind!r}")
+def generate(spec: tuple) -> Tuple[Callable, Callable]:
+    """``spec``'s generated ``enc(value, out)`` and ``dec(view, offset)``;
+    a :class:`ConfigurationError` for a spec kind it does not know."""
+    source = _Source()
+    text = source.module(spec)
+    namespace = {**_RUNTIME, **source.constants}
+    exec(text, namespace)  # noqa: S102 - holds no spec text, and runs without builtins
+    return namespace["enc"], namespace["dec"]
 
 
-def _packable(spec: tuple):
-    """``(fmt_char, to_wire, from_wire)`` for a fixed-width leaf, or None."""
-    kind = spec[0]
-    if kind == "i64":
-        return ("q", _conv_i64, None)
-    if kind == "f64":
-        return ("d", _conv_f64, None)
-    if kind == "bool":
-        return ("I", _conv_bool, to_bool)
-    if kind == "enum":
-        labels = spec[1]
-        index = {label: position for position, label in enumerate(labels)}
+class _Source:
+    """The text of one layout's generated functions, helpers first, and
+    the constants they read."""
 
-        def to_wire(value: Any, _index=index) -> int:
-            try:
-                return _index[value]
-            except (KeyError, TypeError):
-                raise CodecFallback("not an enum label")
+    def __init__(self) -> None:
+        self.functions: List[str] = []
+        self.constants: Dict[str, Any] = {}
+        self.lines: List[str] = []
+        self.temps = 0
 
-        def from_wire(raw: int, _labels=labels) -> str:
-            if raw >= len(_labels):
-                raise XdrError(f"enum index {raw} out of range")
-            return _labels[raw]
+    def module(self, spec: tuple) -> str:
+        self.function("enc", spec, encoding=True)
+        self.function("dec", spec, encoding=False)
+        return "\n".join(self.functions)
 
-        return ("I", to_wire, from_wire)
-    return None
-
-
-def _compile_leaf(spec: tuple) -> Tuple[_Encoder, _Decoder]:
-    """A lone fixed-width leaf (inside optional/seq, or at the root)."""
-    fmt, to_wire, from_wire = _packable(spec)
-    packer = struct.Struct(">" + fmt)
-
-    def enc(value: Any, out: List[bytes]) -> None:
-        try:
-            out.append(packer.pack(to_wire(value)))
-        except struct.error:
-            raise CodecFallback("value out of range for the compiled layout")
-
-    def dec(view: memoryview, offset: int) -> Tuple[Any, int]:
-        (raw,), offset = get_fixed(packer, view, offset)
-        return (raw if from_wire is None else from_wire(raw)), offset
-
-    return enc, dec
-
-
-def _compile_struct(spec: tuple) -> Tuple[_Encoder, _Decoder]:
-    """Compile a record: consecutive fixed-width fields share one Struct."""
-    fields = spec[1]
-    field_count = len(fields)
-    # steps: ("run", Struct, [(name, to_wire)], [(name, from_wire)])
-    #      | ("field", name, enc, dec)
-    steps: List[tuple] = []
-    run: List[Tuple[str, tuple]] = []
-
-    def close_run() -> None:
-        if not run:
-            return
-        fmt = ">" + "".join(packable[0] for __, packable in run)
-        packer = struct.Struct(fmt)
-        encoders = [(name, packable[1]) for name, packable in run]
-        decoders = [(name, packable[2]) for name, packable in run]
-        steps.append(("run", packer, encoders, decoders))
-        run.clear()
-
-    for name, sub in fields:
-        packable = _packable(sub)
-        if packable is not None:
-            run.append((name, packable))
+    def function(self, name: str, spec: tuple, encoding: bool) -> None:
+        outer, self.lines = self.lines, []
+        if encoding:  # a misfit anywhere below becomes one fallback
+            self.line(0, f"def {name}(v, out):")
+            self.line(1, "w = out.append")
+            self.line(1, "try:")
+            self.encode(spec, "v", 2)
+            self.line(1, "except KeyError:")
+            self.line(2, 'raise Fallback("missing record field") from None')
+            self.line(1, "except SE:")
+            self.line(2, 'raise Fallback("value out of range for the compiled layout") from None')
         else:
-            close_run()
-            sub_enc, sub_dec = _compile(sub)
-            steps.append(("field", name, sub_enc, sub_dec))
-    close_run()
-    frozen = tuple(steps)
+            value = self.temp()
+            self.line(0, f"def {name}(view, o):")
+            self.line(1, "L = len(view)")
+            self.decode(spec, value, 1)
+            self.line(1, f"return {value}, o")
+        self.functions.append("\n".join(self.lines))
+        self.lines = outer
 
-    def enc(value: Any, out: List[bytes]) -> None:
-        if type(value) is not dict or len(value) != field_count:
+    def line(self, indent: int, text: str) -> None:
+        self.lines.append("    " * indent + text)
+
+    def bind(self, constant: Any) -> str:
+        name = f"k{len(self.constants)}"
+        self.constants[name] = constant
+        return name
+
+    def temp(self) -> str:
+        self.temps += 1
+        return f"x{self.temps}"
+
+    def helper(self, spec: tuple, encoding: bool) -> str:
+        name = self.temp().replace("x", "enc" if encoding else "dec")
+        self.function(name, spec, encoding)
+        return name
+
+    # -- encoding: statements appending the wire form of local ``value`` ----
+
+    def encode(self, spec: tuple, value: str, indent: int) -> None:
+        kind, line = spec[0], self.line
+        if kind in ("struct", "seq", "optional") and indent > _MAX_INDENT:
+            line(indent, f"{self.helper(spec, True)}({value}, out)")
+        elif kind == "struct":
+            line(indent, f"if type({value}) is not dict or len({value}) != {len(spec[1])}:")
             # Extended values (extra keys from a subtype) and anything
             # that is not a plain record belong to dynamic marshalling.
-            raise CodecFallback("value does not match the record layout")
-        try:
-            for step in frozen:
-                if step[0] == "run":
-                    __, packer, encoders, __ = step
-                    out.append(
-                        packer.pack(
-                            *[to_wire(value[name]) for name, to_wire in encoders]
-                        )
-                    )
+            line(indent + 1, 'raise Fallback("value does not match the record layout")')
+            run: List[Tuple[tuple, str]] = []
+            for name, sub in spec[1]:
+                if sub[0] not in _FIXED:
+                    self.pack(run, indent)
+                field = self.temp()
+                line(indent, f"{field} = {value}[{self.bind(name)}]")
+                if sub[0] in _FIXED:
+                    self.to_wire(sub, field, indent)
+                    run.append((sub, field))
                 else:
-                    __, name, sub_enc, __ = step
-                    sub_enc(value[name], out)
-        except KeyError:
-            raise CodecFallback("missing record field")
-        except struct.error:
-            raise CodecFallback("value out of range for the compiled layout")
+                    self.encode(sub, field, indent)
+            self.pack(run, indent)
+        elif kind in _FIXED:
+            self.to_wire(spec, value, indent)
+            self.pack([(spec, value)], indent)
+        elif kind in ("string", "bytes"):
+            test = f"type({value}) is not str" if kind == "string" else (
+                f"not isinstance({value}, OPAQUE)")
+            line(indent, f"if {test}:")
+            line(indent + 1, f'raise Fallback("not {"a string" if kind == "string" else kind}")')
+            data = f'{value}.encode("utf-8")' if kind == "string" else f"bytes({value})"
+            self.opaque(data, "u32(n)", indent)
+        elif kind == "optional":
+            line(indent, f"if {value} is None:")
+            line(indent + 1, "w(FALSE)")
+            line(indent, "else:")
+            line(indent + 1, "w(TRUE)")
+            self.encode(spec[1], value, indent + 1)
+        elif kind == "seq":
+            line(indent, f"if not isinstance({value}, SEQUENCE):")
+            line(indent + 1, 'raise Fallback("not a sequence")')
+            line(indent, f"put_u32(out, len({value}))")
+            item = self.temp()
+            line(indent, f"for {item} in {value}:")
+            self.encode(spec[1], item, indent + 1)
+        elif kind == "void":
+            line(indent, f"if {value} is not None:")
+            line(indent + 1, 'raise Fallback("void must be None")')
+        elif kind == "any":
+            self.encode_any(value, indent)
+        else:
+            raise ConfigurationError(f"unknown layout spec kind {kind!r}")
 
-    def dec(view: memoryview, offset: int) -> Tuple[Any, int]:
-        result: Dict[str, Any] = {}
-        for step in frozen:
-            if step[0] == "run":
-                __, packer, __, decoders = step
-                raws, offset = get_fixed(packer, view, offset)
-                for (name, from_wire), raw in zip(decoders, raws):
-                    result[name] = raw if from_wire is None else from_wire(raw)
-            else:
-                __, name, __, sub_dec = step
-                result[name], offset = sub_dec(view, offset)
-        return result, offset
+    def to_wire(self, spec: tuple, value: str, indent: int) -> None:
+        """Check a fixed-width leaf, leaving the number it packs as."""
+        kind, line = spec[0], self.line
+        if kind in ("i64", "f64"):
+            python = "int" if kind == "i64" else "float"
+            line(indent, f"if type({value}) is not {python}:")
+            line(indent + 1, f'raise Fallback("not a{"n" if kind == "i64" else ""} {python}")')
+        elif kind == "bool":
+            line(indent, f"if {value} is True:")
+            line(indent + 1, f"{value} = 1")
+            line(indent, f"elif {value} is False:")
+            line(indent + 1, f"{value} = 0")
+            line(indent, "else:")
+            line(indent + 1, 'raise Fallback("not a bool")')
+        else:
+            index = self.bind({label: position for position, label in enumerate(spec[1])})
+            line(indent, "try:")
+            line(indent + 1, f"{value} = {index}[{value}]")
+            line(indent, "except (KeyError, TypeError):")
+            line(indent + 1, 'raise Fallback("not an enum label") from None')
 
-    return enc, dec
+    def pack(self, run: List[Tuple[tuple, str]], indent: int) -> None:
+        if run:
+            packer = struct.Struct(">" + "".join(_FIXED[spec[0]] for spec, __ in run))
+            values = ", ".join(value for __, value in run)
+            self.line(indent, f"w({self.bind(packer.pack)}({values}))")
+            run.clear()
 
+    def opaque(self, data: str, head: str, indent: int) -> None:
+        """Append ``head`` (naming the length ``n``), the bytes and their pad."""
+        for text in (f"b = {data}", "n = len(b)", f"w({head})", "w(b)", "w(PAD[n & 3])"):
+            self.line(indent, text)
 
-def _compile_string() -> Tuple[_Encoder, _Decoder]:
-    def enc(value: Any, out: List[bytes]) -> None:
-        if type(value) is not str:
-            raise CodecFallback("not a string")
-        put_string(out, value)
+    def encode_any(self, value: str, indent: int) -> None:
+        """A dict of str/float/int values in place; anything else, and any
+        other entry, through ``put_value``."""
+        line, body = self.line, indent + 2
+        line(indent, f"if type({value}) is dict:")
+        line(indent + 1, f"w(pair({_TAG_DICT}, len({value})))")
+        line(indent + 1, f"for key, item in {value}.items():")
+        line(body, "if type(key) is not str and not isinstance(key, str):")
+        line(body + 1, 'raise XdrError(f"dict keys must be strings, got {key!r}")')
+        self.opaque('key.encode("utf-8")', "u32(n)", body)
+        line(body, "kind = type(item)")
+        line(body, "if kind is str:")
+        self.opaque('item.encode("utf-8")', f"pair({_TAG_STRING}, n)", body + 1)
+        line(body, "elif kind is float:")
+        line(body + 1, f"w(tagged_float({_TAG_FLOAT}, item))")
+        line(body, "elif kind is int:")
+        line(body + 1, "try:")
+        line(body + 2, f"w(tagged_int({_TAG_INT}, item))")
+        line(body + 1, "except SE:")  # out of range: put_value raises its XdrError
+        line(body + 2, "put_value(out, item)")
+        line(body, "else:")
+        line(body + 1, "put_value(out, item)")
+        line(indent, "else:")
+        line(indent + 1, f"put_value(out, {value})")
 
-    return enc, get_string
+    # -- decoding: statements reading one value at ``o`` into ``target`` ----
 
+    def decode(self, spec: tuple, target: str, indent: int) -> None:
+        kind, line = spec[0], self.line
+        if kind in ("struct", "seq", "optional") and indent > _MAX_INDENT:
+            line(indent, f"{target}, o = {self.helper(spec, False)}(view, o)")
+        elif kind == "struct":
+            run: List[Tuple[tuple, str]] = []
+            items = []
+            for name, sub in spec[1]:
+                field = self.temp()
+                items.append(f"{self.bind(name)}: {field}")
+                if sub[0] in _FIXED:
+                    run.append((sub, field))
+                    continue
+                self.unpack(run, indent)
+                self.decode(sub, field, indent)
+            self.unpack(run, indent)
+            line(indent, f"{target} = {{{', '.join(items)}}}")
+        elif kind in _FIXED:
+            self.unpack([(spec, target)], indent)
+        elif kind in ("string", "bytes"):
+            line(indent, "try:")
+            self.span("o", indent + 1)
+            line(indent + 1, f"{target} = view[s:e]{'.decode()' if kind == 'string' else ''}")
+            line(indent + 1, "o = t")
+            line(indent, "except (SE, UnicodeDecodeError):")
+            primitive = "get_string" if kind == "string" else "get_opaque"
+            line(indent + 1, f"{target}, o = {primitive}(view, o)")
+        elif kind == "optional":
+            flag = self.temp()
+            self.read(flag, "read_u32", "get_u32(view, o)", indent)
+            line(indent, "o += 4")
+            line(indent, f"if {flag} == 0:")
+            line(indent + 1, f"{target} = None")
+            line(indent, f"elif {flag} == 1:")
+            self.decode(spec[1], target, indent + 1)
+            line(indent, "else:")
+            line(indent + 1, f"{target} = to_bool({flag})")  # raises
+        elif kind == "seq":
+            count, item = self.temp(), self.temp()
+            line(indent, f"{count}, o = get_count(view, o)")
+            line(indent, f"{target} = []")
+            line(indent, f"for _ in range({count}):")
+            self.decode(spec[1], item, indent + 1)
+            line(indent + 1, f"{target}.append({item})")
+        elif kind == "void":
+            line(indent, f"{target} = None")
+        else:  # "any": the encoder, generated first, refused every unknown kind
+            self.decode_any(target, indent)
 
-def _compile_bytes() -> Tuple[_Encoder, _Decoder]:
-    def enc(value: Any, out: List[bytes]) -> None:
-        if not isinstance(value, (bytes, bytearray)):
-            raise CodecFallback("not bytes")
-        put_opaque(out, bytes(value))
+    def read(self, targets: str, reader: str, replay: str, indent: int) -> None:
+        """``targets`` from ``reader`` at ``o``; a short read replays."""
+        self.line(indent, "try:")
+        self.line(indent + 1, f"{targets}, = {reader}(view, o)")
+        self.line(indent, "except SE:")
+        self.line(indent + 1, replay)  # raises the truncation error
 
-    return enc, get_opaque
+    def unpack(self, run: List[Tuple[tuple, str]], indent: int) -> None:
+        if not run:
+            return
+        packer = struct.Struct(">" + "".join(_FIXED[spec[0]] for spec, __ in run))
+        values = ", ".join(value for __, value in run)
+        replay = f"get_fixed({self.bind(packer)}, view, o)"
+        self.read(values, self.bind(packer.unpack_from), replay, indent)
+        self.line(indent, f"o += {packer.size}")
+        for spec, value in run:
+            if spec[0] == "bool":
+                self.line(indent, f"{value} = {value} == 1 if {value} < 2 else to_bool({value})")
+            elif spec[0] == "enum":
+                self.line(indent, f"if {value} >= {len(spec[1])}:")
+                self.line(indent + 1, f'raise XdrError(f"enum index {{{value}}} out of range")')
+                self.line(indent, f"{value} = {self.bind(spec[1])}[{value}]")
+        run.clear()
 
+    def span(self, at: str, indent: int) -> None:
+        """Locate the opaque at ``at``: its bytes are ``view[s:e]`` and
+        its pad ends at ``t``; a short or badly padded one raises ``SE``."""
+        for text in (f"n, = read_u32(view, {at})", f"s = {at} + 4", "e = s + n",
+                     "t = s + (n + 3 & -4)", "if t > L or view[e:t] != PAD[n & 3]:"):
+            self.line(indent, text)
+        self.line(indent + 1, "raise SE")
 
-def _compile_optional(element: tuple) -> Tuple[_Encoder, _Decoder]:
-    sub_enc, sub_dec = _compile(element)
-
-    def enc(value: Any, out: List[bytes]) -> None:
-        put_bool(out, value is not None)
-        if value is not None:
-            sub_enc(value, out)
-
-    def dec(view: memoryview, offset: int) -> Tuple[Any, int]:
-        present, offset = get_bool(view, offset)
-        return sub_dec(view, offset) if present else (None, offset)
-
-    return enc, dec
-
-
-def _compile_seq(element: tuple) -> Tuple[_Encoder, _Decoder]:
-    sub_enc, sub_dec = _compile(element)
-
-    def enc(value: Any, out: List[bytes]) -> None:
-        if not isinstance(value, (list, tuple)):
-            raise CodecFallback("not a sequence")
-        put_u32(out, len(value))
-        for item in value:
-            sub_enc(item, out)
-
-    def dec(view: memoryview, offset: int) -> Tuple[Any, int]:
-        count, offset = get_count(view, offset)
-        items = []
-        for __ in range(count):
-            item, offset = sub_dec(view, offset)
-            items.append(item)
-        return items, offset
-
-    return enc, dec
-
-
-def _compile_any() -> Tuple[_Encoder, _Decoder]:
-    """A tagged value inside a compiled body: its nesting is counted from
-    the body, so ``MAX_VALUE_DEPTH`` bounds the whole message."""
-
-    def enc(value: Any, out: List[bytes]) -> None:
-        put_value(out, value)
-
-    def dec(view: memoryview, offset: int) -> Tuple[Any, int]:
-        return get_value(view, offset, 1)
-
-    return enc, dec
-
-
-def _compile_void() -> Tuple[_Encoder, _Decoder]:
-    def enc(value: Any, out: List[bytes]) -> None:
-        if value is not None:
-            raise CodecFallback("void must be None")
-
-    def dec(view: memoryview, offset: int) -> Tuple[Any, int]:
-        return None, offset
-
-    return enc, dec
+    def decode_any(self, target: str, indent: int) -> None:
+        """A dict of str/float/int values in place, its other entries
+        through ``get_value``; anything else, and any damage, through
+        ``get_value`` from the leaf's start."""
+        line, body = self.line, indent + 4
+        line(indent, f"{target} = None")
+        line(indent, "if o + 8 <= L:")
+        line(indent + 1, "tag, count = read_pair(view, o)")
+        line(indent + 1, f"if tag == {_TAG_DICT} and count <= L:")
+        line(indent + 2, "p = o + 8")
+        line(indent + 2, f"{target} = {{}}")
+        line(indent + 2, "try:")
+        line(indent + 3, "for _ in range(count):")
+        self.span("p", body)
+        line(body, "key = view[s:e].decode()")
+        line(body, "tag, = read_u32(view, t)")
+        line(body, "p = t + 4")
+        line(body, f"if tag == {_TAG_STRING}:")
+        self.span("p", body + 1)
+        line(body + 1, f"{target}[key] = view[s:e].decode()")
+        line(body + 1, "p = t")
+        for tag, reader in ((_TAG_FLOAT, "read_float"), (_TAG_INT, "read_int")):
+            line(body, f"elif tag == {tag}:")
+            line(body + 1, f"{target}[key], = {reader}(view, p)")
+            line(body + 1, "p += 8")
+        line(body, "else:")
+        line(body + 1, f"{target}[key], p = get_value(view, t, 2)")
+        line(indent + 2, "except (SE, UnicodeDecodeError):")
+        line(indent + 3, f"{target} = None")
+        line(indent + 2, "else:")
+        line(indent + 3, "o = p")
+        line(indent, f"if {target} is None:")
+        line(indent + 1, f"{target}, o = get_value(view, o, 1)")
 
 
 class CompiledCodec:
-    """One layout spec compiled to pack/unpack closures plus its header."""
+    """One layout spec's generated encoder and decoder, plus its header."""
 
     def __init__(self, spec: tuple) -> None:
-        self._enc, self._dec = _compile(spec)
+        self._enc, self._dec = generate(spec)
         self.spec = spec
         self.fingerprint = fingerprint_of(spec)
         self._header = _HEADER.pack(MAGIC, self.fingerprint)
@@ -353,7 +442,7 @@ class CompiledCodec:
 
     def decode(self, data) -> Any:
         """Decode a compiled body (header verified by the registry)."""
-        view = memoryview(data)
+        view = data if type(data) is bytes else bytes(data)
         value, offset = self._dec(view, _HEADER.size)
         if offset != len(view):
             raise XdrError(

@@ -15,8 +15,10 @@ error), the client's
 split-phase pair (``start``, and ``gather``: the one attempt loop), the
 envelope writer every CALL frame leaves through (``_send`` cuts, ``_write``
 writes), ``call_many``, the federation fan-out over remote and in-process
-links, the offer-record wire path (the ``any`` leaf, and the string
-and opaque reads the compiled decoder spends its time in), and the
+links, the offer-record wire path (the string and opaque reads a
+damaged body is re-read through), the compiled codec's generator (every
+spec kind, fixed-width runs, the ``any`` leaf, helpers past the depth
+limit, an unknown kind), and the
 single-owner relay (the router's branch, the remote backend's undecoded
 IMPORT answer and ``encode_result``'s rule for a relayed body), a shard's
 failover on the shared engine (``ShardHandle.call``: promotion, deadline
@@ -59,7 +61,17 @@ TARGETS = [
     "repro.rpc.client:RpcClient._write",
     "repro.rpc.client:RpcClient.call_many",
     "repro.trader.federation:fan_out",
-    "repro.rpc.codec:_compile_any",
+    "repro.rpc.codec:generate",
+    "repro.rpc.codec:_Source.module",
+    "repro.rpc.codec:_Source.function",
+    "repro.rpc.codec:_Source.helper",
+    "repro.rpc.codec:_Source.encode",
+    "repro.rpc.codec:_Source.to_wire",
+    "repro.rpc.codec:_Source.pack",
+    "repro.rpc.codec:_Source.encode_any",
+    "repro.rpc.codec:_Source.decode",
+    "repro.rpc.codec:_Source.unpack",
+    "repro.rpc.codec:_Source.decode_any",
     "repro.rpc.codec:CodecRegistry.encode_result",
     "repro.trader.sharding.router:ShardRouter.import_",
     "repro.trader.sharding.rpc:RemoteShardBackend.import_wire",
@@ -121,6 +133,8 @@ UNIT_TESTS = [
     BATCHING + "test_destinations_stage_independently",
     BATCHING + "test_refused_connect_settles_the_whole_envelope",
     "tests/test_wire_rules.py",
+    "tests/test_rpc_codec.py",
+    "tests/test_codec_equivalence.py::test_an_unknown_spec_kind_is_refused_alike",
     "tests/test_trader_sharding_parity.py",
     "tests/test_sharding_migration.py::test_spliced_and_merged_paths_answer_a_migrated_type_alike",
     "tests/test_sharding_replication.py",

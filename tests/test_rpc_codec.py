@@ -9,6 +9,9 @@ on: byte-level roundtrip fidelity, every documented fallback trigger,
 and the registry's negotiation rules.
 """
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -292,3 +295,89 @@ def test_global_registry_serves_trader_procedures():
     from repro.trader.trader import TRADER_PROGRAM, _PROC_RENEW
 
     assert CODECS.negotiated(TRADER_PROGRAM, 1, _PROC_RENEW)
+
+
+# -- the generated source: depth, hostile names, no builtins ----------------
+
+HOSTILE = ["a'b", 'a"b', "a\\b", "a\nb", "{x}", "}{", "__import__('os')", "x)\n", "'''"]
+
+
+def _seq_deep(levels: int):
+    spec, value = layout.string(), "leaf"
+    for __ in range(levels):
+        spec, value = layout.seq(spec), [value]
+    return spec, value
+
+
+def _mixed_deep(levels: int):
+    """``levels`` of struct/seq/optional, innermost an i64, and a value."""
+    spec, value = layout.i64(), 7
+    for level in range(levels):
+        kind = level % 3
+        if kind == 0:
+            spec, value = layout.seq(spec), [value, value]
+        elif kind == 1:
+            spec, value = layout.optional(spec), value
+        else:
+            spec, value = layout.struct(a=layout.string(), b=spec), {"a": "x", "b": value}
+    return spec, value
+
+
+@pytest.mark.parametrize(
+    "spec,value",
+    [
+        _mixed_deep(40),
+        _mixed_deep(41),
+        _mixed_deep(42),
+        _seq_deep(25),
+        (layout.seq(layout.seq(layout.seq(layout.any_value()))), [[[{"k": 1.5}]]]),
+    ],
+    ids=["mixed40", "mixed41", "mixed42", "seq25", "seq-any"],
+)
+def test_deep_specs_compile_and_round_trip(spec, value):
+    """Past a fixed depth the generator moves a value into a helper
+    function: Python refuses code nested more than 20 blocks deep."""
+    codec = CompiledCodec(spec)
+    assert codec.decode(codec.encode(value)) == value
+
+
+def test_hostile_names_and_labels_round_trip_and_stay_out_of_the_source():
+    from repro.rpc.codec import _Source
+
+    spec = layout.struct(**{
+        name: layout.struct(**{label: layout.enum(*HOSTILE) for label in HOSTILE})
+        for name in HOSTILE
+    })
+    value = {name: {label: label for label in HOSTILE} for name in HOSTILE}
+    codec = CompiledCodec(spec)
+    assert codec.decode(codec.encode(value)) == value
+    text = _Source().module(spec)
+    for hostile in HOSTILE:
+        assert hostile not in text
+
+
+def test_generated_functions_see_only_what_they_bind():
+    from repro.rpc.codec import _RUNTIME, generate
+
+    enc, dec = generate(WIDE_SPEC)
+    namespace = enc.__globals__
+    assert dec.__globals__ is namespace
+    assert namespace["__builtins__"] == {}
+    bound = set(namespace) - {"__builtins__"}
+    constants = {name for name in bound if re.fullmatch(r"k\d+", name)}
+    generated = {name for name in bound if re.fullmatch(r"(enc|dec)\d*", name)}
+    assert bound == (set(_RUNTIME) - {"__builtins__"}) | constants | generated
+    assert {"enc", "dec"} <= generated
+    for function in (enc, dec):
+        assert set(function.__code__.co_names) <= bound | {
+            "append", "encode", "decode", "items",
+        }
+
+
+def test_the_one_exec_says_why_it_is_safe():
+    import repro.rpc.codec as codec_module
+
+    source = Path(codec_module.__file__).read_text()
+    calls = [line for line in source.splitlines() if re.search(r"\bexec\(", line)]
+    assert len(calls) == 1
+    assert re.search(r"# noqa: S102 - \w+", calls[0])
