@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 import uuid
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
@@ -154,12 +153,6 @@ class CallContext:
     #: while no sampling policy has weighed in.  Rides the wire like the
     #: hop budget so every peer of a federated call agrees.
     sampled: Optional[bool] = None
-    # Guards the shared span chain: worker threads (federation fan-out)
-    # append to the parent's list concurrently.  ``derive``/``hop`` pass
-    # the lock through ``replace`` so one chain always has one lock.
-    _span_lock: Any = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
     finished: bool = field(default=False, repr=False, compare=False)
 
     # -- constructors ------------------------------------------------------
@@ -273,14 +266,12 @@ class CallContext:
     # -- span chain --------------------------------------------------------
 
     def record_span(self, span: SpanRecord) -> None:
-        with self._span_lock:
-            if len(self.spans) >= SPAN_LIMIT:
-                self.spans_dropped += 1
-                dropped = True
-            else:
-                self.spans.append(span)
-                dropped = False
-        if dropped:
+        # No lock: one thread records a chain, since a node runs its
+        # calls one at a time and fan-out is split-phase (DESIGN.md §6a).
+        if len(self.spans) < SPAN_LIMIT:
+            self.spans.append(span)
+        else:
+            self.spans_dropped += 1
             # Overflow is observable, not silent: exporter output carries
             # the per-chain count and the registry the process total.
             from repro.telemetry.metrics import METRICS
@@ -288,11 +279,9 @@ class CallContext:
             METRICS.inc("context.spans_dropped")
 
     def share_chain(self, other: "CallContext") -> None:
-        """Join ``other``'s span chain (list *and* lock) — used by the
-        RPC client's legacy shim so ambient and shim contexts append to
-        one chain under one lock."""
+        """Join ``other``'s span chain — used by the RPC client's legacy
+        shim so ambient and shim contexts append to one chain."""
         self.spans = other.spans
-        self._span_lock = other._span_lock
 
     def span(self, layer: str, operation: str, clock: Clock) -> "_SpanScope":
         """Record one operation at one layer; re-raises, noting the outcome.
@@ -306,10 +295,8 @@ class CallContext:
 
     def layer_costs(self) -> Dict[str, float]:
         """Total elapsed seconds per layer, from the span chain."""
-        with self._span_lock:
-            spans = list(self.spans)
         costs: Dict[str, float] = {}
-        for span in spans:
+        for span in self.spans:
             costs[span.layer] = costs.get(span.layer, 0.0) + span.elapsed
         return costs
 
@@ -387,29 +374,26 @@ class DeadlineLedger:
     ``now + remaining / outstanding``.  When a branch finishes it calls
     :meth:`release`, shrinking the outstanding count — budget a fast link
     did not use is thereby re-donated to branches that lease after it.
-    Thread-safe; branches already running keep the lease they were issued.
+    Branches already running keep the lease they were issued.
     """
 
     def __init__(self, ctx: CallContext, clock: Clock, outstanding: int) -> None:
         self._ctx = ctx
         self._clock = clock
         self._outstanding = max(1, outstanding)
-        self._lock = threading.Lock()
 
     def lease(self) -> CallContext:
         """A child context owning this branch's share of what is left."""
-        with self._lock:
-            if self._ctx.deadline is None:
-                return self._ctx.derive()
-            now = self._clock()
-            share = self._ctx.remaining(now) / self._outstanding
-            return self._ctx.derive(deadline=now + share)
+        if self._ctx.deadline is None:
+            return self._ctx.derive()
+        now = self._clock()
+        share = self._ctx.remaining(now) / self._outstanding
+        return self._ctx.derive(deadline=now + share)
 
     def release(self) -> None:
         """A branch finished; its unused share flows back to the rest."""
-        with self._lock:
-            if self._outstanding > 1:
-                self._outstanding -= 1
+        if self._outstanding > 1:
+            self._outstanding -= 1
 
     def remaining(self) -> float:
         """Seconds left on the parent budget (``inf`` when unbounded)."""

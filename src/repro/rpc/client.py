@@ -211,7 +211,7 @@ class RpcClient:
         built from the legacy kwargs (or the client's configured defaults) —
         and when this call happens *inside* an RPC handler, the ambient
         request context narrows it: the shim inherits the trace id, span
-        chain (list and lock), hop budget, and scope, and its deadline is
+        chain, hop budget, and scope, and its deadline is
         capped by the caller's remaining budget.  Local configuration still
         paces attempts; the inherited deadline bounds the total.
         """

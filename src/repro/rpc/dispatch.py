@@ -12,7 +12,7 @@ from typing import Optional
 
 from repro.net.endpoints import Address
 from repro.rpc.errors import XdrError
-from repro.rpc.message import RpcCall, RpcReply, decode_messages
+from repro.rpc.message import RpcCall, decode_messages
 from repro.rpc.transport import Transport
 from repro.telemetry.metrics import METRICS
 
@@ -42,17 +42,22 @@ class RpcDispatcher:
             self.malformed_count += 1
             METRICS.inc("rpc.dispatch.malformed")
             return
-        calls = [m for m in messages if isinstance(m, RpcCall)]
+        calls = []
         for message in messages:
-            if isinstance(message, RpcReply):
-                if self.client is not None:
-                    self.client.handle_reply(source, message)
-        if not calls or self.server is None:
+            if isinstance(message, RpcCall):
+                calls.append(message)
+            elif self.client is not None:
+                self.client.handle_reply(source, message)
+        server = self.server
+        if not calls or server is None:
             return
+        # A reply settles on the thread that read it; calls run on the
+        # node's executor, one at a time (DESIGN.md §6a).
         if len(calls) > 1:
-            self.server.handle_batch(source, calls)
+            self.transport.execute(lambda: server.handle_batch(source, calls))
         else:
-            self.server.handle_call(source, calls[0])
+            call = calls[0]
+            self.transport.execute(lambda: server.handle_call(source, call))
 
 
 def dispatcher_for(transport: Transport) -> RpcDispatcher:

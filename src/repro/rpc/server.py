@@ -30,7 +30,6 @@ import heapq
 import inspect
 import itertools
 import math
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
@@ -74,9 +73,9 @@ class AdmissionPolicy:
     the handler finishes.  It defaults to **off** because the historic
     servers process nested arrivals reentrantly — cyclic federation
     topologies (trader A importing from B while B imports from A) rely
-    on that to answer each other mid-call.  Dedicated worker servers
-    (the overload bench, TCP fleets) turn it on to get deadline-ordered
-    scheduling under load.
+    on that to answer each other mid-call.  A server that wants
+    deadline-ordered scheduling under load turns it on, as
+    ``benchmarks/bench_overload_shedding.py`` does.
     """
 
     capacity: int = 256
@@ -94,7 +93,6 @@ class AdmissionQueue:
     deadline resolve by arrival sequence — so pops are deterministic.
     On overflow the *latest-deadline* entry is evicted and returned to
     the caller to shed; the arriving entry itself may be that loser.
-    Thread-safe: TCP reader threads enqueue concurrently.
     """
 
     def __init__(self, capacity: int = 256) -> None:
@@ -106,16 +104,13 @@ class AdmissionQueue:
         self._heap: List[Tuple[float, int, Any, Any]] = []
         self._seq = itertools.count()
         self._keys: Set[Any] = set()
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._heap)
+        return len(self._heap)
 
     def pending(self, key: Any) -> bool:
         """True while an entry with this coalescing key is queued."""
-        with self._lock:
-            return key in self._keys
+        return key in self._keys
 
     def push(self, item: Any, deadline: Optional[float], key: Any = None) -> Optional[Any]:
         """Admit ``item``; returns the item shed to stay within bounds.
@@ -125,34 +120,32 @@ class AdmissionQueue:
         ``item`` itself when the arrival *is* the latest-deadline entry.
         """
         order = math.inf if deadline is None else deadline
-        with self._lock:
-            seq = next(self._seq)
-            if len(self._heap) >= self.capacity:
-                worst = max(range(len(self._heap)), key=lambda i: self._heap[i][:2])
-                if (order, seq) >= self._heap[worst][:2]:
-                    return item  # arrival loses: it is the latest-deadline entry
-                evicted = self._heap[worst]
-                self._heap[worst] = self._heap[-1]
-                self._heap.pop()
-                heapq.heapify(self._heap)
-                if evicted[3] is not None:
-                    self._keys.discard(evicted[3])
-                self._push_locked(order, seq, item, key)
-                return evicted[2]
-            self._push_locked(order, seq, item, key)
-            return None
+        seq = next(self._seq)
+        if len(self._heap) >= self.capacity:
+            worst = max(range(len(self._heap)), key=lambda i: self._heap[i][:2])
+            if (order, seq) >= self._heap[worst][:2]:
+                return item  # arrival loses: it is the latest-deadline entry
+            evicted = self._heap[worst]
+            self._heap[worst] = self._heap[-1]
+            self._heap.pop()
+            heapq.heapify(self._heap)
+            if evicted[3] is not None:
+                self._keys.discard(evicted[3])
+            self._push(order, seq, item, key)
+            return evicted[2]
+        self._push(order, seq, item, key)
+        return None
 
     def pop(self) -> Optional[Any]:
         """The earliest-deadline entry, or ``None`` when empty."""
-        with self._lock:
-            if not self._heap:
-                return None
-            __, __, item, key = heapq.heappop(self._heap)
-            if key is not None:
-                self._keys.discard(key)
-            return item
+        if not self._heap:
+            return None
+        __, __, item, key = heapq.heappop(self._heap)
+        if key is not None:
+            self._keys.discard(key)
+        return item
 
-    def _push_locked(self, order: float, seq: int, item: Any, key: Any) -> None:
+    def _push(self, order: float, seq: int, item: Any, key: Any) -> None:
         heapq.heappush(self._heap, (order, seq, item, key))
         if key is not None:
             self._keys.add(key)
@@ -184,8 +177,7 @@ class ReplyCache:
     and large ones queue apart, each queue under half of ``limit`` with
     its oldest entries evicted first, so a run of large replies never
     pushes a small one out.  A reply whose own charge exceeds its half
-    is not cached and evicts nothing.  Thread-safe: TCP reader threads
-    finish calls concurrently.
+    is not cached and evicts nothing.
     """
 
     def __init__(self, limit: int) -> None:
@@ -197,7 +189,6 @@ class ReplyCache:
             OrderedDict(),
         )
         self._charged = [0, 0]
-        self._lock = threading.Lock()
 
     @property
     def charged(self) -> int:
@@ -217,22 +208,21 @@ class ReplyCache:
         charge = len(data) + _ENTRY_OVERHEAD
         share = self.limit // 2
         evicted = 0
-        with self._lock:
-            for size_class, queue in enumerate(self._queues):
-                replaced = queue.pop(key, None)
-                if replaced is not None:
-                    self._charged[size_class] -= len(replaced) + _ENTRY_OVERHEAD
-            if charge > share:
-                return
-            size_class = 0 if len(data) <= _SMALL_REPLY else 1
-            queue = self._queues[size_class]
-            queue[key] = data
-            self._charged[size_class] += charge
-            while self._charged[size_class] > share:
-                __, oldest = queue.popitem(last=False)
-                self._charged[size_class] -= len(oldest) + _ENTRY_OVERHEAD
-                evicted += 1
-            self.evicted += evicted
+        for size_class, queue in enumerate(self._queues):
+            replaced = queue.pop(key, None)
+            if replaced is not None:
+                self._charged[size_class] -= len(replaced) + _ENTRY_OVERHEAD
+        if charge > share:
+            return
+        size_class = 0 if len(data) <= _SMALL_REPLY else 1
+        queue = self._queues[size_class]
+        queue[key] = data
+        self._charged[size_class] += charge
+        while self._charged[size_class] > share:
+            __, oldest = queue.popitem(last=False)
+            self._charged[size_class] -= len(oldest) + _ENTRY_OVERHEAD
+            evicted += 1
+        self.evicted += evicted
         if evicted:
             METRICS.inc("rpc.server.reply_cache_evicted", amount=evicted)
 
@@ -308,10 +298,12 @@ class RpcServer:
         # feed ``METRICS`` for reporting (unchanged).
         self._service_times = MetricsRegistry()
         self._in_flight: Set[Tuple[Address, int]] = set()
-        self._active = 0  # drain-loop depth (reentrant under virtual time)
-        # Per-thread stack of reply-coalescing scopes opened by
-        # handle_batch: (expected (source, xid) keys, buffered encodings).
-        self._reply_batches = threading.local()
+        self._active = 0  # drain-loop depth: nested calls drain reentrantly
+        # Stack of reply-coalescing scopes opened by handle_batch:
+        # (expected (source, xid) keys, buffered encodings).  One list
+        # serves: a node runs its calls one at a time, nested ones inside
+        # the call that waits (DESIGN.md §6a).
+        self._reply_batches: List[Tuple[Set[Tuple[Address, int]], List[bytes]]] = []
         self._gauge_label = (f"{transport.local_address.host}:{transport.local_address.port}",)
         self.calls_handled = 0
         self.duplicates_suppressed = 0
@@ -381,7 +373,7 @@ class RpcServer:
         """
         expected = {(source, call.xid) for call in calls}
         buffered: List[bytes] = []
-        stack = self._batch_stack()
+        stack = self._reply_batches
         stack.append((expected, buffered))
         try:
             admitted = False
@@ -411,12 +403,6 @@ class RpcServer:
                 self._send_reply(source, call.xid, cached)
                 return False
         return self._admit(source, call, cache_key)
-
-    def _batch_stack(self) -> List[Tuple[Set[Tuple[Address, int]], List[bytes]]]:
-        stack = getattr(self._reply_batches, "stack", None)
-        if stack is None:
-            stack = self._reply_batches.stack = []
-        return stack
 
     def _admit(self, source: Address, call: RpcCall, cache_key: Tuple[Address, int]) -> bool:
         """Arrival-time admission; True when the call was queued."""
@@ -478,10 +464,6 @@ class RpcServer:
             METRICS.set_gauge(
                 "rpc.server.queue_depth", len(self._queue), self._gauge_label
             )
-        if not self._active and len(self._queue):
-            # A deferred arrival slipped in between our last pop and the
-            # depth decrement (TCP reader-thread interleaving): claim it.
-            self._drain()
 
     def _run_entry(self, source: Address, call: RpcCall) -> None:
         """Dequeue-time re-check, execution, reply."""
@@ -520,7 +502,7 @@ class RpcServer:
         reentrant arrivals, or to calls from other peers — goes straight
         to the transport.
         """
-        stack = self._batch_stack()
+        stack = self._reply_batches
         if stack:
             expected, buffered = stack[-1]
             key = (source, xid)

@@ -11,6 +11,11 @@ run the one RPC stack:
   the only socket transport.  Every message, a reply included, travels
   on the sender's own outgoing connection to the receiver's advertised
   listener.
+
+Both run one execution model (DESIGN.md §6a): a node runs its calls one
+at a time, and a call blocked in ``wait`` keeps serving the calls that
+reach its node meanwhile.  On the simulated network that holds by
+construction; over TCP, :meth:`TcpTransport.execute` enforces it.
 """
 
 from __future__ import annotations
@@ -18,7 +23,9 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import Callable, Dict, Optional
+from collections import deque
+from functools import partial
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import CommunicationError
 from repro.net.endpoints import Address, Datagram
@@ -28,6 +35,30 @@ from repro.rpc.errors import XdrError
 from repro.telemetry.metrics import METRICS
 
 Receiver = Callable[[Address, bytes], None]
+Work = Callable[[], None]
+
+
+class _Thread(threading.local):
+    """What the current thread does for this process's TCP nodes: the
+    executor follows a node's calls from thread to thread, so the role is
+    the thread's own, as the ambient call context is (``repro.context``)."""
+
+    #: The transport whose calls this thread runs, while it runs them.
+    node: Optional["TcpTransport"] = None
+    #: Hands the connection this thread reads to another reader thread.
+    hand_on: Optional[Work] = None
+
+
+_THREAD = _Thread()
+
+
+def _run(work: Work) -> None:
+    try:
+        work()
+    except CommunicationError:
+        # The caller cannot be reached: its reply is lost, as a datagram
+        # would be, and the caller retransmits or times out.
+        pass
 
 
 def enable_nodelay(sock: Optional[socket.socket]) -> None:
@@ -63,6 +94,11 @@ class Transport:
     def wait(self, predicate: Callable[[], bool], timeout: float) -> bool:
         """Block until ``predicate()`` is true or ``timeout`` seconds pass."""
         raise NotImplementedError
+
+    def execute(self, work: Work) -> None:
+        """Run one call this node received.  The simulated network runs
+        one thing at a time anyway, so the call runs here and now."""
+        work()
 
     def now(self) -> float:
         """Current time on this transport's clock (virtual or wall)."""
@@ -109,10 +145,12 @@ class TcpTransport(Transport):
     Every transport runs one accept loop; frames and the hello that opens
     a connection are :mod:`repro.rpc.xdr`'s.  Outgoing connections are
     cached per destination and only ever written: the peer answers on its
-    own connection to our listener.  Receive callbacks run on the reader
-    thread of each accepted connection; a shared condition lets
-    :meth:`wait` sleep until state changes.  Connect and write failures
-    surface as :class:`~repro.errors.CommunicationError`.
+    own connection to our listener.  Each accepted connection has a
+    reader thread that only reads: the dispatcher settles a reply where
+    it lands and hands a call to :meth:`execute`, which runs the node's
+    calls one at a time.  A condition per transport lets :meth:`wait`
+    sleep until a reply lands.  Connect and write failures surface as
+    :class:`~repro.errors.CommunicationError`.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
@@ -129,6 +167,16 @@ class TcpTransport(Transport):
         self._lock = threading.Lock()
         self.condition = threading.Condition(self._lock)
         self._closed = False
+        # The node's executor: ``_busy`` while some thread runs its calls.
+        # Calls that arrive meanwhile queue in the inbox for that thread,
+        # which wakes on ``_waker`` when it sleeps in ``wait``.
+        self._inbox: Deque[Work] = deque()
+        self._inbox_lock = threading.Lock()
+        self._busy = False
+        self._waker: Optional[threading.Condition] = None
+        # Reader threads parked until a connection is handed on to them:
+        # each slot is [a held lock the hand-on releases, (conn, source)].
+        self._spares: List[List[Any]] = []
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._accept_thread.start()
 
@@ -160,20 +208,86 @@ class TcpTransport(Transport):
         self._receiver = receiver
 
     def wait(self, predicate: Callable[[], bool], timeout: float) -> bool:
+        """Block until ``predicate()`` is true or ``timeout`` seconds pass.
+
+        A thread that runs a node's calls keeps running the calls queued
+        for that node while it waits, whichever transport it waits on, as
+        ``SimTransport.wait`` keeps pumping the clock.  A reader thread
+        first hands its connection to another reader: the reply it waits
+        for may come on that very connection.
+        """
         deadline = time.monotonic() + timeout
-        with self.condition:
-            while not predicate():
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self.condition.wait(remaining)
-            return True
+        node, inbox = _THREAD.node, ()
+        if node is not None:
+            inbox = node._inbox
+            hand_on, _THREAD.hand_on = _THREAD.hand_on, None
+            if hand_on is not None:
+                hand_on()
+            saved, node._waker = node._waker, self.condition
+        try:
+            while True:
+                with self.condition:
+                    while not predicate():
+                        if inbox:
+                            break
+                        remaining = deadline - time.monotonic()
+                        if remaining <= 0:
+                            return False
+                        self.condition.wait(remaining)
+                    else:
+                        return True
+                # A call for the node: run it, then wait on.  Only the
+                # thread running the node's calls takes from its inbox.
+                _run(inbox.popleft())
+        finally:
+            if node is not None:
+                node._waker = saved
+
+    def execute(self, work: Work) -> None:
+        """Run one call this node received, never beside another of its
+        calls.  An idle node runs it here, on the reader thread that
+        brought it; a busy one queues it for the thread running its calls,
+        which takes it in :meth:`wait` or when its current call ends."""
+        with self._inbox_lock:
+            queued = self._busy
+            if queued:
+                self._inbox.append(work)
+            self._busy = True
+        if not queued:
+            self._serve(work)
+            return
+        waker = self._waker
+        if waker is not None:
+            with waker:
+                waker.notify_all()
+
+    def _serve(self, work: Optional[Work]) -> None:
+        """The executor loop: run ``work`` and every call queued behind
+        it, then leave the node idle."""
+        _THREAD.node = self
+        try:
+            while work is not None:
+                _run(work)
+                with self._inbox_lock:
+                    work = self._inbox.popleft() if self._inbox else None
+                    self._busy = work is not None
+        finally:
+            _THREAD.node = None
+            if work is not None:
+                # A fault escaped a call (the server lets none escape):
+                # free the node; what is queued runs after the next call.
+                with self._inbox_lock:
+                    self._busy = False
 
     def now(self) -> float:
         return time.monotonic()
 
     def close(self) -> None:
         self._closed = True
+        with self._inbox_lock:
+            spares, self._spares = self._spares, []
+        for held, __ in spares:
+            held.release()
         try:
             # Closing alone does not wake the accept thread, which would
             # then accept one more connection; shutdown does.
@@ -219,16 +333,45 @@ class TcpTransport(Transport):
             return
         self._read_loop(conn, source)
 
-    def _read_loop(self, conn: socket.socket, source: Address) -> None:
-        while not self._closed:
-            payload = self._read_frame(conn)
-            if payload is None:
-                return
-            receiver = self._receiver
-            if receiver is not None:
-                receiver(source, payload)
-            with self.condition:
-                self.condition.notify_all()
+    def _read_loop(self, conn: Optional[socket.socket], source: Address) -> None:
+        """Read a connection until it or the transport closes.  A call run
+        here that waits hands the connection on (:meth:`wait`); once its
+        calls are done, the thread parks to take the next hand-on."""
+        while conn is not None:
+            _THREAD.hand_on = partial(self._hand_on, conn, source)
+            while _THREAD.hand_on is not None:
+                payload = None if self._closed else self._read_frame(conn)
+                if payload is None:
+                    return
+                receiver = self._receiver
+                if receiver is not None:
+                    receiver(source, payload)
+                with self.condition:
+                    self.condition.notify_all()
+            conn, source = self._park()
+
+    def _hand_on(self, conn: socket.socket, source: Address) -> None:
+        """Give a connection to a parked reader thread, or to a new one."""
+        with self._inbox_lock:
+            slot = self._spares.pop() if self._spares else None
+        if slot is None:
+            threading.Thread(
+                target=self._read_loop, args=(conn, source), daemon=True
+            ).start()
+        else:
+            slot[1] = (conn, source)
+            slot[0].release()
+
+    def _park(self) -> Tuple[Optional[socket.socket], Any]:
+        """Wait for a hand-on; ``(None, None)`` once the transport closes."""
+        slot: List[Any] = [threading.Lock(), (None, None)]
+        slot[0].acquire()
+        with self._inbox_lock:
+            if self._closed:
+                return None, None
+            self._spares.append(slot)
+        slot[0].acquire()
+        return slot[1]
 
     def _read_frame(self, conn: socket.socket) -> Optional[bytes]:
         header = self._read_exact(conn, xdr.FRAME_HEADER_SIZE)

@@ -91,18 +91,12 @@ class TelemetryHub:
         """Flush a finished :class:`~repro.context.CallContext` chain.
 
         Duck-typed to avoid an import cycle (context lazily imports this
-        module for ``finish()``).  The span list is snapshotted under the
-        context's chain lock so concurrent fan-out workers appending to a
-        shared chain cannot tear the export.
+        module for ``finish()``).  The span list is snapshotted: the
+        chain's owner may keep appending after the flush.
         """
         if not self._exporters:
             return
-        lock = getattr(ctx, "_span_lock", None)
-        if lock is not None:
-            with lock:
-                spans = list(ctx.spans)
-        else:
-            spans = list(ctx.spans)
+        spans = list(ctx.spans)
         if not spans and not ctx.spans_dropped:
             return
         # Head-sampling gate: recording above was free to happen — only
