@@ -251,6 +251,35 @@ def _descending(run: List[Tuple[Any, int, str]]) -> Iterator[Tuple[Any, int, str
         upper = lower
 
 
+class _Candidates:
+    """What :meth:`OfferStore.candidates` hands out: the candidate offers
+    in candidate order, walked on each iteration, so a loop that stops
+    after K offers pays for about K, not for the type.  ``len()`` is the
+    size of the whole set (a trace measures it; the matching loop never
+    asks).  Like :meth:`_SortedValues.walk`, an iteration must be consumed
+    before the store's next write.
+    """
+
+    __slots__ = ("_store", "_type_names", "_bucket_for", "_conjuncts")
+
+    def __init__(self, store: "OfferStore", type_names, bucket_for, conjuncts) -> None:
+        self._store, self._type_names = store, type_names
+        self._bucket_for, self._conjuncts = bucket_for, conjuncts
+
+    def __iter__(self) -> Iterator[ServiceOffer]:
+        by_type = self._store._by_type
+        if self._bucket_for is None:  # the full type scan
+            names = (name for name in self._type_names if name in by_type)
+            return itertools.chain.from_iterable(by_type[name].values() for name in names)
+        return self._store._filter(self._type_names, self._bucket_for, self._conjuncts)
+
+    def __len__(self) -> int:
+        if self._bucket_for is None:
+            by_type = self._store._by_type
+            return sum(len(by_type.get(name, ())) for name in self._type_names)
+        return sum(1 for _ in self)
+
+
 def parse_offer_id(offer_id: str, prefix: str) -> Optional[Tuple[str, int]]:
     """``prefix:type:n`` → ``(type, n)``; ``None`` for anything
     :meth:`OfferStore.new_offer_id` could not have minted under ``prefix``.
@@ -283,7 +312,11 @@ class OfferStore:
         self._prefix = prefix
         self._by_id: Dict[str, ServiceOffer] = {}
         self._by_type: Dict[str, Dict[str, ServiceOffer]] = {}
-        self._eq_index: Dict[Tuple[str, str], Dict[Any, Set[str]]] = {}
+        # Buckets are dicts of ids in ``_order``: an export appends in order;
+        # a re-index landing behind later ids marks ``(key, value)`` in
+        # ``_unsorted`` until the next read re-sorts that bucket.
+        self._eq_index: Dict[Tuple[str, str], Dict[Any, Dict[str, None]]] = {}
+        self._unsorted: Set[Tuple[Tuple[str, str], Any]] = set()
         self._unindexed: Dict[Tuple[str, str], Set[str]] = {}
         self._range_index: Dict[Tuple[str, str], Dict[str, _SortedValues]] = {}
         self._range_enabled = range_index
@@ -395,8 +428,9 @@ class OfferStore:
         type_names: Iterable[str],
         equalities: Iterable[Tuple[str, Any]],
         ranges: Iterable[Tuple[str, str, Any]] = (),
-    ) -> List[ServiceOffer]:
-        """Offers of ``type_names`` that can still satisfy the conjuncts.
+    ) -> "_Candidates":
+        """Offers of ``type_names`` that can still satisfy the conjuncts,
+        in candidate order (``of_types`` order), as a lazy view.
 
         For each equality ``(property, literal)`` pair the index keeps
         only offers whose stored value equals the literal; for each range
@@ -407,61 +441,67 @@ class OfferStore:
         of the true matches: callers still run the full constraint, they
         just run it over far fewer offers.
         """
+        type_names = tuple(type_names)
         equalities = list(equalities)
         ranges = list(ranges)
         if equalities:
             METRICS.inc("offers.index_hits", (self._prefix,))
-            return self._filter(type_names, self._eq_bucket, equalities)
+            return _Candidates(self, type_names, self._eq_bucket, equalities)
         if ranges and self._range_enabled:
             METRICS.inc("offers.range_hits", (self._prefix,))
-            return self._filter(type_names, self._range_bucket, ranges)
+            return _Candidates(self, type_names, self._range_bucket, ranges)
         # No exploitable conjunct: the full per-type scan.  Counted, so
         # benchmark output can say *why* an import was fast or slow.
         METRICS.inc("offers.fallback_scans", (self._prefix,))
-        return self.of_types(type_names)
+        return _Candidates(self, type_names, None, ())
 
-    def _filter(self, type_names, bucket_for, conjuncts) -> List[ServiceOffer]:
-        offers: List[ServiceOffer] = []
+    def _filter(self, type_names, bucket_for, conjuncts) -> Iterator[ServiceOffer]:
+        """Per type, the smallest conjunct's bucket walked in ``_order``,
+        each other conjunct tested by membership.  A bucket is a pair
+        ``(ids in _order, ids in no order)``; only the walked bucket's
+        second part is sorted in, so an equality bucket is walked as is."""
+        order = self._order
         for type_name in type_names:
             per_type = self._by_type.get(type_name)
             if not per_type:
                 continue
-            surviving: Optional[Set[str]] = None
-            for conjunct in conjuncts:
-                bucket = bucket_for(type_name, per_type, conjunct)
-                surviving = bucket if surviving is None else surviving & bucket
-                if not surviving:
-                    break
-            if surviving:
-                # ``_order`` is the per-type insertion order ``_by_type``
-                # keeps: sorting the bucket by it is O(bucket), not O(type).
-                offers.extend(
-                    per_type[offer_id]
-                    for offer_id in sorted(surviving, key=self._order.__getitem__)
-                )
-        return offers
+            buckets = sorted(
+                (bucket_for(type_name, per_type, conjunct) for conjunct in conjuncts),
+                key=lambda bucket: len(bucket[0]) + len(bucket[1]),
+            )
+            (walked, extra), others = buckets[0], buckets[1:]
+            for offer_id in sorted((*walked, *extra), key=order.__getitem__) if extra else walked:
+                for ordered, unordered in others:
+                    if offer_id not in ordered and offer_id not in unordered:
+                        break
+                else:
+                    yield per_type[offer_id]
 
-    def _eq_bucket(self, type_name, per_type, conjunct) -> Set[str]:
+    def _eq_bucket(self, type_name, per_type, conjunct) -> tuple:
         prop, literal = conjunct
-        bucket = set(self._unindexed.get((type_name, prop), ()))
+        key = (type_name, prop)
         try:
-            exact = self._eq_index.get((type_name, prop), {}).get(literal)
+            exact = self._eq_index.get(key, {}).get(literal, {})
         except TypeError:  # unhashable literal: index can't help
-            exact = set(per_type)
-        if exact:
-            bucket |= exact
-        return bucket
+            return per_type, ()
+        if self._unsorted and (key, literal) in self._unsorted:
+            # A re-index appended an id behind later ones: restore the order.
+            self._unsorted.discard((key, literal))
+            exact = self._eq_index[key][literal] = dict.fromkeys(
+                sorted(exact, key=self._order.__getitem__)
+            )
+        return exact, self._unindexed.get(key, ())
 
-    def _range_bucket(self, type_name, per_type, conjunct) -> Set[str]:
+    def _range_bucket(self, type_name, per_type, conjunct) -> tuple:
         prop, operator, literal = conjunct
         literal_class = _range_class(literal)
         if literal_class is None:  # e.g. list literal: index can't help
-            return set(per_type)
+            return per_type, ()
         bucket = set(self._unindexed.get((type_name, prop), ()))
         sorted_values = self._range_index.get((type_name, prop), {}).get(literal_class)
         if sorted_values is not None:
             bucket |= sorted_values.ids_matching(operator, literal)
-        return bucket
+        return (), bucket
 
     def ordered_by(
         self, type_names: Iterable[str], prop: str, reverse: bool = False
@@ -523,15 +563,18 @@ class OfferStore:
 
     def _index(self, offer: ServiceOffer) -> None:
         offer_id = offer.offer_id
-        seq = self._order.get(offer_id)
-        if seq is None:
-            seq = self._order[offer_id] = next(self._order_counter)
+        order = self._order
+        seq = order.get(offer_id)
+        reindexed = seq is not None  # a fresh id's seq is the largest yet
+        if not reindexed:
+            seq = order[offer_id] = next(self._order_counter)
         for prop, value in offer.properties.items():
             key = (offer.service_type, prop)
             if _indexable(value):
-                self._eq_index.setdefault(key, {}).setdefault(value, set()).add(
-                    offer_id
-                )
+                ids = self._eq_index.setdefault(key, {}).setdefault(value, {})
+                if reindexed and ids and order[next(reversed(ids))] > seq:
+                    self._unsorted.add((key, value))
+                ids[offer_id] = None
             else:
                 self._unindexed.setdefault(key, set()).add(offer_id)
                 if is_dynamic(value):
@@ -556,9 +599,10 @@ class OfferStore:
             if _indexable(value):
                 per_value = self._eq_index[key]
                 ids = per_value[value]
-                ids.discard(offer_id)
+                del ids[offer_id]
                 if not ids:
                     del per_value[value]
+                    self._unsorted.discard((key, value))
                 if not per_value:
                     del self._eq_index[key]
             else:

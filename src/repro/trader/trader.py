@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Any, Collection, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Collection, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.context import CallContext, Clock, current_context
 from repro.naming.refs import ServiceRef
@@ -176,6 +176,19 @@ def rank(
         unique.setdefault(offer.offer_id, offer)
     ordered = preference.apply(list(unique.values()), rng)
     return ordered[:limit] if limit > 0 else ordered
+
+
+def _listed_before_call_out(
+    offers: Iterable[ServiceOffer], dynamic: Collection[str]
+) -> Iterator[ServiceOffer]:
+    """``offers`` in order, the rest of them listed just before the first
+    offer that has a marker to resolve: up to there the walk stays lazy."""
+    source = iter(offers)
+    for offer in source:
+        if offer.offer_id in dynamic:
+            yield from [offer, *source]  # the list is built before the yield
+            return
+        yield offer
 
 
 class LocalTrader:
@@ -389,10 +402,15 @@ class LocalTrader:
         matches (0 = examine every offer).  Offers after the stop are
         never examined, so ``trader.offers.expired{lazy}`` counts only
         the lapsed leases met before it.  Only offers the store lists in
-        ``dynamic_ids`` have markers to resolve; the rest match as stored."""
+        ``dynamic_ids`` have markers to resolve; the rest match as stored.
+        Resolving one is a call-out, and the node serves its queued calls
+        while it waits (DESIGN.md §6a), so what is left of a lazy ``offers``
+        is listed first: a write served then cannot move it."""
         evaluator = self.dynamic_evaluator
         holds = constraint.evaluate
         dynamic = self.offers.dynamic_ids
+        if dynamic:
+            offers = _listed_before_call_out(offers, dynamic)
         matched: List[ServiceOffer] = []
         for offer in offers:
             expires_at = offer.expires_at

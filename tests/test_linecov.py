@@ -6,7 +6,9 @@ queue-full shed) and its post-execution epilogue (wasted handler
 seconds), the trader service's constructor (its clock default), the
 execute body (dequeue re-checks, the span gate with its ``sampled=0``
 fault-span rebuild, an awaitable handler result refused as a typed
-fault), the index probe's candidate order, the offer store's derived
+fault), the offer store's lazy candidate view (the scan; the walk of
+the smallest equality or range bucket, with a re-sort of a bucket a
+re-index left out of order; ``len()``), its index upkeep and derived
 index removals and its ordered walk (NaN and the other unrankable values
 in its tail; the sorted run's writes, tombstones included, and its walk
 over a folded or a dirty run), the preference ranking that walk must agree with, the TCP
@@ -31,7 +33,8 @@ own, replicas fed either way), the rule that types a remote
 trader's fault, the lease heartbeat's beat (renewed, lost and
 re-exported, failed), the constraint code generator (every node kind,
 booleans used as values, both bounds) and the matching loop (lazy lease
-exclusion, marker resolution, the stop)."""
+exclusion, marker resolution, the stop, the rest of a lazy source listed
+before the first call-out)."""
 
 import os
 import subprocess
@@ -50,7 +53,13 @@ TARGETS = [
     "repro.rpc.server:RpcServer._admit",
     "repro.rpc.server:RpcServer._observe",
     "repro.trader.trader:TraderService.__init__",
+    "repro.trader.offers:OfferStore.candidates",
     "repro.trader.offers:OfferStore._filter",
+    "repro.trader.offers:OfferStore._eq_bucket",
+    "repro.trader.offers:OfferStore._range_bucket",
+    "repro.trader.offers:_Candidates.__iter__",
+    "repro.trader.offers:_Candidates.__len__",
+    "repro.trader.offers:OfferStore._index",
     "repro.trader.offers:OfferStore._unindex",
     "repro.trader.offers:OfferStore.ordered_by",
     "repro.trader.offers:_SortedValues.add",
@@ -96,6 +105,7 @@ TARGETS = [
     "repro.trader.constraints:_Writer.atom",
     "repro.trader.constraints:_Writer.value",
     "repro.trader.trader:LocalTrader._matching",
+    "repro.trader.trader:_listed_before_call_out",
 ]
 # Deterministic tests only: what the hypothesis properties happen to
 # generate must not decide whether a line counts as covered.
@@ -158,6 +168,7 @@ UNIT_TESTS = [
     CONSTRAINTS + "test_exist",
     CONSTRAINTS + "test_boolean_property_direct",
     "tests/test_trader_dynamic.py::test_only_marked_offers_are_resolved",
+    "tests/test_trader_dynamic.py::test_a_write_served_during_a_call_out_leaves_the_running_import_alone",
     "tests/test_tcp_execution_model.py",
     "-k",
     # the race needs no tracing to cover its lines, and takes seconds under it

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from repro.core.service_runtime import ServiceRuntime
 from repro.naming.refs import ServiceRef
 from repro.net.endpoints import Address
@@ -285,3 +287,44 @@ def test_only_marked_offers_are_resolved():
     assert seen == ["Live"]
     trader.modify(dynamic, {"ChargePerDay": 7.0, "City": "Kiel"})
     assert trader.offers.dynamic_ids == set()
+
+
+@pytest.mark.parametrize(
+    "constraint, preference",
+    [
+        ("Load < 1", "min ChargePerDay"),  # the ranked walk of the sorted index
+        ("Load * 2 < 2", "first"),  # arithmetic defeats every index: the type scan
+        ("City == 'Kiel' and Load < 1", "first"),  # the equality bucket
+    ],
+)
+def test_a_write_served_during_a_call_out_leaves_the_running_import_alone(
+    constraint, preference
+):
+    """Resolving a marker is a call-out, during which the node may serve
+    an EXPORT.  The import answers as if that write came after it: no
+    offer twice, and the answer of an evaluator that writes nothing."""
+
+    def answer(writes):
+        calls = []
+
+        def evaluator(marker):
+            calls.append(marker)
+            if writes and len(calls) == 2:
+                trader.export("Car", ref, {"ChargePerDay": 0.5, "City": "Kiel", "Load": load})
+            return 0.0
+
+        trader = LocalTrader("t", dynamic_evaluator=evaluator)
+        trader.add_type(ServiceType(
+            "Car",
+            InterfaceType("I", [OperationType("Rent", [], DOUBLE)]),
+            [("ChargePerDay", DOUBLE), ("City", STRING), ("Load", DOUBLE)],
+        ))
+        for charge in range(5):
+            trader.export("Car", ref, {"ChargePerDay": float(charge), "City": "Kiel", "Load": load})
+        offers = trader.import_(ImportRequest("Car", constraint, preference, max_matches=3))
+        assert len(trader.offers) == 5 + writes
+        return [offer.offer_id for offer in offers]
+
+    ref = ServiceRef.create("x", Address("h", 1), 1)
+    load = dynamic_property(ref, "Load")
+    assert answer(writes=True) == answer(writes=False) == ["t:Car:1", "t:Car:2", "t:Car:3"]

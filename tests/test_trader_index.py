@@ -6,6 +6,8 @@ add/remove/mask for the type-match memo — or imports would answer from a
 stale world.
 """
 
+from operator import ge, gt, le, lt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from repro.net.endpoints import Address
 from repro.sidl.types import DOUBLE, InterfaceType, LONG, OperationType, STRING
 from repro.trader.constraints import parse_constraint
 from repro.trader.dynamic import dynamic_property
-from repro.trader.offers import OfferStore, ServiceOffer
+from repro.trader.offers import OfferStore, ServiceOffer, _indexable, _range_class
 from repro.trader.service_types import ServiceType
 from repro.trader.trader import ImportRequest, LocalTrader
 
@@ -322,10 +324,10 @@ def test_mutating_the_dict_handed_to_add_reaches_neither_index_nor_offer():
     wire["ChargePerDay"] = 1.0
     assert dict(store.get("t:T:1").properties) == {"ChargePerDay": 40.0, "City": "HH"}
     assert [o.offer_id for o in store.candidates(["T"], [("City", "HH")])] == ["t:T:1"]
-    assert store.candidates(["T"], [("City", "B")]) == []
-    assert store.candidates(["T"], [], [("ChargePerDay", "<", 2.0)]) == []
+    assert list(store.candidates(["T"], [("City", "B")])) == []
+    assert list(store.candidates(["T"], [], [("ChargePerDay", "<", 2.0)])) == []
     store.remove("t:T:1")
-    assert store.candidates(["T"], [("City", "HH")]) == []
+    assert list(store.candidates(["T"], [("City", "HH")])) == []
     assert list(store.ordered_by(["T"], "ChargePerDay")) == []
 
 
@@ -356,6 +358,79 @@ def test_ordered_by_ranks_numbers_then_the_undefined_tail_per_type():
 
 # -- an index probe answers in candidate order ---------------------------------
 
+
+def reference_candidates(store, type_names, equalities, ranges=()):
+    """The candidate list the store built eagerly before ``candidates``
+    became a lazy view: ``candidates``, ``_filter`` and ``of_types`` as
+    they were, kept as the reference.  Their buckets are computed here
+    from the stored values, not read from the store's indexes."""
+    equalities = list(equalities)
+    ranges = list(ranges)
+    if equalities:
+        return _filter(store, type_names, _eq_bucket, equalities)
+    if ranges and store._range_enabled:
+        return _filter(store, type_names, _range_bucket, ranges)
+    return store.of_types(type_names)
+
+
+def _filter(store, type_names, bucket_for, conjuncts):
+    offers = []
+    for type_name in type_names:
+        per_type = store._by_type.get(type_name)
+        if not per_type:
+            continue
+        surviving = None
+        for conjunct in conjuncts:
+            bucket = bucket_for(per_type, conjunct)
+            surviving = bucket if surviving is None else surviving & bucket
+            if not surviving:
+                break
+        if surviving:
+            offers.extend(
+                per_type[offer_id]
+                for offer_id in sorted(surviving, key=store._order.__getitem__)
+            )
+    return offers
+
+
+def _eq_bucket(per_type, conjunct):
+    """Offers whose stored value equals the literal, plus every offer
+    whose value the index cannot hold; all of them for an unhashable
+    literal."""
+    prop, literal = conjunct
+    try:
+        hash(literal)
+    except TypeError:
+        return set(per_type)
+    return {
+        offer_id
+        for offer_id, offer in per_type.items()
+        if prop in offer.properties
+        and (not _indexable(offer.properties[prop]) or offer.properties[prop] == literal)
+    }
+
+
+def _range_bucket(per_type, conjunct):
+    """Offers whose value is of the literal's class and within the bound,
+    plus every offer whose value the index cannot hold; all of them for a
+    literal without an order."""
+    prop, operator, literal = conjunct
+    literal_class = _range_class(literal)
+    if literal_class is None:
+        return set(per_type)
+    within = {"<": lt, "<=": le, ">": gt, ">=": ge}[operator]
+    bucket = set()
+    for offer_id, offer in per_type.items():
+        if prop not in offer.properties:
+            continue
+        value = offer.properties[prop]
+        if not _indexable(value) or (
+            _range_class(value) == literal_class and within(value, literal)
+        ):
+            bucket.add(offer_id)
+    return bucket
+
+
 STORE_TYPES = ("A", "B")
 _MARKER = dynamic_property(ServiceRef.create("svc", Address("t", 1), 4711), "Now")
 probe_values = st.sampled_from([0, 1, 2, 2.0, "x", "y", ["x"], _MARKER])
@@ -364,6 +439,9 @@ store_steps = st.lists(
     st.one_of(
         st.tuples(st.just("export"), st.sampled_from(STORE_TYPES), probe_properties),
         st.tuples(st.just("modify"), st.integers(0, 99), probe_properties),
+        # a modify onto another live offer's values: into a bucket that
+        # already holds later ids, or back into one the offer left
+        st.tuples(st.just("copy"), st.integers(0, 99), st.integers(0, 99)),
         st.tuples(st.just("withdraw"), st.integers(0, 99)),
         # an idempotent re-add of a live id, possibly under another type
         st.tuples(st.just("readd"), st.integers(0, 99), st.sampled_from(STORE_TYPES)),
@@ -371,9 +449,53 @@ store_steps = st.lists(
     ),
     max_size=24,
 )
-EQ_PROBES = [[("p", 1)], [("q", "x")], [("p", 2), ("q", "x")], [("p", ["x"])]]
-RANGE_PROBES = [[("p", "<", 2)], [("p", ">=", 1), ("q", "<=", "x")], [("q", ">", "x")]]
-TYPE_ORDERS = [("A",), ("B",), ("A", "B"), ("B", "A")]
+EQ_PROBES = [
+    [("p", 1)], [("q", "x")], [("p", 2), ("q", "x")], [("p", ["x"])],
+    [("q", "y"), ("p", ["x"])], [("q", "x"), ("p", 2.0), ("p", 2)], [("p", 0), ("p", 1)],
+]
+RANGE_PROBES = [
+    [("p", "<", 2)], [("p", ">=", 1), ("q", "<=", "x")], [("q", ">", "x")],
+    [("q", "<=", ["x"]), ("p", ">", 0)],
+]
+TYPE_ORDERS = [("A",), ("B",), ("A", "B"), ("B", "A"), ("C", "B", "A")]
+
+
+def apply_step(store, withdrawn, step):
+    """One export/modify/copy/withdraw/re-add/re-export of ``store_steps``."""
+    live = [offer.offer_id for offer in store.all()]
+    if step[0] == "export":
+        __, type_name, properties = step
+        store.add(ServiceOffer(store.new_offer_id(type_name), type_name, {}, properties))
+    elif step[0] == "modify" and live:
+        store.replace_properties(live[step[1] % len(live)], step[2])
+    elif step[0] == "copy" and live:
+        source = store.get(live[step[2] % len(live)])
+        store.replace_properties(live[step[1] % len(live)], dict(source.properties))
+    elif step[0] == "withdraw" and live:
+        offer = store.remove(live[step[1] % len(live)])
+        withdrawn[offer.offer_id] = offer
+    elif step[0] == "readd" and live:
+        old = store.get(live[step[1] % len(live)])
+        store.add(ServiceOffer(old.offer_id, step[2], {}, dict(old.properties)))
+    elif step[0] == "reexport" and withdrawn:
+        store.add(withdrawn.pop(sorted(withdrawn)[step[1] % len(withdrawn)]))
+
+
+def assert_probes_match_the_reference(store):
+    for types in TYPE_ORDERS:
+        scan = store.of_types(types)
+        probes = [(eq, ()) for eq in EQ_PROBES] + [((), rg) for rg in RANGE_PROBES]
+        for equalities, ranges in probes + [((), ())]:
+            view = store.candidates(types, equalities, ranges)
+            probed = [o.offer_id for o in view]
+            expected = reference_candidates(store, types, equalities, ranges)
+            assert probed == [o.offer_id for o in expected], (types, equalities, ranges)
+            assert len(view) == len(expected)
+            bucket = set(probed)
+            assert probed == [o.offer_id for o in scan if o.offer_id in bucket]
+        for prop, literal in (("p", 1), ("q", "x")):
+            exact = {o.offer_id for o in scan if o.properties.get(prop) == literal}
+            assert exact <= {o.offer_id for o in store.candidates(types, [(prop, literal)])}
 
 
 @settings(deadline=None)
@@ -381,34 +503,73 @@ TYPE_ORDERS = [("A",), ("B",), ("A", "B"), ("B", "A")]
 def test_index_probes_answer_in_candidate_order(steps):
     """``candidates(types, eq)`` and ``candidates(types, (), ranges)`` are
     ``of_types(types)`` filtered to the bucket, element for element: the
-    store's ``_order`` sequence is the per-type insertion order."""
+    store's ``_order`` sequence is the per-type insertion order.  Each
+    lazy view iterates, and measures ``len()``, exactly as the eager list
+    of ``reference_candidates`` does, after every step."""
     store = OfferStore(prefix="t")
     withdrawn = {}
     for step in steps:
-        live = [offer.offer_id for offer in store.all()]
-        if step[0] == "export":
-            __, type_name, properties = step
-            store.add(ServiceOffer(store.new_offer_id(type_name), type_name, {}, properties))
-        elif step[0] == "modify" and live:
-            store.replace_properties(live[step[1] % len(live)], step[2])
-        elif step[0] == "withdraw" and live:
-            offer = store.remove(live[step[1] % len(live)])
-            withdrawn[offer.offer_id] = offer
-        elif step[0] == "readd" and live:
-            old = store.get(live[step[1] % len(live)])
-            store.add(ServiceOffer(old.offer_id, step[2], {}, dict(old.properties)))
-        elif step[0] == "reexport" and withdrawn:
-            store.add(withdrawn.pop(sorted(withdrawn)[step[1] % len(withdrawn)]))
-        for types in TYPE_ORDERS:
-            scan = store.of_types(types)
-            probes = [(eq, ()) for eq in EQ_PROBES] + [((), rg) for rg in RANGE_PROBES]
-            for equalities, ranges in probes:
-                probed = [o.offer_id for o in store.candidates(types, equalities, ranges)]
-                bucket = set(probed)
-                assert probed == [o.offer_id for o in scan if o.offer_id in bucket]
-            for prop, literal in (("p", 1), ("q", "x")):
-                exact = {o.offer_id for o in scan if o.properties.get(prop) == literal}
-                assert exact <= {o.offer_id for o in store.candidates(types, [(prop, literal)])}
+        apply_step(store, withdrawn, step)
+        assert_probes_match_the_reference(store)
+
+
+def test_a_pinned_probe_walks_the_smallest_bucket_in_order():
+    """The deterministic twin of the property above: a modify that lands
+    an id behind later ones marks its bucket, the next read re-sorts it,
+    and fresh exports never mark one."""
+    store = OfferStore(prefix="t")
+    withdrawn = {}
+    steps = [
+        ("export", "A", {"p": 1, "q": "x"}),
+        ("export", "A", {"p": 2, "q": "x"}),
+        ("export", "B", {"p": 1, "q": ["x"]}),
+        ("export", "A", {"p": 1, "q": _MARKER}),
+        ("export", "A", {"p": 2.0, "q": "y"}),
+    ]
+    for step in steps:
+        apply_step(store, withdrawn, step)
+    assert not store._unsorted
+    # t:A:1 lands behind t:A:2 in both of its buckets, the unchanged q too
+    store.replace_properties("t:A:1", {"p": 2, "q": "x"})
+    assert store._unsorted == {(("A", "p"), 2), (("A", "q"), "x")}
+    # p's bucket (with 2.0) is walked, q's (with the marker) probed; a
+    # read re-sorts both, and counting the view is a read
+    view = store.candidates(["C", "A", "B"], [("p", 2), ("q", "x")])
+    assert len(view) == 2 and not store._unsorted
+    assert [o.offer_id for o in view] == ["t:A:1", "t:A:2"]
+    # walked alone, q's bucket is merged with the marker
+    assert [o.offer_id for o in store.candidates(["A"], [("q", "x")])] == [
+        "t:A:1", "t:A:2", "t:A:3",
+    ]
+    scan = store.candidates(["C", "A", "B"], [])
+    assert len(scan) == 5 and [o.offer_id for o in scan] == [
+        "t:A:1", "t:A:2", "t:A:3", "t:A:4", "t:B:1",
+    ]
+    apply_step(store, withdrawn, ("withdraw", 4))  # t:A:4 empties q's "y" bucket
+    apply_step(store, withdrawn, ("readd", 0, "B"))  # t:A:1 moves to the end of B
+    assert_probes_match_the_reference(store)
+    assert [o.offer_id for o in store.candidates(["A", "B"], [("p", 2)])] == [
+        "t:A:2", "t:A:1",
+    ]
+    assert [o.offer_id for o in store.candidates(["A", "B"], [("q", ["x"])])] == [
+        "t:A:2", "t:A:3", "t:B:1", "t:A:1",
+    ]
+    assert list(store.candidates(["A"], [("p", 7), ("q", "x")])) == []
+
+
+def test_a_candidate_view_is_walked_when_iterated_not_when_made():
+    """The view holds no list: a write made before an iteration shows in
+    it, and each iteration walks afresh."""
+    store = OfferStore(prefix="t")
+    for _ in range(3):
+        store.add(ServiceOffer(store.new_offer_id("A"), "A", {}, {"p": 1}))
+    view = store.candidates(["A"], [("p", 1)])
+    store.add(ServiceOffer(store.new_offer_id("A"), "A", {}, {"p": 1}))
+    assert [o.offer_id for o in view] == ["t:A:1", "t:A:2", "t:A:3", "t:A:4"]
+    walk = iter(view)
+    assert next(walk).offer_id == "t:A:1"
+    assert [o.offer_id for o in walk] == ["t:A:2", "t:A:3", "t:A:4"]
+    assert len(view) == 4 and next(iter(view)).offer_id == "t:A:1"
 
 
 def test_min_max_fast_path_counts_ordered_scans():
