@@ -12,8 +12,9 @@ fixed-width run (consecutive fixed-width struct fields share one
 ``Struct`` call) is inlined in spec order, each ``seq`` is a plain loop,
 and an ``any`` leaf holding a dict of ``str``/``float``/``int`` values
 is read and written in place.  The source holds no text of the spec:
-field names, label tables and packers are constants ``kN`` in the
-functions' globals, which hold no builtins beyond ``_RUNTIME``.  The
+field names, label tables and packers are constants ``kN``, and
+:func:`repro.gen.build` runs the source without builtins beyond
+``_RUNTIME``, one code object per layout shape.  The
 decoder reads a ``bytes`` body; wherever it meets damage it re-reads
 that offset through the primitive of :mod:`repro.rpc.xdr`, which raises
 the rule's own error (docs/PROTOCOL.md §2).
@@ -52,6 +53,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.gen import MAX_INDENT, Source, build
 from repro.rpc.errors import XdrError
 from repro.rpc.xdr import (
     _HYPER,
@@ -111,14 +113,11 @@ def fingerprint_of(spec: tuple) -> int:
 
 #: Struct format of each fixed-width leaf kind.
 _FIXED = {"i64": "q", "f64": "d", "bool": "I", "enum": "I"}
-#: Past this indentation a nested value is generated as a helper function
-#: of its own: Python refuses code nested more than 20 blocks deep.
-_MAX_INDENT = 10
 _U32 = struct.Struct(">I")
 _PAIR = struct.Struct(">II")  # a tag word and a length or count
-#: All that generated code sees besides its constants ``kN``.
+#: All that generated code reads besides its constants ``kN``.
 _RUNTIME = {
-    "__builtins__": {}, "type": type, "len": len, "range": range, "isinstance": isinstance,
+    "type": type, "len": len, "range": range, "isinstance": isinstance,
     "bytes": bytes, "dict": dict, "str": str, "int": int, "float": float,
     "SEQUENCE": (list, tuple), "OPAQUE": (bytes, bytearray), "KeyError": KeyError,
     "TypeError": TypeError, "UnicodeDecodeError": UnicodeDecodeError, "SE": struct.error,
@@ -137,69 +136,46 @@ def generate(spec: tuple) -> Tuple[Callable, Callable]:
     """``spec``'s generated ``enc(value, out)`` and ``dec(view, offset)``;
     a :class:`ConfigurationError` for a spec kind it does not know."""
     source = _Source()
-    text = source.module(spec)
-    namespace = {**_RUNTIME, **source.constants}
-    exec(text, namespace)  # noqa: S102 - holds no spec text, and runs without builtins
+    namespace = build(source.module(spec), _RUNTIME, source.constants)
     return namespace["enc"], namespace["dec"]
 
 
-class _Source:
-    """The text of one layout's generated functions, helpers first, and
-    the constants they read."""
-
-    def __init__(self) -> None:
-        self.functions: List[str] = []
-        self.constants: Dict[str, Any] = {}
-        self.lines: List[str] = []
-        self.temps = 0
+class _Source(Source):
+    """The grammar of one layout's ``enc`` and ``dec``, helpers first."""
 
     def module(self, spec: tuple) -> str:
-        self.function("enc", spec, encoding=True)
-        self.function("dec", spec, encoding=False)
-        return "\n".join(self.functions)
+        self.coder("enc", spec, encoding=True)
+        self.coder("dec", spec, encoding=False)
+        return self.text()
 
-    def function(self, name: str, spec: tuple, encoding: bool) -> None:
-        outer, self.lines = self.lines, []
+    def coder(self, name: str, spec: tuple, encoding: bool) -> str:
+        """Write the function ``name``, ``spec``'s encoder or decoder."""
+        line = self.line
         if encoding:  # a misfit anywhere below becomes one fallback
-            self.line(0, f"def {name}(v, out):")
-            self.line(1, "w = out.append")
-            self.line(1, "try:")
-            self.encode(spec, "v", 2)
-            self.line(1, "except KeyError:")
-            self.line(2, 'raise Fallback("missing record field") from None')
-            self.line(1, "except SE:")
-            self.line(2, 'raise Fallback("value out of range for the compiled layout") from None')
+            with self.function(f"{name}(v, out)"):
+                line(1, "w = out.append")
+                line(1, "try:")
+                self.encode(spec, "v", 2)
+                line(1, "except KeyError:")
+                line(2, 'raise Fallback("missing record field") from None')
+                line(1, "except SE:")
+                line(2, 'raise Fallback("value out of range for the compiled layout") from None')
         else:
             value = self.temp()
-            self.line(0, f"def {name}(view, o):")
-            self.line(1, "L = len(view)")
-            self.decode(spec, value, 1)
-            self.line(1, f"return {value}, o")
-        self.functions.append("\n".join(self.lines))
-        self.lines = outer
-
-    def line(self, indent: int, text: str) -> None:
-        self.lines.append("    " * indent + text)
-
-    def bind(self, constant: Any) -> str:
-        name = f"k{len(self.constants)}"
-        self.constants[name] = constant
+            with self.function(f"{name}(view, o)"):
+                line(1, "L = len(view)")
+                self.decode(spec, value, 1)
+                line(1, f"return {value}, o")
         return name
-
-    def temp(self) -> str:
-        self.temps += 1
-        return f"x{self.temps}"
 
     def helper(self, spec: tuple, encoding: bool) -> str:
-        name = self.temp().replace("x", "enc" if encoding else "dec")
-        self.function(name, spec, encoding)
-        return name
+        return self.coder(self.temp().replace("x", "enc" if encoding else "dec"), spec, encoding)
 
     # -- encoding: statements appending the wire form of local ``value`` ----
 
     def encode(self, spec: tuple, value: str, indent: int) -> None:
         kind, line = spec[0], self.line
-        if kind in ("struct", "seq", "optional") and indent > _MAX_INDENT:
+        if kind in ("struct", "seq", "optional") and indent > MAX_INDENT:
             line(indent, f"{self.helper(spec, True)}({value}, out)")
         elif kind == "struct":
             line(indent, f"if type({value}) is not dict or len({value}) != {len(spec[1])}:")
@@ -265,10 +241,8 @@ class _Source:
             line(indent + 1, 'raise Fallback("not a bool")')
         else:
             index = self.bind({label: position for position, label in enumerate(spec[1])})
-            line(indent, "try:")
-            line(indent + 1, f"{value} = {index}[{value}]")
-            line(indent, "except (KeyError, TypeError):")
-            line(indent + 1, 'raise Fallback("not an enum label") from None')
+            self.attempt(indent, f"{value} = {index}[{value}]", "(KeyError, TypeError)",
+                         'raise Fallback("not an enum label") from None')
 
     def pack(self, run: List[Tuple[tuple, str]], indent: int) -> None:
         if run:
@@ -279,8 +253,7 @@ class _Source:
 
     def opaque(self, data: str, head: str, indent: int) -> None:
         """Append ``head`` (naming the length ``n``), the bytes and their pad."""
-        for text in (f"b = {data}", "n = len(b)", f"w({head})", "w(b)", "w(PAD[n & 3])"):
-            self.line(indent, text)
+        self.line(indent, f"b = {data}", "n = len(b)", f"w({head})", "w(b)", "w(PAD[n & 3])")
 
     def encode_any(self, value: str, indent: int) -> None:
         """A dict of str/float/int values in place; anything else, and any
@@ -298,10 +271,8 @@ class _Source:
         line(body, "elif kind is float:")
         line(body + 1, f"w(tagged_float({_TAG_FLOAT}, item))")
         line(body, "elif kind is int:")
-        line(body + 1, "try:")
-        line(body + 2, f"w(tagged_int({_TAG_INT}, item))")
-        line(body + 1, "except SE:")  # out of range: put_value raises its XdrError
-        line(body + 2, "put_value(out, item)")
+        # out of range: put_value raises its XdrError
+        self.attempt(body + 1, f"w(tagged_int({_TAG_INT}, item))", "SE", "put_value(out, item)")
         line(body, "else:")
         line(body + 1, "put_value(out, item)")
         line(indent, "else:")
@@ -311,7 +282,7 @@ class _Source:
 
     def decode(self, spec: tuple, target: str, indent: int) -> None:
         kind, line = spec[0], self.line
-        if kind in ("struct", "seq", "optional") and indent > _MAX_INDENT:
+        if kind in ("struct", "seq", "optional") and indent > MAX_INDENT:
             line(indent, f"{target}, o = {self.helper(spec, False)}(view, o)")
         elif kind == "struct":
             run: List[Tuple[tuple, str]] = []
@@ -338,9 +309,8 @@ class _Source:
             line(indent + 1, f"{target}, o = {primitive}(view, o)")
         elif kind == "optional":
             flag = self.temp()
-            self.read(flag, "read_u32", "get_u32(view, o)", indent)
-            line(indent, "o += 4")
-            line(indent, f"if {flag} == 0:")
+            self.attempt(indent, f"{flag}, = read_u32(view, o)", "SE", "get_u32(view, o)")
+            line(indent, "o += 4", f"if {flag} == 0:")
             line(indent + 1, f"{target} = None")
             line(indent, f"elif {flag} == 1:")
             self.decode(spec[1], target, indent + 1)
@@ -348,9 +318,8 @@ class _Source:
             line(indent + 1, f"{target} = to_bool({flag})")  # raises
         elif kind == "seq":
             count, item = self.temp(), self.temp()
-            line(indent, f"{count}, o = get_count(view, o)")
-            line(indent, f"{target} = []")
-            line(indent, f"for _ in range({count}):")
+            line(indent, f"{count}, o = get_count(view, o)", f"{target} = []",
+                 f"for _ in range({count}):")
             self.decode(spec[1], item, indent + 1)
             line(indent + 1, f"{target}.append({item})")
         elif kind == "void":
@@ -358,20 +327,13 @@ class _Source:
         else:  # "any": the encoder, generated first, refused every unknown kind
             self.decode_any(target, indent)
 
-    def read(self, targets: str, reader: str, replay: str, indent: int) -> None:
-        """``targets`` from ``reader`` at ``o``; a short read replays."""
-        self.line(indent, "try:")
-        self.line(indent + 1, f"{targets}, = {reader}(view, o)")
-        self.line(indent, "except SE:")
-        self.line(indent + 1, replay)  # raises the truncation error
-
     def unpack(self, run: List[Tuple[tuple, str]], indent: int) -> None:
         if not run:
             return
         packer = struct.Struct(">" + "".join(_FIXED[spec[0]] for spec, __ in run))
         values = ", ".join(value for __, value in run)
-        replay = f"get_fixed({self.bind(packer)}, view, o)"
-        self.read(values, self.bind(packer.unpack_from), replay, indent)
+        replay = f"get_fixed({self.bind(packer)}, view, o)"  # a short read: raises
+        self.attempt(indent, f"{values}, = {self.bind(packer.unpack_from)}(view, o)", "SE", replay)
         self.line(indent, f"o += {packer.size}")
         for spec, value in run:
             if spec[0] == "bool":
@@ -385,9 +347,8 @@ class _Source:
     def span(self, at: str, indent: int) -> None:
         """Locate the opaque at ``at``: its bytes are ``view[s:e]`` and
         its pad ends at ``t``; a short or badly padded one raises ``SE``."""
-        for text in (f"n, = read_u32(view, {at})", f"s = {at} + 4", "e = s + n",
-                     "t = s + (n + 3 & -4)", "if t > L or view[e:t] != PAD[n & 3]:"):
-            self.line(indent, text)
+        self.line(indent, f"n, = read_u32(view, {at})", f"s = {at} + 4", "e = s + n",
+                  "t = s + (n + 3 & -4)", "if t > L or view[e:t] != PAD[n & 3]:")
         self.line(indent + 1, "raise SE")
 
     def decode_any(self, target: str, indent: int) -> None:
@@ -399,14 +360,10 @@ class _Source:
         line(indent, "if o + 8 <= L:")
         line(indent + 1, "tag, count = read_pair(view, o)")
         line(indent + 1, f"if tag == {_TAG_DICT} and count <= L:")
-        line(indent + 2, "p = o + 8")
-        line(indent + 2, f"{target} = {{}}")
-        line(indent + 2, "try:")
+        line(indent + 2, "p = o + 8", f"{target} = {{}}", "try:")
         line(indent + 3, "for _ in range(count):")
         self.span("p", body)
-        line(body, "key = view[s:e].decode()")
-        line(body, "tag, = read_u32(view, t)")
-        line(body, "p = t + 4")
+        line(body, "key = view[s:e].decode()", "tag, = read_u32(view, t)", "p = t + 4")
         line(body, f"if tag == {_TAG_STRING}:")
         self.span("p", body + 1)
         line(body + 1, f"{target}[key] = view[s:e].decode()")

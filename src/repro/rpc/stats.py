@@ -56,29 +56,29 @@ PROC_SNAPSHOT = 1
 SNAPSHOT_VERSION = 1
 
 _BREAKER_STATES = {0: "closed", 1: "half-open", 2: "open"}
+STATS_BURST = 8
+STATS_PER_SECOND = 16.0
 
 
 class StatsBudget:
     """Token bucket bounding admission-bypassing STATS executions.
 
-    ``burst`` probes may land back-to-back; after that they refill at
-    ``per_second`` against the transport clock (simulated or wall).
-    Deliberately small: a dashboard polls a few times a second at most,
-    while anything hammering the stats procedure during overload is
-    itself part of the problem and gets ``SHED`` like everyone else.
+    ``STATS_BURST`` probes may land back-to-back; after that they refill
+    at ``STATS_PER_SECOND`` against the transport clock (simulated or
+    wall).  Deliberately small: a dashboard polls a few times a second
+    at most, while anything hammering the stats procedure during overload
+    is itself part of the problem and gets ``SHED`` like everyone else.
     """
 
-    def __init__(self, burst: int = 8, per_second: float = 16.0) -> None:
-        self.burst = burst
-        self.per_second = per_second
-        self._tokens = float(burst)
+    def __init__(self) -> None:
+        self._tokens = float(STATS_BURST)
         self._last: Optional[float] = None
 
     def take(self, now: float) -> bool:
         """Spend one token if available; refills from elapsed time."""
         if self._last is not None and now > self._last:
             self._tokens = min(
-                float(self.burst), self._tokens + (now - self._last) * self.per_second
+                float(STATS_BURST), self._tokens + (now - self._last) * STATS_PER_SECOND
             )
         self._last = now
         if self._tokens >= 1.0:
@@ -87,10 +87,10 @@ class StatsBudget:
         return False
 
 
-def _series_by_label(table: Dict[str, Dict[Any, float]], name: str) -> Dict[str, float]:
-    """One metrics series as ``joined-label -> value`` (wire-encodable)."""
-    series = table.get(name, {})
-    return {"|".join(labels): value for labels, value in series.items()}
+def _series(name: str, gauge: bool = False) -> Dict[str, float]:
+    """One counter (or gauge) series as ``joined-label -> value`` (wire-encodable)."""
+    table = METRICS.gauges(name) if gauge else METRICS.counters(name)
+    return {"|".join(labels): value for labels, value in table.get(name, {}).items()}
 
 
 def build_snapshot(server: Any) -> Dict[str, Any]:
@@ -141,12 +141,8 @@ def build_snapshot(server: Any) -> Dict[str, Any]:
         "breakers": breakers,
         "leases": {
             "renewed": METRICS.counter_total("trader.offers.renewed"),
-            "expired": _series_by_label(
-                METRICS.counters("trader.offers.expired"), "trader.offers.expired"
-            ),
-            "live": _series_by_label(
-                METRICS.gauges("trader.offers.live"), "trader.offers.live"
-            ),
+            "expired": _series("trader.offers.expired"),
+            "live": _series("trader.offers.live", gauge=True),
         },
         "codec": {
             "compiled_hits": METRICS.counter_total("rpc.codec.compiled_hits"),
@@ -154,40 +150,22 @@ def build_snapshot(server: Any) -> Dict[str, Any]:
         },
         "batching": {
             "replies": METRICS.histogram("rpc.server.batch_replies") or {},
-            "queue_depth": _series_by_label(gauges, "rpc.server.queue_depth"),
+            "queue_depth": _series("rpc.server.queue_depth", gauge=True),
         },
         "sharding": {
-            "map_version": _series_by_label(
-                METRICS.gauges("sharding."), "sharding.map_version"
-            ),
-            "replication_seq": _series_by_label(
-                METRICS.gauges("sharding."), "sharding.replication_seq"
-            ),
-            "routed": _series_by_label(
-                METRICS.counters("sharding.routed"), "sharding.routed"
-            ),
+            "map_version": _series("sharding.map_version", gauge=True),
+            "replication_seq": _series("sharding.replication_seq", gauge=True),
+            "routed": _series("sharding.routed"),
             "fanout": METRICS.counter_total("sharding.fanout"),
-            "failovers": _series_by_label(
-                METRICS.counters("sharding.failovers"), "sharding.failovers"
-            ),
-            "promotions": _series_by_label(
-                METRICS.counters("sharding.promotions"), "sharding.promotions"
-            ),
+            "failovers": _series("sharding.failovers"),
+            "promotions": _series("sharding.promotions"),
             "syncs": METRICS.counter_total("sharding.syncs"),
             "push_failed": METRICS.counter_total("sharding.push_failed"),
             "migration": {
-                "phase": _series_by_label(
-                    METRICS.gauges("sharding.migration."), "sharding.migration.phase"
-                ),
-                "offers_copied": METRICS.counter_total(
-                    "sharding.migration.offers_copied"
-                ),
-                "deltas_replayed": METRICS.counter_total(
-                    "sharding.migration.deltas_replayed"
-                ),
-                "forwarded_calls": METRICS.counter_total(
-                    "sharding.migration.forwarded_calls"
-                ),
+                "phase": _series("sharding.migration.phase", gauge=True),
+                "offers_copied": METRICS.counter_total("sharding.migration.offers_copied"),
+                "deltas_replayed": METRICS.counter_total("sharding.migration.deltas_replayed"),
+                "forwarded_calls": METRICS.counter_total("sharding.migration.forwarded_calls"),
             },
         },
         "sampling": {

@@ -18,16 +18,17 @@ The parser builds a plain tree of nested tuples, the idiom of
 nodes)`` (a whole chain), ``("cmp", op, left, right)`` (``op`` a
 comparison or ``in``), ``("arith", op, left, right)``, ``("neg", node)``
 and ``("list", nodes)``.  :func:`generate` turns a tree into one Python
-function, so matching an offer is one call, not a walk over the tree.
+function, written and run through :mod:`repro.gen`, so matching an offer
+is one call, not a walk over the tree.
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
-from types import CodeType, FunctionType
 from typing import Any, Callable, Iterator, List, Mapping, Optional, Tuple
 
+from repro.gen import Source, build
 from repro.trader.errors import ConstraintSyntaxError
 
 
@@ -288,8 +289,6 @@ def _is_ident(token: str) -> bool:
 #: missing property (``p[name]``), a type mismatch, a zero divisor.
 _UNDEFINED = (KeyError, TypeError, ZeroDivisionError)
 _BOOLEAN_KINDS = frozenset({"and", "or", "not", "exist", "cmp"})
-#: Generated functions see no builtins and no module state at all.
-_GENERATED_GLOBALS = {"__builtins__": {}}
 
 
 def _negate(value: Any) -> Any:
@@ -298,37 +297,31 @@ def _negate(value: Any) -> Any:
     raise TypeError("only a number negates")
 
 
+#: All that a generated function reads besides its constants ``kN``.
+_NAMES = {"E": _UNDEFINED, "M": MISSING, "neg": _negate}
+
+
 def generate(tree: tuple, value: bool) -> Callable[[Mapping[str, Any]], Any]:
     """``tree`` as one function of an offer's properties, returning its
     truth (``value=False``) or its value, MISSING where undefined.
 
     The source holds node kinds and the fixed operator tables only: each
-    property name and literal is a parameter ``sN`` defaulting to it, so
-    one code object per tree *shape* serves every tree of that shape.
+    property name and literal is a constant (:class:`repro.gen.Source`),
+    so one code object per tree *shape* serves every tree of that shape.
     Raises :class:`ConstraintSyntaxError` past the module's bounds.
     """
     writer = _Writer()
-    if value:
-        writer.atom("r", writer.value(tree, 1, 1), 1, undefined="M")
-        writer.line(1, "return r")
-    else:
-        writer.test(tree, "r", 1, 1)
-        writer.line(1, "return True if r else False")
-    parameters = "".join(f", s{index}" for index in range(len(writer.slots)))
-    source = f"def generated(p, E, M, neg{parameters}):\n" + "\n".join(writer.lines)
-    defaults = (_UNDEFINED, MISSING, _negate, *writer.slots)
-    return FunctionType(_code(source), _GENERATED_GLOBALS, "generated", defaults)
+    with writer.function("generated(p)"):
+        if value:
+            writer.atom("r", writer.value(tree, 1, 1), 1, undefined="M")
+            writer.line(1, "return r")
+        else:
+            writer.test(tree, "r", 1, 1)
+            writer.line(1, "return True if r else False")
+    return build(writer.text(), _NAMES, writer.constants)["generated"]
 
 
-@lru_cache(maxsize=256)
-def _code(source: str) -> CodeType:
-    namespace: dict = {}
-    # No request text reaches the source, and it runs without builtins.
-    exec(source, dict(_GENERATED_GLOBALS), namespace)  # noqa: S102 - the one generated function
-    return namespace["generated"].__code__
-
-
-class _Writer:
+class _Writer(Source):
     """The source of one generated function, and the values it binds.
 
     A comparison or a bare value is an *atom*: one ``try`` that sets the
@@ -340,17 +333,7 @@ class _Writer:
     a value there, not the whole atom's.
     """
 
-    def __init__(self) -> None:
-        self.lines: List[str] = []
-        self.slots: List[Any] = []
-        self.temps = self.nodes = 0
-
-    def line(self, indent: int, text: str) -> None:
-        self.lines.append("    " * indent + text)
-
-    def slot(self, constant: Any) -> str:
-        self.slots.append(constant)
-        return f"s{len(self.slots) - 1}"
+    nodes = 0  # how many the tree has, counted as it is written
 
     def visit(self, depth: int) -> None:
         self.nodes += 1
@@ -366,7 +349,7 @@ class _Writer:
             return self.atom(result, self.value(node, depth, indent), indent)
         self.visit(depth)
         if kind == "exist":
-            self.line(indent, f"{result} = {self.slot(node[1])} in p")
+            self.line(indent, f"{result} = {self.bind(node[1])} in p")
         elif kind == "not":
             self.test(node[1], result, depth + 1, indent)
             self.line(indent, f"{result} = not {result}")
@@ -381,26 +364,22 @@ class _Writer:
                 self.test(term, result, depth + 1, indent + 1)
 
     def atom(self, result: str, expression: str, indent: int, undefined: str = "False") -> None:
-        self.line(indent, "try:")
-        self.line(indent + 1, f"{result} = {expression}")
-        self.line(indent, "except E:")
-        self.line(indent + 1, f"{result} = {undefined}")
+        self.attempt(indent, f"{result} = {expression}", "E", f"{result} = {undefined}")
 
     def value(self, node: tuple, depth: int, indent: int) -> str:
         """An expression for ``node``'s value, raising one of
         ``_UNDEFINED`` where the value is undefined."""
         kind = node[0]
         if kind in _BOOLEAN_KINDS:
-            temp = f"t{self.temps}"
-            self.temps += 1
+            temp = self.temp()
             self.test(node, temp, depth, indent)
             self.line(indent, f"{temp} = True if {temp} else False")
             return temp
         self.visit(depth)
         if kind == "lit":
-            return self.slot(node[1])
+            return self.bind(node[1])
         if kind == "prop":
-            return f"p[{self.slot(node[1])}]"
+            return f"p[{self.bind(node[1])}]"
         if kind == "neg":
             return f"neg({self.value(node[1], depth + 1, indent)})"
         if kind == "list":

@@ -23,7 +23,8 @@ writes), ``call_many``, the federation fan-out over remote and in-process
 links, the offer-record wire path (the string and opaque reads a
 damaged body is re-read through), the compiled codec's generator (every
 spec kind, fixed-width runs, the ``any`` leaf, helpers past the depth
-limit, an unknown kind), and the
+limit, an unknown kind), the writer and runner both generators share
+(``repro.gen``: helpers first, the one ``exec``, its code cache), and the
 single-owner relay (the router's branch, the remote backend's undecoded
 IMPORT answer and ``encode_result``'s rule for a relayed body), a shard's
 failover on the shared engine (``ShardHandle.call``: promotion, deadline
@@ -79,7 +80,7 @@ TARGETS = [
     "repro.trader.federation:fan_out",
     "repro.rpc.codec:generate",
     "repro.rpc.codec:_Source.module",
-    "repro.rpc.codec:_Source.function",
+    "repro.rpc.codec:_Source.coder",
     "repro.rpc.codec:_Source.helper",
     "repro.rpc.codec:_Source.encode",
     "repro.rpc.codec:_Source.to_wire",
@@ -99,7 +100,14 @@ TARGETS = [
     "repro.rpc.xdr:get_string",
     "repro.rpc.xdr:get_opaque",
     "repro.trader.constraints:generate",
-    "repro.trader.constraints:_code",
+    "repro.gen:Source.line",
+    "repro.gen:Source.attempt",
+    "repro.gen:Source.bind",
+    "repro.gen:Source.temp",
+    "repro.gen:Source.function",
+    "repro.gen:Source.text",
+    "repro.gen:build",
+    "repro.gen:_code",
     "repro.trader.constraints:_Writer.visit",
     "repro.trader.constraints:_Writer.test",
     "repro.trader.constraints:_Writer.atom",
@@ -151,6 +159,7 @@ UNIT_TESTS = [
     BATCHING + "test_refused_connect_settles_the_whole_envelope",
     "tests/test_wire_rules.py",
     "tests/test_rpc_codec.py",
+    "tests/test_gen.py",
     "tests/test_codec_equivalence.py::test_an_unknown_spec_kind_is_refused_alike",
     "tests/test_trader_sharding_parity.py",
     "tests/test_sharding_migration.py::test_spliced_and_merged_paths_answer_a_migrated_type_alike",

@@ -71,3 +71,13 @@ def test_exec_is_found_unless_excused():
         "    'y = 2')\n"
     )
     assert codes(source) == [(1, "S102"), (6, "S102")]
+
+
+def test_exec_under_src_is_excused_only_in_the_runner_of_generated_code():
+    source = "exec(code, {})  # noqa: S102 - compiled from a fixed template\n"
+    assert codes(source) == []
+    assert [(f.line, f.code) for f in lint.check_source(source, "src/repro/gen.py")] == []
+    assert [(f.line, f.code) for f in lint.check_source(source, "tests/test_x.py")] == []
+    for elsewhere in ("src/repro/rpc/codec.py", "/abs/src/repro/trader/constraints.py"):
+        findings = lint.check_source(source, elsewhere)
+        assert [(f.line, f.code) for f in findings] == [(1, "S102")]

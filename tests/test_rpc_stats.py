@@ -112,8 +112,10 @@ def test_snapshot_reports_breaker_and_lease_series(make_server):
 # -- the admission bypass and its budget -------------------------------------
 
 
-def test_stats_budget_token_bucket():
-    budget = StatsBudget(burst=2, per_second=1.0)
+def test_stats_budget_token_bucket(monkeypatch):
+    monkeypatch.setattr(stats_mod, "STATS_BURST", 2)
+    monkeypatch.setattr(stats_mod, "STATS_PER_SECOND", 1.0)
+    budget = StatsBudget()
     assert budget.take(0.0) is True
     assert budget.take(0.0) is True
     assert budget.take(0.0) is False  # burst spent
@@ -156,9 +158,10 @@ def test_probes_beyond_budget_are_shed(net, make_server):
     )
 
 
-def test_stats_shed_surfaces_as_server_shedding(net, make_server, make_client):
+def test_stats_shed_surfaces_as_server_shedding(net, make_server, make_client, monkeypatch):
+    monkeypatch.setattr(stats_mod, "STATS_BURST", 1)
+    monkeypatch.setattr(stats_mod, "STATS_PER_SECOND", 0.0)
     server = make_server()
-    server._stats_budget = StatsBudget(burst=1, per_second=0.0)
     client = make_client()
     assert client.stats(server.address)["stats_version"] == SNAPSHOT_VERSION
     with pytest.raises(ServerShedding):

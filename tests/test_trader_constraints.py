@@ -1,10 +1,13 @@
 """Tests for the importer constraint language."""
 
+import ast
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.trader.constraints import MAX_DEPTH, MAX_NODES, parse_constraint
+from repro.gen import MAX_INDENT
+from repro.trader.constraints import MAX_DEPTH, MAX_NODES, _Writer, parse_constraint, parse_tree
 from repro.trader.errors import ConstraintSyntaxError
 
 OFFER = {
@@ -224,6 +227,32 @@ def test_nesting_up_to_the_bound_compiles():
     assert parse_constraint("not " * (MAX_DEPTH - 1) + "a").evaluate({"a": 0}) is (
         (MAX_DEPTH - 1) % 2 == 1
     )
+
+
+def _blocks(node, depth=0):
+    """How deep ``node``'s blocks nest, as Python's compiler counts them."""
+    inner = depth + isinstance(node, (ast.For, ast.While, ast.Try, ast.With))
+    return max([inner] + [_blocks(child, inner) for child in ast.iter_child_nodes(node)])
+
+
+def test_the_deepest_constraint_nests_under_the_generators_bound():
+    """Chains of alternating kinds nested to the bound are the deepest
+    source the writer emits: an ``if`` per level, but a ``try`` only at
+    each leaf, so its blocks stay under :data:`repro.gen.MAX_INDENT`."""
+    deepest = "a == 1"
+    for level in range(MAX_DEPTH - 2):
+        deepest = f"b{level} == 1 {'and' if level % 2 else 'or'} ({deepest})"
+    writer = _Writer()
+    with writer.function("generated(p)"):
+        writer.test(parse_tree(deepest, expression=False), "r", 1, 1)
+    source = writer.text()
+    assert max(len(line) - len(line.lstrip()) for line in source.splitlines()) // 4 > MAX_INDENT
+    assert _blocks(ast.parse(source)) <= MAX_INDENT
+    every = {"a": 1, **{f"b{level}": 1 for level in range(MAX_DEPTH - 2)}}
+    assert parse_constraint(deepest).evaluate(every)
+    assert not parse_constraint(deepest).evaluate({})
+    with pytest.raises(ConstraintSyntaxError, match="nested deeper"):
+        parse_constraint(f"b == 1 or ({deepest})")
 
 
 def test_long_chains_generate_flat_code():
